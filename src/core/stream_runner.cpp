@@ -205,7 +205,7 @@ void StreamSession::checkpoint(CkptWriter& writer) const {
   writer.line("expiries").u(pending.size());
   for (const auto& [deadline, id] : pending)
     writer.line("expiry").u(deadline).u(id);
-  if (verifier_) verifier_->serialize(writer);
+  if (verifier_) verifier_->serialize(writer, result_.ledger);
   result_.ledger.serialize(writer);
   writer.line("algo").bytes(algorithm_.name());
   algorithm_.serialize_state(writer);

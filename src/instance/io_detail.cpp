@@ -14,22 +14,30 @@
 
 namespace omflp::iodetail {
 
+bool LineReader::advance() {
+  while (std::getline(is_, line_)) {
+    ++line_number_;
+    const auto first = line_.find_first_not_of(" \t\r");
+    if (first == std::string::npos) continue;
+    if (line_[first] == '#') continue;
+    return true;
+  }
+  return false;
+}
+
 std::string LineReader::next(const char* what) {
-  if (auto line = try_next()) return std::move(*line);
+  return std::string(next_view(what));
+}
+
+std::string_view LineReader::next_view(const char* what) {
+  if (advance()) return line_;
   throw std::invalid_argument(prefix_ +
                               ": unexpected end of input while reading " +
                               what);
 }
 
 std::optional<std::string> LineReader::try_next() {
-  std::string line;
-  while (std::getline(is_, line)) {
-    ++line_number_;
-    const auto first = line.find_first_not_of(" \t\r");
-    if (first == std::string::npos) continue;
-    if (line[first] == '#') continue;
-    return line;
-  }
+  if (advance()) return line_;
   return std::nullopt;
 }
 

@@ -10,6 +10,7 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "cost/cost_model.hpp"
 #include "instance/capacity.hpp"
@@ -28,6 +29,11 @@ class LineReader {
   /// end of input.
   std::string next(const char* what);
 
+  /// next() without the copy: a view into the reader's line buffer,
+  /// valid until the next call on this reader. Steady-state reads
+  /// reuse the buffer and allocate nothing.
+  std::string_view next_view(const char* what);
+
   /// Next content line, or nullopt at end of input (for optional
   /// trailing sections).
   std::optional<std::string> try_next();
@@ -37,9 +43,40 @@ class LineReader {
   std::size_t line_number() const noexcept { return line_number_; }
 
  private:
+  /// Loads the next content line into line_; false at end of input.
+  bool advance();
+
   std::istream& is_;
   std::string prefix_;
+  std::string line_;
   std::size_t line_number_ = 0;
+};
+
+/// Whitespace-separated tokens of one line, as views into it. Splits on
+/// exactly the C-locale whitespace set (space, \t, \n, \v, \f, \r), so
+/// token boundaries match `istream >> std::string`, without the stream,
+/// its locale lookups or a string per token.
+class Tokens {
+ public:
+  explicit Tokens(std::string_view line) noexcept : rest_(line) {}
+
+  /// The next token, or an empty view once the line is exhausted.
+  std::string_view next() noexcept {
+    std::size_t begin = 0;
+    while (begin < rest_.size() && is_space(rest_[begin])) ++begin;
+    std::size_t end = begin;
+    while (end < rest_.size() && !is_space(rest_[end])) ++end;
+    const std::string_view token = rest_.substr(begin, end - begin);
+    rest_.remove_prefix(end);
+    return token;
+  }
+
+ private:
+  static constexpr bool is_space(char c) noexcept {
+    return c == ' ' || (c >= '\t' && c <= '\r');  // \t \n \v \f \r
+  }
+
+  std::string_view rest_;
 };
 
 /// "metric matrix <|M|>" plus |M| rows of 17-significant-digit

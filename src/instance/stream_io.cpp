@@ -29,31 +29,33 @@ struct StreamHeader {
   std::uint64_t num_arrivals = 0;
 };
 
+/// Strict count token: parse_u64_strict, so "events -5" fails here
+/// instead of wrapping to 2^64-5 and dying on a bogus reserve.
+std::uint64_t take_u64(iodetail::LineReader& reader, iodetail::Tokens& row,
+                       const char* what) {
+  const std::string_view token = row.next();
+  if (token.empty()) reader.fail(std::string("missing ") + what);
+  const auto value = parse_u64_strict(token);
+  if (!value)
+    reader.fail(std::string("bad ") + what + " '" + std::string(token) +
+                "'");
+  return *value;
+}
+
 StreamHeader read_header(iodetail::LineReader& reader) {
   StreamHeader header;
-  if (reader.next("header") != kHeader)
+  if (reader.next_view("header") != kHeader)
     reader.fail("bad header, expected 'OMFLP-STREAM v1'");
 
   std::string name_line = reader.next("name");
   if (name_line.rfind("name ", 0) != 0) reader.fail("expected 'name ...'");
   header.name = name_line.substr(5);
 
-  // Counts are parsed strictly (istream extraction into an unsigned
-  // would wrap "events -5" to 2^64−5 and then die on a bogus reserve).
-  auto take_count = [&](std::istringstream& line, const char* what) {
-    std::string token;
-    if (!(line >> token)) reader.fail(std::string("missing ") + what);
-    const auto value = parse_u64_strict(token);
-    if (!value)
-      reader.fail(std::string("bad ") + what + " '" + token + "'");
-    return *value;
-  };
-
-  std::istringstream commodities_line(reader.next("commodities"));
-  std::string word;
-  if (!(commodities_line >> word) || word != "commodities")
+  iodetail::Tokens commodities_line(reader.next_view("commodities"));
+  if (commodities_line.next() != "commodities")
     reader.fail("expected 'commodities <|S|>'");
-  const std::uint64_t s = take_count(commodities_line, "commodity count");
+  const std::uint64_t s =
+      take_u64(reader, commodities_line, "commodity count");
   if (s == 0 || s > std::numeric_limits<CommodityId>::max())
     reader.fail("commodity count out of range");
   header.commodities = static_cast<CommodityId>(s);
@@ -67,14 +69,13 @@ StreamHeader read_header(iodetail::LineReader& reader) {
   header.capacities = iodetail::maybe_read_capacities(
       reader, section, header.metric->num_points());
 
-  std::istringstream events_line(section);
-  if (!(events_line >> word) || word != "events")
+  iodetail::Tokens events_line(section);
+  if (events_line.next() != "events")
     reader.fail("expected 'events <n> arrivals <k>'");
-  header.num_events = take_count(events_line, "event count");
-  std::string arrivals_word;
-  if (!(events_line >> arrivals_word) || arrivals_word != "arrivals")
+  header.num_events = take_u64(reader, events_line, "event count");
+  if (events_line.next() != "arrivals")
     reader.fail("expected 'events <n> arrivals <k>'");
-  header.num_arrivals = take_count(events_line, "arrival count");
+  header.num_arrivals = take_u64(reader, events_line, "arrival count");
   if (header.num_arrivals > header.num_events)
     reader.fail("arrival count exceeds event count");
   return header;
@@ -86,53 +87,50 @@ StreamHeader read_header(iodetail::LineReader& reader) {
 /// ids fail instead of silently collapsing the demand set, and trailing
 /// garbage after the last expected field is an error — a hand-edited or
 /// corrupted trace must be rejected, not misread into another workload.
+/// Tokens are views into the reader's reused line buffer: the only
+/// allocation per event is the demand set itself.
 StreamEvent read_event(iodetail::LineReader& reader, CommodityId s,
                        std::size_t num_points) {
-  std::istringstream row(reader.next("event"));
-  std::string tag;
-  if (!(row >> tag)) reader.fail("empty event line");
+  iodetail::Tokens row(reader.next_view("event"));
+  const std::string_view tag = row.next();
+  if (tag.empty()) reader.fail("empty event line");
 
-  auto take_u64 = [&](const char* what) {
-    std::string token;
-    if (!(row >> token)) reader.fail(std::string("missing ") + what);
-    const auto value = parse_u64_strict(token);
-    if (!value)
-      reader.fail(std::string("bad ") + what + " '" + token + "'");
-    return *value;
-  };
   auto reject_trailing = [&] {
-    std::string extra;
-    if (row >> extra)
-      reader.fail("trailing garbage '" + extra + "' on event line");
+    const std::string_view extra = row.next();
+    if (!extra.empty())
+      reader.fail("trailing garbage '" + std::string(extra) +
+                  "' on event line");
   };
 
   if (tag == "d") {
-    const std::uint64_t target = take_u64("departure target");
+    const std::uint64_t target = take_u64(reader, row, "departure target");
     reject_trailing();
     return StreamEvent::departure(static_cast<RequestId>(target));
   }
-  if (tag != "a") reader.fail("unknown event tag '" + tag + "'");
-  const std::uint64_t location = take_u64("arrival location");
+  if (tag != "a")
+    reader.fail("unknown event tag '" + std::string(tag) + "'");
+  const std::uint64_t location = take_u64(reader, row, "arrival location");
   if (location >= num_points)
     reader.fail("arrival location outside the metric space");
-  const std::uint64_t k = take_u64("demand-set size");
+  const std::uint64_t k = take_u64(reader, row, "demand-set size");
   if (k == 0 || k > s) reader.fail("bad demand-set size");
   Request r;
   r.location = static_cast<PointId>(location);
   r.commodities = CommoditySet(s);
   for (std::uint64_t j = 0; j < k; ++j) {
-    const std::uint64_t e = take_u64("commodity id");
+    const std::uint64_t e = take_u64(reader, row, "commodity id");
     if (e >= s) reader.fail("bad commodity id in arrival");
     if (r.commodities.contains(static_cast<CommodityId>(e)))
       reader.fail("duplicate commodity id in arrival");
     r.commodities.add(static_cast<CommodityId>(e));
   }
   std::uint64_t lease = 0;
-  std::string lease_tag;
-  if (row >> lease_tag) {
+  const std::string_view lease_tag = row.next();
+  if (!lease_tag.empty()) {
     if (lease_tag != "L")
-      reader.fail("trailing garbage '" + lease_tag + "' on event line");
-    lease = take_u64("lease");
+      reader.fail("trailing garbage '" + std::string(lease_tag) +
+                  "' on event line");
+    lease = take_u64(reader, row, "lease");
     if (lease == 0) reader.fail("lease must be positive");
     reject_trailing();
   }

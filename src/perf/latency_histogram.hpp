@@ -15,8 +15,9 @@
 // concurrent writers; the engine snapshots after joining its workers.
 // Quantiles are computed from the bucket counts: quantile(q) returns the
 // representative (midpoint) value of the bucket holding the ceil(q*n)-th
-// smallest sample, so p50/p95/p99 carry the same <= 12.5% relative error
-// as the buckets themselves.
+// smallest sample, clamped to the observed maximum, so p50/p95/p99 carry
+// the same <= 12.5% relative error as the buckets themselves and never
+// read above max.
 #pragma once
 
 #include <algorithm>
@@ -191,7 +192,9 @@ class LatencyHistogram {
       std::uint64_t cumulative = 0;
       for (int b = 0; b < kNumBuckets; ++b) {
         cumulative += counts[static_cast<std::size_t>(b)];
-        if (cumulative >= target) return bucket_value(b);
+        // The top sample's bucket midpoint may lie above the sample.
+        if (cumulative >= target)
+          return std::min(bucket_value(b), snap.max_ns);
       }
       return snap.max_ns;
     };

@@ -1,6 +1,7 @@
 #include "solution/verifier.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <queue>
 #include <sstream>
@@ -14,35 +15,71 @@ namespace omflp {
 
 namespace {
 
+/// Smallest slot count of StreamVerifier's active table.
+constexpr std::size_t kMinSlots = 16;
+
 std::optional<VerificationError> fail(const std::string& msg) {
   return VerificationError{msg};
 }
 
+/// Failure messages are formatted only on the failure path: building a
+/// stream per check would cost more than the checks themselves.
+template <typename... Parts>
+std::string message(const Parts&... parts) {
+  std::ostringstream os;
+  (os << ... << parts);
+  return os.str();
+}
+
+/// Sorted distinct facilities of `rec`'s assignments, into `out`.
+void distinct_facilities(const RequestRecord& rec,
+                         std::vector<FacilityId>& out) {
+  out.clear();
+  for (const ServedCommodity& sc : rec.served) out.push_back(sc.facility);
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+}
+
+/// Order-sensitive 64-bit fingerprint of a facility list (SplitMix64
+/// finalizer per element).
+std::uint64_t fingerprint(const std::vector<FacilityId>& facilities) {
+  std::uint64_t h = facilities.size();
+  for (const FacilityId f : facilities) {
+    h = (h ^ f) + 0x9e3779b97f4a7c15ULL;
+    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+    h ^= h >> 31;
+  }
+  return h;
+}
+
 /// The per-facility re-derivation shared by every verifier: pricing and
-/// well-formedness against the cost model.
+/// well-formedness against the cost model. Returns the model's opening
+/// cost through `open_cost` on success.
 std::optional<std::string> check_facility(const MetricSpace& metric,
                                           const FacilityCostModel& cost,
                                           const OpenFacilityRecord& f,
-                                          double tolerance) {
+                                          double tolerance,
+                                          double& open_cost) {
   OMFLP_PERF_COUNT(verifier_checks);
   if (f.location >= metric.num_points())
     return "facility outside the metric space";
   if (f.config.universe_size() != cost.num_commodities())
     return "facility config universe mismatch";
   if (f.config.empty()) return "facility with empty configuration";
-  const double expect = cost.open_cost(f.location, f.config);
-  if (std::abs(expect - f.open_cost) > tolerance) {
-    std::ostringstream os;
-    os << "facility " << f.id << " open cost " << f.open_cost
-       << " != model cost " << expect;
-    return os.str();
-  }
+  open_cost = cost.open_cost(f.location, f.config);
+  if (std::abs(open_cost - f.open_cost) > tolerance)
+    return message("facility ", f.id, " open cost ", f.open_cost,
+                   " != model cost ", open_cost);
   return std::nullopt;
 }
 
 /// The per-request re-derivation shared by every verifier: coverage,
 /// causality, connected-list consistency and the recomputed connection
-/// cost (returned through `connection` on success).
+/// cost. On success returns the cost through `connection` and the
+/// record's sorted distinct facilities through `distinct`; `covered` is
+/// scratch. Both buffers are caller-owned so that a verifier checking
+/// one record per arrival reuses them instead of allocating.
 std::optional<std::string> check_record(const MetricSpace& metric,
                                         const FacilityCostModel& cost,
                                         const SolutionLedger& ledger,
@@ -50,16 +87,18 @@ std::optional<std::string> check_record(const MetricSpace& metric,
                                         const Request& expected,
                                         const RequestRecord& rec,
                                         double tolerance,
+                                        CommoditySet& covered,
+                                        std::vector<FacilityId>& distinct,
                                         double& connection) {
   OMFLP_PERF_COUNT(verifier_checks);
-  std::ostringstream os;
   if (!(rec.request.location == expected.location &&
-        rec.request.commodities == expected.commodities)) {
-    os << "request " << id << " in ledger differs from the input";
-    return os.str();
-  }
+        rec.request.commodities == expected.commodities))
+    return message("request ", id, " in ledger differs from the input");
 
-  CommoditySet covered(cost.num_commodities());
+  if (covered.universe_size() == cost.num_commodities())
+    covered.clear();
+  else
+    covered = CommoditySet(cost.num_commodities());
   for (const ServedCommodity& sc : rec.served) {
     if (sc.facility >= ledger.num_facilities())
       return "assignment to unknown facility";
@@ -85,22 +124,15 @@ std::optional<std::string> check_record(const MetricSpace& metric,
       return "rejected list not sorted and distinct";
     covered.add(e);
   }
-  if (!(covered == expected.commodities)) {
-    os << "request " << id << " not exactly covered: got "
-       << covered.to_string() << ", demanded "
-       << expected.commodities.to_string();
-    return os.str();
-  }
+  if (!(covered == expected.commodities))
+    return message("request ", id, " not exactly covered: got ",
+                   covered.to_string(), ", demanded ",
+                   expected.commodities.to_string());
 
+  distinct_facilities(rec, distinct);
   double expect_conn = 0.0;
   if (ledger.policy() == ConnectionChargePolicy::kPerFacility) {
     // rec.connected must be the sorted distinct facility list.
-    std::vector<FacilityId> distinct;
-    for (const ServedCommodity& sc : rec.served)
-      distinct.push_back(sc.facility);
-    std::sort(distinct.begin(), distinct.end());
-    distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                   distinct.end());
     if (distinct != rec.connected)
       return "connected-facility list inconsistent with assignments";
     for (FacilityId f : distinct)
@@ -112,11 +144,9 @@ std::optional<std::string> check_record(const MetricSpace& metric,
                                      ledger.facility(sc.facility).location);
   }
   if (std::abs(expect_conn - rec.connection_cost) >
-      tolerance * (1.0 + expect_conn)) {
-    os << "request " << id << " connection cost " << rec.connection_cost
-       << " != recomputed " << expect_conn;
-    return os.str();
-  }
+      tolerance * (1.0 + expect_conn))
+    return message("request ", id, " connection cost ", rec.connection_cost,
+                   " != recomputed ", expect_conn);
   connection = expect_conn;
   return std::nullopt;
 }
@@ -128,143 +158,57 @@ std::optional<VerificationError> verify_solution(const Instance& instance,
                                                  double tolerance) {
   if (ledger.request_in_flight())
     return fail("ledger left a request in flight");
-  if (ledger.num_requests() != instance.num_requests()) {
-    std::ostringstream os;
-    os << "ledger served " << ledger.num_requests() << " requests, instance has "
-       << instance.num_requests();
-    return fail(os.str());
-  }
+  if (ledger.num_requests() != instance.num_requests())
+    return fail(message("ledger served ", ledger.num_requests(),
+                        " requests, instance has ", instance.num_requests()));
 
   const MetricSpace& metric = instance.metric();
   const FacilityCostModel& cost = instance.cost();
 
-  // Facilities: recompute opening costs. One verifier_check per facility
-  // and per request record re-derived below.
   double opening = 0.0;
   for (const OpenFacilityRecord& f : ledger.facilities()) {
-    OMFLP_PERF_COUNT(verifier_checks);
-    if (f.location >= metric.num_points())
-      return fail("facility outside the metric space");
-    if (f.config.universe_size() != cost.num_commodities())
-      return fail("facility config universe mismatch");
-    if (f.config.empty()) return fail("facility with empty configuration");
-    const double expect = cost.open_cost(f.location, f.config);
-    if (std::abs(expect - f.open_cost) > tolerance) {
-      std::ostringstream os;
-      os << "facility " << f.id << " open cost " << f.open_cost
-         << " != model cost " << expect;
-      return fail(os.str());
-    }
-    opening += expect;
+    double open_cost = 0.0;
+    if (auto error = check_facility(metric, cost, f, tolerance, open_cost))
+      return fail(*error);
+    opening += open_cost;
   }
   if (std::abs(opening - ledger.opening_cost()) > tolerance * (1.0 + opening))
     return fail("total opening cost mismatch");
-
-  // Requests: coverage, causality, connection cost.
-  double connection = 0.0;
-  for (RequestId i = 0; i < instance.num_requests(); ++i) {
-    OMFLP_PERF_COUNT(verifier_checks);
-    const Request& expected = instance.request(i);
-    const RequestRecord& rec = ledger.request_records()[i];
-    if (!(rec.request.location == expected.location &&
-          rec.request.commodities == expected.commodities)) {
-      std::ostringstream os;
-      os << "request " << i << " in ledger differs from the instance";
-      return fail(os.str());
-    }
-
-    CommoditySet covered(cost.num_commodities());
-    for (const ServedCommodity& sc : rec.served) {
-      if (sc.facility >= ledger.num_facilities())
-        return fail("assignment to unknown facility");
-      const OpenFacilityRecord& f = ledger.facility(sc.facility);
-      if (!f.config.contains(sc.commodity))
-        return fail("assigned facility does not offer the commodity");
-      if (f.opened_during > i)
-        return fail("causality violation: facility opened after the request "
-                    "it serves");
-      if (covered.contains(sc.commodity))
-        return fail("commodity covered twice in one request");
-      covered.add(sc.commodity);
-    }
-    for (std::size_t k = 0; k < rec.rejected.size(); ++k) {
-      const CommodityId e = rec.rejected[k];
-      if (!is_capacitated(instance.capacities()))
-        return fail("rejected commodity on an uncapacitated instance");
-      if (!expected.commodities.contains(e))
-        return fail("rejected commodity the request does not demand");
-      if (covered.contains(e))
-        return fail("commodity both served and rejected");
-      if (k > 0 && rec.rejected[k - 1] >= e)
-        return fail("rejected list not sorted and distinct");
-      covered.add(e);
-    }
-    if (!(covered == expected.commodities)) {
-      std::ostringstream os;
-      os << "request " << i << " not exactly covered: got "
-         << covered.to_string() << ", demanded "
-         << expected.commodities.to_string();
-      return fail(os.str());
-    }
-
-    double expect_conn = 0.0;
-    if (ledger.policy() == ConnectionChargePolicy::kPerFacility) {
-      // rec.connected must be the sorted distinct facility list.
-      std::vector<FacilityId> distinct;
-      for (const ServedCommodity& sc : rec.served)
-        distinct.push_back(sc.facility);
-      std::sort(distinct.begin(), distinct.end());
-      distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                     distinct.end());
-      if (distinct != rec.connected)
-        return fail("connected-facility list inconsistent with assignments");
-      for (FacilityId f : distinct)
-        expect_conn += metric.distance(expected.location,
-                                       ledger.facility(f).location);
-    } else {
-      for (const ServedCommodity& sc : rec.served)
-        expect_conn += metric.distance(expected.location,
-                                       ledger.facility(sc.facility).location);
-    }
-    if (std::abs(expect_conn - rec.connection_cost) >
-        tolerance * (1.0 + expect_conn)) {
-      std::ostringstream os;
-      os << "request " << i << " connection cost " << rec.connection_cost
-         << " != recomputed " << expect_conn;
-      return fail(os.str());
-    }
-    connection += expect_conn;
-  }
-  if (std::abs(connection - ledger.connection_cost()) >
-      tolerance * (1.0 + connection))
-    return fail("total connection cost mismatch");
 
   // Capacity feasibility: a static run never retires anyone, so each
   // facility's occupancy is simply the number of distinct requests that
   // connect to it — re-derived from the served lists, not the ledger's
   // own occupancy bookkeeping.
-  if (is_capacitated(instance.capacities())) {
-    const CapacityMap& caps = instance.capacities();
-    std::vector<std::uint64_t> occupancy(ledger.num_facilities(), 0);
-    for (const RequestRecord& rec : ledger.request_records()) {
-      std::vector<FacilityId> distinct;
-      for (const ServedCommodity& sc : rec.served)
-        distinct.push_back(sc.facility);
-      std::sort(distinct.begin(), distinct.end());
-      distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                     distinct.end());
+  const bool capacitated = is_capacitated(instance.capacities());
+  std::vector<std::uint64_t> occupancy(
+      capacitated ? ledger.num_facilities() : 0, 0);
+  CommoditySet covered;
+  std::vector<FacilityId> distinct;
+  double connection = 0.0;
+  for (RequestId i = 0; i < instance.num_requests(); ++i) {
+    const RequestRecord& rec = ledger.request_records()[i];
+    double expect_conn = 0.0;
+    if (auto error = check_record(metric, cost, ledger, i, instance.request(i),
+                                  rec, tolerance, covered, distinct,
+                                  expect_conn))
+      return fail(*error);
+    if (!rec.rejected.empty() && !capacitated)
+      return fail("rejected commodity on an uncapacitated instance");
+    connection += expect_conn;
+    if (capacitated)
       for (const FacilityId f : distinct) ++occupancy[f];
-    }
-    for (const OpenFacilityRecord& f : ledger.facilities()) {
-      if (occupancy[f.id] > capacity_at(caps, f.location)) {
-        std::ostringstream os;
-        os << "facility " << f.id << " occupancy " << occupancy[f.id]
-           << " exceeds capacity " << capacity_at(caps, f.location);
-        return fail(os.str());
-      }
-    }
   }
+  if (std::abs(connection - ledger.connection_cost()) >
+      tolerance * (1.0 + connection))
+    return fail("total connection cost mismatch");
 
+  for (std::size_t f = 0; f < occupancy.size(); ++f) {
+    const std::uint64_t cap =
+        capacity_at(instance.capacities(), ledger.facility(f).location);
+    if (occupancy[f] > cap)
+      return fail(message("facility ", f, " occupancy ", occupancy[f],
+                          " exceeds capacity ", cap));
+  }
   return std::nullopt;
 }
 
@@ -309,21 +253,20 @@ std::optional<VerificationError> verify_stream(const EventStream& stream,
     }
   }
 
-  if (ledger.num_requests() != arrivals.size()) {
-    std::ostringstream os;
-    os << "ledger served " << ledger.num_requests()
-       << " requests, stream has " << arrivals.size() << " arrivals";
-    return fail(os.str());
-  }
+  if (ledger.num_requests() != arrivals.size())
+    return fail(message("ledger served ", ledger.num_requests(),
+                        " requests, stream has ", arrivals.size(),
+                        " arrivals"));
 
   const MetricSpace& metric = stream.metric();
   const FacilityCostModel& cost = stream.cost();
 
   double opening = 0.0;
   for (const OpenFacilityRecord& f : ledger.facilities()) {
-    if (auto error = check_facility(metric, cost, f, tolerance))
+    double open_cost = 0.0;
+    if (auto error = check_facility(metric, cost, f, tolerance, open_cost))
       return fail(*error);
-    opening += cost.open_cost(f.location, f.config);
+    opening += open_cost;
   }
   if (std::abs(opening - ledger.opening_cost()) > tolerance * (1.0 + opening))
     return fail("total opening cost mismatch");
@@ -331,18 +274,19 @@ std::optional<VerificationError> verify_stream(const EventStream& stream,
   double gross = 0.0;
   double active = 0.0;
   std::size_t active_count = 0;
+  CommoditySet covered;
+  std::vector<FacilityId> distinct;
   for (RequestId id = 0; id < arrivals.size(); ++id) {
     const RequestRecord& rec = ledger.request_records()[id];
-    if (rec.retired_at != retired_at[id]) {
-      std::ostringstream os;
-      os << "request " << id << " active interval mismatch: ledger retired "
-         << "at " << rec.retired_at << ", timeline says " << retired_at[id]
-         << " (" << kNeverRetired << " = never)";
-      return fail(os.str());
-    }
+    if (rec.retired_at != retired_at[id])
+      return fail(message("request ", id,
+                          " active interval mismatch: ledger retired at ",
+                          rec.retired_at, ", timeline says ", retired_at[id],
+                          " (", kNeverRetired, " = never)"));
     double connection = 0.0;
     if (auto error = check_record(metric, cost, ledger, id, *arrivals[id],
-                                  rec, tolerance, connection))
+                                  rec, tolerance, covered, distinct,
+                                  connection))
       return fail(*error);
     if (!rec.rejected.empty() && !is_capacitated(stream.capacities()))
       return fail("rejected commodity on an uncapacitated stream");
@@ -368,17 +312,9 @@ std::optional<VerificationError> verify_stream(const EventStream& stream,
   if (is_capacitated(stream.capacities())) {
     const CapacityMap& caps = stream.capacities();
     std::vector<std::uint64_t> occupancy(ledger.num_facilities(), 0);
-    const auto connected_of = [&](RequestId id) {
-      std::vector<FacilityId> distinct;
-      for (const ServedCommodity& sc : ledger.request_records()[id].served)
-        distinct.push_back(sc.facility);
-      std::sort(distinct.begin(), distinct.end());
-      distinct.erase(std::unique(distinct.begin(), distinct.end()),
-                     distinct.end());
-      return distinct;
-    };
     const auto release = [&](RequestId id) {
-      for (const FacilityId f : connected_of(id)) --occupancy[f];
+      distinct_facilities(ledger.request_records()[id], distinct);
+      for (const FacilityId f : distinct) --occupancy[f];
     };
     std::priority_queue<Expiry, std::vector<Expiry>, std::greater<Expiry>>
         pending;
@@ -397,13 +333,12 @@ std::optional<VerificationError> verify_stream(const EventStream& stream,
       if (e.kind == StreamEvent::Kind::kArrival) {
         const RequestId id = next_arrival++;
         live.push_back(true);
-        for (const FacilityId f : connected_of(id)) {
+        distinct_facilities(ledger.request_records()[id], distinct);
+        for (const FacilityId f : distinct) {
           if (++occupancy[f] >
-              capacity_at(caps, ledger.facility(f).location)) {
-            std::ostringstream os;
-            os << "facility " << f << " over capacity at event " << t;
-            return fail(os.str());
-          }
+              capacity_at(caps, ledger.facility(f).location))
+            return fail(message("facility ", f, " over capacity at event ",
+                                t));
         }
         if (e.lease > 0) pending.emplace(lease_deadline(t, e.lease), id);
       } else {
@@ -428,6 +363,10 @@ StreamVerifier::StreamVerifier(MetricPtr metric, CostModelPtr cost,
 void StreamVerifier::fail_check(const std::string& what) {
   if (error_) return;
   error_ = VerificationError{what};
+  // A failed verifier keeps only its sticky error: it stops tracking
+  // retirements, so its active entries would go stale (and their
+  // records may be compacted away before the next checkpoint).
+  active_.clear();
   if (obs::tracing()) {
     TraceEvent ev;
     ev.kind = TraceEventKind::kVerifierFlag;
@@ -451,11 +390,13 @@ void StreamVerifier::on_arrival(RequestId id, const Request& request,
   // New facilities opened while serving this arrival.
   while (facilities_seen_ < ledger.num_facilities()) {
     const OpenFacilityRecord& f = ledger.facility(facilities_seen_);
-    if (auto error = check_facility(*metric_, *cost_, f, tolerance_)) {
+    double open_cost = 0.0;
+    if (auto error =
+            check_facility(*metric_, *cost_, f, tolerance_, open_cost)) {
       fail_check(*error);
       return;
     }
-    opening_ += cost_->open_cost(f.location, f.config);
+    opening_ += open_cost;
     occupancy_.push_back(0);
     ++facilities_seen_;
   }
@@ -467,7 +408,8 @@ void StreamVerifier::on_arrival(RequestId id, const Request& request,
   }
   double connection = 0.0;
   if (auto error = check_record(*metric_, *cost_, ledger, id, request, rec,
-                                tolerance_, connection)) {
+                                tolerance_, covered_, distinct_,
+                                connection)) {
     fail_check(*error);
     return;
   }
@@ -478,50 +420,45 @@ void StreamVerifier::on_arrival(RequestId id, const Request& request,
   // Occupancy re-derived from the served list (independent of the
   // ledger's own counters); a capacitated verifier flags any facility
   // this arrival pushes past its location's capacity.
-  ActiveRequest entry;
-  entry.connection = connection;
-  for (const ServedCommodity& sc : rec.served)
-    entry.connected.push_back(sc.facility);
-  std::sort(entry.connected.begin(), entry.connected.end());
-  entry.connected.erase(
-      std::unique(entry.connected.begin(), entry.connected.end()),
-      entry.connected.end());
-  for (const FacilityId f : entry.connected) {
+  for (const FacilityId f : distinct_) {
     ++occupancy_[f];
     if (capacitated_ &&
         occupancy_[f] >
             capacity_at(capacities_, ledger.facility(f).location)) {
-      std::ostringstream os;
-      os << "facility " << f << " over capacity serving request " << id;
-      fail_check(os.str());
+      fail_check(message("facility ", f, " over capacity serving request ",
+                         id));
       return;
     }
   }
   gross_connection_ += connection;
-  active_costs_.emplace(id, std::move(entry));
+  active_.insert(ActiveEntry{id, connection, fingerprint(distinct_)});
 }
 
 void StreamVerifier::on_retire(RequestId id, std::uint64_t event_index,
                                const SolutionLedger& ledger) {
   if (error_) return;
-  const auto it = active_costs_.find(id);
-  if (it == active_costs_.end()) {
+  const ActiveEntry* entry = active_.find(id);
+  if (entry == nullptr) {
     fail_check("retirement of an unknown or already-retired request");
     return;
   }
   const RequestRecord& rec = ledger.request_record(id);
   if (rec.retired_at != event_index) {
-    std::ostringstream os;
-    os << "request " << id << " retired_at " << rec.retired_at
-       << " != runner event " << event_index;
-    fail_check(os.str());
+    fail_check(message("request ", id, " retired_at ", rec.retired_at,
+                       " != runner event ", event_index));
     return;
   }
-  retired_connection_ += it->second.connection;
-  for (const FacilityId f : it->second.connected) {
+  distinct_facilities(rec, distinct_);
+  if (fingerprint(distinct_) != entry->facilities) {
+    fail_check(message("request ", id,
+                       " facilities changed while it was active"));
+    return;
+  }
+  retired_connection_ += entry->connection;
+  for (const FacilityId f : distinct_) {
     if (f < occupancy_.size() && occupancy_[f] > 0) --occupancy_[f];
   }
-  active_costs_.erase(it);
+  active_.erase(entry);
 }
 
 std::optional<VerificationError> StreamVerifier::finish(
@@ -543,28 +480,28 @@ std::optional<VerificationError> StreamVerifier::finish(
                     ledger.active_connection_cost()) >
            tolerance_ * (1.0 + gross_connection_))
     fail_check("active connection cost mismatch");
-  else if (active_costs_.size() != ledger.num_active_requests())
+  else if (active_.size() != ledger.num_active_requests())
     fail_check("active request count mismatch");
   return error_;
 }
 
-void StreamVerifier::serialize(CkptWriter& writer) const {
+void StreamVerifier::serialize(CkptWriter& writer,
+                               const SolutionLedger& ledger) const {
   writer.line("verifier")
       .u(next_expected_)
       .u(facilities_seen_)
       .d(opening_)
       .d(gross_connection_)
       .d(retired_connection_);
-  // Canonical form: the unordered map serialized sorted by request id.
-  std::vector<std::pair<RequestId, const ActiveRequest*>> active;
-  active.reserve(active_costs_.size());
-  for (const auto& [id, entry] : active_costs_) active.emplace_back(id, &entry);
-  std::sort(active.begin(), active.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
+  // Canonical form: active requests in ascending id order, each with the
+  // distinct facilities re-derived from its still-resident record.
+  const std::vector<ActiveEntry> active = active_.sorted();
   writer.line("verifier-active").u(active.size());
-  for (const auto& [id, entry] : active) {
-    writer.u(id).d(entry->connection).u(entry->connected.size());
-    for (const FacilityId f : entry->connected) writer.u(f);
+  std::vector<FacilityId> distinct;
+  for (const ActiveEntry& entry : active) {
+    distinct_facilities(ledger.request_record(entry.id), distinct);
+    writer.u(entry.id).d(entry.connection).u(distinct.size());
+    for (const FacilityId f : distinct) writer.u(f);
   }
   writer.line("verifier-error").b(error_.has_value());
   if (error_) writer.bytes(error_->what);
@@ -579,26 +516,118 @@ void StreamVerifier::restore(CkptReader& reader) {
   retired_connection_ = reader.d();
   reader.expect("verifier-active");
   const std::uint64_t num_active = reader.u();
-  active_costs_.reserve(capped_reserve(num_active));
+  active_.reserve(capped_reserve(num_active));
   occupancy_.assign(facilities_seen_, 0);
   for (std::uint64_t i = 0; i < num_active; ++i) {
-    const auto id = static_cast<RequestId>(reader.u());
-    ActiveRequest entry;
+    ActiveEntry entry;
+    entry.id = static_cast<RequestId>(reader.u());
+    if (entry.id >= next_expected_)
+      reader.fail("verifier active entry for a request not yet seen");
     entry.connection = reader.d();
     const std::uint64_t num_connected = reader.u();
-    entry.connected.reserve(capped_reserve(num_connected));
+    distinct_.clear();
     for (std::uint64_t k = 0; k < num_connected; ++k) {
       const auto f = static_cast<FacilityId>(reader.u());
       if (f >= facilities_seen_)
         reader.fail("verifier active entry references an unknown facility");
-      entry.connected.push_back(f);
+      if (!distinct_.empty() && f <= distinct_.back())
+        reader.fail("verifier active facilities not sorted and distinct");
+      distinct_.push_back(f);
       ++occupancy_[f];
     }
-    if (!active_costs_.emplace(id, std::move(entry)).second)
+    entry.facilities = fingerprint(distinct_);
+    if (!active_.insert(entry))
       reader.fail("duplicate verifier active-request id");
   }
   reader.expect("verifier-error");
   if (reader.b()) error_ = VerificationError{reader.bytes()};
+}
+
+// ------------------------------------------------------ active-set table ---
+
+std::size_t StreamVerifier::ActiveTable::home(RequestId id) const noexcept {
+  // Fibonacci hashing: the top bits of id * 2^64/phi spread consecutive
+  // ids evenly over the slots.
+  return static_cast<std::size_t>(
+      (static_cast<std::uint64_t>(id) * 0x9e3779b97f4a7c15ULL) >> shift_);
+}
+
+const StreamVerifier::ActiveEntry* StreamVerifier::ActiveTable::find(
+    RequestId id) const noexcept {
+  if (slots_.empty() || id == kInvalidRequest) return nullptr;
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = home(id);; i = (i + 1) & mask) {
+    if (slots_[i].id == id) return &slots_[i];
+    if (slots_[i].id == kInvalidRequest) return nullptr;
+  }
+}
+
+bool StreamVerifier::ActiveTable::insert(const ActiveEntry& entry) {
+  if ((size_ + 1) * 4 > slots_.size() * 3)
+    rehash(std::max(kMinSlots, slots_.size() * 2));
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = home(entry.id);; i = (i + 1) & mask) {
+    if (slots_[i].id == entry.id) return false;
+    if (slots_[i].id == kInvalidRequest) {
+      slots_[i] = entry;
+      ++size_;
+      return true;
+    }
+  }
+}
+
+void StreamVerifier::ActiveTable::erase(const ActiveEntry* entry) {
+  const std::size_t mask = slots_.size() - 1;
+  auto hole = static_cast<std::size_t>(entry - slots_.data());
+  // Backward-shift deletion: pull each later entry of the probe run into
+  // the hole unless its home slot lies cyclically after the hole.
+  for (std::size_t i = (hole + 1) & mask; slots_[i].id != kInvalidRequest;
+       i = (i + 1) & mask) {
+    if (((i - home(slots_[i].id)) & mask) >= ((i - hole) & mask)) {
+      slots_[hole] = slots_[i];
+      hole = i;
+    }
+  }
+  slots_[hole] = ActiveEntry{};
+  --size_;
+  if (slots_.size() > kMinSlots && size_ * 8 < slots_.size())
+    rehash(slots_.size() / 2);
+}
+
+void StreamVerifier::ActiveTable::clear() {
+  slots_ = {};
+  size_ = 0;
+}
+
+void StreamVerifier::ActiveTable::reserve(std::size_t n) {
+  if (n * 4 > slots_.size() * 3)
+    rehash(std::bit_ceil(std::max(kMinSlots, n * 4 / 3 + 1)));
+}
+
+std::vector<StreamVerifier::ActiveEntry> StreamVerifier::ActiveTable::sorted()
+    const {
+  std::vector<ActiveEntry> out;
+  out.reserve(size_);
+  for (const ActiveEntry& entry : slots_)
+    if (entry.id != kInvalidRequest) out.push_back(entry);
+  std::sort(out.begin(), out.end(),
+            [](const ActiveEntry& a, const ActiveEntry& b) {
+              return a.id < b.id;
+            });
+  return out;
+}
+
+void StreamVerifier::ActiveTable::rehash(std::size_t slots) {
+  std::vector<ActiveEntry> old(slots);
+  old.swap(slots_);
+  shift_ = 64 - std::countr_zero(slots);
+  const std::size_t mask = slots - 1;
+  for (const ActiveEntry& entry : old) {
+    if (entry.id == kInvalidRequest) continue;
+    std::size_t i = home(entry.id);
+    while (slots_[i].id != kInvalidRequest) i = (i + 1) & mask;
+    slots_[i] = entry;
+  }
 }
 
 }  // namespace omflp

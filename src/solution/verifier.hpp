@@ -12,13 +12,13 @@
 //     interval and the active/gross cost split against it;
 //   * StreamVerifier — incremental, fed by the stream runner as events
 //     are processed, so records can be compacted away afterwards without
-//     losing verification coverage. Memory is O(active set).
+//     losing verification coverage. Memory is O(active set): one flat
+//     24-byte entry per active request, no per-request allocation.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "instance/capacity.hpp"
@@ -76,7 +76,8 @@ std::optional<VerificationError> verify_stream(const EventStream& stream,
 /// each retirement, both *before* any compaction, so every record is
 /// checked exactly once while still resident; finish() closes the books
 /// against the ledger totals. The first failure sticks and short-circuits
-/// later checks. Holds O(active requests) state.
+/// later checks. Holds O(active requests) state and, once its table has
+/// grown to the active set, allocates nothing per event.
 class StreamVerifier {
  public:
   /// `capacities` enables the capacity-feasibility check: the verifier
@@ -91,6 +92,9 @@ class StreamVerifier {
   void on_arrival(RequestId id, const Request& request,
                   const SolutionLedger& ledger);
   /// Arrival `id` was just retired at stream-event index `event_index`.
+  /// Its record is still resident: the facilities it occupied are
+  /// re-derived from the served list, checked against the fingerprint
+  /// taken at arrival, and released from the occupancy tally.
   void on_retire(RequestId id, std::uint64_t event_index,
                  const SolutionLedger& ledger);
   /// Final totals check; returns the first error found, or nullopt.
@@ -101,21 +105,55 @@ class StreamVerifier {
   }
 
   /// Checkpoint/restore (instance/checkpoint_io.hpp): the verifier's
-  /// running totals and per-active-request recomputed costs, so a
-  /// restored run keeps full verification coverage over the events it
-  /// replays — including a sticky error recorded before the snapshot.
-  /// restore fills a freshly constructed verifier (same metric, cost
-  /// model and tolerance).
-  void serialize(CkptWriter& writer) const;
+  /// running totals and, per active request in ascending id order, its
+  /// recomputed connection cost and distinct facilities, so a restored
+  /// run keeps full verification coverage over the events it replays —
+  /// including a sticky error recorded before the snapshot. serialize
+  /// reads the facility lists from `ledger`, which must hold every
+  /// active record (compaction drops only retired ones). restore fills a
+  /// freshly constructed verifier (same metric, cost model and
+  /// tolerance).
+  void serialize(CkptWriter& writer, const SolutionLedger& ledger) const;
   void restore(CkptReader& reader);
 
  private:
-  struct ActiveRequest {
+  /// Recomputed state of one active request.
+  struct ActiveEntry {
+    RequestId id = kInvalidRequest;  // kInvalidRequest marks a free slot
     /// Recomputed connection cost (independent of the ledger's figure).
     double connection = 0.0;
-    /// Distinct facilities the request occupies — released from the
-    /// occupancy tally on retirement.
-    std::vector<FacilityId> connected;
+    /// Fingerprint of the sorted distinct facilities the request
+    /// occupies, re-derived and checked when it retires.
+    std::uint64_t facilities = 0;
+  };
+
+  /// Open-addressing table of ActiveEntry keyed by request id: linear
+  /// probing, backward-shift deletion (no tombstones), a power-of-two
+  /// slot count that doubles past 3/4 full and halves below 1/8 full, so
+  /// memory follows the current active set. Slot order is never output:
+  /// sorted() orders the entries by id first.
+  class ActiveTable {
+   public:
+    const ActiveEntry* find(RequestId id) const noexcept;
+    /// False, leaving the table unchanged, if `entry.id` is present.
+    bool insert(const ActiveEntry& entry);
+    /// Removes the entry find() returned; invalidates every pointer.
+    void erase(const ActiveEntry* entry);
+    /// Empties the table and releases its storage.
+    void clear();
+    /// Room for `n` entries without rehashing.
+    void reserve(std::size_t n);
+    std::size_t size() const noexcept { return size_; }
+    /// The entries in ascending id order.
+    std::vector<ActiveEntry> sorted() const;
+
+   private:
+    std::size_t home(RequestId id) const noexcept;
+    void rehash(std::size_t slots);
+
+    std::vector<ActiveEntry> slots_;
+    std::size_t size_ = 0;
+    int shift_ = 64;
   };
 
   void fail_check(const std::string& what);
@@ -134,12 +172,11 @@ class StreamVerifier {
   /// Independently re-derived occupancy per facility (parallel to the
   /// first facilities_seen_ facilities).
   std::vector<std::uint64_t> occupancy_;
-  /// Recomputed state of each still-active request.
-  /// Determinism audit (omflp-lint nondet-iteration): never iterated
-  /// unordered — finish() only compares size(), serialize() copies into
-  /// a vector and sorts by request id before writing (canonical
-  /// checkpoint form). Keep it that way.
-  std::unordered_map<RequestId, ActiveRequest> active_costs_;
+  ActiveTable active_;
+  /// Scratch reused by every record check: the demand coverage being
+  /// rebuilt and the record's sorted distinct facilities.
+  CommoditySet covered_;
+  std::vector<FacilityId> distinct_;
   std::optional<VerificationError> error_;
 };
 

@@ -62,6 +62,11 @@ class CommoditySet {
     words_[e >> 6] |= (1ULL << (e & 63));
   }
 
+  /// Empties the set, keeping its universe (and its storage).
+  void clear() noexcept {
+    for (auto& w : words_) w = 0;
+  }
+
   void remove(CommodityId e) {
     OMFLP_REQUIRE(e < universe_,
                   "CommoditySet::remove: commodity out of range");

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <random>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
@@ -511,6 +512,47 @@ TEST(LatencyHistogram, DeltaSnapshotsFlagTheCumulativeMax) {
   const LatencySnapshot idle = histogram.snapshot_delta(baseline);
   EXPECT_EQ(idle.count, 0u);
   EXPECT_DOUBLE_EQ(idle.max_ns, 5000.0);
+}
+
+TEST(LatencyHistogram, QuantilesNeverExceedTheObservedMax) {
+  // Regression: quantiles reported the bucket midpoint, so one 16 ns
+  // sample (bucket [16, 18), midpoint 17) read p50 = p999 = 17 above
+  // max 16, in both the cumulative and the interval snapshot.
+  LatencyHistogram histogram;
+  histogram.record_ns(16.0);
+  const LatencySnapshot snap = histogram.snapshot();
+  EXPECT_DOUBLE_EQ(snap.max_ns, 16.0);
+  EXPECT_DOUBLE_EQ(snap.p50_ns, 16.0);
+  EXPECT_DOUBLE_EQ(snap.p999_ns, 16.0);
+  LatencyBaseline baseline;
+  const LatencySnapshot delta = histogram.snapshot_delta(baseline);
+  EXPECT_DOUBLE_EQ(delta.p50_ns, 16.0);
+  EXPECT_DOUBLE_EQ(delta.p999_ns, 16.0);
+}
+
+TEST(LatencyHistogram, QuantilesAreOrderedBelowTheMax) {
+  // Property: p50 <= p95 <= p99 <= p999 <= max over random sample sets,
+  // for the cumulative snapshot and for every interval snapshot.
+  std::mt19937_64 rng(20201);
+  for (int trial = 0; trial < 200; ++trial) {
+    LatencyHistogram histogram;
+    LatencyBaseline baseline;
+    const int intervals = 1 + static_cast<int>(rng() % 3);
+    for (int interval = 0; interval < intervals; ++interval) {
+      const int samples = 1 + static_cast<int>(rng() % 64);
+      const int octaves = 1 + static_cast<int>(rng() % 40);
+      for (int i = 0; i < samples; ++i)
+        histogram.record_ns(static_cast<double>(
+            rng() % (std::uint64_t{1} << octaves)));
+      const LatencySnapshot delta = histogram.snapshot_delta(baseline);
+      for (const LatencySnapshot& snap : {delta, histogram.snapshot()}) {
+        EXPECT_LE(snap.p50_ns, snap.p95_ns) << trial;
+        EXPECT_LE(snap.p95_ns, snap.p99_ns) << trial;
+        EXPECT_LE(snap.p99_ns, snap.p999_ns) << trial;
+        EXPECT_LE(snap.p999_ns, snap.max_ns) << trial;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------- sweep timing ---

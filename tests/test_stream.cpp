@@ -5,7 +5,9 @@
 // compaction, and bitwise determinism across thread counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <functional>
 #include <sstream>
 #include <vector>
 
@@ -15,6 +17,7 @@
 #include "core/rand_omflp.hpp"
 #include "core/stream_runner.hpp"
 #include "cost/cost_models.hpp"
+#include "instance/checkpoint_io.hpp"
 #include "instance/event_stream.hpp"
 #include "instance/stream_io.hpp"
 #include "kernel/kernels.hpp"
@@ -266,6 +269,267 @@ TEST(StreamVerifier, RejectsHandTamperedOverCapacityLedger) {
       << violation->what;
 }
 
+/// A hand-driven ledger with a StreamVerifier shadowing it, for the
+/// verifier's direct tests. NearestOrOpen serves every arrival.
+struct ShadowedLedger {
+  SmallWorld w;
+  SolutionLedger ledger{w.metric, w.cost};
+  StreamVerifier verifier;
+  NearestOrOpen algorithm;
+
+  explicit ShadowedLedger(CapacityMap capacities = nullptr)
+      : verifier(w.metric, w.cost, 1e-6, std::move(capacities)) {
+    algorithm.reset(ProblemContext{w.metric, w.cost});
+  }
+
+  RequestId arrive(PointId at, std::initializer_list<CommodityId> demand) {
+    const Request r = make_request(2, at, demand);
+    const RequestId id = ledger.num_requests();
+    ledger.begin_request(r);
+    algorithm.serve(r, ledger);
+    ledger.finish_request();
+    verifier.on_arrival(id, r, ledger);
+    return id;
+  }
+
+  void retire(RequestId id, std::uint64_t event_index) {
+    ledger.retire_request(id, event_index);
+    verifier.on_retire(id, event_index, ledger);
+  }
+
+  std::string error() const {
+    return verifier.error() ? verifier.error()->what : "";
+  }
+};
+
+std::string checkpoint_text(const StreamVerifier& verifier,
+                            const SolutionLedger& ledger) {
+  std::ostringstream os;
+  CkptWriter writer(os);
+  verifier.serialize(writer, ledger);
+  writer.finish();
+  return os.str();
+}
+
+StreamVerifier restored_verifier(const std::string& text,
+                                 const SmallWorld& w) {
+  std::istringstream is(text);
+  CkptReader reader(is);
+  StreamVerifier verifier(w.metric, w.cost);
+  verifier.restore(reader);
+  reader.finish();
+  return verifier;
+}
+
+std::vector<std::string> split_tokens(const std::string& line) {
+  std::istringstream is(line);
+  std::vector<std::string> tokens;
+  for (std::string token; is >> token;) tokens.push_back(token);
+  return tokens;
+}
+
+/// Re-seals a checkpoint after `edit` rewrote the tokens of its
+/// 'verifier-active' line (count first, then per entry: id, connection,
+/// facility count, facilities).
+std::string with_active_line(
+    const std::string& text,
+    const std::function<void(std::vector<std::string>&)>& edit) {
+  std::istringstream lines(text);
+  std::ostringstream os;
+  CkptWriter writer(os);
+  std::string line;
+  std::getline(lines, line);  // header, rewritten by the writer
+  while (std::getline(lines, line)) {
+    std::vector<std::string> tokens = split_tokens(line);
+    if (tokens[0] == "checksum") break;
+    if (tokens[0] == "verifier-active") {
+      std::vector<std::string> values(tokens.begin() + 1, tokens.end());
+      edit(values);
+      tokens.resize(1);
+      tokens.insert(tokens.end(), values.begin(), values.end());
+    }
+    writer.line(tokens[0]);
+    for (std::size_t i = 1; i < tokens.size(); ++i) writer.tok(tokens[i]);
+  }
+  writer.finish();
+  return os.str();
+}
+
+/// The active entries of a 'verifier-active' token list, each a token
+/// group {id, connection, k, facility...}.
+std::vector<std::vector<std::string>> active_entries(
+    const std::vector<std::string>& values) {
+  std::vector<std::vector<std::string>> entries;
+  for (auto it = values.begin() + 1; it != values.end();) {
+    const auto end = it + 3 + std::stoll(it[2]);
+    entries.emplace_back(it, end);
+    it = end;
+  }
+  return entries;
+}
+
+/// Replaces the entries of a 'verifier-active' token list, keeping its
+/// count.
+void set_active_entries(std::vector<std::string>& values,
+                        const std::vector<std::vector<std::string>>& entries) {
+  values.resize(1);
+  for (const auto& entry : entries)
+    values.insert(values.end(), entry.begin(), entry.end());
+}
+
+TEST(StreamVerifier, FlagsUnknownAndDoubleRetirement) {
+  {
+    ShadowedLedger s;
+    s.arrive(0, {0});
+    s.verifier.on_retire(5, 1, s.ledger);
+    EXPECT_NE(s.error().find("unknown or already-retired"), std::string::npos)
+        << s.error();
+  }
+  {
+    ShadowedLedger s;
+    const RequestId id = s.arrive(0, {0});
+    s.retire(id, 1);
+    EXPECT_EQ(s.error(), "");
+    s.verifier.on_retire(id, 1, s.ledger);
+    EXPECT_NE(s.error().find("unknown or already-retired"), std::string::npos)
+        << s.error();
+  }
+}
+
+TEST(StreamVerifier, FlagsRetiredAtMismatch) {
+  ShadowedLedger s;
+  const RequestId id = s.arrive(0, {0});
+  s.ledger.retire_request(id, 3);
+  s.verifier.on_retire(id, 2, s.ledger);
+  EXPECT_EQ(s.error(), "request 0 retired_at 3 != runner event 2");
+  // The error sticks: finish() reports it whatever the ledger says.
+  ASSERT_TRUE(s.verifier.finish(s.ledger).has_value());
+  EXPECT_EQ(s.verifier.finish(s.ledger)->what, s.error());
+}
+
+TEST(StreamVerifier, FinishFlagsActiveCountMismatch) {
+  // A retirement the verifier never heard of, on a request that paid no
+  // connection cost: every total still agrees, only the active count
+  // exposes it.
+  ShadowedLedger s;
+  const RequestId id = s.arrive(3, {0, 1});
+  ASSERT_EQ(s.ledger.connection_cost(), 0.0);
+  s.ledger.retire_request(id, 1);
+  const auto violation = s.verifier.finish(s.ledger);
+  ASSERT_TRUE(violation.has_value());
+  EXPECT_EQ(violation->what, "active request count mismatch");
+}
+
+TEST(StreamVerifier, RetirementReleasesOccupancy) {
+  // The ledger is uncapacitated; only the verifier knows the one-slot
+  // capacity, so it alone decides whether the facility is over-full.
+  const auto one_slot =
+      std::make_shared<const std::vector<std::uint64_t>>(8, 1);
+  {
+    ShadowedLedger s(one_slot);
+    s.arrive(0, {0});
+    s.arrive(0, {0});  // same facility, first request still active
+    EXPECT_NE(s.error().find("over capacity"), std::string::npos)
+        << s.error();
+  }
+  {
+    ShadowedLedger s(one_slot);
+    const RequestId first = s.arrive(0, {0});
+    s.retire(first, 1);
+    s.arrive(0, {0});  // the slot was released
+    ASSERT_EQ(s.ledger.num_facilities(), 1u);
+    EXPECT_EQ(s.error(), "");
+    EXPECT_FALSE(s.verifier.finish(s.ledger).has_value());
+  }
+}
+
+TEST(StreamVerifier, CheckpointIsCanonicalWhateverTheInsertionOrder) {
+  ShadowedLedger s;
+  for (PointId i = 0; i < 48; ++i)
+    s.arrive(i % 8, {static_cast<CommodityId>(i % 2)});
+  std::uint64_t clock = 48;
+  for (const RequestId id : {31u, 2u, 17u, 40u, 0u, 9u, 25u, 46u})
+    s.retire(id, clock++);
+  ASSERT_EQ(s.error(), "");
+  const std::string text = checkpoint_text(s.verifier, s.ledger);
+
+  // Written in ascending id order, one entry per active request.
+  std::vector<std::string> values;
+  (void)with_active_line(text, [&](std::vector<std::string>& v) {
+    values = v;
+  });
+  const auto entries = active_entries(values);
+  ASSERT_EQ(entries.size(), s.ledger.num_active_requests());
+  ASSERT_EQ(values[0], std::to_string(entries.size()));
+  for (std::size_t i = 1; i < entries.size(); ++i)
+    EXPECT_LT(std::stoull(entries[i - 1][0]), std::stoull(entries[i][0]));
+
+  // A restore that inserts the entries in descending id order still
+  // serializes to the same bytes.
+  const std::string reversed =
+      with_active_line(text, [](std::vector<std::string>& v) {
+        auto entries = active_entries(v);
+        std::reverse(entries.begin(), entries.end());
+        set_active_entries(v, entries);
+      });
+  ASSERT_NE(reversed, text);
+  StreamVerifier restored = restored_verifier(reversed, s.w);
+  EXPECT_EQ(checkpoint_text(restored, s.ledger), text);
+  EXPECT_EQ(checkpoint_text(restored_verifier(text, s.w), s.ledger), text);
+
+  // The restored verifier keeps verifying where the original left off.
+  s.ledger.retire_request(5, clock);
+  restored.on_retire(5, clock, s.ledger);
+  EXPECT_FALSE(restored.error().has_value());
+  EXPECT_FALSE(restored.finish(s.ledger).has_value());
+}
+
+TEST(StreamVerifier, ActiveSetGrowsAndShrinks) {
+  // Thousands of arrivals, then retirements in a scrambled order down to
+  // a handful of survivors: every retirement must find its entry while
+  // the active table grows and shrinks underneath.
+  ShadowedLedger s;
+  constexpr RequestId kArrivals = 3000;
+  for (RequestId i = 0; i < kArrivals; ++i)
+    s.arrive(static_cast<PointId>(i % 8),
+             {static_cast<CommodityId>(i % 2)});
+  std::uint64_t clock = kArrivals;
+  for (RequestId k = 0; k < kArrivals; ++k) {
+    const RequestId id = (k * 1237) % kArrivals;  // a permutation
+    if (id % 500 != 7) s.retire(id, clock++);
+  }
+  EXPECT_EQ(s.error(), "");
+  EXPECT_EQ(s.ledger.num_active_requests(), 6u);
+  EXPECT_FALSE(s.verifier.finish(s.ledger).has_value());
+  const std::string text = checkpoint_text(s.verifier, s.ledger);
+  EXPECT_EQ(checkpoint_text(restored_verifier(text, s.w), s.ledger), text);
+}
+
+TEST(StreamVerifier, RetirementChecksFacilitiesAgainstTheCheckpoint) {
+  // Two facilities; a checkpoint that claims request 1 occupies the
+  // other one must be caught when request 1 retires.
+  ShadowedLedger s;
+  s.arrive(0, {0});
+  const RequestId moved = s.arrive(7, {0});
+  ASSERT_EQ(s.ledger.num_facilities(), 2u);
+  const FacilityId actual = s.ledger.request_record(moved).connected.at(0);
+  const std::string tampered = with_active_line(
+      checkpoint_text(s.verifier, s.ledger),
+      [&](std::vector<std::string>& v) {
+        auto entries = active_entries(v);
+        ASSERT_EQ(entries.size(), 2u);
+        entries[1][3] = std::to_string(1 - actual);  // the other facility
+        set_active_entries(v, entries);
+      });
+  StreamVerifier restored = restored_verifier(tampered, s.w);
+  s.ledger.retire_request(moved, 2);
+  restored.on_retire(moved, 2, s.ledger);
+  ASSERT_TRUE(restored.error().has_value());
+  EXPECT_NE(restored.error()->what.find("facilities changed"),
+            std::string::npos)
+      << restored.error()->what;
+}
+
 // ------------------------------------------------------ deletion policies ---
 
 TEST(PdDeletion, RollbackKeepsBidModesIdenticalAndAuditClean) {
@@ -477,6 +741,148 @@ TEST(StreamIo, EventLinesAreParsedStrictly) {
     std::vector<StreamEvent> out;
     EXPECT_THROW(reader.next_batch(out, 1024), std::invalid_argument);
   }
+}
+
+/// The events section of a trace: everything after the 'events' line.
+std::size_t events_section(const std::string& text) {
+  const std::size_t header = text.find("\nevents ");
+  return text.find('\n', header + 1) + 1;
+}
+
+/// `text` with every event line rewritten by `edit`.
+std::string with_event_lines(
+    const std::string& text,
+    const std::function<std::string(const std::string&)>& edit) {
+  const std::size_t start = events_section(text);
+  std::string out = text.substr(0, start);
+  std::istringstream lines(text.substr(start));
+  for (std::string line; std::getline(lines, line);) out += edit(line);
+  return out;
+}
+
+std::string replace_all(std::string text, char from, const std::string& to) {
+  std::string out;
+  for (const char c : text) {
+    if (c == from)
+      out += to;
+    else
+      out += c;
+  }
+  return out;
+}
+
+/// The events both readers decode from `text`, re-serialized.
+std::string decoded_events(const std::string& text) {
+  const std::string materialized =
+      event_stream_to_string(event_stream_from_string(text));
+  std::istringstream is(text);
+  StreamTraceReader reader(is);
+  std::vector<StreamEvent> batched;
+  while (reader.next_batch(batched, 2) > 0) {
+  }
+  const EventStream rebuilt(reader.metric(), reader.cost(), batched,
+                            reader.name());
+  EXPECT_EQ(event_stream_to_string(rebuilt), materialized);
+  return materialized.substr(events_section(materialized));
+}
+
+/// The message both readers reject `text` with (they must agree).
+std::string decode_error(const std::string& text) {
+  std::string materialized, batched;
+  try {
+    (void)event_stream_from_string(text);
+  } catch (const std::invalid_argument& e) {
+    materialized = e.what();
+  }
+  try {
+    std::istringstream is(text);
+    StreamTraceReader reader(is);
+    std::vector<StreamEvent> out;
+    while (reader.next_batch(out, 2) > 0) {
+    }
+  } catch (const std::invalid_argument& e) {
+    batched = e.what();
+  }
+  EXPECT_EQ(materialized, batched);
+  return materialized;
+}
+
+TEST(StreamIo, EventTokensSplitOnEveryCLocaleSpace) {
+  // The in-place tokenizer must draw the same token boundaries as
+  // `istream >> std::string`: any of space, \t, \n, \v, \f, \r separates,
+  // and leading or trailing whitespace is ignored.
+  SmallWorld w;
+  const EventStream stream(
+      w.metric, w.cost,
+      {StreamEvent::arrival(make_request(2, 0, {0}), 4),
+       StreamEvent::arrival(make_request(2, 1, {0, 1})),
+       StreamEvent::departure(0)},
+      "parity");
+  const std::string text = event_stream_to_string(stream);
+  const std::string expected = text.substr(events_section(text));
+  ASSERT_EQ(decoded_events(text), expected);
+  for (const std::string separator : {"\t", "\v", "\f", " \t ", "\t\r"}) {
+    const std::string mutated = with_event_lines(
+        text, [&](const std::string& line) {
+          return replace_all(line, ' ', separator) + "\n";
+        });
+    ASSERT_NE(mutated, text);
+    EXPECT_EQ(decoded_events(mutated), expected)
+        << "separator " << static_cast<int>(separator[0]);
+  }
+  const std::string crlf = with_event_lines(
+      text, [](const std::string& line) { return line + "\r\n"; });
+  EXPECT_EQ(decoded_events(crlf), expected);
+  const std::string padded = with_event_lines(
+      text, [](const std::string& line) {
+        return " \t\v\f" + line + " \f\v\t\r\n";
+      });
+  EXPECT_EQ(decoded_events(padded), expected);
+  // A leading '+' is part of the number, as parse_u64_strict allows.
+  std::string plus = text;
+  plus.replace(plus.find("d 0"), 3, "d +0");
+  EXPECT_EQ(decoded_events(plus), expected);
+}
+
+TEST(StreamIo, EventLineRejectionsKeepTheirMessages) {
+  SmallWorld w;
+  const EventStream stream(
+      w.metric, w.cost,
+      {StreamEvent::arrival(make_request(2, 0, {0}), 4),
+       StreamEvent::arrival(make_request(2, 1, {0, 1})),
+       StreamEvent::departure(0)},
+      "messages");
+  const std::string text = event_stream_to_string(stream);
+  // Event lines are the last three lines of the file.
+  const auto lines = static_cast<std::size_t>(
+      std::count(text.begin(), text.end(), '\n'));
+  auto rejected = [&](const std::string& from, const std::string& to) {
+    std::string mutated = text;
+    const std::size_t at = mutated.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    mutated.replace(at, from.size(), to);
+    return decode_error(mutated);
+  };
+  auto on_line = [&](const std::string& msg, std::size_t line) {
+    return "read_event_stream: " + msg + " (line " + std::to_string(line) +
+           ")";
+  };
+  EXPECT_EQ(rejected("d 0", "d 3.5"),
+            on_line("bad departure target '3.5'", lines));
+  EXPECT_EQ(rejected("a 1 2 0 1", "a 1 2 1 1"),
+            on_line("duplicate commodity id in arrival", lines - 1));
+  EXPECT_EQ(rejected("L 4", "L 0"),
+            on_line("lease must be positive", lines - 2));
+  EXPECT_EQ(rejected("d 0", "x 0"), on_line("unknown event tag 'x'", lines));
+  EXPECT_EQ(rejected("d 0", "d 0 junk"),
+            on_line("trailing garbage 'junk' on event line", lines));
+  EXPECT_EQ(rejected("L 4", "L 4\tjunk"),
+            on_line("trailing garbage 'junk' on event line", lines - 2));
+  EXPECT_EQ(rejected("a 1 2 0 1", "a 1 2 0 1 Q"),
+            on_line("trailing garbage 'Q' on event line", lines - 1));
+  EXPECT_EQ(rejected("a 1 2 0 1", "a 1 2 0"),
+            on_line("missing commodity id", lines - 1));
+  EXPECT_EQ(rejected("d 0", "\v"), on_line("empty event line", lines));
 }
 
 TEST(StreamRunner, RejectsMalformedArrivals) {
