@@ -1,9 +1,7 @@
 #include "instance/tracelog_io.hpp"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <istream>
 #include <limits>
 #include <ostream>
@@ -12,7 +10,7 @@
 #include <string_view>
 
 #include "instance/io_detail.hpp"
-#include "support/parse.hpp"
+#include "support/json.hpp"
 
 namespace omflp {
 
@@ -21,262 +19,198 @@ namespace {
 constexpr const char* kHeader =
     "{\"format\":\"OMFLP-TRACELOG\",\"version\":1}";
 
-void append_double(std::string& out, const char* field, double value) {
-  if (!std::isfinite(value))
-    throw std::invalid_argument(
-        std::string("tracelog_event_to_json: non-finite ") + field);
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  out += buf;
+std::string end_line(std::uint64_t events) {
+  return "{\"end\":true,\"events\":" + std::to_string(events) + "}";
 }
 
-void append_escaped(std::string& out, const std::string& text) {
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(
-                            static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
+template <class Contributor, class Fields>
+void visit_contributor(Contributor& contributor, Fields& f) {
+  f.begin_object();
+  f.integer("request", contributor.request);
+  f.number("amount", contributor.amount);
+  f.end_object();
 }
 
-/// Strict scanner over one tracelog line. Every expectation is literal —
-/// the canonical form is the only accepted form, which is what makes
-/// read → rewrite byte-identical and tampering detectable.
-struct LineScanner {
-  const std::string& line;
-  const iodetail::LineReader& reader;
-  std::size_t pos = 0;
-
-  [[noreturn]] void fail(const std::string& msg) const {
-    reader.fail(msg + " at column " + std::to_string(pos));
-  }
-
-  bool try_consume(const char* literal) {
-    const std::size_t n = std::strlen(literal);
-    if (line.compare(pos, n, literal) != 0) return false;
-    pos += n;
-    return true;
-  }
-
-  void expect(const char* literal) {
-    if (!try_consume(literal))
-      fail(std::string("expected '") + literal + "'");
-  }
-
-  std::uint64_t take_u64(const char* what) {
-    std::size_t end = pos;
-    while (end < line.size() &&
-           std::isdigit(static_cast<unsigned char>(line[end])))
-      ++end;
-    const auto value =
-        parse_u64_strict(std::string_view(line).substr(pos, end - pos));
-    if (!value) fail(std::string("bad ") + what);
-    pos = end;
-    return *value;
-  }
-
-  double take_double(const char* what) {
-    std::size_t end = pos;
-    while (end < line.size() &&
-           std::strchr("+-.0123456789eE", line[end]) != nullptr)
-      ++end;
-    const auto value =
-        parse_double_strict(std::string_view(line).substr(pos, end - pos));
-    if (!value) fail(std::string("bad ") + what);
-    pos = end;
-    return *value;
-  }
-
-  /// Body of a JSON string after the opening quote; consumes the closing
-  /// quote. Only the writer's escapes are accepted (lowercase \u00xx for
-  /// control bytes), keeping the canonical form unique.
-  std::string take_string(const char* what) {
-    std::string out;
-    while (pos < line.size()) {
-      const char c = line[pos++];
-      if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20)
-        fail(std::string("raw control byte in ") + what);
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      if (pos >= line.size()) break;
-      const char esc = line[pos++];
-      switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': {
-          if (pos + 4 > line.size())
-            fail(std::string("truncated \\u escape in ") + what);
-          unsigned value = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = line[pos++];
-            value <<= 4;
-            if (h >= '0' && h <= '9')
-              value |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f')
-              value |= static_cast<unsigned>(h - 'a' + 10);
-            else
-              fail(std::string("bad \\u escape in ") + what);
-          }
-          // The writer only \u-escapes control bytes; anything else has
-          // a shorter canonical form and is rejected.
-          if (value >= 0x20)
-            fail(std::string("non-canonical \\u escape in ") + what);
-          out += static_cast<char>(value);
-          break;
-        }
-        default:
-          fail(std::string("bad escape in ") + what);
-      }
-    }
-    fail(std::string("unterminated string in ") + what);
-  }
-
-  void end_of_line() const {
-    if (pos != line.size()) fail("trailing content on line");
-  }
-};
-
-TraceEventKind parse_kind(LineScanner& scan) {
-  const std::size_t close = scan.line.find('"', scan.pos);
-  if (close == std::string::npos) scan.fail("unterminated kind");
-  const std::string_view name =
-      std::string_view(scan.line).substr(scan.pos, close - scan.pos);
-  for (int k = 0; k <= 8; ++k) {
-    const auto kind = static_cast<TraceEventKind>(k);
-    if (name == trace_event_kind_name(kind)) {
-      scan.pos = close + 1;
-      return kind;
-    }
-  }
-  scan.fail("unknown event kind '" + std::string(name) + "'");
-}
-
-TraceEvent parse_event_line(const std::string& line,
-                            std::uint64_t expected_seq,
-                            const iodetail::LineReader& reader) {
-  LineScanner scan{line, reader};
-  scan.expect("{\"seq\":");
-  const std::uint64_t seq = scan.take_u64("seq");
-  if (seq != expected_seq)
-    reader.fail("sequence gap: expected seq " +
-                std::to_string(expected_seq) + ", got " +
-                std::to_string(seq));
-  scan.expect(",\"kind\":\"");
-
-  TraceEvent event;
-  event.kind = parse_kind(scan);
-
-  const auto u64_field = [&](const char* name) {
-    scan.expect(",\"");
-    scan.expect(name);
-    scan.expect("\":");
-    return scan.take_u64(name);
-  };
-  const auto num_field = [&](const char* name) {
-    scan.expect(",\"");
-    scan.expect(name);
-    scan.expect("\":");
-    return scan.take_double(name);
-  };
-  const auto id_field = [&](const char* name) -> std::uint32_t {
-    const std::uint64_t value = u64_field(name);
-    if (value > std::numeric_limits<std::uint32_t>::max())
-      scan.fail(std::string(name) + " out of range");
-    return static_cast<std::uint32_t>(value);
-  };
-
+/// The event line layout, written once: FieldWriter visits a const
+/// event and FieldReader a mutable one, so the writer and the reader
+/// cannot drift apart. Every kind leads with seq, kind and request.
+template <class Event, class Fields>
+void visit_event(Event& event, std::uint64_t& seq, Fields& f) {
+  f.begin_object();
+  f.integer("seq", seq);
+  f.kind(event.kind);
+  f.integer("request", event.request);
   switch (event.kind) {
-    case TraceEventKind::kFacilityOpen: {
-      event.request = static_cast<RequestId>(u64_field("request"));
-      event.commodity = id_field("commodity");
-      event.facility = static_cast<FacilityId>(u64_field("facility"));
-      event.point = static_cast<PointId>(id_field("point"));
-      event.config_size = u64_field("config_size");
-      const std::uint64_t constraint = u64_field("constraint");
-      if (constraint > 4) scan.fail("constraint out of range");
-      event.constraint = static_cast<std::uint8_t>(constraint);
-      event.cost = num_field("cost");
-      event.bid_mass = num_field("bid_mass");
-      event.tightness = num_field("tightness");
-      scan.expect(",\"contributors\":[");
-      bool first = true;
-      while (!scan.try_consume("]")) {
-        if (!first) scan.expect(",");
-        first = false;
-        if (event.contributors.size() >= kMaxTraceContributors)
-          scan.fail("too many contributors");
-        TraceContributor c;
-        scan.expect("{\"request\":");
-        c.request = static_cast<RequestId>(scan.take_u64("request"));
-        scan.expect(",\"amount\":");
-        c.amount = scan.take_double("amount");
-        scan.expect("}");
-        event.contributors.push_back(c);
-      }
-      event.residual = num_field("residual");
+    case TraceEventKind::kFacilityOpen:
+      f.integer("commodity", event.commodity);
+      f.integer("facility", event.facility);
+      f.integer("point", event.point);
+      f.integer("config_size", event.config_size);
+      f.integer("constraint", event.constraint, 4);
+      f.number("cost", event.cost);
+      f.number("bid_mass", event.bid_mass);
+      f.number("tightness", event.tightness);
+      f.contributors(event.contributors);
+      f.number("residual", event.residual);
       break;
-    }
     case TraceEventKind::kRequestAssign:
-      event.request = static_cast<RequestId>(u64_field("request"));
-      event.commodity = id_field("commodity");
-      event.facility = static_cast<FacilityId>(u64_field("facility"));
-      event.point = static_cast<PointId>(id_field("point"));
-      event.cost = num_field("cost");
+    case TraceEventKind::kRequestSpill:
+      f.integer("commodity", event.commodity);
+      f.integer("facility", event.facility);
+      f.integer("point", event.point);
+      f.number("cost", event.cost);
       break;
     case TraceEventKind::kBidRollback:
-      event.request = static_cast<RequestId>(u64_field("request"));
-      event.bid_mass = num_field("bid_mass");
-      event.cost = num_field("cost");
+      f.number("bid_mass", event.bid_mass);
+      f.number("cost", event.cost);
       break;
     case TraceEventKind::kDepart:
     case TraceEventKind::kLeaseExpire:
-      event.request = static_cast<RequestId>(u64_field("request"));
-      event.stream_event = u64_field("stream_event");
+      f.integer("stream_event", event.stream_event);
       break;
     case TraceEventKind::kDualRaise:
-      event.request = static_cast<RequestId>(u64_field("request"));
-      event.commodity = id_field("commodity");
-      event.config_size = u64_field("config_size");
-      event.cost = num_field("cost");
+      f.integer("commodity", event.commodity);
+      f.integer("config_size", event.config_size);
+      f.number("cost", event.cost);
       break;
     case TraceEventKind::kVerifierFlag:
-      event.request = static_cast<RequestId>(u64_field("request"));
-      scan.expect(",\"note\":\"");
-      event.note = scan.take_string("note");
+      f.text("note", event.note);
       break;
     case TraceEventKind::kRequestReject:
-      event.request = static_cast<RequestId>(u64_field("request"));
-      event.commodity = id_field("commodity");
-      break;
-    case TraceEventKind::kRequestSpill:
-      event.request = static_cast<RequestId>(u64_field("request"));
-      event.commodity = id_field("commodity");
-      event.facility = static_cast<FacilityId>(u64_field("facility"));
-      event.point = static_cast<PointId>(id_field("point"));
-      event.cost = num_field("cost");
+      f.integer("commodity", event.commodity);
       break;
   }
-  scan.expect("}");
-  scan.end_of_line();
+  f.end_object();
+}
+
+/// Appends the canonical encoding: integers in decimal, doubles as %.17g.
+class FieldWriter {
+ public:
+  explicit FieldWriter(std::string& out) : out_(out) {}
+
+  void begin_object() { out_ += '{'; }
+  void end_object() { out_ += '}'; }
+  template <class T>
+  void integer(const char* name, T value, std::uint64_t /*max*/ = 0) {
+    key(name);
+    out_ += std::to_string(static_cast<std::uint64_t>(value));
+  }
+  void number(const char* name, double value) {
+    if (!std::isfinite(value))
+      throw std::invalid_argument(
+          std::string("tracelog_event_to_json: non-finite ") + name);
+    key(name);
+    char buf[32];
+    const int n = std::snprintf(buf, sizeof(buf), "%.17g", value);
+    out_.append(buf, static_cast<std::size_t>(n));
+  }
+  void kind(TraceEventKind kind) {
+    key("kind");
+    out_ += '"';  // kind names are identifiers: nothing to escape
+    out_ += trace_event_kind_name(kind);
+    out_ += '"';
+  }
+  void text(const char* name, const std::string& value) {
+    key(name);
+    out_ += json_quoted(value);
+  }
+  void contributors(const std::vector<TraceContributor>& list) {
+    if (list.size() > kMaxTraceContributors)
+      throw std::invalid_argument(
+          "tracelog_event_to_json: contributor list exceeds the cap");
+    key("contributors");
+    out_ += '[';
+    for (std::size_t i = 0; i < list.size(); ++i) {
+      if (i) out_ += ',';
+      visit_contributor(list[i], *this);
+    }
+    out_ += ']';
+  }
+
+ private:
+  void key(const char* name) {
+    out_ += out_.back() == '{' ? "\"" : ",\"";
+    out_ += name;
+    out_ += "\":";
+  }
+
+  std::string& out_;
+};
+
+/// Reads the fields back through the shared JSON cursor, with the range
+/// checks the types need (ids, constraint, contributor count).
+class FieldReader {
+ public:
+  explicit FieldReader(JsonCursor& in) : in_(in) {}
+
+  void begin_object() { in_.expect("{"); }
+  void end_object() { in_.expect("}"); }
+  template <class T>
+  void integer(const char* name, T& value,
+               std::uint64_t max = std::numeric_limits<T>::max()) {
+    in_.member(name);
+    const std::uint64_t read = in_.u64();
+    if (read > max) in_.fail(std::string(name) + " out of range");
+    value = static_cast<T>(read);
+  }
+  void number(const char* name, double& value) {
+    in_.member(name);
+    value = in_.number();
+  }
+  void kind(TraceEventKind& kind) {
+    in_.member("kind");
+    const std::string name = in_.string();
+    for (int k = 0; k <= 8; ++k) {
+      kind = static_cast<TraceEventKind>(k);
+      if (name == trace_event_kind_name(kind)) return;
+    }
+    in_.fail("unknown event kind '" + name + "'");
+  }
+  void text(const char* name, std::string& value) {
+    in_.member(name);
+    value = in_.string();
+  }
+  void contributors(std::vector<TraceContributor>& list) {
+    in_.member("contributors");
+    in_.expect("[");
+    list.clear();
+    if (in_.try_consume("]")) return;
+    do {
+      if (list.size() == kMaxTraceContributors)
+        in_.fail("too many contributors");
+      visit_contributor(list.emplace_back(), *this);
+    } while (in_.try_consume(","));
+    in_.expect("]");
+  }
+
+ private:
+  JsonCursor& in_;
+};
+
+void append_event(std::string& out, const TraceEvent& event,
+                  std::uint64_t seq) {
+  FieldWriter writer(out);
+  visit_event(event, seq, writer);
+}
+
+TraceEvent parse_event_line(std::string_view line, std::uint64_t expected_seq,
+                            std::string& scratch) {
+  JsonCursor in(line, "", json_throw<std::invalid_argument>);
+  TraceEvent event;
+  std::uint64_t seq = 0;
+  FieldReader reader(in);
+  visit_event(event, seq, reader);
+  in.done();
+  if (seq != expected_seq)
+    throw std::invalid_argument("sequence gap: expected seq " +
+                                std::to_string(expected_seq) + ", got " +
+                                std::to_string(seq));
+  // Canonical form: any other spelling of the same values (whitespace,
+  // escapes, number forms) re-encodes to different bytes.
+  scratch.clear();
+  append_event(scratch, event, seq);
+  if (scratch != line)
+    throw std::invalid_argument("line is not in canonical form");
   return event;
 }
 
@@ -284,94 +218,8 @@ TraceEvent parse_event_line(const std::string& line,
 
 std::string tracelog_event_to_json(const TraceEvent& event,
                                    std::uint64_t seq) {
-  std::string out = "{\"seq\":";
-  out += std::to_string(seq);
-  out += ",\"kind\":\"";
-  out += trace_event_kind_name(event.kind);
-  out += '"';
-
-  const auto u64 = [&](const char* name, std::uint64_t value) {
-    out += ",\"";
-    out += name;
-    out += "\":";
-    out += std::to_string(value);
-  };
-  const auto num = [&](const char* name, double value) {
-    out += ",\"";
-    out += name;
-    out += "\":";
-    append_double(out, name, value);
-  };
-
-  switch (event.kind) {
-    case TraceEventKind::kFacilityOpen: {
-      u64("request", event.request);
-      u64("commodity", event.commodity);
-      u64("facility", event.facility);
-      u64("point", event.point);
-      u64("config_size", event.config_size);
-      u64("constraint", event.constraint);
-      num("cost", event.cost);
-      num("bid_mass", event.bid_mass);
-      num("tightness", event.tightness);
-      if (event.contributors.size() > kMaxTraceContributors)
-        throw std::invalid_argument(
-            "tracelog_event_to_json: contributor list exceeds the cap");
-      out += ",\"contributors\":[";
-      for (std::size_t i = 0; i < event.contributors.size(); ++i) {
-        if (i) out += ',';
-        out += "{\"request\":";
-        out += std::to_string(event.contributors[i].request);
-        out += ",\"amount\":";
-        append_double(out, "amount", event.contributors[i].amount);
-        out += '}';
-      }
-      out += ']';
-      num("residual", event.residual);
-      break;
-    }
-    case TraceEventKind::kRequestAssign:
-      u64("request", event.request);
-      u64("commodity", event.commodity);
-      u64("facility", event.facility);
-      u64("point", event.point);
-      num("cost", event.cost);
-      break;
-    case TraceEventKind::kBidRollback:
-      u64("request", event.request);
-      num("bid_mass", event.bid_mass);
-      num("cost", event.cost);
-      break;
-    case TraceEventKind::kDepart:
-    case TraceEventKind::kLeaseExpire:
-      u64("request", event.request);
-      u64("stream_event", event.stream_event);
-      break;
-    case TraceEventKind::kDualRaise:
-      u64("request", event.request);
-      u64("commodity", event.commodity);
-      u64("config_size", event.config_size);
-      num("cost", event.cost);
-      break;
-    case TraceEventKind::kVerifierFlag:
-      u64("request", event.request);
-      out += ",\"note\":\"";
-      append_escaped(out, event.note);
-      out += '"';
-      break;
-    case TraceEventKind::kRequestReject:
-      u64("request", event.request);
-      u64("commodity", event.commodity);
-      break;
-    case TraceEventKind::kRequestSpill:
-      u64("request", event.request);
-      u64("commodity", event.commodity);
-      u64("facility", event.facility);
-      u64("point", event.point);
-      num("cost", event.cost);
-      break;
-  }
-  out += '}';
+  std::string out;
+  append_event(out, event, seq);
   return out;
 }
 
@@ -393,14 +241,17 @@ TraceLogWriter::~TraceLogWriter() {
 void TraceLogWriter::on_event(const TraceEvent& event) {
   if (finished_)
     throw std::logic_error("TraceLogWriter: on_event after finish");
-  os_ << tracelog_event_to_json(event, seq_) << '\n';
+  line_.clear();
+  append_event(line_, event, seq_);
+  line_ += '\n';
+  os_.write(line_.data(), static_cast<std::streamsize>(line_.size()));
   ++seq_;
 }
 
 void TraceLogWriter::finish() {
   if (finished_) return;
   finished_ = true;
-  os_ << "{\"end\":true,\"events\":" << seq_ << "}\n";
+  os_ << end_line(seq_) << '\n';
   os_.flush();
 }
 
@@ -412,13 +263,12 @@ struct TraceLogReader::Impl {
   std::uint64_t seq = 0;
   bool done = false;
   bool truncated = false;
+  std::string scratch;  // the re-encoded line of the canonical-form check
 
   Impl(std::istream& is, TraceLogReadMode read_mode)
       : reader(is, "read_tracelog"), mode(read_mode) {
     if (reader.next("header") != kHeader)
-      reader.fail(
-          "bad header, expected "
-          "{\"format\":\"OMFLP-TRACELOG\",\"version\":1}");
+      reader.fail(std::string("bad header, expected ") + kHeader);
   }
 
   bool next_strict(TraceEvent& out) {
@@ -433,22 +283,19 @@ struct TraceLogReader::Impl {
       return false;
     }
     const std::string& line = *maybe_line;
-    if (line.rfind("{\"end\":", 0) == 0) {
-      LineScanner scan{line, reader};
-      scan.expect("{\"end\":true,\"events\":");
-      const std::uint64_t declared = scan.take_u64("event count");
-      scan.expect("}");
-      scan.end_of_line();
-      if (declared != seq)
-        reader.fail("end line declares " + std::to_string(declared) +
-                    " events but " + std::to_string(seq) +
-                    " were present");
+    if (line.starts_with("{\"end\":")) {
+      if (line != end_line(seq))
+        reader.fail("bad end line, expected " + end_line(seq));
       if (reader.try_next())
         reader.fail("trailing content after the end line");
       done = true;
       return false;
     }
-    out = parse_event_line(line, seq, reader);
+    try {
+      out = parse_event_line(line, seq, scratch);
+    } catch (const std::invalid_argument& e) {
+      reader.fail(e.what());  // adds the line number
+    }
     ++seq;
     return true;
   }

@@ -10,17 +10,18 @@
 // Every event line starts with its sequence number and the reader
 // enforces seq == line index, so a dropped, duplicated or reordered line
 // is detected immediately; the trailing end line pins the total count, so
-// truncation is detected too. Each kind serializes a fixed field list in
-// a fixed order with %.17g doubles, which makes read → rewrite reproduce
-// the input byte for byte — tracelogs double as golden-trace differential
-// artifacts (the CI trace-smoke job diffs OMFLP_THREADS=1 vs 4 outputs).
+// truncation is detected too. One field list per kind (fixed order,
+// %.17g doubles) drives both the writer and the reader, so read → rewrite
+// reproduces the input byte for byte — tracelogs double as golden-trace
+// differential artifacts (CI diffs OMFLP_THREADS=1 vs 4 outputs).
 //
-// The reader is strict in the spirit of support/parse.hpp: unknown kinds,
-// out-of-order fields, non-finite numbers, seq gaps, a missing end line
-// and trailing content are all rejected with std::invalid_argument; it
-// holds one event in memory at a time (contributor lists are capped at
-// kMaxTraceContributors), so absurd or hostile inputs cannot drive
-// allocation.
+// The reader re-encodes every parsed event and rejects the line unless
+// the bytes match: the canonical spelling is the only one accepted.
+// Unknown kinds, out-of-order fields, out-of-range ids, seq gaps, a
+// missing end line and trailing content are all rejected with
+// std::invalid_argument; it holds one event in memory at a time
+// (contributor lists are capped at kMaxTraceContributors), so absurd or
+// hostile inputs cannot drive allocation.
 #pragma once
 
 #include <cstdint>
@@ -59,6 +60,7 @@ class TraceLogWriter final : public TraceSink {
 
  private:
   std::ostream& os_;
+  std::string line_;  // reused per event
   std::uint64_t seq_ = 0;
   bool finished_ = false;
 };

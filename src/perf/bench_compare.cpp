@@ -1,252 +1,78 @@
 #include "perf/bench_compare.hpp"
 
-#include <cctype>
-#include <cmath>
-#include <cstdlib>
 #include <fstream>
-#include <map>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 
-#include "support/parse.hpp"
+#include "support/json.hpp"
 #include "support/table.hpp"
 
 namespace omflp {
 
 namespace {
 
-// ------------------------------------------------------ minimal JSON ---
-//
-// A tiny recursive-descent parser covering exactly what BENCH documents
-// use (objects, arrays, strings, numbers, booleans, null). No external
-// dependency; errors carry the byte offset.
+/// A count field: an exact integer that must fit std::size_t.
+std::size_t bench_size(JsonCursor& in, const char* name) {
+  in.member(name);
+  const std::uint64_t value = in.u64();
+  if (value > std::numeric_limits<std::size_t>::max())
+    in.fail(std::string("'") + name + "' out of range");
+  return static_cast<std::size_t>(value);
+}
 
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
+double bench_number(JsonCursor& in, const char* name) {
+  in.member(name);
+  return in.number();
+}
 
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::map<std::string, JsonValue> object;
+std::string bench_string(JsonCursor& in, const char* name) {
+  in.member(name);
+  return in.string();
+}
 
-  const JsonValue& at(const std::string& key) const {
-    const auto it = object.find(key);
-    if (kind != Kind::kObject || it == object.end())
-      throw std::runtime_error("BENCH json: missing field '" + key + "'");
-    return it->second;
-  }
-  const JsonValue* find(const std::string& key) const {
-    if (kind != Kind::kObject) return nullptr;
-    const auto it = object.find(key);
-    return it == object.end() ? nullptr : &it->second;
-  }
-  double as_number(const std::string& what) const {
-    if (kind != Kind::kNumber)
-      throw std::runtime_error("BENCH json: '" + what + "' is not a number");
-    return number;
-  }
-  const std::string& as_string(const std::string& what) const {
-    if (kind != Kind::kString)
-      throw std::runtime_error("BENCH json: '" + what + "' is not a string");
-    return string;
-  }
-};
+/// A flat object: `read_value` consumes the value of each member.
+template <class ReadValue>
+void read_members(JsonCursor& in, ReadValue read_value) {
+  in.expect("{");
+  if (in.try_consume("}")) return;
+  do {
+    const std::string name = in.string();
+    in.expect(":");
+    read_value(name);
+  } while (in.try_consume(","));
+  in.expect("}");
+}
 
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  JsonValue parse() {
-    JsonValue value = parse_value();
-    skip_whitespace();
-    if (pos_ != text_.size()) fail("trailing content");
-    return value;
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::runtime_error("BENCH json: " + what + " at byte " +
-                             std::to_string(pos_));
-  }
-
-  void skip_whitespace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])))
-      ++pos_;
-  }
-
-  char peek() {
-    skip_whitespace();
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void expect(char ch) {
-    if (peek() != ch) fail(std::string("expected '") + ch + "'");
-    ++pos_;
-  }
-
-  bool consume_literal(const char* literal) {
-    std::size_t len = 0;
-    while (literal[len] != '\0') ++len;
-    if (text_.compare(pos_, len, literal) != 0) return false;
-    pos_ += len;
-    return true;
-  }
-
-  JsonValue parse_value() {
-    const char ch = peek();
-    JsonValue value;
-    switch (ch) {
-      case '{':
-        return parse_object();
-      case '[':
-        return parse_array();
-      case '"':
-        value.kind = JsonValue::Kind::kString;
-        value.string = parse_string();
-        return value;
-      case 't':
-        if (!consume_literal("true")) fail("bad literal");
-        value.kind = JsonValue::Kind::kBool;
-        value.boolean = true;
-        return value;
-      case 'f':
-        if (!consume_literal("false")) fail("bad literal");
-        value.kind = JsonValue::Kind::kBool;
-        value.boolean = false;
-        return value;
-      case 'n':
-        if (!consume_literal("null")) fail("bad literal");
-        return value;
-      default:
-        return parse_number();
-    }
-  }
-
-  JsonValue parse_object() {
-    expect('{');
-    JsonValue value;
-    value.kind = JsonValue::Kind::kObject;
-    if (peek() == '}') {
-      ++pos_;
-      return value;
-    }
-    while (true) {
-      if (peek() != '"') fail("expected object key");
-      std::string key = parse_string();
-      expect(':');
-      value.object.emplace(std::move(key), parse_value());
-      const char next = peek();
-      if (next == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return value;
-    }
-  }
-
-  JsonValue parse_array() {
-    expect('[');
-    JsonValue value;
-    value.kind = JsonValue::Kind::kArray;
-    if (peek() == ']') {
-      ++pos_;
-      return value;
-    }
-    while (true) {
-      value.array.push_back(parse_value());
-      const char next = peek();
-      if (next == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return value;
-    }
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (pos_ >= text_.size()) fail("unterminated string");
-      const char ch = text_[pos_++];
-      if (ch == '"') return out;
-      if (ch != '\\') {
-        out.push_back(ch);
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("unterminated escape");
-      const char escape = text_[pos_++];
-      switch (escape) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'b': out.push_back('\b'); break;
-        case 'f': out.push_back('\f'); break;
-        case 'n': out.push_back('\n'); break;
-        case 'r': out.push_back('\r'); break;
-        case 't': out.push_back('\t'); break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape");
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char hex = text_[pos_++];
-            code <<= 4;
-            if (hex >= '0' && hex <= '9') code += hex - '0';
-            else if (hex >= 'a' && hex <= 'f') code += 10 + hex - 'a';
-            else if (hex >= 'A' && hex <= 'F') code += 10 + hex - 'A';
-            else fail("bad \\u escape");
-          }
-          // BENCH documents only escape control characters; anything in
-          // the Latin-1 range round-trips, the rest is rejected.
-          if (code > 0xff) fail("unsupported \\u escape");
-          out.push_back(static_cast<char>(code));
-          break;
-        }
-        default:
-          fail("bad escape");
-      }
-    }
-  }
-
-  JsonValue parse_number() {
-    skip_whitespace();
-    // Scan the maximal JSON-number-shaped token, then hand it to the
-    // strict parser: hex floats, "inf"/"nan" and silent ERANGE overflow
-    // (all of which a raw strtod prefix scan would accept) are rejected
-    // with a position instead of smuggled into the comparison.
-    std::size_t end = pos_;
-    while (end < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[end])) ||
-            text_[end] == '-' || text_[end] == '+' || text_[end] == '.' ||
-            text_[end] == 'e' || text_[end] == 'E'))
-      ++end;
-    const auto number = parse_double_strict(
-        std::string_view(text_).substr(pos_, end - pos_));
-    if (!number) fail("expected a value");
-    pos_ = end;
-    JsonValue value;
-    value.kind = JsonValue::Kind::kNumber;
-    value.number = *number;
-    return value;
-  }
-
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-std::size_t as_size(const JsonValue& value, const std::string& what) {
-  const double number = value.as_number(what);
-  if (number < 0.0 || number != std::floor(number))
-    throw std::runtime_error("BENCH json: '" + what +
-                             "' is not a non-negative integer");
-  return static_cast<std::size_t>(number);
+BenchCaseResult read_case(JsonCursor& in) {
+  BenchCaseResult c;
+  in.expect("{");
+  c.name = bench_string(in, "name");
+  c.requests_per_op = bench_size(in, "requests_per_op");
+  c.trials = bench_size(in, "trials");
+  c.ns_per_op = bench_number(in, "ns_per_op");
+  c.ns_per_op_mean = bench_number(in, "ns_per_op_mean");
+  c.ns_per_op_min = bench_number(in, "ns_per_op_min");
+  c.ns_per_op_max = bench_number(in, "ns_per_op_max");
+  c.requests_per_sec = bench_number(in, "requests_per_sec");
+  // The optional latency object is checked for shape but not read back:
+  // comparisons use only ns/op and the counters.
+  in.expect(",");
+  if (in.try_consume("\"latency\":"))
+    read_members(in, [&](const std::string&) { (void)in.number(); });
+  // Counters by name: a report from an older build may carry a subset,
+  // and names this build does not know are skipped.
+  in.member("counters");
+  read_members(in, [&](const std::string& name) {
+    const std::uint64_t value = in.u64();
+    PerfCounters::for_each_field(
+        c.counters, [&](const char* field, std::uint64_t& slot) {
+          if (name == field) slot = value;
+        });
+  });
+  in.expect("}");
+  return c;
 }
 
 }  // namespace
@@ -257,48 +83,33 @@ BenchReport read_bench_report(std::istream& is) {
   std::ostringstream buffer;
   buffer << is.rdbuf();
   const std::string text = buffer.str();
-  const JsonValue root = JsonParser(text).parse();
+  JsonCursor in(text, "BENCH json: ", json_throw<std::runtime_error>);
 
+  // Fields in the order BenchReport::write_json writes them.
   BenchReport report;
-  report.schema_version =
-      static_cast<int>(root.at("schema_version").as_number("schema_version"));
-  if (report.schema_version != kBenchSchemaVersion)
+  in.expect("{");
+  in.member("schema_version");
+  const std::uint64_t schema_version = in.u64();
+  if (schema_version != kBenchSchemaVersion)
     throw std::runtime_error(
-        "BENCH json: schema_version " +
-        std::to_string(report.schema_version) + " is not the supported " +
-        std::to_string(kBenchSchemaVersion));
-  report.suite = root.at("suite").as_string("suite");
-  report.git_sha = root.at("git_sha").as_string("git_sha");
-  report.build_type = root.at("build_type").as_string("build_type");
-  report.compiler = root.at("compiler").as_string("compiler");
-  report.build_flags = root.at("build_flags").as_string("build_flags");
-  report.trials = as_size(root.at("trials"), "trials");
-  report.warmup = as_size(root.at("warmup"), "warmup");
-
-  const JsonValue& cases = root.at("cases");
-  if (cases.kind != JsonValue::Kind::kArray)
-    throw std::runtime_error("BENCH json: 'cases' is not an array");
-  for (const JsonValue& entry : cases.array) {
-    BenchCaseResult c;
-    c.name = entry.at("name").as_string("name");
-    c.requests_per_op = as_size(entry.at("requests_per_op"),
-                                "requests_per_op");
-    c.trials = as_size(entry.at("trials"), "trials");
-    c.ns_per_op = entry.at("ns_per_op").as_number("ns_per_op");
-    c.ns_per_op_mean =
-        entry.at("ns_per_op_mean").as_number("ns_per_op_mean");
-    c.ns_per_op_min = entry.at("ns_per_op_min").as_number("ns_per_op_min");
-    c.ns_per_op_max = entry.at("ns_per_op_max").as_number("ns_per_op_max");
-    c.requests_per_sec =
-        entry.at("requests_per_sec").as_number("requests_per_sec");
-    const JsonValue& counters = entry.at("counters");
-    PerfCounters::for_each_field(
-        c.counters, [&](const char* name, std::uint64_t& value) {
-          if (const JsonValue* field = counters.find(name))
-            value = static_cast<std::uint64_t>(as_size(*field, name));
-        });
-    report.cases.push_back(std::move(c));
+        "BENCH json: schema_version " + std::to_string(schema_version) +
+        " is not the supported " + std::to_string(kBenchSchemaVersion));
+  report.suite = bench_string(in, "suite");
+  report.git_sha = bench_string(in, "git_sha");
+  report.build_type = bench_string(in, "build_type");
+  report.compiler = bench_string(in, "compiler");
+  report.build_flags = bench_string(in, "build_flags");
+  report.trials = bench_size(in, "trials");
+  report.warmup = bench_size(in, "warmup");
+  in.member("cases");
+  in.expect("[");
+  if (!in.try_consume("]")) {
+    do report.cases.push_back(read_case(in));
+    while (in.try_consume(","));
+    in.expect("]");
   }
+  in.expect("}");
+  in.done();
   return report;
 }
 

@@ -16,10 +16,11 @@
 
 namespace omflp {
 
-/// Parses a BENCH_*.json document written by BenchReport::write_json.
-/// Throws std::runtime_error on malformed JSON, a missing required field,
-/// or an unsupported schema_version. Unknown counter names are ignored
-/// (forward compatibility within a schema version).
+/// Parses a BENCH_*.json document written by BenchReport::write_json,
+/// field by field in the writer's order, integers exactly. Throws
+/// std::runtime_error on malformed JSON, a missing or out-of-range field,
+/// or an unsupported schema_version. Counters are matched by name:
+/// missing ones stay zero, unknown ones are ignored.
 BenchReport read_bench_report(std::istream& is);
 BenchReport read_bench_report_file(const std::string& path);
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <memory>
 #include <optional>
 #include <ostream>
@@ -23,6 +22,7 @@
 #include "scenario/registry_util.hpp"
 #include "scenario/scenario_registry.hpp"
 #include "scenario/stream_registry.hpp"
+#include "support/json.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
 
@@ -35,23 +35,6 @@ std::uint64_t now_ns() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-}
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char ch : text) {
-    if (ch == '"' || ch == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(ch) < 0x20) {
-      char buffer[8];
-      std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                    static_cast<unsigned>(ch));
-      out += buffer;
-      continue;
-    }
-    out.push_back(ch);
-  }
-  return out;
 }
 
 std::string compiler_string() {
@@ -100,17 +83,17 @@ void BenchReport::write_json(std::ostream& os) const {
   const std::streamsize saved_precision = os.precision(17);
   os << "{\n"
      << "  \"schema_version\": " << schema_version << ",\n"
-     << "  \"suite\": \"" << json_escape(suite) << "\",\n"
-     << "  \"git_sha\": \"" << json_escape(git_sha) << "\",\n"
-     << "  \"build_type\": \"" << json_escape(build_type) << "\",\n"
-     << "  \"compiler\": \"" << json_escape(compiler) << "\",\n"
-     << "  \"build_flags\": \"" << json_escape(build_flags) << "\",\n"
+     << "  \"suite\": " << json_quoted(suite) << ",\n"
+     << "  \"git_sha\": " << json_quoted(git_sha) << ",\n"
+     << "  \"build_type\": " << json_quoted(build_type) << ",\n"
+     << "  \"compiler\": " << json_quoted(compiler) << ",\n"
+     << "  \"build_flags\": " << json_quoted(build_flags) << ",\n"
      << "  \"trials\": " << trials << ",\n"
      << "  \"warmup\": " << warmup << ",\n"
      << "  \"cases\": [\n";
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const BenchCaseResult& c = cases[i];
-    os << "    {\"name\": \"" << json_escape(c.name) << "\",\n"
+    os << "    {\"name\": " << json_quoted(c.name) << ",\n"
        << "     \"requests_per_op\": " << c.requests_per_op << ",\n"
        << "     \"trials\": " << c.trials << ",\n"
        << "     \"ns_per_op\": " << c.ns_per_op << ",\n"

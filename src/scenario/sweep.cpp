@@ -1,12 +1,12 @@
 #include "scenario/sweep.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <ostream>
 #include <stdexcept>
 
 #include "analysis/competitive.hpp"
 #include "scenario/registry_util.hpp"
+#include "support/json.hpp"
 #include "support/parallel.hpp"
 #include "support/table.hpp"
 
@@ -61,35 +61,14 @@ void SweepResult::write_csv(std::ostream& os) const {
   table.write_csv(os);
 }
 
-namespace {
-
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char ch : text) {
-    if (ch == '"' || ch == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(ch) < 0x20) {
-      char buffer[8];
-      std::snprintf(buffer, sizeof(buffer), "\\u%04x",
-                    static_cast<unsigned>(ch));
-      out += buffer;
-      continue;
-    }
-    out.push_back(ch);
-  }
-  return out;
-}
-
-}  // namespace
-
 void SweepResult::write_json(std::ostream& os) const {
   os.precision(17);
   os << "[\n";
   for (std::size_t i = 0; i < cells_.size(); ++i) {
     const SweepCell& c = cells_[i];
-    os << "  {\"scenario\": \"" << json_escape(c.scenario)
-       << "\", \"algorithm\": \"" << json_escape(c.algorithm)
-       << "\", \"seeds\": " << c.ratio.count()
+    os << "  {\"scenario\": " << json_quoted(c.scenario)
+       << ", \"algorithm\": " << json_quoted(c.algorithm)
+       << ", \"seeds\": " << c.ratio.count()
        << ", \"ratio_mean\": " << c.ratio.mean()
        << ", \"ratio_ci95\": " << c.ratio.ci95_halfwidth()
        << ", \"ratio_min\": " << c.ratio.min()

@@ -1,17 +1,20 @@
 // Fuzz-ish parser robustness: a deterministic corpus of mutated
-// OMFLP-STREAM, OMFLP-INSTANCE, OMFLP-CERT and OMFLP-TRACELOG bytes —
-// truncations,
+// OMFLP-STREAM, OMFLP-INSTANCE, OMFLP-CERT and OMFLP-TRACELOG bytes,
+// BENCH_*.json reports and omflp-lint JSON reports — truncations,
 // flipped signs, duplicated/deleted lines, absurd declared counts,
-// random byte corruption — fed through every reader. The contract: a mutant either
-// parses (some mutations are harmless) or is rejected with an ordinary
-// exception; nothing may crash, read out of bounds, or allocate
-// proportionally to a *declared* (rather than actually present) count.
+// random byte corruption — fed through every reader. The contract: a
+// mutant either parses (some mutations are harmless) or is rejected with
+// an ordinary exception (for the JSON readers: only the reader's
+// documented exception type); nothing may crash, read out of bounds, or
+// allocate proportionally to a *declared* (rather than actually present)
+// count.
 // CI runs this suite under ASan/UBSan (the sanitize job), which is where
 // the "no crashes" half of the contract gets teeth.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cctype>
+#include <fstream>
 #include <set>
 #include <sstream>
 #include <string>
@@ -26,7 +29,9 @@
 #include "instance/io.hpp"
 #include "instance/stream_io.hpp"
 #include "instance/tracelog_io.hpp"
+#include "lint.hpp"
 #include "obs/trace_sink.hpp"
+#include "perf/bench_compare.hpp"
 #include "scenario/scenario_registry.hpp"
 #include "scenario/stream_registry.hpp"
 #include "support/rng.hpp"
@@ -122,6 +127,78 @@ std::string valid_tracelog() {
     (void)run_stream(pd, stream, {});
   }
   return tracelog_to_string(buffer.events());
+}
+
+/// BENCH reader: only std::runtime_error counts as a rejection; any other
+/// exception escapes and fails the test.
+ParseOutcome feed_bench_reader(const std::string& text) {
+  try {
+    std::istringstream is(text);
+    (void)read_bench_report(is);
+    return ParseOutcome::kAccepted;
+  } catch (const std::runtime_error&) {
+    return ParseOutcome::kRejected;
+  }
+}
+
+/// A fixed report covering both case shapes: with and without the
+/// optional latency object.
+std::string valid_bench_report() {
+  BenchReport report;
+  report.suite = "fuzz \"suite\"";
+  report.git_sha = "0123456789ab";
+  report.build_type = "Release";
+  report.compiler = "gcc";
+  report.build_flags = "-O3 -DNDEBUG";
+  report.trials = 7;
+  report.warmup = 2;
+  BenchCaseResult one;
+  one.name = "case/one";
+  one.requests_per_op = 96;
+  one.trials = 7;
+  one.ns_per_op = 37713.5;
+  one.ns_per_op_mean = 39036.857142857145;
+  one.ns_per_op_min = 34973;
+  one.ns_per_op_max = 4.25e7;
+  one.requests_per_sec = 2545541.3252724526;
+  one.counters.distance_lookups = 14704;
+  one.counters.requests_served = 96;
+  one.latency.count = 17;
+  one.latency.total_ns = 6948291;
+  one.latency.p50_ns = 155648;
+  one.latency.max_ns = 1353001;
+  BenchCaseResult two = one;
+  two.name = "case/two";
+  two.latency = {};
+  report.cases = {one, two};
+  std::ostringstream os;
+  report.write_json(os);
+  return os.str();
+}
+
+std::string committed_bench_baseline() {
+  std::ifstream file(OMFLP_SOURCE_DIR "/benchmarks/BENCH_baseline.json");
+  std::ostringstream os;
+  os << file.rdbuf();
+  return os.str();
+}
+
+/// omflp-lint reader: only std::invalid_argument counts as a rejection.
+ParseOutcome feed_lint_reader(const std::string& text) {
+  try {
+    (void)lint::from_json(text);
+    return ParseOutcome::kAccepted;
+  } catch (const std::invalid_argument&) {
+    return ParseOutcome::kRejected;
+  }
+}
+
+std::string valid_lint_report() {
+  return lint::to_json({
+      {"raw-parse", "src/core/f.cpp", 3, "raw \"strtod\" call", false},
+      {"raw-reserve", "src/instance/io.cpp", 41, "tab\there", true},
+      {"rule-x", "tools/a\\b.cpp", 1234567, "line\nbreak \x01", false},
+  });
 }
 
 std::vector<std::string> split_lines(const std::string& text) {
@@ -282,6 +359,17 @@ TEST(FuzzParsers, CertificateMutationsNeverCrash) {
 
 TEST(FuzzParsers, TracelogMutationsNeverCrash) {
   run_corpus(valid_tracelog(), feed_tracelog_reader);
+}
+
+TEST(FuzzParsers, BenchReportMutationsNeverCrash) {
+  run_corpus(valid_bench_report(), feed_bench_reader);
+  const std::string baseline = committed_bench_baseline();
+  ASSERT_FALSE(baseline.empty());
+  run_corpus(baseline, feed_bench_reader);
+}
+
+TEST(FuzzParsers, LintReportMutationsNeverCrash) {
+  run_corpus(valid_lint_report(), feed_lint_reader);
 }
 
 TEST(FuzzParsers, TracelogCountTamperingIsRejected) {

@@ -421,6 +421,27 @@ TEST(Json, RejectsTamperedDocuments) {
   EXPECT_THROW(from_json(tampered), std::invalid_argument);
 }
 
+TEST(Json, RejectsIntegersBeyond64Bits) {
+  const auto diags =
+      lint("src/core/f.cpp", "void f() { int v = atoi(s); }\n");
+  const std::string json = to_json(diags);
+  const auto replaced = [&](const std::string& from, const std::string& to) {
+    std::string out = json;
+    const auto at = out.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) out.replace(at, from.size(), to);
+    return out;
+  };
+  // 2^64 + 1 must not wrap to line 1.
+  EXPECT_THROW(from_json(replaced("\"line\":1,",
+                                  "\"line\":18446744073709551617,")),
+               std::invalid_argument);
+  // 2^64 must not wrap to 0 and pass the summary-count check.
+  EXPECT_THROW(from_json(replaced("\"suppressed\":0,",
+                                  "\"suppressed\":18446744073709551616,")),
+               std::invalid_argument);
+}
+
 // ------------------------------------------------------------ text report ---
 
 TEST(Text, ReportsPathLineRuleAndSummary) {

@@ -11,6 +11,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/online_algorithm.hpp"
@@ -232,6 +233,39 @@ TEST(TraceLog, TamperedLogsAreRejected) {
     ASSERT_NE(colon, std::string::npos);
     t[1].insert(colon + 1, " ");
     EXPECT_THROW(tracelog_from_string(joined(t)), std::invalid_argument);
+  }
+  // Other spellings of the same values: each decodes to the same event,
+  // but the writer would emit different bytes, so the reader rejects it.
+  {
+    TraceEvent flag;
+    flag.kind = TraceEventKind::kVerifierFlag;
+    flag.request = 1;
+    flag.note = "a\nb";
+    TraceEvent half;
+    half.kind = TraceEventKind::kBidRollback;
+    half.request = 2;
+    half.bid_mass = 2.5;
+    TraceEvent whole = half;
+    whole.bid_mass = 1.0;
+    const std::string canonical = tracelog_to_string({flag, half, whole});
+    ASSERT_EQ(tracelog_to_string(tracelog_from_string(canonical)),
+              canonical);
+    const std::pair<const char*, const char*> mutations[] = {
+        {"a\\nb", "a\\u000ab"},
+        {"\"bid_mass\":2.5", "\"bid_mass\":2.50"},
+        {"\"bid_mass\":2.5", "\"bid_mass\":+2.5"},
+        {"\"bid_mass\":2.5", "\"bid_mass\":0.25e1"},
+        {"\"bid_mass\":1,", "\"bid_mass\":1.0,"},
+        {"\"request\":1,", "\"request\":01,"},
+        {"\"request\":1,", "\"request\":0001,"},
+    };
+    for (const auto& [from, to] : mutations) {
+      std::string t = canonical;
+      const std::size_t at = t.find(from);
+      ASSERT_NE(at, std::string::npos) << from;
+      t.replace(at, std::string(from).size(), to);
+      EXPECT_THROW(tracelog_from_string(t), std::invalid_argument) << to;
+    }
   }
 }
 

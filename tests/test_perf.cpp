@@ -290,6 +290,73 @@ TEST(BenchJson, RejectsMalformedAndWrongSchema) {
   }
 }
 
+std::string tiny_report_json(const BenchReport& report) {
+  std::ostringstream os;
+  report.write_json(os);
+  return os.str();
+}
+
+TEST(BenchJson, CounterTotalsRoundTripExactly) {
+  BenchReport report = tiny_report();
+  // 2^53 + 1 is the first integer a double cannot hold.
+  report.cases[0].counters.distance_lookups = (std::uint64_t{1} << 53) + 1;
+  report.cases[0].counters.bids_evaluated =
+      std::numeric_limits<std::uint64_t>::max();
+  std::istringstream is(tiny_report_json(report));
+  const BenchReport read = read_bench_report(is);
+  EXPECT_EQ(read.cases[0].counters.distance_lookups,
+            (std::uint64_t{1} << 53) + 1);
+  EXPECT_EQ(read.cases[0].counters.bids_evaluated,
+            std::numeric_limits<std::uint64_t>::max());
+}
+
+TEST(BenchJson, RejectsNonIntegerAndOutOfRangeCounts) {
+  const std::string json = tiny_report_json(tiny_report());
+  const auto replaced = [&](const std::string& from, const std::string& to) {
+    std::string out = json;
+    const auto at = out.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) out.replace(at, from.size(), to);
+    return out;
+  };
+  for (const std::string& bad : {
+           replaced("\"requests_per_op\": 7", "\"requests_per_op\": 1e300"),
+           replaced("\"requests_per_op\": 7", "\"requests_per_op\": 7.5"),
+           replaced("\"schema_version\": 1", "\"schema_version\": 1.5"),
+           replaced("\"schema_version\": 1", "\"schema_version\": 1e0"),
+           replaced("\"schema_version\": 1",
+                    "\"schema_version\": 4294967297"),
+           replaced("\"distance_lookups\": 11",
+                    "\"distance_lookups\": 18446744073709551616"),
+           replaced("\"distance_lookups\": 11",
+                    "\"distance_lookups\": -11"),
+       }) {
+    std::istringstream is(bad);
+    EXPECT_THROW((void)read_bench_report(is), std::runtime_error) << bad;
+  }
+}
+
+TEST(BenchJson, ReadsOptionalLatencyAndCounterSubsets) {
+  BenchReport report = tiny_report();
+  report.cases[0].latency.count = 3;
+  report.cases[0].latency.total_ns = 300.0;
+  report.cases[0].latency.max_ns = 150.0;
+  std::string json = tiny_report_json(report);
+  ASSERT_NE(json.find("\"latency\": {"), std::string::npos);
+  // A report from an older build: fewer counters, one this build does
+  // not know.
+  const std::string from = "\"distance_lookups\": 11, ";
+  const auto at = json.find(from);
+  ASSERT_NE(at, std::string::npos);
+  json.replace(at, from.size(), "\"retired_counter\": 4, ");
+  std::istringstream is(json);
+  const BenchReport read = read_bench_report(is);
+  ASSERT_EQ(read.cases.size(), 2u);
+  EXPECT_EQ(read.cases[0].counters.distance_lookups, 0u);
+  EXPECT_EQ(read.cases[0].counters.verifier_checks, 2u);
+  EXPECT_EQ(read.cases[0].ns_per_op, report.cases[0].ns_per_op);
+}
+
 // --------------------------------------------------------------- compare ---
 
 BenchReport synthetic_report(double ns_one, double ns_two) {

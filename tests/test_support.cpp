@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -18,6 +19,7 @@
 #include "support/atomic_file.hpp"
 #include "support/commodity_set.hpp"
 #include "support/harmonic.hpp"
+#include "support/json.hpp"
 #include "support/parallel.hpp"
 #include "support/parse.hpp"
 #include "support/rng.hpp"
@@ -547,6 +549,91 @@ TEST(AtomicFile, WriterFailureThrowsAndLeavesDestinationUntouched) {
       scratch.path("no-such-subdir") + "/artifact.txt";
   EXPECT_THROW(write_file_atomic(missing, "content"), std::runtime_error);
   EXPECT_FALSE(fs::exists(missing));
+}
+
+// ------------------------------------------------------------------ json ---
+
+JsonCursor cursor(std::string_view text) {
+  return JsonCursor(text, "test: ", json_throw<std::invalid_argument>);
+}
+
+TEST(Json, QuotedUsesShortEscapesAndLowercaseHex) {
+  EXPECT_EQ(json_quoted("plain"), "\"plain\"");
+  EXPECT_EQ(json_quoted("q\" b\\ n\n r\r t\t"),
+            "\"q\\\" b\\\\ n\\n r\\r t\\t\"");
+  EXPECT_EQ(json_quoted(std::string("\x01\x1f\x7f", 3)),
+            "\"\\u0001\\u001f\x7f\"");
+  EXPECT_EQ(json_quoted(std::string(1, '\0')), "\"\\u0000\"");
+  EXPECT_EQ(json_quoted("caf\xc3\xa9"), "\"caf\xc3\xa9\"");  // UTF-8 verbatim
+}
+
+TEST(Json, StringsRoundTripAndOnlyTheEscaperSpellingIsAccepted) {
+  for (const std::string text :
+       {std::string("a\nb\"c\\d\te\r"), std::string("\x01\x1b", 2),
+        std::string(), std::string("caf\xc3\xa9")}) {
+    const std::string quoted = json_quoted(text);
+    JsonCursor in = cursor(quoted);
+    EXPECT_EQ(in.string(), text);
+    in.done();
+  }
+  for (const char* bad :
+       {"\"a\\u000ab\"", "\"\\u0041\"", "\"\\u001F\"", "\"\\/\"",
+        "\"\\b\"", "\"raw\ttab\"", "\"unterminated", "\"dangling\\",
+        "\"\\u00\"", "plain"}) {
+    JsonCursor in = cursor(bad);
+    EXPECT_THROW((void)in.string(), std::invalid_argument) << bad;
+  }
+}
+
+TEST(Json, U64IsExactDigitsOnly) {
+  EXPECT_EQ(cursor("0").u64(), 0u);
+  EXPECT_EQ(cursor(" 18446744073709551615").u64(),
+            std::numeric_limits<std::uint64_t>::max());
+  for (const char* bad : {"18446744073709551616", "-1", "+1", "01", "", "x"})
+    EXPECT_THROW((void)cursor(bad).u64(), std::invalid_argument) << bad;
+  // Digits stop at the first other byte; the caller's next token fails.
+  JsonCursor in = cursor("2.5");
+  EXPECT_EQ(in.u64(), 2u);
+  EXPECT_THROW(in.done(), std::invalid_argument);
+}
+
+TEST(Json, NumberIsFiniteOnly) {
+  EXPECT_EQ(cursor("2.5").number(), 2.5);
+  EXPECT_EQ(cursor("-1e-3").number(), -1e-3);
+  for (const char* bad : {"1e999", "nan", "inf", "", "-", "e5"})
+    EXPECT_THROW((void)cursor(bad).number(), std::invalid_argument) << bad;
+}
+
+TEST(Json, MembersNeedCommasBetweenButNotBefore) {
+  JsonCursor in = cursor("{ \"a\" : 1 ,\n \"b\":true}");
+  in.expect("{");
+  in.member("a");
+  EXPECT_EQ(in.u64(), 1u);
+  in.member("b");
+  EXPECT_TRUE(in.boolean());
+  in.expect("}");
+  in.done();
+
+  JsonCursor missing_comma = cursor("{\"a\":1 \"b\":2}");
+  missing_comma.expect("{");
+  missing_comma.member("a");
+  (void)missing_comma.u64();
+  EXPECT_THROW(missing_comma.member("b"), std::invalid_argument);
+
+  JsonCursor wrong_key = cursor("{\"ab\":1}");
+  wrong_key.expect("{");
+  EXPECT_THROW(wrong_key.member("a"), std::invalid_argument);
+}
+
+TEST(Json, FailuresCarryPrefixOffsetAndTheCallersType) {
+  JsonCursor in("{]", "BENCH json: ", json_throw<std::runtime_error>);
+  in.expect("{");
+  try {
+    in.expect("}");
+    FAIL() << "expected a throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "BENCH json: expected '}' at offset 1");
+  }
 }
 
 }  // namespace

@@ -6,6 +6,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "support/json.hpp"
+
 namespace omflp::lint {
 
 namespace {
@@ -186,6 +188,12 @@ bool line_has_code(const std::string& code_line) {
 
 const std::string kEmptyLine;
 
+std::size_t count_suppressed(const std::vector<Diagnostic>& diags) {
+  return static_cast<std::size_t>(
+      std::count_if(diags.begin(), diags.end(),
+                    [](const Diagnostic& d) { return d.suppressed; }));
+}
+
 }  // namespace
 
 SourceFile::SourceFile(std::string path, std::string_view content)
@@ -329,226 +337,76 @@ bool is_parse_path(std::string_view path) {
 }
 
 bool has_unsuppressed(const std::vector<Diagnostic>& diags) {
-  return std::any_of(diags.begin(), diags.end(),
-                     [](const Diagnostic& d) { return !d.suppressed; });
+  return count_suppressed(diags) < diags.size();
 }
 
 std::string to_text(const std::vector<Diagnostic>& diags) {
   std::ostringstream os;
-  std::size_t suppressed = 0;
   for (const auto& d : diags) {
     os << d.path << ':' << d.line << ": [" << d.rule << "] " << d.message;
-    if (d.suppressed) {
-      os << "  (suppressed)";
-      ++suppressed;
-    }
+    if (d.suppressed) os << "  (suppressed)";
     os << '\n';
   }
+  const std::size_t suppressed = count_suppressed(diags);
   os << diags.size() << " finding" << (diags.size() == 1 ? "" : "s") << " ("
      << suppressed << " suppressed, " << (diags.size() - suppressed)
      << " failing)\n";
   return os.str();
 }
 
-namespace {
-
-void append_json_string(std::ostream& os, std::string_view s) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          static const char* hex = "0123456789abcdef";
-          os << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-// Minimal strict parser for exactly the document to_json emits.
-class JsonReader {
- public:
-  explicit JsonReader(std::string_view text) : text_(text) {}
-
-  void expect(std::string_view literal) {
-    skip_ws();
-    if (text_.compare(pos_, literal.size(), literal) != 0)
-      fail(std::string("expected '") + std::string(literal) + "'");
-    pos_ += literal.size();
-  }
-
-  bool try_consume(std::string_view literal) {
-    skip_ws();
-    if (text_.compare(pos_, literal.size(), literal) != 0) return false;
-    pos_ += literal.size();
-    return true;
-  }
-
-  std::string string() {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != '"') fail("expected string");
-    ++pos_;
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
-      if (pos_ >= text_.size()) fail("dangling escape");
-      const char e = text_[pos_++];
-      switch (e) {
-        case '"': out.push_back('"'); break;
-        case '\\': out.push_back('\\'); break;
-        case '/': out.push_back('/'); break;
-        case 'n': out.push_back('\n'); break;
-        case 't': out.push_back('\t'); break;
-        case 'r': out.push_back('\r'); break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("short \\u escape");
-          unsigned value = 0;
-          for (int k = 0; k < 4; ++k) {
-            const char h = text_[pos_++];
-            value <<= 4;
-            if (h >= '0' && h <= '9') value |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f')
-              value |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F')
-              value |= static_cast<unsigned>(h - 'A' + 10);
-            else fail("bad \\u escape");
-          }
-          if (value > 0x7f) fail("non-ASCII \\u escape unsupported");
-          out.push_back(static_cast<char>(value));
-          break;
-        }
-        default: fail("unknown escape");
-      }
-    }
-    if (pos_ >= text_.size()) fail("unterminated string");
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  std::uint64_t number() {
-    skip_ws();
-    std::uint64_t value = 0;
-    bool any = false;
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-      value = value * 10 + static_cast<std::uint64_t>(text_[pos_] - '0');
-      ++pos_;
-      any = true;
-    }
-    if (!any) fail("expected number");
-    return value;
-  }
-
-  bool boolean() {
-    if (try_consume("true")) return true;
-    if (try_consume("false")) return false;
-    fail("expected boolean");
-    return false;
-  }
-
-  void done() {
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing content");
-  }
-
- private:
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])))
-      ++pos_;
-  }
-  [[noreturn]] void fail(const std::string& what) {
-    throw std::invalid_argument("omflp-lint json: " + what + " at offset " +
-                                std::to_string(pos_));
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
 std::string to_json(const std::vector<Diagnostic>& diags) {
-  std::ostringstream os;
-  std::size_t suppressed = 0;
-  for (const auto& d : diags)
-    if (d.suppressed) ++suppressed;
-  os << "{\"format\":\"omflp-lint\",\"version\":1,\"findings\":[";
+  const std::size_t suppressed = count_suppressed(diags);
+  std::string out = "{\"format\":\"omflp-lint\",\"version\":1,\"findings\":[";
   for (std::size_t i = 0; i < diags.size(); ++i) {
     const auto& d = diags[i];
-    if (i) os << ',';
-    os << "\n  {\"rule\":";
-    append_json_string(os, d.rule);
-    os << ",\"path\":";
-    append_json_string(os, d.path);
-    os << ",\"line\":" << d.line << ",\"message\":";
-    append_json_string(os, d.message);
-    os << ",\"suppressed\":" << (d.suppressed ? "true" : "false") << '}';
+    if (i) out += ',';
+    out += "\n  {\"rule\":" + json_quoted(d.rule) +
+           ",\"path\":" + json_quoted(d.path) +
+           ",\"line\":" + std::to_string(d.line) +
+           ",\"message\":" + json_quoted(d.message) +
+           ",\"suppressed\":" + (d.suppressed ? "true}" : "false}");
   }
-  if (!diags.empty()) os << '\n';
-  os << "],\"suppressed\":" << suppressed
-     << ",\"failing\":" << (diags.size() - suppressed) << "}\n";
-  return os.str();
+  if (!diags.empty()) out += '\n';
+  out += "],\"suppressed\":" + std::to_string(suppressed) +
+         ",\"failing\":" + std::to_string(diags.size() - suppressed) +
+         "}\n";
+  return out;
 }
 
 std::vector<Diagnostic> from_json(std::string_view json) {
-  JsonReader r(json);
-  r.expect("{");
-  r.expect("\"format\":\"omflp-lint\"");
-  r.expect(",");
-  r.expect("\"version\":1");
-  r.expect(",");
-  r.expect("\"findings\":[");
+  JsonCursor in(json, "omflp-lint json: ",
+                json_throw<std::invalid_argument>);
+  in.expect("{\"format\":\"omflp-lint\",\"version\":1,");
+  in.member("findings");
+  in.expect("[");
   std::vector<Diagnostic> diags;
-  if (!r.try_consume("]")) {
-    while (true) {
+  if (!in.try_consume("]")) {
+    do {
       Diagnostic d;
-      r.expect("{");
-      r.expect("\"rule\":");
-      d.rule = r.string();
-      r.expect(",");
-      r.expect("\"path\":");
-      d.path = r.string();
-      r.expect(",");
-      r.expect("\"line\":");
-      d.line = static_cast<std::size_t>(r.number());
-      r.expect(",");
-      r.expect("\"message\":");
-      d.message = r.string();
-      r.expect(",");
-      r.expect("\"suppressed\":");
-      d.suppressed = r.boolean();
-      r.expect("}");
+      in.expect("{");
+      in.member("rule");
+      d.rule = in.string();
+      in.member("path");
+      d.path = in.string();
+      in.member("line");
+      d.line = static_cast<std::size_t>(in.u64());
+      in.member("message");
+      d.message = in.string();
+      in.member("suppressed");
+      d.suppressed = in.boolean();
+      in.expect("}");
       diags.push_back(std::move(d));
-      if (r.try_consume("]")) break;
-      r.expect(",");
-    }
+    } while (in.try_consume(","));
+    in.expect("]");
   }
-  r.expect(",");
-  r.expect("\"suppressed\":");
-  const std::uint64_t suppressed = r.number();
-  r.expect(",");
-  r.expect("\"failing\":");
-  const std::uint64_t failing = r.number();
-  r.expect("}");
-  r.done();
-  std::uint64_t actual_suppressed = 0;
-  for (const auto& d : diags)
-    if (d.suppressed) ++actual_suppressed;
-  if (suppressed != actual_suppressed ||
-      failing != diags.size() - actual_suppressed)
+  in.member("suppressed");
+  const std::uint64_t suppressed = in.u64();
+  in.member("failing");
+  const std::uint64_t failing = in.u64();
+  in.expect("}");
+  in.done();
+  if (suppressed != count_suppressed(diags) ||
+      failing != diags.size() - suppressed)
     throw std::invalid_argument("omflp-lint json: summary counts disagree "
                                 "with the findings array");
   return diags;
