@@ -29,6 +29,12 @@ std::uint64_t now_ns() {
           .count());
 }
 
+void write_snapshot(const StreamSession& session, std::ostream& os) {
+  CkptWriter writer(os);
+  session.checkpoint(writer);
+  writer.finish();
+}
+
 }  // namespace
 
 const TenantResult* EngineResult::first_violation() const noexcept {
@@ -219,6 +225,12 @@ EngineResult ShardedEngine::run() const {
   std::vector<TraceBuffer> trace_buffers(
       options_.trace_sink != nullptr ? num_tenants : 0);
 
+  // Final OMFLP-CKPT bytes of every tenant that was already exhausted
+  // when last serialized (empty until then; a snapshot never is). An
+  // exhausted session is never stepped again, so these are exactly what
+  // checkpoint() would write, and later generations reuse them.
+  std::vector<std::string> final_snapshots(num_tenants);
+
   // The global clock: one parallel_for over the shards per round, each
   // shard stepping every live tenant by one batch. The loop ends when a
   // full round finds no live tenant (each session needs one final
@@ -298,7 +310,9 @@ EngineResult ShardedEngine::run() const {
 
     // Periodic checkpoint generation: serialize every tenant on the
     // calling thread (sessions are between batches, so no request is in
-    // flight), publish tenant files first and the manifest last. The
+    // flight), publish tenant files first and the manifest last. A live
+    // tenant streams straight into its file; an exhausted one is
+    // serialized once and its bytes rewritten from then on. The
     // generation number is the round, so restarts keep it increasing.
     if (store && options_.checkpoint_every > 0 &&
         result.rounds % options_.checkpoint_every == 0) {
@@ -306,17 +320,27 @@ EngineResult ShardedEngine::run() const {
       manifest.generation = result.rounds;
       manifest.round = result.rounds;
       manifest.trace_seq = trace_seq;
-      std::vector<std::string> payloads;
-      payloads.reserve(num_tenants);
-      for (std::size_t i = 0; i < num_tenants; ++i) {
-        manifest.tenants.push_back(specs_[i].name);
-        std::ostringstream os;
-        CkptWriter writer(os);
-        states[i]->session.checkpoint(writer);
-        writer.finish();
-        payloads.push_back(os.str());
-      }
-      store->publish(manifest, payloads);
+      for (const TenantSpec& spec : specs_)
+        manifest.tenants.push_back(spec.name);
+      store->publish(manifest, [&](std::size_t i, std::ostream& os) {
+        const StreamSession& session = states[i]->session;
+        if (!session.exhausted()) {
+          write_snapshot(session, os);
+          return;
+        }
+        std::string& snapshot = final_snapshots[i];
+        if (snapshot.empty()) {
+          std::ostringstream bytes;
+          write_snapshot(session, bytes);
+          // A copy, not a move: the stream's buffer carries growth slack
+          // that would stay resident for the rest of the run.
+          snapshot = bytes.str();
+        } else {
+          ++result.checkpoint_snapshots_reused;
+        }
+        os.write(snapshot.data(),
+                 static_cast<std::streamsize>(snapshot.size()));
+      });
       ++result.checkpoints_published;
     }
 

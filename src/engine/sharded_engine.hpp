@@ -94,7 +94,9 @@ struct EngineOptions {
   std::string checkpoint_dir;
   /// Rounds between checkpoint generations (0 = restore-only: never
   /// publish). Smaller values shorten the replay tail after a crash at
-  /// the price of more serialization and IO per round.
+  /// the price of more IO per round, and more serialization while
+  /// tenants are live: an exhausted tenant is serialized once per run()
+  /// and its bytes are rewritten into later generations.
   std::uint64_t checkpoint_every = 0;
   /// Deterministic fault injection (borrowed, may be null). Consulted
   /// after each round's checkpoint publication; a scheduled crash
@@ -150,6 +152,11 @@ struct EngineResult {
   std::uint64_t restored_from_round = 0;
   /// Checkpoint generations published by this run() call.
   std::uint64_t checkpoints_published = 0;
+  /// Tenant files among those generations written from retained bytes:
+  /// the snapshot of a tenant already exhausted when it was last
+  /// serialized, rewritten instead of re-serialized. Per run() call —
+  /// a restarted run retains nothing until it serializes again.
+  std::uint64_t checkpoint_snapshots_reused = 0;
   /// Trace events emitted to the sink over the whole logical run,
   /// including rounds replayed before a restore point (the manifest's
   /// trace_seq carries the count across restarts).

@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cctype>
+#include <charconv>
 #include <istream>
 #include <ostream>
 #include <stdexcept>
@@ -36,8 +37,10 @@ char hex_digit(unsigned v) {
 }
 
 void append_hex16(std::string& out, std::uint64_t bits) {
-  for (int shift = 60; shift >= 0; shift -= 4)
-    out += hex_digit(static_cast<unsigned>((bits >> shift) & 0xf));
+  char digits[16];
+  for (int i = 15; i >= 0; --i, bits >>= 4)
+    digits[i] = hex_digit(static_cast<unsigned>(bits & 0xf));
+  out.append(digits, sizeof digits);
 }
 
 /// -1 on a non-hex character.
@@ -77,9 +80,9 @@ void CkptWriter::emit(std::string_view text) {
 
 void CkptWriter::flush_line() {
   if (!line_open_) return;
+  line_ += '\n';
   emit(line_);
-  fnv_ = fnv_fold_newline(fnv_);
-  os_ << line_ << '\n';
+  os_.write(line_.data(), static_cast<std::streamsize>(line_.size()));
   line_.clear();
   line_open_ = false;
 }
@@ -118,8 +121,10 @@ CkptWriter& CkptWriter::tok(std::string_view token) {
 CkptWriter& CkptWriter::u(std::uint64_t value) {
   if (!line_open_)
     throw std::logic_error("CkptWriter: token before line()");
+  char digits[20];  // UINT64_MAX has 20 decimal digits
+  const auto end = std::to_chars(digits, digits + sizeof digits, value).ptr;
   line_ += ' ';
-  line_ += std::to_string(value);
+  line_.append(digits, end);
   return *this;
 }
 
@@ -146,16 +151,8 @@ CkptWriter& CkptWriter::bytes(std::string_view raw) {
 
 CkptWriter& CkptWriter::set(const CommoditySet& s) {
   u(s.universe_size());
-  const std::size_t words =
-      (static_cast<std::size_t>(s.universe_size()) + 63) / 64;
-  u(words);
-  // Reconstructed word-by-word through the public interface; for_each
-  // visits set bits in increasing order, which is exactly word order.
-  std::vector<std::uint64_t> packed(words, 0);
-  s.for_each([&](CommodityId e) {
-    packed[e >> 6] |= (1ULL << (e & 63));
-  });
-  for (const std::uint64_t w : packed) {
+  u(s.words().size());
+  for (const std::uint64_t w : s.words()) {
     line_ += ' ';
     append_hex16(line_, w);
   }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <system_error>
 #include <utility>
@@ -32,8 +31,7 @@ std::string generation_suffix(std::uint64_t generation) {
 
 /// Serializes a manifest in the same OMFLP-CKPT container as the tenant
 /// snapshots, so the one validator covers every file in the directory.
-std::string manifest_payload(const CheckpointManifest& manifest) {
-  std::ostringstream os;
+void write_manifest(std::ostream& os, const CheckpointManifest& manifest) {
   CkptWriter writer(os);
   writer.line("manifest")
       .u(manifest.generation)
@@ -43,7 +41,6 @@ std::string manifest_payload(const CheckpointManifest& manifest) {
   for (const std::string& name : manifest.tenants)
     writer.line("tenant").bytes(name);
   writer.finish();
-  return os.str();
 }
 
 std::optional<CheckpointManifest> parse_manifest(const std::string& path) {
@@ -102,18 +99,19 @@ std::string CheckpointStore::manifest_path(std::uint64_t generation) const {
 }
 
 void CheckpointStore::publish(const CheckpointManifest& manifest,
-                              const std::vector<std::string>& tenant_payloads) {
-  OMFLP_REQUIRE(manifest.tenants.size() == tenant_payloads.size(),
-                "CheckpointStore: tenant name / payload count mismatch");
+                              const TenantWriter& write_tenant) {
   const std::vector<std::uint64_t> before = list_generations();
   // Tenant files first, manifest last: the manifest is the commit point,
   // so a crash anywhere in this loop leaves the previous generation
   // authoritative.
-  for (std::size_t i = 0; i < tenant_payloads.size(); ++i)
-    write_file_atomic(tenant_path(i, manifest.generation),
-                      tenant_payloads[i]);
-  write_file_atomic(manifest_path(manifest.generation),
-                    manifest_payload(manifest));
+  for (std::size_t i = 0; i < manifest.tenants.size(); ++i) {
+    AtomicFileWriter file(tenant_path(i, manifest.generation));
+    write_tenant(i, file.stream());
+    file.commit();
+  }
+  AtomicFileWriter manifest_file(manifest_path(manifest.generation));
+  write_manifest(manifest_file.stream(), manifest);
+  manifest_file.commit();
 
   std::vector<std::uint64_t> all = before;
   if (std::find(all.begin(), all.end(), manifest.generation) == all.end())

@@ -19,9 +19,18 @@
 //
 // Two generations are kept (the freshly published one and its
 // predecessor); older sets are pruned after each successful publish.
+//
+// Tenant payloads are streamed: publish() hands each tenant file's
+// staging stream to a caller callback, so a snapshot is serialized
+// straight into its file and no generation is held in memory as a
+// whole. Every generation is self-contained — its own complete files,
+// no links to or references into another generation — so the fallback
+// above can reject one without touching its predecessor.
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <iosfwd>
 #include <optional>
 #include <string>
 #include <vector>
@@ -50,12 +59,19 @@ class CheckpointStore {
                           std::uint64_t generation) const;
   std::string manifest_path(std::uint64_t generation) const;
 
-  /// Publishes one generation: every tenant payload (a complete
-  /// OMFLP-CKPT text) atomically, manifest last, then prunes
-  /// generations older than the previous one. Throws
-  /// std::runtime_error on IO failure.
+  /// Writes tenant `tenant_index`'s complete OMFLP-CKPT payload into
+  /// `os`, the staging stream of that tenant's file.
+  using TenantWriter =
+      std::function<void(std::size_t tenant_index, std::ostream& os)>;
+
+  /// Publishes one generation: one atomic file per manifest tenant, in
+  /// tenant order, filled by `write_tenant`; the manifest last; then
+  /// prunes generations older than the previous one. Throws
+  /// std::runtime_error on IO failure and propagates whatever
+  /// `write_tenant` throws — in both cases before the manifest exists,
+  /// so the previous generation stays authoritative.
   void publish(const CheckpointManifest& manifest,
-               const std::vector<std::string>& tenant_payloads);
+               const TenantWriter& write_tenant);
 
   /// The newest generation whose manifest parses *and* whose every
   /// tenant file passes the independent OMFLP-CKPT structural check —

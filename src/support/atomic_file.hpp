@@ -7,7 +7,7 @@
 //   * write_file_atomic — one-shot: hand over the full content;
 //   * AtomicFileWriter  — streaming: expose an std::ostream for writers
 //     that produce output incrementally (tracelogs, metrics, BENCH
-//     json); commit() publishes, destruction without commit() abandons
+//     json, checkpoint files); commit() publishes, destruction without commit() abandons
 //     the temp file and leaves any previous destination intact.
 //
 // The temp file lives next to the destination (`<path>.tmp`) so the

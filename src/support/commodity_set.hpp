@@ -56,6 +56,9 @@ class CommoditySet {
   }
 
   CommodityId universe_size() const noexcept { return universe_; }
+  /// The raw bitset, (universe + 63) / 64 words, bits past the universe
+  /// zero; element e is bit e & 63 of word e >> 6.
+  const std::vector<std::uint64_t>& words() const noexcept { return words_; }
 
   void add(CommodityId e) {
     OMFLP_REQUIRE(e < universe_, "CommoditySet::add: commodity out of range");

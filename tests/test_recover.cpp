@@ -2,23 +2,28 @@
 // session checkpoint/restore (crash → restore → drain must be bitwise
 // identical to an uninterrupted run, for every roster algorithm), the
 // checkpoint store's generation fallback, deterministic fault injection,
-// and engine-level crash recovery including tenant migration.
+// and engine-level crash recovery including tenant migration and the
+// reuse of exhausted tenants' snapshot bytes across generations.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/stream_runner.hpp"
 #include "engine/sharded_engine.hpp"
 #include "instance/checkpoint_io.hpp"
+#include "obs/trace_sink.hpp"
 #include "recover/checkpoint_store.hpp"
 #include "recover/fault_plan.hpp"
 #include "scenario/algorithm_registry.hpp"
@@ -427,6 +432,16 @@ std::string tiny_payload(std::uint64_t value) {
   return os.str();
 }
 
+/// publish() with ready-made payloads: tenant i's file gets payloads[i].
+void publish_payloads(CheckpointStore& store,
+                      const CheckpointManifest& manifest,
+                      const std::vector<std::string>& payloads) {
+  ASSERT_EQ(manifest.tenants.size(), payloads.size());
+  store.publish(manifest, [&](std::size_t i, std::ostream& os) {
+    os << payloads[i];
+  });
+}
+
 std::string slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   std::ostringstream os;
@@ -449,12 +464,12 @@ TEST(CheckpointStore, FallsBackPastCorruptTornAndUncommittedGenerations) {
   g1.round = 1;
   g1.trace_seq = 10;
   g1.tenants = {"a", "b"};
-  store.publish(g1, {tiny_payload(1), tiny_payload(2)});
+  publish_payloads(store, g1, {tiny_payload(1), tiny_payload(2)});
   CheckpointManifest g2 = g1;
   g2.generation = 2;
   g2.round = 2;
   g2.trace_seq = 20;
-  store.publish(g2, {tiny_payload(3), tiny_payload(4)});
+  publish_payloads(store, g2, {tiny_payload(3), tiny_payload(4)});
 
   auto latest = store.latest_valid();
   ASSERT_TRUE(latest.has_value());
@@ -493,7 +508,7 @@ TEST(CheckpointStore, PrunesToTwoGenerations) {
     manifest.generation = g;
     manifest.round = g;
     manifest.tenants = {"only"};
-    store.publish(manifest, {tiny_payload(g)});
+    publish_payloads(store, manifest, {tiny_payload(g)});
   }
   EXPECT_EQ(store.list_generations(),
             (std::vector<std::uint64_t>{4, 5}));
@@ -501,6 +516,35 @@ TEST(CheckpointStore, PrunesToTwoGenerations) {
   auto latest = store.latest_valid();
   ASSERT_TRUE(latest.has_value());
   EXPECT_EQ(latest->generation, 5u);
+}
+
+// A tenant writer that throws mid-generation leaves no manifest and no
+// staging file behind: the previous generation stays the newest valid.
+TEST(CheckpointStore, FailedPublishLeavesPreviousGenerationAuthoritative) {
+  ScratchDir dir("failed-publish");
+  CheckpointStore store(dir.str());
+  CheckpointManifest g1;
+  g1.generation = 1;
+  g1.round = 1;
+  g1.tenants = {"a", "b"};
+  publish_payloads(store, g1, {tiny_payload(1), tiny_payload(2)});
+
+  CheckpointManifest g2 = g1;
+  g2.generation = 2;
+  g2.round = 2;
+  EXPECT_THROW(store.publish(g2,
+                             [](std::size_t i, std::ostream& os) {
+                               os << tiny_payload(i);
+                               if (i == 1) throw std::runtime_error("disk");
+                             }),
+               std::runtime_error);
+  EXPECT_EQ(store.list_generations(), (std::vector<std::uint64_t>{1}));
+  EXPECT_FALSE(std::filesystem::exists(store.manifest_path(2)));
+  EXPECT_FALSE(
+      std::filesystem::exists(atomic_temp_path(store.tenant_path(1, 2))));
+  const auto latest = store.latest_valid();
+  ASSERT_TRUE(latest.has_value());
+  EXPECT_EQ(latest->generation, 1u);
 }
 
 // ----------------------------------------------------- fault plan ---
@@ -605,6 +649,197 @@ TEST(EngineRecovery, CrashCorruptRestoreIsBitwiseIdenticalAcrossShards) {
         recovered, reference, "shards=" + std::to_string(shards));
     EXPECT_FALSE(recovered.first_violation() != nullptr);
   }
+}
+
+// Four tenants of different lengths (90, 300, 520 and 700 events) and
+// algorithms: with batch 64 they run out of events in rounds 2, 5, 9 and
+// 11 and observe exhaustion one round later, so every later generation
+// holds a growing set of finished tenants.
+constexpr std::size_t kReuseBatch = 64;
+
+std::vector<TenantSpec> staggered_tenants() {
+  const std::pair<double, const char*> shapes[] = {
+      {90, "greedy"}, {300, "pd"}, {520, "rand"}, {700, "rentbuy"}};
+  std::vector<TenantSpec> specs;
+  for (const auto& [events, algorithm] : shapes) {
+    TenantSpec spec;
+    spec.name = "t" + std::to_string(specs.size());
+    spec.scenario = "churn-uniform";
+    spec.overrides = {
+        {"events", events}, {"points", 40}, {"commodities", 4}};
+    spec.seed = 11 + specs.size();
+    spec.algorithm = algorithm;
+    specs.push_back(spec);
+  }
+  return specs;
+}
+
+std::uint64_t tenant_events(const TenantSpec& spec) {
+  return default_stream_scenario_registry()
+      .make(spec.scenario, spec.seed, spec.overrides)
+      .num_events();
+}
+
+/// The round in which an engine with batch kReuseBatch finds `spec`'s
+/// session exhausted: one past the round of its last events.
+std::uint64_t exhaustion_round(const TenantSpec& spec) {
+  return (tenant_events(spec) + kReuseBatch - 1) / kReuseBatch + 1;
+}
+
+/// Copies every generation that appears in `store` while an engine
+/// runs. The engine drains trace events after stepping a round and
+/// publishes after that, so generation G is on disk, and not yet
+/// pruned, while rounds G+1 and G+2 drain: one event in either captures
+/// it. Call capture() once more after run() for the last two.
+struct GenerationCapture final : TraceSink {
+  GenerationCapture(const CheckpointStore& s, std::size_t tenants)
+      : store(s), num_tenants(tenants) {}
+
+  void on_event(const TraceEvent&) override { capture(); }
+
+  void capture() {
+    for (const std::uint64_t g : store.list_generations()) {
+      if (files.count(g) != 0) continue;
+      std::vector<std::string>& generation = files[g];
+      for (std::size_t i = 0; i < num_tenants; ++i)
+        generation.push_back(slurp(store.tenant_path(i, g)));
+    }
+  }
+
+  const CheckpointStore& store;
+  std::size_t num_tenants;
+  std::map<std::uint64_t, std::vector<std::string>> files;
+};
+
+struct Reloaded {
+  std::uint64_t events = 0;
+  bool exhausted = false;
+  std::string reserialized;
+};
+
+/// Restores a tenant snapshot the way the engine does and serializes the
+/// restored session again.
+Reloaded reload(const TenantSpec& spec, const std::string& snapshot) {
+  const EventStream stream = default_stream_scenario_registry().make(
+      spec.scenario, spec.seed, spec.overrides);
+  auto algorithm = default_algorithm_registry().make(
+      spec.algorithm, derive_algorithm_seed(spec.seed));
+  StreamRunOptions options;  // as EngineOptions' defaults set them
+  options.batch_size = kReuseBatch;
+  options.verify = true;
+  options.compact = true;
+  MaterializedEventSource source(stream);
+  std::istringstream is(snapshot);
+  CkptReader reader(is);
+  StreamSession session(*algorithm, source, options, reader);
+  reader.finish();
+  std::ostringstream os;
+  CkptWriter writer(os);
+  session.checkpoint(writer);
+  writer.finish();
+  return {session.events_processed(), session.exhausted(), os.str()};
+}
+
+// Reuse exactness: a generation's file for an exhausted tenant is its
+// previous file, byte for byte, and every file — reused or freshly
+// serialized — restores to the tenant's state at that round: a stale
+// snapshot would restore to fewer events than the round implies.
+TEST(EngineRecovery, ExhaustedTenantSnapshotsAreReusedExactly) {
+  const std::vector<TenantSpec> specs = staggered_tenants();
+  ScratchDir dir("reuse");
+  CheckpointStore store(dir.str());
+  GenerationCapture capture(store, specs.size());
+
+  EngineOptions options;
+  options.batch_size = kReuseBatch;
+  options.shards = 2;
+  options.threads = 2;
+  options.checkpoint_dir = dir.str();
+  options.checkpoint_every = 1;
+  options.trace_sink = &capture;
+  const EngineResult result = ShardedEngine(specs, options).run();
+  capture.capture();
+
+  std::uint64_t last_exhaustion = 0;
+  for (const TenantSpec& spec : specs)
+    last_exhaustion = std::max(last_exhaustion, exhaustion_round(spec));
+  ASSERT_EQ(result.rounds, last_exhaustion);
+  EXPECT_EQ(result.checkpoints_published, result.rounds);
+  ASSERT_EQ(capture.files.size(), result.rounds)
+      << "a generation was pruned before it was captured";
+
+  std::uint64_t reused = 0;
+  for (const auto& [generation, files] : capture.files) {
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+      SCOPED_TRACE("generation " + std::to_string(generation) +
+                   ", tenant " + specs[i].name);
+      const Reloaded restored = reload(specs[i], files[i]);
+      EXPECT_EQ(restored.events,
+                std::min<std::uint64_t>(tenant_events(specs[i]),
+                                        generation * kReuseBatch));
+      EXPECT_EQ(restored.exhausted,
+                generation >= exhaustion_round(specs[i]));
+      EXPECT_EQ(restored.reserialized, files[i]);
+      if (generation > exhaustion_round(specs[i])) {
+        EXPECT_EQ(files[i], capture.files.at(generation - 1)[i]);
+        ++reused;
+      }
+    }
+  }
+  EXPECT_GT(reused, 0u);
+  EXPECT_EQ(result.checkpoint_snapshots_reused, reused);
+
+  EngineOptions plain;
+  plain.batch_size = kReuseBatch;
+  expect_engine_results_identical(result, ShardedEngine(specs, plain).run(),
+                                  "checkpointed vs plain");
+}
+
+// Crash after some tenants are exhausted, with both crashes corrupting
+// the generation they follow: recovery restores exhausted sessions from
+// their (once reused) snapshots and must still drain bitwise identically.
+// The restarted run() retains nothing, so it re-serializes each
+// exhausted tenant once before reusing it again.
+TEST(EngineRecovery, CrashAfterExhaustionRestoresBitwise) {
+  const std::vector<TenantSpec> specs = staggered_tenants();
+  EngineOptions plain;
+  plain.batch_size = kReuseBatch;
+  plain.capacity = 3;
+  const EngineResult reference = ShardedEngine(specs, plain).run();
+
+  ScratchDir dir("reuse-crash");
+  EngineOptions faulty = plain;
+  faulty.shards = 2;
+  faulty.threads = 2;
+  faulty.checkpoint_dir = dir.str();
+  faulty.checkpoint_every = 1;
+  FaultPlan plan =
+      FaultPlan::parse("crashes=2,seed=2,gap=6,torn=1,bitflip=1");
+  faulty.fault_plan = &plan;
+  // The first crash lands after tenant t0 is exhausted, the second
+  // after t2 is; each corrupts its own generation, so recovery falls
+  // back one round.
+  ASSERT_EQ(plan.crash_rounds(), (std::vector<std::uint64_t>{6, 11}));
+  ASSERT_LT(exhaustion_round(specs[0]), 5u);
+
+  std::uint64_t restarts = 0;
+  const EngineResult recovered = run_with_restarts(specs, faulty, &restarts);
+  EXPECT_EQ(restarts, 2u);
+  EXPECT_EQ(recovered.restored_from_round, 10u);
+  expect_engine_results_identical(recovered, reference, "crash after exhaustion");
+  EXPECT_EQ(recovered.aggregate_spilled_assignments,
+            reference.aggregate_spilled_assignments);
+
+  // Generations 11 and 12 in the last run(): a tenant exhausted by round
+  // 10 is serialized in 11 and reused in 12, one exhausted in round 12
+  // is only serialized.
+  std::uint64_t expected_reused = 0;
+  for (const TenantSpec& spec : specs)
+    if (exhaustion_round(spec) <= recovered.restored_from_round)
+      ++expected_reused;
+  EXPECT_EQ(recovered.rounds, 12u);
+  EXPECT_EQ(recovered.checkpoints_published, 2u);
+  EXPECT_EQ(recovered.checkpoint_snapshots_reused, expected_reused);
 }
 
 TEST(EngineRecovery, MigrationRestoreUnderNewPlacementIsBitwiseIdentical) {

@@ -34,6 +34,7 @@
 // retired ledger records, so million-event traces process in O(active
 // set + batch) resident state.
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -686,6 +687,27 @@ struct VecTraceSink final : TraceSink {
   }
 };
 
+// A wall time for a human-facing line: 4 significant digits in the
+// largest unit that keeps the value at or above 1. The diffable
+// deterministic blocks keep %.17g.
+std::string readable_duration(double ns) {
+  const char* unit = "ns";
+  double value = ns;
+  if (ns >= 1e9) {
+    value = ns / 1e9;
+    unit = "s";
+  } else if (ns >= 1e6) {
+    value = ns / 1e6;
+    unit = "ms";
+  } else if (ns >= 1e3) {
+    value = ns / 1e3;
+    unit = "us";
+  }
+  char text[32];
+  std::snprintf(text, sizeof text, "%.4g %s", value, unit);
+  return text;
+}
+
 // The deterministic per-tenant block: costs, events and facility counts
 // are pure functions of the tenant specs — independent of shards,
 // threads, crash/restore cycles and placement. CI diffs it across shard
@@ -891,14 +913,18 @@ int cmd_serve(const std::vector<std::string>& args) {
     std::cout << "recovery   restored from round "
               << result.restored_from_round << ", "
               << result.checkpoints_published
-              << " checkpoint generations published, " << restarts
+              << " checkpoint generations published ("
+              << result.checkpoint_snapshots_reused << " tenant snapshot"
+              << (result.checkpoint_snapshots_reused == 1 ? "" : "s")
+              << " reused), " << restarts
               << " injected crash" << (restarts == 1 ? "" : "es") << "\n";
   const LatencySnapshot& latency = result.batch_latency;
-  std::cout << "latency    batch p50 " << latency.p50_ns / 1e6
-            << " ms, p95 " << latency.p95_ns / 1e6 << " ms, p99 "
-            << latency.p99_ns / 1e6 << " ms, p999 "
-            << latency.p999_ns / 1e6 << " ms, max " << latency.max_ns / 1e6
-            << " ms (" << latency.count << " batches)\n"
+  std::cout << "latency    batch p50 " << readable_duration(latency.p50_ns)
+            << ", p95 " << readable_duration(latency.p95_ns) << ", p99 "
+            << readable_duration(latency.p99_ns) << ", p999 "
+            << readable_duration(latency.p999_ns) << ", max "
+            << readable_duration(latency.max_ns) << " (" << latency.count
+            << " batches)\n"
             << "aggregate  gross " << result.aggregate_gross_cost
             << " active " << result.aggregate_active_cost << "\n";
   if (options.capacity > 0 || result.aggregate_shed_requests > 0 ||
