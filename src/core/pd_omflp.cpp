@@ -1,6 +1,7 @@
 #include "core/pd_omflp.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <sstream>
@@ -16,6 +17,10 @@ namespace omflp {
 namespace {
 
 inline double positive_part(double x) noexcept { return x > 0.0 ? x : 0.0; }
+
+inline bool same_bits(double a, double b) noexcept {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
 
 }  // namespace
 
@@ -53,8 +58,13 @@ void PdOmflp::reset(const ProblemContext& context) {
                   "PdOmflp: excluded_from_prediction universe mismatch");
     excluded_ = options_.excluded_from_prediction;
   }
+  refresh_large_config();
+  near_small_.clear();
+  near_small_offset_.assign(num_commodities_, kNoTable);
+  near_large_.clear();
   past_.clear();
   by_commodity_.assign(num_commodities_, {});
+  large_bidders_ = {};
   large_row_ = num_commodities_;
   bids_.reset(num_commodities_ + 1, num_points_);
   if (options_.bid_mode == PdOptions::BidMode::kIncremental)
@@ -87,101 +97,95 @@ const double* PdOmflp::large_cost_row(const CommoditySet& config) {
   return large_cost_row_.data();
 }
 
-CommoditySet PdOmflp::current_large_config() const {
+void PdOmflp::refresh_large_config() {
   if (options_.large_config == PdOptions::LargeConfig::kFullS)
-    return CommoditySet::full_set(num_commodities_) - excluded_;
-  return seen_ - excluded_;
+    large_config_ = CommoditySet::full_set(num_commodities_);
+  else
+    large_config_ = seen_;
+  large_config_ -= excluded_;
 }
 
-std::pair<double, FacilityId> PdOmflp::nearest_large(
-    PointId p, const CommoditySet& eligible_demand) const {
-  OMFLP_PERF_ADD(facilities_probed, larges_.size());
-  if (larges_.empty()) return {kInfiniteDistance, kInvalidFacility};
-  const double* dist_p = dist_->row(p);
-  double best = kInfiniteDistance;
-  FacilityId best_id = kInvalidFacility;
-  std::size_t probed = 0;
-  for (const LargeRecord& lf : larges_) {
-    if (!eligible_demand.is_subset_of(lf.config)) continue;
-    ++probed;
-    const double d = dist_p[lf.point];
-    if (d < best) {
-      best = d;
-      best_id = lf.id;
-    }
-  }
-  OMFLP_PERF_ADD(distance_lookups, probed);
-  return {best, best_id};
+PdOmflp::Nearest PdOmflp::nearest_offering(CommodityId e, PointId p) const {
+  const std::size_t offset = near_small_offset_[e];
+  if (offset == kNoTable) return {};
+  return near_small_[offset + p];
 }
 
-std::pair<double, FacilityId> PdOmflp::nearest_offering(CommodityId e,
-                                                        PointId p) const {
-  OMFLP_PERF_ADD(facilities_probed, offering_[e].size());
-  if (offering_[e].empty()) return {kInfiniteDistance, kInvalidFacility};
-  OMFLP_PERF_ADD(distance_lookups, offering_[e].size());
-  const double* dist_p = dist_->row(p);
-  double best = kInfiniteDistance;
-  FacilityId best_id = kInvalidFacility;
-  for (const OpenRecord& f : offering_[e]) {
-    const double d = dist_p[f.point];
-    if (d < best) {
-      best = d;
-      best_id = f.id;
-    }
+PdOmflp::Nearest PdOmflp::nearest_large(
+    PointId p, const std::vector<CommodityId>& commodities) const {
+  // The chain is nested, so "covers the demand" holds on a suffix of it:
+  // the first covering table is the smallest covering configuration.
+  const auto covering = std::partition_point(
+      near_large_.begin(), near_large_.end(), [&](const LargeTable& t) {
+        for (CommodityId e : commodities)
+          if (!t.config.contains(e) && !excluded_.contains(e)) return true;
+        return false;
+      });
+  if (covering == near_large_.end()) return {};
+  return covering->nearest[p];
+}
+
+PdOmflp::Nearest* PdOmflp::small_table(CommodityId e) {
+  if (near_small_offset_[e] == kNoTable) {
+    near_small_offset_[e] = near_small_.size();
+    near_small_.resize(near_small_.size() + num_points_);
   }
-  return {best, best_id};
+  return near_small_.data() + near_small_offset_[e];
+}
+
+void PdOmflp::sweep_facility(Nearest* table, PointId point,
+                             FacilityId id) const {
+  OMFLP_PERF_ADD(facilities_probed, 1);
+  OMFLP_PERF_ADD(distance_lookups, num_points_);
+  const double* dist_f = dist_->row(point);  // d(point, ·) = d(·, point)
+  for (PointId p = 0; p < num_points_; ++p)
+    if (dist_f[p] < table[p].dist) table[p] = Nearest{dist_f[p], id};
+}
+
+bool PdOmflp::add_large_to_tables(const LargeRecord& facility) {
+  if (near_large_.empty() || !(near_large_.back().config == facility.config)) {
+    if (!near_large_.empty() &&
+        !near_large_.back().config.is_subset_of(facility.config))
+      return false;
+    near_large_.push_back(
+        LargeTable{facility.config, std::vector<Nearest>(num_points_)});
+  }
+  // The new facility covers every configuration of the chain.
+  for (LargeTable& t : near_large_)
+    sweep_facility(t.nearest.data(), facility.point, facility.id);
+  return true;
+}
+
+void PdOmflp::withdraw_bidder(BidderList& list) {
+  if (2 * ++list.tombstones <= list.entries.size()) return;
+  std::erase_if(list.entries, [&](const Bidder& b) {
+    return past_[b.request].departed;
+  });
+  list.tombstones = 0;
 }
 
 void PdOmflp::recompute_small_bid_row(CommodityId e,
                                       std::vector<double>& out) const {
   out.assign(num_points_, 0.0);
-  if (by_commodity_[e].empty()) return;
-  OMFLP_PERF_ADD(distance_lookups,
-                 by_commodity_[e].size() * offering_[e].size());
-  for (const auto& [j, slot] : by_commodity_[e]) {
-    const PastRequest& pr = past_[j];
-    // Lazily fetched: a request with no facility to scan and no positive
-    // bid never pays for a row materialization on the uncached-oracle
-    // path. One fetch serves both the facility scan and the accumulation.
-    const double* dist_j = nullptr;
-    // d(F(e), j) from first principles: scan every facility offering e.
-    double dist_e = kInfiniteDistance;
-    if (!offering_[e].empty()) {
-      dist_j = dist_->row(pr.location);
-      for (const OpenRecord& f : offering_[e])
-        dist_e = std::min(dist_e, dist_j[f.point]);
-    }
-    const double v = std::min(pr.duals[slot], dist_e);
+  for (const Bidder& b : by_commodity_[e].entries) {
+    const PastRequest& pr = past_[b.request];
+    const double v = std::min(pr.duals[b.slot],
+                              nearest_offering(e, pr.location).dist);
     if (v <= 0.0) continue;
-    if (dist_j == nullptr) dist_j = dist_->row(pr.location);
     OMFLP_PERF_ADD(bids_evaluated, num_points_);
     OMFLP_PERF_ADD(distance_lookups, num_points_);
-    kernel::accumulate_clipped_bid(out.data(), dist_j, v, num_points_);
+    kernel::accumulate_clipped_bid(out.data(), dist_->row(pr.location), v,
+                                   num_points_);
   }
 }
 
 void PdOmflp::recompute_large_bid_row(std::vector<double>& out) const {
   out.assign(num_points_, 0.0);
-  for (const PastRequest& pr : past_) {
-    const double* dist_j = larges_.empty() ? nullptr
-                                           : dist_->row(pr.location);
-    double dist_large = kInfiniteDistance;
-    std::size_t probed = 0;
-    for (const LargeRecord& lf : larges_) {
-      bool covers = true;
-      for (CommodityId e : pr.commodities) {
-        if (excluded_.contains(e)) continue;
-        if (!lf.config.contains(e)) {
-          covers = false;
-          break;
-        }
-      }
-      if (!covers) continue;
-      ++probed;
-      dist_large = std::min(dist_large, dist_j[lf.point]);
-    }
-    OMFLP_PERF_ADD(distance_lookups, probed);
-    const double v = std::min(pr.dual_sum_large, dist_large);
+  for (const Bidder& b : large_bidders_.entries) {
+    const PastRequest& pr = past_[b.request];
+    const double v =
+        std::min(pr.dual_sum_large,
+                 nearest_large(pr.location, pr.commodities).dist);
     if (v <= 0.0) continue;
     OMFLP_PERF_ADD(bids_evaluated, num_points_);
     OMFLP_PERF_ADD(distance_lookups, num_points_);
@@ -220,42 +224,51 @@ void PdOmflp::integrate_facility(PointId point, const CommoditySet& config,
   // |S| = 1 a "small" facility covers all of S and belongs to F̂.
   is_large = is_large || config.is_full();
 
+  // Each bid shift reads v_old from the table before the sweep lowers
+  // it; the walk visits still-bidding slots in archive order, so the
+  // shifts land on the rows in the order a walk over every archived
+  // request would apply them.
   config.for_each([&](CommodityId e) {
     offering_[e].push_back(OpenRecord{point, id});
-    for (const auto& [j, slot] : by_commodity_[e]) {
-      PastRequest& pr = past_[j];
-      const double d_new = (*dist_)(point, pr.location);
-      if (d_new >= pr.small_dist[slot]) continue;
-      if (incremental) {
-        const double v_old = std::min(pr.duals[slot], pr.small_dist[slot]);
-        const double v_new = std::min(pr.duals[slot], d_new);
-        if (v_new < v_old && v_old > 0.0 && bids_.active(e)) {
+    Nearest* table = small_table(e);
+    if (incremental && bids_.active(e)) {
+      for (const Bidder& b : by_commodity_[e].entries) {
+        const PastRequest& pr = past_[b.request];
+        if (pr.departed) continue;
+        const double d_old = table[pr.location].dist;
+        const double d_new = (*dist_)(point, pr.location);
+        if (d_new >= d_old) continue;
+        const double v_old = std::min(pr.duals[b.slot], d_old);
+        const double v_new = std::min(pr.duals[b.slot], d_new);
+        if (v_new < v_old && v_old > 0.0) {
           OMFLP_PERF_ADD(bids_updated, num_points_);
           OMFLP_PERF_ADD(distance_lookups, num_points_);
           kernel::shift_clipped_bid(bids_.row(e), dist_->row(pr.location),
                                     v_old, v_new, num_points_);
         }
       }
-      pr.small_dist[slot] = d_new;
     }
+    sweep_facility(table, point, id);
   });
 
   if (!is_large) return;
   larges_.push_back(LargeRecord{point, id, config});
-  for (PastRequest& pr : past_) {
-    bool covers = true;
-    for (CommodityId e : pr.commodities) {
-      if (excluded_.contains(e)) continue;
-      if (!config.contains(e)) {
-        covers = false;
-        break;
+  if (incremental) {
+    for (const Bidder& b : large_bidders_.entries) {
+      const PastRequest& pr = past_[b.request];
+      if (pr.departed) continue;
+      bool covers = true;
+      for (CommodityId e : pr.commodities) {
+        if (!config.contains(e) && !excluded_.contains(e)) {
+          covers = false;
+          break;
+        }
       }
-    }
-    if (!covers) continue;
-    const double d_new = (*dist_)(point, pr.location);
-    if (d_new >= pr.large_dist) continue;
-    if (incremental) {
-      const double v_old = std::min(pr.dual_sum_large, pr.large_dist);
+      if (!covers) continue;
+      const double d_old = nearest_large(pr.location, pr.commodities).dist;
+      const double d_new = (*dist_)(point, pr.location);
+      if (d_new >= d_old) continue;
+      const double v_old = std::min(pr.dual_sum_large, d_old);
       const double v_new = std::min(pr.dual_sum_large, d_new);
       if (v_new < v_old && v_old > 0.0) {
         OMFLP_PERF_ADD(bids_updated, num_points_);
@@ -265,8 +278,9 @@ void PdOmflp::integrate_facility(PointId point, const CommoditySet& config,
                                   num_points_);
       }
     }
-    pr.large_dist = d_new;
   }
+  OMFLP_CHECK(add_large_to_tables(larges_.back()),
+              "PdOmflp: large configurations are not nested");
 }
 
 void PdOmflp::archive_request(const Request& request,
@@ -279,25 +293,21 @@ void PdOmflp::archive_request(const Request& request,
   pr.location = request.location;
   pr.commodities = commodities;
   pr.duals = duals;
-  pr.small_dist.resize(commodities.size());
-  for (std::size_t slot = 0; slot < commodities.size(); ++slot) {
-    pr.small_dist[slot] =
-        nearest_offering(commodities[slot], request.location).first;
+  for (std::size_t slot = 0; slot < commodities.size(); ++slot)
     if (!excluded_.contains(commodities[slot]))
       pr.dual_sum_large += duals[slot];
-  }
-  pr.large_dist =
-      nearest_large(request.location, request.commodities - excluded_)
-          .first;
 
   const std::size_t j = past_.size();
   for (std::size_t slot = 0; slot < commodities.size(); ++slot) {
-    by_commodity_[commodities[slot]].emplace_back(
-        j, static_cast<std::uint32_t>(slot));
+    const CommodityId e = commodities[slot];
+    if (duals[slot] > 0.0)
+      by_commodity_[e].entries.push_back(
+          Bidder{j, static_cast<std::uint32_t>(slot)});
     if (incremental) {
-      const double v = std::min(pr.duals[slot], pr.small_dist[slot]);
+      const double v =
+          std::min(duals[slot], nearest_offering(e, pr.location).dist);
       if (v > 0.0) {
-        double* row = bids_.activate(commodities[slot]);
+        double* row = bids_.activate(e);
         OMFLP_PERF_ADD(bids_updated, num_points_);
         OMFLP_PERF_ADD(distance_lookups, num_points_);
         kernel::accumulate_clipped_bid(row, dist_->row(pr.location), v,
@@ -305,8 +315,10 @@ void PdOmflp::archive_request(const Request& request,
       }
     }
   }
+  if (pr.dual_sum_large > 0.0) large_bidders_.entries.push_back(Bidder{j, 0});
   if (incremental && prediction_enabled()) {
-    const double v = std::min(pr.dual_sum_large, pr.large_dist);
+    const double v = std::min(pr.dual_sum_large,
+                              nearest_large(pr.location, commodities).dist);
     if (v > 0.0) {
       OMFLP_PERF_ADD(bids_updated, num_points_);
       OMFLP_PERF_ADD(distance_lookups, num_points_);
@@ -350,16 +362,19 @@ void PdOmflp::depart(RequestId id, const Request& request,
   OMFLP_REQUIRE(!pr.departed, "PdOmflp: request departed twice");
   const bool incremental =
       options_.bid_mode == PdOptions::BidMode::kIncremental;
+  // Marked first: list compaction drops entries of departed requests.
+  pr.departed = true;
 
   // Withdraw the currently-posted clipped contribution of every slot:
-  // min{a_je, d(F(e), j)} with the *maintained* nearest distance is
-  // exactly what archive_request posted and integrate_facility has been
+  // min{a_je, d(F(e), j)} with the table's nearest distance is exactly
+  // what archive_request posted and integrate_facility has been
   // shifting, so shifting it to zero removes the request from the row.
   double withdrawn = 0.0;     // bid mass leaving the rows
   double dual_removed = 0.0;  // dual objective leaving total_dual_
   for (std::size_t slot = 0; slot < pr.commodities.size(); ++slot) {
     const CommodityId e = pr.commodities[slot];
-    const double v = std::min(pr.duals[slot], pr.small_dist[slot]);
+    const double v =
+        std::min(pr.duals[slot], nearest_offering(e, pr.location).dist);
     if (v > 0.0) withdrawn += v;
     if (incremental && v > 0.0 && bids_.active(e)) {
       OMFLP_PERF_ADD(bids_updated, num_points_);
@@ -367,12 +382,15 @@ void PdOmflp::depart(RequestId id, const Request& request,
       kernel::shift_clipped_bid(bids_.row(e), dist_->row(pr.location), v,
                                 0.0, num_points_);
     }
+    if (pr.duals[slot] > 0.0) withdraw_bidder(by_commodity_[e]);
     total_dual_ -= pr.duals[slot];
     dual_removed += pr.duals[slot];
     pr.duals[slot] = 0.0;
   }
   if (prediction_enabled()) {
-    const double v = std::min(pr.dual_sum_large, pr.large_dist);
+    const double v =
+        std::min(pr.dual_sum_large,
+                 nearest_large(pr.location, pr.commodities).dist);
     if (v > 0.0) withdrawn += v;
     if (incremental && v > 0.0) {
       OMFLP_PERF_ADD(bids_updated, num_points_);
@@ -382,8 +400,8 @@ void PdOmflp::depart(RequestId id, const Request& request,
                                 num_points_);
     }
   }
+  if (pr.dual_sum_large > 0.0) withdraw_bidder(large_bidders_);
   pr.dual_sum_large = 0.0;
-  pr.departed = true;
   if (obs::tracing()) {
     TraceEvent ev;
     ev.kind = TraceEventKind::kBidRollback;
@@ -393,50 +411,141 @@ void PdOmflp::depart(RequestId id, const Request& request,
     obs::emit(ev);
   }
   // With the duals zeroed, reference-mode recomputation skips the slot
-  // (min{0, d} is never positive) and integrate_facility's shifts become
-  // no-ops, so both bid modes keep agreeing after deletions. The
-  // maintained small_dist / large_dist stay updated — that keeps
-  // audit_state's stale-distance check meaningful for departed slots too.
+  // (min{0, d} is never positive), and the still-bidding walks skip the
+  // request, so both bid modes keep agreeing after deletions.
 }
 
 std::optional<std::string> PdOmflp::audit_state(double tolerance) const {
   if (cost_ == nullptr) return std::nullopt;  // never reset: nothing to audit
   std::ostringstream os;
+  const auto same_entry = [](const Nearest& a, const Nearest& b) {
+    return same_bits(a.dist, b.dist) && a.id == b.id;
+  };
 
-  // 1. Maintained nearest-facility distances vs fresh scans.
-  for (std::size_t j = 0; j < past_.size(); ++j) {
-    const PastRequest& pr = past_[j];
-    for (std::size_t slot = 0; slot < pr.commodities.size(); ++slot) {
-      const double fresh =
-          nearest_offering(pr.commodities[slot], pr.location).first;
-      const bool both_infinite =
-          !std::isfinite(fresh) && !std::isfinite(pr.small_dist[slot]);
-      if (!both_infinite &&
-          std::abs(fresh - pr.small_dist[slot]) > tolerance) {
-        os << "stale small_dist for request " << j << " slot " << slot
-           << ": maintained " << pr.small_dist[slot] << " vs fresh "
-           << fresh;
+  // 1. Every nearest-facility table entry vs a fresh scan, which keeps
+  //    the first facility (lowest id) among equidistant ones.
+  for (CommodityId e = 0; e < num_commodities_; ++e) {
+    if ((near_small_offset_[e] == kNoTable) != offering_[e].empty()) {
+      os << "nearest table for e=" << e << " is "
+         << (offering_[e].empty() ? "active without" : "inactive with")
+         << " an open facility offering it";
+      return os.str();
+    }
+    for (PointId p = 0; p < num_points_ && !offering_[e].empty(); ++p) {
+      Nearest fresh;
+      for (const OpenRecord& f : offering_[e]) {
+        const double d = (*dist_)(p, f.point);
+        if (d < fresh.dist) fresh = Nearest{d, f.id};
+      }
+      const Nearest kept = nearest_offering(e, p);
+      if (!same_entry(kept, fresh)) {
+        os << "stale nearest table for e=" << e << " at p=" << p
+           << ": facility " << kept.id << " at " << kept.dist
+           << " vs fresh facility " << fresh.id << " at " << fresh.dist;
         return os.str();
       }
     }
-    CommoditySet demand(num_commodities_);
-    for (CommodityId e : pr.commodities) demand.add(e);
-    const double fresh_large =
-        nearest_large(pr.location, demand - excluded_).first;
-    const bool both_infinite =
-        !std::isfinite(fresh_large) && !std::isfinite(pr.large_dist);
-    if (!both_infinite && std::abs(fresh_large - pr.large_dist) > tolerance) {
-      os << "stale large_dist for request " << j << ": maintained "
-         << pr.large_dist << " vs fresh " << fresh_large;
+  }
+  for (std::size_t t = 0; t < near_large_.size(); ++t) {
+    const CommoditySet& config = near_large_[t].config;
+    if (t > 0 && (!near_large_[t - 1].config.is_subset_of(config) ||
+                  near_large_[t - 1].config == config)) {
+      os << "large tables " << t - 1 << " and " << t
+         << " are not a strictly growing chain";
+      return os.str();
+    }
+    for (PointId p = 0; p < num_points_; ++p) {
+      Nearest fresh;
+      for (const LargeRecord& lf : larges_) {
+        if (!config.is_subset_of(lf.config)) continue;
+        const double d = (*dist_)(p, lf.point);
+        if (d < fresh.dist) fresh = Nearest{d, lf.id};
+      }
+      if (!same_entry(near_large_[t].nearest[p], fresh)) {
+        os << "stale large table " << t << " at p=" << p;
+        return os.str();
+      }
+    }
+  }
+  for (const LargeRecord& lf : larges_) {
+    const bool tabled = std::any_of(
+        near_large_.begin(), near_large_.end(),
+        [&](const LargeTable& t) { return t.config == lf.config; });
+    if (!tabled) {
+      os << "large facility " << lf.id << " has no configuration table";
+      return os.str();
+    }
+  }
+  for (std::size_t j = 0; j < past_.size(); ++j) {
+    const PastRequest& pr = past_[j];
+    Nearest fresh;
+    for (const LargeRecord& lf : larges_) {
+      bool covers = true;
+      for (CommodityId e : pr.commodities)
+        if (!lf.config.contains(e) && !excluded_.contains(e)) covers = false;
+      if (!covers) continue;
+      const double d = (*dist_)(pr.location, lf.point);
+      if (d < fresh.dist) fresh = Nearest{d, lf.id};
+    }
+    const Nearest kept = nearest_large(pr.location, pr.commodities);
+    if (!same_entry(kept, fresh)) {
+      os << "nearest large facility for request " << j << ": table "
+         << kept.id << " at " << kept.dist << " vs fresh " << fresh.id
+         << " at " << fresh.dist;
       return os.str();
     }
   }
 
-  // 2. Incremental bid sums vs from-scratch recomputation, plus the
+  // 2. The still-bidding lists: live entries are exactly the archived
+  //    slots with a positive dual that were not rolled back, ascending;
+  //    tombstones are counted and never outnumber the live entries.
+  std::vector<std::vector<Bidder>> expected(num_commodities_ + 1);
+  for (std::size_t j = 0; j < past_.size(); ++j) {
+    const PastRequest& pr = past_[j];
+    if (pr.departed) continue;
+    for (std::size_t slot = 0; slot < pr.commodities.size(); ++slot)
+      if (pr.duals[slot] > 0.0)
+        expected[pr.commodities[slot]].push_back(
+            Bidder{j, static_cast<std::uint32_t>(slot)});
+    if (pr.dual_sum_large > 0.0)
+      expected[num_commodities_].push_back(Bidder{j, 0});
+  }
+  for (std::size_t e = 0; e <= num_commodities_; ++e) {
+    const bool large = e == num_commodities_;
+    const BidderList& list = large ? large_bidders_ : by_commodity_[e];
+    std::vector<Bidder> live;
+    std::size_t tombstones = 0;
+    bool ascending = true;
+    for (std::size_t i = 0; i < list.entries.size(); ++i) {
+      const Bidder& b = list.entries[i];
+      if (i > 0 && list.entries[i - 1].request >= b.request) ascending = false;
+      if (past_[b.request].departed)
+        ++tombstones;
+      else
+        live.push_back(b);
+    }
+    const bool same = std::equal(
+        live.begin(), live.end(), expected[e].begin(), expected[e].end(),
+        [](const Bidder& x, const Bidder& y) {
+          return x.request == y.request && x.slot == y.slot;
+        });
+    if (!ascending || !same || tombstones != list.tombstones ||
+        2 * tombstones > list.entries.size()) {
+      os << (large ? std::string("large-side")
+                   : "commodity " + std::to_string(e))
+         << " still-bidding list: " << live.size() << " live entries, "
+         << tombstones << " tombstones (counted " << list.tombstones
+         << "), ascending " << ascending << "; the archive has "
+         << expected[e].size() << " still-bidding slots";
+      return os.str();
+    }
+  }
+
+  // 3. Incremental bid sums vs from-scratch recomputation, plus the
   //    constraint-(3) invariant Σ_j bids ≤ f^{{e}}_m.
   std::vector<double> fresh_row;
   for (CommodityId e = 0; e < num_commodities_; ++e) {
-    if (by_commodity_[e].empty() && !bids_.active(e)) continue;
+    if (by_commodity_[e].entries.empty() && !bids_.active(e)) continue;
     recompute_small_bid_row(e, fresh_row);
     const bool check_drift =
         options_.bid_mode == PdOptions::BidMode::kIncremental &&
@@ -458,10 +567,9 @@ std::optional<std::string> PdOmflp::audit_state(double tolerance) const {
     }
   }
 
-  // 3. Same for the large side (constraint (4) invariant against the
+  // 4. Same for the large side (constraint (4) invariant against the
   //    *current* large configuration).
   if (prediction_enabled()) {
-    const CommoditySet large_cfg = current_large_config();
     recompute_large_bid_row(fresh_row);
     const bool check_drift =
         options_.bid_mode == PdOptions::BidMode::kIncremental;
@@ -473,8 +581,8 @@ std::optional<std::string> PdOmflp::audit_state(double tolerance) const {
            << maintained[m] << " vs " << fresh_row[m];
         return os.str();
       }
-      if (!large_cfg.empty()) {
-        const double f = cost_->open_cost(m, large_cfg);
+      if (!large_config_.empty()) {
+        const double f = cost_->open_cost(m, large_config_);
         if (fresh_row[m] > f + tolerance * (1.0 + f)) {
           os << "constraint (4) invariant violated at m=" << m << ": bids "
              << fresh_row[m] << " > f " << f;
@@ -492,42 +600,52 @@ void PdOmflp::serve(const Request& request, SolutionLedger& ledger) {
   const PointId loc = request.location;
 
   // The kSeenUnion prediction set includes the current request's demands.
-  seen_ |= request.commodities;
+  if (!request.commodities.is_subset_of(seen_)) {
+    seen_ |= request.commodities;
+    if (options_.large_config == PdOptions::LargeConfig::kSeenUnion)
+      refresh_large_config();
+  }
 
-  const std::vector<CommodityId> commodities =
-      request.commodities.to_vector();
+  // Per-slot state lives in round_, reused across requests.
+  std::vector<CommodityId>& commodities = round_.commodities;
+  commodities.clear();
+  request.commodities.for_each(
+      [&](CommodityId e) { commodities.push_back(e); });
   const std::size_t k = commodities.size();
 
-  std::vector<double> a(k, 0.0);
-  std::vector<bool> served(k, false);
+  std::vector<double>& a = round_.a;
+  a.assign(k, 0.0);
+  std::vector<char>& served = round_.served;
+  served.assign(k, 0);
   std::size_t unserved = k;
   double raised = 0.0;
 
   // Eligibility for the large-facility constraints (2)/(4): every slot in
   // the paper's algorithm, everything outside the excluded set in the §5
   // heavy-commodity variant.
-  std::vector<bool> eligible(k, false);
+  std::vector<char>& eligible = round_.eligible;
+  eligible.assign(k, 0);
   std::size_t unserved_eligible = 0;
   for (std::size_t slot = 0; slot < k; ++slot) {
     eligible[slot] = !excluded_.contains(commodities[slot]);
     if (eligible[slot]) ++unserved_eligible;
   }
-  const CommoditySet eligible_demand = request.commodities - excluded_;
   double sum_eligible = 0.0;  // Σ a_re over eligible slots (frozen or not)
 
   // Round-start snapshots; permanent facilities do not change mid-round.
-  std::vector<double> dist1(k);
-  std::vector<FacilityId> fac1(k);
+  std::vector<double>& dist1 = round_.dist1;
+  std::vector<FacilityId>& fac1 = round_.fac1;
+  dist1.resize(k);
+  fac1.resize(k);
   for (std::size_t slot = 0; slot < k; ++slot) {
-    const auto [d, id] = nearest_offering(commodities[slot], loc);
-    dist1[slot] = d;
-    fac1[slot] = id;
+    const Nearest nearest = nearest_offering(commodities[slot], loc);
+    dist1[slot] = nearest.dist;
+    fac1[slot] = nearest.id;
   }
-  const auto [dhat, near_large_id] =
-      prediction_enabled() && !eligible_demand.empty()
-          ? nearest_large(loc, eligible_demand)
-          : std::pair<double, FacilityId>{kInfiniteDistance,
-                                          kInvalidFacility};
+  const Nearest near_large = prediction_enabled() && unserved_eligible > 0
+                                 ? nearest_large(loc, commodities)
+                                 : Nearest{};
+  const double dhat = near_large.dist;
 
   // Per-slot singleton cost rows and bid rows — raw pointers into the
   // cost-row arena, the bid arena (incremental) or the reusable
@@ -536,8 +654,10 @@ void PdOmflp::serve(const Request& request, SolutionLedger& ledger) {
   if (ref_bid_scratch_.size() < k) ref_bid_scratch_.resize(k);
   for (std::size_t slot = 0; slot < k; ++slot)
     ensure_singleton_cost_row(commodities[slot]);
-  std::vector<const double*> f_small(k);
-  std::vector<const double*> bids_small(k);
+  std::vector<const double*>& f_small = round_.f_small;
+  std::vector<const double*>& bids_small = round_.bids_small;
+  f_small.resize(k);
+  bids_small.resize(k);
   for (std::size_t slot = 0; slot < k; ++slot) {
     const CommodityId e = commodities[slot];
     f_small[slot] = cost_rows_.row(e);
@@ -550,14 +670,12 @@ void PdOmflp::serve(const Request& request, SolutionLedger& ledger) {
     }
   }
 
-  CommoditySet large_cfg(num_commodities_);
   const double* f_large = nullptr;
   const double* bids_large = nullptr;
-  const bool can_open_large =
-      prediction_enabled() && unserved_eligible > 0 &&
-      !(large_cfg = current_large_config()).empty();
+  const bool can_open_large = prediction_enabled() &&
+                              unserved_eligible > 0 && !large_config_.empty();
   if (can_open_large) {
-    f_large = large_cost_row(large_cfg);
+    f_large = large_cost_row(large_config_);
     if (options_.bid_mode == PdOptions::BidMode::kIncremental) {
       bids_large = bids_.row(large_row_);
     } else {
@@ -582,19 +700,22 @@ void PdOmflp::serve(const Request& request, SolutionLedger& ledger) {
   }
 
   // Round outcome.
-  std::vector<PointId> temp_point(k, kInvalidPoint);  // constraint (3)
-  std::vector<bool> via_existing(k, false);           // constraint (1)
-  std::vector<bool> via_large(k, false);              // constraints (2)/(4)
+  std::vector<PointId>& temp_point = round_.temp_point;
+  std::vector<char>& via_existing = round_.via_existing;
+  std::vector<char>& via_large = round_.via_large;
+  temp_point.assign(k, kInvalidPoint);
+  via_existing.assign(k, 0);
+  via_large.assign(k, 0);
   FacilityId large_serving = kInvalidFacility;        // existing (2)
   PointId new_large_point = kInvalidPoint;            // new (4)
   bool opened_large = false;
 
   // Decision-time captures for the trace sink (bid rows are mutated by
   // archive_request after the round, so the values must be taken when the
-  // constraint fires, not at commit). Allocated only while tracing.
+  // constraint fires, not at commit). Filled only while tracing.
   const bool tracing = obs::tracing();
-  std::vector<double> traced_bid_mass;
-  std::vector<double> traced_tightness;
+  std::vector<double>& traced_bid_mass = round_.traced_bid_mass;
+  std::vector<double>& traced_tightness = round_.traced_tightness;
   double traced_large_bid_mass = 0.0;
   double traced_large_tightness = 0.0;
   if (tracing) {
@@ -680,9 +801,9 @@ void PdOmflp::serve(const Request& request, SolutionLedger& ledger) {
       for (std::size_t slot = 0; slot < k; ++slot) {
         if (!eligible[slot]) continue;
         if (!served[slot]) --unserved;
-        served[slot] = true;
-        via_large[slot] = true;
-        via_existing[slot] = false;
+        served[slot] = 1;
+        via_large[slot] = 1;
+        via_existing[slot] = 0;
         temp_point[slot] = kInvalidPoint;
       }
       unserved_eligible = 0;
@@ -690,7 +811,7 @@ void PdOmflp::serve(const Request& request, SolutionLedger& ledger) {
 
     switch (best.priority) {
       case 0: {  // (2) — connect to the nearest existing large facility.
-        large_serving = near_large_id;
+        large_serving = near_large.id;
         serve_eligible_by_large();
         if (options_.record_trace)
           trace_.push_back(PdTraceEvent{request_id, 2, kInvalidCommodity,
@@ -713,8 +834,8 @@ void PdOmflp::serve(const Request& request, SolutionLedger& ledger) {
         break;
       }
       case 2: {  // (1) — serve e by the nearest existing facility.
-        served[best.slot] = true;
-        via_existing[best.slot] = true;
+        served[best.slot] = 1;
+        via_existing[best.slot] = 1;
         --unserved;
         if (eligible[best.slot]) --unserved_eligible;
         if (options_.record_trace)
@@ -726,7 +847,7 @@ void PdOmflp::serve(const Request& request, SolutionLedger& ledger) {
         break;
       }
       case 3: {  // (3) — temporarily open a small facility {e} at m.
-        served[best.slot] = true;
+        served[best.slot] = 1;
         temp_point[best.slot] = best.point;
         if (tracing) {
           traced_bid_mass[best.slot] = bids_small[best.slot][best.point];
@@ -748,13 +869,8 @@ void PdOmflp::serve(const Request& request, SolutionLedger& ledger) {
   // Commit the round's decisions to the ledger; temporary facilities are
   // discarded when the round ended through (2)/(4) (lines 8-9 of
   // Algorithm 1), otherwise they become permanent (line 10).
-  struct NewFacility {
-    PointId point;
-    CommoditySet config;
-    FacilityId id;
-    bool is_large;
-  };
-  std::vector<NewFacility> committed;
+  std::vector<NewFacility>& committed = round_.committed;
+  committed.clear();
 
   // facility_open trace events, emitted at commit with the decision-time
   // bid/tightness captures. Contributor lists are rebuilt from the
@@ -774,13 +890,16 @@ void PdOmflp::serve(const Request& request, SolutionLedger& ledger) {
     ev.bid_mass = traced_bid_mass[slot];
     ev.tightness = traced_tightness[slot];
     std::vector<TraceContributor> contribs;
+    const CommodityId e = commodities[slot];
     const double* dist_m = dist_->row(temp_point[slot]);
-    for (const auto& [j, pslot] : by_commodity_[commodities[slot]]) {
-      const PastRequest& pr = past_[j];
-      const double v = std::min(pr.duals[pslot], pr.small_dist[pslot]);
+    for (const Bidder& b : by_commodity_[e].entries) {
+      const PastRequest& pr = past_[b.request];
+      const double v = std::min(pr.duals[b.slot],
+                                nearest_offering(e, pr.location).dist);
       if (v <= 0.0) continue;
       const double amount = positive_part(v - dist_m[pr.location]);
-      if (amount > 0.0) contribs.push_back(TraceContributor{j, amount});
+      if (amount > 0.0)
+        contribs.push_back(TraceContributor{b.request, amount});
     }
     const double own = positive_part(a[slot] - dist_loc[temp_point[slot]]);
     if (own > 0.0)
@@ -795,18 +914,21 @@ void PdOmflp::serve(const Request& request, SolutionLedger& ledger) {
     ev.constraint = 4;
     ev.facility = id;
     ev.point = new_large_point;
-    ev.config_size = large_cfg.count();
+    ev.config_size = large_config_.count();
     ev.cost = ledger.facility(id).open_cost;
     ev.bid_mass = traced_large_bid_mass;
     ev.tightness = traced_large_tightness;
     std::vector<TraceContributor> contribs;
     const double* dist_m = dist_->row(new_large_point);
-    for (std::size_t j = 0; j < past_.size(); ++j) {
-      const PastRequest& pr = past_[j];
-      const double v = std::min(pr.dual_sum_large, pr.large_dist);
+    for (const Bidder& b : large_bidders_.entries) {
+      const PastRequest& pr = past_[b.request];
+      const double v =
+          std::min(pr.dual_sum_large,
+                   nearest_large(pr.location, pr.commodities).dist);
       if (v <= 0.0) continue;
       const double amount = positive_part(v - dist_m[pr.location]);
-      if (amount > 0.0) contribs.push_back(TraceContributor{j, amount});
+      if (amount > 0.0)
+        contribs.push_back(TraceContributor{b.request, amount});
     }
     const double own = positive_part(sum_eligible - dist_loc[new_large_point]);
     if (own > 0.0)
@@ -817,9 +939,8 @@ void PdOmflp::serve(const Request& request, SolutionLedger& ledger) {
 
   FacilityId large_id = large_serving;
   if (opened_large) {
-    large_id = ledger.open_facility(new_large_point, large_cfg);
-    committed.push_back(
-        NewFacility{new_large_point, large_cfg, large_id, true});
+    large_id = ledger.open_facility(new_large_point, large_config_);
+    committed.push_back(NewFacility{large_id, true});
     if (tracing) emit_large_open(large_id);
   }
   for (std::size_t slot = 0; slot < k; ++slot) {
@@ -828,10 +949,10 @@ void PdOmflp::serve(const Request& request, SolutionLedger& ledger) {
                   "PdOmflp: large assignment without a large facility");
       ledger.assign(commodities[slot], large_id);
     } else if (temp_point[slot] != kInvalidPoint) {
-      const CommoditySet single =
-          CommoditySet::singleton(num_commodities_, commodities[slot]);
-      const FacilityId id = ledger.open_facility(temp_point[slot], single);
-      committed.push_back(NewFacility{temp_point[slot], single, id, false});
+      const FacilityId id = ledger.open_facility(
+          temp_point[slot],
+          CommoditySet::singleton(num_commodities_, commodities[slot]));
+      committed.push_back(NewFacility{id, false});
       if (tracing) emit_small_open(slot, id);
       ledger.assign(commodities[slot], id);
     } else {
@@ -841,8 +962,12 @@ void PdOmflp::serve(const Request& request, SolutionLedger& ledger) {
     }
   }
 
-  for (const NewFacility& nf : committed)
-    integrate_facility(nf.point, nf.config, nf.id, nf.is_large);
+  // The ledger's records outlive the loop: integrate_facility opens
+  // nothing, so the config references stay valid.
+  for (const NewFacility& nf : committed) {
+    const OpenFacilityRecord& f = ledger.facility(nf.id);
+    integrate_facility(f.location, f.config, nf.id, nf.is_large);
+  }
 
   archive_request(request, commodities, a);
 }
@@ -887,14 +1012,15 @@ void PdOmflp::serialize_state(CkptWriter& writer) const {
         .u(pr.location)
         .u(pr.commodities.size())
         .d(pr.dual_sum_large)
-        .d(pr.large_dist)
+        .d(nearest_large(pr.location, pr.commodities).dist)
         .b(pr.departed);
     writer.line("past-commodities");
     for (const CommodityId e : pr.commodities) writer.u(e);
     writer.line("past-duals");
     for (const double a : pr.duals) writer.d(a);
     writer.line("past-small-dist");
-    for (const double d : pr.small_dist) writer.d(d);
+    for (const CommodityId e : pr.commodities)
+      writer.d(nearest_offering(e, pr.location).dist);
   }
   // Incremental bid rows, bitwise, in canonical (row id) order — slot
   // order inside the arena is an activation-history artifact that never
@@ -938,15 +1064,24 @@ void PdOmflp::restore_state(CkptReader& reader) {
   reader.expect("offering-index");
   if (reader.u() != offering_.size())
     reader.fail("offering index universe mismatch");
-  for (auto& row : offering_) {
+  // The nearest-facility tables are rebuilt by replaying every opening
+  // in its original order, so they match the live tables bitwise.
+  const auto read_point = [&] {
+    const std::uint64_t point = reader.u();
+    if (point >= num_points_) reader.fail("facility point out of range");
+    return static_cast<PointId>(point);
+  };
+  for (CommodityId e = 0; e < num_commodities_; ++e) {
+    std::vector<OpenRecord>& row = offering_[e];
     reader.expect("offering");
     const std::uint64_t n = reader.u();
     row.reserve(capped_reserve(n));
     for (std::uint64_t i = 0; i < n; ++i) {
       OpenRecord f;
-      f.point = static_cast<PointId>(reader.u());
+      f.point = read_point();
       f.id = static_cast<FacilityId>(reader.u());
       row.push_back(f);
+      sweep_facility(small_table(e), f.point, f.id);
     }
   }
   reader.expect("larges");
@@ -955,27 +1090,32 @@ void PdOmflp::restore_state(CkptReader& reader) {
   for (std::uint64_t i = 0; i < num_larges; ++i) {
     reader.expect("large");
     LargeRecord f;
-    f.point = static_cast<PointId>(reader.u());
+    f.point = read_point();
     f.id = static_cast<FacilityId>(reader.u());
     f.config = reader.set();
     if (f.config.universe_size() != num_commodities_)
       reader.fail("large facility config universe mismatch");
+    if (!add_large_to_tables(f))
+      reader.fail("large facility configurations are not nested");
     larges_.push_back(std::move(f));
   }
   reader.expect("seen");
   seen_ = reader.set();
   if (seen_.universe_size() != num_commodities_)
     reader.fail("seen-union universe mismatch");
+  refresh_large_config();
   reader.expect("past");
   const std::uint64_t num_past = reader.u();
   past_.reserve(capped_reserve(num_past));
   for (std::uint64_t j = 0; j < num_past; ++j) {
     reader.expect("past-request");
     PastRequest pr;
-    pr.location = static_cast<PointId>(reader.u());
+    const std::uint64_t location = reader.u();
+    if (location >= num_points_) reader.fail("past request out of range");
+    pr.location = static_cast<PointId>(location);
     const std::uint64_t slots = reader.u();
     pr.dual_sum_large = reader.d();
-    pr.large_dist = reader.d();
+    const double large_dist = reader.d();
     pr.departed = reader.b();
     pr.commodities.reserve(capped_reserve(slots));
     reader.expect("past-commodities");
@@ -987,14 +1127,28 @@ void PdOmflp::restore_state(CkptReader& reader) {
     pr.duals.reserve(capped_reserve(slots));
     reader.expect("past-duals");
     for (std::uint64_t i = 0; i < slots; ++i) pr.duals.push_back(reader.d());
-    pr.small_dist.reserve(capped_reserve(slots));
+    // The archived distances are derived state: they must equal the
+    // rebuilt tables bit for bit, or the checkpoint is inconsistent.
     reader.expect("past-small-dist");
-    for (std::uint64_t i = 0; i < slots; ++i)
-      pr.small_dist.push_back(reader.d());
-    // Rebuild the per-commodity index (a pure function of past_).
-    for (std::size_t slot = 0; slot < pr.commodities.size(); ++slot)
-      by_commodity_[pr.commodities[slot]].emplace_back(
-          static_cast<std::size_t>(j), static_cast<std::uint32_t>(slot));
+    for (const CommodityId e : pr.commodities)
+      if (!same_bits(reader.d(), nearest_offering(e, pr.location).dist))
+        reader.fail("past-small-dist disagrees with the nearest-facility "
+                    "tables");
+    if (!same_bits(large_dist,
+                   nearest_large(pr.location, pr.commodities).dist))
+      reader.fail("past large distance disagrees with the nearest-facility "
+                  "tables");
+    // Rebuild the still-bidding lists (a pure function of past_).
+    if (!pr.departed) {
+      for (std::size_t slot = 0; slot < pr.commodities.size(); ++slot)
+        if (pr.duals[slot] > 0.0)
+          by_commodity_[pr.commodities[slot]].entries.push_back(
+              Bidder{static_cast<std::size_t>(j),
+                     static_cast<std::uint32_t>(slot)});
+      if (pr.dual_sum_large > 0.0)
+        large_bidders_.entries.push_back(
+            Bidder{static_cast<std::size_t>(j), 0});
+    }
     past_.push_back(std::move(pr));
   }
   reader.expect("bid-rows");

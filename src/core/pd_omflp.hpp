@@ -31,11 +31,17 @@
 // Bid sums over past requests (the Σ_j terms) are supplied by one of two
 // interchangeable strategies, selectable via PdOptions::bid_mode:
 //   * kReference   — recompute every sum from first principles at each
-//                    arrival (obviously correct; O(n·|M|) per arrival);
+//                    arrival (obviously correct; O(bidders·|M|) per
+//                    arrival);
 //   * kIncremental — maintain per-(commodity, point) prefix sums, updated
 //                    when duals freeze and when facilities open.
 // Both must produce identical runs; tests/test_pd_omflp.cpp asserts trace
 // equality on randomized instances.
+//
+// The distances d(F(e), r) and d(F̂, r) come from nearest-facility tables:
+// facilities never close, so each nearest distance only falls, and one
+// |M|-row sweep per opening keeps a per-point table exact. Arrivals read
+// them in O(1), and openings walk only the requests still bidding.
 //
 // Options beyond the paper (all default to the paper's behaviour):
 //   * prediction = kOff disables large facilities entirely (constraints
@@ -121,11 +127,15 @@ class PdOmflp final : public OnlineAlgorithm {
               SolutionLedger& ledger) override;
 
   /// Checkpoint: the facility indexes, every archived request's frozen
-  /// duals and maintained distances, the incremental bid rows (bitwise —
-  /// recomputing them on restore would only agree to audit tolerance,
-  /// not bit-for-bit), the dual records and an options guard. Caches the
-  /// cost model determines (cost rows, the large cost row) are rebuilt
-  /// lazily; by_commodity_ is rebuilt from the archived requests.
+  /// duals and nearest-facility distances (read from the tables), the
+  /// incremental bid rows (bitwise — recomputing them on restore would
+  /// only agree to audit tolerance, not bit-for-bit), the dual records and
+  /// an options guard. Caches the cost model determines (cost rows, the
+  /// large cost row) are rebuilt lazily. The nearest-facility tables and
+  /// the still-bidding lists are rebuilt from the facility indexes and the
+  /// archived requests; restore rejects archived distances that disagree
+  /// with the rebuilt tables and large configurations that are not
+  /// nested.
   void serialize_state(CkptWriter& writer) const override;
   void restore_state(CkptReader& reader) override;
 
@@ -134,11 +144,13 @@ class PdOmflp final : public OnlineAlgorithm {
   /// dual bound is argued on the surviving set).
   double total_dual() const noexcept { return total_dual_; }
 
-  /// Deep self-check of the algorithm's internal state (test hook):
-  /// maintained nearest-facility distances against fresh scans, the
-  /// incremental bid sums against from-scratch recomputation, and the
-  /// invariants "Σ_j bids ≤ f^{{e}}_m" (constraint 3) and
-  /// "Σ_j bids ≤ f^{large}_m" (constraint 4) at every point. Returns a
+  /// Deep self-check of the algorithm's internal state (test hook): every
+  /// nearest-facility table entry (distance and facility id) against a
+  /// fresh scan, the large-configuration chain, the still-bidding lists
+  /// against the archive, the incremental bid sums against from-scratch
+  /// recomputation, and the invariants "Σ_j bids ≤ f^{{e}}_m"
+  /// (constraint 3) and "Σ_j bids ≤ f^{large}_m" (constraint 4) at every
+  /// point. Returns a
   /// description of the first inconsistency, or nullopt when clean.
   /// O(n·|M|·|S|); call after serve()s, not inside hot loops.
   std::optional<std::string> audit_state(double tolerance = 1e-7) const;
@@ -180,24 +192,69 @@ class PdOmflp final : public OnlineAlgorithm {
   CommoditySet seen_;
   /// Normalized excluded set (empty set over S when the option is unset).
   CommoditySet excluded_;
+  /// The configuration a new large facility opens with right now: full S
+  /// or the seen union, minus the excluded commodities.
+  CommoditySet large_config_;
+
+  // ---- nearest-facility tables ---------------------------------------------
+  /// Facilities never close, so every nearest distance only falls: each
+  /// table is updated with one |M|-row sweep when a facility opens and is
+  /// exact at every point. A strict `<` keeps the lowest id on ties, as
+  /// facilities open in id order.
+  struct Nearest {
+    double dist = kInfiniteDistance;
+    FacilityId id = kInvalidFacility;
+  };
+  /// Row e holds, per point p, the nearest permanent facility offering e.
+  /// Rows are activated by the first facility offering e, so the arena
+  /// stays proportional to the commodities ever offered.
+  std::vector<Nearest> near_small_;
+  /// Offset of row e in near_small_, kNoTable while inactive.
+  std::vector<std::size_t> near_small_offset_;
+  static constexpr std::size_t kNoTable = ~std::size_t{0};
+  /// Large configurations are nested in opening order (seen_ only grows,
+  /// excluded_ is fixed, a full-S facility sits at the top), so the
+  /// tables form a chain of strictly growing configurations: at most
+  /// |S|+1 of them, exactly one under kFullS. Table t holds the nearest
+  /// large facility whose config contains t.config; a demand D reads the
+  /// table of the smallest configuration that covers it.
+  struct LargeTable {
+    CommoditySet config;
+    std::vector<Nearest> nearest;
+  };
+  std::vector<LargeTable> near_large_;
 
   // ---- past-request state -------------------------------------------------
   struct PastRequest {
     PointId location = 0;
     std::vector<CommodityId> commodities;
-    std::vector<double> duals;       // frozen a_je (zeroed by rollback)
-    std::vector<double> small_dist;  // d(F(e), j), maintained per slot
-    double dual_sum_large = 0.0;     // Σ a_je over non-excluded commodities
-    double large_dist = kInfiniteDistance;  // d(F̂, j), maintained
+    std::vector<double> duals;    // frozen a_je (zeroed by rollback)
+    double dual_sum_large = 0.0;  // Σ a_je over non-excluded commodities
     /// Departed and rolled back: duals are zero, bids withdrawn. The slot
-    /// stays resident so arrival-order indexing keeps working; the
-    /// maintained distances are still updated (cheap) so audits hold.
+    /// stays resident so arrival-order indexing keeps working.
     bool departed = false;
   };
   std::vector<PastRequest> past_;
-  /// by_commodity_[e]: (request index, slot in its commodity list).
-  std::vector<std::vector<std::pair<std::size_t, std::uint32_t>>>
-      by_commodity_;
+  /// The still-bidding index: archived requests with a positive frozen
+  /// dual (the only ones whose clipped bid can be positive), in ascending
+  /// archive order. Facility openings and bid
+  /// recomputation walk only these, so their cost follows the requests
+  /// still bidding, not the stream's history. A rolled-back request stays
+  /// as a tombstone (walks skip it) until tombstones outnumber the live
+  /// entries and the list is compacted, which keeps departures O(1)
+  /// amortized and each list under twice its live size.
+  struct Bidder {
+    std::size_t request = 0;
+    std::uint32_t slot = 0;  // the commodity's slot in the request
+  };
+  struct BidderList {
+    std::vector<Bidder> entries;
+    std::size_t tombstones = 0;
+  };
+  /// by_commodity_[e]: slots with a_je > 0 (constraint (3) bidders).
+  std::vector<BidderList> by_commodity_;
+  /// Requests with Σ_e a_je > 0 over non-excluded e (constraint (4)).
+  BidderList large_bidders_;
 
   // ---- incremental bid sums (kIncremental only) ---------------------------
   /// One arena for every bid row (see kernel/bid_plane.hpp). Row e:
@@ -223,6 +280,29 @@ class PdOmflp final : public OnlineAlgorithm {
   /// path (the oracle's fallback buffer is single-slot; a row held for a
   /// whole event loop must not alias it).
   std::vector<double> dist_loc_scratch_;
+  /// Per-slot round state; sized to the request's demand on each arrival
+  /// so serve() allocates only when a request is larger than any before.
+  struct NewFacility {
+    FacilityId id;
+    bool is_large;
+  };
+  struct Round {
+    std::vector<CommodityId> commodities;
+    std::vector<double> a;
+    std::vector<char> served;
+    std::vector<char> eligible;
+    std::vector<double> dist1;
+    std::vector<FacilityId> fac1;
+    std::vector<const double*> f_small;
+    std::vector<const double*> bids_small;
+    std::vector<PointId> temp_point;   // constraint (3)
+    std::vector<char> via_existing;    // constraint (1)
+    std::vector<char> via_large;       // constraints (2)/(4)
+    std::vector<double> traced_bid_mass;
+    std::vector<double> traced_tightness;
+    std::vector<NewFacility> committed;
+  };
+  Round round_;
 
   // ---- outputs -------------------------------------------------------------
   double total_dual_ = 0.0;
@@ -233,17 +313,26 @@ class PdOmflp final : public OnlineAlgorithm {
   bool prediction_enabled() const noexcept {
     return options_.prediction == PdOptions::Prediction::kOn;
   }
-  /// The configuration a new large facility would open with right now
-  /// (full S or the seen union, minus the excluded commodities).
-  CommoditySet current_large_config() const;
-  /// Distance from point p to the nearest large facility covering
-  /// `eligible_demand` (the demand minus excluded commodities), and that
-  /// facility.
-  std::pair<double, FacilityId> nearest_large(
-      PointId p, const CommoditySet& eligible_demand) const;
-  /// Distance from p to the nearest facility offering e, and the facility.
-  std::pair<double, FacilityId> nearest_offering(CommodityId e,
-                                                 PointId p) const;
+  /// Refreshes large_config_ from seen_ and excluded_.
+  void refresh_large_config();
+  /// The nearest facility offering e to point p (a table lookup).
+  Nearest nearest_offering(CommodityId e, PointId p) const;
+  /// The nearest large facility to p covering `commodities` minus the
+  /// excluded ones (a table lookup).
+  Nearest nearest_large(PointId p,
+                        const std::vector<CommodityId>& commodities) const;
+  /// Row e of near_small_, activated (all +inf) on first use.
+  Nearest* small_table(CommodityId e);
+  /// Sweeps the facility at `point` into one nearest-facility row.
+  void sweep_facility(Nearest* table, PointId point, FacilityId id) const;
+  /// Appends a large facility to the table chain (new table when its
+  /// config grows the chain). Returns false when the config does not
+  /// contain the largest configuration so far.
+  bool add_large_to_tables(const LargeRecord& facility);
+  /// Records that one entry of `list` was rolled back (its request is
+  /// already marked departed) and compacts the list once tombstones
+  /// outnumber the live entries.
+  void withdraw_bidder(BidderList& list);
 
   /// Fill `out[m]` with the constraint-(3) bid sum for commodity e at every
   /// point m (past requests only), according to the bid mode.
@@ -262,13 +351,14 @@ class PdOmflp final : public OnlineAlgorithm {
   const double* large_cost_row(const CommoditySet& config);
 
   /// Registers a newly permanent facility at `point` offering `config`
-  /// with the internal indexes and (kIncremental) adjusts bid sums of past
-  /// requests whose nearest-facility distances improved.
+  /// with the facility indexes and the nearest-facility tables and
+  /// (kIncremental) adjusts bid sums of still-bidding requests whose
+  /// nearest-facility distances improved.
   void integrate_facility(PointId point, const CommoditySet& config,
                           FacilityId id, bool is_large);
 
-  /// Appends the finished request to past_ / by_commodity_ and posts its
-  /// contributions to the incremental bid arrays.
+  /// Appends the finished request to past_ and the still-bidding lists
+  /// and posts its contributions to the incremental bid arrays.
   void archive_request(const Request& request,
                        const std::vector<CommodityId>& commodities,
                        const std::vector<double>& duals);

@@ -36,9 +36,13 @@ void render_event(std::ostringstream& os, const TraceEvent& ev,
          << ", constraint " << int{ev.constraint} << ")";
       break;
     case TraceEventKind::kRequestAssign:
+    case TraceEventKind::kRequestSpill:
       os << "  request " << ev.request << " -> facility " << ev.facility
          << " (commodity " << ev.commodity << ", dist " << fmt(ev.cost)
          << ")";
+      break;
+    case TraceEventKind::kRequestReject:
+      os << "  request " << ev.request << " commodity " << ev.commodity;
       break;
     case TraceEventKind::kBidRollback:
       os << "  request " << ev.request << " withdrew bid mass "
@@ -115,7 +119,8 @@ std::string explain_facility(const std::vector<TraceEvent>& events,
   std::size_t contributors_rolled = 0;
   for (std::size_t i = 0; i < events.size(); ++i) {
     const TraceEvent& ev = events[i];
-    if (ev.kind == TraceEventKind::kRequestAssign &&
+    if ((ev.kind == TraceEventKind::kRequestAssign ||
+         ev.kind == TraceEventKind::kRequestSpill) &&
         ev.facility == facility)
       ++assignments;
     if (i > open_index && ev.kind == TraceEventKind::kBidRollback) {
@@ -178,7 +183,8 @@ std::string explain_request(const std::vector<TraceEvent>& events,
 }
 
 std::string explain_summary(const std::vector<TraceEvent>& events) {
-  std::array<std::size_t, 7> by_kind{};
+  constexpr int kLastKind = static_cast<int>(TraceEventKind::kRequestSpill);
+  std::array<std::size_t, kLastKind + 1> by_kind{};
   double opening_cost = 0.0;
   double rolled_back_mass = 0.0;
   for (const TraceEvent& ev : events) {
@@ -189,7 +195,7 @@ std::string explain_summary(const std::vector<TraceEvent>& events) {
   }
   std::ostringstream os;
   os << "trace: " << events.size() << " events\n";
-  for (int k = 0; k <= 6; ++k)
+  for (int k = 0; k <= kLastKind; ++k)
     if (by_kind[static_cast<std::size_t>(k)] > 0)
       os << "  " << trace_event_kind_name(static_cast<TraceEventKind>(k))
          << ": " << by_kind[static_cast<std::size_t>(k)] << "\n";

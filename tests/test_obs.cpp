@@ -526,5 +526,50 @@ TEST(Explain, UnknownFacilityThrowsAndRollbacksAreReported) {
   EXPECT_NE(summary.find("bid_rollback"), std::string::npos) << summary;
 }
 
+TEST(Explain, SpillAndRejectEventsAreRendered) {
+  // Admission-control events as the ledger emits them: a spill carries
+  // the redirected facility and the connection distance, a reject only
+  // the shed commodity.
+  TraceEvent spill;
+  spill.kind = TraceEventKind::kRequestSpill;
+  spill.request = 7;
+  spill.commodity = 2;
+  spill.facility = 5;
+  spill.point = 9;
+  spill.cost = 1.5;
+  TraceEvent reject;
+  reject.kind = TraceEventKind::kRequestReject;
+  reject.request = 7;
+  reject.commodity = 3;
+  const std::vector<TraceEvent> events = {spill, reject};
+
+  ExplainOptions by_request;
+  by_request.request = 7;
+  const std::string view = explain_trace(events, by_request);
+  EXPECT_NE(view.find("[0] request_spill  request 7 -> facility 5 "
+                      "(commodity 2, dist 1.5)"),
+            std::string::npos)
+      << view;
+  EXPECT_NE(view.find("[1] request_reject  request 7 commodity 3"),
+            std::string::npos)
+      << view;
+
+  // A spilled assignment is still a connection through its facility.
+  TraceEvent open;
+  open.kind = TraceEventKind::kFacilityOpen;
+  open.request = 6;
+  open.facility = 5;
+  open.point = 9;
+  ExplainOptions by_facility;
+  by_facility.facility = 5;
+  const std::string chain = explain_trace({open, spill, reject}, by_facility);
+  EXPECT_NE(chain.find("served 1 connection in the trace"), std::string::npos)
+      << chain;
+
+  const std::string summary = explain_trace(events, {});
+  EXPECT_NE(summary.find("request_spill: 1"), std::string::npos) << summary;
+  EXPECT_NE(summary.find("request_reject: 1"), std::string::npos) << summary;
+}
+
 }  // namespace
 }  // namespace omflp

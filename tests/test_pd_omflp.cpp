@@ -1,17 +1,20 @@
 // PD-OMFLP (Algorithm 1) tests: hand-derived event traces on small
 // scenarios, the Theorem-2 game behaviour, equivalence of the reference
 // and incremental bid accumulators, equivalence with Fotakis' OFL at
-// |S| = 1, Corollary 8's primal-dual accounting, and the prediction
-// ablation.
+// |S| = 1, Corollary 8's primal-dual accounting, the prediction
+// ablation, and the nearest-facility tables (equidistant ties, nested
+// seen-union configurations) and still-bidding lists under churn.
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "baseline/fotakis_ofl.hpp"
 #include "core/pd_omflp.hpp"
+#include "core/stream_runner.hpp"
 #include "instance/adversarial.hpp"
 #include "instance/generators.hpp"
 #include "metric/line_metric.hpp"
+#include "scenario/stream_registry.hpp"
 #include "solution/verifier.hpp"
 
 namespace omflp {
@@ -294,6 +297,149 @@ TEST_P(PdAudit, AuditAlsoCleanMidSequence) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PdAudit, ::testing::Values(1, 2, 3, 4));
+
+// ------------------------------------------------ nearest-facility tables --
+
+/// The facilities request `r` of `ledger` was served by, per commodity.
+std::vector<FacilityId> served_by(const SolutionLedger& ledger, RequestId r) {
+  std::vector<FacilityId> out;
+  for (const ServedCommodity& sc : ledger.request_record(r).served)
+    out.push_back(sc.facility);
+  return out;
+}
+
+TEST(PdNearestTables, EquidistantSmallFacilitiesKeepTheLowestId) {
+  // Line points A = 0, B = 10, C = 5; f({e}) = 8, f(S) = 16. The requests
+  // at A and B each open a singleton {0} at their own point (constraint
+  // (3) at Δ = 8 beats connecting at 10). The request at C is 5 from both:
+  // constraint (1) fires at Δ = 5 and must pick facility 0, the one a
+  // scan in opening order finds first.
+  auto metric =
+      std::make_shared<LineMetric>(std::vector<double>{0.0, 10.0, 5.0});
+  auto cost = std::make_shared<PolynomialCostModel>(2, 2.0, 8.0);
+  const CommoditySet e0 = CommoditySet::singleton(2, 0);
+  Instance inst(metric, cost, {Request{0, e0}, Request{1, e0}, Request{2, e0}});
+  PdOptions options;
+  options.record_trace = true;
+  PdOmflp pd{options};
+  const SolutionLedger ledger = run_online(pd, inst);
+  EXPECT_FALSE(verify_solution(inst, ledger).has_value());
+  ASSERT_EQ(ledger.num_facilities(), 2u);
+  EXPECT_EQ(ledger.facility(0).location, 0u);
+  EXPECT_EQ(ledger.facility(1).location, 1u);
+  ASSERT_EQ(pd.trace().size(), 3u);
+  EXPECT_EQ(pd.trace()[2].constraint, 1);
+  EXPECT_EQ(served_by(ledger, 2), std::vector<FacilityId>{0});
+  const auto issue = pd.audit_state();
+  EXPECT_FALSE(issue.has_value()) << *issue;
+}
+
+TEST(PdNearestTables, EquidistantLargeFacilitiesKeepTheLowestId) {
+  // Same line, every configuration costs 8 (x = 0). Requests demanding
+  // S = {0,1} at A and B each open a large facility at their own point
+  // (constraint (4) at Δ = 4). At C both are 5 away: constraint (2) fires
+  // at Δ = 2.5 and must connect to facility 0.
+  auto metric =
+      std::make_shared<LineMetric>(std::vector<double>{0.0, 10.0, 5.0});
+  auto cost = std::make_shared<PolynomialCostModel>(2, 0.0, 8.0);
+  const CommoditySet s = CommoditySet::full_set(2);
+  Instance inst(metric, cost, {Request{0, s}, Request{1, s}, Request{2, s}});
+  PdOptions options;
+  options.record_trace = true;
+  PdOmflp pd{options};
+  const SolutionLedger ledger = run_online(pd, inst);
+  EXPECT_FALSE(verify_solution(inst, ledger).has_value());
+  ASSERT_EQ(ledger.num_large_facilities(), 2u);
+  ASSERT_EQ(ledger.num_facilities(), 2u);
+  ASSERT_EQ(pd.trace().size(), 3u);
+  EXPECT_EQ(pd.trace()[2].constraint, 2);
+  EXPECT_EQ(pd.trace()[2].point, 0u);
+  EXPECT_EQ(served_by(ledger, 2), (std::vector<FacilityId>{0, 0}));
+  const auto issue = pd.audit_state();
+  EXPECT_FALSE(issue.has_value()) << *issue;
+}
+
+TEST(PdNearestTables, SeenUnionSkipsAnOlderSmallerLarge) {
+  // Line points A = 0, B = 10, C = 4; every configuration costs 8. Under
+  // kSeenUnion the request {0} at A opens a "large" facility with config
+  // {0} (constraint (4) ties (3) at Δ = 8 and wins the tie), and the
+  // request {0,1} at B opens one with config {0,1} (constraint (4) at
+  // Δ = 4). The request {0,1} at C is 4 from A and 6 from B. Only B's
+  // facility covers its demand, so constraint (2) fires at Δ = 3 against
+  // B; the older {0} facility, though closer, must be skipped.
+  auto metric =
+      std::make_shared<LineMetric>(std::vector<double>{0.0, 10.0, 4.0});
+  auto cost = std::make_shared<PolynomialCostModel>(2, 0.0, 8.0);
+  const CommoditySet s = CommoditySet::full_set(2);
+  Instance inst(metric, cost,
+                {Request{0, CommoditySet::singleton(2, 0)}, Request{1, s},
+                 Request{2, s}});
+  PdOptions options;
+  options.large_config = PdOptions::LargeConfig::kSeenUnion;
+  options.record_trace = true;
+  PdOmflp pd{options};
+  const SolutionLedger ledger = run_online(pd, inst);
+  EXPECT_FALSE(verify_solution(inst, ledger).has_value());
+  ASSERT_EQ(ledger.num_facilities(), 2u);
+  EXPECT_TRUE(ledger.facility(0).config == CommoditySet::singleton(2, 0));
+  EXPECT_TRUE(ledger.facility(1).config == s);
+  ASSERT_EQ(pd.trace().size(), 3u);
+  EXPECT_EQ(pd.trace()[0].constraint, 4);
+  EXPECT_EQ(pd.trace()[1].constraint, 4);
+  EXPECT_EQ(pd.trace()[2].constraint, 2);
+  EXPECT_EQ(pd.trace()[2].point, 1u);
+  EXPECT_EQ(served_by(ledger, 2), (std::vector<FacilityId>{1, 1}));
+  const auto issue = pd.audit_state();
+  EXPECT_FALSE(issue.has_value()) << *issue;
+}
+
+// ------------------------------------------------ still-bidding lists ----
+
+/// Runs PD over a churn stream, auditing after every batch, and returns
+/// the final totals.
+std::tuple<double, double, std::size_t, double> audited_churn_run(
+    const EventStream& stream, const PdOptions& options) {
+  PdOmflp pd{options};
+  MaterializedEventSource source(stream);
+  StreamRunOptions run_options;
+  run_options.batch_size = 32;
+  run_options.verify = true;
+  StreamSession session(pd, source, run_options);
+  while (session.step_batch() != 0) {
+    const auto issue = pd.audit_state();
+    EXPECT_FALSE(issue.has_value()) << pd.name() << ": " << *issue;
+    if (issue) break;
+  }
+  const StreamRunResult result = session.finish();
+  EXPECT_FALSE(result.violation.has_value());
+  EXPECT_GT(result.departures, 0u);
+  return {result.ledger.total_cost(), result.ledger.active_cost(),
+          result.ledger.num_facilities(), pd.total_dual()};
+}
+
+TEST(PdStillBidding, ChurnAuditCleanAndBidModesBitwiseEqual) {
+  // Rollback leaves tombstones in the still-bidding lists until they are
+  // compacted; frozen keeps every bidder. Either way the audit (tables
+  // against fresh scans, lists against the archive, incremental rows
+  // against recomputation) holds after every batch, and reference and
+  // incremental bid modes make the same decisions bit for bit.
+  const EventStream stream = default_stream_scenario_registry().make(
+      "churn-uniform", /*seed=*/11,
+      {{"events", 640}, {"points", 24}, {"commodities", 6}, {"churn", 0.5}});
+  for (const auto policy : {PdOptions::DeletionPolicy::kFrozen,
+                            PdOptions::DeletionPolicy::kRollback}) {
+    for (const auto config : {PdOptions::LargeConfig::kFullS,
+                              PdOptions::LargeConfig::kSeenUnion}) {
+      PdOptions options;
+      options.large_config = config;
+      options.deletion_policy = policy;
+      const auto incremental = audited_churn_run(stream, options);
+      options.bid_mode = PdOptions::BidMode::kReference;
+      const auto reference = audited_churn_run(stream, options);
+      EXPECT_EQ(incremental, reference);  // bitwise
+    }
+  }
+}
 
 // --------------------------------------------------------- regression ----
 

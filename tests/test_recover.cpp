@@ -264,7 +264,9 @@ TEST(SessionRecovery, CrashRestoreDrainIsBitwiseIdenticalForRoster) {
 }
 
 // serialize → restore → serialize is byte-identical (the canonical-form
-// contract the checkpoint store's bitwise cross-checks build on).
+// contract the checkpoint store's bitwise cross-checks build on). The
+// snapshot follows departures, so PD's rebuilt nearest-facility tables
+// and still-bidding lists are exercised after rollbacks.
 TEST(SessionRecovery, CheckpointOfRestoredSessionIsByteIdentical) {
   const AlgorithmRegistry& algorithms = default_algorithm_registry();
   const std::uint64_t seed = 99;
@@ -277,6 +279,8 @@ TEST(SessionRecovery, CheckpointOfRestoredSessionIsByteIdentical) {
     MaterializedEventSource source(stream);
     StreamSession session(*algorithm, source, options);
     for (int i = 0; i < 4; ++i) (void)session.step_batch();
+    ASSERT_LT(session.ledger().num_active_requests(),
+              session.ledger().num_requests());
     std::ostringstream os;
     CkptWriter writer(os);
     session.checkpoint(writer);
@@ -405,6 +409,149 @@ TEST(SessionRecovery, CapacitatedRestoreIsBitwiseAndOverflowIsGuarded) {
                    std::invalid_argument);
     }
   }
+}
+
+// ------------------------------------- PD nearest tables on restore ---
+
+/// Checkpoint of a PD session after `batches` batches of the churn test
+/// stream, by which point requests have departed and rolled back.
+std::string pd_snapshot(const char* algo, std::uint64_t seed, int batches) {
+  const EventStream stream = test_stream(seed);
+  auto algorithm =
+      default_algorithm_registry().make(algo, derive_algorithm_seed(seed));
+  MaterializedEventSource source(stream);
+  StreamSession session(*algorithm, source, test_options());
+  for (int i = 0; i < batches; ++i) (void)session.step_batch();
+  EXPECT_LT(session.ledger().num_active_requests(),
+            session.ledger().num_requests());
+  std::ostringstream os;
+  CkptWriter writer(os);
+  session.checkpoint(writer);
+  writer.finish();
+  return os.str();
+}
+
+/// Restores `snapshot` into a fresh session and checkpoints it again.
+std::string restore_and_reserialize(const char* algo, std::uint64_t seed,
+                                    const std::string& snapshot) {
+  const EventStream stream = test_stream(seed);
+  auto algorithm =
+      default_algorithm_registry().make(algo, derive_algorithm_seed(seed));
+  MaterializedEventSource source(stream);
+  std::istringstream is(snapshot);
+  CkptReader reader(is);
+  StreamSession session(*algorithm, source, test_options(), reader);
+  reader.finish();
+  std::ostringstream os;
+  CkptWriter writer(os);
+  session.checkpoint(writer);
+  writer.finish();
+  return os.str();
+}
+
+/// `text` with token `index` (0 is the key) of the `nth` line keyed `key`
+/// replaced by `value`; fails the test when there is no such line.
+std::string with_token(const std::string& text, const std::string& key,
+                       std::size_t nth, std::size_t index,
+                       const std::string& value) {
+  std::size_t start = 0;
+  std::size_t seen = 0;
+  while (start < text.size()) {
+    const std::size_t end = text.find('\n', start);
+    const std::string line = text.substr(start, end - start);
+    if (line.rfind(key + " ", 0) == 0 && seen++ == nth) {
+      std::vector<std::string> tokens;
+      std::istringstream is(line);
+      for (std::string t; is >> t;) tokens.push_back(t);
+      if (index >= tokens.size()) break;
+      tokens[index] = value;
+      std::string joined = tokens[0];
+      for (std::size_t i = 1; i < tokens.size(); ++i) joined += " " + tokens[i];
+      return text.substr(0, start) + joined + text.substr(end);
+    }
+    start = end + 1;
+  }
+  ADD_FAILURE() << "no line " << nth << " keyed '" << key << "' with token "
+                << index;
+  return text;
+}
+
+std::size_t count_lines(const std::string& text, const std::string& key) {
+  std::size_t n = 0;
+  for (std::size_t pos = 0; (pos = text.find("\n" + key + " ", pos)) !=
+                            std::string::npos;
+       ++pos)
+    ++n;
+  return n;
+}
+
+/// Expects restoring `snapshot` to be refused with a message containing
+/// `reason`.
+void expect_restore_refused(const char* algo, std::uint64_t seed,
+                            const std::string& snapshot,
+                            const std::string& reason) {
+  try {
+    (void)restore_and_reserialize(algo, seed, snapshot);
+    ADD_FAILURE() << "restore accepted a checkpoint that should fail with '"
+                  << reason << "'";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(reason), std::string::npos)
+        << e.what();
+  }
+}
+
+// The archived distances in a checkpoint are derived state. A value that
+// disagrees with the tables rebuilt from the facility records, or a
+// large-facility list whose configurations are not nested, is refused.
+TEST(SessionRecovery, PdRestoreRejectsDistancesTheTablesContradict) {
+  const std::uint64_t seed = 41;
+  const std::string snapshot = pd_snapshot("pd", seed, 6);
+  ASSERT_EQ(restore_and_reserialize("pd", seed, snapshot), snapshot);
+  const auto other = [](const std::string& token) {
+    return token == "3fe0000000000000" ? std::string("4000000000000000")
+                                       : std::string("3fe0000000000000");
+  };
+  const auto token_of = [&](const std::string& key, std::size_t index) {
+    const std::size_t at = snapshot.find("\n" + key + " ") + 1;
+    std::istringstream is(snapshot.substr(at, snapshot.find('\n', at) - at));
+    std::string t;
+    for (std::size_t i = 0; i <= index; ++i) is >> t;
+    return t;
+  };
+
+  // past-small-dist <d(F(e), j) per slot>
+  expect_restore_refused(
+      "pd", seed,
+      with_token(snapshot, "past-small-dist", 0, 1,
+                 other(token_of("past-small-dist", 1))),
+      "past-small-dist disagrees with the nearest-facility tables");
+  // past-request <location> <slots> <dual sum> <d(F̂, j)> <departed>
+  expect_restore_refused(
+      "pd", seed,
+      with_token(snapshot, "past-request", 0, 4,
+                 other(token_of("past-request", 4))),
+      "past large distance disagrees with the nearest-facility tables");
+
+  // large <point> <id> <config>: a later large facility whose config
+  // does not contain the earlier one's breaks the chain.
+  ASSERT_GE(count_lines(snapshot, "large"), 2u);
+  std::ostringstream singleton;
+  {
+    CkptWriter writer(singleton);
+    writer.line("set").set(CommoditySet::singleton(4, 0));
+    writer.finish();
+  }
+  const std::string set_line = singleton.str().substr(
+      singleton.str().find("\nset ") + 1);
+  std::istringstream set_tokens(set_line.substr(0, set_line.find('\n')));
+  std::vector<std::string> set;
+  for (std::string t; set_tokens >> t;) set.push_back(t);
+  ASSERT_EQ(set.size(), 4u);  // key, universe, word count, one word
+  std::string non_nested = snapshot;
+  for (std::size_t i = 1; i < set.size(); ++i)
+    non_nested = with_token(non_nested, "large", 1, 2 + i, set[i]);
+  expect_restore_refused("pd", seed, non_nested,
+                         "large facility configurations are not nested");
 }
 
 // ------------------------------------------------- checkpoint store ---
