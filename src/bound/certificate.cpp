@@ -3,21 +3,16 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <istream>
 #include <limits>
-#include <ostream>
 #include <sstream>
 #include <vector>
 
-#include "instance/io_detail.hpp"
 #include "perf/perf_counters.hpp"
 #include "support/assert.hpp"
 
 namespace omflp {
 
 namespace {
-
-constexpr const char* kHeader = "OMFLP-CERT v1";
 
 /// lhs ≤ rhs up to the relative tolerance.
 bool tol_leq(double lhs, double rhs, double tol) {
@@ -45,114 +40,6 @@ CommoditySet set_from_mask(CommodityId universe, std::uint64_t mask) {
   }
   return s;
 }
-
-}  // namespace
-
-// ---- serialization ---------------------------------------------------------
-
-void write_certificate(std::ostream& os, const DualCertificate& cert) {
-  os << kHeader << '\n';
-  os << "method " << cert.method << '\n';
-  os << "requests " << cert.num_requests << '\n';
-  os << "commodities " << cert.num_commodities << '\n';
-  os << "points " << cert.num_points << '\n';
-  os.precision(17);
-  os << "objective " << cert.objective << '\n';
-  for (const std::vector<double>& row : cert.duals) {
-    os << "dual " << row.size();
-    for (double a : row) os << ' ' << a;
-    os << '\n';
-  }
-  os << "slack";
-  for (double s : cert.facility_slack) os << ' ' << s;
-  os << '\n';
-}
-
-std::string certificate_to_string(const DualCertificate& cert) {
-  std::ostringstream os;
-  write_certificate(os, cert);
-  return os.str();
-}
-
-DualCertificate read_certificate(std::istream& is) {
-  iodetail::LineReader reader(is, "read_certificate");
-
-  if (reader.next("header") != kHeader)
-    reader.fail("bad header, expected 'OMFLP-CERT v1'");
-
-  DualCertificate cert;
-  std::string word;
-
-  std::istringstream method_line(reader.next("method"));
-  if (!(method_line >> word >> cert.method) || word != "method")
-    reader.fail("expected 'method <name>'");
-
-  std::istringstream requests_line(reader.next("requests"));
-  if (!(requests_line >> word >> cert.num_requests) || word != "requests")
-    reader.fail("expected 'requests <n>'");
-
-  std::istringstream commodities_line(reader.next("commodities"));
-  if (!(commodities_line >> word >> cert.num_commodities) ||
-      word != "commodities" || cert.num_commodities == 0)
-    reader.fail("expected 'commodities <|S|>'");
-
-  std::istringstream points_line(reader.next("points"));
-  if (!(points_line >> word >> cert.num_points) || word != "points" ||
-      cert.num_points == 0)
-    reader.fail("expected 'points <|M|>'");
-
-  std::istringstream objective_line(reader.next("objective"));
-  if (!(objective_line >> word >> cert.objective) || word != "objective" ||
-      !std::isfinite(cert.objective))
-    reader.fail("expected 'objective <finite value>'");
-
-  // Capped reserves: absurd declared counts (fuzzed certificates) must
-  // fail at "bad dual line", never in the allocator.
-  cert.duals.reserve(
-      std::min<std::size_t>(cert.num_requests, std::size_t{1} << 20));
-  for (std::size_t r = 0; r < cert.num_requests; ++r) {
-    std::istringstream row(reader.next("dual"));
-    std::size_t k = 0;
-    if (!(row >> word >> k) || word != "dual" || k == 0 ||
-        k > cert.num_commodities)
-      reader.fail("bad dual line");
-    std::vector<double> values;
-    values.reserve(k);
-    for (std::size_t i = 0; i < k; ++i) {
-      double a = 0.0;
-      if (!(row >> a) || !std::isfinite(a))
-        reader.fail("bad dual value");
-      values.push_back(a);
-    }
-    cert.duals.push_back(std::move(values));
-  }
-
-  std::istringstream slack_line(reader.next("slack"));
-  if (!(slack_line >> word) || word != "slack")
-    reader.fail("expected 'slack <values...>'");
-  cert.facility_slack.reserve(
-      std::min<std::size_t>(cert.num_points, std::size_t{1} << 20));
-  for (std::size_t m = 0; m < cert.num_points; ++m) {
-    double s = 0.0;
-    if (!(slack_line >> s) || !std::isfinite(s))
-      reader.fail("bad slack value");
-    cert.facility_slack.push_back(s);
-  }
-
-  if (reader.try_next())
-    throw std::invalid_argument(
-        "read_certificate: trailing content after slack line");
-  return cert;
-}
-
-DualCertificate certificate_from_string(const std::string& text) {
-  std::istringstream is(text);
-  return read_certificate(is);
-}
-
-// ---- verification ----------------------------------------------------------
-
-namespace {
 
 /// Per-request data the checker derives once: location, demanded
 /// commodities (ascending, aligned with the certificate's dual rows) and

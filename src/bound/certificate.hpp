@@ -58,7 +58,15 @@ struct DualCertificate {
   std::string method = "dual-ascent";
 };
 
-// ---- serialization (OMFLP-CERT v1 text format) ----------------------------
+// ---- serialization (OMFLP-CERT v1 text format, certificate_io.cpp) -------
+//   OMFLP-CERT v1
+//   method <name>
+//   requests <n>
+//   commodities <|S|>
+//   points <|M|>
+//   objective <value>
+//   dual <k> <a_1> ... <a_k>        (n lines, k = |s_r|)
+//   slack <v_1> ... <v_|M|>
 
 void write_certificate(std::ostream& os, const DualCertificate& cert);
 std::string certificate_to_string(const DualCertificate& cert);

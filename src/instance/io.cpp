@@ -1,14 +1,13 @@
 #include "instance/io.hpp"
 
-#include <algorithm>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <vector>
 
 #include "instance/io_detail.hpp"
-#include "support/assert.hpp"
 #include "support/parse.hpp"
+#include "support/record_io.hpp"
 
 namespace omflp {
 
@@ -19,24 +18,14 @@ constexpr const char* kHeader = "OMFLP-INSTANCE v1";
 }  // namespace
 
 void write_instance(std::ostream& os, const Instance& instance) {
-  os << kHeader << '\n';
-  os << "name " << instance.name() << '\n';
-  const CommodityId s = instance.num_commodities();
-  os << "commodities " << s << '\n';
-
-  os.precision(17);
-  iodetail::write_metric_matrix(os, instance.metric());
-  iodetail::write_cost_model(os, instance.cost(), s, "write_instance");
-
-  iodetail::write_capacities(os, instance.capacities());
-
+  iodetail::write_preamble(os, kHeader, instance.name(), instance.metric(),
+                           instance.cost(), instance.capacities(),
+                           "write_instance");
   os << "requests " << instance.num_requests() << '\n';
   for (const Request& r : instance.requests()) {
-    os << r.location << ' ' << r.commodities.count();
-    r.commodities.for_each([&](CommodityId e) { os << ' ' << e; });
+    iodetail::write_demand(os, r);
     os << '\n';
   }
-
   if (const auto& cert = instance.opt_certificate()) {
     os << "opt " << cert->upper_bound << ' ' << (cert->exact ? 1 : 0) << ' '
        << cert->note << '\n';
@@ -50,71 +39,37 @@ std::string instance_to_string(const Instance& instance) {
 }
 
 Instance read_instance(std::istream& is) {
-  iodetail::LineReader reader(is, "read_instance");
-
-  if (reader.next("header") != kHeader)
-    reader.fail("bad header, expected 'OMFLP-INSTANCE v1'");
-
-  std::string name_line = reader.next("name");
-  if (name_line.rfind("name ", 0) != 0) reader.fail("expected 'name ...'");
-  std::string name = name_line.substr(5);
-
-  std::istringstream commodities_line(reader.next("commodities"));
-  std::string word;
-  CommodityId s = 0;
-  if (!(commodities_line >> word >> s) || word != "commodities" || s == 0)
-    reader.fail("expected 'commodities <|S|>'");
-
-  MetricPtr metric = iodetail::read_metric_matrix(reader);
-  CostModelPtr cost = iodetail::read_cost_model(reader, s);
-
-  // Optional capacity section sits between the cost model and the
-  // request block; branch on the already-read line (no pushback).
-  std::string section = reader.next("requests");
-  CapacityMap capacities =
-      iodetail::maybe_read_capacities(reader, section, metric->num_points());
-
-  std::istringstream requests_line(section);
-  std::size_t n = 0;
-  if (!(requests_line >> word >> n) || word != "requests")
-    reader.fail("expected 'requests <n>'");
+  RecordReader in(is, "read_instance");
+  iodetail::Preamble preamble = iodetail::read_preamble(in, kHeader,
+                                                        "requests");
+  in.keyword("requests", "expected 'requests <n>'");
+  const std::uint64_t n = in.u64("request count");
+  in.end("requests line");
+  const CommodityId s = preamble.cost->num_commodities();
+  const std::size_t points = preamble.metric->num_points();
   std::vector<Request> requests;
   // Capped reserve: an absurd declared count (fuzzed/corrupt traces)
-  // must fail at "bad request line", not in the allocator.
+  // must fail at the end of input, not in the allocator.
   requests.reserve(capped_reserve(n, std::size_t{1} << 20));
-  for (std::size_t i = 0; i < n; ++i) {
-    std::istringstream row(reader.next("request"));
-    PointId location = 0;
-    CommodityId k = 0;
-    if (!(row >> location >> k) || k == 0) reader.fail("bad request line");
-    Request r;
-    r.location = location;
-    r.commodities = CommoditySet(s);
-    for (CommodityId j = 0; j < k; ++j) {
-      CommodityId e = 0;
-      if (!(row >> e) || e >= s) reader.fail("bad commodity id in request");
-      r.commodities.add(e);
-    }
-    requests.push_back(std::move(r));
+  for (std::uint64_t i = 0; i < n; ++i) {
+    in.line("request");
+    requests.push_back(iodetail::read_demand(in, s, points, "request"));
+    in.end("request line");
   }
 
-  Instance instance(std::move(metric), std::move(cost), std::move(requests),
-                    std::move(name));
-  instance.set_capacities(std::move(capacities));
+  Instance instance(std::move(preamble.metric), std::move(preamble.cost),
+                    std::move(requests), std::move(preamble.name));
+  instance.set_capacities(std::move(preamble.capacities));
 
-  // Optional trailing opt certificate.
-  if (const auto line = reader.try_next()) {
-    std::istringstream opt_line(*line);
-    double bound = 0.0;
-    int exact = 0;
-    if (!(opt_line >> word >> bound >> exact) || word != "opt")
-      throw std::invalid_argument(
-          "read_instance: trailing content is not an 'opt' line: " + *line);
-    std::string note;
-    std::getline(opt_line, note);
-    if (!note.empty() && note.front() == ' ') note.erase(0, 1);
+  // Optional trailing opt certificate; nothing may follow it.
+  if (in.try_line()) {
+    in.keyword("opt", "trailing content is not an 'opt' line");
+    const double bound = in.real("opt bound");
+    const std::uint64_t exact = in.u64("opt exact flag");
+    if (exact > 1) in.fail("opt exact flag must be 0 or 1");
     instance.set_opt_certificate(
-        OptCertificate{bound, exact != 0, std::move(note)});
+        OptCertificate{bound, exact == 1, std::string(in.rest())});
+    in.expect_eof("the opt line");
   }
   return instance;
 }

@@ -13,7 +13,7 @@
 //   <point> <cap>                                 (k lines, ascending)
 //   requests <n>
 //   <location> <k> <e_1> ... <e_k>                (n lines)
-//   opt <upper_bound> <exact:0|1> <note...>       (optional)
+//   opt <upper_bound> <exact:0|1> <note...>       (optional, last line)
 //
 // Any MetricSpace serializes (as its distance matrix). Cost models must be
 // size-only or linear — the general f^σ_m has 2^|S| values per point and

@@ -1,9 +1,7 @@
 #include "instance/io_detail.hpp"
 
-#include <algorithm>
-#include <istream>
+#include <limits>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <vector>
 
@@ -14,38 +12,13 @@
 
 namespace omflp::iodetail {
 
-bool LineReader::advance() {
-  while (std::getline(is_, line_)) {
-    ++line_number_;
-    const auto first = line_.find_first_not_of(" \t\r");
-    if (first == std::string::npos) continue;
-    if (line_[first] == '#') continue;
-    return true;
-  }
-  return false;
-}
+namespace {
 
-std::string LineReader::next(const char* what) {
-  return std::string(next_view(what));
-}
-
-std::string_view LineReader::next_view(const char* what) {
-  if (advance()) return line_;
-  throw std::invalid_argument(prefix_ +
-                              ": unexpected end of input while reading " +
-                              what);
-}
-
-std::optional<std::string> LineReader::try_next() {
-  if (advance()) return line_;
-  return std::nullopt;
-}
-
-void LineReader::fail(const std::string& msg) const {
-  std::ostringstream os;
-  os << prefix_ << ": " << msg << " (line " << line_number_ << ")";
-  throw std::invalid_argument(os.str());
-}
+// Tables grow with a capped reserve instead of being sized by a declared
+// count: a syntactically valid but absurd |M| or |S| (fuzzed or corrupt
+// traces) must fail at a missing value or the end of input, not in the
+// allocator — memory stays proportional to the bytes actually present.
+constexpr std::size_t kReserveCap = std::size_t{1} << 12;
 
 void write_metric_matrix(std::ostream& os, const MetricSpace& metric) {
   const std::size_t points = metric.num_points();
@@ -63,102 +36,70 @@ void write_metric_matrix(std::ostream& os, const MetricSpace& metric) {
   }
 }
 
-MetricPtr read_metric_matrix(LineReader& reader) {
-  std::istringstream metric_line(reader.next("metric"));
-  std::string word, metric_kind;
-  std::size_t points = 0;
-  if (!(metric_line >> word >> metric_kind >> points) || word != "metric" ||
-      metric_kind != "matrix" || points == 0)
-    reader.fail("expected 'metric matrix <|M|>'");
-  // Grow row by row with a capped reserve instead of allocating
-  // points x points up front: a syntactically-valid but absurd declared
-  // |M| (fuzzed or corrupt traces) must fail at "short metric row" /
-  // "unexpected end of input", not in the allocator — memory use stays
-  // proportional to the bytes actually present in the input.
-  constexpr std::size_t kReserveCap = std::size_t{1} << 12;
+MetricPtr read_metric_matrix(RecordReader& in) {
+  in.line("metric");
+  in.keyword("metric", "expected 'metric matrix <|M|>'");
+  in.keyword("matrix", "expected 'metric matrix <|M|>'");
+  const std::uint64_t points = in.u64("point count");
+  if (points == 0) in.fail("point count out of range");
+  in.end("metric line");
   std::vector<std::vector<double>> matrix;
   matrix.reserve(capped_reserve(points, kReserveCap));
-  for (std::size_t a = 0; a < points; ++a) {
-    std::istringstream row(reader.next("metric row"));
-    std::vector<double> values;
-    values.reserve(capped_reserve(points, kReserveCap));
-    for (std::size_t b = 0; b < points; ++b) {
-      double value = 0.0;
-      if (!(row >> value)) reader.fail("short metric row");
-      values.push_back(value);
-    }
-    matrix.push_back(std::move(values));
+  for (std::uint64_t a = 0; a < points; ++a) {
+    in.line("metric row");
+    std::vector<double> row;
+    row.reserve(capped_reserve(points, kReserveCap));
+    for (std::uint64_t b = 0; b < points; ++b)
+      row.push_back(in.real("distance"));
+    in.end("metric row");
+    matrix.push_back(std::move(row));
   }
   return std::make_shared<MatrixMetric>(std::move(matrix));
 }
 
+// The model's own hooks pick the section: size-only and linear costs are
+// the two whose f^σ_m fits on one line. Linear values are written as
+// singleton costs, not as the weights, so a loaded -0 weight prints 0.
 void write_cost_model(std::ostream& os, const FacilityCostModel& cost,
-                      CommodityId s, const char* error_prefix) {
-  if (const auto* size_only =
-          dynamic_cast<const SizeOnlyCostModel*>(&cost)) {
+                      const char* writer) {
+  const CommodityId s = cost.num_commodities();
+  if (cost.location_invariant() && cost.cost_by_size(0, 0)) {
     os << "cost sizeonly";
     for (CommodityId k = 0; k <= s; ++k)
-      os << ' ' << size_only->cost_of_size(k);
-    os << '\n';
-  } else if (const auto* poly =
-                 dynamic_cast<const PolynomialCostModel*>(&cost)) {
-    os << "cost sizeonly";
-    for (CommodityId k = 0; k <= s; ++k) os << ' ' << poly->cost_of_size(k);
-    os << '\n';
-  } else if (const auto* ceil_ratio =
-                 dynamic_cast<const CeilRatioCostModel*>(&cost)) {
-    os << "cost sizeonly";
-    for (CommodityId k = 0; k <= s; ++k)
-      os << ' ' << ceil_ratio->cost_of_size(k);
-    os << '\n';
-  } else if (const auto* linear =
-                 dynamic_cast<const LinearCostModel*>(&cost)) {
+      os << ' ' << cost.cost_by_size(0, k).value();
+  } else if (cost.location_invariant() && cost.additive_weights(0)) {
     os << "cost linear";
     for (CommodityId e = 0; e < s; ++e)
-      os << ' ' << linear->open_cost(0, CommoditySet::singleton(s, e));
-    os << '\n';
+      os << ' ' << cost.singleton_cost(0, e);
   } else {
     throw std::invalid_argument(
-        std::string(error_prefix) +
+        std::string(writer) +
         ": only size-only and linear cost models are serializable; got " +
         cost.description());
   }
+  os << '\n';
 }
 
-CostModelPtr read_cost_model(LineReader& reader, CommodityId s) {
-  std::istringstream cost_line(reader.next("cost"));
-  std::string word, cost_kind;
-  if (!(cost_line >> word >> cost_kind) || word != "cost")
-    reader.fail("expected 'cost <kind> ...'");
-  // Size-safe loops: with a corrupt |S| near the CommodityId maximum,
-  // `s + 1` used to wrap to 0 — an empty table the `k <= s` loop then
-  // wrote past (heap overflow), found by tests/test_fuzz_parsers.cpp.
-  // Tables now grow with a capped reserve, so a huge declared |S| fails
-  // at "short ... table" instead of allocating gigabytes up front.
-  constexpr std::size_t kReserveCap = std::size_t{1} << 12;
-  const std::size_t universe = static_cast<std::size_t>(s);
-  if (cost_kind == "sizeonly") {
-    std::vector<double> table;
-    table.reserve(capped_reserve(universe + 1, kReserveCap));
-    for (std::size_t k = 0; k <= universe; ++k) {
-      double value = 0.0;
-      if (!(cost_line >> value)) reader.fail("short sizeonly cost table");
-      table.push_back(value);
-    }
+CostModelPtr read_cost_model(RecordReader& in, CommodityId s) {
+  in.line("cost");
+  in.keyword("cost", "expected 'cost <kind> ...'");
+  const std::string_view kind = in.word("cost kind");
+  const bool size_only = kind == "sizeonly";
+  if (!size_only && kind != "linear")
+    in.fail("unknown cost kind '" + std::string(kind) + "'");
+  // In size_t: at the largest |S|, `s + 1` as a CommodityId wraps to 0.
+  const std::size_t count =
+      static_cast<std::size_t>(s) + (size_only ? 1 : 0);
+  std::vector<double> values;
+  values.reserve(capped_reserve(count, kReserveCap));
+  for (std::size_t i = 0; i < count; ++i)
+    values.push_back(in.real(size_only ? "size cost" : "linear weight"));
+  in.end("cost line");
+  if (size_only)
     return std::make_shared<SizeOnlyCostModel>(
-        s, [table](CommodityId k) { return table[k]; }, "sizeonly(loaded)");
-  }
-  if (cost_kind == "linear") {
-    std::vector<double> weights;
-    weights.reserve(capped_reserve(universe, kReserveCap));
-    for (std::size_t e = 0; e < universe; ++e) {
-      double weight = 0.0;
-      if (!(cost_line >> weight)) reader.fail("short linear weights");
-      weights.push_back(weight);
-    }
-    return std::make_shared<LinearCostModel>(std::move(weights));
-  }
-  reader.fail("unknown cost kind '" + cost_kind + "'");
+        s, [table = std::move(values)](CommodityId k) { return table[k]; },
+        "sizeonly(loaded)");
+  return std::make_shared<LinearCostModel>(std::move(values));
 }
 
 void write_capacities(std::ostream& os, const CapacityMap& capacities) {
@@ -172,42 +113,101 @@ void write_capacities(std::ostream& os, const CapacityMap& capacities) {
     if (caps[p] != kUncapacitated) os << p << ' ' << caps[p] << '\n';
 }
 
-CapacityMap maybe_read_capacities(LineReader& reader, std::string& line,
-                                  std::size_t num_points) {
-  std::istringstream header(line);
-  std::string word, count_text;
-  if (!(header >> word) || word != "capacities") return nullptr;
-  std::string trailing;
-  if (!(header >> count_text) || (header >> trailing))
-    reader.fail("expected 'capacities <k>'");
-  const auto k = parse_u64_strict(count_text);
-  if (!k || *k > num_points) reader.fail("bad capacity count");
+/// The rows of a capacities section whose keyword `in` has consumed.
+CapacityMap read_capacities(RecordReader& in, std::size_t num_points) {
+  const std::uint64_t k = in.u64("capacity count");
+  if (k > num_points) in.fail("bad capacity count");
+  in.end("capacities line");
   // num_points is bounded by metric rows actually present in the input,
   // so sizing the map by it is not an untrusted-count allocation.
   auto caps = std::make_shared<std::vector<std::uint64_t>>(
       num_points, kUncapacitated);
-  bool first = true;
-  PointId previous = 0;
-  for (std::uint64_t i = 0; i < *k; ++i) {
-    std::istringstream row(reader.next("capacity row"));
-    std::string point_text, cap_text;
-    if (!(row >> point_text >> cap_text) || (row >> trailing))
-      reader.fail("bad capacity row, expected '<point> <cap>'");
-    const auto point = parse_u64_strict(point_text);
-    const auto cap = parse_u64_strict(cap_text);
-    if (!point || !cap || *point >= num_points)
-      reader.fail("bad capacity row, expected '<point> <cap>'");
-    if (*cap == kUncapacitated)
-      reader.fail("capacity row for an uncapacitated point");
-    const PointId p = static_cast<PointId>(*point);
-    if (!first && p <= previous)
-      reader.fail("capacity rows must have strictly ascending points");
-    first = false;
-    previous = p;
-    (*caps)[p] = *cap;
+  std::uint64_t previous = 0;
+  for (std::uint64_t i = 0; i < k; ++i) {
+    in.line("capacity row");
+    const std::uint64_t point = in.u64("capacity point");
+    const std::uint64_t cap = in.u64("capacity");
+    in.end("capacity row");
+    if (point >= num_points)
+      in.fail("capacity point outside the metric space");
+    if (cap == kUncapacitated)
+      in.fail("capacity row for an uncapacitated point");
+    if (i > 0 && point <= previous)
+      in.fail("capacity rows must have strictly ascending points");
+    previous = point;
+    (*caps)[point] = cap;
   }
-  line = reader.next("section after capacities");
   return caps;
+}
+
+}  // namespace
+
+void write_preamble(std::ostream& os, std::string_view header,
+                    const std::string& name, const MetricSpace& metric,
+                    const FacilityCostModel& cost,
+                    const CapacityMap& capacities, const char* writer) {
+  os << header << '\n';
+  os << "name " << name << '\n';
+  os << "commodities " << cost.num_commodities() << '\n';
+  os.precision(17);
+  write_metric_matrix(os, metric);
+  write_cost_model(os, cost, writer);
+  write_capacities(os, capacities);
+}
+
+Preamble read_preamble(RecordReader& in, std::string_view header,
+                       const char* next_section) {
+  Preamble preamble;
+  in.line("header");
+  if (in.text() != header)
+    in.fail("bad header, expected '" + std::string(header) + "'");
+
+  in.line("name");
+  in.keyword("name", "expected 'name ...'");
+  preamble.name = in.rest();
+
+  in.line("commodities");
+  in.keyword("commodities", "expected 'commodities <|S|>'");
+  const std::uint64_t s = in.u64("commodity count");
+  if (s == 0 || s > std::numeric_limits<CommodityId>::max())
+    in.fail("commodity count out of range");
+  in.end("commodities line");
+
+  preamble.metric = read_metric_matrix(in);
+  preamble.cost = read_cost_model(in, static_cast<CommodityId>(s));
+
+  in.line(next_section);
+  if (in.accept("capacities")) {
+    preamble.capacities = read_capacities(in, preamble.metric->num_points());
+    in.line(next_section);
+  }
+  return preamble;
+}
+
+void write_demand(std::ostream& os, const Request& request) {
+  os << request.location << ' ' << request.commodities.count();
+  request.commodities.for_each([&](CommodityId e) { os << ' ' << e; });
+}
+
+Request read_demand(RecordReader& in, CommodityId s, std::size_t num_points,
+                    const char* what) {
+  const std::uint64_t location = in.u64("location");
+  if (location >= num_points)
+    in.fail(std::string(what) + " location outside the metric space");
+  const std::uint64_t k = in.u64("demand-set size");
+  if (k == 0 || k > s) in.fail("bad demand-set size");
+  Request request;
+  request.location = static_cast<PointId>(location);
+  request.commodities = CommoditySet(s);
+  for (std::uint64_t j = 0; j < k; ++j) {
+    const std::uint64_t e = in.u64("commodity id");
+    if (e >= s) in.fail(std::string("bad commodity id in ") + what);
+    const auto id = static_cast<CommodityId>(e);
+    if (request.commodities.contains(id))
+      in.fail(std::string("duplicate commodity id in ") + what);
+    request.commodities.add(id);
+  }
+  return request;
 }
 
 }  // namespace omflp::iodetail

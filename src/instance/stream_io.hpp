@@ -17,11 +17,11 @@
 //   a <location> <j> <e_1> ... <e_j> L <lease>     arrival with a lease
 //   d <arrival_id>                                 departure
 //
-// Two readers: read_event_stream materializes the whole stream (tests,
-// small traces); StreamTraceReader is the bounded-memory EventSource the
+// One reader: StreamTraceReader is the bounded-memory EventSource the
 // `omflp stream` CLI uses — it parses the header eagerly and then yields
 // events in caller-sized batches, so a million-event trace is processed
-// holding one batch at a time.
+// holding one batch at a time. read_event_stream drains it into a
+// materialized stream (tests, small traces).
 #pragma once
 
 #include <iosfwd>

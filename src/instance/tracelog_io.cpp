@@ -9,8 +9,8 @@
 #include <stdexcept>
 #include <string_view>
 
-#include "instance/io_detail.hpp"
 #include "support/json.hpp"
+#include "support/record_io.hpp"
 
 namespace omflp {
 
@@ -258,7 +258,7 @@ void TraceLogWriter::finish() {
 // --------------------------------------------------------------- reader ---
 
 struct TraceLogReader::Impl {
-  iodetail::LineReader reader;
+  RecordReader in;
   TraceLogReadMode mode;
   std::uint64_t seq = 0;
   bool done = false;
@@ -266,35 +266,34 @@ struct TraceLogReader::Impl {
   std::string scratch;  // the re-encoded line of the canonical-form check
 
   Impl(std::istream& is, TraceLogReadMode read_mode)
-      : reader(is, "read_tracelog"), mode(read_mode) {
-    if (reader.next("header") != kHeader)
-      reader.fail(std::string("bad header, expected ") + kHeader);
+      : in(is, "read_tracelog"), mode(read_mode) {
+    in.line("header");
+    if (in.text() != kHeader)
+      in.fail(std::string("bad header, expected ") + kHeader);
   }
 
   bool next_strict(TraceEvent& out) {
-    const std::optional<std::string> maybe_line = reader.try_next();
-    if (!maybe_line) {
+    if (!in.try_line()) {
       if (mode == TraceLogReadMode::kStrict)
-        reader.fail("missing event or end line");
+        in.fail("missing event or end line");
       // Torn tail: the file ends without an end line; the prefix read so
       // far is the recovery result.
       truncated = true;
       done = true;
       return false;
     }
-    const std::string& line = *maybe_line;
+    const std::string_view line = in.text();
     if (line.starts_with("{\"end\":")) {
       if (line != end_line(seq))
-        reader.fail("bad end line, expected " + end_line(seq));
-      if (reader.try_next())
-        reader.fail("trailing content after the end line");
+        in.fail("bad end line, expected " + end_line(seq));
+      in.expect_eof("the end line");
       done = true;
       return false;
     }
     try {
       out = parse_event_line(line, seq, scratch);
     } catch (const std::invalid_argument& e) {
-      reader.fail(e.what());  // adds the line number
+      in.fail(e.what());  // adds the line number
     }
     ++seq;
     return true;

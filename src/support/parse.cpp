@@ -1,6 +1,6 @@
 #include "support/parse.hpp"
 
-#include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -27,24 +27,22 @@ std::optional<std::uint64_t> parse_u64_strict(
 }
 
 std::optional<double> parse_double_strict(std::string_view text) noexcept {
-  if (text.empty()) return std::nullopt;
-  // strtod skips any leading whitespace (space, tab, newline, vertical
-  // tab, ...) and accepts hex-float literals; strictness forbids both —
-  // the first character must already be part of a plain decimal number.
-  const char front = text.front();
-  if (!(front == '+' || front == '-' || front == '.' ||
-        (front >= '0' && front <= '9')))
+  // from_chars follows strtod's decimal pattern minus leading whitespace
+  // and hex floats, and returns subnormals where strtod reports ERANGE.
+  // It takes no '+', so one is stripped here.
+  const bool plus = !text.empty() && text.front() == '+';
+  if (plus) text.remove_prefix(1);
+  const std::size_t sign =
+      !plus && !text.empty() && text.front() == '-' ? 1 : 0;
+  // One sign at most, then a digit or '.': no "inf" or "nan".
+  if (text.size() <= sign) return std::nullopt;
+  const char first = text[sign];
+  if (!(first == '.' || (first >= '0' && first <= '9'))) return std::nullopt;
+  const char* const end = text.data() + text.size();
+  double value = 0.0;
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc() || stop != end || !std::isfinite(value))
     return std::nullopt;
-  for (const char c : text)
-    if (c == 'x' || c == 'X') return std::nullopt;  // no hex floats
-  const std::string buffer(text);  // strtod needs NUL termination
-  errno = 0;
-  char* end = nullptr;
-  // omflp-lint: allow(raw-parse) the sanctioned call: this IS the strict wrapper
-  const double value = std::strtod(buffer.c_str(), &end);
-  if (end != buffer.c_str() + buffer.size() || end == buffer.c_str())
-    return std::nullopt;
-  if (errno == ERANGE || !std::isfinite(value)) return std::nullopt;
   return value;
 }
 

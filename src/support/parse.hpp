@@ -1,5 +1,6 @@
 // Strict numeric parsing — the one implementation behind every
-// command-line argument and environment variable the library reads.
+// command-line argument, environment variable and text-format number
+// the library reads.
 //
 // The std::strtoull/strtod conventions are a bug farm for user input:
 // strtoull silently wraps negative text ("-5" becomes 2^64−5), both accept
@@ -46,11 +47,11 @@ inline std::size_t capped_reserve(std::uint64_t declared,
 /// overflow std::uint64_t.
 std::optional<std::uint64_t> parse_u64_strict(std::string_view text) noexcept;
 
-/// Finite double: must start with a digit, sign or '.', the whole string
+/// Finite double: one optional sign, then a digit or '.'; the whole string
 /// must be consumed (no leading whitespace of any kind, no trailing
 /// garbage), hex-float literals are rejected, and the value must be
-/// finite and inside double range ("1e999" and "nan"/"inf" are
-/// rejected).
+/// finite and inside double range ("1e999", "1e-400" and "nan"/"inf" are
+/// rejected; subnormals such as "4.9406564584124654e-324" are values).
 std::optional<double> parse_double_strict(std::string_view text) noexcept;
 
 /// CLI wrappers: like the _strict functions but throwing

@@ -443,6 +443,118 @@ TEST(FuzzParsers, HugeDeclaredCountsAreRejectedNotAllocated) {
             ParseOutcome::kRejected);
   EXPECT_EQ(feed_instance_reader(with_count(instance, "requests", "-5")),
             ParseOutcome::kRejected);
+
+  // A dual row's k is bounded only by the declared |S|: with |S| near
+  // 2^32 the row must fail at its missing values, not at a 32 GB
+  // reservation (std::bad_alloc under a memory limit).
+  std::vector<std::string> lines =
+      split_lines(with_count(certificate, "commodities", "4000000000"));
+  const auto dual = std::find_if(
+      lines.begin(), lines.end(),
+      [](const std::string& line) { return line.rfind("dual ", 0) == 0; });
+  ASSERT_NE(dual, lines.end());
+  *dual = "dual 3999999999 0.5";
+  EXPECT_THROW((void)certificate_from_string(join_lines(lines)),
+               std::invalid_argument);
+}
+
+void drain_stream_trace(const std::string& text) {
+  std::istringstream is(text);
+  StreamTraceReader reader(is);
+  std::vector<StreamEvent> batch;
+  while (reader.next_batch(batch, 64) > 0) batch.clear();
+}
+
+/// Every reader of the whitespace text format `text` declares in its
+/// header must reject it with std::invalid_argument, the error type of
+/// the strict record reader. `label` names the mutant in failures.
+void expect_invalid(const std::string& text, const std::string& label) {
+  if (text.starts_with("OMFLP-STREAM v1\n")) {
+    EXPECT_THROW((void)event_stream_from_string(text), std::invalid_argument)
+        << label;
+    EXPECT_THROW(drain_stream_trace(text), std::invalid_argument) << label;
+  } else if (text.starts_with("OMFLP-INSTANCE v1\n")) {
+    EXPECT_THROW((void)instance_from_string(text), std::invalid_argument)
+        << label;
+  } else {
+    EXPECT_THROW((void)certificate_from_string(text), std::invalid_argument)
+        << label;
+  }
+}
+
+// One strictness rule for INSTANCE, STREAM and CERT: a line's fields are
+// read in full, so a value appended to any line is an error. Only the
+// free-text name and opt-note lines take the rest of their line.
+TEST(FuzzParsers, EveryRecordLineRejectsAnExtraToken) {
+  const std::string leased = event_stream_to_string(
+      default_stream_scenario_registry().make(
+          "lease-poisson", /*seed=*/3, {{"events", 48}, {"points", 8}}));
+  const std::string capped = event_stream_to_string(
+      default_stream_scenario_registry().make(
+          "hotspot-grid-capped", /*seed=*/3, {{"events", 48}, {"side", 3}}));
+  ASSERT_NE(leased.find(" L "), std::string::npos);
+  ASSERT_NE(capped.find("\ncapacities "), std::string::npos);
+  const Instance with_opt =
+      default_scenario_registry().make("theorem2", /*seed=*/2, {});
+  ASSERT_TRUE(with_opt.opt_certificate().has_value());
+
+  std::size_t lines_checked = 0;
+  for (const std::string& base :
+       {valid_stream_trace(), leased, capped, valid_capacitated_instance(),
+        instance_to_string(with_opt), valid_certificate()}) {
+    ASSERT_TRUE(feed_stream_readers(base) == ParseOutcome::kAccepted ||
+                feed_instance_reader(base) == ParseOutcome::kAccepted ||
+                feed_certificate_reader(base) == ParseOutcome::kAccepted);
+    const std::vector<std::string> lines = split_lines(base);
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      if (lines[i].starts_with("name ") || lines[i].starts_with("opt "))
+        continue;
+      std::vector<std::string> mutant = lines;
+      mutant[i] += " 0";
+      expect_invalid(join_lines(mutant), mutant[i]);
+      ++lines_checked;
+    }
+  }
+  EXPECT_GT(lines_checked, 200u);
+}
+
+// Field-level mutants each reader used to misread instead of rejecting.
+TEST(FuzzParsers, MisreadRecordFieldsAreRejected) {
+  // A request line's ids are whole, distinct and alone on the line.
+  std::string instance =
+      "OMFLP-INSTANCE v1\nname fields\ncommodities 24\nmetric matrix 1\n"
+      "0\ncost sizeonly 0";
+  for (int k = 1; k <= 24; ++k) instance += " 1";
+  instance += "\nrequests 1\n0 2 20 21\nopt 1 1 note\n";
+  ASSERT_EQ(instance_from_string(instance).request(0).commodities.count(),
+            2u);
+  const auto replaced = [](std::string text, const std::string& from,
+                           const std::string& to) {
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return text.replace(at, from.size(), to);
+  };
+  expect_invalid(replaced(instance, "0 2 20 21", "0 2 20 20"), "dup id");
+  expect_invalid(replaced(instance, "0 2 20 21", "0 1 3.5"), "id 3.5");
+  expect_invalid(replaced(instance, "opt 1 1 note", "opt 1 7 note"),
+                 "exact flag 7");
+  expect_invalid(instance + "requests 1\n", "content after the opt line");
+
+  const std::string cert = valid_certificate();
+  const std::vector<std::string> lines = split_lines(cert);
+  const auto line_starting = [&](const std::string& prefix) {
+    for (const std::string& line : lines)
+      if (line.rfind(prefix, 0) == 0) return line;
+    ADD_FAILURE() << "no line starts with " << prefix;
+    return std::string();
+  };
+  const std::string objective = line_starting("objective ");
+  expect_invalid(replaced(cert, objective, objective + "x"), objective);
+  // Read as k = 1 and the dual value .9 by a stream extractor.
+  const std::string dual = line_starting("dual 1 ");
+  expect_invalid(replaced(cert, dual, "dual 1.9"), dual);
+  const std::string requests = line_starting("requests ");
+  expect_invalid(replaced(cert, requests, requests + " junk"), requests);
 }
 
 // --------------------------------------------------------- OMFLP-CKPT ---

@@ -273,6 +273,29 @@ TEST(InstanceIo, LinearCostRoundTrip) {
   EXPECT_DOUBLE_EQ(loaded.cost().open_cost(1, probe), 2.75);
 }
 
+TEST(InstanceIo, CostSectionFollowsTheModelHooks) {
+  // The writer asks the model (location_invariant, cost_by_size,
+  // additive_weights) instead of its concrete type, so an equal-multiplier
+  // PointScaledCostModel is a size-only model like any other.
+  auto metric = LineMetric::uniform_grid(2, 1.0);
+  auto scaled = std::make_shared<PointScaledCostModel>(
+      std::make_shared<PolynomialCostModel>(2, 1.0),
+      std::vector<double>{2.0, 2.0});
+  const std::string text = instance_to_string(
+      Instance(metric, scaled, {Request{0, CommoditySet(2, {0})}}));
+  EXPECT_NE(text.find("\ncost sizeonly 0 2 2.8284271247461903\n"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(instance_to_string(instance_from_string(text)), text);
+  // Linear values are singleton costs: a -0 weight is written as 0.
+  auto linear =
+      std::make_shared<LinearCostModel>(std::vector<double>{-0.0, 1.5});
+  EXPECT_NE(instance_to_string(
+                Instance(metric, linear, {Request{0, CommoditySet(2, {1})}}))
+                .find("\ncost linear 0 1.5\n"),
+            std::string::npos);
+}
+
 TEST(InstanceIo, CapacityMapRoundTripsAndStaysOptional) {
   auto metric = LineMetric::uniform_grid(4, 6.0);
   Instance original(metric, sqrt_cost(3),

@@ -91,6 +91,8 @@ TEST(RawReserve, ParsePathClassifier) {
   EXPECT_TRUE(is_parse_path("src/instance/checkpoint_io.cpp"));
   EXPECT_TRUE(is_parse_path("src/recover/checkpoint_store.cpp"));
   EXPECT_TRUE(is_parse_path("src/support/parse.cpp"));
+  EXPECT_TRUE(is_parse_path("src/support/record_io.cpp"));
+  EXPECT_TRUE(is_parse_path("src/bound/certificate_io.cpp"));
   // "io" must match as a whole token, not as a substring.
   EXPECT_FALSE(is_parse_path("src/solution/solution.cpp"));
   EXPECT_FALSE(is_parse_path("src/instance/generators.cpp"));

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -147,6 +148,23 @@ TEST(TraceLog, RoundTripIsByteIdentical) {
   ASSERT_EQ(reread.size(), events.size());
   // read -> rewrite reproduces the input byte for byte: the property that
   // makes tracelogs usable as golden-trace differential artifacts.
+  EXPECT_EQ(tracelog_to_string(reread), text);
+}
+
+TEST(TraceLog, SubnormalValuesRoundTrip) {
+  // Regression: %.17g writes denorm_min as 4.9406564584124654e-324, which
+  // the strtod-based number parser refused ("expected a finite number").
+  TraceEvent rollback;
+  rollback.kind = TraceEventKind::kBidRollback;
+  rollback.request = 3;
+  rollback.bid_mass = std::numeric_limits<double>::denorm_min();
+  rollback.cost = -std::numeric_limits<double>::denorm_min();
+  const std::string text = tracelog_to_string({rollback});
+  ASSERT_NE(text.find("4.9406564584124654e-324"), std::string::npos);
+  const std::vector<TraceEvent> reread = tracelog_from_string(text);
+  ASSERT_EQ(reread.size(), 1u);
+  EXPECT_EQ(reread[0].bid_mass, rollback.bid_mass);
+  EXPECT_EQ(reread[0].cost, rollback.cost);
   EXPECT_EQ(tracelog_to_string(reread), text);
 }
 

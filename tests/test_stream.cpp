@@ -885,6 +885,30 @@ TEST(StreamIo, EventLineRejectionsKeepTheirMessages) {
   EXPECT_EQ(rejected("d 0", "\v"), on_line("empty event line", lines));
 }
 
+TEST(StreamIo, ZeroDeclaredEventsStillRejectTheEventLines) {
+  // Regression: the batched reader checked for trailing content only
+  // after producing an event, so a header declaring zero events replayed
+  // nothing and exited cleanly over a file full of events.
+  const EventStream stream = default_stream_scenario_registry().make(
+      "churn-uniform", /*seed=*/3, {{"events", 64}});
+  std::string text = event_stream_to_string(stream);
+  const std::string declared = "events 64 arrivals " +
+                               std::to_string(stream.num_arrivals());
+  const std::size_t at = text.find(declared);
+  ASSERT_NE(at, std::string::npos);
+  text.replace(at, declared.size(), "events 0 arrivals 0");
+  const auto header_line = static_cast<std::size_t>(
+      std::count(text.begin(), text.begin() + static_cast<long>(at), '\n'));
+  EXPECT_EQ(decode_error(text),
+            "read_event_stream: trailing content after the declared events "
+            "(line " + std::to_string(header_line + 2) + ")");
+  std::istringstream is(text);
+  StreamTraceReader reader(is);
+  std::vector<StreamEvent> out;
+  EXPECT_THROW(reader.next_batch(out, 1024), std::invalid_argument);
+  EXPECT_TRUE(out.empty());
+}
+
 TEST(StreamRunner, RejectsMalformedArrivals) {
   // run_stream's contract: the same conditions validate() rejects throw
   // from the runner too (a programmatically-built source can skip

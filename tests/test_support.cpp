@@ -22,6 +22,7 @@
 #include "support/json.hpp"
 #include "support/parallel.hpp"
 #include "support/parse.hpp"
+#include "support/record_io.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
@@ -390,6 +391,64 @@ TEST(Parse, DoubleStrictRejectsGarbageOverflowAndNonFinite) {
   EXPECT_FALSE(parse_double_strict("1e999").has_value());
   EXPECT_FALSE(parse_double_strict("nan").has_value());
   EXPECT_FALSE(parse_double_strict("inf").has_value());
+}
+
+TEST(Parse, DoubleStrictKeepsSubnormalsAndItsSignRules) {
+  // strtod flags subnormal results with ERANGE; they are ordinary values
+  // here, since every writer prints them (%.17g of denorm_min).
+  constexpr double kDenormMin = std::numeric_limits<double>::denorm_min();
+  EXPECT_EQ(parse_double_strict("4.9406564584124654e-324"), kDenormMin);
+  EXPECT_EQ(parse_double_strict("-4.9406564584124654e-324"), -kDenormMin);
+  EXPECT_EQ(parse_double_strict("2.2250738585072009e-308"),
+            std::nextafter(std::numeric_limits<double>::min(), 0.0));
+  // Still out of range: below the smallest subnormal, above the largest.
+  EXPECT_FALSE(parse_double_strict("1e-400").has_value());
+  EXPECT_FALSE(parse_double_strict("-1e-400").has_value());
+  EXPECT_FALSE(parse_double_strict("1e999").has_value());
+  // One optional sign, then a digit or '.'.
+  EXPECT_EQ(parse_double_strict("+2.5"), 2.5);
+  EXPECT_EQ(parse_double_strict("+.5"), 0.5);
+  EXPECT_EQ(parse_double_strict("-.5"), -0.5);
+  EXPECT_EQ(parse_double_strict("5."), 5.0);
+  EXPECT_EQ(parse_double_strict("1E+3"), 1000.0);
+  for (const char* bad : {"+-1", "-+1", "++1", "--1", "+", "-", ".", "+ 1",
+                          "-inf", "+inf", "-nan", "infinity", "-0x1p3",
+                          "1e", "1.5 ", "1,5"})
+    EXPECT_FALSE(parse_double_strict(bad).has_value()) << bad;
+}
+
+TEST(RecordReader, FramesLinesAndConsumesFieldsStrictly) {
+  std::istringstream is(
+      "# comment\n\n \t\r\nname  two  spaces \nopt L 7\nv 1.5 x\n");
+  RecordReader in(is, "fixture");
+  const auto message = [&](auto&& read) {
+    try {
+      read();
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  in.line("name");
+  in.keyword("name", "expected 'name ...'");
+  EXPECT_EQ(in.rest(), " two  spaces ");  // one separator dropped
+  in.line("opt");
+  EXPECT_FALSE(in.accept("L"));  // not next: nothing consumed
+  in.keyword("opt", "expected 'opt ...'");
+  EXPECT_TRUE(in.accept("L"));
+  EXPECT_EQ(in.u64("lease"), 7u);
+  in.end("opt line");
+  in.line("value");
+  EXPECT_EQ(message([&] { (void)in.u64("count"); }),
+            "fixture: bad count 'v' (line 6)");
+  EXPECT_EQ(in.real("value"), 1.5);
+  EXPECT_EQ(message([&] { in.end("value line"); }),
+            "fixture: trailing garbage 'x' on value line (line 6)");
+  EXPECT_EQ(message([&] { (void)in.real("value"); }),
+            "fixture: missing value (line 6)");
+  in.expect_eof("the value line");
+  EXPECT_EQ(message([&] { in.line("more"); }),
+            "fixture: unexpected end of input while reading more");
 }
 
 TEST(Parse, ArgWrappersThrowWithFlagName) {

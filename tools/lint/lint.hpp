@@ -111,7 +111,9 @@ void register_builtin_rules(Linter& linter);
 bool path_in_dir(std::string_view path, std::string_view component);
 /// A "parse path": a basename token equal to "io" or containing
 /// "parse", "reader", "checkpoint" or "ckpt" (io.cpp, io_detail.cpp,
-/// stream_io.cpp, tracelog_io.cpp, checkpoint_io.cpp, parse.cpp, ...).
+/// stream_io.cpp, tracelog_io.cpp, checkpoint_io.cpp, certificate_io.cpp,
+/// record_io.cpp, parse.cpp, ...). A reader belongs in such a file, so
+/// the raw-reserve rule sees its reservations.
 bool is_parse_path(std::string_view path);
 
 bool has_unsuppressed(const std::vector<Diagnostic>& diags);
