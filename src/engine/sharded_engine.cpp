@@ -55,6 +55,7 @@ ShardedEngine::ShardedEngine(std::vector<TenantSpec> tenants,
   const StreamScenarioRegistry& scenarios =
       default_stream_scenario_registry();
   const AlgorithmRegistry& algorithms = default_algorithm_registry();
+  const std::uint64_t setup_start_ns = now_ns();
   streams_.reserve(specs_.size());
   for (const TenantSpec& spec : specs_) {
     // Resolve the algorithm eagerly so a typo fails at construction, not
@@ -67,6 +68,7 @@ ShardedEngine::ShardedEngine(std::vector<TenantSpec> tenants,
         scenarios.make(spec.scenario, spec.seed, spec.overrides));
     total_events_ += streams_.back().num_events();
   }
+  setup_ns_ = static_cast<double>(now_ns() - setup_start_ns);
 }
 
 EngineResult ShardedEngine::run() const {

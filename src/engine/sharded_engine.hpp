@@ -184,6 +184,9 @@ class ShardedEngine {
   /// Total events across all tenant streams (the denominator of the
   /// aggregate events/s).
   std::uint64_t total_events() const noexcept { return total_events_; }
+  /// Wall time the constructor spent generating and validating the
+  /// tenant streams (outside run()'s clock).
+  double setup_ns() const noexcept { return setup_ns_; }
 
   /// Serve every tenant to completion. Reusable: each call builds fresh
   /// algorithm instances and sessions over the cached streams.
@@ -194,6 +197,7 @@ class ShardedEngine {
   std::vector<EventStream> streams_;  // parallel to specs_
   EngineOptions options_;
   std::uint64_t total_events_ = 0;
+  double setup_ns_ = 0.0;
 };
 
 }  // namespace omflp

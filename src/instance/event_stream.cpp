@@ -39,6 +39,9 @@ void EventStream::validate() const {
   std::vector<bool> active;  // by arrival id
   active.reserve(num_arrivals_);
   ExpiryHeap expiries;
+  // Lease expiries matter only to the departure checks: a stream of
+  // arrivals alone (lease-poisson) skips the heap.
+  const bool has_departures = num_arrivals_ != events_.size();
 
   auto fail = [](std::size_t t, const std::string& what) {
     std::ostringstream os;
@@ -61,7 +64,8 @@ void EventStream::validate() const {
       if (e.request.commodities.empty()) fail(t, "empty demand set");
       const RequestId id = active.size();
       active.push_back(true);
-      if (e.lease > 0) expiries.emplace(lease_deadline(t, e.lease), id);
+      if (has_departures && e.lease > 0)
+        expiries.emplace(lease_deadline(t, e.lease), id);
     } else {
       if (e.target >= active.size())
         fail(t, "departure of an arrival that has not happened");

@@ -12,28 +12,37 @@
 namespace omflp {
 
 CommoditySet sample_demand_set(CommodityId num_commodities, CommodityId size,
-                               double popularity_exponent, Rng& rng) {
+                               const ZipfSampler* zipf, Rng& rng) {
   OMFLP_REQUIRE(size >= 1 && size <= num_commodities,
                 "sample_demand_set: size out of range");
   CommoditySet out(num_commodities);
-  if (popularity_exponent == 0.0) {
+  if (zipf == nullptr) {
     for (std::size_t idx :
          rng.sample_without_replacement(num_commodities, size))
       out.add(static_cast<CommodityId>(idx));
     return out;
   }
-  ZipfSampler zipf(num_commodities, popularity_exponent);
+  OMFLP_REQUIRE(zipf->size() == num_commodities,
+                "sample_demand_set: sampler over the wrong universe");
   // Rejection over Zipf draws; falls back to filling uniformly if the
   // distribution is so skewed that distinct draws become rare.
   std::size_t attempts = 0;
   while (out.count() < size && attempts < 64 * static_cast<std::size_t>(size)) {
-    out.add(static_cast<CommodityId>(zipf(rng)));
+    out.add(static_cast<CommodityId>((*zipf)(rng)));
     ++attempts;
   }
   while (out.count() < size) {
     out.add(static_cast<CommodityId>(rng.uniform_index(num_commodities)));
   }
   return out;
+}
+
+CommoditySet sample_demand_set(CommodityId num_commodities, CommodityId size,
+                               double popularity_exponent, Rng& rng) {
+  if (popularity_exponent == 0.0)
+    return sample_demand_set(num_commodities, size, nullptr, rng);
+  const ZipfSampler zipf(num_commodities, popularity_exponent);
+  return sample_demand_set(num_commodities, size, &zipf, rng);
 }
 
 namespace {

@@ -16,8 +16,14 @@
 namespace omflp {
 
 /// Sample a non-empty demand set: `size` commodities drawn without
-/// replacement, each draw Zipf(popularity_exponent)-weighted over S
-/// (exponent 0 = uniform).
+/// replacement, each draw weighted by `zipf` over S (null = uniform).
+/// Generators that draw many sets build the sampler once and pass it in.
+CommoditySet sample_demand_set(CommodityId num_commodities,
+                               CommodityId size, const ZipfSampler* zipf,
+                               Rng& rng);
+
+/// The same draw with the sampler built from `popularity_exponent`
+/// (exponent 0 = uniform, no sampler).
 CommoditySet sample_demand_set(CommodityId num_commodities,
                                CommodityId size,
                                double popularity_exponent, Rng& rng);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <stdexcept>
 #include <utility>
 
@@ -80,24 +81,37 @@ void append(std::vector<ScenarioParam>& params,
 }
 
 /// Demand-set draw shared by every family declaring the min_demand /
-/// max_demand / popularity_exponent trio.
-CommoditySet sample_demand(const ScenarioParams& p, CommodityId commodities,
-                           Rng& rng) {
-  const CommodityId min_demand = p.commodity_at("min_demand");
-  const CommodityId max_demand =
-      std::min<CommodityId>(p.commodity_at("max_demand"), commodities);
-  const CommodityId size = static_cast<CommodityId>(
-      rng.uniform_int(min_demand, std::max(min_demand, max_demand)));
-  return sample_demand_set(commodities, size, p.at("popularity_exponent"),
-                           rng);
-}
+/// max_demand / popularity_exponent trio, resolved once per stream so the
+/// event loop neither looks up parameters nor rebuilds the Zipf table.
+struct DemandDraw {
+  CommodityId commodities;
+  CommodityId min_demand;
+  CommodityId max_demand;  // clamped to |S|
+  std::optional<ZipfSampler> zipf;  // empty = uniform
+
+  DemandDraw(const ScenarioParams& p, CommodityId universe)
+      : commodities(universe),
+        min_demand(p.commodity_at("min_demand")),
+        max_demand(std::min<CommodityId>(p.commodity_at("max_demand"),
+                                         universe)) {
+    const double exponent = p.at("popularity_exponent");
+    if (exponent != 0.0) zipf.emplace(universe, exponent);
+  }
+
+  CommoditySet operator()(Rng& rng) const {
+    const CommodityId size = static_cast<CommodityId>(
+        rng.uniform_int(min_demand, std::max(min_demand, max_demand)));
+    return sample_demand_set(commodities, size, zipf ? &*zipf : nullptr,
+                             rng);
+  }
+};
 
 /// Uniform-line arrival shared by the churn and lease families.
-Request sample_line_request(const ScenarioParams& p, std::size_t points,
-                            CommodityId commodities, Rng& rng) {
+Request sample_line_request(const DemandDraw& demand, std::size_t points,
+                            Rng& rng) {
   Request r;
   r.location = static_cast<PointId>(rng.uniform_index(points));
-  r.commodities = sample_demand(p, commodities, rng);
+  r.commodities = demand(rng);
   return r;
 }
 
@@ -124,6 +138,8 @@ EventStream make_hotspot_grid(const ScenarioParams& p, std::uint64_t seed,
   const double churn = p.at("churn");
   const double mean_lease = p.at("mean_lease");
   const std::size_t warmup = p.size_t_at("warmup");
+  const DemandDraw demand(p, commodities);
+  const ZipfSampler hot(hotspots, hot_exponent);
 
   const double step = extent / static_cast<double>(side - 1);
   std::vector<double> coords;
@@ -150,15 +166,26 @@ EventStream make_hotspot_grid(const ScenarioParams& p, std::uint64_t seed,
   events.reserve(num_events);
   // (id, lease deadline) — deletions may only target arrivals still
   // alive under the timeline semantics, so entries whose lease fires at
-  // or before this event are purged first.
+  // or before this event are purged first. The purge runs only once `t`
+  // reaches the earliest deadline in `active`: pinned arrivals never
+  // expire, and a per-event sweep over them is quadratic. A departure
+  // can leave `next_expiry` below every remaining deadline; that only
+  // costs one purge that removes nothing.
+  constexpr std::uint64_t kPinned = ~std::uint64_t{0};
   std::vector<std::pair<RequestId, std::uint64_t>> active;
+  std::uint64_t next_expiry = kPinned;
   RequestId next_id = 0;
   for (std::size_t t = 0; t < num_events; ++t) {
-    active.erase(std::remove_if(active.begin(), active.end(),
-                                [t](const auto& entry) {
-                                  return entry.second <= t;
-                                }),
-                 active.end());
+    if (next_expiry <= t) {
+      active.erase(std::remove_if(active.begin(), active.end(),
+                                  [t](const auto& entry) {
+                                    return entry.second <= t;
+                                  }),
+                   active.end());
+      next_expiry = kPinned;
+      for (const auto& entry : active)
+        next_expiry = std::min(next_expiry, entry.second);
+    }
     if (active.size() > warmup && rng.bernoulli(churn)) {
       const std::size_t pick = rng.uniform_index(active.size());
       events.push_back(StreamEvent::departure(active[pick].first));
@@ -166,23 +193,24 @@ EventStream make_hotspot_grid(const ScenarioParams& p, std::uint64_t seed,
       active.pop_back();
       continue;
     }
-    const auto [center_r, center_c] =
-        centers[rng.zipf(hotspots, hot_exponent)];
+    const auto [center_r, center_c] = centers[hot(rng)];
     const std::size_t row =
         clamp_cell(static_cast<double>(center_r) + rng.normal() * spread);
     const std::size_t col =
         clamp_cell(static_cast<double>(center_c) + rng.normal() * spread);
     Request r;
     r.location = static_cast<PointId>(row * side + col);
-    r.commodities = sample_demand(p, commodities, rng);
+    r.commodities = demand(rng);
     const std::uint64_t lease =
         mean_lease > 0.0
             ? 1 + static_cast<std::uint64_t>(
                       rng.exponential(1.0 / mean_lease))
             : 0;
     events.push_back(StreamEvent::arrival(std::move(r), lease));
-    active.emplace_back(next_id++, lease > 0 ? lease_deadline(t, lease)
-                                             : ~std::uint64_t{0});
+    const std::uint64_t deadline =
+        lease > 0 ? lease_deadline(t, lease) : kPinned;
+    active.emplace_back(next_id++, deadline);
+    next_expiry = std::min(next_expiry, deadline);
   }
   EventStream stream(std::move(metric), poly_cost(p, commodities),
                      std::move(events), name);
@@ -218,6 +246,7 @@ void register_streams(StreamScenarioRegistry& registry) {
            const std::size_t num_events = p.size_t_at("events");
            const std::size_t warmup = p.size_t_at("warmup");
            const double churn = p.at("churn");
+           const DemandDraw demand(p, commodities);
 
            std::vector<StreamEvent> events;
            events.reserve(num_events);
@@ -231,7 +260,7 @@ void register_streams(StreamScenarioRegistry& registry) {
                active.pop_back();
              } else {
                events.push_back(StreamEvent::arrival(
-                   sample_line_request(p, points, commodities, rng)));
+                   sample_line_request(demand, points, rng)));
                active.push_back(next_id++);
              }
            }
@@ -308,6 +337,7 @@ void register_streams(StreamScenarioRegistry& registry) {
            if (!(mean_lease > 0.0))
              throw std::invalid_argument(
                  "lease-poisson: mean_lease must be positive");
+           const DemandDraw demand(p, commodities);
 
            std::vector<StreamEvent> events;
            events.reserve(num_events);
@@ -316,7 +346,7 @@ void register_streams(StreamScenarioRegistry& registry) {
                  1 + static_cast<std::uint64_t>(
                          rng.exponential(1.0 / mean_lease));
              events.push_back(StreamEvent::arrival(
-                 sample_line_request(p, points, commodities, rng), lease));
+                 sample_line_request(demand, points, rng), lease));
            }
            return EventStream(
                LineMetric::uniform_grid(points, p.at("length")),

@@ -68,11 +68,6 @@ double Rng::normal() noexcept {
   return u * factor;
 }
 
-std::size_t Rng::zipf(std::size_t n, double s) {
-  ZipfSampler sampler(n, s);
-  return sampler(*this);
-}
-
 std::vector<std::size_t> Rng::sample_without_replacement(
     std::size_t n, std::size_t k) {
   OMFLP_REQUIRE(k <= n, "sample_without_replacement: k > n");

@@ -132,11 +132,6 @@ class Rng {
     return mean + stddev * normal();
   }
 
-  /// Zipf-distributed rank in [0, n) with exponent s >= 0 (s = 0 is
-  /// uniform). Sampled by inverse CDF over precomputable weights; for
-  /// repeated sampling prefer ZipfSampler below.
-  std::size_t zipf(std::size_t n, double s);
-
   /// Fisher–Yates shuffle.
   template <typename T>
   void shuffle(std::span<T> items) {
@@ -177,8 +172,9 @@ class Rng {
   bool has_cached_normal_ = false;
 };
 
-/// Precomputed Zipf sampler: O(log n) per draw via binary search on the
-/// cumulative weight table.
+/// Zipf-distributed rank in [0, n) with exponent >= 0 (0 = uniform):
+/// O(n) to build the cumulative weight table, then O(log n) per draw by
+/// binary search on it. Build one per distribution, not one per draw.
 class ZipfSampler {
  public:
   ZipfSampler(std::size_t n, double exponent);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -48,6 +50,40 @@ TEST(SampleDemandSet, SizeAndRange) {
     const CommoditySet s = sample_demand_set(12, 5, 0.8, rng);
     EXPECT_EQ(s.count(), 5u);
     EXPECT_EQ(s.universe_size(), 12u);
+  }
+}
+
+// The prebuilt-sampler overload is the draw generators use per event; it
+// must be the exponent overload's draw exactly, RNG state included.
+TEST(SampleDemandSet, PrebuiltSamplerIsTheSameDraw) {
+  struct Case {
+    CommodityId n;
+    CommodityId size;
+    double exponent;
+  };
+  // Exponent 0 is the uniform path (null sampler). Exponent 40 puts
+  // nearly all mass on commodity 0, so a set of 5 is only reached by
+  // the uniform fill-up after the rejection loop gives up.
+  for (const Case c : {Case{12, 4, 0.0}, Case{12, 4, 0.8},
+                       Case{16, 7, 1.3}, Case{8, 5, 40.0}}) {
+    const std::optional<ZipfSampler> zipf =
+        c.exponent == 0.0 ? std::nullopt
+                          : std::optional<ZipfSampler>(std::in_place, c.n,
+                                                       c.exponent);
+    for (std::uint64_t seed : {1u, 7u, 123u}) {
+      Rng prebuilt(seed);
+      Rng rebuilt(seed);
+      for (int i = 0; i < 40; ++i) {
+        const CommoditySet a = sample_demand_set(
+            c.n, c.size, zipf ? &*zipf : nullptr, prebuilt);
+        const CommoditySet b =
+            sample_demand_set(c.n, c.size, c.exponent, rebuilt);
+        ASSERT_EQ(a, b) << "exponent " << c.exponent << " seed " << seed;
+        ASSERT_EQ(a.count(), c.size);
+      }
+      EXPECT_EQ(prebuilt.next_u64(), rebuilt.next_u64())
+          << "exponent " << c.exponent << " seed " << seed;
+    }
   }
 }
 

@@ -1,18 +1,27 @@
 // Tests for the scenario subsystem: registry lookup and unknown-name
 // errors, scenario determinism, sweep determinism across thread counts,
-// and instance trace write -> replay round-trips.
+// instance trace write -> replay round-trips, and pinned hashes of every
+// generated stream and workload mix.
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdint>
+#include <cstdio>
+#include <map>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 
 #include "analysis/competitive.hpp"
 #include "core/online_algorithm.hpp"
 #include "instance/io.hpp"
+#include "instance/stream_io.hpp"
 #include "scenario/algorithm_registry.hpp"
 #include "scenario/registry_util.hpp"
 #include "scenario/scenario_registry.hpp"
+#include "scenario/stream_registry.hpp"
 #include "scenario/sweep.hpp"
 
 namespace omflp {
@@ -257,6 +266,105 @@ TEST(ScenarioTrace, ReplayReproducesTotalCostExactly) {
     const double replayed_cost =
         run_online(*second, reloaded).total_cost();
     EXPECT_EQ(original_cost, replayed_cost) << algorithm_name;
+  }
+}
+
+// ------------------------------------------------- pinned stream bytes ---
+
+/// FNV-1a 64 over `text`, continuing from `h`.
+std::uint64_t fnv1a(std::string_view text,
+                    std::uint64_t h = 0xcbf29ce484222325ull) {
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+std::string hex(std::uint64_t h) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, h);
+  return buf;
+}
+
+// The serialized bytes of every stream family, pinned. Generator speed-ups
+// must leave each RNG draw, and so each byte, where it was; a changed hash
+// means a changed workload, which is a behaviour change, not a refactor.
+TEST(StreamScenarioBytes, EveryFamilyHashesToItsPinnedValue) {
+  struct Case {
+    const char* scenario;
+    std::map<std::string, double> overrides;
+    std::uint64_t seed;
+    std::uint64_t hash;
+  };
+  const std::vector<Case> cases = {
+      {"churn-uniform", {}, 3, 0xc9cc7ac26985f933ull},
+      {"churn-uniform", {}, 17, 0xebd723cced56f285ull},
+      {"churn-uniform", {{"popularity_exponent", 0}}, 3, 0xb355d9940c7a37ebull},
+      {"churn-uniform", {{"popularity_exponent", 0}}, 17,
+       0x0f05d05b252aba1bull},
+      // A skew so steep that distinct draws run out: the uniform fill-up.
+      {"churn-uniform", {{"popularity_exponent", 6}}, 3, 0xd441bd914fec115dull},
+      // max_demand above |S| is clamped to |S|.
+      {"churn-uniform", {{"commodities", 3}, {"max_demand", 5}}, 17,
+       0x1e09595c37300236ull},
+      {"adversarial-churn", {}, 3, 0xc1d2f37a6102960full},
+      {"adversarial-churn", {}, 17, 0x306558a78047dd34ull},
+      {"lease-poisson", {}, 3, 0xf9aea67204c9b70cull},
+      {"lease-poisson", {}, 17, 0x472232582e777ce5ull},
+      {"lease-poisson", {{"popularity_exponent", 0}}, 3, 0x6875074a12277422ull},
+      {"lease-poisson", {{"popularity_exponent", 0}}, 17,
+       0x80b768c9cea72d72ull},
+      // hotspot-grid defaults to mean_lease 0: pinned arrivals.
+      {"hotspot-grid", {}, 3, 0x9e05188c1282d8f2ull},
+      {"hotspot-grid", {}, 17, 0x4b278605acb32265ull},
+      {"hotspot-grid", {{"mean_lease", 128}}, 3, 0x5a5bc0f3fc0feacfull},
+      {"hotspot-grid", {{"mean_lease", 128}}, 17, 0x1e283367abaf5214ull},
+      {"hotspot-grid", {{"popularity_exponent", 0}, {"mean_lease", 16}},
+       3, 0x2895e54854d03e26ull},
+      {"hotspot-grid", {{"popularity_exponent", 0}}, 17, 0xc32990de1429cb52ull},
+      {"hotspot-grid-capped", {}, 3, 0x7054693954da3d53ull},
+      {"hotspot-grid-capped", {{"mean_lease", 128}}, 17, 0x1124bc184e2f6eefull},
+  };
+  const StreamScenarioRegistry& registry = default_stream_scenario_registry();
+  for (const Case& c : cases) {
+    const std::uint64_t h = fnv1a(event_stream_to_string(
+        registry.make(c.scenario, c.seed, c.overrides)));
+    std::string label = c.scenario;
+    for (const auto& [key, value] : c.overrides)
+      label += " " + key + "=" + std::to_string(value);
+    EXPECT_EQ(hex(h), hex(c.hash)) << label << " seed " << c.seed;
+  }
+}
+
+// Every tenant's name, seed and stream bytes of the three mixes at small
+// scale, folded into one hash per (mix, seed).
+TEST(StreamScenarioBytes, WorkloadMixTenantsHashToTheirPinnedValues) {
+  struct Case {
+    const char* mix;
+    std::uint64_t seed;
+    std::uint64_t hash;
+  };
+  const std::vector<Case> cases = {
+      {"lease-heavy", 5, 0xdd30b902b513210full},
+      {"lease-heavy", 41, 0x1726c0efd3723dceull},
+      {"churn-heavy", 5, 0x910997e0dc1f1de9ull},
+      {"churn-heavy", 41, 0x744fce386e0ccfc3ull},
+      {"mixed", 5, 0xbb2e237118822b4bull},
+      {"mixed", 41, 0xf87aa0793ee8c214ull},
+  };
+  const StreamScenarioRegistry& streams = default_stream_scenario_registry();
+  for (const Case& c : cases) {
+    std::uint64_t h = fnv1a("");
+    for (const TenantSpec& tenant : default_workload_mix_registry().tenants(
+             c.mix, /*count=*/6, c.seed, /*size_scale=*/0.25)) {
+      h = fnv1a(tenant.name + " " + std::to_string(tenant.seed) + "\n", h);
+      h = fnv1a(event_stream_to_string(
+                    streams.make(tenant.scenario, tenant.seed,
+                                 tenant.overrides)),
+                h);
+    }
+    EXPECT_EQ(hex(h), hex(c.hash)) << c.mix << " seed " << c.seed;
   }
 }
 

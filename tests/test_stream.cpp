@@ -110,6 +110,30 @@ TEST(EventStream, ValidateRejectsMalformedEvents) {
   }
 }
 
+// A stream of leased arrivals and no departures skips the lease-expiry
+// heap in validate(); every per-event check must still run there.
+TEST(EventStream, LeaseOnlyStreamsStillRejectMalformedArrivals) {
+  SmallWorld w;
+  const auto leased = [&](Request bad) {
+    return EventStream(
+        w.metric, w.cost,
+        {StreamEvent::arrival(make_request(2, 0, {0}), /*lease=*/2),
+         StreamEvent::arrival(make_request(2, 3, {0, 1}), /*lease=*/1),
+         StreamEvent::arrival(std::move(bad), /*lease=*/4)},
+        "lease-only");
+  };
+  EXPECT_NO_THROW(leased(make_request(2, 7, {1})).validate());
+  // Location outside the metric.
+  EXPECT_THROW(leased(make_request(2, 8, {1})).validate(),
+               std::invalid_argument);
+  // Demand set over the wrong universe.
+  EXPECT_THROW(leased(make_request(3, 1, {2})).validate(),
+               std::invalid_argument);
+  // Empty demand set.
+  EXPECT_THROW(leased(Request{1, CommoditySet(2)}).validate(),
+               std::invalid_argument);
+}
+
 TEST(EventStream, HugeLeasesSaturateInsteadOfWrapping) {
   // Regression: the deadline t + lease wrapped around uint64, so a lease
   // of 2^64−1 granted at event 1 "expired" at deadline 0 — before its

@@ -508,7 +508,7 @@ TEST(RngState, RoundTripPreservesEveryDistributionBitwise) {
     (void)original.uniform_int(-10, 10);
     (void)original.exponential(0.5);
     (void)original.normal();
-    (void)original.zipf(100, 1.1);
+    (void)ZipfSampler(100, 1.1)(original);
   }
   Rng restored(1);
   restored.set_state(original.state());

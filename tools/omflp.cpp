@@ -708,6 +708,14 @@ std::string readable_duration(double ns) {
   return text;
 }
 
+// A wall time in milliseconds with one decimal, for a line whose unit is
+// fixed.
+std::string fixed_ms(double ns) {
+  char text[32];
+  std::snprintf(text, sizeof text, "%.1f", ns / 1e6);
+  return text;
+}
+
 // The deterministic per-tenant block: costs, events and facility counts
 // are pure functions of the tenant specs — independent of shards,
 // threads, crash/restore cycles and placement. CI diffs it across shard
@@ -903,6 +911,9 @@ int cmd_serve(const std::vector<std::string>& args) {
             << " threads=" << result.threads << " batch="
             << options.batch_size << " algorithm=" << algorithm
             << " (seed " << seed << ")\n"
+            << "setup      " << result.tenants.size() << " tenant streams ("
+            << engine->total_events() << " events) generated in "
+            << fixed_ms(engine->setup_ns()) << " ms\n"
             << "rounds     " << result.rounds << " (global clock)\n"
             << "events     " << result.total_events << " total\n"
             << "throughput " << result.events_per_sec()
