@@ -65,7 +65,8 @@ int main() {
       std::cerr << "PD produced invalid solution: " << v->what << "\n";
       return 1;
     }
-    const RequestRecord& pd_probe = pd_ledger.request_records().back();
+    const RequestRecord& pd_probe =
+        pd_ledger.request_record(pd_ledger.num_requests() - 1);
 
     int rand_large = 0;
     const int seeds = 20;
@@ -73,7 +74,8 @@ int main() {
       auto rand =
           algorithms.make("rand", static_cast<std::uint64_t>(seed + 1));
       const SolutionLedger rl = run_online(*rand, inst);
-      if (rl.request_records().back().connected.size() == 1) ++rand_large;
+      if (rl.request_record(rl.num_requests() - 1).connected.size() == 1)
+        ++rand_large;
     }
 
     table.begin_row()

@@ -54,7 +54,7 @@ int main() {
 
   std::cout << "\nPer-request assignments:\n";
   for (std::size_t i = 0; i < ledger.num_requests(); ++i) {
-    const RequestRecord& rec = ledger.request_records()[i];
+    const RequestRecord& rec = ledger.request_record(i);
     std::cout << "  request " << i << " demanding "
               << rec.request.commodities.to_string() << " connects to "
               << rec.connected.size() << " facility(ies), paying "

@@ -148,7 +148,8 @@ void PerCommodityAdapter::serve(const Request& request,
     replay_sub_trace(sub_trace, sub, e);
 
     // Mirror the assignment of the sub-request just served.
-    const RequestRecord& rec = sub.ledger->request_records().back();
+    const RequestRecord& rec =
+        sub.ledger->request_record(sub.ledger->num_requests() - 1);
     OMFLP_CHECK(rec.served.size() == 1,
                 "PerCommodityAdapter: sub-algorithm must serve exactly one "
                 "commodity");

@@ -157,11 +157,19 @@ StreamSession::StreamSession(OnlineAlgorithm& algorithm, EventSource& source,
                       session_capacities(source_, options_));
     verifier_->restore(reader);
   }
-  result_.ledger.restore(reader);
-  if (result_.ledger.num_requests() != num_arrived)
-    reader.fail("ledger request count disagrees with the arrival count");
-  if (result_.ledger.num_active_requests() != num_active_)
+  SolutionLedger& ledger = result_.ledger;
+  ledger.restore(reader, num_arrived);
+  if (ledger.num_active_requests() != num_active_)
     reader.fail("ledger active count disagrees with the session's");
+  for (RequestId id = 0; id < num_arrived; ++id) {
+    if (active_[id] &&
+        !(ledger.resident(id) && ledger.request_record(id).active()))
+      reader.fail("an active request is missing from the ledger");
+  }
+  // A version-1 snapshot still holds the records retired behind the
+  // first active one; a compacting session releases them now, as its
+  // last batch boundary would have.
+  if (options_.compact) ledger.release_retired();
 
   reader.expect("algo");
   if (reader.bytes() != algorithm_.name())
@@ -270,7 +278,7 @@ void StreamSession::process_event(const StreamEvent& event) {
 
   ++clock_;
   if (num_active_ > result_.peak_active) result_.peak_active = num_active_;
-  const std::size_t resident = ledger.request_records().size();
+  const std::size_t resident = ledger.num_resident_records();
   if (resident > result_.peak_resident_records)
     result_.peak_resident_records = resident;
 }
@@ -289,7 +297,7 @@ std::size_t StreamSession::step_batch() {
     return 0;
   }
   for (const StreamEvent& event : batch_) process_event(event);
-  if (options_.compact) result_.ledger.compact_retired_prefix();
+  if (options_.compact) result_.ledger.release_retired();
   result_.run_ns += static_cast<double>(now_ns() - start_ns);
   return pulled;
 }

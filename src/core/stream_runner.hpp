@@ -12,13 +12,15 @@
 //   * departure — ledger.retire_request (retroactive cost re-accounting)
 //                 followed by the algorithm's depart() hook (bid rollback
 //                 for PD/Fotakis, the frozen no-op otherwise).
-// After each batch, retired records are compacted away (opt-out via
-// `compact`), so resident *ledger* state is O(active set + batch), not
-// O(arrivals) — peak_resident_records in the stats is the measured
-// high-water mark. (The algorithm's own state is outside the runner's
-// control: greedy/RAND hold only facilities, PD archives every
-// arrival's duals.) With `verify` set, a StreamVerifier shadows the run
-// and checks every record before it can be compacted.
+// After each batch, the records retired during it are released into the
+// ledger's free slots (opt-out via `compact`), so resident *ledger*
+// state is O(active set + batch), not O(arrivals): at most the requests
+// active when the batch began plus the batch's arrivals are resident.
+// peak_resident_records in the stats is the measured high-water mark.
+// (The algorithm's own state is outside the runner's control:
+// greedy/RAND hold only facilities, PD archives every arrival's duals.)
+// With `verify` set, a StreamVerifier shadows the run and checks every
+// record before it can be released.
 //
 // StreamSession is the resumable core: one step_batch() call pulls and
 // processes exactly one batch, so a driver may interleave many sessions —
@@ -51,7 +53,8 @@ struct StreamRunOptions {
   ConnectionChargePolicy policy = ConnectionChargePolicy::kPerFacility;
   /// Events pulled from the source per batch (and compaction cadence).
   std::size_t batch_size = 8192;
-  /// Drop all-retired record prefixes after each batch (bounded memory).
+  /// Release the records retired during each batch after it (bounded
+  /// memory).
   bool compact = true;
   /// Shadow the run with an incremental StreamVerifier; the first
   /// violation is reported in StreamRunResult::violation.
@@ -77,7 +80,7 @@ struct StreamRunResult {
   /// High-water mark of simultaneously active requests.
   std::size_t peak_active = 0;
   /// High-water mark of resident ledger records (the bounded-memory
-  /// evidence: stays near peak_active + batch_size when compacting).
+  /// evidence: at most peak_active + batch_size when compacting).
   std::size_t peak_resident_records = 0;
   /// Wall time spent inside step_batch() (excluding source construction
   /// and any scheduling gaps between batches).

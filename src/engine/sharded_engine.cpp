@@ -300,7 +300,7 @@ EngineResult ShardedEngine::run() const {
           const SolutionLedger& ledger = session.ledger();
           stat.facilities_open += ledger.num_facilities();
           stat.active_requests += ledger.num_active_requests();
-          stat.resident_records += ledger.request_records().size();
+          stat.resident_records += ledger.num_resident_records();
         }
         stat.batches = shard_batches[s];
         stat.counters = shard_counters[s];

@@ -64,7 +64,7 @@ struct EngineOptions {
   std::size_t batch_size = 2048;
   /// Shadow every tenant with an incremental StreamVerifier.
   bool verify = true;
-  /// Compact retired ledger prefixes after each batch.
+  /// Release retired ledger records after each batch.
   bool compact = true;
   ConnectionChargePolicy policy = ConnectionChargePolicy::kPerFacility;
   /// Uniform per-point facility capacity applied to every tenant; 0 =

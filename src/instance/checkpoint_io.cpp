@@ -14,7 +14,18 @@ namespace omflp {
 
 namespace {
 
-constexpr const char* kHeader = "OMFLP-CKPT 1";
+// Written by CkptWriter. The reader also accepts version 1, which
+// differs only in the ledger section (SolutionLedger::restore).
+constexpr const char* kHeader = "OMFLP-CKPT 2";
+constexpr const char* kHeaderV1 = "OMFLP-CKPT 1";
+
+/// Container version of a header line; 0 if it is not one we read.
+unsigned header_version(std::string_view line) {
+  if (line == kHeader) return 2;
+  if (line == kHeaderV1) return 1;
+  return 0;
+}
+
 constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
 constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 
@@ -173,8 +184,10 @@ void CkptWriter::finish() {
 
 CkptReader::CkptReader(std::istream& is) : is_(is), fnv_(kFnvOffset) {
   if (!next_raw_line()) fail("missing header");
-  if (line_ != kHeader)
-    fail(std::string("bad header, expected '") + kHeader + "'");
+  version_ = header_version(line_);
+  if (version_ == 0)
+    fail(std::string("bad header, expected '") + kHeader + "' or '" +
+         kHeaderV1 + "'");
   fnv_ = fnv_fold(fnv_, line_);
   fnv_ = fnv_fold_newline(fnv_);
   pos_ = line_.size();  // header fully consumed
@@ -332,7 +345,7 @@ void restore_rng(CkptReader& reader, Rng& rng) {
 
 bool checkpoint_payload_valid(std::istream& is) {
   std::string line;
-  if (!std::getline(is, line) || line != kHeader) return false;
+  if (!std::getline(is, line) || header_version(line) == 0) return false;
   std::uint64_t fnv = fnv_fold(kFnvOffset, line);
   fnv = fnv_fold_newline(fnv);
   while (std::getline(is, line)) {

@@ -1,11 +1,11 @@
-// OMFLP-CKPT v1 — the versioned, checksummed checkpoint container every
+// OMFLP-CKPT v2 — the versioned, checksummed checkpoint container every
 // fault-tolerance artifact uses (src/recover/): StreamSession snapshots,
 // the per-generation manifest, and any state a roster algorithm
 // serializes through its serialize_state/restore_state hooks.
 //
 // The format is line-oriented text:
 //
-//   OMFLP-CKPT 1
+//   OMFLP-CKPT 2
 //   <key> <token> <token> ...
 //   ...
 //   checksum <16 hex digits>
@@ -30,6 +30,13 @@
 //
 // Canonical form: serialize → restore → serialize is byte-identical
 // (tests/test_recover.cpp pins this down per roster algorithm).
+//
+// Versions: the writer emits version 2; the reader accepts 1 and 2 and
+// reports which through version(). They differ only in the ledger
+// section (solution/solution.hpp): a v2 "request" line starts with the
+// request's id, because released records leave holes in the id range,
+// while v1 records take consecutive ids from the ledger's first record
+// id.
 #pragma once
 
 #include <cstdint>
@@ -44,7 +51,7 @@
 
 namespace omflp {
 
-/// Streaming OMFLP-CKPT v1 writer. The header is written on
+/// Streaming OMFLP-CKPT v2 writer. The header is written on
 /// construction; line(key) starts a record, the typed appenders add
 /// tokens, finish() seals the file with the checksum line.
 class CkptWriter {
@@ -85,10 +92,10 @@ class CkptWriter {
   bool finished_ = false;
 };
 
-/// Strict bounded-memory OMFLP-CKPT v1 reader. The header is validated
-/// on construction; expect(key) loads the next line and the typed
-/// accessors consume its tokens; finish() validates the checksum line
-/// and end of input.
+/// Strict bounded-memory OMFLP-CKPT reader (versions 1 and 2). The
+/// header is validated on construction; expect(key) loads the next line
+/// and the typed accessors consume its tokens; finish() validates the
+/// checksum line and end of input.
 class CkptReader {
  public:
   explicit CkptReader(std::istream& is);
@@ -111,6 +118,8 @@ class CkptReader {
 
   [[noreturn]] void fail(const std::string& msg) const;
   std::size_t line_number() const noexcept { return line_number_; }
+  /// Container version from the header: 1 or 2.
+  unsigned version() const noexcept { return version_; }
 
  private:
   std::string next_token(const char* what);
@@ -121,6 +130,7 @@ class CkptReader {
   std::size_t pos_ = 0;
   std::size_t line_number_ = 0;
   std::uint64_t fnv_;
+  unsigned version_ = 0;
   bool finished_ = false;
 };
 

@@ -37,9 +37,25 @@ RequestId SolutionLedger::begin_request(const Request& request) {
                 "SolutionLedger: request universe mismatch");
   OMFLP_REQUIRE(!request.commodities.empty(),
                 "SolutionLedger: empty demand set");
-  RequestRecord record;
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    OMFLP_REQUIRE(slots_.size() < kReleasedSlot,
+                  "SolutionLedger: too many resident records");
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
+  // A reused slot keeps its vectors' capacity and its demand words.
+  RequestRecord& record = slots_[slot];
   record.request = request;
-  requests_.push_back(std::move(record));
+  record.served.clear();
+  record.rejected.clear();
+  record.connected.clear();
+  record.connection_cost = 0.0;
+  record.retired_at = kNeverRetired;
+  slot_of_.push_back(slot);
   in_flight_ = true;
   return num_requests() - 1;
 }
@@ -73,7 +89,7 @@ FacilityId SolutionLedger::open_facility(PointId location,
 void SolutionLedger::assign(CommodityId e, FacilityId f) {
   OMFLP_REQUIRE(in_flight_, "SolutionLedger: no request in flight");
   OMFLP_REQUIRE(f < facilities_.size(), "SolutionLedger: unknown facility");
-  RequestRecord& record = requests_.back();
+  RequestRecord& record = in_flight_record();
   OMFLP_REQUIRE(record.request.commodities.contains(e),
                 "SolutionLedger: assigning a commodity the request does not "
                 "demand");
@@ -151,7 +167,7 @@ void SolutionLedger::assign(CommodityId e, FacilityId f) {
 }
 
 void SolutionLedger::serve_at(CommodityId e, FacilityId f, bool spilled) {
-  RequestRecord& record = requests_.back();
+  RequestRecord& record = in_flight_record();
   bool already_connected = false;
   for (const ServedCommodity& sc : record.served) {
     if (sc.facility == f) {
@@ -176,7 +192,7 @@ void SolutionLedger::serve_at(CommodityId e, FacilityId f, bool spilled) {
 }
 
 void SolutionLedger::reject_commodity(CommodityId e) {
-  RequestRecord& record = requests_.back();
+  RequestRecord& record = in_flight_record();
   record.rejected.push_back(e);
   ++num_rejected_;
   if (obs::tracing()) {
@@ -190,7 +206,7 @@ void SolutionLedger::reject_commodity(CommodityId e) {
 
 void SolutionLedger::finish_request() {
   OMFLP_REQUIRE(in_flight_, "SolutionLedger: no request in flight");
-  RequestRecord& record = requests_.back();
+  RequestRecord& record = in_flight_record();
   // served + rejected partition the demand set (assign() enforces both
   // disjointness and membership; rejections only happen under admission
   // control, so uncapacitated runs keep the old exact-coverage check).
@@ -232,16 +248,17 @@ void SolutionLedger::retire_request(RequestId id,
                                     std::uint64_t event_index) {
   OMFLP_REQUIRE(!in_flight_,
                 "SolutionLedger: retirements happen between requests");
-  OMFLP_REQUIRE(id >= first_record_id_ && id < num_requests(),
-                "SolutionLedger: retiring an unknown or compacted request");
+  OMFLP_REQUIRE(resident(id),
+                "SolutionLedger: retiring an unknown or released request");
   OMFLP_REQUIRE(event_index != kNeverRetired,
                 "SolutionLedger: reserved retirement event index");
-  RequestRecord& record = requests_[id - first_record_id_];
+  RequestRecord& record = slots_[slot_of(id)];
   OMFLP_REQUIRE(record.active(),
                 "SolutionLedger: request retired twice");
   record.retired_at = event_index;
   active_connection_cost_ -= record.connection_cost;
   --num_active_;
+  retired_.push_back(id);
   // Release the request's occupancy (departures and lease expiries both
   // land here): capacity headroom returns to every facility it occupied.
   for (const FacilityId f : record.connected) {
@@ -250,22 +267,32 @@ void SolutionLedger::retire_request(RequestId id,
   }
 }
 
-std::size_t SolutionLedger::compact_retired_prefix() {
+std::size_t SolutionLedger::release_retired() {
   OMFLP_REQUIRE(!in_flight_,
-                "SolutionLedger: compaction happens between requests");
-  std::size_t drop = 0;
-  while (drop < requests_.size() && !requests_[drop].active()) ++drop;
-  if (drop == 0) return 0;
-  requests_.erase(requests_.begin(),
-                  requests_.begin() + static_cast<std::ptrdiff_t>(drop));
-  first_record_id_ += drop;
-  return drop;
+                "SolutionLedger: release happens between requests");
+  for (const RequestId id : retired_) {
+    std::uint32_t& slot = slot_of(id);
+    free_slots_.push_back(slot);
+    slot = kReleasedSlot;
+  }
+  const std::size_t released = retired_.size();
+  retired_.clear();
+  const std::size_t head = map_head_;
+  while (map_head_ < slot_of_.size() && slot_of_[map_head_] == kReleasedSlot)
+    ++map_head_;
+  first_record_id_ += map_head_ - head;
+  if (map_head_ * 2 > slot_of_.size()) {
+    slot_of_.erase(slot_of_.begin(),
+                   slot_of_.begin() + static_cast<std::ptrdiff_t>(map_head_));
+    map_head_ = 0;
+  }
+  return released;
 }
 
 const RequestRecord& SolutionLedger::request_record(RequestId id) const {
-  OMFLP_REQUIRE(id >= first_record_id_ && id < num_requests(),
-                "SolutionLedger: unknown or compacted request record");
-  return requests_[id - first_record_id_];
+  OMFLP_REQUIRE(resident(id),
+                "SolutionLedger: unknown or released request record");
+  return slots_[slot_of_[map_head_ + (id - first_record_id_)]];
 }
 
 const OpenFacilityRecord& SolutionLedger::facility(FacilityId f) const {
@@ -286,8 +313,10 @@ std::uint64_t SolutionLedger::occupancy(FacilityId f) const {
 void SolutionLedger::serialize(CkptWriter& writer) const {
   OMFLP_REQUIRE(!in_flight_,
                 "SolutionLedger::serialize: request in flight");
-  writer.line("ledger").u(first_record_id_).u(requests_.size()).u(
-      facilities_.size());
+  writer.line("ledger")
+      .u(first_record_id_)
+      .u(num_resident_records())
+      .u(facilities_.size());
   writer.line("ledger-costs")
       .d(opening_cost_)
       .d(connection_cost_)
@@ -304,8 +333,9 @@ void SolutionLedger::serialize(CkptWriter& writer) const {
         .d(f.open_cost)
         .u(f.opened_during);
   }
-  for (const RequestRecord& r : requests_) {
+  for_each_resident([&](RequestId id, const RequestRecord& r) {
     writer.line("request")
+        .u(id)
         .u(r.request.location)
         .set(r.request.commodities)
         .u(r.retired_at)
@@ -317,16 +347,32 @@ void SolutionLedger::serialize(CkptWriter& writer) const {
     for (const CommodityId e : r.rejected) writer.u(e);
     writer.line("connected").u(r.connected.size());
     for (const FacilityId f : r.connected) writer.u(f);
-  }
+  });
 }
 
-void SolutionLedger::restore(CkptReader& reader) {
-  OMFLP_REQUIRE(facilities_.empty() && requests_.empty() && !in_flight_,
+void SolutionLedger::restore(CkptReader& reader,
+                             std::optional<std::uint64_t> request_count) {
+  OMFLP_REQUIRE(facilities_.empty() && slots_.empty() && !in_flight_,
                 "SolutionLedger::restore: ledger not fresh");
   reader.expect("ledger");
   first_record_id_ = reader.u();
   const std::uint64_t num_resident = reader.u();
   const std::uint64_t num_facilities = reader.u();
+  // Without a vouched count only a hole-free ledger can be told apart
+  // from a hostile one: its ids are consecutive.
+  const bool holes_allowed = request_count.has_value();
+  if (!holes_allowed) {
+    if (num_resident > ~std::uint64_t{0} - first_record_id_)
+      reader.fail("ledger request count overflows");
+    request_count = first_record_id_ + num_resident;
+  }
+  if (first_record_id_ > *request_count ||
+      num_resident > *request_count - first_record_id_)
+    reader.fail("ledger holds more records than requests");
+  // Version 1 wrote every record from first_record_id on, with no ids.
+  const bool explicit_ids = reader.version() >= 2;
+  if (!explicit_ids && num_resident != *request_count - first_record_id_)
+    reader.fail("ledger request count disagrees with the arrival count");
   reader.expect("ledger-costs");
   opening_cost_ = reader.d();
   connection_cost_ = reader.d();
@@ -354,10 +400,26 @@ void SolutionLedger::restore(CkptReader& reader) {
     f.opened_during = reader.u();
     facilities_.push_back(std::move(f));
   }
-  requests_.reserve(capped_reserve(num_resident));
+  // The id map grows per record line actually present; gaps between ids
+  // are released records.
+  slots_.reserve(capped_reserve(num_resident));
+  std::uint64_t num_active_records = 0;
   for (std::uint64_t i = 0; i < num_resident; ++i) {
     reader.expect("request");
-    RequestRecord r;
+    const std::uint64_t id =
+        explicit_ids ? reader.u() : first_record_id_ + i;
+    if (id < first_record_id_)
+      reader.fail("request id below the ledger's first record id");
+    if (id >= *request_count)
+      reader.fail("request id beyond the ledger's request count");
+    if (id < first_record_id_ + slot_of_.size() ||
+        (!holes_allowed && id != first_record_id_ + i))
+      reader.fail("request ids out of order or duplicated");
+    if (i == 0 && id != first_record_id_)
+      reader.fail("first resident request is not the first record id");
+    slot_of_.resize(id - first_record_id_, kReleasedSlot);
+    slot_of_.push_back(static_cast<std::uint32_t>(slots_.size()));
+    RequestRecord& r = slots_.emplace_back();
     r.request.location = static_cast<PointId>(reader.u());
     if (r.request.location >= metric_->num_points())
       reader.fail("request location outside the metric");
@@ -395,13 +457,21 @@ void SolutionLedger::restore(CkptReader& reader) {
         reader.fail("connected entry references an unknown facility");
       r.connected.push_back(f);
     }
-    requests_.push_back(std::move(r));
+    if (r.active())
+      ++num_active_records;
+    else
+      retired_.push_back(id);
   }
-  // Occupancy is derived state: every active record is resident
-  // (compaction only drops all-retired prefixes), so the per-facility
-  // occupancy counts are recomputed rather than serialized.
+  if (num_resident == 0 && first_record_id_ != *request_count)
+    reader.fail("first record id of an empty ledger is not its request count");
+  if (num_active_records != num_active_)
+    reader.fail("ledger active count disagrees with its active records");
+  slot_of_.resize(*request_count - first_record_id_, kReleasedSlot);
+  // Occupancy is derived state: every active record is resident (only
+  // retired records are ever released), so the per-facility occupancy
+  // counts are recomputed rather than serialized.
   occupancy_.assign(facilities_.size(), 0);
-  for (const RequestRecord& r : requests_) {
+  for (const RequestRecord& r : slots_) {
     if (!r.active()) continue;
     for (const FacilityId f : r.connected) ++occupancy_[f];
   }

@@ -20,13 +20,22 @@
 // the accounting of who is still being served changes). active_cost() is
 // what competitive ratios against the offline optimum on the *surviving*
 // request set are measured on; total_cost() remains the gross cost of
-// everything the algorithm ever did. For bounded-memory stream
-// processing, compact_retired_prefix() drops the longest all-retired
-// prefix of the records; first_record_id() reports how far compaction has
-// advanced (always 0 for static runs).
+// everything the algorithm ever did.
+//
+// Record storage is proportional to the resident records, not to the
+// stream's lifetime. Records live in a slot pool with a free list; a
+// dense map takes each RequestId in [first_record_id(), num_requests())
+// to its slot (4 bytes per id from the oldest resident record on). retire_request() queues the id, and release_retired() — the
+// stream runner's post-batch compaction — returns every queued slot to
+// the free list and trims released ids off the front of the map. Ids
+// never change. A reused slot keeps the capacity of its vectors, so a
+// steady-state arrival allocates nothing here. Static runs never
+// release anything: every record stays resident and first_record_id()
+// stays 0.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "instance/capacity.hpp"
@@ -120,24 +129,49 @@ class SolutionLedger {
   /// Retroactively removes request `id` from the active set: its record is
   /// marked departed at stream-event index `event_index` and its
   /// connection cost leaves the active tally (opening costs are sunk).
+  /// The record stays resident, queued for the next release_retired().
   /// Requires no request in flight, a known, still-resident, still-active
   /// id. Gross totals (connection_cost, total_cost) are unchanged.
   void retire_request(RequestId id, std::uint64_t event_index);
 
-  /// Bounded-memory hook for the stream runner: drops the longest
-  /// all-retired prefix of the request records and returns how many were
-  /// dropped. Aggregate costs and counts are preserved; records of
-  /// still-active (and later) requests stay resident and keep their ids —
-  /// request `id` lives at request_records()[id - first_record_id()].
+  /// Bounded-memory hook for the stream runner: puts the slot of every
+  /// request retired since the last call back on the free list, advances
+  /// first_record_id() past the released front of the id range, and
+  /// returns how many records were released. Aggregate costs and counts
+  /// are preserved; still-active records stay resident under their ids.
   /// Requires no request in flight.
-  std::size_t compact_retired_prefix();
+  std::size_t release_retired();
 
-  /// Id of request_records()[0]; 0 unless compact_retired_prefix() ran.
+  /// Lowest id that may still be resident: every id below it has been
+  /// released. 0 unless release_retired() freed the front of the range.
   RequestId first_record_id() const noexcept { return first_record_id_; }
 
-  /// Record of request `id`; requires first_record_id() <= id <
-  /// num_requests() (i.e. the record has not been compacted away).
+  /// Record of request `id`; requires a resident id (below
+  /// num_requests() and not released).
   const RequestRecord& request_record(RequestId id) const;
+
+  /// Whether request `id`'s record is still resident.
+  bool resident(RequestId id) const noexcept {
+    return id >= first_record_id_ && id < num_requests() &&
+           slot_of_[map_head_ + (id - first_record_id_)] != kReleasedSlot;
+  }
+
+  /// Records currently held: the active requests, the in-flight one and
+  /// those retired since the last release_retired(). Equals
+  /// num_requests() until something is released.
+  std::size_t num_resident_records() const noexcept {
+    return slots_.size() - free_slots_.size();
+  }
+
+  /// Calls fn(id, record) for every resident record in ascending id order.
+  template <typename Fn>
+  void for_each_resident(Fn&& fn) const {
+    for (std::size_t i = map_head_; i < slot_of_.size(); ++i) {
+      if (slot_of_[i] == kReleasedSlot) continue;
+      fn(static_cast<RequestId>(first_record_id_ + (i - map_head_)),
+         slots_[slot_of_[i]]);
+    }
+  }
 
   /// Connection cost of the still-active requests only.
   double active_connection_cost() const noexcept {
@@ -155,17 +189,13 @@ class SolutionLedger {
 
   // ---- introspection ------------------------------------------------------
 
-  /// Total requests ever begun, including compacted ones.
+  /// Total requests ever begun, including released ones.
   std::size_t num_requests() const noexcept {
-    return first_record_id_ + requests_.size();
+    return first_record_id_ + (slot_of_.size() - map_head_);
   }
   std::size_t num_facilities() const noexcept { return facilities_.size(); }
   const std::vector<OpenFacilityRecord>& facilities() const noexcept {
     return facilities_;
-  }
-  /// The resident records: request first_record_id() onward.
-  const std::vector<RequestRecord>& request_records() const noexcept {
-    return requests_;
   }
   const OpenFacilityRecord& facility(FacilityId f) const;
 
@@ -207,14 +237,24 @@ class SolutionLedger {
 
   // ---- checkpoint/restore (instance/checkpoint_io.hpp) --------------------
 
-  /// Writes every resident record and accumulator in canonical form.
-  /// Requires no request in flight (checkpoints happen between batches).
+  /// Writes every resident record (in id order, each with its id) and
+  /// accumulator in canonical form. Requires no request in flight
+  /// (checkpoints happen between batches).
   void serialize(CkptWriter& writer) const;
   /// Fills a freshly constructed ledger (same metric, cost model and
   /// policy as at serialization) from the reader. Costs, counters and
   /// record bytes come from the file verbatim — nothing is re-priced, so
   /// a restored ledger is bitwise identical to the serialized one.
-  void restore(CkptReader& reader);
+  ///
+  /// `request_count` is the request count the enclosing snapshot already
+  /// vouches for (a session's arrival bitmap); ids may then skip released
+  /// records. Without it the ledger must be hole-free and its count is
+  /// first_record_id() plus the resident records. A version-1 file
+  /// carries no ids: its records take consecutive ids from
+  /// first_record_id(). Retired resident records come back queued for
+  /// the next release_retired().
+  void restore(CkptReader& reader,
+               std::optional<std::uint64_t> request_count = std::nullopt);
 
  private:
   /// Serve e at f for the in-flight record: occupancy bump when f is
@@ -222,6 +262,13 @@ class SolutionLedger {
   /// kind and is only true on capacitated redirects).
   void serve_at(CommodityId e, FacilityId f, bool spilled);
   void reject_commodity(CommodityId e);
+  RequestRecord& in_flight_record() { return slots_[slot_of_.back()]; }
+  /// Slot of resident request `id`; map index `id - first_record_id_`.
+  std::uint32_t& slot_of(RequestId id) {
+    return slot_of_[map_head_ + (id - first_record_id_)];
+  }
+
+  static constexpr std::uint32_t kReleasedSlot = ~std::uint32_t{0};
 
   MetricPtr metric_;
   CostModelPtr cost_;
@@ -235,8 +282,17 @@ class SolutionLedger {
   /// facilities_. Maintained unconditionally (cheap), enforced only when
   /// capacitated_.
   std::vector<std::uint64_t> occupancy_;
-  std::vector<RequestRecord> requests_;
-  RequestId first_record_id_ = 0;  // ids below this were compacted away
+  /// The record pool; slots listed in free_slots_ hold no request.
+  std::vector<RequestRecord> slots_;
+  std::vector<std::uint32_t> free_slots_;
+  /// slot_of_[map_head_ + k] is the slot of request first_record_id_ + k,
+  /// or kReleasedSlot. Entries before map_head_ are dead; they are erased
+  /// once they make up half the vector, so trimming is amortized O(1).
+  std::vector<std::uint32_t> slot_of_;
+  std::size_t map_head_ = 0;
+  /// Retired since the last release_retired(), in retirement order.
+  std::vector<RequestId> retired_;
+  RequestId first_record_id_ = 0;  // ids below this were released
   bool in_flight_ = false;
 
   double opening_cost_ = 0.0;

@@ -186,7 +186,7 @@ std::optional<VerificationError> verify_solution(const Instance& instance,
   std::vector<FacilityId> distinct;
   double connection = 0.0;
   for (RequestId i = 0; i < instance.num_requests(); ++i) {
-    const RequestRecord& rec = ledger.request_records()[i];
+    const RequestRecord& rec = ledger.request_record(i);
     double expect_conn = 0.0;
     if (auto error = check_record(metric, cost, ledger, i, instance.request(i),
                                   rec, tolerance, covered, distinct,
@@ -219,9 +219,9 @@ std::optional<VerificationError> verify_stream(const EventStream& stream,
                                                double tolerance) {
   if (ledger.request_in_flight())
     return fail("ledger left a request in flight");
-  if (ledger.first_record_id() != 0)
-    return fail("compacted ledger cannot be verified offline; use "
-                "StreamVerifier during the run");
+  if (ledger.num_resident_records() != ledger.num_requests())
+    return fail("ledger has released records and cannot be verified "
+                "offline; use StreamVerifier during the run");
 
   // Independently re-derive the retirement timeline: explicit departures
   // and lease expiries, with expiries firing before the event at their
@@ -277,7 +277,7 @@ std::optional<VerificationError> verify_stream(const EventStream& stream,
   CommoditySet covered;
   std::vector<FacilityId> distinct;
   for (RequestId id = 0; id < arrivals.size(); ++id) {
-    const RequestRecord& rec = ledger.request_records()[id];
+    const RequestRecord& rec = ledger.request_record(id);
     if (rec.retired_at != retired_at[id])
       return fail(message("request ", id,
                           " active interval mismatch: ledger retired at ",
@@ -313,7 +313,7 @@ std::optional<VerificationError> verify_stream(const EventStream& stream,
     const CapacityMap& caps = stream.capacities();
     std::vector<std::uint64_t> occupancy(ledger.num_facilities(), 0);
     const auto release = [&](RequestId id) {
-      distinct_facilities(ledger.request_records()[id], distinct);
+      distinct_facilities(ledger.request_record(id), distinct);
       for (const FacilityId f : distinct) --occupancy[f];
     };
     std::priority_queue<Expiry, std::vector<Expiry>, std::greater<Expiry>>
@@ -333,7 +333,7 @@ std::optional<VerificationError> verify_stream(const EventStream& stream,
       if (e.kind == StreamEvent::Kind::kArrival) {
         const RequestId id = next_arrival++;
         live.push_back(true);
-        distinct_facilities(ledger.request_records()[id], distinct);
+        distinct_facilities(ledger.request_record(id), distinct);
         for (const FacilityId f : distinct) {
           if (++occupancy[f] >
               capacity_at(caps, ledger.facility(f).location))

@@ -65,8 +65,9 @@ std::optional<VerificationError> verify_solution(const Instance& instance,
 ///  * capacity feasibility when the stream is capacitated: re-derived
 ///    occupancy (distinct active requests per facility) stays within the
 ///    location's capacity at every point of the timeline.
-/// Requires an uncompacted ledger (first_record_id() == 0); compacted
-/// stream runs are verified incrementally by StreamVerifier instead.
+/// Requires a ledger that has released no record (every request still
+/// resident) and fails on any other; compacted stream runs are verified
+/// incrementally by StreamVerifier instead.
 std::optional<VerificationError> verify_stream(const EventStream& stream,
                                                const SolutionLedger& ledger,
                                                double tolerance = 1e-6);

@@ -8,11 +8,14 @@
 #include <cstdlib>
 #include <map>
 #include <optional>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/stream_runner.hpp"
 #include "engine/sharded_engine.hpp"
+#include "obs/metrics_sampler.hpp"
 #include "perf/perf_counters.hpp"
 #include "scenario/algorithm_registry.hpp"
 #include "scenario/registry_util.hpp"
@@ -35,6 +38,16 @@ StreamRunResult sequential_reference(const TenantSpec& spec,
   run_options.compact = options.compact;
   run_options.verify = options.verify;
   return run_stream(*algorithm, stream, run_options);
+}
+
+/// The resident records of `ledger` in ascending id order.
+std::vector<std::pair<RequestId, const RequestRecord*>> resident_records(
+    const SolutionLedger& ledger) {
+  std::vector<std::pair<RequestId, const RequestRecord*>> records;
+  ledger.for_each_resident([&](RequestId id, const RequestRecord& record) {
+    records.emplace_back(id, &record);
+  });
+  return records;
 }
 
 /// Bitwise comparison of everything observable about two runs of the
@@ -72,12 +85,15 @@ void expect_bitwise_identical(const StreamRunResult& actual,
     EXPECT_TRUE(fa.config == fb.config);
   }
 
-  ASSERT_EQ(a.request_records().size(), b.request_records().size());
-  for (std::size_t r = 0; r < a.request_records().size(); ++r) {
-    const RequestRecord& ra = a.request_records()[r];
-    const RequestRecord& rb = b.request_records()[r];
-    EXPECT_EQ(ra.connection_cost, rb.connection_cost);
-    EXPECT_EQ(ra.retired_at, rb.retired_at);
+  const auto records_a = resident_records(a);
+  const auto records_b = resident_records(b);
+  ASSERT_EQ(records_a.size(), records_b.size());
+  for (std::size_t r = 0; r < records_a.size(); ++r) {
+    const auto& [id_a, ra] = records_a[r];
+    const auto& [id_b, rb] = records_b[r];
+    EXPECT_EQ(id_a, id_b);
+    EXPECT_EQ(ra->connection_cost, rb->connection_cost);
+    EXPECT_EQ(ra->retired_at, rb->retired_at);
   }
 }
 
@@ -365,6 +381,45 @@ TEST(ShardedEngine, AggregatesAndStatsAreConsistent) {
   }
   EXPECT_EQ(result.aggregate_gross_cost, gross);
   EXPECT_EQ(result.aggregate_active_cost, active);
+}
+
+// The engine-level form of the bounded-memory regression in test_stream:
+// after every round, the sampler's resident records summed over all
+// shards stay within the active requests plus one batch per tenant.
+TEST(ShardedEngine, SampledResidentRecordsStayWithinActivePlusBatches) {
+  std::vector<TenantSpec> specs = default_workload_mix_registry().tenants(
+      "churn-heavy", /*count=*/4, /*seed=*/9);
+  for (TenantSpec& spec : specs) {
+    spec.algorithm = "greedy";
+    spec.overrides["events"] = 4096;
+  }
+  std::ostringstream os;
+  MetricsSampler sampler(os, MetricsSampler::Format::kJsonl);
+  EngineOptions options;
+  options.batch_size = 64;
+  options.shards = 2;
+  options.sampler = &sampler;
+  const EngineResult result = ShardedEngine(specs, options).run();
+  EXPECT_EQ(result.first_violation(), nullptr);
+
+  const auto field = [](const std::string& line, const std::string& key) {
+    const std::size_t at = line.find("\"" + key + "\":");
+    EXPECT_NE(at, std::string::npos) << key << " in " << line;
+    return std::stoull(line.substr(at + key.size() + 3));
+  };
+  std::map<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>> rounds;
+  std::istringstream is(os.str());
+  for (std::string line; std::getline(is, line);) {
+    auto& [resident, active] = rounds[field(line, "round")];
+    resident += field(line, "resident_records");
+    active += field(line, "active_requests");
+  }
+  ASSERT_EQ(rounds.size(), result.rounds);
+  for (const auto& [round, totals] : rounds) {
+    EXPECT_LE(totals.first,
+              totals.second + specs.size() * options.batch_size)
+        << "round " << round;
+  }
 }
 
 TEST(ShardedEngine, SixteenMixedTenantsVerifierClean) {

@@ -652,12 +652,14 @@ TEST(FuzzParsers, CheckpointChecksumAndVersionTamperingIsRejected) {
   std::vector<std::string> lines = split_lines(base);
   ASSERT_GE(lines.size(), 3u);
 
-  // Version bump: an OMFLP-CKPT 2 file is from the future, not ours.
-  {
+  // Version bump: an OMFLP-CKPT 3 file is from the future, not ours;
+  // a v2 body under a v1 header has ids where v1 has none.
+  for (const char* header : {"OMFLP-CKPT 3", "OMFLP-CKPT 1"}) {
     std::vector<std::string> t = lines;
-    t[0] = "OMFLP-CKPT 2";
+    t[0] = header;
     EXPECT_EQ(feed_checkpoint_readers(resealed(join_lines(t))),
-              ParseOutcome::kRejected);
+              ParseOutcome::kRejected)
+        << header;
   }
   // Flipped checksum digit: the classic bit-rot signature.
   {

@@ -1,4 +1,5 @@
-// Fault-tolerance tests: the OMFLP-CKPT v1 container, per-algorithm
+// Fault-tolerance tests: the OMFLP-CKPT container (v2, and v1 session
+// snapshots with their ledger ids implied), per-algorithm
 // session checkpoint/restore (crash → restore → drain must be bitwise
 // identical to an uninterrupted run, for every roster algorithm), the
 // checkpoint store's generation fallback, deterministic fault injection,
@@ -57,16 +58,30 @@ StreamRunOptions test_options() {
   return options;
 }
 
+/// The resident records of `ledger` in ascending id order.
+std::vector<std::pair<RequestId, const RequestRecord*>> resident_records(
+    const SolutionLedger& ledger) {
+  std::vector<std::pair<RequestId, const RequestRecord*>> records;
+  ledger.for_each_resident([&](RequestId id, const RequestRecord& record) {
+    records.emplace_back(id, &record);
+  });
+  return records;
+}
+
+/// `same_peak_resident` = false skips peak_resident_records, the one
+/// statistic a snapshot written by another ledger layout may carry over.
 void expect_results_identical(const StreamRunResult& a,
                               const StreamRunResult& b,
-                              const std::string& label) {
+                              const std::string& label,
+                              bool same_peak_resident = true) {
   SCOPED_TRACE(label);
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.arrivals, b.arrivals);
   EXPECT_EQ(a.departures, b.departures);
   EXPECT_EQ(a.lease_expiries, b.lease_expiries);
   EXPECT_EQ(a.peak_active, b.peak_active);
-  EXPECT_EQ(a.peak_resident_records, b.peak_resident_records);
+  if (same_peak_resident)
+    EXPECT_EQ(a.peak_resident_records, b.peak_resident_records);
   EXPECT_FALSE(a.violation.has_value())
       << (a.violation ? a.violation->what : "");
   EXPECT_FALSE(b.violation.has_value());
@@ -87,14 +102,16 @@ void expect_results_identical(const StreamRunResult& a,
     EXPECT_EQ(fa.opened_during, fb.opened_during);
     EXPECT_TRUE(fa.config == fb.config);
   }
-  ASSERT_EQ(a.ledger.request_records().size(),
-            b.ledger.request_records().size());
-  for (std::size_t r = 0; r < a.ledger.request_records().size(); ++r) {
-    const RequestRecord& ra = a.ledger.request_records()[r];
-    const RequestRecord& rb = b.ledger.request_records()[r];
-    EXPECT_EQ(ra.connection_cost, rb.connection_cost);
-    EXPECT_EQ(ra.retired_at, rb.retired_at);
-    EXPECT_EQ(ra.connected, rb.connected);
+  const auto records_a = resident_records(a.ledger);
+  const auto records_b = resident_records(b.ledger);
+  ASSERT_EQ(records_a.size(), records_b.size());
+  for (std::size_t r = 0; r < records_a.size(); ++r) {
+    const auto& [id_a, ra] = records_a[r];
+    const auto& [id_b, rb] = records_b[r];
+    EXPECT_EQ(id_a, id_b);
+    EXPECT_EQ(ra->connection_cost, rb->connection_cost);
+    EXPECT_EQ(ra->retired_at, rb->retired_at);
+    EXPECT_EQ(ra->connected, rb->connected);
   }
 }
 
@@ -178,7 +195,7 @@ TEST(CheckpointIo, RejectsTamperingTruncationAndBadHeader) {
   }
   {  // wrong version header
     std::string bad = good;
-    bad.replace(0, 12, "OMFLP-CKPT 2");
+    bad.replace(0, 12, "OMFLP-CKPT 3");
     std::istringstream is(bad);
     EXPECT_FALSE(checkpoint_payload_valid(is));
     std::istringstream is2(bad);
@@ -408,6 +425,241 @@ TEST(SessionRecovery, CapacitatedRestoreIsBitwiseAndOverflowIsGuarded) {
       EXPECT_THROW(StreamSession(*a, s, other, guard_reader),
                    std::invalid_argument);
     }
+  }
+}
+
+// ------------------------------------------- ledger section versions ---
+
+std::vector<std::string> lines_of(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream is(text);
+  for (std::string line; std::getline(is, line);) lines.push_back(line);
+  return lines;
+}
+
+std::vector<std::string> tokens_of(const std::string& line) {
+  std::vector<std::string> tokens;
+  std::istringstream is(line);
+  for (std::string token; is >> token;) tokens.push_back(token);
+  return tokens;
+}
+
+/// Re-emits the body of a checkpoint (header and checksum lines dropped)
+/// through a CkptWriter, so a tampered payload carries a valid checksum
+/// and reaches the typed reader.
+std::string rewritten(const std::vector<std::string>& lines) {
+  std::ostringstream os;
+  CkptWriter writer(os);
+  for (std::size_t i = 1; i + 1 < lines.size(); ++i) {
+    const std::vector<std::string> tokens = tokens_of(lines[i]);
+    writer.line(tokens.front());
+    for (std::size_t t = 1; t < tokens.size(); ++t) writer.tok(tokens[t]);
+  }
+  writer.finish();
+  return os.str();
+}
+
+/// A checkpoint after `batches` batches of test_stream(seed).
+std::string session_snapshot(const char* algo, std::uint64_t seed,
+                             const StreamRunOptions& options, int batches) {
+  auto algorithm =
+      default_algorithm_registry().make(algo, derive_algorithm_seed(seed));
+  const EventStream stream = test_stream(seed);
+  MaterializedEventSource source(stream);
+  StreamSession session(*algorithm, source, options);
+  for (int i = 0; i < batches; ++i) (void)session.step_batch();
+  std::ostringstream os;
+  CkptWriter writer(os);
+  session.checkpoint(writer);
+  writer.finish();
+  return os.str();
+}
+
+// Session checkpoints in the version-1 container, written by the ledger
+// before slot reuse (commit 34d5971, which compacted only the retired
+// prefix) after four 64-event batches of test_stream(20260808): greedy
+// with the verifier on, pd with it off. Records retired behind the first
+// active one are still in them. Each must restore, release those
+// records, drain to the uninterrupted run's results and re-checkpoint as
+// version 2 with the bytes a session that never stopped writes.
+TEST(SessionRecovery, Version1SnapshotsRestoreDrainAndRecheckpointAsV2) {
+  const std::uint64_t seed = 20260808;
+  const struct {
+    const char* file;
+    const char* algo;
+    bool verify;
+  } cases[] = {{"session_v1_greedy_verify.ckpt", "greedy", true},
+               {"session_v1_pd.ckpt", "pd", false}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.file);
+    StreamRunOptions options = test_options();
+    options.verify = c.verify;
+    std::ifstream file(std::string(OMFLP_SOURCE_DIR "/tests/data/") +
+                       c.file);
+    ASSERT_TRUE(file.good());
+    std::stringstream v1;
+    v1 << file.rdbuf();
+    const std::vector<std::string> v1_lines = lines_of(v1.str());
+    ASSERT_EQ(v1_lines.front(), "OMFLP-CKPT 1");
+
+    const EventStream stream = test_stream(seed);
+    auto ref_algorithm = default_algorithm_registry().make(
+        c.algo, derive_algorithm_seed(seed));
+    MaterializedEventSource ref_source(stream);
+    StreamSession ref_session(*ref_algorithm, ref_source, options);
+    while (ref_session.step_batch() != 0) {
+    }
+    const StreamRunResult reference = ref_session.finish();
+
+    auto algorithm = default_algorithm_registry().make(
+        c.algo, derive_algorithm_seed(seed));
+    MaterializedEventSource source(stream);
+    CkptReader reader(v1);
+    StreamSession session(*algorithm, source, options, reader);
+    reader.finish();
+    EXPECT_EQ(session.events_processed(), 256u);
+    // The v1 ledger line declares every record from the first active one
+    // on; the restored ledger keeps only the active ones.
+    const auto ledger_line = std::find_if(
+        v1_lines.begin(), v1_lines.end(),
+        [](const std::string& l) { return l.rfind("ledger ", 0) == 0; });
+    ASSERT_NE(ledger_line, v1_lines.end());
+    EXPECT_GT(std::stoull(tokens_of(*ledger_line)[2]),
+              session.ledger().num_active_requests());
+    EXPECT_EQ(session.ledger().num_resident_records(),
+              session.ledger().num_active_requests());
+
+    std::ostringstream again;
+    CkptWriter writer(again);
+    session.checkpoint(writer);
+    writer.finish();
+    std::vector<std::string> v2_lines = lines_of(again.str());
+    std::vector<std::string> fresh_lines =
+        lines_of(session_snapshot(c.algo, seed, options, 4));
+    EXPECT_EQ(v2_lines.front(), "OMFLP-CKPT 2");
+    // session-stats holds the wall clock and the old layout's resident
+    // high-water mark; the checksum covers them.
+    ASSERT_EQ(v2_lines.size(), fresh_lines.size());
+    for (std::size_t i = 0; i + 1 < v2_lines.size(); ++i) {
+      if (v2_lines[i].rfind("session-stats ", 0) == 0) continue;
+      EXPECT_EQ(v2_lines[i], fresh_lines[i]) << "line " << i;
+    }
+
+    while (session.step_batch() != 0) {
+    }
+    const StreamRunResult restored = session.finish();
+    expect_results_identical(restored, reference, "v1 restore",
+                             /*same_peak_resident=*/false);
+    EXPECT_GE(restored.peak_resident_records,
+              reference.peak_resident_records);
+  }
+}
+
+// A v2 ledger names each resident record's id; ids that break the id map
+// (out of order, duplicated, past the request count, below the first
+// record id) and a missing or renamed active record are refused.
+TEST(SessionRecovery, TamperedV2LedgerIdsAreRejected) {
+  const std::uint64_t seed = 99;
+  const StreamRunOptions options = test_options();
+  const std::string snapshot = session_snapshot("greedy", seed, options, 4);
+  const std::vector<std::string> lines = lines_of(snapshot);
+  ASSERT_EQ(rewritten(lines), snapshot);
+
+  std::size_t ledger_at = 0;
+  std::vector<std::size_t> requests;  // line index of each request line
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    if (lines[i].rfind("ledger ", 0) == 0) ledger_at = i;
+    if (lines[i].rfind("request ", 0) == 0) requests.push_back(i);
+  }
+  ASSERT_GT(ledger_at, 0u);
+  ASSERT_GE(requests.size(), 3u);
+  const auto id_of = [&](std::size_t r) {
+    return std::stoull(tokens_of(lines[requests[r]])[1]);
+  };
+  const std::uint64_t first = std::stoull(tokens_of(lines[ledger_at])[1]);
+  ASSERT_GT(first, 0u);
+  ASSERT_EQ(id_of(0), first);
+  const std::uint64_t num_arrived = [&]() -> std::uint64_t {
+    for (const std::string& l : lines)
+      if (l.rfind("active ", 0) == 0) return std::stoull(tokens_of(l)[1]);
+    return 0;
+  }();
+  // Released records leave holes: the snapshot holds fewer records than
+  // the id range it spans.
+  ASSERT_LT(requests.size(), num_arrived - first);
+
+  const auto with_id = [&](std::vector<std::string> t, std::size_t r,
+                           std::uint64_t id) {
+    std::vector<std::string> tokens = tokens_of(t[requests[r]]);
+    tokens[1] = std::to_string(id);
+    std::string line = tokens[0];
+    for (std::size_t k = 1; k < tokens.size(); ++k) line += ' ' + tokens[k];
+    t[requests[r]] = line;
+    return t;
+  };
+  const auto refusal = [&](const std::vector<std::string>& t) {
+    const std::string mutant = rewritten(t);
+    auto algorithm =
+        default_algorithm_registry().make("greedy", derive_algorithm_seed(seed));
+    const EventStream stream = test_stream(seed);
+    MaterializedEventSource source(stream);
+    std::istringstream is(mutant);
+    CkptReader reader(is);
+    try {
+      StreamSession session(*algorithm, source, options, reader);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+
+  {
+    const std::vector<std::string> swapped =
+        with_id(with_id(lines, 1, id_of(2)), 2, id_of(1));
+    EXPECT_NE(refusal(swapped).find("out of order or duplicated"),
+              std::string::npos);
+  }
+  EXPECT_NE(refusal(with_id(lines, 2, id_of(1))).find(
+                "out of order or duplicated"),
+            std::string::npos);
+  EXPECT_NE(refusal(with_id(lines, requests.size() - 1, num_arrived))
+                .find("beyond the ledger's request count"),
+            std::string::npos);
+  EXPECT_NE(refusal(with_id(lines, 0, first - 1))
+                .find("below the ledger's first record id"),
+            std::string::npos);
+  const auto active = [&](std::size_t r) {
+    const std::vector<std::string> tokens = tokens_of(lines[requests[r]]);
+    return tokens[tokens.size() - 2] == std::to_string(kNeverRetired);
+  };
+  {
+    // Move an active record into the released id just below it: the
+    // ledger is well formed, but the session's active request is gone.
+    std::size_t moved = 0;
+    for (std::size_t r = 1; r < requests.size() && moved == 0; ++r)
+      if (active(r) && id_of(r) > id_of(r - 1) + 1) moved = r;
+    ASSERT_GT(moved, 0u);
+    EXPECT_NE(refusal(with_id(lines, moved, id_of(moved) - 1))
+                  .find("an active request is missing from the ledger"),
+              std::string::npos);
+  }
+  {
+    // Drop one active record after the first (its four lines) and
+    // declare one record fewer.
+    std::size_t victim = 0;
+    for (std::size_t r = 1; r < requests.size() && victim == 0; ++r)
+      if (active(r)) victim = r;
+    ASSERT_GT(victim, 0u);
+    std::vector<std::string> t = lines;
+    t.erase(t.begin() + static_cast<std::ptrdiff_t>(requests[victim]),
+            t.begin() + static_cast<std::ptrdiff_t>(requests[victim] + 4));
+    std::vector<std::string> ledger = tokens_of(t[ledger_at]);
+    ledger[2] = std::to_string(std::stoull(ledger[2]) - 1);
+    t[ledger_at] = ledger[0] + ' ' + ledger[1] + ' ' + ledger[2] + ' ' +
+                   ledger[3];
+    EXPECT_NE(refusal(t).find("active count disagrees with its active records"),
+              std::string::npos)
+        << refusal(t);
   }
 }
 

@@ -38,7 +38,7 @@ TEST(SolutionLedger, HappyPathAccounting) {
   EXPECT_NEAR(ledger.opening_cost(), std::sqrt(2.0), 1e-12);
   EXPECT_DOUBLE_EQ(ledger.connection_cost(), 10.0);
   EXPECT_EQ(ledger.num_facilities(), 1u);
-  EXPECT_EQ(ledger.request_records()[0].connected.size(), 1u);
+  EXPECT_EQ(ledger.request_record(0).connected.size(), 1u);
 
   // Second request reuses the facility plus a new singleton.
   ledger.begin_request(fx.request(3, {0, 2}));

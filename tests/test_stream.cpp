@@ -229,6 +229,7 @@ TEST(StreamRunner, ConnectionCostLeavesActiveTallyOnDeparture) {
   NearestOrOpen algorithm;
   StreamRunOptions options;
   options.verify = true;
+  options.compact = false;  // verify_stream needs every record resident
   const StreamRunResult result = run_stream(algorithm, stream, options);
   EXPECT_FALSE(result.violation.has_value());
   const SolutionLedger& ledger = result.ledger;
@@ -977,7 +978,7 @@ TEST(StreamRunner, CompactionBoundsResidentRecordsWithoutChangingCosts) {
   const StreamRunResult compacted =
       run_stream(compacted_algorithm, stream, compacted_options);
   EXPECT_FALSE(compacted.violation.has_value());
-  // Compaction really dropped retired prefixes...
+  // Compaction really released retired records...
   EXPECT_GT(compacted.ledger.first_record_id(), 0u);
   EXPECT_LT(compacted.peak_resident_records, stream.num_arrivals());
   // ...without touching any accounting (bitwise).
@@ -988,6 +989,80 @@ TEST(StreamRunner, CompactionBoundsResidentRecordsWithoutChangingCosts) {
             uncompacted.ledger.num_requests());
   EXPECT_EQ(compacted.ledger.num_active_requests(),
             uncompacted.ledger.num_active_requests());
+}
+
+/// A churn-uniform stream behind one extra arrival, request 0, that never
+/// departs: every later arrival shifts up by one id.
+EventStream pinned_churn_stream(std::size_t events) {
+  const EventStream churn = default_stream_scenario_registry().make(
+      "churn-uniform", /*seed=*/12,
+      {{"events", static_cast<double>(events)},
+       {"points", 32},
+       {"commodities", 4}});
+  std::vector<StreamEvent> shifted;
+  shifted.reserve(churn.num_events() + 1);
+  shifted.push_back(StreamEvent::arrival(churn.events().front().request));
+  for (StreamEvent event : churn.events()) {
+    if (event.kind == StreamEvent::Kind::kDeparture) ++event.target;
+    shifted.push_back(std::move(event));
+  }
+  return EventStream(churn.metric_ptr(), churn.cost_ptr(), std::move(shifted),
+                     "pinned-churn");
+}
+
+// Regression: compaction used to drop only the all-retired prefix of the
+// records, so one long-lived request kept every later record resident.
+// Retired records are now released wherever they sit: at most the
+// requests active when a batch began plus the batch's arrivals stay.
+TEST(StreamRunner, PinnedRequestDoesNotPinRetiredRecords) {
+  const EventStream stream = pinned_churn_stream(4096);
+  stream.validate();
+
+  NearestOrOpen compacted_algorithm;
+  StreamRunOptions options;
+  options.batch_size = 64;
+  options.verify = true;
+  const StreamRunResult compacted =
+      run_stream(compacted_algorithm, stream, options);
+  EXPECT_FALSE(compacted.violation.has_value());
+  EXPECT_TRUE(compacted.ledger.request_record(0).active());
+  EXPECT_EQ(compacted.ledger.first_record_id(), 0u);
+  EXPECT_LE(compacted.peak_resident_records,
+            compacted.peak_active + options.batch_size);
+
+  // Same decisions and costs as a run that keeps every record.
+  NearestOrOpen kept_algorithm;
+  options.compact = false;
+  const StreamRunResult kept = run_stream(kept_algorithm, stream, options);
+  EXPECT_EQ(kept.peak_resident_records, stream.num_arrivals());
+  EXPECT_EQ(compacted.ledger.total_cost(), kept.ledger.total_cost());
+  EXPECT_EQ(compacted.ledger.active_cost(), kept.ledger.active_cost());
+  EXPECT_EQ(compacted.ledger.num_facilities(), kept.ledger.num_facilities());
+  EXPECT_EQ(compacted.ledger.num_active_requests(),
+            kept.ledger.num_active_requests());
+}
+
+// verify_stream needs every record; a ledger with holes behind a pinned
+// request 0 (first_record_id() still 0) must be refused, not misread.
+TEST(StreamRunner, OfflineVerifierRefusesLedgersWithReleasedRecords) {
+  const EventStream stream = pinned_churn_stream(1024);
+  NearestOrOpen compacted_algorithm;
+  StreamRunOptions options;
+  options.batch_size = 64;
+  const StreamRunResult compacted =
+      run_stream(compacted_algorithm, stream, options);
+  ASSERT_EQ(compacted.ledger.first_record_id(), 0u);
+  ASSERT_LT(compacted.ledger.num_resident_records(),
+            compacted.ledger.num_requests());
+  const auto refused = verify_stream(stream, compacted.ledger);
+  ASSERT_TRUE(refused.has_value());
+  EXPECT_NE(refused->what.find("released records"), std::string::npos)
+      << refused->what;
+
+  NearestOrOpen kept_algorithm;
+  options.compact = false;
+  const StreamRunResult kept = run_stream(kept_algorithm, stream, options);
+  EXPECT_FALSE(verify_stream(stream, kept.ledger).has_value());
 }
 
 // ------------------------------------------------------------- determinism ---

@@ -408,18 +408,19 @@ int cmd_replay(const std::vector<std::string>& args) {
 
 // ---------------------------------------------------------------- stream ---
 
-// The surviving set rebuilt from the ledger: compaction only ever drops
-// all-retired prefixes, so every still-active record is resident — this
-// works identically for materialized scenarios and bounded-memory trace
-// runs.
+// The surviving set rebuilt from the ledger, in id order: compaction
+// only ever releases retired records, so every still-active record is
+// resident — this works identically for materialized scenarios and
+// bounded-memory trace runs.
 Instance surviving_from_ledger(const SolutionLedger& ledger,
                                const MetricPtr& metric,
                                const CostModelPtr& cost,
                                const std::string& name) {
   std::vector<Request> requests;
   requests.reserve(ledger.num_active_requests());
-  for (const RequestRecord& record : ledger.request_records())
+  ledger.for_each_resident([&](RequestId, const RequestRecord& record) {
     if (record.active()) requests.push_back(record.request);
+  });
   return Instance(metric, cost, std::move(requests), name + "/surviving");
 }
 
