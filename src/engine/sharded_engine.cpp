@@ -81,9 +81,7 @@ EngineResult ShardedEngine::run() const {
                                                   1, threads));
 
   StreamRunOptions run_options;
-  run_options.policy = options_.policy;
   run_options.batch_size = options_.batch_size;
-  run_options.compact = options_.compact;
   run_options.verify = options_.verify;
   run_options.overflow = options_.overflow;
 

@@ -64,9 +64,6 @@ struct EngineOptions {
   std::size_t batch_size = 2048;
   /// Shadow every tenant with an incremental StreamVerifier.
   bool verify = true;
-  /// Release retired ledger records after each batch.
-  bool compact = true;
-  ConnectionChargePolicy policy = ConnectionChargePolicy::kPerFacility;
   /// Uniform per-point facility capacity applied to every tenant; 0 =
   /// off, keeping whatever capacities each tenant's scenario attached to
   /// its stream (if any). Nonzero builds a per-tenant map assigning this

@@ -1,22 +1,12 @@
 #include "kernel/kernels.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <vector>
-
-#include "support/parallel.hpp"
-#include "support/parse.hpp"
 
 namespace omflp::kernel {
 
 namespace {
 
-// Fixed work-unit size for the parallel split. Chunks — not threads —
-// are the units partial results are computed and combined over, which is
-// what makes every kernel bit-identical across thread counts.
-constexpr std::size_t kChunk = 8192;
-
-// Block size for the serial early-exit scan in min_tightness_over_row:
+// Block size for the early-exit scan in min_tightness_over_row:
 // long enough to amortize the per-block check, short enough that a tight
 // point near the front of the row is found quickly.
 constexpr std::size_t kBlock = 512;
@@ -31,46 +21,6 @@ inline double positive_part(double x) noexcept { return x > 0.0 ? x : 0.0; }
 // is bit-identical to positive_part.
 inline double positive_part_nanprop(double x) noexcept {
   return x < 0.0 ? 0.0 : x;
-}
-
-std::size_t initial_threshold() noexcept {
-  // Strict parse: "123abc" and negative text are ignored (with a stderr
-  // warning) instead of being silently truncated or wrapped.
-  if (const auto v = env_u64("OMFLP_KERNEL_THRESHOLD"))
-    return static_cast<std::size_t>(
-        std::min<std::uint64_t>(*v, std::numeric_limits<std::size_t>::max()));
-  return kDefaultParallelThreshold;
-}
-
-std::atomic<std::size_t>& threshold_slot() noexcept {
-  static std::atomic<std::size_t> slot{initial_threshold()};
-  return slot;
-}
-
-inline bool use_parallel(std::size_t n) noexcept {
-  return n >= threshold_slot().load(std::memory_order_relaxed);
-}
-
-inline std::size_t num_chunks(std::size_t n) noexcept {
-  return (n + kChunk - 1) / kChunk;
-}
-
-// The scalar bodies. __restrict on the pointer parameters tells the
-// compiler row and dist_row never alias, which is the precondition for
-// vectorizing the read-modify-write.
-void accumulate_span(double* __restrict row,
-                     const double* __restrict dist_row, double v,
-                     std::size_t n) noexcept {
-  for (std::size_t m = 0; m < n; ++m)
-    row[m] += positive_part(v - dist_row[m]);
-}
-
-void shift_span(double* __restrict row, const double* __restrict dist_row,
-                double v_old, double v_new, std::size_t n) noexcept {
-  for (std::size_t m = 0; m < n; ++m) {
-    const double dm = dist_row[m];
-    row[m] -= positive_part(v_old - dm) - positive_part(v_new - dm);
-  }
 }
 
 RowEvent min_tightness_span(const double* __restrict dist_row,
@@ -107,109 +57,54 @@ RowEvent min_tightness_span(const double* __restrict dist_row,
 
 }  // namespace
 
-std::size_t parallel_threshold() noexcept {
-  return threshold_slot().load(std::memory_order_relaxed);
-}
-
-void set_parallel_threshold(std::size_t threshold) noexcept {
-  threshold_slot().store(threshold, std::memory_order_relaxed);
-}
-
-void accumulate_clipped_bid(double* row, const double* dist_row, double v,
+// __restrict on the pointer parameters (needed in the definition only)
+// tells the compiler row and dist_row never alias, which is the
+// precondition for vectorizing the read-modify-write.
+void accumulate_clipped_bid(double* __restrict row,
+                            const double* __restrict dist_row, double v,
                             std::size_t n) {
-  if (!use_parallel(n)) {
-    accumulate_span(row, dist_row, v, n);
-    return;
-  }
-  parallel_for(num_chunks(n), [&](std::size_t c) {
-    const std::size_t begin = c * kChunk;
-    const std::size_t count = std::min(kChunk, n - begin);
-    accumulate_span(row + begin, dist_row + begin, v, count);
-  });
+  for (std::size_t m = 0; m < n; ++m)
+    row[m] += positive_part(v - dist_row[m]);
 }
 
-void shift_clipped_bid(double* row, const double* dist_row, double v_old,
+void shift_clipped_bid(double* __restrict row,
+                       const double* __restrict dist_row, double v_old,
                        double v_new, std::size_t n) {
-  if (!use_parallel(n)) {
-    shift_span(row, dist_row, v_old, v_new, n);
-    return;
+  for (std::size_t m = 0; m < n; ++m) {
+    const double dm = dist_row[m];
+    row[m] -= positive_part(v_old - dm) - positive_part(v_new - dm);
   }
-  parallel_for(num_chunks(n), [&](std::size_t c) {
-    const std::size_t begin = c * kChunk;
-    const std::size_t count = std::min(kChunk, n - begin);
-    shift_span(row + begin, dist_row + begin, v_old, v_new, count);
-  });
 }
 
 std::size_t argmin_over_row(const double* row, std::size_t n) {
   // NaN-robust by construction: the running best starts at +inf and only
   // a strict < replaces it, so a NaN element (never < anything) can never
-  // win. A span with no value below +inf keeps its first index, which
-  // implements the documented "NaN compares as +inf, ties resolve to the
-  // first index" semantics — the previous seeding with row[base] let a
-  // NaN at the span start win the whole argmin silently.
-  struct SpanMin {
-    std::size_t index = 0;
-    double key = std::numeric_limits<double>::infinity();
-  };
-  auto span_argmin = [row](std::size_t base, std::size_t count) {
-    SpanMin best{base, std::numeric_limits<double>::infinity()};
-    for (std::size_t i = 0; i < count; ++i) {
-      if (row[base + i] < best.key) {
-        best.key = row[base + i];
-        best.index = base + i;
-      }
+  // win. A row with no value below +inf keeps index 0, which implements
+  // the documented "NaN compares as +inf, ties resolve to the first
+  // index" semantics — seeding with row[0] would let a NaN there win the
+  // whole argmin silently.
+  std::size_t best = 0;
+  double best_value = std::numeric_limits<double>::infinity();
+  for (std::size_t m = 0; m < n; ++m) {
+    if (row[m] < best_value) {
+      best_value = row[m];
+      best = m;
     }
-    return best;
-  };
-  if (!use_parallel(n)) return span_argmin(0, n).index;
-
-  const std::size_t chunks = num_chunks(n);
-  // omflp-lint: allow(kernel-purity) per-chunk partials, amortized over >=2^20 elements
-  std::vector<SpanMin> partial(chunks);
-  parallel_for(chunks, [&](std::size_t c) {
-    const std::size_t begin = c * kChunk;
-    partial[c] = span_argmin(begin, std::min(kChunk, n - begin));
-  });
-  // Merge on the stored keys, not on row[] re-reads: re-reading would
-  // reintroduce NaN poisoning ("candidate < NaN" is false, so a NaN chunk
-  // winner used to shadow every later finite chunk).
-  SpanMin best = partial[0];
-  for (std::size_t c = 1; c < chunks; ++c)
-    if (partial[c].key < best.key) best = partial[c];
-  return best.index;
+  }
+  return best;
 }
 
 std::size_t argmin_over_row_where(const double* row,
                                   const std::uint32_t* keys,
                                   std::uint32_t limit,
                                   std::size_t n) {
-  auto span_argmin = [row, keys, limit, n](std::size_t base,
-                                           std::size_t count) {
-    std::size_t best = n;  // "none eligible"
-    double best_value = std::numeric_limits<double>::infinity();
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::size_t m = base + i;
-      // Branch-free select: ineligible entries never beat best_value.
-      const bool take = keys[m] <= limit && row[m] < best_value;
-      best_value = take ? row[m] : best_value;
-      best = take ? m : best;
-    }
-    return best;
-  };
-  if (!use_parallel(n)) return span_argmin(0, n);
-
-  const std::size_t chunks = num_chunks(n);
-  // omflp-lint: allow(kernel-purity) per-chunk partials, amortized over >=2^20 elements
-  std::vector<std::size_t> partial(chunks);
-  parallel_for(chunks, [&](std::size_t c) {
-    const std::size_t begin = c * kChunk;
-    partial[c] = span_argmin(begin, std::min(kChunk, n - begin));
-  });
-  std::size_t best = n;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    if (partial[c] == n) continue;
-    if (best == n || row[partial[c]] < row[best]) best = partial[c];
+  std::size_t best = n;  // "none eligible"
+  double best_value = std::numeric_limits<double>::infinity();
+  for (std::size_t m = 0; m < n; ++m) {
+    // Branch-free select: ineligible entries never beat best_value.
+    const bool take = keys[m] <= limit && row[m] < best_value;
+    best_value = take ? row[m] : best_value;
+    best = take ? m : best;
   }
   return best;
 }
@@ -223,49 +118,19 @@ RowEvent min_tightness_over_row(const double* dist_row,
   // a negative divisor turns every positive delta into a negative "event
   // time" that wins the scan spuriously. Report "no event" instead.
   if (!(divisor > 0.0)) return RowEvent{};
-  if (!use_parallel(n)) {
-    // Blocked scan with early exit: a delta of exactly 0 cannot be beaten
-    // (deltas are clipped non-negative) and, scanning left to right, the
-    // first one found is the first-index tie-break winner.
-    RowEvent best;
-    for (std::size_t begin = 0; begin < n; begin += kBlock) {
-      const std::size_t count = std::min(kBlock, n - begin);
-      const RowEvent block =
-          min_tightness_span(dist_row + begin, cost_row + begin,
-                             bids_row + begin, raised, divisor, begin,
-                             count);
-      if (block.delta < best.delta) best = block;
-      if (best.delta == 0.0) return best;
-    }
-    return best;
-  }
-
-  const std::size_t chunks = num_chunks(n);
-  // omflp-lint: allow(kernel-purity) per-chunk partials, amortized over >=2^20 elements
-  std::vector<RowEvent> partial(chunks);
-  parallel_for(chunks, [&](std::size_t c) {
-    const std::size_t begin = c * kChunk;
-    partial[c] =
+  // Blocked scan with early exit: a delta of exactly 0 cannot be beaten
+  // (deltas are clipped non-negative) and, scanning left to right, the
+  // first one found is the first-index tie-break winner.
+  RowEvent best;
+  for (std::size_t begin = 0; begin < n; begin += kBlock) {
+    const std::size_t count = std::min(kBlock, n - begin);
+    const RowEvent block =
         min_tightness_span(dist_row + begin, cost_row + begin,
-                           bids_row + begin, raised, divisor, begin,
-                           std::min(kChunk, n - begin));
-  });
-  RowEvent best = partial[0];
-  for (std::size_t c = 1; c < chunks; ++c)
-    if (partial[c].delta < best.delta) best = partial[c];
-  return best;
-}
-
-std::size_t first_index_where_tight(const double* dist_row,
-                                    const double* cost_row,
-                                    const double* bids_row, double raised,
-                                    std::size_t n) noexcept {
-  for (std::size_t m = 0; m < n; ++m) {
-    const double incentive = raised - dist_row[m];
-    if (incentive >= 0.0 && bids_row[m] + incentive >= cost_row[m])
-      return m;
+                           bids_row + begin, raised, divisor, begin, count);
+    if (block.delta < best.delta) best = block;
+    if (best.delta == 0.0) return best;
   }
-  return n;
+  return best;
 }
 
 }  // namespace omflp::kernel

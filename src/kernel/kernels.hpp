@@ -17,17 +17,11 @@
 // OMFLP_PERF_ADD per row, which keeps BENCH counter totals identical to
 // the historical per-element ticks.
 //
-// Rows at or above parallel_threshold() are split over parallel_for
-// (src/support/parallel.hpp) in fixed 8192-element chunks. Chunk
-// boundaries — not thread boundaries — define the work units, and
-// per-chunk partial results are combined in chunk order, so every kernel
-// is bit-identical for any thread count (the threads=1 vs threads=N
-// determinism test in tests/test_kernel.cpp pins this down). Within a
-// chunk the summation order equals the historical scalar loop, which is
-// what keeps reference-mode PD runs bit-compatible. parallel_for spawns
-// and joins its std::jthread workers per call (there is no persistent
-// pool), so the default threshold sits far past spawn break-even; rows
-// below it always run on the calling thread.
+// Every kernel runs on the calling thread. A row is |M| long (the dense
+// distance matrix stops at 4,096 points), far too short to pay for
+// spawning workers; parallelism lives one level up, across the engine's
+// shards. Summation order equals the historical scalar loop, which keeps
+// reference-mode PD runs bit-compatible.
 #pragma once
 
 #include <cstddef>
@@ -35,21 +29,6 @@
 #include <limits>
 
 namespace omflp::kernel {
-
-/// Rows shorter than this stay on the calling thread. The default (2^20
-/// elements, ~8 MiB of doubles) is deliberately conservative: a kernel
-/// pass over a shorter row is cheaper than spawning and joining the
-/// per-call worker threads. Overridable with the OMFLP_KERNEL_THRESHOLD
-/// environment variable (read once, at first use);
-/// set_parallel_threshold() overrides both.
-inline constexpr std::size_t kDefaultParallelThreshold = 1u << 20;
-
-std::size_t parallel_threshold() noexcept;
-
-/// Test / tuning hook. 0 forces the parallel split for every row;
-/// SIZE_MAX disables it. Not thread-safe against concurrently running
-/// kernels.
-void set_parallel_threshold(std::size_t threshold) noexcept;
 
 /// row[m] += (v − dist_row[m])+ for m in [0, n).
 void accumulate_clipped_bid(double* row, const double* dist_row, double v,
@@ -65,7 +44,7 @@ void shift_clipped_bid(double* row, const double* dist_row, double v_old,
 /// NaN semantics: a NaN element compares as +inf and can never win the
 /// argmin; rows with no finite minimum (all NaN and/or +inf) return
 /// index 0. Ties — including ties created by the NaN demotion — resolve
-/// to the first index, for any thread count.
+/// to the first index.
 std::size_t argmin_over_row(const double* row, std::size_t n);
 
 /// First index of the minimum of row[m] over the m with keys[m] <= limit.
@@ -101,19 +80,5 @@ RowEvent min_tightness_over_row(const double* dist_row,
                                 const double* cost_row,
                                 const double* bids_row, double raised,
                                 double divisor, std::size_t n);
-
-/// First m where the investment already covers point m at the current
-/// raised amount: dist_row[m] <= raised and
-/// bids_row[m] + (raised − dist_row[m]) >= cost_row[m] (i.e. the
-/// tightness delta is exactly 0). Returns n when no point is tight.
-/// Answers the same zero-delta predicate min_tightness_over_row's serial
-/// path early-exits on (that path implements it inline as blocked
-/// scans); exposed as a standalone kernel for callers that only need
-/// tightness membership, not the minimizing event. NaN inputs at a point
-/// fail both comparisons, so a NaN element is never reported tight.
-std::size_t first_index_where_tight(const double* dist_row,
-                                    const double* cost_row,
-                                    const double* bids_row, double raised,
-                                    std::size_t n) noexcept;
 
 }  // namespace omflp::kernel

@@ -23,6 +23,13 @@ constexpr const char* kCsvHeader =
 
 }  // namespace
 
+MetricsSampler::Format MetricsSampler::format_for_path(
+    std::string_view path) noexcept {
+  return path.ends_with(".jsonl") || path.ends_with(".json")
+             ? Format::kJsonl
+             : Format::kCsv;
+}
+
 MetricsSampler::MetricsSampler(std::ostream& out, Format format,
                                std::uint64_t sample_every)
     : out_(out), format_(format), sample_every_(sample_every) {

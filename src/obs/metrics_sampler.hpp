@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <string_view>
 #include <vector>
 
 #include "perf/latency_histogram.hpp"
@@ -43,6 +44,10 @@ struct ShardRoundStats {
 class MetricsSampler {
  public:
   enum class Format { kCsv, kJsonl };
+
+  /// The format a metrics file's name asks for: JSONL when it ends in
+  /// ".jsonl" or ".json", CSV otherwise.
+  static Format format_for_path(std::string_view path) noexcept;
 
   /// `out` is borrowed and must outlive the sampler. A CSV header (or
   /// nothing, for JSONL) is written on the first record.

@@ -212,6 +212,8 @@ class SolutionLedger {
   ConnectionChargePolicy policy() const noexcept { return policy_; }
   const MetricSpace& metric() const noexcept { return *metric_; }
   const FacilityCostModel& cost_model() const noexcept { return *cost_; }
+  const MetricPtr& metric_ptr() const noexcept { return metric_; }
+  const CostModelPtr& cost_ptr() const noexcept { return cost_; }
 
   bool request_in_flight() const noexcept { return in_flight_; }
 

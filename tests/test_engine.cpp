@@ -33,9 +33,7 @@ StreamRunResult sequential_reference(const TenantSpec& spec,
   auto algorithm = default_algorithm_registry().make(
       spec.algorithm, derive_algorithm_seed(spec.seed));
   StreamRunOptions run_options;
-  run_options.policy = options.policy;
   run_options.batch_size = options.batch_size;
-  run_options.compact = options.compact;
   run_options.verify = options.verify;
   return run_stream(*algorithm, stream, run_options);
 }

@@ -2,13 +2,11 @@
 // BidPlane storage semantics (alignment, lazy activation, growth), the
 // DistanceOracle row accessor on both paths, kernelized PD against naive
 // pre-refactor-style recomputation on all four metric families, audit
-// cleanliness on long adversarial runs in both bid modes, and bit-exact
-// determinism of the parallel split across thread counts.
+// cleanliness on long adversarial runs in both bid modes.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <vector>
 
 #include "core/pd_omflp.hpp"
@@ -36,20 +34,6 @@ std::vector<double> random_row(Rng& rng, std::size_t n, double lo,
   for (double& x : row) x = rng.uniform(lo, hi);
   return row;
 }
-
-/// Restores the parallel threshold on scope exit so a failing test does
-/// not poison later ones.
-class ThresholdGuard {
- public:
-  explicit ThresholdGuard(std::size_t threshold)
-      : saved_(kernel::parallel_threshold()) {
-    kernel::set_parallel_threshold(threshold);
-  }
-  ~ThresholdGuard() { kernel::set_parallel_threshold(saved_); }
-
- private:
-  std::size_t saved_;
-};
 
 // --------------------------------------------------------- scalar kernels ---
 
@@ -155,102 +139,6 @@ TEST(Kernels, MinTightnessEarlyExitReturnsFirstTightIndex) {
       dist.size());
   EXPECT_EQ(event.delta, 0.0);
   EXPECT_EQ(event.index, 700u);
-}
-
-TEST(Kernels, FirstIndexWhereTightAgreesWithZeroDelta) {
-  Rng rng(13);
-  const std::size_t n = 400;
-  const std::vector<double> dist = random_row(rng, n, 0.0, 10.0);
-  const std::vector<double> cost = random_row(rng, n, 0.0, 4.0);
-  const std::vector<double> bids = random_row(rng, n, 0.0, 4.0);
-  for (const double raised : {0.0, 1.0, 5.0, 20.0}) {
-    std::size_t expected = n;
-    for (std::size_t m = 0; m < n; ++m) {
-      const double delta = positive_part(
-          dist[m] + positive_part(cost[m] - bids[m]) - raised);
-      if (delta == 0.0) {
-        expected = m;
-        break;
-      }
-    }
-    EXPECT_EQ(kernel::first_index_where_tight(dist.data(), cost.data(),
-                                              bids.data(), raised, n),
-              expected)
-        << "raised=" << raised;
-  }
-}
-
-// ------------------------------------------------- parallel determinism ---
-
-TEST(Kernels, ParallelSplitIsBitIdenticalAcrossThreadCounts) {
-  Rng rng(17);
-  const std::size_t n = 100003;  // several chunks, ragged tail
-  const std::vector<double> dist = random_row(rng, n, 0.0, 100.0);
-  const std::vector<double> cost = random_row(rng, n, 0.0, 50.0);
-  std::vector<double> serial = random_row(rng, n, 0.0, 10.0);
-  std::vector<double> parallel = serial;
-
-  kernel::RowEvent serial_event, parallel_event;
-  std::size_t serial_argmin = 0, parallel_argmin = 0;
-  {
-    ThresholdGuard serial_only(static_cast<std::size_t>(-1));
-    kernel::accumulate_clipped_bid(serial.data(), dist.data(), 60.0, n);
-    kernel::shift_clipped_bid(serial.data(), dist.data(), 60.0, 10.0, n);
-    serial_event = kernel::min_tightness_over_row(
-        dist.data(), cost.data(), serial.data(), 20.0, 3.0, n);
-    serial_argmin = kernel::argmin_over_row(dist.data(), n);
-  }
-  {
-    ThresholdGuard force_parallel(0);
-    ::setenv("OMFLP_THREADS", "5", 1);
-    kernel::accumulate_clipped_bid(parallel.data(), dist.data(), 60.0, n);
-    kernel::shift_clipped_bid(parallel.data(), dist.data(), 60.0, 10.0, n);
-    parallel_event = kernel::min_tightness_over_row(
-        dist.data(), cost.data(), parallel.data(), 20.0, 3.0, n);
-    parallel_argmin = kernel::argmin_over_row(dist.data(), n);
-    ::unsetenv("OMFLP_THREADS");
-  }
-  for (std::size_t m = 0; m < n; ++m)
-    ASSERT_EQ(serial[m], parallel[m]) << "at " << m;
-  EXPECT_EQ(serial_event.delta, parallel_event.delta);
-  EXPECT_EQ(serial_event.index, parallel_event.index);
-  EXPECT_EQ(serial_argmin, parallel_argmin);
-}
-
-TEST(Kernels, PdRunIsBitIdenticalWithForcedParallelSplit) {
-  Rng rng(23);
-  std::vector<double> positions;
-  for (std::size_t i = 0; i < 24; ++i)
-    positions.push_back(rng.uniform(0.0, 50.0));
-  auto metric = std::make_shared<LineMetric>(std::move(positions));
-  auto cost = std::make_shared<PolynomialCostModel>(6, 1.2);
-  std::vector<Request> requests;
-  for (std::size_t i = 0; i < 60; ++i) {
-    Request r;
-    r.location = static_cast<PointId>(rng.uniform_index(24));
-    r.commodities = sample_demand_set(6, 1 + rng.uniform_index(3), 0.0, rng);
-    requests.push_back(std::move(r));
-  }
-  const Instance inst(metric, cost, std::move(requests));
-
-  auto run = [&](std::size_t threshold, const char* threads) {
-    ThresholdGuard guard(threshold);
-    ::setenv("OMFLP_THREADS", threads, 1);
-    PdOmflp pd;
-    const SolutionLedger ledger = run_online(pd, inst);
-    ::unsetenv("OMFLP_THREADS");
-    return std::pair<double, std::vector<PdDualRecord>>{
-        ledger.total_cost(), pd.dual_records()};
-  };
-  const auto [cost_serial, duals_serial] =
-      run(static_cast<std::size_t>(-1), "1");
-  const auto [cost_parallel, duals_parallel] = run(0, "4");
-
-  EXPECT_EQ(cost_serial, cost_parallel);  // bitwise, not NEAR
-  ASSERT_EQ(duals_serial.size(), duals_parallel.size());
-  for (std::size_t i = 0; i < duals_serial.size(); ++i)
-    for (std::size_t j = 0; j < duals_serial[i].duals.size(); ++j)
-      ASSERT_EQ(duals_serial[i].duals[j], duals_parallel[i].duals[j]);
 }
 
 // ---------------------------------------------------------------- BidPlane ---
@@ -603,21 +491,6 @@ TEST(KernelEdgeCases, ArgminAllNaNOrInfReturnsFirstIndex) {
   EXPECT_EQ(kernel::argmin_over_row(mixed.data(), mixed.size()), 0u);
 }
 
-TEST(KernelEdgeCases, ArgminParallelMergeIsNaNRobust) {
-  // Regression: the chunk merge re-read row[partial[c]], so a NaN chunk
-  // winner shadowed every later finite chunk ("finite < NaN" is false).
-  ThresholdGuard force_parallel(0);
-  std::vector<double> row(3 * 8192 + 7, 50.0);
-  for (std::size_t i = 0; i < 8192; ++i) row[i] = kNaN;  // chunk 0: all NaN
-  row[2 * 8192 + 11] = 0.25;  // the true minimum, in chunk 2
-  EXPECT_EQ(kernel::argmin_over_row(row.data(), row.size()),
-            2u * 8192 + 11);
-  ::setenv("OMFLP_THREADS", "4", 1);
-  EXPECT_EQ(kernel::argmin_over_row(row.data(), row.size()),
-            2u * 8192 + 11);
-  ::unsetenv("OMFLP_THREADS");
-}
-
 TEST(KernelEdgeCases, ArgminMaskedIgnoresNaNAndReportsNoneEligible) {
   const std::vector<double> row = {kNaN, 2.0, 1.0, kNaN};
   const std::vector<std::uint32_t> keys = {0, 1, 5, 0};
@@ -665,22 +538,6 @@ TEST(KernelEdgeCases, MinTightnessNonPositiveDivisorReportsNoEvent) {
     EXPECT_EQ(event.index, static_cast<std::size_t>(-1))
         << "divisor " << divisor;
   }
-}
-
-TEST(KernelEdgeCases, FirstIndexWhereTightIgnoresNaN) {
-  const std::vector<double> dist = {kNaN, 0.0, 0.0};
-  const std::vector<double> cost = {0.0, kNaN, 1.0};
-  const std::vector<double> bids = {5.0, 5.0, 1.0};
-  // Points 0 and 1 have NaN inputs; point 2 is the first real tight one.
-  EXPECT_EQ(kernel::first_index_where_tight(dist.data(), cost.data(),
-                                            bids.data(), /*raised=*/2.0,
-                                            dist.size()),
-            2u);
-  const std::vector<double> nan_bids = {kNaN, kNaN, kNaN};
-  EXPECT_EQ(kernel::first_index_where_tight(dist.data(), cost.data(),
-                                            nan_bids.data(),
-                                            /*raised=*/2.0, dist.size()),
-            dist.size());
 }
 
 }  // namespace

@@ -410,6 +410,21 @@ TEST(MetricsSampler, ZeroCadenceThrows) {
                std::invalid_argument);
 }
 
+TEST(MetricsSampler, FormatFollowsTheFileSuffix) {
+  // Regression: the CLI's rfind rule compared against size() - 6, which
+  // wraps to npos for a 5-character name and matched a failed search, so
+  // "m.csv" was written as JSONL.
+  using Format = MetricsSampler::Format;
+  EXPECT_EQ(MetricsSampler::format_for_path("m.csv"), Format::kCsv);
+  EXPECT_EQ(MetricsSampler::format_for_path("a.json"), Format::kJsonl);
+  EXPECT_EQ(MetricsSampler::format_for_path("a.jsonl"), Format::kJsonl);
+  EXPECT_EQ(MetricsSampler::format_for_path("out/metrics.csv"),
+            Format::kCsv);
+  EXPECT_EQ(MetricsSampler::format_for_path("a.json.csv"), Format::kCsv);
+  EXPECT_EQ(MetricsSampler::format_for_path("json"), Format::kCsv);
+  EXPECT_EQ(MetricsSampler::format_for_path(""), Format::kCsv);
+}
+
 TEST(MetricsSampler, EngineEmitsCsvRowsPerShardPerRound) {
   std::vector<TenantSpec> specs = default_workload_mix_registry().tenants(
       "mixed", /*count=*/4, /*seed=*/3);

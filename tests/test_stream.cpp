@@ -20,26 +20,12 @@
 #include "instance/checkpoint_io.hpp"
 #include "instance/event_stream.hpp"
 #include "instance/stream_io.hpp"
-#include "kernel/kernels.hpp"
 #include "metric/line_metric.hpp"
 #include "scenario/stream_registry.hpp"
 #include "solution/verifier.hpp"
 
 namespace omflp {
 namespace {
-
-/// Restores the kernel parallel threshold on scope exit.
-class ThresholdGuard {
- public:
-  explicit ThresholdGuard(std::size_t threshold)
-      : saved_(kernel::parallel_threshold()) {
-    kernel::set_parallel_threshold(threshold);
-  }
-  ~ThresholdGuard() { kernel::set_parallel_threshold(saved_); }
-
- private:
-  std::size_t saved_;
-};
 
 Request make_request(CommodityId universe, PointId location,
                      std::initializer_list<CommodityId> demand) {
@@ -1072,8 +1058,7 @@ TEST(StreamRunner, ChurnRunIsBitIdenticalAcrossThreadCounts) {
       "churn-uniform", /*seed=*/8,
       {{"events", 512}, {"points", 32}, {"commodities", 6}});
 
-  auto run = [&](std::size_t threshold, const char* threads) {
-    ThresholdGuard guard(threshold);
+  auto run = [&](const char* threads) {
     ::setenv("OMFLP_THREADS", threads, 1);
     PdOmflp pd;
     const StreamRunResult result = run_stream(pd, stream, {});
@@ -1081,8 +1066,8 @@ TEST(StreamRunner, ChurnRunIsBitIdenticalAcrossThreadCounts) {
     return std::pair<double, double>{result.ledger.total_cost(),
                                      result.ledger.active_cost()};
   };
-  const auto serial = run(static_cast<std::size_t>(-1), "1");
-  const auto parallel = run(0, "4");  // forced parallel split
+  const auto serial = run("1");
+  const auto parallel = run("4");
   EXPECT_EQ(serial.first, parallel.first);    // bitwise, not NEAR
   EXPECT_EQ(serial.second, parallel.second);
 }
@@ -1093,8 +1078,7 @@ TEST(StreamRunner, CapacitatedRunIsBitIdenticalAcrossThreadCounts) {
       {{"events", 256}, {"capacity", 2}});
   ASSERT_NE(stream.capacities(), nullptr);
 
-  auto run = [&](std::size_t threshold, const char* threads) {
-    ThresholdGuard guard(threshold);
+  auto run = [&](const char* threads) {
     ::setenv("OMFLP_THREADS", threads, 1);
     PdOmflp pd;
     StreamRunOptions options;
@@ -1107,8 +1091,8 @@ TEST(StreamRunner, CapacitatedRunIsBitIdenticalAcrossThreadCounts) {
         result.ledger.num_shed_requests(),
         result.ledger.num_spilled_assignments()};
   };
-  const auto serial = run(static_cast<std::size_t>(-1), "1");
-  const auto parallel = run(0, "4");  // forced parallel split
+  const auto serial = run("1");
+  const auto parallel = run("4");
   EXPECT_EQ(serial, parallel);  // costs AND admission counters, bitwise
   // The cap must actually bind, or this run never exercises admission.
   EXPECT_GT(std::get<2>(serial) + std::get<3>(serial), 0u);

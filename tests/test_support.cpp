@@ -358,7 +358,7 @@ TEST(Parse, U64StrictRejectsOverflow) {
 }
 
 TEST(Parse, U64StrictRejectsTrailingGarbageAndWhitespace) {
-  // Regression: the OMFLP_KERNEL_THRESHOLD / OMFLP_THREADS readers
+  // Regression: the environment readers (e.g. OMFLP_THREADS)
   // accepted "123abc" as 123 and "8abc" as 8.
   EXPECT_FALSE(parse_u64_strict("123abc").has_value());
   EXPECT_FALSE(parse_u64_strict("8abc").has_value());

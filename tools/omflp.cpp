@@ -1,15 +1,5 @@
-// omflp — the scenario-engine command line.
-//
-//   omflp list                          catalog of scenarios and algorithms
-//   omflp run    --scenario S ...       run one (scenario, algorithm, seed)
-//   omflp sweep  --scenarios a,b ...    mass-run a cross-product, emit CSV
-//   omflp replay FILE ...               re-run a saved instance trace
-//   omflp stream --scenario S ...       process a dynamic event stream
-//   omflp serve  --tenants K ...        drive the sharded multi-tenant engine
-//   omflp explain TRACELOG ...          replay a decision trace, render causality
-//   omflp bound  --scenario S ...       certified OPT lower bound
-//   omflp bench                         run the perf suite, emit BENCH json
-//   omflp compare OLD NEW               diff two BENCH json files
+// omflp — the scenario-engine command line. `omflp help` lists every
+// verb and flag, generated from the tables in kVerbs.
 //
 // Examples:
 //   omflp run --scenario clustered --algorithm pd --seed 3 --set clusters=8
@@ -33,15 +23,18 @@
 // `stream --trace` reads the trace in bounded-memory batches and compacts
 // retired ledger records, so million-event traces process in O(active
 // set + batch) resident state.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <map>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "analysis/bounds.hpp"
@@ -74,174 +67,153 @@ namespace {
 
 using namespace omflp;
 
-int usage(std::ostream& os, int exit_code) {
-  os << "usage: omflp <command> [options]\n"
-        "\n"
-        "commands:\n"
-        "  list                      list scenarios and algorithms\n"
-        "  run                       run one scenario under one algorithm\n"
-        "    --scenario NAME           required\n"
-        "    --algorithm NAME          default: pd\n"
-        "    --seed N                  default: 1\n"
-        "    --set key=value           override a scenario parameter "
-        "(repeatable)\n"
-        "    --save FILE               save the generated instance trace\n"
-        "  sweep                     run a (scenario x algorithm x seed) "
-        "cross-product\n"
-        "    --scenarios a,b|all       default: all\n"
-        "    --algorithms a,b|all      default: all\n"
-        "    --seeds N                 default: 8\n"
-        "    --seed-base N             default: 1\n"
-        "    --set key=value           override where declared "
-        "(repeatable)\n"
-        "    --threads N               default: hardware\n"
-        "    --ratio                   compute certified lower bounds "
-        "(fills the lower /\n"
-        "                              certified_ratio / gap columns)\n"
-        "    --csv FILE                write per-cell CSV (default: "
-        "stdout)\n"
-        "    --json FILE               also write per-cell JSON\n"
-        "  replay FILE               re-run a saved instance trace\n"
-        "    --algorithm NAME          default: pd\n"
-        "    --seed N                  default: 1\n"
-        "  stream                    process a dynamic event stream "
-        "(arrivals + deletions)\n"
-        "    --scenario NAME           generate a stream scenario, or\n"
-        "    --trace FILE              stream a saved trace from disk "
-        "(bounded memory)\n"
-        "    --algorithm NAME          default: pd\n"
-        "    --seed N                  default: 1\n"
-        "    --set key=value           override a scenario parameter "
-        "(repeatable)\n"
-        "    --save FILE               save the generated stream trace\n"
-        "    --batch N                 events per IO/compaction batch "
-        "(default: 8192)\n"
-        "    --no-verify               skip the incremental stream "
-        "verifier\n"
-        "    --overflow POLICY         reassign | reject at a full "
-        "facility (capacitated streams; default: reassign)\n"
-        "    --trace-out FILE          write the decision trace "
-        "(OMFLP-TRACELOG v1 jsonl)\n"
-        "    --latency-csv FILE        write per-batch latency CSV "
-        "(batch,events,batch_ns,...)\n"
-        "    --ratio                   force the OPT(surviving) ratio "
-        "bracket (works with\n"
-        "                              --trace too: the surviving set is "
-        "rebuilt from the ledger)\n"
-        "  bound                     certified lower bound on OPT (verified "
-        "dual certificates)\n"
-        "    --scenario NAME           bound a static scenario instance, "
-        "or\n"
-        "    --instance FILE           a saved instance trace, or\n"
-        "    --stream NAME             a stream scenario (windowed "
-        "decomposition), or\n"
-        "    --trace FILE              a saved stream trace (bounded "
-        "memory)\n"
-        "    --seed N                  default: 1\n"
-        "    --set key=value           override a scenario parameter "
-        "(repeatable)\n"
-        "    --method NAME             static bound method (default: auto; "
-        "see src/bound/registry.hpp)\n"
-        "    --window N                arrivals per window/chunk "
-        "(default: 4096)\n"
-        "    --algorithm NAME          also run the algorithm and report "
-        "the certified ratio\n"
-        "    --max-certified-ratio X   exit 1 when cost / lower exceeds "
-        "X\n"
-        "    --assert-paper-bound      exit 1 when the certified ratio "
-        "exceeds Theorem 4's\n"
-        "                              15*sqrt(|S|)*H_n (meaningful for "
-        "--algorithm pd)\n"
-        "    --save-cert FILE          write the dual certificate "
-        "(static bounds)\n"
-        "  serve                     drive the sharded multi-tenant stream "
-        "engine\n"
-        "    --tenants K               default: 8\n"
-        "    --mix NAME                workload mix (default: mixed; see "
-        "`omflp list`)\n"
-        "    --algorithm NAME          serve every tenant with this "
-        "algorithm (default: pd)\n"
-        "    --seed N                  default: 1\n"
-        "    --shards N                default: min(tenants, threads)\n"
-        "    --threads N               default: hardware / OMFLP_THREADS\n"
-        "    --batch N                 events per tenant per round "
-        "(default: 2048)\n"
-        "    --scale X                 scale every tenant's workload size "
-        "(default: 1)\n"
-        "    --no-verify               skip the per-tenant incremental "
-        "verifiers\n"
-        "    --capacity N              uniform per-point facility capacity "
-        "for every tenant (default: 0 = scenario's own)\n"
-        "    --overflow POLICY         reassign | reject at a full "
-        "facility (default: reassign)\n"
-        "    --seq-baseline            also run the tenants sequentially "
-        "and report the speedup\n"
-        "    --metrics-out FILE        live per-shard telemetry "
-        "(.jsonl/.json -> JSONL, else CSV)\n"
-        "    --sample-every N          rounds between telemetry samples "
-        "(default: 1)\n"
-        "    --trace-out FILE          write the merged decision trace "
-        "(tenant-order, deterministic)\n"
-        "    --checkpoint-dir DIR      restore from / publish OMFLP-CKPT "
-        "generations in DIR\n"
-        "    --checkpoint-every N      rounds between checkpoint "
-        "generations (default: 0 = restore only)\n"
-        "    --fault-plan SPEC         deterministic crash injection, e.g. "
-        "crashes=2,seed=7,gap=8,torn=1\n"
-        "    --placement \"0,1,...\"     explicit tenant->shard placement "
-        "(migration; default round-robin)\n"
-        "    --report-out FILE         write the deterministic per-tenant "
-        "report (atomic)\n"
-        "  explain TRACELOG          replay a decision trace and render "
-        "the causal chain\n"
-        "    --facility N              why did facility N open (bids, "
-        "tightness, rollbacks)\n"
-        "    --request N               every event involving request N\n"
-        "    --recover                 accept a torn/corrupt tracelog and "
-        "use its valid prefix\n"
-        "  bench                     run the perf suite, write BENCH json\n"
-        "    --out FILE                default: BENCH_<suite>.json\n"
-        "    --quick                   fewer warmup/timed trials (CI "
-        "smoke)\n"
-        "    --trials N                override timed trials per case\n"
-        "    --warmup N                override warmup runs per case\n"
-        "  compare OLD NEW           diff two BENCH json files\n"
-        "    --threshold X             regression gate on ns/op "
-        "(default: 1.10)\n"
-        "    --report-only             always exit 0 (CI trend "
-        "reporting)\n"
-        "    --fail-on-missing         treat baseline cases missing from "
-        "NEW as regressions\n";
-  return exit_code;
+// ------------------------------------------------------------ flag tables ---
+//
+// Each verb declares its flags once, in its kVerbs entry (end of file);
+// parse_args() reads argv against it and print_usage() renders it. The
+// Args member a flag writes fixes its value kind (see parse_value). A
+// default is parsed as if given; a repeated flag keeps its last value.
+
+using Argv = std::vector<std::string>;
+using Names = std::vector<std::string>;
+using Overrides = std::map<std::string, double>;
+
+// The parsed flags of one verb. Each body reads only the fields its
+// verb's table declares; the others keep their zero values.
+struct Args {
+  Names operands, scenarios, algorithms;
+  std::string scenario, instance, stream, trace, algorithm, save, method,
+      save_cert, overflow, trace_out, latency_csv, csv, json, mix,
+      metrics_out, checkpoint_dir, fault_plan, report_out, out;
+  std::uint64_t seed = 0, seeds = 0, seed_base = 0, threads = 0, batch = 0,
+                window = 0, tenants = 0, shards = 0, capacity = 0,
+                sample_every = 0, checkpoint_every = 0;
+  double scale = 0.0, threshold = 0.0;
+  std::optional<std::uint64_t> facility, request, trials, warmup;
+  std::optional<double> max_certified_ratio;
+  std::vector<std::uint64_t> placement;
+  Overrides set;
+  bool ratio = false, no_verify = false, assert_paper_bound = false,
+       seq_baseline = false, recover = false, quick = false,
+       report_only = false, fail_on_missing = false;
+};
+
+struct Flag {
+  const char* name;
+  std::variant<bool Args::*, std::string Args::*, std::uint64_t Args::*,
+               double Args::*, std::optional<std::uint64_t> Args::*,
+               std::optional<double> Args::*, Names Args::*,
+               std::vector<std::uint64_t> Args::*, Overrides Args::*>
+      field;
+  const char* metavar;  // "" for a switch
+  const char* help;
+  const char* fallback = nullptr;  // the default, if any
+};
+
+// Positional operands ("OLD NEW") are all required and land in
+// Args::operands.
+struct Verb {
+  const char* name;
+  const char* operands;
+  const char* summary;
+  int (*body)(const Args&);
+  std::vector<Flag> flags;
+  const char* missing_operands = "";  // the error when too few are given
+};
+
+// Parses one flag's value into its Args member: bool is a switch (no
+// value), std::optional is unset unless given, a vector is a comma list
+// without empty items and Overrides is a repeatable key=value (last wins
+// per key).
+template <class T>
+void parse_value(T& out, const std::string& text, const std::string& flag) {
+  if constexpr (std::is_same_v<T, bool>) {
+    out = true;
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    out = text;
+  } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+    out = parse_u64_arg(text, flag);
+  } else if constexpr (std::is_same_v<T, double>) {
+    out = parse_double_arg(text, flag);
+  } else if constexpr (std::is_same_v<T, Overrides>) {
+    const auto eq = text.find('=');
+    if (eq == std::string::npos || eq == 0)
+      throw std::invalid_argument(flag + " expects key=value, got '" +
+                                  text + "'");
+    const std::string key = text.substr(0, eq);
+    parse_value(out[key], text.substr(eq + 1), flag + " " + key);
+  } else if constexpr (requires { out.emplace(); }) {  // std::optional
+    parse_value(out.emplace(), text, flag);
+  } else {  // a comma list
+    out.clear();
+    for (std::size_t begin = 0;;) {
+      const std::size_t end = std::min(text.find(',', begin), text.size());
+      if (end == begin)
+        throw std::invalid_argument(flag + " expects a comma list without "
+                                    "empty items, got '" + text + "'");
+      parse_value(out.emplace_back(), text.substr(begin, end - begin),
+                  flag);
+      if (end == text.size()) return;
+      begin = end + 1;
+    }
+  }
 }
 
-/// Pops the value of `--flag value`; throws on a missing value.
-std::string take_value(const std::vector<std::string>& args, std::size_t& i) {
-  if (i + 1 >= args.size())
-    throw std::invalid_argument("missing value after " + args[i]);
-  return args[++i];
+Args parse_args(const Verb& verb, const Argv& argv) {
+  Args args;
+  auto set = [&args](const Flag& flag, const std::string& text) {
+    std::visit([&](auto field) { parse_value(args.*field, text, flag.name); },
+               flag.field);
+  };
+  for (const Flag& flag : verb.flags)
+    if (flag.fallback) set(flag, flag.fallback);
+  const std::string_view metavars = verb.operands;
+  const auto max_operands = static_cast<std::size_t>(
+      std::ranges::count(metavars, ' ') + !metavars.empty());
+  for (std::size_t i = 0; i < argv.size(); ++i) {
+    const std::string& word = argv[i];
+    const auto flag = std::ranges::find_if(
+        verb.flags, [&](const Flag& f) { return word == f.name; });
+    if (flag != verb.flags.end()) {
+      const bool is_switch =
+          std::holds_alternative<bool Args::*>(flag->field);
+      if (!is_switch && i + 1 >= argv.size())
+        throw std::invalid_argument("missing value after " + word);
+      set(*flag, is_switch ? word : argv[++i]);
+    } else if (!word.empty() && word[0] != '-' &&
+               args.operands.size() < max_operands) {
+      args.operands.push_back(word);
+    } else {
+      throw std::invalid_argument(std::string(verb.name) +
+                                  ": unknown option " + word);
+    }
+  }
+  if (args.operands.size() < max_operands)
+    throw std::invalid_argument(std::string(verb.name) + ": " +
+                                verb.missing_operands);
+  return args;
 }
 
-std::vector<std::string> split_csv(const std::string& text) {
-  std::vector<std::string> out;
-  std::stringstream ss(text);
-  std::string item;
-  while (std::getline(ss, item, ','))
-    if (!item.empty()) out.push_back(item);
-  return out;
+// One help line: the flag (or verb) padded to a fixed column, then text.
+void usage_row(std::ostream& os, std::size_t indent, std::string head,
+               const std::string& text) {
+  head.insert(0, indent, ' ');
+  head.resize(std::max<std::size_t>(head.size() + 1, 30), ' ');
+  os << head << text << "\n";
 }
 
-// Strict parsers from support/parse.hpp: negative input no longer wraps
-// ("--trials -5" used to become 2^64−5 through strtoull) and ERANGE
-// overflow in either direction is rejected with a clear error.
-void parse_set(const std::string& text,
-               std::map<std::string, double>& overrides) {
-  const auto eq = text.find('=');
-  if (eq == std::string::npos || eq == 0)
-    throw std::invalid_argument("--set expects key=value, got '" + text +
-                                "'");
-  const std::string key = text.substr(0, eq);
-  overrides[key] = parse_double_arg(text.substr(eq + 1), "--set " + key);
+void print_usage(std::ostream& os, const Verb& verb) {
+  const auto spaced = [](const char* word) {
+    return *word ? std::string(" ") + word : std::string();
+  };
+  usage_row(os, 2, verb.name + spaced(verb.operands), verb.summary);
+  for (const Flag& flag : verb.flags) {
+    std::string help = flag.help;
+    if (flag.fallback)
+      help = help.empty() ? std::string("default: ") + flag.fallback
+                          : help + " (default: " + flag.fallback + ")";
+    usage_row(os, 4, flag.name + spaced(flag.metavar), help);
+  }
 }
 
 OverflowPolicy parse_overflow_arg(const std::string& value) {
@@ -253,7 +225,7 @@ OverflowPolicy parse_overflow_arg(const std::string& value) {
 
 // ------------------------------------------------------------------ list ---
 
-int cmd_list() {
+int cmd_list(const Args&) {
   const ScenarioRegistry& scenarios = default_scenario_registry();
   const StreamScenarioRegistry& streams = default_stream_scenario_registry();
   const AlgorithmRegistry& algorithms = default_algorithm_registry();
@@ -298,6 +270,43 @@ int cmd_list() {
 
 // ------------------------------------------------------------------- run ---
 
+// The admission line of a capacitated ledger; `offered` counts the
+// requests (or arrivals, `offered_name`) the shed rate is taken over.
+void report_admission(const SolutionLedger& ledger, std::uint64_t offered,
+                      const char* offered_name) {
+  const double shed_rate =
+      offered > 0 ? static_cast<double>(ledger.num_shed_requests()) /
+                        static_cast<double>(offered)
+                  : 0.0;
+  std::cout << "admission  " << overflow_policy_tag(ledger.overflow_policy())
+            << ": " << ledger.num_shed_requests() << " requests shed ("
+            << shed_rate * 100.0 << "% of " << offered_name << "), "
+            << ledger.num_rejected_commodities() << " items rejected, "
+            << ledger.num_spilled_assignments() << " assignments spilled\n";
+}
+
+// The OPT estimate and the ratio of `cost` to it. The bracket is true:
+// cost/upper under-estimates, cost/lower (certified) over-estimates.
+// `surviving` labels the stream form (active cost vs OPT on the
+// surviving set).
+void report_opt(const OptEstimate& opt, double cost, bool surviving) {
+  std::cout << (surviving ? "opt(surv)  " : "opt        ") << opt.cost
+            << " (" << opt.method
+            << (opt.exact ? ", exact" : ", upper bound") << ")\n";
+  if (opt.lower_certified)
+    std::cout << (surviving ? "lb(surv)   " : "opt lower  ") << opt.lower
+              << " (" << opt.lower_method << ", certified)\n";
+  const char* against = "active cost vs OPT on the surviving set";
+  if (opt.lower_certified && opt.lower > 0.0)
+    std::cout << "ratio      [" << cost / opt.cost << ", " << cost / opt.lower
+              << "]  (estimated, certified"
+              << (surviving ? std::string(" — ") + against : "") << ")\n";
+  else
+    std::cout << "ratio      " << cost / opt.cost
+              << (surviving ? std::string("  (") + against + ")" : "")
+              << "\n";
+}
+
 void report_run(const Instance& instance, const std::string& algorithm_name,
                 std::uint64_t seed) {
   // The workload seed and the algorithm's coin seed are decorrelated (see
@@ -321,88 +330,38 @@ void report_run(const Instance& instance, const std::string& algorithm_name,
             << "facilities " << ledger.num_facilities() << " ("
             << ledger.num_small_facilities() << " small, "
             << ledger.num_large_facilities() << " large)\n";
-  if (ledger.capacitated()) {
-    const double shed_rate =
-        instance.num_requests() > 0
-            ? static_cast<double>(ledger.num_shed_requests()) /
-                  static_cast<double>(instance.num_requests())
-            : 0.0;
-    std::cout << "admission  "
-              << overflow_policy_tag(ledger.overflow_policy()) << ": "
-              << ledger.num_shed_requests() << " requests shed ("
-              << shed_rate * 100.0 << "% of requests), "
-              << ledger.num_rejected_commodities() << " items rejected, "
-              << ledger.num_spilled_assignments()
-              << " assignments spilled\n";
-  }
+  if (ledger.capacitated())
+    report_admission(ledger, instance.num_requests(), "requests");
   OptEstimateOptions opt_options;
   opt_options.compute_lower = true;
-  const OptEstimate opt = estimate_opt(instance, opt_options);
-  std::cout << "opt        " << opt.cost << " (" << opt.method
-            << (opt.exact ? ", exact" : ", upper bound") << ")\n";
-  if (opt.lower_certified)
-    std::cout << "opt lower  " << opt.lower << " (" << opt.lower_method
-              << ", certified)\n";
-  if (opt.lower_certified && opt.lower > 0.0) {
-    // True ratio bracket: cost/upper under-estimates, cost/lower
-    // (certified) over-estimates.
-    std::cout << "ratio      [" << ledger.total_cost() / opt.cost << ", "
-              << ledger.total_cost() / opt.lower
-              << "]  (estimated, certified)\n";
-  } else {
-    std::cout << "ratio      " << ledger.total_cost() / opt.cost << "\n";
-  }
+  report_opt(estimate_opt(instance, opt_options), ledger.total_cost(),
+             /*surviving=*/false);
 }
 
-int cmd_run(const std::vector<std::string>& args) {
-  std::string scenario;
-  std::string algorithm = "pd";
-  std::string save_path;
-  std::uint64_t seed = 1;
-  std::map<std::string, double> overrides;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--scenario") scenario = take_value(args, i);
-    else if (args[i] == "--algorithm") algorithm = take_value(args, i);
-    else if (args[i] == "--seed") seed = parse_u64_arg(take_value(args, i), "--seed");
-    else if (args[i] == "--set") parse_set(take_value(args, i), overrides);
-    else if (args[i] == "--save") save_path = take_value(args, i);
-    else throw std::invalid_argument("run: unknown option " + args[i]);
-  }
-  if (scenario.empty())
+int cmd_run(const Args& a) {
+  if (a.scenario.empty())
     throw std::invalid_argument("run: --scenario is required");
 
   const Instance instance =
-      default_scenario_registry().make(scenario, seed, overrides);
-  if (!save_path.empty()) {
-    AtomicFileWriter file(save_path);
+      default_scenario_registry().make(a.scenario, a.seed, a.set);
+  if (!a.save.empty()) {
+    AtomicFileWriter file(a.save);
     write_instance(file.stream(), instance);
     file.commit();
-    std::cout << "saved      " << save_path << "\n";
+    std::cout << "saved      " << a.save << "\n";
   }
-  report_run(instance, algorithm, seed);
+  report_run(instance, a.algorithm, a.seed);
   return 0;
 }
 
 // ---------------------------------------------------------------- replay ---
 
-int cmd_replay(const std::vector<std::string>& args) {
-  std::string path;
-  std::string algorithm = "pd";
-  std::uint64_t seed = 1;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--algorithm") algorithm = take_value(args, i);
-    else if (args[i] == "--seed") seed = parse_u64_arg(take_value(args, i), "--seed");
-    else if (!args[i].empty() && args[i][0] != '-' && path.empty())
-      path = args[i];
-    else throw std::invalid_argument("replay: unknown option " + args[i]);
-  }
-  if (path.empty())
-    throw std::invalid_argument("replay: an instance file is required");
-
+int cmd_replay(const Args& a) {
+  const std::string& path = a.operands[0];
   std::ifstream file(path);
   if (!file) throw std::runtime_error("cannot open " + path);
   const Instance instance = read_instance(file);
-  report_run(instance, algorithm, seed);
+  report_run(instance, a.algorithm, a.seed);
   return 0;
 }
 
@@ -413,21 +372,19 @@ int cmd_replay(const std::vector<std::string>& args) {
 // resident — this works identically for materialized scenarios and
 // bounded-memory trace runs.
 Instance surviving_from_ledger(const SolutionLedger& ledger,
-                               const MetricPtr& metric,
-                               const CostModelPtr& cost,
                                const std::string& name) {
   std::vector<Request> requests;
   requests.reserve(ledger.num_active_requests());
   ledger.for_each_resident([&](RequestId, const RequestRecord& record) {
     if (record.active()) requests.push_back(record.request);
   });
-  return Instance(metric, cost, std::move(requests), name + "/surviving");
+  return Instance(ledger.metric_ptr(), ledger.cost_ptr(), std::move(requests),
+                  name + "/surviving");
 }
 
 void report_stream(const std::string& stream_name,
                    const OnlineAlgorithm& algorithm, std::uint64_t seed,
                    const StreamRunResult& result, bool verified,
-                   const MetricPtr& metric, const CostModelPtr& cost,
                    bool force_ratio) {
   const SolutionLedger& ledger = result.ledger;
   std::cout.precision(17);
@@ -451,18 +408,8 @@ void report_stream(const std::string& stream_name,
             << "memory     peak " << result.peak_resident_records
             << " resident records (peak active " << result.peak_active
             << ")\n";
-  if (ledger.capacitated()) {
-    const double shed_rate =
-        result.arrivals > 0
-            ? static_cast<double>(ledger.num_shed_requests()) /
-                  static_cast<double>(result.arrivals)
-            : 0.0;
-    std::cout << "admission  " << overflow_policy_tag(ledger.overflow_policy())
-              << ": " << ledger.num_shed_requests() << " requests shed ("
-              << shed_rate * 100.0 << "% of arrivals), "
-              << ledger.num_rejected_commodities() << " items rejected, "
-              << ledger.num_spilled_assignments() << " assignments spilled\n";
-  }
+  if (ledger.capacitated())
+    report_admission(ledger, result.arrivals, "arrivals");
   if (verified)
     std::cout << "verified   active-interval ledger OK\n";
 
@@ -477,8 +424,7 @@ void report_stream(const std::string& stream_name,
   constexpr std::size_t kAutoRatioLimit = 2048;
   constexpr std::size_t kLocalSearchLimit = 8192;
   if (force_ratio || ledger.num_active_requests() <= kAutoRatioLimit) {
-    const Instance surviving =
-        surviving_from_ledger(ledger, metric, cost, stream_name);
+    const Instance surviving = surviving_from_ledger(ledger, stream_name);
     if (surviving.num_requests() > 0) {
       OptEstimate opt;
       if (surviving.num_requests() <= kLocalSearchLimit) {
@@ -488,11 +434,11 @@ void report_stream(const std::string& stream_name,
       } else {
         opt.cost = kInfiniteDistance;
         const CommoditySet full =
-            CommoditySet::full_set(cost->num_commodities());
-        for (PointId m = 0; m < metric->num_points(); ++m) {
-          double candidate = cost->open_cost(m, full);
+            CommoditySet::full_set(ledger.cost_model().num_commodities());
+        for (PointId m = 0; m < ledger.metric().num_points(); ++m) {
+          double candidate = ledger.cost_model().open_cost(m, full);
           for (const Request& r : surviving.requests())
-            candidate += metric->distance(m, r.location);
+            candidate += ledger.metric().distance(m, r.location);
           if (candidate < opt.cost) opt.cost = candidate;
         }
         opt.exact = false;
@@ -509,20 +455,7 @@ void report_stream(const std::string& stream_name,
           opt.lower_method = "unsupported";
         }
       }
-      std::cout << "opt(surv)  " << opt.cost << " (" << opt.method
-                << (opt.exact ? ", exact" : ", upper bound") << ")\n";
-      if (opt.lower_certified)
-        std::cout << "lb(surv)   " << opt.lower << " (" << opt.lower_method
-                  << ", certified)\n";
-      if (opt.lower_certified && opt.lower > 0.0) {
-        std::cout << "ratio      [" << ledger.active_cost() / opt.cost
-                  << ", " << ledger.active_cost() / opt.lower
-                  << "]  (estimated, certified — active cost vs OPT on "
-                     "the surviving set)\n";
-      } else {
-        std::cout << "ratio      " << ledger.active_cost() / opt.cost
-                  << "  (active cost vs OPT on the surviving set)\n";
-      }
+      report_opt(opt, ledger.active_cost(), /*surviving=*/true);
     }
   }
 }
@@ -596,97 +529,58 @@ StreamRunResult run_stream_observed(OnlineAlgorithm& algorithm,
   return session.finish();
 }
 
-int cmd_stream(const std::vector<std::string>& args) {
-  std::string scenario;
-  std::string trace_path;
-  std::string algorithm = "pd";
-  std::string save_path;
-  std::string trace_out;
-  std::string latency_csv;
-  std::uint64_t seed = 1;
-  std::map<std::string, double> overrides;
-  StreamRunOptions options;
-  options.verify = true;
-  bool force_ratio = false;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--scenario") scenario = take_value(args, i);
-    else if (args[i] == "--trace") trace_path = take_value(args, i);
-    else if (args[i] == "--algorithm") algorithm = take_value(args, i);
-    else if (args[i] == "--seed")
-      seed = parse_u64_arg(take_value(args, i), "--seed");
-    else if (args[i] == "--set") parse_set(take_value(args, i), overrides);
-    else if (args[i] == "--save") save_path = take_value(args, i);
-    else if (args[i] == "--batch")
-      options.batch_size = parse_u64_arg(take_value(args, i), "--batch");
-    else if (args[i] == "--no-verify") options.verify = false;
-    else if (args[i] == "--overflow")
-      options.overflow = parse_overflow_arg(take_value(args, i));
-    else if (args[i] == "--trace-out") trace_out = take_value(args, i);
-    else if (args[i] == "--latency-csv") latency_csv = take_value(args, i);
-    else if (args[i] == "--ratio") force_ratio = true;
-    else throw std::invalid_argument("stream: unknown option " + args[i]);
-  }
-  if (scenario.empty() == trace_path.empty())
+int cmd_stream(const Args& a) {
+  if (a.scenario.empty() == a.trace.empty())
     throw std::invalid_argument(
         "stream: exactly one of --scenario / --trace is required");
+  StreamRunOptions options;
+  options.batch_size = a.batch;
+  options.verify = !a.no_verify;
+  options.overflow = parse_overflow_arg(a.overflow);
 
   auto algo = default_algorithm_registry().make(
-      algorithm, derive_algorithm_seed(seed));
+      a.algorithm, derive_algorithm_seed(a.seed));
 
-  auto finish = [&](const std::string& name, const StreamRunResult& result,
-                    const MetricPtr& metric, const CostModelPtr& cost) {
-    report_stream(name, *algo, seed, result,
-                  options.verify && !result.violation, metric, cost,
-                  force_ratio);
+  auto finish = [&](const std::string& name, const StreamRunResult& result) {
+    report_stream(name, *algo, a.seed, result,
+                  options.verify && !result.violation, a.ratio);
     if (result.violation)
       throw std::logic_error("invalid stream run: " +
                              result.violation->what);
     return 0;
   };
 
-  if (!trace_path.empty()) {
-    if (!save_path.empty())
+  if (!a.trace.empty()) {
+    if (!a.save.empty())
       throw std::invalid_argument(
           "stream: --save applies to generated scenarios only");
-    if (!overrides.empty())
+    if (!a.set.empty())
       throw std::invalid_argument(
           "stream: --set applies to generated scenarios only; a trace "
           "replays exactly as saved");
-    std::ifstream file(trace_path);
-    if (!file) throw std::runtime_error("cannot open " + trace_path);
+    std::ifstream file(a.trace);
+    if (!file) throw std::runtime_error("cannot open " + a.trace);
     StreamTraceReader reader(file);
-    const StreamRunResult result =
-        run_stream_observed(*algo, reader, options, trace_out, latency_csv);
-    return finish(reader.name(), result, reader.metric(), reader.cost());
+    const StreamRunResult result = run_stream_observed(
+        *algo, reader, options, a.trace_out, a.latency_csv);
+    return finish(reader.name(), result);
   }
 
   const EventStream stream =
-      default_stream_scenario_registry().make(scenario, seed, overrides);
-  if (!save_path.empty()) {
-    AtomicFileWriter file(save_path);
+      default_stream_scenario_registry().make(a.scenario, a.seed, a.set);
+  if (!a.save.empty()) {
+    AtomicFileWriter file(a.save);
     write_event_stream(file.stream(), stream);
     file.commit();
-    std::cout << "saved      " << save_path << "\n";
+    std::cout << "saved      " << a.save << "\n";
   }
   MaterializedEventSource source(stream);
-  const StreamRunResult result =
-      run_stream_observed(*algo, source, options, trace_out, latency_csv);
-  return finish(stream.name(), result, stream.metric_ptr(),
-                stream.cost_ptr());
+  const StreamRunResult result = run_stream_observed(
+      *algo, source, options, a.trace_out, a.latency_csv);
+  return finish(stream.name(), result);
 }
 
 // ----------------------------------------------------------------- serve ---
-
-// Collects the engine's merged decision trace in memory so the fault
-// harness can truncate it to the last checkpoint's trace_seq after an
-// injected crash — the replay tail then re-emits exactly the dropped
-// suffix, and the final log is bitwise identical to a crash-free run.
-struct VecTraceSink final : TraceSink {
-  std::vector<TraceEvent> events;
-  void on_event(const TraceEvent& event) override {
-    events.push_back(event);
-  }
-};
 
 // A wall time for a human-facing line: 4 significant digits in the
 // largest unit that keeps the value at or above 1. The diffable
@@ -744,79 +638,35 @@ std::string tenant_report(const EngineResult& result, bool verify) {
   return os.str();
 }
 
-int cmd_serve(const std::vector<std::string>& args) {
-  std::size_t tenants = 8;
-  std::string mix = "mixed";
-  std::string algorithm = "pd";
-  std::string metrics_out;
-  std::string trace_out;
-  std::string fault_spec;
-  std::string placement_spec;
-  std::string report_out;
-  std::uint64_t sample_every = 1;
-  std::uint64_t seed = 1;
-  double scale = 1.0;
-  bool seq_baseline = false;
+int cmd_serve(const Args& a) {
   EngineOptions options;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--tenants")
-      tenants = parse_u64_arg(take_value(args, i), "--tenants");
-    else if (args[i] == "--mix") mix = take_value(args, i);
-    else if (args[i] == "--algorithm") algorithm = take_value(args, i);
-    else if (args[i] == "--seed")
-      seed = parse_u64_arg(take_value(args, i), "--seed");
-    else if (args[i] == "--shards")
-      options.shards = parse_u64_arg(take_value(args, i), "--shards");
-    else if (args[i] == "--threads")
-      options.threads = parse_u64_arg(take_value(args, i), "--threads");
-    else if (args[i] == "--batch")
-      options.batch_size = parse_u64_arg(take_value(args, i), "--batch");
-    else if (args[i] == "--scale")
-      scale = parse_double_arg(take_value(args, i), "--scale");
-    else if (args[i] == "--no-verify") options.verify = false;
-    else if (args[i] == "--capacity")
-      options.capacity = parse_u64_arg(take_value(args, i), "--capacity");
-    else if (args[i] == "--overflow")
-      options.overflow = parse_overflow_arg(take_value(args, i));
-    else if (args[i] == "--seq-baseline") seq_baseline = true;
-    else if (args[i] == "--metrics-out") metrics_out = take_value(args, i);
-    else if (args[i] == "--sample-every")
-      sample_every = parse_u64_arg(take_value(args, i), "--sample-every");
-    else if (args[i] == "--trace-out") trace_out = take_value(args, i);
-    else if (args[i] == "--checkpoint-dir")
-      options.checkpoint_dir = take_value(args, i);
-    else if (args[i] == "--checkpoint-every")
-      options.checkpoint_every =
-          parse_u64_arg(take_value(args, i), "--checkpoint-every");
-    else if (args[i] == "--fault-plan") fault_spec = take_value(args, i);
-    else if (args[i] == "--placement") placement_spec = take_value(args, i);
-    else if (args[i] == "--report-out") report_out = take_value(args, i);
-    else throw std::invalid_argument("serve: unknown option " + args[i]);
-  }
+  options.shards = a.shards;
+  options.threads = a.threads;
+  options.batch_size = a.batch;
+  options.verify = !a.no_verify;
+  options.capacity = a.capacity;
+  options.overflow = parse_overflow_arg(a.overflow);
+  options.checkpoint_dir = a.checkpoint_dir;
+  options.checkpoint_every = a.checkpoint_every;
+  options.placement.assign(a.placement.begin(), a.placement.end());
   if (options.checkpoint_every > 0 && options.checkpoint_dir.empty())
     throw std::invalid_argument(
         "serve: --checkpoint-every requires --checkpoint-dir");
-  if (!placement_spec.empty()) {
-    std::istringstream fields(placement_spec);
-    std::string field;
-    while (std::getline(fields, field, ','))
-      options.placement.push_back(
-          parse_u64_arg(field, "--placement"));
-  }
   std::optional<FaultPlan> fault_plan;
-  if (!fault_spec.empty()) {
+  if (!a.fault_plan.empty()) {
     if (options.checkpoint_dir.empty() || options.checkpoint_every == 0)
       throw std::invalid_argument(
           "serve: --fault-plan requires --checkpoint-dir and "
           "--checkpoint-every (a crash without checkpoints only loses "
           "work)");
-    fault_plan = FaultPlan::parse(fault_spec);
+    fault_plan = FaultPlan::parse(a.fault_plan);
     options.fault_plan = &*fault_plan;
   }
 
   std::vector<TenantSpec> specs =
-      default_workload_mix_registry().tenants(mix, tenants, seed, scale);
-  for (TenantSpec& spec : specs) spec.algorithm = algorithm;
+      default_workload_mix_registry().tenants(a.mix, a.tenants, a.seed,
+                                             a.scale);
+  for (TenantSpec& spec : specs) spec.algorithm = a.algorithm;
 
   // Observability taps, wired into EngineOptions before construction.
   // The metrics stream stays open across injected crashes (the telemetry
@@ -824,31 +674,27 @@ int cmd_serve(const std::vector<std::string>& args) {
   // atomically at the end.
   std::optional<AtomicFileWriter> metrics_file;
   std::optional<MetricsSampler> sampler;
-  if (!metrics_out.empty()) {
-    metrics_file.emplace(metrics_out);
-    const bool jsonl =
-        metrics_out.size() >= 5 &&
-        (metrics_out.rfind(".jsonl") == metrics_out.size() - 6 ||
-         metrics_out.rfind(".json") == metrics_out.size() - 5);
+  if (!a.metrics_out.empty()) {
+    metrics_file.emplace(a.metrics_out);
     sampler.emplace(metrics_file->stream(),
-                    jsonl ? MetricsSampler::Format::kJsonl
-                          : MetricsSampler::Format::kCsv,
-                    sample_every);
+                    MetricsSampler::format_for_path(a.metrics_out),
+                    a.sample_every);
     options.sampler = &*sampler;
   }
   // Decision trace: streamed straight to the (atomically published) file
   // in normal runs. Under fault injection it is buffered in memory
   // instead, because every crash has to rewind the log to the last
-  // checkpoint's trace_seq before the replay tail re-appends it.
+  // checkpoint's trace_seq before the replay tail re-appends it; the
+  // final log is then bitwise identical to a crash-free run.
   std::optional<AtomicFileWriter> trace_file;
   std::optional<TraceLogWriter> trace_writer;
-  std::optional<VecTraceSink> trace_vec;
-  if (!trace_out.empty()) {
+  std::optional<TraceBuffer> trace_vec;
+  if (!a.trace_out.empty()) {
     if (fault_plan) {
       trace_vec.emplace();
       options.trace_sink = &*trace_vec;
     } else {
-      trace_file.emplace(trace_out);
+      trace_file.emplace(a.trace_out);
       trace_writer.emplace(trace_file->stream());
       options.trace_sink = &*trace_writer;
     }
@@ -877,41 +723,38 @@ int cmd_serve(const std::vector<std::string>& args) {
         resume_round = manifest->round;
         keep_trace = manifest->trace_seq;
       }
-      if (trace_vec && trace_vec->events.size() > keep_trace)
-        trace_vec->events.resize(keep_trace);
+      if (trace_vec && trace_vec->events().size() > keep_trace)
+        trace_vec->events().resize(keep_trace);
       std::cout << "crash      injected after round " << crash.round
                 << "; restarting from round " << resume_round << "\n";
     }
   }
 
   if (trace_vec) {
-    trace_file.emplace(trace_out);
-    TraceLogWriter writer(trace_file->stream());
-    for (const TraceEvent& event : trace_vec->events)
-      writer.on_event(event);
-    writer.finish();
-    trace_file->commit();
-    std::cout << "trace      " << writer.events_written() << " events -> "
-              << trace_out << "\n";
-  } else if (trace_writer) {
+    trace_file.emplace(a.trace_out);
+    trace_writer.emplace(trace_file->stream());
+    for (const TraceEvent& event : trace_vec->events())
+      trace_writer->on_event(event);
+  }
+  if (trace_writer) {
     trace_writer->finish();
     trace_file->commit();
     std::cout << "trace      " << trace_writer->events_written()
-              << " events -> " << trace_out << "\n";
+              << " events -> " << a.trace_out << "\n";
   }
   if (sampler) {
     metrics_file->commit();
-    std::cout << "metrics    per-shard telemetry (every " << sample_every
-              << " round" << (sample_every == 1 ? "" : "s") << ") -> "
-              << metrics_out << "\n";
+    std::cout << "metrics    per-shard telemetry (every " << a.sample_every
+              << " round" << (a.sample_every == 1 ? "" : "s") << ") -> "
+              << a.metrics_out << "\n";
   }
 
   std::cout.precision(17);
-  std::cout << "engine     mix=" << mix << " tenants="
+  std::cout << "engine     mix=" << a.mix << " tenants="
             << result.tenants.size() << " shards=" << result.shards
             << " threads=" << result.threads << " batch="
-            << options.batch_size << " algorithm=" << algorithm
-            << " (seed " << seed << ")\n"
+            << options.batch_size << " algorithm=" << a.algorithm
+            << " (seed " << a.seed << ")\n"
             << "setup      " << result.tenants.size() << " tenant streams ("
             << engine->total_events() << " events) generated in "
             << fixed_ms(engine->setup_ns()) << " ms\n"
@@ -951,9 +794,9 @@ int cmd_serve(const std::vector<std::string>& args) {
 
   const std::string report = tenant_report(result, options.verify);
   std::cout << report;
-  if (!report_out.empty()) {
-    write_file_atomic(report_out, report);
-    std::cout << "report     " << report_out << "\n";
+  if (!a.report_out.empty()) {
+    write_file_atomic(a.report_out, report);
+    std::cout << "report     " << a.report_out << "\n";
   }
 
   if (const TenantResult* violation = result.first_violation())
@@ -963,7 +806,7 @@ int cmd_serve(const std::vector<std::string>& args) {
     std::cout << "verified   all " << result.tenants.size()
               << " tenant ledgers OK\n";
 
-  if (seq_baseline) {
+  if (a.seq_baseline) {
     // The same tenants, one run_stream after another on this thread —
     // the loop the engine's aggregate throughput is judged against.
     // Stream generation is excluded from the timing on both sides.
@@ -1030,32 +873,19 @@ int cmd_serve(const std::vector<std::string>& args) {
 
 // --------------------------------------------------------------- explain ---
 
-int cmd_explain(const std::vector<std::string>& args) {
-  std::string path;
-  ExplainOptions options;
-  TraceLogReadMode mode = TraceLogReadMode::kStrict;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--facility")
-      options.facility = static_cast<FacilityId>(
-          parse_u64_arg(take_value(args, i), "--facility"));
-    else if (args[i] == "--request")
-      options.request = static_cast<RequestId>(
-          parse_u64_arg(take_value(args, i), "--request"));
-    else if (args[i] == "--recover")
-      mode = TraceLogReadMode::kRecoverPrefix;
-    else if (!args[i].empty() && args[i][0] != '-' && path.empty())
-      path = args[i];
-    else throw std::invalid_argument("explain: unknown option " + args[i]);
-  }
-  if (path.empty())
-    throw std::invalid_argument("explain: a tracelog file is required");
-  if (options.facility && options.request)
+int cmd_explain(const Args& a) {
+  if (a.facility && a.request)
     throw std::invalid_argument(
         "explain: --facility and --request are mutually exclusive");
+  ExplainOptions options;
+  if (a.facility) options.facility = static_cast<FacilityId>(*a.facility);
+  if (a.request) options.request = static_cast<RequestId>(*a.request);
 
+  const std::string& path = a.operands[0];
   std::ifstream file(path);
   if (!file) throw std::runtime_error("cannot open " + path);
-  TraceLogReader reader(file, mode);
+  TraceLogReader reader(file, a.recover ? TraceLogReadMode::kRecoverPrefix
+                                        : TraceLogReadMode::kStrict);
   std::vector<TraceEvent> events;
   TraceEvent event;
   while (reader.next(event)) events.push_back(std::move(event));
@@ -1068,69 +898,49 @@ int cmd_explain(const std::vector<std::string>& args) {
 
 // ----------------------------------------------------------------- sweep ---
 
-int cmd_sweep(const std::vector<std::string>& args) {
+int cmd_sweep(const Args& a) {
   SweepOptions options;
-  std::string csv_path;
-  std::string json_path;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--scenarios") {
-      const std::string value = take_value(args, i);
-      if (value != "all") options.scenarios = split_csv(value);
-    } else if (args[i] == "--algorithms") {
-      const std::string value = take_value(args, i);
-      if (value != "all") options.algorithms = split_csv(value);
-    } else if (args[i] == "--seeds") {
-      options.seeds = parse_u64_arg(take_value(args, i), "--seeds");
-    } else if (args[i] == "--seed-base") {
-      options.seed_base = parse_u64_arg(take_value(args, i), "--seed-base");
-    } else if (args[i] == "--set") {
-      parse_set(take_value(args, i), options.overrides);
-    } else if (args[i] == "--threads") {
-      options.threads = parse_u64_arg(take_value(args, i), "--threads");
-    } else if (args[i] == "--ratio") {
-      options.opt.compute_lower = true;
-    } else if (args[i] == "--csv") {
-      csv_path = take_value(args, i);
-    } else if (args[i] == "--json") {
-      json_path = take_value(args, i);
-    } else {
-      throw std::invalid_argument("sweep: unknown option " + args[i]);
-    }
-  }
+  if (a.scenarios != Names{"all"}) options.scenarios = a.scenarios;
+  if (a.algorithms != Names{"all"}) options.algorithms = a.algorithms;
+  options.seeds = a.seeds;
+  options.seed_base = a.seed_base;
+  options.overrides = a.set;
+  options.threads = a.threads;
+  options.opt.compute_lower = a.ratio;
 
   const SweepResult result = run_sweep(options);
-  if (csv_path.empty()) {
+  if (a.csv.empty()) {
     result.write_csv(std::cout);
   } else {
-    AtomicFileWriter file(csv_path);
+    AtomicFileWriter file(a.csv);
     result.write_csv(file.stream());
     file.commit();
     std::cout << "wrote " << result.cells().size() << " cells ("
               << result.scenarios().size() << " scenarios x "
               << result.algorithms().size() << " algorithms, "
-              << result.seeds() << " seeds each) to " << csv_path << "\n";
+              << result.seeds() << " seeds each) to " << a.csv << "\n";
   }
-  if (!json_path.empty()) {
-    AtomicFileWriter file(json_path);
+  if (!a.json.empty()) {
+    AtomicFileWriter file(a.json);
     result.write_json(file.stream());
     file.commit();
-    std::cout << "wrote JSON to " << json_path << "\n";
+    std::cout << "wrote JSON to " << a.json << "\n";
   }
   return 0;
 }
 
 // ----------------------------------------------------------------- bound ---
 
-// Shared tail of cmd_bound: optionally run `algorithm` for the cost
-// numerator, print the certified ratio, apply the gates. `cost` is the
-// gross/total cost the given lower bound certifies a ratio against;
-// `paper_n` is the request count entering H_n of Theorem 4's bound.
+// Shared tail of cmd_bound: print the certified ratio and apply the
+// gates. `cost` (absent without --algorithm) is the gross/total cost the
+// given lower bound certifies a ratio against; `paper_n` is the request
+// count entering H_n of Theorem 4's bound.
 // Output contains no timing — CI diffs it bitwise across thread counts.
-int bound_gates(double cost, bool have_cost, double lower,
+int bound_gates(std::optional<double> cost, double lower,
                 std::size_t num_commodities, std::size_t paper_n,
                 std::optional<double> max_certified_ratio,
                 bool assert_paper_bound) {
-  if (!have_cost) {
+  if (!cost) {
     if (max_certified_ratio || assert_paper_bound)
       throw std::invalid_argument(
           "bound: the ratio gates need --algorithm to produce a cost");
@@ -1145,7 +955,7 @@ int bound_gates(double cost, bool have_cost, double lower,
     }
     return 0;
   }
-  const double certified_ratio = cost / lower;
+  const double certified_ratio = *cost / lower;
   std::cout << "certified  ratio " << certified_ratio
             << " (cost / certified lower bound; true ratio <= this)\n";
   int exit_code = 0;
@@ -1175,42 +985,10 @@ int bound_gates(double cost, bool have_cost, double lower,
   return exit_code;
 }
 
-int cmd_bound(const std::vector<std::string>& args) {
-  std::string scenario;
-  std::string instance_path;
-  std::string stream_scenario;
-  std::string trace_path;
-  std::string method = "auto";
-  std::string algorithm;
-  std::string save_cert_path;
-  std::uint64_t seed = 1;
-  std::size_t window = 4096;
-  std::optional<double> max_certified_ratio;
-  bool assert_paper_bound = false;
-  std::map<std::string, double> overrides;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--scenario") scenario = take_value(args, i);
-    else if (args[i] == "--instance") instance_path = take_value(args, i);
-    else if (args[i] == "--stream") stream_scenario = take_value(args, i);
-    else if (args[i] == "--trace") trace_path = take_value(args, i);
-    else if (args[i] == "--method") method = take_value(args, i);
-    else if (args[i] == "--algorithm") algorithm = take_value(args, i);
-    else if (args[i] == "--seed")
-      seed = parse_u64_arg(take_value(args, i), "--seed");
-    else if (args[i] == "--set") parse_set(take_value(args, i), overrides);
-    else if (args[i] == "--window")
-      window = parse_u64_arg(take_value(args, i), "--window");
-    else if (args[i] == "--max-certified-ratio")
-      max_certified_ratio = parse_double_arg(take_value(args, i),
-                                             "--max-certified-ratio");
-    else if (args[i] == "--assert-paper-bound") assert_paper_bound = true;
-    else if (args[i] == "--save-cert") save_cert_path = take_value(args, i);
-    else throw std::invalid_argument("bound: unknown option " + args[i]);
-  }
-  const int sources = (scenario.empty() ? 0 : 1) +
-                      (instance_path.empty() ? 0 : 1) +
-                      (stream_scenario.empty() ? 0 : 1) +
-                      (trace_path.empty() ? 0 : 1);
+int cmd_bound(const Args& a) {
+  const int sources = (a.scenario.empty() ? 0 : 1) +
+                      (a.instance.empty() ? 0 : 1) +
+                      (a.stream.empty() ? 0 : 1) + (a.trace.empty() ? 0 : 1);
   if (sources != 1)
     throw std::invalid_argument(
         "bound: exactly one of --scenario / --instance / --stream / "
@@ -1219,19 +997,19 @@ int cmd_bound(const std::vector<std::string>& args) {
   std::cout.precision(17);
 
   // ---- static instance: one registry bound, optional certificate dump.
-  if (!scenario.empty() || !instance_path.empty()) {
+  if (!a.scenario.empty() || !a.instance.empty()) {
     Instance instance = [&] {
-      if (!scenario.empty())
-        return default_scenario_registry().make(scenario, seed, overrides);
-      if (!overrides.empty())
+      if (!a.scenario.empty())
+        return default_scenario_registry().make(a.scenario, a.seed, a.set);
+      if (!a.set.empty())
         throw std::invalid_argument(
             "bound: --set applies to generated scenarios only");
-      std::ifstream file(instance_path);
-      if (!file) throw std::runtime_error("cannot open " + instance_path);
+      std::ifstream file(a.instance);
+      if (!file) throw std::runtime_error("cannot open " + a.instance);
       return read_instance(file);
     }();
     const BoundOutcome outcome =
-        default_bound_registry().make(method, instance);
+        default_bound_registry().make(a.method, instance);
     std::cout << "instance   " << instance.name() << " (n="
               << instance.num_requests() << ", |S|="
               << instance.num_commodities() << ", |M|="
@@ -1239,64 +1017,62 @@ int cmd_bound(const std::vector<std::string>& args) {
               << "method     " << outcome.method << "\n"
               << "lower      " << outcome.lower << " (certified"
               << (outcome.exact ? ", exact" : "") << ")\n";
-    if (!save_cert_path.empty()) {
+    if (!a.save_cert.empty()) {
       if (!outcome.certificate)
-        throw std::invalid_argument("bound: method '" + method +
+        throw std::invalid_argument("bound: method '" + a.method +
                                     "' produced no certificate to save");
-      AtomicFileWriter file(save_cert_path);
+      AtomicFileWriter file(a.save_cert);
       write_certificate(file.stream(), *outcome.certificate);
       file.commit();
-      std::cout << "saved      " << save_cert_path << "\n";
+      std::cout << "saved      " << a.save_cert << "\n";
     }
-    double cost = 0.0;
-    bool have_cost = false;
-    if (!algorithm.empty()) {
+    std::optional<double> cost;
+    if (!a.algorithm.empty()) {
       auto algo = default_algorithm_registry().make(
-          algorithm, derive_algorithm_seed(seed));
+          a.algorithm, derive_algorithm_seed(a.seed));
       const SolutionLedger ledger = run_online(*algo, instance);
       if (const auto violation = verify_solution(instance, ledger))
         throw std::logic_error("invalid solution: " + violation->what);
       cost = ledger.total_cost();
-      have_cost = true;
-      std::cout << "algorithm  " << algo->name() << " (seed " << seed
+      std::cout << "algorithm  " << algo->name() << " (seed " << a.seed
                 << ")\n"
-                << "cost       " << cost << "\n";
+                << "cost       " << *cost << "\n";
     }
-    return bound_gates(cost, have_cost, outcome.lower,
+    return bound_gates(cost, outcome.lower,
                        instance.num_commodities(), instance.num_requests(),
-                       max_certified_ratio, assert_paper_bound);
+                       a.max_certified_ratio, a.assert_paper_bound);
   }
 
   // ---- event stream: windowed decomposition, bounded memory. The sum of
   // per-window bounds certifies the windowed re-optimizing adversary (see
   // src/bound/window.hpp), the baseline the algorithm's *gross* cost is
   // compared against.
-  if (!save_cert_path.empty())
+  if (!a.save_cert.empty())
     throw std::invalid_argument(
         "bound: --save-cert applies to static bounds (stream windows each "
         "carry their own certificate)");
-  if (method != "auto")
+  if (a.method != "auto")
     throw std::invalid_argument(
         "bound: --method applies to static bounds (streams always use "
         "the windowed dual ascent)");
   WindowBoundOptions wopt;
-  wopt.max_window_arrivals = window;
+  wopt.max_window_arrivals = a.window;
   StreamBoundResult bound_result;
   std::string name;
   std::size_t num_commodities = 0;
-  if (!trace_path.empty()) {
-    if (!overrides.empty())
+  if (!a.trace.empty()) {
+    if (!a.set.empty())
       throw std::invalid_argument(
           "bound: --set applies to generated scenarios only");
-    std::ifstream file(trace_path);
-    if (!file) throw std::runtime_error("cannot open " + trace_path);
+    std::ifstream file(a.trace);
+    if (!file) throw std::runtime_error("cannot open " + a.trace);
     StreamTraceReader reader(file);
     bound_result = bound_stream_windows(reader, wopt);
     name = reader.name();
     num_commodities = reader.cost()->num_commodities();
   } else {
     const EventStream stream = default_stream_scenario_registry().make(
-        stream_scenario, seed, overrides);
+        a.stream, a.seed, a.set);
     MaterializedEventSource source(stream);
     bound_result = bound_stream_windows(source, wopt);
     name = stream.name();
@@ -1310,58 +1086,44 @@ int cmd_bound(const std::vector<std::string>& args) {
             << "lower      " << bound_result.windowed_lower
             << " (windowed sum, certified vs the per-window re-optimizing "
                "adversary)\n";
-  double cost = 0.0;
-  bool have_cost = false;
-  if (!algorithm.empty()) {
+  std::optional<double> cost;
+  if (!a.algorithm.empty()) {
     auto algo = default_algorithm_registry().make(
-        algorithm, derive_algorithm_seed(seed));
+        a.algorithm, derive_algorithm_seed(a.seed));
     StreamRunOptions run_options;
     run_options.verify = true;
     const StreamRunResult run = [&] {
-      if (!trace_path.empty()) {
-        std::ifstream file(trace_path);
-        if (!file) throw std::runtime_error("cannot open " + trace_path);
+      if (!a.trace.empty()) {
+        std::ifstream file(a.trace);
+        if (!file) throw std::runtime_error("cannot open " + a.trace);
         StreamTraceReader reader(file);
         return run_stream(*algo, reader, run_options);
       }
       const EventStream stream = default_stream_scenario_registry().make(
-          stream_scenario, seed, overrides);
+          a.stream, a.seed, a.set);
       return run_stream(*algo, stream, run_options);
     }();
     if (run.violation)
       throw std::logic_error("invalid stream run: " + run.violation->what);
     cost = run.ledger.total_cost();
-    have_cost = true;
-    std::cout << "algorithm  " << algo->name() << " (seed " << seed << ")\n"
-              << "gross      " << cost << "\n";
+    std::cout << "algorithm  " << algo->name() << " (seed " << a.seed
+              << ")\n"
+              << "gross      " << *cost << "\n";
   }
-  return bound_gates(cost, have_cost, bound_result.windowed_lower,
+  return bound_gates(cost, bound_result.windowed_lower,
                      num_commodities,
                      static_cast<std::size_t>(bound_result.arrivals),
-                     max_certified_ratio, assert_paper_bound);
+                     a.max_certified_ratio, a.assert_paper_bound);
 }
 
 // ----------------------------------------------------------------- bench ---
 
-int cmd_bench(const std::vector<std::string>& args) {
-  bool quick = false;
-  std::optional<std::uint64_t> trials;
-  std::optional<std::uint64_t> warmup;
-  std::string out_path;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--quick") quick = true;
-    else if (args[i] == "--trials")
-      trials = parse_u64_arg(take_value(args, i), "--trials");
-    else if (args[i] == "--warmup")
-      warmup = parse_u64_arg(take_value(args, i), "--warmup");
-    else if (args[i] == "--out") out_path = take_value(args, i);
-    else throw std::invalid_argument("bench: unknown option " + args[i]);
-  }
+int cmd_bench(const Args& a) {
   // --quick picks the base profile; explicit --trials/--warmup override
   // it regardless of argument order.
-  BenchOptions options = quick ? quick_bench_options() : BenchOptions{};
-  if (trials) options.trials = *trials;
-  if (warmup) options.warmup = *warmup;
+  BenchOptions options = a.quick ? quick_bench_options() : BenchOptions{};
+  if (a.trials) options.trials = *a.trials;
+  if (a.warmup) options.warmup = *a.warmup;
 
   const BenchSuite suite = default_bench_suite();
   std::cout << "suite " << suite.name() << ": " << suite.size()
@@ -1372,7 +1134,8 @@ int cmd_bench(const std::vector<std::string>& args) {
   std::cout << "\n";
   report.write_table(std::cout);
 
-  if (out_path.empty()) out_path = default_bench_filename(suite.name());
+  const std::string out_path =
+      a.out.empty() ? default_bench_filename(suite.name()) : a.out;
   AtomicFileWriter file(out_path);
   report.write_json(file.stream());
   file.commit();
@@ -1384,23 +1147,11 @@ int cmd_bench(const std::vector<std::string>& args) {
 
 // --------------------------------------------------------------- compare ---
 
-int cmd_compare(const std::vector<std::string>& args) {
-  std::vector<std::string> paths;
+int cmd_compare(const Args& a) {
+  const Names& paths = a.operands;
   CompareOptions options;
-  bool report_only = false;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    if (args[i] == "--threshold")
-      options.regression_threshold =
-          parse_double_arg(take_value(args, i), "--threshold");
-    else if (args[i] == "--report-only") report_only = true;
-    else if (args[i] == "--fail-on-missing") options.fail_on_missing = true;
-    else if (!args[i].empty() && args[i][0] != '-') paths.push_back(args[i]);
-    else throw std::invalid_argument("compare: unknown option " + args[i]);
-  }
-  if (paths.size() != 2)
-    throw std::invalid_argument(
-        "compare: exactly two BENCH json files are required");
-
+  options.regression_threshold = a.threshold;
+  options.fail_on_missing = a.fail_on_missing;
   const BenchReport old_report = read_bench_report_file(paths[0]);
   const BenchReport new_report = read_bench_report_file(paths[1]);
   std::cout << "old: " << paths[0] << " (git " << old_report.git_sha
@@ -1410,7 +1161,155 @@ int cmd_compare(const std::vector<std::string>& args) {
   const CompareReport comparison =
       compare_reports(old_report, new_report, options);
   comparison.write_table(std::cout);
-  return comparison.any_regression() && !report_only ? 1 : 0;
+  return comparison.any_regression() && !a.report_only ? 1 : 0;
+}
+
+// ------------------------------------------------------------------ verbs ---
+
+// Every verb and its flags, in `omflp help` order.
+const Verb kVerbs[] = {
+    {"list", "", "list scenarios and algorithms", cmd_list, {}},
+    {"run", "", "run one scenario under one algorithm", cmd_run,
+     {{"--scenario", &Args::scenario, "NAME", "required"},
+      {"--algorithm", &Args::algorithm, "NAME", "", "pd"},
+      {"--seed", &Args::seed, "N", "", "1"},
+      {"--set", &Args::set, "key=value",
+       "override a scenario parameter (repeatable)"},
+      {"--save", &Args::save, "FILE", "save the generated instance trace"}}},
+    {"sweep", "", "run a (scenario x algorithm x seed) cross-product",
+     cmd_sweep,
+     {{"--scenarios", &Args::scenarios, "a,b|all", "", "all"},
+      {"--algorithms", &Args::algorithms, "a,b|all", "", "all"},
+      {"--seeds", &Args::seeds, "N", "", "8"},
+      {"--seed-base", &Args::seed_base, "N", "", "1"},
+      {"--set", &Args::set, "key=value",
+       "override where declared (repeatable)"},
+      {"--threads", &Args::threads, "N", "0 = hardware", "0"},
+      {"--ratio", &Args::ratio, "",
+       "compute certified lower bounds (fills the lower / certified_ratio "
+       "/ gap columns)"},
+      {"--csv", &Args::csv, "FILE", "write per-cell CSV (stdout when absent)"},
+      {"--json", &Args::json, "FILE", "also write per-cell JSON"}}},
+    {"replay", "FILE", "re-run a saved instance trace", cmd_replay,
+     {{"--algorithm", &Args::algorithm, "NAME", "", "pd"},
+      {"--seed", &Args::seed, "N", "", "1"}},
+     "an instance file is required"},
+    {"stream", "", "process a dynamic event stream (arrivals + deletions)",
+     cmd_stream,
+     {{"--scenario", &Args::scenario, "NAME",
+       "generate a stream scenario, or"},
+      {"--trace", &Args::trace, "FILE",
+       "stream a saved trace from disk (bounded memory)"},
+      {"--algorithm", &Args::algorithm, "NAME", "", "pd"},
+      {"--seed", &Args::seed, "N", "", "1"},
+      {"--set", &Args::set, "key=value",
+       "override a scenario parameter (repeatable)"},
+      {"--save", &Args::save, "FILE", "save the generated stream trace"},
+      {"--batch", &Args::batch, "N", "events per IO/compaction batch",
+       "8192"},
+      {"--no-verify", &Args::no_verify, "",
+       "skip the incremental stream verifier"},
+      {"--overflow", &Args::overflow, "POLICY",
+       "reassign | reject at a full facility (capacitated streams)",
+       "reassign"},
+      {"--trace-out", &Args::trace_out, "FILE",
+       "write the decision trace (OMFLP-TRACELOG v1 jsonl)"},
+      {"--latency-csv", &Args::latency_csv, "FILE",
+       "write per-batch latency CSV (batch,events,batch_ns,...)"},
+      {"--ratio", &Args::ratio, "",
+       "force the OPT(surviving) ratio bracket (works with --trace too: "
+       "the surviving set is rebuilt from the ledger)"}}},
+    {"bound", "", "certified lower bound on OPT (verified dual certificates)",
+     cmd_bound,
+     {{"--scenario", &Args::scenario, "NAME",
+       "bound a static scenario instance, or"},
+      {"--instance", &Args::instance, "FILE", "a saved instance trace, or"},
+      {"--stream", &Args::stream, "NAME",
+       "a stream scenario (windowed decomposition), or"},
+      {"--trace", &Args::trace, "FILE",
+       "a saved stream trace (bounded memory)"},
+      {"--seed", &Args::seed, "N", "", "1"},
+      {"--set", &Args::set, "key=value",
+       "override a scenario parameter (repeatable)"},
+      {"--method", &Args::method, "NAME",
+       "static bound method (see src/bound/registry.hpp)", "auto"},
+      {"--window", &Args::window, "N", "arrivals per window/chunk", "4096"},
+      {"--algorithm", &Args::algorithm, "NAME",
+       "also run the algorithm and report the certified ratio"},
+      {"--max-certified-ratio", &Args::max_certified_ratio, "X",
+       "exit 1 when cost / lower exceeds X"},
+      {"--assert-paper-bound", &Args::assert_paper_bound, "",
+       "exit 1 when the certified ratio exceeds Theorem 4's "
+       "15*sqrt(|S|)*H_n (meaningful for --algorithm pd)"},
+      {"--save-cert", &Args::save_cert, "FILE",
+       "write the dual certificate (static bounds)"}}},
+    {"serve", "", "drive the sharded multi-tenant stream engine", cmd_serve,
+     {{"--tenants", &Args::tenants, "K", "", "8"},
+      {"--mix", &Args::mix, "NAME", "workload mix (see `omflp list`)",
+       "mixed"},
+      {"--algorithm", &Args::algorithm, "NAME",
+       "serve every tenant with this algorithm", "pd"},
+      {"--seed", &Args::seed, "N", "", "1"},
+      {"--shards", &Args::shards, "N", "0 = min(tenants, threads)", "0"},
+      {"--threads", &Args::threads, "N", "0 = hardware / OMFLP_THREADS",
+       "0"},
+      {"--batch", &Args::batch, "N", "events per tenant per round", "2048"},
+      {"--scale", &Args::scale, "X", "scale every tenant's workload size",
+       "1"},
+      {"--no-verify", &Args::no_verify, "",
+       "skip the per-tenant incremental verifiers"},
+      {"--capacity", &Args::capacity, "N",
+       "uniform per-point facility capacity for every tenant; 0 = the "
+       "scenario's own",
+       "0"},
+      {"--overflow", &Args::overflow, "POLICY",
+       "reassign | reject at a full facility", "reassign"},
+      {"--seq-baseline", &Args::seq_baseline, "",
+       "also run the tenants sequentially and report the speedup"},
+      {"--metrics-out", &Args::metrics_out, "FILE",
+       "live per-shard telemetry (.jsonl/.json -> JSONL, else CSV)"},
+      {"--sample-every", &Args::sample_every, "N",
+       "rounds between telemetry samples", "1"},
+      {"--trace-out", &Args::trace_out, "FILE",
+       "write the merged decision trace (tenant-order, deterministic)"},
+      {"--checkpoint-dir", &Args::checkpoint_dir, "DIR",
+       "restore from / publish OMFLP-CKPT generations in DIR"},
+      {"--checkpoint-every", &Args::checkpoint_every, "N",
+       "rounds between checkpoint generations; 0 = restore only", "0"},
+      {"--fault-plan", &Args::fault_plan, "SPEC",
+       "deterministic crash injection, e.g. crashes=2,seed=7,gap=8,torn=1"},
+      {"--placement", &Args::placement, "0,1,...",
+       "explicit tenant->shard placement (migration; round-robin when "
+       "absent)"},
+      {"--report-out", &Args::report_out, "FILE",
+       "write the deterministic per-tenant report (atomic)"}}},
+    {"explain", "TRACELOG",
+     "replay a decision trace and render the causal chain", cmd_explain,
+     {{"--facility", &Args::facility, "N",
+       "why did facility N open (bids, tightness, rollbacks)"},
+      {"--request", &Args::request, "N", "every event involving request N"},
+      {"--recover", &Args::recover, "",
+       "accept a torn/corrupt tracelog and use its valid prefix"}},
+     "a tracelog file is required"},
+    {"bench", "", "run the perf suite, write BENCH json", cmd_bench,
+     {{"--out", &Args::out, "FILE", "BENCH_<suite>.json when absent"},
+      {"--quick", &Args::quick, "", "fewer warmup/timed trials (CI smoke)"},
+      {"--trials", &Args::trials, "N", "override timed trials per case"},
+      {"--warmup", &Args::warmup, "N", "override warmup runs per case"}}},
+    {"compare", "OLD NEW", "diff two BENCH json files", cmd_compare,
+     {{"--threshold", &Args::threshold, "X", "regression gate on ns/op",
+       "1.10"},
+      {"--report-only", &Args::report_only, "",
+       "always exit 0 (CI trend reporting)"},
+      {"--fail-on-missing", &Args::fail_on_missing, "",
+       "treat baseline cases missing from NEW as regressions"}},
+     "exactly two BENCH json files are required"},
+};
+
+int usage(std::ostream& os, int exit_code) {
+  os << "usage: omflp <command> [options]\n\ncommands:\n";
+  for (const Verb& verb : kVerbs) print_usage(os, verb);
+  return exit_code;
 }
 
 }  // namespace
@@ -1418,21 +1317,22 @@ int cmd_compare(const std::vector<std::string>& args) {
 int main(int argc, char** argv) {
   try {
     if (argc < 2) return usage(std::cerr, 2);
-    const std::string command = argv[1];
-    const std::vector<std::string> args(argv + 2, argv + argc);
-    if (command == "list") return cmd_list();
-    if (command == "run") return cmd_run(args);
-    if (command == "sweep") return cmd_sweep(args);
-    if (command == "replay") return cmd_replay(args);
-    if (command == "stream") return cmd_stream(args);
-    if (command == "serve") return cmd_serve(args);
-    if (command == "explain") return cmd_explain(args);
-    if (command == "bound") return cmd_bound(args);
-    if (command == "bench") return cmd_bench(args);
-    if (command == "compare") return cmd_compare(args);
-    if (command == "help" || command == "--help" || command == "-h")
+    const std::string name = argv[1];
+    if (name == "help" || name == "--help" || name == "-h")
       return usage(std::cout, 0);
-    std::cerr << "unknown command '" << command << "'\n";
+    for (const Verb& verb : kVerbs) {
+      if (name != verb.name) continue;
+      Args args;
+      try {
+        args = parse_args(verb, Argv(argv + 2, argv + argc));
+      } catch (const std::invalid_argument& error) {
+        std::cerr << "error: " << error.what() << "\n";
+        print_usage(std::cerr, verb);
+        return 1;
+      }
+      return verb.body(args);
+    }
+    std::cerr << "unknown command '" << name << "'\n";
     return usage(std::cerr, 2);
   } catch (const std::exception& error) {
     std::cerr << "error: " << error.what() << "\n";
