@@ -205,7 +205,7 @@ void FotakisOfl::serialize_state(CkptWriter& writer) const {
   for (const double v : duals_) writer.d(v);
 }
 
-void FotakisOfl::restore_state(CkptReader& reader) {
+void FotakisOfl::restore_state(CkptReader& reader, RequestId) {
   reader.expect("facilities");
   const std::uint64_t num_facilities = reader.u();
   facilities_.reserve(capped_reserve(num_facilities));

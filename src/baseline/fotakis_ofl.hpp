@@ -46,7 +46,7 @@ class FotakisOfl final : public OnlineAlgorithm {
   /// distances, rollback flags), the posted bid row and the dual totals,
   /// all bitwise (the cost row is rebuilt by reset()).
   void serialize_state(CkptWriter& writer) const override;
-  void restore_state(CkptReader& reader) override;
+  void restore_state(CkptReader& reader, RequestId num_requests) override;
 
  private:
   CostModelPtr cost_;

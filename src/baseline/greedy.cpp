@@ -177,7 +177,7 @@ void NearestOrOpen::serialize_state(CkptWriter& writer) const {
   serialize_offering(writer, offering_);
 }
 
-void NearestOrOpen::restore_state(CkptReader& reader) {
+void NearestOrOpen::restore_state(CkptReader& reader, RequestId) {
   restore_offering(reader, offering_);
 }
 
@@ -187,7 +187,7 @@ void RentOrBuy::serialize_state(CkptWriter& writer) const {
   for (const double v : rent_account_) writer.d(v);
 }
 
-void RentOrBuy::restore_state(CkptReader& reader) {
+void RentOrBuy::restore_state(CkptReader& reader, RequestId) {
   restore_offering(reader, offering_);
   reader.expect("rent-accounts");
   if (reader.u() != rent_account_.size())

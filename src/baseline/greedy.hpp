@@ -53,7 +53,7 @@ class NearestOrOpen final : public OnlineAlgorithm {
   void serve(const Request& request, SolutionLedger& ledger) override;
   /// Checkpoint: the opened-facility index (the algorithm's only state).
   void serialize_state(CkptWriter& writer) const override;
-  void restore_state(CkptReader& reader) override;
+  void restore_state(CkptReader& reader, RequestId num_requests) override;
 
  protected:
   CostModelPtr cost_;
@@ -76,7 +76,7 @@ class RentOrBuy final : public OnlineAlgorithm {
   void serve(const Request& request, SolutionLedger& ledger) override;
   /// Checkpoint: the opened-facility index plus the ski-rental accounts.
   void serialize_state(CkptWriter& writer) const override;
-  void restore_state(CkptReader& reader) override;
+  void restore_state(CkptReader& reader, RequestId num_requests) override;
 
  private:
   CostModelPtr cost_;

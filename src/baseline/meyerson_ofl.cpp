@@ -112,7 +112,7 @@ void MeyersonOfl::serialize_state(CkptWriter& writer) const {
   for (const OpenRecord& f : facilities_) writer.u(f.point).u(f.id);
 }
 
-void MeyersonOfl::restore_state(CkptReader& reader) {
+void MeyersonOfl::restore_state(CkptReader& reader, RequestId) {
   restore_rng(reader, rng_);
   reader.expect("facilities");
   const std::uint64_t n = reader.u();

@@ -35,7 +35,7 @@ class MeyersonOfl final : public OnlineAlgorithm {
   /// restored coin-flip sequence continues bitwise (the class index is
   /// rebuilt deterministically by reset()).
   void serialize_state(CkptWriter& writer) const override;
-  void restore_state(CkptReader& reader) override;
+  void restore_state(CkptReader& reader, RequestId num_requests) override;
 
  private:
   std::uint64_t seed_;

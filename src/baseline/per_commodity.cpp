@@ -198,7 +198,8 @@ void PerCommodityAdapter::serialize_state(CkptWriter& writer) const {
   }
 }
 
-void PerCommodityAdapter::restore_state(CkptReader& reader) {
+void PerCommodityAdapter::restore_state(CkptReader& reader,
+                                        RequestId request_count) {
   reader.expect("subs");
   if (reader.u() != subs_.size())
     reader.fail("sub-instance count differs from the commodity universe");
@@ -209,7 +210,7 @@ void PerCommodityAdapter::restore_state(CkptReader& reader) {
     // Re-initialize through the factory (same derived seed), then hand
     // the sub-algorithm and sub-ledger their serialized state.
     SubInstance& sub = sub_for(static_cast<CommodityId>(e));
-    sub.algorithm->restore_state(reader);
+    sub.algorithm->restore_state(reader, request_count);
     sub.ledger->restore(reader);
     reader.expect("facility-map");
     const std::uint64_t num_mapped = reader.u();

@@ -67,9 +67,10 @@ class PerCommodityAdapter final : public OnlineAlgorithm {
   /// sub-algorithm's own state (via its serialize_state), the sub-ledger
   /// and the id-translation tables — so a restored adapter continues
   /// every per-commodity run bitwise. Sub-instances are re-initialized
-  /// through the factory on restore (same derived seeds).
+  /// through the factory on restore (same derived seeds); each serves a
+  /// subset of the requests, so `num_requests` bounds its ids too.
   void serialize_state(CkptWriter& writer) const override;
-  void restore_state(CkptReader& reader) override;
+  void restore_state(CkptReader& reader, RequestId num_requests) override;
 
  private:
   Factory factory_;

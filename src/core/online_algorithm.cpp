@@ -18,7 +18,9 @@ void OnlineAlgorithm::serialize_state(CkptWriter& writer) const {
   (void)writer;
 }
 
-void OnlineAlgorithm::restore_state(CkptReader& reader) { (void)reader; }
+void OnlineAlgorithm::restore_state(CkptReader& reader, RequestId) {
+  (void)reader;
+}
 
 SolutionLedger run_online(OnlineAlgorithm& algorithm, const Instance& instance,
                           ConnectionChargePolicy policy,

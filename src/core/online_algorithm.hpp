@@ -62,9 +62,12 @@ class OnlineAlgorithm {
   /// reset() algorithm (same options and seed, same ProblemContext);
   /// per-run caches that reset() rebuilds deterministically are not
   /// serialized. The defaults are no-ops for stateless algorithms
-  /// (AlwaysOpen); everything stateful overrides both.
+  /// (AlwaysOpen); everything stateful overrides both. `num_requests` is
+  /// the request count the enclosing snapshot vouches for: request ids in
+  /// the state lie below it, so one at or past it is refused before any
+  /// id-indexed storage grows to it.
   virtual void serialize_state(CkptWriter& writer) const;
-  virtual void restore_state(CkptReader& reader);
+  virtual void restore_state(CkptReader& reader, RequestId num_requests);
 };
 
 /// Replay the instance through the algorithm; returns the priced ledger.

@@ -62,7 +62,7 @@ void PdOmflp::reset(const ProblemContext& context) {
   near_small_.clear();
   near_small_offset_.assign(num_commodities_, kNoTable);
   near_large_.clear();
-  past_.clear();
+  archive_.clear();
   by_commodity_.assign(num_commodities_, {});
   large_bidders_ = {};
   large_row_ = num_commodities_;
@@ -75,7 +75,6 @@ void PdOmflp::reset(const ProblemContext& context) {
   ref_bid_scratch_.clear();
   large_bid_scratch_.clear();
   total_dual_ = 0.0;
-  dual_records_.clear();
   trace_.clear();
 }
 
@@ -111,8 +110,9 @@ PdOmflp::Nearest PdOmflp::nearest_offering(CommodityId e, PointId p) const {
   return near_small_[offset + p];
 }
 
-PdOmflp::Nearest PdOmflp::nearest_large(
-    PointId p, const std::vector<CommodityId>& commodities) const {
+template <typename Commodities>
+PdOmflp::Nearest PdOmflp::nearest_large(PointId p,
+                                        const Commodities& commodities) const {
   // The chain is nested, so "covers the demand" holds on a suffix of it:
   // the first covering table is the smallest covering configuration.
   const auto covering = std::partition_point(
@@ -156,10 +156,10 @@ bool PdOmflp::add_large_to_tables(const LargeRecord& facility) {
   return true;
 }
 
-void PdOmflp::withdraw_bidder(BidderList& list) {
+void PdOmflp::withdraw_bidder(BidderList& list, RequestId departing) {
   if (2 * ++list.tombstones <= list.entries.size()) return;
   std::erase_if(list.entries, [&](const Bidder& b) {
-    return past_[b.request].departed;
+    return b.request == departing || !archive_.resident(b.request);
   });
   list.tombstones = 0;
 }
@@ -168,13 +168,14 @@ void PdOmflp::recompute_small_bid_row(CommodityId e,
                                       std::vector<double>& out) const {
   out.assign(num_points_, 0.0);
   for (const Bidder& b : by_commodity_[e].entries) {
-    const PastRequest& pr = past_[b.request];
-    const double v = std::min(pr.duals[b.slot],
-                              nearest_offering(e, pr.location).dist);
+    const PastRequest* pr = archive_.find(b.request);
+    if (pr == nullptr) continue;  // departed: a tombstone
+    const double v = std::min(pr->slots[b.slot].dual,
+                              nearest_offering(e, pr->location).dist);
     if (v <= 0.0) continue;
     OMFLP_PERF_ADD(bids_evaluated, num_points_);
     OMFLP_PERF_ADD(distance_lookups, num_points_);
-    kernel::accumulate_clipped_bid(out.data(), dist_->row(pr.location), v,
+    kernel::accumulate_clipped_bid(out.data(), dist_->row(pr->location), v,
                                    num_points_);
   }
 }
@@ -182,14 +183,15 @@ void PdOmflp::recompute_small_bid_row(CommodityId e,
 void PdOmflp::recompute_large_bid_row(std::vector<double>& out) const {
   out.assign(num_points_, 0.0);
   for (const Bidder& b : large_bidders_.entries) {
-    const PastRequest& pr = past_[b.request];
+    const PastRequest* pr = archive_.find(b.request);
+    if (pr == nullptr) continue;  // departed: a tombstone
     const double v =
-        std::min(pr.dual_sum_large,
-                 nearest_large(pr.location, pr.commodities).dist);
+        std::min(pr->dual_sum_large,
+                 nearest_large(pr->location, commodities_of(*pr)).dist);
     if (v <= 0.0) continue;
     OMFLP_PERF_ADD(bids_evaluated, num_points_);
     OMFLP_PERF_ADD(distance_lookups, num_points_);
-    kernel::accumulate_clipped_bid(out.data(), dist_->row(pr.location), v,
+    kernel::accumulate_clipped_bid(out.data(), dist_->row(pr->location), v,
                                    num_points_);
   }
 }
@@ -225,7 +227,7 @@ void PdOmflp::integrate_facility(PointId point, const CommoditySet& config,
   is_large = is_large || config.is_full();
 
   // Each bid shift reads v_old from the table before the sweep lowers
-  // it; the walk visits still-bidding slots in archive order, so the
+  // it; the walk visits still-bidding slots in id order, so the
   // shifts land on the rows in the order a walk over every archived
   // request would apply them.
   config.for_each([&](CommodityId e) {
@@ -233,17 +235,17 @@ void PdOmflp::integrate_facility(PointId point, const CommoditySet& config,
     Nearest* table = small_table(e);
     if (incremental && bids_.active(e)) {
       for (const Bidder& b : by_commodity_[e].entries) {
-        const PastRequest& pr = past_[b.request];
-        if (pr.departed) continue;
-        const double d_old = table[pr.location].dist;
-        const double d_new = (*dist_)(point, pr.location);
+        const PastRequest* pr = archive_.find(b.request);
+        if (pr == nullptr) continue;
+        const double d_old = table[pr->location].dist;
+        const double d_new = (*dist_)(point, pr->location);
         if (d_new >= d_old) continue;
-        const double v_old = std::min(pr.duals[b.slot], d_old);
-        const double v_new = std::min(pr.duals[b.slot], d_new);
+        const double v_old = std::min(pr->slots[b.slot].dual, d_old);
+        const double v_new = std::min(pr->slots[b.slot].dual, d_new);
         if (v_new < v_old && v_old > 0.0) {
           OMFLP_PERF_ADD(bids_updated, num_points_);
           OMFLP_PERF_ADD(distance_lookups, num_points_);
-          kernel::shift_clipped_bid(bids_.row(e), dist_->row(pr.location),
+          kernel::shift_clipped_bid(bids_.row(e), dist_->row(pr->location),
                                     v_old, v_new, num_points_);
         }
       }
@@ -255,26 +257,28 @@ void PdOmflp::integrate_facility(PointId point, const CommoditySet& config,
   larges_.push_back(LargeRecord{point, id, config});
   if (incremental) {
     for (const Bidder& b : large_bidders_.entries) {
-      const PastRequest& pr = past_[b.request];
-      if (pr.departed) continue;
+      const PastRequest* pr = archive_.find(b.request);
+      if (pr == nullptr) continue;
       bool covers = true;
-      for (CommodityId e : pr.commodities) {
-        if (!config.contains(e) && !excluded_.contains(e)) {
+      for (const PastSlot& slot : pr->slots) {
+        if (!config.contains(slot.commodity) &&
+            !excluded_.contains(slot.commodity)) {
           covers = false;
           break;
         }
       }
       if (!covers) continue;
-      const double d_old = nearest_large(pr.location, pr.commodities).dist;
-      const double d_new = (*dist_)(point, pr.location);
+      const double d_old =
+          nearest_large(pr->location, commodities_of(*pr)).dist;
+      const double d_new = (*dist_)(point, pr->location);
       if (d_new >= d_old) continue;
-      const double v_old = std::min(pr.dual_sum_large, d_old);
-      const double v_new = std::min(pr.dual_sum_large, d_new);
+      const double v_old = std::min(pr->dual_sum_large, d_old);
+      const double v_new = std::min(pr->dual_sum_large, d_new);
       if (v_new < v_old && v_old > 0.0) {
         OMFLP_PERF_ADD(bids_updated, num_points_);
         OMFLP_PERF_ADD(distance_lookups, num_points_);
         kernel::shift_clipped_bid(bids_.row(large_row_),
-                                  dist_->row(pr.location), v_old, v_new,
+                                  dist_->row(pr->location), v_old, v_new,
                                   num_points_);
       }
     }
@@ -283,26 +287,28 @@ void PdOmflp::integrate_facility(PointId point, const CommoditySet& config,
               "PdOmflp: large configurations are not nested");
 }
 
-void PdOmflp::archive_request(const Request& request,
+void PdOmflp::archive_request(RequestId id, const Request& request,
                               const std::vector<CommodityId>& commodities,
                               const std::vector<double>& duals) {
   const bool incremental =
       options_.bid_mode == PdOptions::BidMode::kIncremental;
 
-  PastRequest pr;
+  // A reused slot keeps its vectors' capacity.
+  PastRequest& pr = archive_.add(id);
   pr.location = request.location;
-  pr.commodities = commodities;
-  pr.duals = duals;
-  for (std::size_t slot = 0; slot < commodities.size(); ++slot)
+  pr.slots.clear();
+  pr.dual_sum_large = 0.0;
+  for (std::size_t slot = 0; slot < commodities.size(); ++slot) {
+    pr.slots.push_back(PastSlot{commodities[slot], duals[slot]});
     if (!excluded_.contains(commodities[slot]))
       pr.dual_sum_large += duals[slot];
+  }
 
-  const std::size_t j = past_.size();
   for (std::size_t slot = 0; slot < commodities.size(); ++slot) {
     const CommodityId e = commodities[slot];
     if (duals[slot] > 0.0)
       by_commodity_[e].entries.push_back(
-          Bidder{j, static_cast<std::uint32_t>(slot)});
+          Bidder{id, static_cast<std::uint32_t>(slot)});
     if (incremental) {
       const double v =
           std::min(duals[slot], nearest_offering(e, pr.location).dist);
@@ -315,7 +321,7 @@ void PdOmflp::archive_request(const Request& request,
       }
     }
   }
-  if (pr.dual_sum_large > 0.0) large_bidders_.entries.push_back(Bidder{j, 0});
+  if (pr.dual_sum_large > 0.0) large_bidders_.entries.push_back(Bidder{id, 0});
   if (incremental && prediction_enabled()) {
     const double v = std::min(pr.dual_sum_large,
                               nearest_large(pr.location, commodities).dist);
@@ -327,13 +333,6 @@ void PdOmflp::archive_request(const Request& request,
                                      num_points_);
     }
   }
-  past_.push_back(std::move(pr));
-
-  PdDualRecord record;
-  record.location = request.location;
-  record.commodities = commodities;
-  record.duals = duals;
-  dual_records_.push_back(std::move(record));
   for (double a : duals) total_dual_ += a;
 
   if (obs::tracing()) {
@@ -341,7 +340,7 @@ void PdOmflp::archive_request(const Request& request,
     for (std::size_t slot = 0; slot < commodities.size(); ++slot) {
       TraceEvent ev;
       ev.kind = TraceEventKind::kDualRaise;
-      ev.request = j;
+      ev.request = id;
       ev.commodity = commodities[slot];
       ev.config_size = 1;
       ev.cost = duals[slot];
@@ -357,13 +356,12 @@ void PdOmflp::depart(RequestId id, const Request& request,
   OMFLP_CHECK(cost_ != nullptr, "PdOmflp: depart() before reset()");
   if (options_.deletion_policy == PdOptions::DeletionPolicy::kFrozen)
     return;
-  OMFLP_REQUIRE(id < past_.size(), "PdOmflp: depart of unknown request");
-  PastRequest& pr = past_[id];
-  OMFLP_REQUIRE(!pr.departed, "PdOmflp: request departed twice");
+  PastRequest* const archived = archive_.find(id);
+  OMFLP_REQUIRE(archived != nullptr,
+                "PdOmflp: depart of an unknown or departed request");
+  const PastRequest& pr = *archived;
   const bool incremental =
       options_.bid_mode == PdOptions::BidMode::kIncremental;
-  // Marked first: list compaction drops entries of departed requests.
-  pr.departed = true;
 
   // Withdraw the currently-posted clipped contribution of every slot:
   // min{a_je, d(F(e), j)} with the table's nearest distance is exactly
@@ -371,10 +369,10 @@ void PdOmflp::depart(RequestId id, const Request& request,
   // shifting, so shifting it to zero removes the request from the row.
   double withdrawn = 0.0;     // bid mass leaving the rows
   double dual_removed = 0.0;  // dual objective leaving total_dual_
-  for (std::size_t slot = 0; slot < pr.commodities.size(); ++slot) {
-    const CommodityId e = pr.commodities[slot];
+  for (const PastSlot& slot : pr.slots) {
+    const CommodityId e = slot.commodity;
     const double v =
-        std::min(pr.duals[slot], nearest_offering(e, pr.location).dist);
+        std::min(slot.dual, nearest_offering(e, pr.location).dist);
     if (v > 0.0) withdrawn += v;
     if (incremental && v > 0.0 && bids_.active(e)) {
       OMFLP_PERF_ADD(bids_updated, num_points_);
@@ -382,15 +380,14 @@ void PdOmflp::depart(RequestId id, const Request& request,
       kernel::shift_clipped_bid(bids_.row(e), dist_->row(pr.location), v,
                                 0.0, num_points_);
     }
-    if (pr.duals[slot] > 0.0) withdraw_bidder(by_commodity_[e]);
-    total_dual_ -= pr.duals[slot];
-    dual_removed += pr.duals[slot];
-    pr.duals[slot] = 0.0;
+    if (slot.dual > 0.0) withdraw_bidder(by_commodity_[e], id);
+    total_dual_ -= slot.dual;
+    dual_removed += slot.dual;
   }
   if (prediction_enabled()) {
     const double v =
         std::min(pr.dual_sum_large,
-                 nearest_large(pr.location, pr.commodities).dist);
+                 nearest_large(pr.location, commodities_of(pr)).dist);
     if (v > 0.0) withdrawn += v;
     if (incremental && v > 0.0) {
       OMFLP_PERF_ADD(bids_updated, num_points_);
@@ -400,8 +397,7 @@ void PdOmflp::depart(RequestId id, const Request& request,
                                 num_points_);
     }
   }
-  if (pr.dual_sum_large > 0.0) withdraw_bidder(large_bidders_);
-  pr.dual_sum_large = 0.0;
+  if (pr.dual_sum_large > 0.0) withdraw_bidder(large_bidders_, id);
   if (obs::tracing()) {
     TraceEvent ev;
     ev.kind = TraceEventKind::kBidRollback;
@@ -410,9 +406,24 @@ void PdOmflp::depart(RequestId id, const Request& request,
     ev.cost = dual_removed;
     obs::emit(ev);
   }
-  // With the duals zeroed, reference-mode recomputation skips the slot
-  // (min{0, d} is never positive), and the still-bidding walks skip the
-  // request, so both bid modes keep agreeing after deletions.
+  // Out of the archive, the request's list entries are tombstones that
+  // every walk skips, in both bid modes, so the modes keep agreeing after
+  // deletions. Its slot keeps the vectors' capacity for a later arrival.
+  archive_.release(id);
+}
+
+std::vector<PdDualRecord> PdOmflp::dual_records() const {
+  std::vector<PdDualRecord> records;
+  records.reserve(archive_.size());
+  archive_.for_each([&](RequestId, const PastRequest& pr) {
+    PdDualRecord& record = records.emplace_back();
+    record.location = pr.location;
+    for (const PastSlot& slot : pr.slots) {
+      record.commodities.push_back(slot.commodity);
+      record.duals.push_back(slot.dual);
+    }
+  });
+  return records;
 }
 
 std::optional<std::string> PdOmflp::audit_state(double tolerance) const {
@@ -476,40 +487,42 @@ std::optional<std::string> PdOmflp::audit_state(double tolerance) const {
       return os.str();
     }
   }
-  for (std::size_t j = 0; j < past_.size(); ++j) {
-    const PastRequest& pr = past_[j];
+  bool stale = false;
+  archive_.for_each([&](RequestId j, const PastRequest& pr) {
+    if (stale) return;
     Nearest fresh;
     for (const LargeRecord& lf : larges_) {
       bool covers = true;
-      for (CommodityId e : pr.commodities)
-        if (!lf.config.contains(e) && !excluded_.contains(e)) covers = false;
+      for (const PastSlot& slot : pr.slots)
+        if (!lf.config.contains(slot.commodity) &&
+            !excluded_.contains(slot.commodity))
+          covers = false;
       if (!covers) continue;
       const double d = (*dist_)(pr.location, lf.point);
       if (d < fresh.dist) fresh = Nearest{d, lf.id};
     }
-    const Nearest kept = nearest_large(pr.location, pr.commodities);
+    const Nearest kept = nearest_large(pr.location, commodities_of(pr));
     if (!same_entry(kept, fresh)) {
       os << "nearest large facility for request " << j << ": table "
          << kept.id << " at " << kept.dist << " vs fresh " << fresh.id
          << " at " << fresh.dist;
-      return os.str();
+      stale = true;
     }
-  }
+  });
+  if (stale) return os.str();
 
   // 2. The still-bidding lists: live entries are exactly the archived
-  //    slots with a positive dual that were not rolled back, ascending;
-  //    tombstones are counted and never outnumber the live entries.
+  //    slots with a positive dual, ascending; tombstones (departed ids)
+  //    are counted and never outnumber the live entries.
   std::vector<std::vector<Bidder>> expected(num_commodities_ + 1);
-  for (std::size_t j = 0; j < past_.size(); ++j) {
-    const PastRequest& pr = past_[j];
-    if (pr.departed) continue;
-    for (std::size_t slot = 0; slot < pr.commodities.size(); ++slot)
-      if (pr.duals[slot] > 0.0)
-        expected[pr.commodities[slot]].push_back(
+  archive_.for_each([&](RequestId j, const PastRequest& pr) {
+    for (std::size_t slot = 0; slot < pr.slots.size(); ++slot)
+      if (pr.slots[slot].dual > 0.0)
+        expected[pr.slots[slot].commodity].push_back(
             Bidder{j, static_cast<std::uint32_t>(slot)});
     if (pr.dual_sum_large > 0.0)
       expected[num_commodities_].push_back(Bidder{j, 0});
-  }
+  });
   for (std::size_t e = 0; e <= num_commodities_; ++e) {
     const bool large = e == num_commodities_;
     const BidderList& list = large ? large_bidders_ : by_commodity_[e];
@@ -519,7 +532,7 @@ std::optional<std::string> PdOmflp::audit_state(double tolerance) const {
     for (std::size_t i = 0; i < list.entries.size(); ++i) {
       const Bidder& b = list.entries[i];
       if (i > 0 && list.entries[i - 1].request >= b.request) ascending = false;
-      if (past_[b.request].departed)
+      if (!archive_.resident(b.request))
         ++tombstones;
       else
         live.push_back(b);
@@ -893,11 +906,12 @@ void PdOmflp::serve(const Request& request, SolutionLedger& ledger) {
     const CommodityId e = commodities[slot];
     const double* dist_m = dist_->row(temp_point[slot]);
     for (const Bidder& b : by_commodity_[e].entries) {
-      const PastRequest& pr = past_[b.request];
-      const double v = std::min(pr.duals[b.slot],
-                                nearest_offering(e, pr.location).dist);
+      const PastRequest* pr = archive_.find(b.request);
+      if (pr == nullptr) continue;
+      const double v = std::min(pr->slots[b.slot].dual,
+                                nearest_offering(e, pr->location).dist);
       if (v <= 0.0) continue;
-      const double amount = positive_part(v - dist_m[pr.location]);
+      const double amount = positive_part(v - dist_m[pr->location]);
       if (amount > 0.0)
         contribs.push_back(TraceContributor{b.request, amount});
     }
@@ -921,12 +935,13 @@ void PdOmflp::serve(const Request& request, SolutionLedger& ledger) {
     std::vector<TraceContributor> contribs;
     const double* dist_m = dist_->row(new_large_point);
     for (const Bidder& b : large_bidders_.entries) {
-      const PastRequest& pr = past_[b.request];
+      const PastRequest* pr = archive_.find(b.request);
+      if (pr == nullptr) continue;
       const double v =
-          std::min(pr.dual_sum_large,
-                   nearest_large(pr.location, pr.commodities).dist);
+          std::min(pr->dual_sum_large,
+                   nearest_large(pr->location, commodities_of(*pr)).dist);
       if (v <= 0.0) continue;
-      const double amount = positive_part(v - dist_m[pr.location]);
+      const double amount = positive_part(v - dist_m[pr->location]);
       if (amount > 0.0)
         contribs.push_back(TraceContributor{b.request, amount});
     }
@@ -969,7 +984,7 @@ void PdOmflp::serve(const Request& request, SolutionLedger& ledger) {
     integrate_facility(f.location, f.config, nf.id, nf.is_large);
   }
 
-  archive_request(request, commodities, a);
+  archive_request(request_id, request, commodities, a);
 }
 
 namespace {
@@ -1006,22 +1021,22 @@ void PdOmflp::serialize_state(CkptWriter& writer) const {
   for (const LargeRecord& f : larges_)
     writer.line("large").u(f.point).u(f.id).set(f.config);
   writer.line("seen").set(seen_);
-  writer.line("past").u(past_.size());
-  for (const PastRequest& pr : past_) {
+  writer.line("past").u(archive_.size());
+  archive_.for_each([&](RequestId id, const PastRequest& pr) {
     writer.line("past-request")
+        .u(id)
         .u(pr.location)
-        .u(pr.commodities.size())
+        .u(pr.slots.size())
         .d(pr.dual_sum_large)
-        .d(nearest_large(pr.location, pr.commodities).dist)
-        .b(pr.departed);
+        .d(nearest_large(pr.location, commodities_of(pr)).dist);
     writer.line("past-commodities");
-    for (const CommodityId e : pr.commodities) writer.u(e);
+    for (const PastSlot& slot : pr.slots) writer.u(slot.commodity);
     writer.line("past-duals");
-    for (const double a : pr.duals) writer.d(a);
+    for (const PastSlot& slot : pr.slots) writer.d(slot.dual);
     writer.line("past-small-dist");
-    for (const CommodityId e : pr.commodities)
-      writer.d(nearest_offering(e, pr.location).dist);
-  }
+    for (const PastSlot& slot : pr.slots)
+      writer.d(nearest_offering(slot.commodity, pr.location).dist);
+  });
   // Incremental bid rows, bitwise, in canonical (row id) order — slot
   // order inside the arena is an activation-history artifact that never
   // affects numerics.
@@ -1035,12 +1050,6 @@ void PdOmflp::serialize_state(CkptWriter& writer) const {
     for (std::size_t m = 0; m < bids_.row_length(); ++m) writer.d(row[m]);
   }
   writer.line("dual-total").d(total_dual_);
-  writer.line("dual-records").u(dual_records_.size());
-  for (const PdDualRecord& rec : dual_records_) {
-    writer.line("dual-record").u(rec.location).u(rec.commodities.size());
-    for (std::size_t i = 0; i < rec.commodities.size(); ++i)
-      writer.u(rec.commodities[i]).d(rec.duals[i]);
-  }
   writer.line("trace").u(trace_.size());
   for (const PdTraceEvent& ev : trace_) {
     writer.line("trace-event")
@@ -1052,7 +1061,7 @@ void PdOmflp::serialize_state(CkptWriter& writer) const {
   }
 }
 
-void PdOmflp::restore_state(CkptReader& reader) {
+void PdOmflp::restore_state(CkptReader& reader, RequestId num_requests) {
   reader.expect("pd-options");
   if (reader.tok() != bid_mode_tag(options_.bid_mode) ||
       reader.tok() != prediction_tag(options_.prediction) ||
@@ -1104,11 +1113,22 @@ void PdOmflp::restore_state(CkptReader& reader) {
   if (seen_.universe_size() != num_commodities_)
     reader.fail("seen-union universe mismatch");
   refresh_large_config();
+  // Versions 1 and 2 archived every arrival in id order, each with a
+  // departed flag; version 3 writes only the archive's entries, each with
+  // its id.
+  const bool every_arrival = reader.version() < 3;
   reader.expect("past");
   const std::uint64_t num_past = reader.u();
-  past_.reserve(capped_reserve(num_past));
+  archive_.reserve(capped_reserve(num_past));
   for (std::uint64_t j = 0; j < num_past; ++j) {
     reader.expect("past-request");
+    // Ids index the archive's id map: one the snapshot does not vouch for
+    // is refused before the map grows to it.
+    const std::uint64_t id = every_arrival ? j : reader.u();
+    if (id >= num_requests)
+      reader.fail("past request id beyond the request count");
+    if (id < archive_.next_id())
+      reader.fail("past request ids out of order or duplicated");
     PastRequest pr;
     const std::uint64_t location = reader.u();
     if (location >= num_points_) reader.fail("past request out of range");
@@ -1116,40 +1136,39 @@ void PdOmflp::restore_state(CkptReader& reader) {
     const std::uint64_t slots = reader.u();
     pr.dual_sum_large = reader.d();
     const double large_dist = reader.d();
-    pr.departed = reader.b();
-    pr.commodities.reserve(capped_reserve(slots));
+    const bool departed = every_arrival && reader.b();
+    pr.slots.reserve(capped_reserve(slots));
     reader.expect("past-commodities");
     for (std::uint64_t i = 0; i < slots; ++i) {
       const auto e = static_cast<CommodityId>(reader.u());
       if (e >= num_commodities_) reader.fail("past commodity out of range");
-      pr.commodities.push_back(e);
+      pr.slots.push_back(PastSlot{e, 0.0});
     }
-    pr.duals.reserve(capped_reserve(slots));
     reader.expect("past-duals");
-    for (std::uint64_t i = 0; i < slots; ++i) pr.duals.push_back(reader.d());
+    for (PastSlot& slot : pr.slots) slot.dual = reader.d();
     // The archived distances are derived state: they must equal the
     // rebuilt tables bit for bit, or the checkpoint is inconsistent.
     reader.expect("past-small-dist");
-    for (const CommodityId e : pr.commodities)
-      if (!same_bits(reader.d(), nearest_offering(e, pr.location).dist))
+    for (const PastSlot& slot : pr.slots)
+      if (!same_bits(reader.d(),
+                     nearest_offering(slot.commodity, pr.location).dist))
         reader.fail("past-small-dist disagrees with the nearest-facility "
                     "tables");
     if (!same_bits(large_dist,
-                   nearest_large(pr.location, pr.commodities).dist))
+                   nearest_large(pr.location, commodities_of(pr)).dist))
       reader.fail("past large distance disagrees with the nearest-facility "
                   "tables");
-    // Rebuild the still-bidding lists (a pure function of past_).
-    if (!pr.departed) {
-      for (std::size_t slot = 0; slot < pr.commodities.size(); ++slot)
-        if (pr.duals[slot] > 0.0)
-          by_commodity_[pr.commodities[slot]].entries.push_back(
-              Bidder{static_cast<std::size_t>(j),
-                     static_cast<std::uint32_t>(slot)});
-      if (pr.dual_sum_large > 0.0)
-        large_bidders_.entries.push_back(
-            Bidder{static_cast<std::size_t>(j), 0});
-    }
-    past_.push_back(std::move(pr));
+    // A departed request of an older file stays out of the archive, as
+    // depart() would have left it. The still-bidding lists are a pure
+    // function of the archive.
+    if (departed) continue;
+    for (std::size_t slot = 0; slot < pr.slots.size(); ++slot)
+      if (pr.slots[slot].dual > 0.0)
+        by_commodity_[pr.slots[slot].commodity].entries.push_back(
+            Bidder{id, static_cast<std::uint32_t>(slot)});
+    if (pr.dual_sum_large > 0.0)
+      large_bidders_.entries.push_back(Bidder{id, 0});
+    archive_.add(id) = std::move(pr);
   }
   reader.expect("bid-rows");
   const std::uint64_t num_bid_rows = reader.u();
@@ -1166,21 +1185,21 @@ void PdOmflp::restore_state(CkptReader& reader) {
   }
   reader.expect("dual-total");
   total_dual_ = reader.d();
-  reader.expect("dual-records");
-  const std::uint64_t num_dual_records = reader.u();
-  dual_records_.reserve(capped_reserve(num_dual_records));
-  for (std::uint64_t i = 0; i < num_dual_records; ++i) {
-    reader.expect("dual-record");
-    PdDualRecord rec;
-    rec.location = static_cast<PointId>(reader.u());
-    const std::uint64_t slots = reader.u();
-    rec.commodities.reserve(capped_reserve(slots));
-    rec.duals.reserve(capped_reserve(slots));
-    for (std::uint64_t k = 0; k < slots; ++k) {
-      rec.commodities.push_back(static_cast<CommodityId>(reader.u()));
-      rec.duals.push_back(reader.d());
+  if (every_arrival) {
+    // The older files' second copy of the duals: checked, then dropped
+    // (dual_records() reads the archive).
+    reader.expect("dual-records");
+    const std::uint64_t num_dual_records = reader.u();
+    for (std::uint64_t i = 0; i < num_dual_records; ++i) {
+      reader.expect("dual-record");
+      if (reader.u() >= num_points_) reader.fail("dual record out of range");
+      const std::uint64_t slots = reader.u();
+      for (std::uint64_t k = 0; k < slots; ++k) {
+        if (reader.u() >= num_commodities_)
+          reader.fail("dual record commodity out of range");
+        (void)reader.d();
+      }
     }
-    dual_records_.push_back(std::move(rec));
   }
   reader.expect("trace");
   const std::uint64_t num_trace = reader.u();

@@ -62,12 +62,14 @@
 #pragma once
 
 #include <optional>
+#include <ranges>
 #include <string>
 #include <vector>
 
 #include "core/online_algorithm.hpp"
 #include "kernel/bid_plane.hpp"
 #include "metric/distance_oracle.hpp"
+#include "support/id_slot_pool.hpp"
 
 namespace omflp {
 
@@ -77,9 +79,10 @@ struct PdOptions {
   enum class LargeConfig { kFullS, kSeenUnion };
   /// What depart() does on a dynamic stream (static runs never call it):
   ///   * kRollback — withdraw the departed request's frozen bids from
-  ///     every bid row (shift its clipped contribution to zero) and zero
-  ///     its duals, so future facility openings are no longer subsidized
-  ///     by ghosts. Decisions already made stay irrevocable.
+  ///     every bid row (shift its clipped contribution to zero), take its
+  ///     duals out of the dual total and drop it from the archive, so
+  ///     future facility openings are no longer subsidized by ghosts.
+  ///     Decisions already made stay irrevocable.
   ///   * kFrozen   — keep the bids (the sunk-investment policy).
   enum class DeletionPolicy { kRollback, kFrozen };
 
@@ -95,8 +98,8 @@ struct PdOptions {
   bool record_trace = false;
 };
 
-/// One (request, commodity) dual variable after its freeze, exported for
-/// the dual-feasibility checker (Lemmas 14/16) and the Corollary 8 test.
+/// One request's frozen dual variables, exported for the dual-feasibility
+/// checker (Lemmas 14/16) and the Corollary 8 test.
 struct PdDualRecord {
   PointId location = 0;
   std::vector<CommodityId> commodities;  // s_r in increasing order
@@ -120,24 +123,26 @@ class PdOmflp final : public OnlineAlgorithm {
   void serve(const Request& request, SolutionLedger& ledger) override;
   /// Deletion handling per PdOptions::deletion_policy (kRollback by
   /// default): the departed request's clipped bid contributions are
-  /// shifted out of the small and large rows and its duals zeroed, in
-  /// both bid modes, so reference and incremental dynamic runs stay
-  /// trace-identical.
+  /// shifted out of the small and large rows and its archive entry is
+  /// released, in both bid modes, so reference and incremental dynamic
+  /// runs stay trace-identical.
   void depart(RequestId id, const Request& request,
               SolutionLedger& ledger) override;
 
-  /// Checkpoint: the facility indexes, every archived request's frozen
-  /// duals and nearest-facility distances (read from the tables), the
-  /// incremental bid rows (bitwise — recomputing them on restore would
-  /// only agree to audit tolerance, not bit-for-bit), the dual records and
-  /// an options guard. Caches the cost model determines (cost rows, the
-  /// large cost row) are rebuilt lazily. The nearest-facility tables and
-  /// the still-bidding lists are rebuilt from the facility indexes and the
-  /// archived requests; restore rejects archived distances that disagree
-  /// with the rebuilt tables and large configurations that are not
-  /// nested.
+  /// Checkpoint: the facility indexes, every archived request's id,
+  /// frozen duals and nearest-facility distances (read from the tables),
+  /// the incremental bid rows (bitwise — recomputing them on restore would
+  /// only agree to audit tolerance, not bit-for-bit) and an options guard.
+  /// Caches the cost model determines (cost rows, the large cost row) are
+  /// rebuilt lazily. The nearest-facility tables and the still-bidding
+  /// lists are rebuilt from the facility indexes and the archive; restore
+  /// rejects archived distances that disagree with the rebuilt tables and
+  /// large configurations that are not nested. Version 1 and 2 files
+  /// archived every arrival, departed ones included, plus a second copy
+  /// of the duals (`dual-records`): restore drops the departed entries and
+  /// reads the copy only to check it.
   void serialize_state(CkptWriter& writer) const override;
-  void restore_state(CkptReader& reader) override;
+  void restore_state(CkptReader& reader, RequestId num_requests) override;
 
   /// Σ_r Σ_{e∈s_r} a_re — the dual objective before scaling. On dynamic
   /// runs with kRollback, departed requests' duals leave the sum (the
@@ -154,9 +159,13 @@ class PdOmflp final : public OnlineAlgorithm {
   /// description of the first inconsistency, or nullopt when clean.
   /// O(n·|M|·|S|); call after serve()s, not inside hot loops.
   std::optional<std::string> audit_state(double tolerance = 1e-7) const;
-  const std::vector<PdDualRecord>& dual_records() const noexcept {
-    return dual_records_;
-  }
+  /// The archived requests' frozen duals in id order. Every request on a
+  /// static run; on a dynamic one under kRollback, departed requests have
+  /// left the archive.
+  std::vector<PdDualRecord> dual_records() const;
+  /// Requests in the archive: every arrival under kFrozen and on static
+  /// runs, the ones that have not departed under kRollback.
+  std::size_t num_archived() const noexcept { return archive_.size(); }
   const std::vector<PdTraceEvent>& trace() const noexcept { return trace_; }
 
   const PdOptions& options() const noexcept { return options_; }
@@ -225,26 +234,35 @@ class PdOmflp final : public OnlineAlgorithm {
   std::vector<LargeTable> near_large_;
 
   // ---- past-request state -------------------------------------------------
+  struct PastSlot {
+    CommodityId commodity = 0;
+    double dual = 0.0;  // frozen a_je
+  };
   struct PastRequest {
     PointId location = 0;
-    std::vector<CommodityId> commodities;
-    std::vector<double> duals;    // frozen a_je (zeroed by rollback)
+    /// s_j in increasing order with each commodity's frozen dual, in one
+    /// allocation per entry.
+    std::vector<PastSlot> slots;
     double dual_sum_large = 0.0;  // Σ a_je over non-excluded commodities
-    /// Departed and rolled back: duals are zero, bids withdrawn. The slot
-    /// stays resident so arrival-order indexing keeps working.
-    bool departed = false;
   };
-  std::vector<PastRequest> past_;
+  /// The commodities of an archived request, as nearest_large() reads them.
+  static auto commodities_of(const PastRequest& pr) {
+    return pr.slots | std::views::transform(&PastSlot::commodity);
+  }
+  /// The archive, keyed by the ledger's RequestId. depart() releases a
+  /// rolled-back request's entry, so under kRollback the archive holds
+  /// only the requests whose duals can still bid.
+  IdSlotPool<PastRequest> archive_;
   /// The still-bidding index: archived requests with a positive frozen
   /// dual (the only ones whose clipped bid can be positive), in ascending
-  /// archive order. Facility openings and bid
-  /// recomputation walk only these, so their cost follows the requests
-  /// still bidding, not the stream's history. A rolled-back request stays
-  /// as a tombstone (walks skip it) until tombstones outnumber the live
-  /// entries and the list is compacted, which keeps departures O(1)
-  /// amortized and each list under twice its live size.
+  /// id order. Facility openings and bid recomputation walk only these,
+  /// so their cost follows the requests still bidding, not the stream's
+  /// history. A departed request's entries stay as tombstones (ids no
+  /// longer in the archive; walks skip them) until tombstones outnumber
+  /// the live entries and the list is compacted, which keeps departures
+  /// O(1) amortized and each list under twice its live size.
   struct Bidder {
-    std::size_t request = 0;
+    RequestId request = 0;
     std::uint32_t slot = 0;  // the commodity's slot in the request
   };
   struct BidderList {
@@ -306,7 +324,6 @@ class PdOmflp final : public OnlineAlgorithm {
 
   // ---- outputs -------------------------------------------------------------
   double total_dual_ = 0.0;
-  std::vector<PdDualRecord> dual_records_;
   std::vector<PdTraceEvent> trace_;
 
   // ---- helpers -------------------------------------------------------------
@@ -317,10 +334,10 @@ class PdOmflp final : public OnlineAlgorithm {
   void refresh_large_config();
   /// The nearest facility offering e to point p (a table lookup).
   Nearest nearest_offering(CommodityId e, PointId p) const;
-  /// The nearest large facility to p covering `commodities` minus the
-  /// excluded ones (a table lookup).
-  Nearest nearest_large(PointId p,
-                        const std::vector<CommodityId>& commodities) const;
+  /// The nearest large facility to p covering `commodities` (a range of
+  /// CommodityId) minus the excluded ones (a table lookup).
+  template <typename Commodities>
+  Nearest nearest_large(PointId p, const Commodities& commodities) const;
   /// Row e of near_small_, activated (all +inf) on first use.
   Nearest* small_table(CommodityId e);
   /// Sweeps the facility at `point` into one nearest-facility row.
@@ -329,10 +346,10 @@ class PdOmflp final : public OnlineAlgorithm {
   /// config grows the chain). Returns false when the config does not
   /// contain the largest configuration so far.
   bool add_large_to_tables(const LargeRecord& facility);
-  /// Records that one entry of `list` was rolled back (its request is
-  /// already marked departed) and compacts the list once tombstones
-  /// outnumber the live entries.
-  void withdraw_bidder(BidderList& list);
+  /// Records that one entry of `list` became a tombstone because request
+  /// `departing` is leaving the archive, and compacts the list once
+  /// tombstones outnumber the live entries.
+  void withdraw_bidder(BidderList& list, RequestId departing);
 
   /// Fill `out[m]` with the constraint-(3) bid sum for commodity e at every
   /// point m (past requests only), according to the bid mode.
@@ -357,9 +374,9 @@ class PdOmflp final : public OnlineAlgorithm {
   void integrate_facility(PointId point, const CommoditySet& config,
                           FacilityId id, bool is_large);
 
-  /// Appends the finished request to past_ and the still-bidding lists
-  /// and posts its contributions to the incremental bid arrays.
-  void archive_request(const Request& request,
+  /// Adds the finished request `id` to the archive and the still-bidding
+  /// lists and posts its contributions to the incremental bid arrays.
+  void archive_request(RequestId id, const Request& request,
                        const std::vector<CommodityId>& commodities,
                        const std::vector<double>& duals);
 };

@@ -277,7 +277,7 @@ void RandOmflp::serialize_state(CkptWriter& writer) const {
   }
 }
 
-void RandOmflp::restore_state(CkptReader& reader) {
+void RandOmflp::restore_state(CkptReader& reader, RequestId) {
   restore_rng(reader, rng_);
   reader.expect("offering-index");
   if (reader.u() != offering_.size())

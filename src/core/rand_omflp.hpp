@@ -88,7 +88,7 @@ class RandOmflp final : public OnlineAlgorithm {
   /// are pure functions of the cost model and rebuilt lazily; the
   /// accounting log is serialized only when record_accounting is on.
   void serialize_state(CkptWriter& writer) const override;
-  void restore_state(CkptReader& reader) override;
+  void restore_state(CkptReader& reader, RequestId num_requests) override;
 
  private:
   RandOptions options_;

@@ -174,7 +174,7 @@ StreamSession::StreamSession(OnlineAlgorithm& algorithm, EventSource& source,
   reader.expect("algo");
   if (reader.bytes() != algorithm_.name())
     reader.fail("checkpoint belongs to a different algorithm");
-  algorithm_.restore_state(reader);
+  algorithm_.restore_state(reader, num_arrived);
 
   source_.skip_events(clock_);
 }

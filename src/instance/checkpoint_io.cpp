@@ -14,14 +14,17 @@ namespace omflp {
 
 namespace {
 
-// Written by CkptWriter. The reader also accepts version 1, which
-// differs only in the ledger section (SolutionLedger::restore).
-constexpr const char* kHeader = "OMFLP-CKPT 2";
+// Written by CkptWriter. The reader also accepts versions 1 and 2, which
+// differ in the ledger section (SolutionLedger::restore) and the PD-OMFLP
+// archive (PdOmflp::restore_state).
+constexpr const char* kHeader = "OMFLP-CKPT 3";
+constexpr const char* kHeaderV2 = "OMFLP-CKPT 2";
 constexpr const char* kHeaderV1 = "OMFLP-CKPT 1";
 
 /// Container version of a header line; 0 if it is not one we read.
 unsigned header_version(std::string_view line) {
-  if (line == kHeader) return 2;
+  if (line == kHeader) return 3;
+  if (line == kHeaderV2) return 2;
   if (line == kHeaderV1) return 1;
   return 0;
 }
@@ -186,8 +189,8 @@ CkptReader::CkptReader(std::istream& is) : is_(is), fnv_(kFnvOffset) {
   if (!next_raw_line()) fail("missing header");
   version_ = header_version(line_);
   if (version_ == 0)
-    fail(std::string("bad header, expected '") + kHeader + "' or '" +
-         kHeaderV1 + "'");
+    fail(std::string("bad header, expected '") + kHeader + "', '" +
+         kHeaderV2 + "' or '" + kHeaderV1 + "'");
   fnv_ = fnv_fold(fnv_, line_);
   fnv_ = fnv_fold_newline(fnv_);
   pos_ = line_.size();  // header fully consumed

@@ -1,11 +1,11 @@
-// OMFLP-CKPT v2 — the versioned, checksummed checkpoint container every
+// OMFLP-CKPT v3 — the versioned, checksummed checkpoint container every
 // fault-tolerance artifact uses (src/recover/): StreamSession snapshots,
 // the per-generation manifest, and any state a roster algorithm
 // serializes through its serialize_state/restore_state hooks.
 //
 // The format is line-oriented text:
 //
-//   OMFLP-CKPT 2
+//   OMFLP-CKPT 3
 //   <key> <token> <token> ...
 //   ...
 //   checksum <16 hex digits>
@@ -31,12 +31,14 @@
 // Canonical form: serialize → restore → serialize is byte-identical
 // (tests/test_recover.cpp pins this down per roster algorithm).
 //
-// Versions: the writer emits version 2; the reader accepts 1 and 2 and
-// reports which through version(). They differ only in the ledger
-// section (solution/solution.hpp): a v2 "request" line starts with the
-// request's id, because released records leave holes in the id range,
-// while v1 records take consecutive ids from the ledger's first record
-// id.
+// Versions: the writer emits version 3; the reader accepts 1, 2 and 3
+// and reports which through version(). From version 2 on, a ledger
+// "request" line starts with the request's id, because released records
+// leave holes in the id range, while v1 records take consecutive ids from
+// the ledger's first record id (solution/solution.hpp). Version 3 changes
+// the PD-OMFLP section (core/pd_omflp.hpp): it holds only the archive's
+// entries, each with its id, where v1 and v2 held every arrival with a
+// departed flag plus a second copy of the duals.
 #pragma once
 
 #include <cstdint>
@@ -51,7 +53,7 @@
 
 namespace omflp {
 
-/// Streaming OMFLP-CKPT v2 writer. The header is written on
+/// Streaming OMFLP-CKPT v3 writer. The header is written on
 /// construction; line(key) starts a record, the typed appenders add
 /// tokens, finish() seals the file with the checksum line.
 class CkptWriter {
@@ -92,7 +94,7 @@ class CkptWriter {
   bool finished_ = false;
 };
 
-/// Strict bounded-memory OMFLP-CKPT reader (versions 1 and 2). The
+/// Strict bounded-memory OMFLP-CKPT reader (versions 1 to 3). The
 /// header is validated on construction; expect(key) loads the next line
 /// and the typed accessors consume its tokens; finish() validates the
 /// checksum line and end of input.
@@ -118,7 +120,7 @@ class CkptReader {
 
   [[noreturn]] void fail(const std::string& msg) const;
   std::size_t line_number() const noexcept { return line_number_; }
-  /// Container version from the header: 1 or 2.
+  /// Container version from the header: 1, 2 or 3.
   unsigned version() const noexcept { return version_; }
 
  private:

@@ -37,26 +37,15 @@ RequestId SolutionLedger::begin_request(const Request& request) {
                 "SolutionLedger: request universe mismatch");
   OMFLP_REQUIRE(!request.commodities.empty(),
                 "SolutionLedger: empty demand set");
-  std::uint32_t slot;
-  if (free_slots_.empty()) {
-    OMFLP_REQUIRE(slots_.size() < kReleasedSlot,
-                  "SolutionLedger: too many resident records");
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-  } else {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-  }
   // A reused slot keeps its vectors' capacity and its demand words.
-  RequestRecord& record = slots_[slot];
+  RequestRecord& record = records_.add();
   record.request = request;
   record.served.clear();
   record.rejected.clear();
   record.connected.clear();
   record.connection_cost = 0.0;
   record.retired_at = kNeverRetired;
-  slot_of_.push_back(slot);
-  in_flight_ = true;
+  in_flight_ = &record;
   return num_requests() - 1;
 }
 
@@ -241,18 +230,19 @@ void SolutionLedger::finish_request() {
   connection_cost_ += cost;
   active_connection_cost_ += cost;
   ++num_active_;
-  in_flight_ = false;
+  in_flight_ = nullptr;
 }
 
 void SolutionLedger::retire_request(RequestId id,
                                     std::uint64_t event_index) {
   OMFLP_REQUIRE(!in_flight_,
                 "SolutionLedger: retirements happen between requests");
-  OMFLP_REQUIRE(resident(id),
+  RequestRecord* const found = records_.find(id);
+  OMFLP_REQUIRE(found != nullptr,
                 "SolutionLedger: retiring an unknown or released request");
   OMFLP_REQUIRE(event_index != kNeverRetired,
                 "SolutionLedger: reserved retirement event index");
-  RequestRecord& record = slots_[slot_of(id)];
+  RequestRecord& record = *found;
   OMFLP_REQUIRE(record.active(),
                 "SolutionLedger: request retired twice");
   record.retired_at = event_index;
@@ -270,29 +260,17 @@ void SolutionLedger::retire_request(RequestId id,
 std::size_t SolutionLedger::release_retired() {
   OMFLP_REQUIRE(!in_flight_,
                 "SolutionLedger: release happens between requests");
-  for (const RequestId id : retired_) {
-    std::uint32_t& slot = slot_of(id);
-    free_slots_.push_back(slot);
-    slot = kReleasedSlot;
-  }
+  for (const RequestId id : retired_) records_.release(id);
   const std::size_t released = retired_.size();
   retired_.clear();
-  const std::size_t head = map_head_;
-  while (map_head_ < slot_of_.size() && slot_of_[map_head_] == kReleasedSlot)
-    ++map_head_;
-  first_record_id_ += map_head_ - head;
-  if (map_head_ * 2 > slot_of_.size()) {
-    slot_of_.erase(slot_of_.begin(),
-                   slot_of_.begin() + static_cast<std::ptrdiff_t>(map_head_));
-    map_head_ = 0;
-  }
   return released;
 }
 
 const RequestRecord& SolutionLedger::request_record(RequestId id) const {
-  OMFLP_REQUIRE(resident(id),
+  const RequestRecord* record = records_.find(id);
+  OMFLP_REQUIRE(record != nullptr,
                 "SolutionLedger: unknown or released request record");
-  return slots_[slot_of_[map_head_ + (id - first_record_id_)]];
+  return *record;
 }
 
 const OpenFacilityRecord& SolutionLedger::facility(FacilityId f) const {
@@ -314,7 +292,7 @@ void SolutionLedger::serialize(CkptWriter& writer) const {
   OMFLP_REQUIRE(!in_flight_,
                 "SolutionLedger::serialize: request in flight");
   writer.line("ledger")
-      .u(first_record_id_)
+      .u(first_record_id())
       .u(num_resident_records())
       .u(facilities_.size());
   writer.line("ledger-costs")
@@ -352,26 +330,25 @@ void SolutionLedger::serialize(CkptWriter& writer) const {
 
 void SolutionLedger::restore(CkptReader& reader,
                              std::optional<std::uint64_t> request_count) {
-  OMFLP_REQUIRE(facilities_.empty() && slots_.empty() && !in_flight_,
+  OMFLP_REQUIRE(facilities_.empty() && num_requests() == 0 && !in_flight_,
                 "SolutionLedger::restore: ledger not fresh");
   reader.expect("ledger");
-  first_record_id_ = reader.u();
+  const std::uint64_t first = reader.u();
   const std::uint64_t num_resident = reader.u();
   const std::uint64_t num_facilities = reader.u();
   // Without a vouched count only a hole-free ledger can be told apart
   // from a hostile one: its ids are consecutive.
   const bool holes_allowed = request_count.has_value();
   if (!holes_allowed) {
-    if (num_resident > ~std::uint64_t{0} - first_record_id_)
+    if (num_resident > ~std::uint64_t{0} - first)
       reader.fail("ledger request count overflows");
-    request_count = first_record_id_ + num_resident;
+    request_count = first + num_resident;
   }
-  if (first_record_id_ > *request_count ||
-      num_resident > *request_count - first_record_id_)
+  if (first > *request_count || num_resident > *request_count - first)
     reader.fail("ledger holds more records than requests");
   // Version 1 wrote every record from first_record_id on, with no ids.
   const bool explicit_ids = reader.version() >= 2;
-  if (!explicit_ids && num_resident != *request_count - first_record_id_)
+  if (!explicit_ids && num_resident != *request_count - first)
     reader.fail("ledger request count disagrees with the arrival count");
   reader.expect("ledger-costs");
   opening_cost_ = reader.d();
@@ -402,24 +379,20 @@ void SolutionLedger::restore(CkptReader& reader,
   }
   // The id map grows per record line actually present; gaps between ids
   // are released records.
-  slots_.reserve(capped_reserve(num_resident));
+  records_.reserve(capped_reserve(num_resident));
   std::uint64_t num_active_records = 0;
   for (std::uint64_t i = 0; i < num_resident; ++i) {
     reader.expect("request");
-    const std::uint64_t id =
-        explicit_ids ? reader.u() : first_record_id_ + i;
-    if (id < first_record_id_)
+    const std::uint64_t id = explicit_ids ? reader.u() : first + i;
+    if (id < first)
       reader.fail("request id below the ledger's first record id");
     if (id >= *request_count)
       reader.fail("request id beyond the ledger's request count");
-    if (id < first_record_id_ + slot_of_.size() ||
-        (!holes_allowed && id != first_record_id_ + i))
+    if (id < num_requests() || (!holes_allowed && id != first + i))
       reader.fail("request ids out of order or duplicated");
-    if (i == 0 && id != first_record_id_)
+    if (i == 0 && id != first)
       reader.fail("first resident request is not the first record id");
-    slot_of_.resize(id - first_record_id_, kReleasedSlot);
-    slot_of_.push_back(static_cast<std::uint32_t>(slots_.size()));
-    RequestRecord& r = slots_.emplace_back();
+    RequestRecord& r = records_.add(id);
     r.request.location = static_cast<PointId>(reader.u());
     if (r.request.location >= metric_->num_points())
       reader.fail("request location outside the metric");
@@ -462,19 +435,19 @@ void SolutionLedger::restore(CkptReader& reader,
     else
       retired_.push_back(id);
   }
-  if (num_resident == 0 && first_record_id_ != *request_count)
+  if (num_resident == 0 && first != *request_count)
     reader.fail("first record id of an empty ledger is not its request count");
   if (num_active_records != num_active_)
     reader.fail("ledger active count disagrees with its active records");
-  slot_of_.resize(*request_count - first_record_id_, kReleasedSlot);
+  records_.skip_to(*request_count);
   // Occupancy is derived state: every active record is resident (only
   // retired records are ever released), so the per-facility occupancy
   // counts are recomputed rather than serialized.
   occupancy_.assign(facilities_.size(), 0);
-  for (const RequestRecord& r : slots_) {
-    if (!r.active()) continue;
+  records_.for_each([&](RequestId, const RequestRecord& r) {
+    if (!r.active()) return;
     for (const FacilityId f : r.connected) ++occupancy_[f];
-  }
+  });
 }
 
 }  // namespace omflp

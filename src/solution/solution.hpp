@@ -23,23 +23,24 @@
 // everything the algorithm ever did.
 //
 // Record storage is proportional to the resident records, not to the
-// stream's lifetime. Records live in a slot pool with a free list; a
-// dense map takes each RequestId in [first_record_id(), num_requests())
-// to its slot (4 bytes per id from the oldest resident record on). retire_request() queues the id, and release_retired() — the
-// stream runner's post-batch compaction — returns every queued slot to
-// the free list and trims released ids off the front of the map. Ids
-// never change. A reused slot keeps the capacity of its vectors, so a
-// steady-state arrival allocates nothing here. Static runs never
-// release anything: every record stays resident and first_record_id()
-// stays 0.
+// stream's lifetime. Records live in an IdSlotPool keyed by RequestId
+// (support/id_slot_pool.hpp): reusable slots with a free list behind a
+// dense id->slot map over [first_record_id(), num_requests()).
+// retire_request() queues the id, and release_retired() — the stream
+// runner's post-batch compaction — releases every queued record. Ids
+// never change, and a steady-state arrival allocates nothing here. Static
+// runs never release anything: every record stays resident and
+// first_record_id() stays 0.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "instance/capacity.hpp"
 #include "instance/instance.hpp"
+#include "support/id_slot_pool.hpp"
 
 namespace omflp {
 
@@ -144,7 +145,7 @@ class SolutionLedger {
 
   /// Lowest id that may still be resident: every id below it has been
   /// released. 0 unless release_retired() freed the front of the range.
-  RequestId first_record_id() const noexcept { return first_record_id_; }
+  RequestId first_record_id() const noexcept { return records_.first_id(); }
 
   /// Record of request `id`; requires a resident id (below
   /// num_requests() and not released).
@@ -152,25 +153,20 @@ class SolutionLedger {
 
   /// Whether request `id`'s record is still resident.
   bool resident(RequestId id) const noexcept {
-    return id >= first_record_id_ && id < num_requests() &&
-           slot_of_[map_head_ + (id - first_record_id_)] != kReleasedSlot;
+    return records_.resident(id);
   }
 
   /// Records currently held: the active requests, the in-flight one and
   /// those retired since the last release_retired(). Equals
   /// num_requests() until something is released.
   std::size_t num_resident_records() const noexcept {
-    return slots_.size() - free_slots_.size();
+    return records_.size();
   }
 
   /// Calls fn(id, record) for every resident record in ascending id order.
   template <typename Fn>
   void for_each_resident(Fn&& fn) const {
-    for (std::size_t i = map_head_; i < slot_of_.size(); ++i) {
-      if (slot_of_[i] == kReleasedSlot) continue;
-      fn(static_cast<RequestId>(first_record_id_ + (i - map_head_)),
-         slots_[slot_of_[i]]);
-    }
+    records_.for_each(std::forward<Fn>(fn));
   }
 
   /// Connection cost of the still-active requests only.
@@ -184,15 +180,13 @@ class SolutionLedger {
   }
   std::size_t num_active_requests() const noexcept { return num_active_; }
   std::size_t num_retired_requests() const noexcept {
-    return num_requests() - num_active_ - (in_flight_ ? 1 : 0);
+    return num_requests() - num_active_ - (in_flight_ != nullptr ? 1 : 0);
   }
 
   // ---- introspection ------------------------------------------------------
 
   /// Total requests ever begun, including released ones.
-  std::size_t num_requests() const noexcept {
-    return first_record_id_ + (slot_of_.size() - map_head_);
-  }
+  std::size_t num_requests() const noexcept { return records_.next_id(); }
   std::size_t num_facilities() const noexcept { return facilities_.size(); }
   const std::vector<OpenFacilityRecord>& facilities() const noexcept {
     return facilities_;
@@ -215,7 +209,9 @@ class SolutionLedger {
   const MetricPtr& metric_ptr() const noexcept { return metric_; }
   const CostModelPtr& cost_ptr() const noexcept { return cost_; }
 
-  bool request_in_flight() const noexcept { return in_flight_; }
+  bool request_in_flight() const noexcept {
+    return in_flight_ != nullptr;
+  }
 
   // ---- capacity / admission control ---------------------------------------
 
@@ -264,13 +260,7 @@ class SolutionLedger {
   /// kind and is only true on capacitated redirects).
   void serve_at(CommodityId e, FacilityId f, bool spilled);
   void reject_commodity(CommodityId e);
-  RequestRecord& in_flight_record() { return slots_[slot_of_.back()]; }
-  /// Slot of resident request `id`; map index `id - first_record_id_`.
-  std::uint32_t& slot_of(RequestId id) {
-    return slot_of_[map_head_ + (id - first_record_id_)];
-  }
-
-  static constexpr std::uint32_t kReleasedSlot = ~std::uint32_t{0};
+  RequestRecord& in_flight_record() { return *in_flight_; }
 
   MetricPtr metric_;
   CostModelPtr cost_;
@@ -284,18 +274,13 @@ class SolutionLedger {
   /// facilities_. Maintained unconditionally (cheap), enforced only when
   /// capacitated_.
   std::vector<std::uint64_t> occupancy_;
-  /// The record pool; slots listed in free_slots_ hold no request.
-  std::vector<RequestRecord> slots_;
-  std::vector<std::uint32_t> free_slots_;
-  /// slot_of_[map_head_ + k] is the slot of request first_record_id_ + k,
-  /// or kReleasedSlot. Entries before map_head_ are dead; they are erased
-  /// once they make up half the vector, so trimming is amortized O(1).
-  std::vector<std::uint32_t> slot_of_;
-  std::size_t map_head_ = 0;
+  /// Every resident record, keyed by request id.
+  IdSlotPool<RequestRecord> records_;
   /// Retired since the last release_retired(), in retirement order.
   std::vector<RequestId> retired_;
-  RequestId first_record_id_ = 0;  // ids below this were released
-  bool in_flight_ = false;
+  /// The in-flight request's record, null between requests. It stays
+  /// valid: no record is added while a request is in flight.
+  RequestRecord* in_flight_ = nullptr;
 
   double opening_cost_ = 0.0;
   double connection_cost_ = 0.0;

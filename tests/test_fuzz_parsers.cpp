@@ -652,9 +652,9 @@ TEST(FuzzParsers, CheckpointChecksumAndVersionTamperingIsRejected) {
   std::vector<std::string> lines = split_lines(base);
   ASSERT_GE(lines.size(), 3u);
 
-  // Version bump: an OMFLP-CKPT 3 file is from the future, not ours;
-  // a v2 body under a v1 header has ids where v1 has none.
-  for (const char* header : {"OMFLP-CKPT 3", "OMFLP-CKPT 1"}) {
+  // Version bump: an OMFLP-CKPT 4 file is from the future, not ours;
+  // a v3 body under a v1 or v2 header has ids where they have none.
+  for (const char* header : {"OMFLP-CKPT 4", "OMFLP-CKPT 2", "OMFLP-CKPT 1"}) {
     std::vector<std::string> t = lines;
     t[0] = header;
     EXPECT_EQ(feed_checkpoint_readers(resealed(join_lines(t))),
@@ -697,9 +697,8 @@ TEST(FuzzParsers, CheckpointHugeCountsAreRejectedNotAllocated) {
   // unconstrained ids and values; a huge *id* is legal, a huge *count*
   // must fail against the lines actually present.)
   const std::set<std::string> count_keys = {
-      "active", "larges",       "expiries",      "dual-records",
-      "past",   "bid-rows",     "offering-index", "ledger",
-      "seen",   "verifier-active"};
+      "active", "larges",         "expiries", "past",           "bid-rows",
+      "offering-index", "ledger", "seen",     "verifier-active"};
 
   // Re-seal each tampered payload so the hostile count is reached with
   // a passing checksum: the declared count must then fail at parse

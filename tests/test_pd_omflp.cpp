@@ -2,10 +2,12 @@
 // scenarios, the Theorem-2 game behaviour, equivalence of the reference
 // and incremental bid accumulators, equivalence with Fotakis' OFL at
 // |S| = 1, Corollary 8's primal-dual accounting, the prediction
-// ablation, and the nearest-facility tables (equidistant ties, nested
-// seen-union configurations) and still-bidding lists under churn.
+// ablation, the nearest-facility tables (equidistant ties, nested
+// seen-union configurations), the still-bidding lists under churn, and
+// the archive keeping only the requests that have not departed.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "baseline/fotakis_ofl.hpp"
@@ -63,9 +65,10 @@ TEST(PdOmflp, SingleRequestPrefersLargeWhenBundlingIsCheap) {
   EXPECT_EQ(ledger.num_large_facilities(), 1u);
   EXPECT_NEAR(ledger.total_cost(), std::sqrt(2.0), 1e-9);
   // Both duals froze at the event time sqrt(2)/2.
-  ASSERT_EQ(pd.dual_records().size(), 1u);
-  EXPECT_NEAR(pd.dual_records()[0].duals[0], std::sqrt(2.0) / 2.0, 1e-9);
-  EXPECT_NEAR(pd.dual_records()[0].duals[1], std::sqrt(2.0) / 2.0, 1e-9);
+  const std::vector<PdDualRecord> records = pd.dual_records();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_NEAR(records[0].duals[0], std::sqrt(2.0) / 2.0, 1e-9);
+  EXPECT_NEAR(records[0].duals[1], std::sqrt(2.0) / 2.0, 1e-9);
 }
 
 TEST(PdOmflp, SingleRequestPrefersSingletonsWhenLinear) {
@@ -169,11 +172,12 @@ TEST_P(PdEquivalence, ReferenceAndIncrementalBidsAgree) {
     EXPECT_TRUE(lr.facility(f).config == li.facility(f).config);
   }
   EXPECT_NEAR(lr.total_cost(), li.total_cost(), 1e-7);
-  ASSERT_EQ(reference.dual_records().size(),
-            incremental.dual_records().size());
-  for (std::size_t i = 0; i < reference.dual_records().size(); ++i) {
-    const auto& a = reference.dual_records()[i].duals;
-    const auto& b = incremental.dual_records()[i].duals;
+  const std::vector<PdDualRecord> records_r = reference.dual_records();
+  const std::vector<PdDualRecord> records_i = incremental.dual_records();
+  ASSERT_EQ(records_r.size(), records_i.size());
+  for (std::size_t i = 0; i < records_r.size(); ++i) {
+    const auto& a = records_r[i].duals;
+    const auto& b = records_i[i].duals;
     ASSERT_EQ(a.size(), b.size());
     for (std::size_t j = 0; j < a.size(); ++j)
       EXPECT_NEAR(a[j], b[j], 1e-7);
@@ -216,9 +220,10 @@ TEST_P(PdInvariants, DualsAreNonNegativeAndPerRequest) {
   const Instance inst = random_line_instance(GetParam() * 13 + 2, 8, 30, 4, 4);
   PdOmflp pd;
   (void)run_online(pd, inst);
-  ASSERT_EQ(pd.dual_records().size(), inst.num_requests());
-  for (std::size_t i = 0; i < pd.dual_records().size(); ++i) {
-    const auto& rec = pd.dual_records()[i];
+  const std::vector<PdDualRecord> records = pd.dual_records();
+  ASSERT_EQ(records.size(), inst.num_requests());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const auto& rec = records[i];
     EXPECT_EQ(rec.commodities.size(),
               inst.request(i).commodities.count());
     for (double a : rec.duals) EXPECT_GE(a, 0.0);
@@ -439,6 +444,87 @@ TEST(PdStillBidding, ChurnAuditCleanAndBidModesBitwiseEqual) {
       EXPECT_EQ(incremental, reference);  // bitwise
     }
   }
+}
+
+// ------------------------------------------------- archive under churn ---
+
+struct ArchiveRun {
+  std::vector<PdTraceEvent> trace;
+  double total_cost = 0.0;
+  std::size_t high_water = 0;  // most archived requests at a batch boundary
+  std::size_t arrivals = 0;
+  std::size_t peak_active = 0;
+};
+
+/// PD over `stream` in 64-event batches. Every batch boundary checks the
+/// archive against the ledger: under kRollback it holds exactly the
+/// active requests and audit_state() is clean, under kFrozen it holds
+/// every arrival.
+ArchiveRun archive_run(const EventStream& stream, PdOptions options) {
+  options.record_trace = true;
+  PdOmflp pd{options};
+  MaterializedEventSource source(stream);
+  StreamRunOptions run_options;
+  run_options.batch_size = 64;
+  StreamSession session(pd, source, run_options);
+  const bool rollback =
+      options.deletion_policy == PdOptions::DeletionPolicy::kRollback;
+  ArchiveRun run;
+  while (session.step_batch() != 0) {
+    run.high_water = std::max(run.high_water, pd.num_archived());
+    const SolutionLedger& ledger = session.ledger();
+    EXPECT_EQ(pd.num_archived(), rollback ? ledger.num_active_requests()
+                                          : ledger.num_requests());
+    if (!rollback) continue;
+    const auto issue = pd.audit_state();
+    EXPECT_FALSE(issue.has_value()) << pd.name() << ": " << *issue;
+    if (issue) break;
+  }
+  const StreamRunResult result = session.finish();
+  EXPECT_FALSE(result.violation.has_value());
+  run.trace = pd.trace();
+  run.total_cost = result.ledger.total_cost();
+  run.arrivals = result.arrivals;
+  run.peak_active = result.peak_active;
+  return run;
+}
+
+TEST(PdArchive, HoldsOnlyTheRequestsThatHaveNotDeparted) {
+  // Every lease-poisson arrival leaves again and the active set stays
+  // near the mean lease, so under kRollback the archive must follow the
+  // active set, reusing departed requests' slots, with the tables, lists
+  // and bid rows auditing clean and both bid modes making the same
+  // decisions bit for bit. Under kFrozen every arrival keeps bidding.
+  const EventStream stream = default_stream_scenario_registry().make(
+      "lease-poisson", /*seed=*/20, {{"events", 51200}});
+
+  const ArchiveRun incremental = archive_run(stream, PdOptions{});
+  EXPECT_EQ(incremental.arrivals, 51200u);
+  EXPECT_LE(incremental.high_water, incremental.peak_active + 1);
+  EXPECT_GT(incremental.high_water, 0u);
+
+  // Same decisions, event for event. The raised amounts agree to
+  // rounding: reference mode sums each bid row afresh, incremental mode
+  // has added and shifted it over the whole stream.
+  const ArchiveRun reference = archive_run(
+      stream, PdOptions{.bid_mode = PdOptions::BidMode::kReference});
+  EXPECT_EQ(reference.high_water, incremental.high_water);
+  EXPECT_EQ(reference.total_cost, incremental.total_cost);  // bitwise
+  ASSERT_EQ(reference.trace.size(), incremental.trace.size());
+  for (std::size_t i = 0; i < reference.trace.size(); ++i) {
+    const PdTraceEvent& r = reference.trace[i];
+    const PdTraceEvent& c = incremental.trace[i];
+    ASSERT_TRUE(r.request == c.request && r.constraint == c.constraint &&
+                r.commodity == c.commodity && r.point == c.point)
+        << "trace event " << i;
+    ASSERT_NEAR(r.raised, c.raised, 1e-9 * (1.0 + r.raised))
+        << "trace event " << i;
+  }
+
+  const ArchiveRun frozen = archive_run(
+      stream,
+      PdOptions{.deletion_policy = PdOptions::DeletionPolicy::kFrozen});
+  EXPECT_EQ(frozen.high_water, frozen.arrivals);
 }
 
 // --------------------------------------------------------- regression ----

@@ -1,5 +1,6 @@
-// Fault-tolerance tests: the OMFLP-CKPT container (v2, and v1 session
-// snapshots with their ledger ids implied), per-algorithm
+// Fault-tolerance tests: the OMFLP-CKPT container (v3, and v1/v2 session
+// snapshots: v1 with its ledger ids implied, both with PD's archive of
+// every arrival), per-algorithm
 // session checkpoint/restore (crash → restore → drain must be bitwise
 // identical to an uninterrupted run, for every roster algorithm), the
 // checkpoint store's generation fallback, deterministic fault injection,
@@ -21,6 +22,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/pd_omflp.hpp"
 #include "core/stream_runner.hpp"
 #include "engine/sharded_engine.hpp"
 #include "instance/checkpoint_io.hpp"
@@ -195,7 +197,7 @@ TEST(CheckpointIo, RejectsTamperingTruncationAndBadHeader) {
   }
   {  // wrong version header
     std::string bad = good;
-    bad.replace(0, 12, "OMFLP-CKPT 3");
+    bad.replace(0, 12, "OMFLP-CKPT 4");
     std::istringstream is(bad);
     EXPECT_FALSE(checkpoint_payload_valid(is));
     std::istringstream is2(bad);
@@ -475,21 +477,27 @@ std::string session_snapshot(const char* algo, std::uint64_t seed,
   return os.str();
 }
 
-// Session checkpoints in the version-1 container, written by the ledger
-// before slot reuse (commit 34d5971, which compacted only the retired
-// prefix) after four 64-event batches of test_stream(20260808): greedy
-// with the verifier on, pd with it off. Records retired behind the first
-// active one are still in them. Each must restore, release those
-// records, drain to the uninterrupted run's results and re-checkpoint as
-// version 2 with the bytes a session that never stopped writes.
-TEST(SessionRecovery, Version1SnapshotsRestoreDrainAndRecheckpointAsV2) {
+// Session checkpoints in the older containers, written after four
+// 64-event batches of test_stream(20260808). The version-1 files come
+// from the ledger before slot reuse (commit 34d5971, which compacted only
+// the retired prefix): greedy with the verifier on, pd with it off;
+// records retired behind the first active one are still in them. The
+// version-2 file comes from the PD archive before it dropped departed
+// requests (commit 50485a6), pd with the verifier off: every arrival is
+// in its PD section, departed ones included, plus a second copy of the
+// duals. Each must restore, release what a current session no longer
+// holds, drain to the uninterrupted run's results and re-checkpoint as
+// version 3 with the bytes a session that never stopped writes.
+TEST(SessionRecovery, Version1And2SnapshotsRestoreDrainAndRecheckpointAsV3) {
   const std::uint64_t seed = 20260808;
   const struct {
     const char* file;
+    unsigned version;
     const char* algo;
     bool verify;
-  } cases[] = {{"session_v1_greedy_verify.ckpt", "greedy", true},
-               {"session_v1_pd.ckpt", "pd", false}};
+  } cases[] = {{"session_v1_greedy_verify.ckpt", 1, "greedy", true},
+               {"session_v1_pd.ckpt", 1, "pd", false},
+               {"session_v2_pd.ckpt", 2, "pd", false}};
   for (const auto& c : cases) {
     SCOPED_TRACE(c.file);
     StreamRunOptions options = test_options();
@@ -497,10 +505,18 @@ TEST(SessionRecovery, Version1SnapshotsRestoreDrainAndRecheckpointAsV2) {
     std::ifstream file(std::string(OMFLP_SOURCE_DIR "/tests/data/") +
                        c.file);
     ASSERT_TRUE(file.good());
-    std::stringstream v1;
-    v1 << file.rdbuf();
-    const std::vector<std::string> v1_lines = lines_of(v1.str());
-    ASSERT_EQ(v1_lines.front(), "OMFLP-CKPT 1");
+    std::stringstream old;
+    old << file.rdbuf();
+    const std::vector<std::string> old_lines = lines_of(old.str());
+    ASSERT_EQ(old_lines.front(), "OMFLP-CKPT " + std::to_string(c.version));
+    const auto line_keyed = [&](const std::string& key) {
+      const auto line = std::find_if(
+          old_lines.begin(), old_lines.end(),
+          [&](const std::string& l) { return l.rfind(key + " ", 0) == 0; });
+      EXPECT_NE(line, old_lines.end()) << key;
+      return line == old_lines.end() ? std::vector<std::string>{}
+                                     : tokens_of(*line);
+    };
 
     const EventStream stream = test_stream(seed);
     auto ref_algorithm = default_algorithm_registry().make(
@@ -514,42 +530,47 @@ TEST(SessionRecovery, Version1SnapshotsRestoreDrainAndRecheckpointAsV2) {
     auto algorithm = default_algorithm_registry().make(
         c.algo, derive_algorithm_seed(seed));
     MaterializedEventSource source(stream);
-    CkptReader reader(v1);
+    CkptReader reader(old);
     StreamSession session(*algorithm, source, options, reader);
     reader.finish();
     EXPECT_EQ(session.events_processed(), 256u);
     // The v1 ledger line declares every record from the first active one
     // on; the restored ledger keeps only the active ones.
-    const auto ledger_line = std::find_if(
-        v1_lines.begin(), v1_lines.end(),
-        [](const std::string& l) { return l.rfind("ledger ", 0) == 0; });
-    ASSERT_NE(ledger_line, v1_lines.end());
-    EXPECT_GT(std::stoull(tokens_of(*ledger_line)[2]),
-              session.ledger().num_active_requests());
+    if (c.version == 1)
+      EXPECT_GT(std::stoull(line_keyed("ledger").at(2)),
+                session.ledger().num_active_requests());
     EXPECT_EQ(session.ledger().num_resident_records(),
               session.ledger().num_active_requests());
+    // The older PD section archives every arrival; the restored archive
+    // keeps only the requests that have not departed.
+    if (const auto* pd = dynamic_cast<const PdOmflp*>(algorithm.get())) {
+      EXPECT_EQ(std::stoull(line_keyed("past").at(1)),
+                session.ledger().num_requests());
+      EXPECT_LT(pd->num_archived(), session.ledger().num_requests());
+      EXPECT_EQ(pd->num_archived(), session.ledger().num_active_requests());
+    }
 
     std::ostringstream again;
     CkptWriter writer(again);
     session.checkpoint(writer);
     writer.finish();
-    std::vector<std::string> v2_lines = lines_of(again.str());
+    std::vector<std::string> v3_lines = lines_of(again.str());
     std::vector<std::string> fresh_lines =
         lines_of(session_snapshot(c.algo, seed, options, 4));
-    EXPECT_EQ(v2_lines.front(), "OMFLP-CKPT 2");
-    // session-stats holds the wall clock and the old layout's resident
-    // high-water mark; the checksum covers them.
-    ASSERT_EQ(v2_lines.size(), fresh_lines.size());
-    for (std::size_t i = 0; i + 1 < v2_lines.size(); ++i) {
-      if (v2_lines[i].rfind("session-stats ", 0) == 0) continue;
-      EXPECT_EQ(v2_lines[i], fresh_lines[i]) << "line " << i;
+    EXPECT_EQ(v3_lines.front(), "OMFLP-CKPT 3");
+    // session-stats holds the wall clock and, from a v1 file, the old
+    // layout's resident high-water mark; the checksum covers them.
+    ASSERT_EQ(v3_lines.size(), fresh_lines.size());
+    for (std::size_t i = 0; i + 1 < v3_lines.size(); ++i) {
+      if (v3_lines[i].rfind("session-stats ", 0) == 0) continue;
+      EXPECT_EQ(v3_lines[i], fresh_lines[i]) << "line " << i;
     }
 
     while (session.step_batch() != 0) {
     }
     const StreamRunResult restored = session.finish();
-    expect_results_identical(restored, reference, "v1 restore",
-                             /*same_peak_resident=*/false);
+    expect_results_identical(restored, reference, "older restore",
+                             /*same_peak_resident=*/c.version >= 2);
     EXPECT_GE(restored.peak_resident_records,
               reference.peak_resident_records);
   }
@@ -753,8 +774,9 @@ void expect_restore_refused(const char* algo, std::uint64_t seed,
 }
 
 // The archived distances in a checkpoint are derived state. A value that
-// disagrees with the tables rebuilt from the facility records, or a
-// large-facility list whose configurations are not nested, is refused.
+// disagrees with the tables rebuilt from the facility records, archive ids
+// out of order or past the arrival count, or a large-facility list whose
+// configurations are not nested, is refused.
 TEST(SessionRecovery, PdRestoreRejectsDistancesTheTablesContradict) {
   const std::uint64_t seed = 41;
   const std::string snapshot = pd_snapshot("pd", seed, 6);
@@ -777,12 +799,30 @@ TEST(SessionRecovery, PdRestoreRejectsDistancesTheTablesContradict) {
       with_token(snapshot, "past-small-dist", 0, 1,
                  other(token_of("past-small-dist", 1))),
       "past-small-dist disagrees with the nearest-facility tables");
-  // past-request <location> <slots> <dual sum> <d(F̂, j)> <departed>
+  // past-request <id> <location> <slots> <dual sum> <d(F̂, j)>, one line
+  // per request still in the archive.
+  ASSERT_GE(count_lines(snapshot, "past-request"), 2u);
   expect_restore_refused(
       "pd", seed,
-      with_token(snapshot, "past-request", 0, 4,
-                 other(token_of("past-request", 4))),
+      with_token(snapshot, "past-request", 0, 5,
+                 other(token_of("past-request", 5))),
       "past large distance disagrees with the nearest-facility tables");
+  // The ids index the archive: they ascend, and none reaches the arrival
+  // count the session's bitmap vouches for.
+  expect_restore_refused(
+      "pd", seed,
+      with_token(snapshot, "past-request", 1, 1, token_of("past-request", 1)),
+      "past request ids out of order or duplicated");
+  const std::string arrivals = [&] {
+    const std::size_t at = snapshot.find("\nactive ") + 1;
+    std::istringstream is(snapshot.substr(at, snapshot.find('\n', at) - at));
+    std::string key, count;
+    is >> key >> count;
+    return count;
+  }();
+  expect_restore_refused(
+      "pd", seed, with_token(snapshot, "past-request", 1, 1, arrivals),
+      "past request id beyond the request count");
 
   // large <point> <id> <config>: a later large facility whose config
   // does not contain the earlier one's breaks the chain.
@@ -804,6 +844,69 @@ TEST(SessionRecovery, PdRestoreRejectsDistancesTheTablesContradict) {
     non_nested = with_token(non_nested, "large", 1, 2 + i, set[i]);
   expect_restore_refused("pd", seed, non_nested,
                          "large facility configurations are not nested");
+}
+
+// A version-2 PD section carries a second copy of the duals, which
+// restore reads only to check: a location outside the metric or a
+// commodity outside S is refused, as in the past-request lines.
+TEST(SessionRecovery, Version2DualRecordsAreRangeChecked) {
+  const std::uint64_t seed = 20260808;
+  std::ifstream file(OMFLP_SOURCE_DIR "/tests/data/session_v2_pd.ckpt");
+  ASSERT_TRUE(file.good());
+  std::stringstream v2;
+  v2 << file.rdbuf();
+  StreamRunOptions options = test_options();
+  options.verify = false;
+  const auto refusal = [&](const std::string& text) {
+    auto algorithm =
+        default_algorithm_registry().make("pd", derive_algorithm_seed(seed));
+    const EventStream stream = test_stream(seed);
+    MaterializedEventSource source(stream);
+    std::istringstream is(text);
+    CkptReader reader(is);
+    try {
+      StreamSession session(*algorithm, source, options, reader);
+      reader.finish();
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  ASSERT_EQ(refusal(v2.str()), "accepted");
+  // dual-record <location> <slots> <commodity> <dual> ...; the stream has
+  // |M| = 40 and |S| = 4. (The checksum is checked only after restore.)
+  EXPECT_NE(refusal(with_token(v2.str(), "dual-record", 0, 1, "40"))
+                .find("dual record out of range"),
+            std::string::npos);
+  EXPECT_NE(refusal(with_token(v2.str(), "dual-record", 1, 3, "4"))
+                .find("dual record commodity out of range"),
+            std::string::npos);
+}
+
+// A PD session over pure lease traffic keeps its active set near the
+// mean lease, so its snapshot must stay near that size however long the
+// stream has run: the ledger holds the active records, and the PD section
+// only the requests that have not departed.
+TEST(SessionRecovery, PdSnapshotSizeFollowsTheActiveSet) {
+  const std::uint64_t seed = 20;
+  const EventStream stream = default_stream_scenario_registry().make(
+      "lease-poisson", seed, {{"events", 8192}});
+  const auto snapshot_size = [&](int batches) {
+    auto algorithm =
+        default_algorithm_registry().make("pd", derive_algorithm_seed(seed));
+    MaterializedEventSource source(stream);
+    StreamSession session(*algorithm, source, test_options());
+    for (int i = 0; i < batches; ++i) EXPECT_GT(session.step_batch(), 0u);
+    std::ostringstream os;
+    CkptWriter writer(os);
+    session.checkpoint(writer);
+    writer.finish();
+    return os.str().size();
+  };
+  const std::size_t early = snapshot_size(16);
+  const std::size_t late = snapshot_size(64);
+  EXPECT_LE(static_cast<double>(late), 1.25 * static_cast<double>(early))
+      << "after 16 batches: " << early << " bytes, after 64: " << late;
 }
 
 // ------------------------------------------------- checkpoint store ---

@@ -1,6 +1,6 @@
 // Unit tests for the support substrate: CommoditySet algebra, the RNG and
 // its distributions, streaming statistics, harmonic numbers, the table
-// writer and the parallel_for runner.
+// writer, the parallel_for runner and the id->slot pool.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -19,6 +19,7 @@
 #include "support/atomic_file.hpp"
 #include "support/commodity_set.hpp"
 #include "support/harmonic.hpp"
+#include "support/id_slot_pool.hpp"
 #include "support/json.hpp"
 #include "support/parallel.hpp"
 #include "support/parse.hpp"
@@ -306,6 +307,68 @@ TEST(TableWriter, RowDisciplineEnforced) {
 }
 
 // ----------------------------------------------------------- parallel ----
+
+// --------------------------------------------------------- id slot pool ---
+
+std::vector<std::size_t> pool_ids(const IdSlotPool<std::vector<int>>& pool) {
+  std::vector<std::size_t> ids;
+  pool.for_each([&](std::size_t id, const std::vector<int>&) {
+    ids.push_back(id);
+  });
+  return ids;
+}
+
+TEST(IdSlotPool, ReleasedIdsLeaveAndTheFrontTrims) {
+  IdSlotPool<std::vector<int>> pool;
+  for (int i = 0; i < 6; ++i) pool.add() = {i};
+  EXPECT_EQ(pool.next_id(), 6u);
+  pool.release(3);
+  pool.release(1);
+  EXPECT_FALSE(pool.resident(3));
+  EXPECT_EQ(pool.find(3), nullptr);
+  EXPECT_EQ(pool.first_id(), 0u);  // id 0 still pins the front
+  EXPECT_EQ(pool_ids(pool), (std::vector<std::size_t>{0, 2, 4, 5}));
+  pool.release(0);
+  EXPECT_EQ(pool.first_id(), 2u);  // trimmed past the released 0 and 1
+  EXPECT_EQ(pool.size(), 3u);
+  ASSERT_NE(pool.find(4), nullptr);
+  EXPECT_EQ(*pool.find(4), std::vector<int>{4});
+  EXPECT_THROW(pool.release(3), std::invalid_argument);
+  EXPECT_THROW(pool.release(6), std::invalid_argument);
+  for (const std::size_t id : {2u, 4u, 5u}) pool.release(id);
+  EXPECT_EQ(pool.size(), 0u);
+  EXPECT_EQ(pool.first_id(), 6u);  // nothing resident: first == next
+  EXPECT_EQ(pool.next_id(), 6u);
+}
+
+TEST(IdSlotPool, ReusedSlotsKeepTheirContentsAndIdsOnlyGrow) {
+  IdSlotPool<std::vector<int>> pool;
+  pool.add().assign(100, 7);
+  pool.release(0);
+  // The one released slot comes back, capacity and contents intact.
+  std::vector<int>& reused = pool.add();
+  EXPECT_EQ(reused.size(), 100u);
+  EXPECT_GE(reused.capacity(), 100u);
+  EXPECT_EQ(pool.first_id(), 1u);
+  EXPECT_THROW(pool.add(0), std::invalid_argument);
+  // Skipped ids count as released, before and after the resident one.
+  pool.add(5) = {5};
+  pool.skip_to(9);
+  EXPECT_EQ(pool.next_id(), 9u);
+  EXPECT_EQ(pool_ids(pool), (std::vector<std::size_t>{1, 5}));
+  EXPECT_FALSE(pool.resident(3));
+  EXPECT_FALSE(pool.resident(8));
+  pool.release(1);
+  EXPECT_EQ(pool.first_id(), 5u);
+  pool.release(5);
+  pool.skip_to(20);  // an empty pool restarts its map at the new id
+  EXPECT_EQ(pool.first_id(), 20u);
+  pool.add() = {20};
+  EXPECT_EQ(pool_ids(pool), std::vector<std::size_t>{20});
+  pool.clear();
+  EXPECT_EQ(pool.next_id(), 0u);
+  EXPECT_EQ(pool.size(), 0u);
+}
 
 TEST(ParallelFor, CoversAllIndicesOnce) {
   std::vector<std::atomic<int>> hits(1000);
