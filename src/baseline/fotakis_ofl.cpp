@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 
-#include "instance/checkpoint_io.hpp"
 #include "kernel/kernels.hpp"
 #include "obs/trace_sink.hpp"
 #include "perf/perf_counters.hpp"
@@ -19,7 +18,7 @@ void FotakisOfl::reset(const ProblemContext& context) {
                 "FotakisOfl: single-commodity algorithm; wrap in "
                 "PerCommodityAdapter for |S| > 1");
   cost_ = context.cost;
-  dist_ = std::make_unique<DistanceOracle>(context.metric);
+  dist_ = shared_distances(context.metric);
   num_points_ = dist_->num_points();
   facilities_.clear();
   past_.clear();
@@ -189,8 +188,7 @@ void FotakisOfl::depart(RequestId id, const Request& request,
 }
 
 void FotakisOfl::serialize_state(CkptWriter& writer) const {
-  writer.line("facilities").u(facilities_.size());
-  for (const OpenRecord& f : facilities_) writer.u(f.point).u(f.id);
+  serialize_open_records(writer, "facilities", facilities_);
   writer.line("past").u(past_.size());
   for (const PastRequest& pr : past_) {
     writer.line("past-request")
@@ -206,22 +204,14 @@ void FotakisOfl::serialize_state(CkptWriter& writer) const {
 }
 
 void FotakisOfl::restore_state(CkptReader& reader, RequestId) {
-  reader.expect("facilities");
-  const std::uint64_t num_facilities = reader.u();
-  facilities_.reserve(capped_reserve(num_facilities));
-  for (std::uint64_t i = 0; i < num_facilities; ++i) {
-    OpenRecord f;
-    f.point = static_cast<PointId>(reader.u());
-    f.id = static_cast<FacilityId>(reader.u());
-    facilities_.push_back(f);
-  }
+  facilities_ = restore_open_records(reader, "facilities", num_points_);
   reader.expect("past");
   const std::uint64_t num_past = reader.u();
   past_.reserve(capped_reserve(num_past));
   for (std::uint64_t i = 0; i < num_past; ++i) {
     reader.expect("past-request");
     PastRequest pr;
-    pr.location = static_cast<PointId>(reader.u());
+    pr.location = reader.point(num_points_);
     pr.dual = reader.d();
     pr.facility_dist = reader.d();
     pr.departed = reader.b();

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "core/online_algorithm.hpp"
+#include "instance/checkpoint_io.hpp"
 #include "metric/distance_oracle.hpp"
 
 namespace omflp {
@@ -50,13 +51,9 @@ class FotakisOfl final : public OnlineAlgorithm {
 
  private:
   CostModelPtr cost_;
-  std::unique_ptr<DistanceOracle> dist_;
+  std::shared_ptr<const DistanceOracle> dist_;
   std::size_t num_points_ = 0;
 
-  struct OpenRecord {
-    PointId point = 0;
-    FacilityId id = kInvalidFacility;
-  };
   std::vector<OpenRecord> facilities_;
 
   struct PastRequest {

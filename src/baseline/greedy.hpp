@@ -28,10 +28,13 @@
 // policy.
 #pragma once
 
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/online_algorithm.hpp"
+#include "instance/checkpoint_io.hpp"
 #include "metric/distance_oracle.hpp"
 
 namespace omflp {
@@ -46,30 +49,36 @@ class AlwaysOpen final : public OnlineAlgorithm {
   CommodityId num_commodities_ = 0;
 };
 
-class NearestOrOpen final : public OnlineAlgorithm {
+/// The state NearestOrOpen and RentOrBuy share: per commodity, the
+/// singleton facilities offering it, scanned for the nearest one.
+class SingletonGreedy : public OnlineAlgorithm {
  public:
-  std::string name() const override { return "NearestOrOpen"; }
   void reset(const ProblemContext& context) override;
-  void serve(const Request& request, SolutionLedger& ledger) override;
-  /// Checkpoint: the opened-facility index (the algorithm's only state).
+  /// Checkpoint: the opened-facility index.
   void serialize_state(CkptWriter& writer) const override;
   void restore_state(CkptReader& reader, RequestId num_requests) override;
 
  protected:
   CostModelPtr cost_;
-  std::unique_ptr<DistanceOracle> dist_;
+  std::shared_ptr<const DistanceOracle> dist_;
   CommodityId num_commodities_ = 0;
-  struct OpenRecord {
-    PointId point = 0;
-    FacilityId id = kInvalidFacility;
-  };
   std::vector<std::vector<OpenRecord>> offering_;
 
   std::pair<double, FacilityId> nearest_offering(CommodityId e,
                                                  PointId p) const;
+  /// Open {e} at p, index and trace it, and assign e to it. `bid_mass`
+  /// and `tightness` are the trace event's spend and threshold.
+  void open_and_assign(CommodityId e, PointId p, SolutionLedger& ledger,
+                       double bid_mass, double tightness);
 };
 
-class RentOrBuy final : public OnlineAlgorithm {
+class NearestOrOpen final : public SingletonGreedy {
+ public:
+  std::string name() const override { return "NearestOrOpen"; }
+  void serve(const Request& request, SolutionLedger& ledger) override;
+};
+
+class RentOrBuy final : public SingletonGreedy {
  public:
   std::string name() const override { return "RentOrBuy"; }
   void reset(const ProblemContext& context) override;
@@ -79,18 +88,7 @@ class RentOrBuy final : public OnlineAlgorithm {
   void restore_state(CkptReader& reader, RequestId num_requests) override;
 
  private:
-  CostModelPtr cost_;
-  std::unique_ptr<DistanceOracle> dist_;
-  CommodityId num_commodities_ = 0;
-  struct OpenRecord {
-    PointId point = 0;
-    FacilityId id = kInvalidFacility;
-  };
-  std::vector<std::vector<OpenRecord>> offering_;
   std::vector<double> rent_account_;  // per commodity
-
-  std::pair<double, FacilityId> nearest_offering(CommodityId e,
-                                                 PointId p) const;
 };
 
 }  // namespace omflp

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "instance/checkpoint_io.hpp"
 #include "obs/trace_sink.hpp"
 #include "perf/perf_counters.hpp"
 #include "support/assert.hpp"
@@ -39,10 +38,9 @@ void MeyersonOfl::reset(const ProblemContext& context) {
                 "MeyersonOfl: single-commodity algorithm; wrap in "
                 "PerCommodityAdapter for |S| > 1");
   cost_ = context.cost;
-  dist_ = std::make_shared<DistanceOracle>(context.metric);
+  dist_ = shared_distances(context.metric);
   classes_ = std::make_unique<CostClassIndex>(context.metric, context.cost,
-                                              CommoditySet::full_set(1),
-                                              dist_);
+                                              CommoditySet::full_set(1));
   facilities_.clear();
   rng_ = Rng(seed_);
 }
@@ -108,21 +106,13 @@ void MeyersonOfl::serve(const Request& request, SolutionLedger& ledger) {
 
 void MeyersonOfl::serialize_state(CkptWriter& writer) const {
   serialize_rng(writer, rng_);
-  writer.line("facilities").u(facilities_.size());
-  for (const OpenRecord& f : facilities_) writer.u(f.point).u(f.id);
+  serialize_open_records(writer, "facilities", facilities_);
 }
 
 void MeyersonOfl::restore_state(CkptReader& reader, RequestId) {
   restore_rng(reader, rng_);
-  reader.expect("facilities");
-  const std::uint64_t n = reader.u();
-  facilities_.reserve(capped_reserve(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    OpenRecord f;
-    f.point = static_cast<PointId>(reader.u());
-    f.id = static_cast<FacilityId>(reader.u());
-    facilities_.push_back(f);
-  }
+  facilities_ =
+      restore_open_records(reader, "facilities", dist_->num_points());
 }
 
 }  // namespace omflp

@@ -14,6 +14,7 @@
 
 #include "core/online_algorithm.hpp"
 #include "cost/cost_classes.hpp"
+#include "instance/checkpoint_io.hpp"
 #include "metric/distance_oracle.hpp"
 #include "support/rng.hpp"
 
@@ -42,13 +43,9 @@ class MeyersonOfl final : public OnlineAlgorithm {
   Rng rng_;
   CostModelPtr cost_;
   /// Shared with classes_ so both sweep the same distance rows.
-  std::shared_ptr<DistanceOracle> dist_;
+  std::shared_ptr<const DistanceOracle> dist_;
   std::unique_ptr<CostClassIndex> classes_;
 
-  struct OpenRecord {
-    PointId point = 0;
-    FacilityId id = kInvalidFacility;
-  };
   std::vector<OpenRecord> facilities_;
 };
 

@@ -261,9 +261,9 @@ DualAscentResult dual_ascent_lower_bound(const Instance& instance,
   const CommodityId s = instance.num_commodities();
 
   // Distance rows per *distinct* request location (requests cluster on
-  // few points in most scenarios), copied out of the oracle so worker
-  // threads only touch plain read-only memory.
-  DistanceOracle oracle(instance.metric_ptr(), options.distance_cache_limit);
+  // few points in most scenarios), copied out of the metric's shared
+  // table so worker threads only touch plain read-only memory.
+  const DistanceOracle& table = instance.metric().distances();
   std::vector<std::uint32_t> slot_of_point(points, ~std::uint32_t{0});
   std::vector<const double*> request_row(n, nullptr);
   std::vector<double> rows;
@@ -274,7 +274,7 @@ DualAscentResult dual_ascent_lower_bound(const Instance& instance,
     if (slot_of_point[loc] == ~std::uint32_t{0}) {
       slot_of_point[loc] = static_cast<std::uint32_t>(distinct++);
       rows.resize(distinct * points);
-      const double* src = oracle.row(loc);
+      const double* src = table.row(loc);
       std::copy(src, src + points,
                 rows.begin() + static_cast<std::ptrdiff_t>(
                                    (distinct - 1) * points));

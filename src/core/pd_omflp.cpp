@@ -43,7 +43,7 @@ void PdOmflp::reset(const ProblemContext& context) {
   OMFLP_REQUIRE(context.metric != nullptr && context.cost != nullptr,
                 "PdOmflp::reset: incomplete context");
   cost_ = context.cost;
-  dist_ = std::make_unique<DistanceOracle>(context.metric);
+  dist_ = shared_distances(context.metric);
   num_commodities_ = cost_->num_commodities();
   num_points_ = dist_->num_points();
 
@@ -698,10 +698,10 @@ void PdOmflp::serve(const Request& request, SolutionLedger& ledger) {
   }
 
   // Bid rows and permanent facilities do not change mid-round, so one
-  // distance row serves every event scan of the round. On the uncached
-  // oracle path the row is copied into owned scratch: the oracle's
-  // fallback buffer is single-slot, and a pointer held across the whole
-  // event loop must not be silently repointed by a future row() call.
+  // distance row serves every event scan of the round. On the fallback
+  // path the row is copied into owned scratch: the table's per-thread
+  // row slot is single-slot, and a pointer held across the whole event
+  // loop must not be silently repointed by a future row() call.
   // Counters still tick once per sweep.
   const double* dist_loc;
   if (dist_->cached()) {
@@ -1075,11 +1075,6 @@ void PdOmflp::restore_state(CkptReader& reader, RequestId num_requests) {
     reader.fail("offering index universe mismatch");
   // The nearest-facility tables are rebuilt by replaying every opening
   // in its original order, so they match the live tables bitwise.
-  const auto read_point = [&] {
-    const std::uint64_t point = reader.u();
-    if (point >= num_points_) reader.fail("facility point out of range");
-    return static_cast<PointId>(point);
-  };
   for (CommodityId e = 0; e < num_commodities_; ++e) {
     std::vector<OpenRecord>& row = offering_[e];
     reader.expect("offering");
@@ -1087,7 +1082,7 @@ void PdOmflp::restore_state(CkptReader& reader, RequestId num_requests) {
     row.reserve(capped_reserve(n));
     for (std::uint64_t i = 0; i < n; ++i) {
       OpenRecord f;
-      f.point = read_point();
+      f.point = reader.point(num_points_);
       f.id = static_cast<FacilityId>(reader.u());
       row.push_back(f);
       sweep_facility(small_table(e), f.point, f.id);
@@ -1099,7 +1094,7 @@ void PdOmflp::restore_state(CkptReader& reader, RequestId num_requests) {
   for (std::uint64_t i = 0; i < num_larges; ++i) {
     reader.expect("large");
     LargeRecord f;
-    f.point = read_point();
+    f.point = reader.point(num_points_);
     f.id = static_cast<FacilityId>(reader.u());
     f.config = reader.set();
     if (f.config.universe_size() != num_commodities_)
@@ -1130,9 +1125,7 @@ void PdOmflp::restore_state(CkptReader& reader, RequestId num_requests) {
     if (id < archive_.next_id())
       reader.fail("past request ids out of order or duplicated");
     PastRequest pr;
-    const std::uint64_t location = reader.u();
-    if (location >= num_points_) reader.fail("past request out of range");
-    pr.location = static_cast<PointId>(location);
+    pr.location = reader.point(num_points_);
     const std::uint64_t slots = reader.u();
     pr.dual_sum_large = reader.d();
     const double large_dist = reader.d();

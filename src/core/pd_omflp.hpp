@@ -67,6 +67,7 @@
 #include <vector>
 
 #include "core/online_algorithm.hpp"
+#include "instance/checkpoint_io.hpp"
 #include "kernel/bid_plane.hpp"
 #include "metric/distance_oracle.hpp"
 #include "support/id_slot_pool.hpp"
@@ -180,15 +181,11 @@ class PdOmflp final : public OnlineAlgorithm {
   // ---- per-run immutable context ------------------------------------------
   PdOptions options_;
   CostModelPtr cost_;
-  std::unique_ptr<DistanceOracle> dist_;
+  std::shared_ptr<const DistanceOracle> dist_;
   CommodityId num_commodities_ = 0;
   std::size_t num_points_ = 0;
 
   // ---- facility state -----------------------------------------------------
-  struct OpenRecord {
-    PointId point = 0;
-    FacilityId id = kInvalidFacility;
-  };
   /// offering_[e]: all permanent facilities whose config contains e.
   std::vector<std::vector<OpenRecord>> offering_;
   struct LargeRecord {
@@ -294,9 +291,9 @@ class PdOmflp final : public OnlineAlgorithm {
   // ---- serve() scratch (reused across requests) ---------------------------
   std::vector<std::vector<double>> ref_bid_scratch_;  // reference-mode rows
   std::vector<double> large_bid_scratch_;
-  /// Owned copy of the request's distance row on the uncached-oracle
-  /// path (the oracle's fallback buffer is single-slot; a row held for a
-  /// whole event loop must not alias it).
+  /// Owned copy of the request's distance row on the fallback path (the
+  /// table's per-thread row slot is single-slot; a row held for a whole
+  /// event loop must not alias it).
   std::vector<double> dist_loc_scratch_;
   /// Per-slot round state; sized to the request's demand on each arrival
   /// so serve() allocates only when a request is larger than any before.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "instance/checkpoint_io.hpp"
 #include "obs/trace_sink.hpp"
 #include "perf/perf_counters.hpp"
 #include "support/assert.hpp"
@@ -43,7 +42,7 @@ void RandOmflp::reset(const ProblemContext& context) {
                 "RandOmflp::reset: incomplete context");
   cost_ = context.cost;
   metric_ = context.metric;
-  dist_ = std::make_shared<DistanceOracle>(metric_);
+  dist_ = shared_distances(metric_);
   num_commodities_ = cost_->num_commodities();
   num_points_ = dist_->num_points();
   rng_ = Rng(options_.seed);
@@ -59,8 +58,7 @@ const CostClassIndex& RandOmflp::singleton_classes(CommodityId e) {
   auto& slot = class_index_[e];
   if (!slot)
     slot = std::make_unique<CostClassIndex>(
-        metric_, cost_, CommoditySet::singleton(num_commodities_, e),
-        dist_);
+        metric_, cost_, CommoditySet::singleton(num_commodities_, e));
   return *slot;
 }
 
@@ -68,7 +66,7 @@ const CostClassIndex& RandOmflp::full_classes() {
   auto& slot = class_index_[num_commodities_];
   if (!slot)
     slot = std::make_unique<CostClassIndex>(
-        metric_, cost_, CommoditySet::full_set(num_commodities_), dist_);
+        metric_, cost_, CommoditySet::full_set(num_commodities_));
   return *slot;
 }
 
@@ -257,12 +255,9 @@ void RandOmflp::serve(const Request& request, SolutionLedger& ledger) {
 void RandOmflp::serialize_state(CkptWriter& writer) const {
   serialize_rng(writer, rng_);
   writer.line("offering-index").u(offering_.size());
-  for (const auto& row : offering_) {
-    writer.line("offering").u(row.size());
-    for (const OpenRecord& f : row) writer.u(f.point).u(f.id);
-  }
-  writer.line("larges").u(larges_.size());
-  for (const OpenRecord& f : larges_) writer.u(f.point).u(f.id);
+  for (const auto& row : offering_)
+    serialize_open_records(writer, "offering", row);
+  serialize_open_records(writer, "larges", larges_);
   writer.line("accounting").u(accounting_.size());
   for (const RandAccounting& a : accounting_) {
     writer.line("acct")
@@ -282,26 +277,9 @@ void RandOmflp::restore_state(CkptReader& reader, RequestId) {
   reader.expect("offering-index");
   if (reader.u() != offering_.size())
     reader.fail("offering index universe mismatch");
-  for (auto& row : offering_) {
-    reader.expect("offering");
-    const std::uint64_t n = reader.u();
-    row.reserve(capped_reserve(n));
-    for (std::uint64_t i = 0; i < n; ++i) {
-      OpenRecord f;
-      f.point = static_cast<PointId>(reader.u());
-      f.id = static_cast<FacilityId>(reader.u());
-      row.push_back(f);
-    }
-  }
-  reader.expect("larges");
-  const std::uint64_t num_larges = reader.u();
-  larges_.reserve(capped_reserve(num_larges));
-  for (std::uint64_t i = 0; i < num_larges; ++i) {
-    OpenRecord f;
-    f.point = static_cast<PointId>(reader.u());
-    f.id = static_cast<FacilityId>(reader.u());
-    larges_.push_back(f);
-  }
+  for (auto& row : offering_)
+    row = restore_open_records(reader, "offering", num_points_);
+  larges_ = restore_open_records(reader, "larges", num_points_);
   reader.expect("accounting");
   const std::uint64_t num_acct = reader.u();
   accounting_.reserve(capped_reserve(num_acct));

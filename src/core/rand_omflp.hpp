@@ -42,6 +42,7 @@
 
 #include "core/online_algorithm.hpp"
 #include "cost/cost_classes.hpp"
+#include "instance/checkpoint_io.hpp"
 #include "metric/distance_oracle.hpp"
 #include "support/rng.hpp"
 
@@ -95,16 +96,10 @@ class RandOmflp final : public OnlineAlgorithm {
   Rng rng_;
   CostModelPtr cost_;
   MetricPtr metric_;
-  /// Shared with the lazily-built class indexes so the dense distance
-  /// matrix (and its fallback row cache) is materialized once per run.
-  std::shared_ptr<DistanceOracle> dist_;
+  std::shared_ptr<const DistanceOracle> dist_;
   CommodityId num_commodities_ = 0;
   std::size_t num_points_ = 0;
 
-  struct OpenRecord {
-    PointId point = 0;
-    FacilityId id = kInvalidFacility;
-  };
   std::vector<std::vector<OpenRecord>> offering_;  // per commodity
   std::vector<OpenRecord> larges_;
 

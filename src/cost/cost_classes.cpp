@@ -21,18 +21,14 @@ double round_down_pow2(double x) {
 }
 
 CostClassIndex::CostClassIndex(MetricPtr metric, CostModelPtr cost,
-                               CommoditySet config,
-                               std::shared_ptr<const DistanceOracle> oracle)
-    : metric_(std::move(metric)), cost_(std::move(cost)),
-      config_(std::move(config)), oracle_(std::move(oracle)) {
-  OMFLP_REQUIRE(metric_ != nullptr, "CostClassIndex: null metric");
+                               CommoditySet config)
+    : cost_(std::move(cost)), config_(std::move(config)) {
+  OMFLP_REQUIRE(metric != nullptr, "CostClassIndex: null metric");
   OMFLP_REQUIRE(cost_ != nullptr, "CostClassIndex: null cost model");
   OMFLP_REQUIRE(!config_.empty(), "CostClassIndex: empty configuration");
-  OMFLP_REQUIRE(oracle_ == nullptr ||
-                    oracle_->num_points() == metric_->num_points(),
-                "CostClassIndex: oracle/metric size mismatch");
+  dist_ = shared_distances(metric);
 
-  const std::size_t n = metric_->num_points();
+  const std::size_t n = dist_->num_points();
   point_true_cost_.resize(n);
   std::vector<double> rounded(n);
   for (PointId m = 0; m < n; ++m) {
@@ -46,12 +42,10 @@ CostClassIndex::CostClassIndex(MetricPtr metric, CostModelPtr cost,
                      class_costs_.end());
 
   point_class_.resize(n);
-  point_class32_.resize(n);
   for (PointId m = 0; m < n; ++m) {
     const auto it = std::lower_bound(class_costs_.begin(), class_costs_.end(),
                                      rounded[m]);
-    point_class_[m] = static_cast<std::size_t>(it - class_costs_.begin());
-    point_class32_[m] = static_cast<std::uint32_t>(point_class_[m]);
+    point_class_[m] = static_cast<std::uint32_t>(it - class_costs_.begin());
   }
 }
 
@@ -73,40 +67,22 @@ double CostClassIndex::true_cost(PointId m) const {
 std::pair<double, PointId> CostClassIndex::prefix_nearest(std::size_t i,
                                                           PointId r) const {
   OMFLP_REQUIRE(i < class_costs_.size(), "prefix_nearest: class range");
-  const std::size_t n = metric_->num_points();
+  const std::size_t n = dist_->num_points();
   OMFLP_REQUIRE(r < n, "prefix_nearest: point range");
-  if (oracle_ != nullptr) {
-    // Branch-free masked argmin over the contiguous distance row — or
-    // the unmasked argmin for the last class, whose prefix is all of M.
-    // The first-index tie-break matches the scalar scan below; repeated
-    // calls for the same r (best_open_option sweeps all classes) reuse
-    // the oracle's materialized row on the uncached path.
-    const double* row = oracle_->row(r);
-    const std::size_t m =
-        i + 1 == class_costs_.size()
-            ? kernel::argmin_over_row(row, n)
-            : kernel::argmin_over_row_where(
-                  row, point_class32_.data(),
-                  static_cast<std::uint32_t>(i), n);
-    OMFLP_CHECK(m != n,
-                "prefix_nearest: no point in prefix (class 0 must be "
-                "non-empty by construction)");
-    return {row[m], static_cast<PointId>(m)};
-  }
-  double best = kInfiniteDistance;
-  PointId best_point = kInvalidPoint;
-  for (PointId m = 0; m < n; ++m) {
-    if (point_class_[m] > i) continue;
-    const double d = metric_->distance(r, m);
-    if (d < best) {
-      best = d;
-      best_point = m;
-    }
-  }
-  OMFLP_CHECK(best_point != kInvalidPoint,
+  // Branch-free masked argmin over the contiguous distance row — or the
+  // unmasked argmin for the last class, whose prefix is all of M.
+  // Repeated calls for the same r (best_open_option sweeps all classes)
+  // reuse the materialized row on the fallback path.
+  const double* row = dist_->row(r);
+  const std::size_t m =
+      i + 1 == class_costs_.size()
+          ? kernel::argmin_over_row(row, n)
+          : kernel::argmin_over_row_where(row, point_class_.data(),
+                                          static_cast<std::uint32_t>(i), n);
+  OMFLP_CHECK(m != n,
               "prefix_nearest: no point in prefix (class 0 must be "
               "non-empty by construction)");
-  return {best, best_point};
+  return {row[m], static_cast<PointId>(m)};
 }
 
 CostClassIndex::BestOpenOption CostClassIndex::best_open_option(

@@ -26,13 +26,10 @@ namespace omflp {
 
 class CostClassIndex {
  public:
-  /// `oracle` (optional) must wrap the same metric; when provided, the
-  /// prefix_nearest point sweep runs over the oracle's contiguous
-  /// distance rows (kernel::argmin_over_row_where) instead of per-point
-  /// virtual metric calls. Algorithms share one oracle across all their
-  /// class indexes so the dense matrix is materialized once.
-  CostClassIndex(MetricPtr metric, CostModelPtr cost, CommoditySet config,
-                 std::shared_ptr<const DistanceOracle> oracle = nullptr);
+  /// The prefix_nearest point sweep runs over the metric's shared
+  /// distance table (kernel::argmin_over_row_where), the same rows the
+  /// algorithm owning the index reads.
+  CostClassIndex(MetricPtr metric, CostModelPtr cost, CommoditySet config);
 
   std::size_t num_classes() const noexcept { return class_costs_.size(); }
 
@@ -45,8 +42,8 @@ class CostClassIndex {
   /// True opening cost f^σ_m at point m (cached).
   double true_cost(PointId m) const;
 
-  /// Distance from r to the nearest point of class ≤ i, and that point.
-  /// O(|M|) scan.
+  /// Distance from r to the nearest point of class ≤ i, and that point
+  /// (the first on ties). O(|M|) scan.
   std::pair<double, PointId> prefix_nearest(std::size_t i, PointId r) const;
 
   /// min_i { C_i + d(prefix_i, r) } — the cheapest "open new facility with
@@ -62,14 +59,12 @@ class CostClassIndex {
   const CommoditySet& config() const noexcept { return config_; }
 
  private:
-  MetricPtr metric_;
   CostModelPtr cost_;
   CommoditySet config_;
-  std::shared_ptr<const DistanceOracle> oracle_;  // may be null
-  std::vector<double> class_costs_;        // ascending rounded costs
-  std::vector<std::size_t> point_class_;   // point -> class index
-  /// point -> class as u32, the mask row for the branch-free argmin.
-  std::vector<std::uint32_t> point_class32_;
+  std::shared_ptr<const DistanceOracle> dist_;
+  std::vector<double> class_costs_;  // ascending rounded costs
+  /// point -> class index, the mask row for the branch-free argmin.
+  std::vector<std::uint32_t> point_class_;
   std::vector<double> point_true_cost_;    // point -> f^σ_m
 };
 

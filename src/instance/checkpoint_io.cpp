@@ -304,6 +304,13 @@ CommoditySet CkptReader::set() {
   return s;
 }
 
+PointId CkptReader::point(std::size_t num_points) {
+  const std::uint64_t p = u();
+  if (p >= num_points)
+    fail("point " + std::to_string(p) + " outside the metric");
+  return static_cast<PointId>(p);
+}
+
 void CkptReader::finish() {
   if (finished_) return;
   if (pos_ != line_.size()) fail("trailing tokens before checksum line");
@@ -342,6 +349,30 @@ void restore_rng(CkptReader& reader, Rng& rng) {
   state.cached_normal = reader.d();
   state.has_cached_normal = reader.b();
   rng.set_state(state);
+}
+
+// ----------------------------------------------------- facility lists ---
+
+void serialize_open_records(CkptWriter& writer, std::string_view key,
+                            const std::vector<OpenRecord>& records) {
+  writer.line(key).u(records.size());
+  for (const OpenRecord& f : records) writer.u(f.point).u(f.id);
+}
+
+std::vector<OpenRecord> restore_open_records(CkptReader& reader,
+                                             std::string_view key,
+                                             std::size_t num_points) {
+  reader.expect(key);
+  const std::uint64_t n = reader.u();
+  std::vector<OpenRecord> records;
+  records.reserve(capped_reserve(n));
+  for (std::uint64_t i = 0; i < n; ++i) {
+    OpenRecord f;
+    f.point = reader.point(num_points);
+    f.id = static_cast<FacilityId>(reader.u());
+    records.push_back(f);
+  }
+  return records;
 }
 
 // ----------------------------------------------------------- validation ---

@@ -50,6 +50,7 @@
 #include "support/commodity_set.hpp"
 #include "support/parse.hpp"  // capped_reserve — every reader's bounded
                               // first reservation for declared counts
+#include "support/types.hpp"
 
 namespace omflp {
 
@@ -114,6 +115,8 @@ class CkptReader {
   std::string tok();
   std::string bytes();
   CommoditySet set();
+  /// A point of a metric with `num_points` points; a larger one fails.
+  PointId point(std::size_t num_points);
 
   /// Validate the checksum line and the absence of trailing content.
   void finish();
@@ -135,6 +138,23 @@ class CkptReader {
   unsigned version_ = 0;
   bool finished_ = false;
 };
+
+/// One opened facility as the baselines index it: its point and its
+/// ledger id.
+struct OpenRecord {
+  PointId point = 0;
+  FacilityId id = kInvalidFacility;
+};
+
+/// A facility list as one line, `key count point id point id ...`: the
+/// shape every baseline uses for its facility index. The reader refuses
+/// a point outside the metric, so a restored list never indexes past a
+/// distance row.
+void serialize_open_records(CkptWriter& writer, std::string_view key,
+                            const std::vector<OpenRecord>& records);
+std::vector<OpenRecord> restore_open_records(CkptReader& reader,
+                                             std::string_view key,
+                                             std::size_t num_points);
 
 class Rng;
 

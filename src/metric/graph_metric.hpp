@@ -30,6 +30,9 @@ class GraphMetric final : public MetricSpace {
   std::size_t num_points() const noexcept override { return n_; }
   double distance(PointId a, PointId b) const override;
   std::string description() const override;
+  const double* stored_matrix() const noexcept override {
+    return dist_.data();
+  }
 
   std::size_t num_edges() const noexcept { return num_edges_; }
 

@@ -22,6 +22,9 @@ class MatrixMetric final : public MetricSpace {
   std::size_t num_points() const noexcept override { return n_; }
   double distance(PointId a, PointId b) const override;
   std::string description() const override;
+  const double* stored_matrix() const noexcept override {
+    return flat_.data();
+  }
 
  private:
   std::size_t n_;

@@ -3,12 +3,14 @@
 // model), and the greedy strawmen.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 
 #include "baseline/fotakis_ofl.hpp"
 #include "baseline/greedy.hpp"
 #include "baseline/meyerson_ofl.hpp"
 #include "baseline/per_commodity.hpp"
+#include "bound/dual_ascent.hpp"
 #include "instance/adversarial.hpp"
 #include "instance/generators.hpp"
 #include "metric/line_metric.hpp"
@@ -131,6 +133,57 @@ TEST(PerCommodityAdapter, MeyersonVariantValid) {
   auto adapter = PerCommodityAdapter::meyerson(99);
   const SolutionLedger ledger = run_online(*adapter, inst);
   EXPECT_FALSE(verify_solution(inst, ledger).has_value());
+}
+
+/// A line metric that counts its distance() calls.
+class CountingMetric final : public MetricSpace {
+ public:
+  explicit CountingMetric(std::size_t n)
+      : line_(LineMetric::uniform_grid(n, 10.0)) {}
+  std::size_t num_points() const noexcept override {
+    return line_->num_points();
+  }
+  double distance(PointId a, PointId b) const override {
+    calls.fetch_add(1, std::memory_order_relaxed);
+    return line_->distance(a, b);
+  }
+  std::string description() const override { return "counting"; }
+
+  mutable std::atomic<std::size_t> calls{0};
+
+ private:
+  std::shared_ptr<LineMetric> line_;
+};
+
+// The twelve sub-instances of the per-commodity baseline and the OPT
+// bounder all read the metric's one distance table: a first run builds
+// it (|M|² calls), an identical second run on the same metric builds
+// nothing, so the two runs differ by exactly one table.
+TEST(PerCommodityAdapter, SubInstancesAndBounderShareOneDistanceTable) {
+  const std::size_t n = 48;
+  const CommodityId s = 12;
+  auto metric = std::make_shared<CountingMetric>(n);
+  auto cost = std::make_shared<PolynomialCostModel>(s, 1.0);
+  std::vector<Request> requests;
+  for (PointId i = 0; i < 36; ++i) {
+    CommoditySet demand(s);
+    demand.add(i % s);
+    demand.add((i * 5 + 3) % s);
+    requests.push_back(Request{static_cast<PointId>(i * 7 % n), demand});
+  }
+  const Instance inst(metric, cost, std::move(requests));
+
+  const auto calls_of_one_run = [&] {
+    const std::size_t before = metric->calls.load();
+    auto adapter = PerCommodityAdapter::fotakis();
+    (void)run_online(*adapter, inst);
+    (void)dual_ascent_lower_bound(inst);
+    return metric->calls.load() - before;
+  };
+  const std::size_t first = calls_of_one_run();
+  const std::size_t second = calls_of_one_run();
+  EXPECT_EQ(first - second, n * n);
+  EXPECT_LT(second, n * n);
 }
 
 TEST(RestrictedCostModel, ProjectsSingletonCosts) {

@@ -32,6 +32,7 @@
 #include "lint.hpp"
 #include "obs/trace_sink.hpp"
 #include "perf/bench_compare.hpp"
+#include "scenario/algorithm_registry.hpp"
 #include "scenario/scenario_registry.hpp"
 #include "scenario/stream_registry.hpp"
 #include "support/rng.hpp"
@@ -729,6 +730,72 @@ TEST(FuzzParsers, CheckpointHugeCountsAreRejectedNotAllocated) {
     }
   }
   EXPECT_GT(tampered, 10u) << "corpus barely exercised the count paths";
+}
+
+/// A session of `algorithm` on the checkpoint stream, snapshotted after
+/// two batches.
+std::string algorithm_checkpoint(const std::string& algorithm) {
+  const auto alg = default_algorithm_registry().make(algorithm);
+  MaterializedEventSource source(checkpoint_stream());
+  StreamSession session(*alg, source, checkpoint_options());
+  (void)session.step_batch();
+  (void)session.step_batch();
+  std::ostringstream os;
+  CkptWriter writer(os);
+  session.checkpoint(writer);
+  writer.finish();
+  return os.str();
+}
+
+void restore_algorithm_checkpoint(const std::string& algorithm,
+                                  const std::string& text) {
+  const auto alg = default_algorithm_registry().make(algorithm);
+  MaterializedEventSource source(checkpoint_stream());
+  std::istringstream is(text);
+  CkptReader reader(is);
+  StreamSession session(*alg, source, checkpoint_options(), reader);
+  reader.finish();
+}
+
+// A facility point equal to |M| behind a valid checksum: every baseline's
+// restore must refuse it rather than hand the next serve() a distance
+// row index past the metric. Fotakis' past-request locations index the
+// same rows.
+TEST(FuzzParsers, CheckpointPointsBeyondTheMetricAreRejected) {
+  const std::string outside = "16";  // checkpoint_stream() has 16 points
+  struct Case {
+    const char* algorithm;
+    const char* key;
+    std::size_t token;  // index of the point token on the line
+  };
+  for (const Case& c : {Case{"greedy", "offering", 2},
+                        Case{"rentbuy", "offering", 2},
+                        Case{"rand", "offering", 2},
+                        Case{"fotakis", "facilities", 2},
+                        Case{"fotakis", "past-request", 1},
+                        Case{"meyerson", "facilities", 2}}) {
+    const std::string base = algorithm_checkpoint(c.algorithm);
+    ASSERT_NO_THROW(restore_algorithm_checkpoint(c.algorithm, base))
+        << c.algorithm;
+    std::vector<std::string> lines = split_lines(base);
+    bool tampered = false;
+    for (std::string& line : lines) {
+      std::vector<std::string> tokens;
+      std::istringstream words(line);
+      for (std::string w; words >> w;) tokens.push_back(w);
+      if (tokens.size() <= c.token || tokens[0] != c.key) continue;
+      tokens[c.token] = outside;
+      line = tokens[0];
+      for (std::size_t i = 1; i < tokens.size(); ++i) line += " " + tokens[i];
+      tampered = true;
+      break;
+    }
+    ASSERT_TRUE(tampered) << c.algorithm << ": no non-empty " << c.key;
+    EXPECT_THROW(restore_algorithm_checkpoint(
+                     c.algorithm, resealed(join_lines(lines))),
+                 std::invalid_argument)
+        << c.algorithm << " " << c.key;
+  }
 }
 
 }  // namespace

@@ -1,12 +1,15 @@
 // Kernel-layer tests: the scalar kernels against naive reference loops,
 // BidPlane storage semantics (alignment, lazy activation, growth), the
-// DistanceOracle row accessor on both paths, kernelized PD against naive
-// pre-refactor-style recomputation on all four metric families, audit
-// cleanliness on long adversarial runs in both bid modes.
+// DistanceOracle row accessor on both paths and from several threads,
+// kernelized PD against naive pre-refactor-style recomputation on all
+// four metric families, audit cleanliness on long adversarial runs in
+// both bid modes.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "core/pd_omflp.hpp"
@@ -261,6 +264,40 @@ TEST(DistanceOracleRow, CachedAndFallbackRowsMatchOperatorOnAllFamilies) {
             << metric->description() << " p=" << p << " b=" << b;
     }
   }
+}
+
+// A metric's table is shared by every consumer, possibly on several
+// threads: four threads race the first distances() call (the one-time
+// build) and then read every row, on the dense path and, through a
+// private cache_limit = 0 table, on the per-thread fallback slot.
+TEST(DistanceOracleRow, RowsReadFromFourThreadsOnBothPaths) {
+  const std::size_t n = 96;
+  Rng rng(43);
+  std::vector<double> pos;
+  for (std::size_t i = 0; i < n; ++i) pos.push_back(rng.uniform(0.0, 50.0));
+  const auto metric = std::make_shared<LineMetric>(std::move(pos));
+  const DistanceOracle fallback(metric, /*cache_limit=*/0);
+  ASSERT_FALSE(fallback.cached());
+
+  std::atomic<std::size_t> mismatches{0};
+  std::vector<std::thread> readers;
+  for (std::size_t t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      const DistanceOracle& dense = metric->distances();
+      for (std::size_t k = 0; k < n; ++k) {
+        const auto p = static_cast<PointId>((k * 7 + t * 13) % n);
+        const double* dense_row = dense.row(p);
+        const double* fallback_row = fallback.row(p);
+        for (PointId b = 0; b < n; ++b) {
+          const double d = metric->distance(p, b);
+          if (dense_row[b] != d || fallback_row[b] != d) ++mismatches;
+        }
+      }
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_TRUE(metric->distances().cached());
 }
 
 // ----------------------------------- kernelized PD vs naive recompute ------
