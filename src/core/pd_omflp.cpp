@@ -218,6 +218,31 @@ void PdOmflp::large_bid_row(std::vector<double>& out) const {
   out.assign(row, row + num_points_);
 }
 
+void PdOmflp::accumulate_bid(double* row, PointId location, double v) const {
+  std::size_t touched = num_points_;
+  const double* dist_row = dist_->row(location);
+  if (const std::uint16_t* ball = dist_->ball(location))
+    touched = kernel::accumulate_clipped_bid_ball(row, dist_row, ball, v,
+                                                  num_points_);
+  else
+    kernel::accumulate_clipped_bid(row, dist_row, v, num_points_);
+  OMFLP_PERF_ADD(bids_updated, touched);
+  OMFLP_PERF_ADD(distance_lookups, touched);
+}
+
+void PdOmflp::shift_bid(double* row, PointId location, double v_old,
+                        double v_new) const {
+  std::size_t touched = num_points_;
+  const double* dist_row = dist_->row(location);
+  if (const std::uint16_t* ball = dist_->ball(location))
+    touched = kernel::shift_clipped_bid_ball(row, dist_row, ball, v_old,
+                                             v_new, num_points_);
+  else
+    kernel::shift_clipped_bid(row, dist_row, v_old, v_new, num_points_);
+  OMFLP_PERF_ADD(bids_updated, touched);
+  OMFLP_PERF_ADD(distance_lookups, touched);
+}
+
 void PdOmflp::integrate_facility(PointId point, const CommoditySet& config,
                                  FacilityId id, bool is_large) {
   const bool incremental =
@@ -242,12 +267,8 @@ void PdOmflp::integrate_facility(PointId point, const CommoditySet& config,
         if (d_new >= d_old) continue;
         const double v_old = std::min(pr->slots[b.slot].dual, d_old);
         const double v_new = std::min(pr->slots[b.slot].dual, d_new);
-        if (v_new < v_old && v_old > 0.0) {
-          OMFLP_PERF_ADD(bids_updated, num_points_);
-          OMFLP_PERF_ADD(distance_lookups, num_points_);
-          kernel::shift_clipped_bid(bids_.row(e), dist_->row(pr->location),
-                                    v_old, v_new, num_points_);
-        }
+        if (v_new < v_old && v_old > 0.0)
+          shift_bid(bids_.row(e), pr->location, v_old, v_new);
       }
     }
     sweep_facility(table, point, id);
@@ -274,13 +295,8 @@ void PdOmflp::integrate_facility(PointId point, const CommoditySet& config,
       if (d_new >= d_old) continue;
       const double v_old = std::min(pr->dual_sum_large, d_old);
       const double v_new = std::min(pr->dual_sum_large, d_new);
-      if (v_new < v_old && v_old > 0.0) {
-        OMFLP_PERF_ADD(bids_updated, num_points_);
-        OMFLP_PERF_ADD(distance_lookups, num_points_);
-        kernel::shift_clipped_bid(bids_.row(large_row_),
-                                  dist_->row(pr->location), v_old, v_new,
-                                  num_points_);
-      }
+      if (v_new < v_old && v_old > 0.0)
+        shift_bid(bids_.row(large_row_), pr->location, v_old, v_new);
     }
   }
   OMFLP_CHECK(add_large_to_tables(larges_.back()),
@@ -312,26 +328,14 @@ void PdOmflp::archive_request(RequestId id, const Request& request,
     if (incremental) {
       const double v =
           std::min(duals[slot], nearest_offering(e, pr.location).dist);
-      if (v > 0.0) {
-        double* row = bids_.activate(e);
-        OMFLP_PERF_ADD(bids_updated, num_points_);
-        OMFLP_PERF_ADD(distance_lookups, num_points_);
-        kernel::accumulate_clipped_bid(row, dist_->row(pr.location), v,
-                                       num_points_);
-      }
+      if (v > 0.0) accumulate_bid(bids_.activate(e), pr.location, v);
     }
   }
   if (pr.dual_sum_large > 0.0) large_bidders_.entries.push_back(Bidder{id, 0});
   if (incremental && prediction_enabled()) {
     const double v = std::min(pr.dual_sum_large,
                               nearest_large(pr.location, commodities).dist);
-    if (v > 0.0) {
-      OMFLP_PERF_ADD(bids_updated, num_points_);
-      OMFLP_PERF_ADD(distance_lookups, num_points_);
-      kernel::accumulate_clipped_bid(bids_.row(large_row_),
-                                     dist_->row(pr.location), v,
-                                     num_points_);
-    }
+    if (v > 0.0) accumulate_bid(bids_.row(large_row_), pr.location, v);
   }
   for (double a : duals) total_dual_ += a;
 
@@ -374,12 +378,8 @@ void PdOmflp::depart(RequestId id, const Request& request,
     const double v =
         std::min(slot.dual, nearest_offering(e, pr.location).dist);
     if (v > 0.0) withdrawn += v;
-    if (incremental && v > 0.0 && bids_.active(e)) {
-      OMFLP_PERF_ADD(bids_updated, num_points_);
-      OMFLP_PERF_ADD(distance_lookups, num_points_);
-      kernel::shift_clipped_bid(bids_.row(e), dist_->row(pr.location), v,
-                                0.0, num_points_);
-    }
+    if (incremental && v > 0.0 && bids_.active(e))
+      shift_bid(bids_.row(e), pr.location, v, 0.0);
     if (slot.dual > 0.0) withdraw_bidder(by_commodity_[e], id);
     total_dual_ -= slot.dual;
     dual_removed += slot.dual;
@@ -389,13 +389,8 @@ void PdOmflp::depart(RequestId id, const Request& request,
         std::min(pr.dual_sum_large,
                  nearest_large(pr.location, commodities_of(pr)).dist);
     if (v > 0.0) withdrawn += v;
-    if (incremental && v > 0.0) {
-      OMFLP_PERF_ADD(bids_updated, num_points_);
-      OMFLP_PERF_ADD(distance_lookups, num_points_);
-      kernel::shift_clipped_bid(bids_.row(large_row_),
-                                dist_->row(pr.location), v, 0.0,
-                                num_points_);
-    }
+    if (incremental && v > 0.0)
+      shift_bid(bids_.row(large_row_), pr.location, v, 0.0);
   }
   if (pr.dual_sum_large > 0.0) withdraw_bidder(large_bidders_, id);
   if (obs::tracing()) {
@@ -554,7 +549,21 @@ std::optional<std::string> PdOmflp::audit_state(double tolerance) const {
     }
   }
 
-  // 3. Incremental bid sums vs from-scratch recomputation, plus the
+  // 3. No bid row holds −0.0: rows start at +0.0 and the kernels never
+  //    produce −0.0, and the ball kernels skip `+= 0.0` at the points a
+  //    bid does not reach, which is exact for every other value.
+  for (std::size_t r = 0; r < bids_.num_rows(); ++r) {
+    if (!bids_.active(r)) continue;
+    const double* row = bids_.row(r);
+    for (PointId m = 0; m < num_points_; ++m) {
+      if (row[m] == 0.0 && std::signbit(row[m])) {
+        os << "bid row " << r << " holds -0.0 at m=" << m;
+        return os.str();
+      }
+    }
+  }
+
+  // 4. Incremental bid sums vs from-scratch recomputation, plus the
   //    constraint-(3) invariant Σ_j bids ≤ f^{{e}}_m.
   std::vector<double> fresh_row;
   for (CommodityId e = 0; e < num_commodities_; ++e) {
@@ -580,7 +589,7 @@ std::optional<std::string> PdOmflp::audit_state(double tolerance) const {
     }
   }
 
-  // 4. Same for the large side (constraint (4) invariant against the
+  // 5. Same for the large side (constraint (4) invariant against the
   //    *current* large configuration).
   if (prediction_enabled()) {
     recompute_large_bid_row(fresh_row);
@@ -704,8 +713,11 @@ void PdOmflp::serve(const Request& request, SolutionLedger& ledger) {
   // loop must not be silently repointed by a future row() call.
   // Counters still tick once per sweep.
   const double* dist_loc;
+  const std::uint16_t* ball_loc = nullptr;  // incremental, cached table
   if (dist_->cached()) {
     dist_loc = dist_->row(loc);
+    if (options_.bid_mode == PdOptions::BidMode::kIncremental)
+      ball_loc = dist_->ball(loc);
   } else {
     const double* fallback = dist_->row(loc);
     dist_loc_scratch_.assign(fallback, fallback + num_points_);
@@ -735,6 +747,28 @@ void PdOmflp::serve(const Request& request, SolutionLedger& ledger) {
     traced_bid_mass.assign(k, 0.0);
     traced_tightness.assign(k, 0.0);
   }
+
+  // Constraint-(3)/(4) event search: the ball walk on the cached table in
+  // incremental mode, the full row otherwise (reference mode keeps it as
+  // the oracle the ball walk is tested against).
+  const auto next_tightness = [&](const double* cost_row,
+                                  const double* bids_row, double invested,
+                                  double divisor) {
+    kernel::RowEvent event;
+    std::size_t touched = num_points_;
+    if (ball_loc != nullptr) {
+      event = kernel::min_tightness_over_ball(dist_loc, ball_loc, cost_row,
+                                              bids_row, invested, divisor,
+                                              num_points_);
+      touched = event.visited;
+    } else {
+      event = kernel::min_tightness_over_row(dist_loc, cost_row, bids_row,
+                                             invested, divisor, num_points_);
+    }
+    OMFLP_PERF_ADD(bids_evaluated, touched);
+    OMFLP_PERF_ADD(distance_lookups, touched);
+    return event;
+  };
 
   while (unserved > 0) {
     // Find the next tightness event. Priority on ties: (2) and (4) end the
@@ -769,11 +803,9 @@ void PdOmflp::serve(const Request& request, SolutionLedger& ledger) {
 
     // Constraint (4): joint investment pays for a new large facility at m.
     if (can_open_large && unserved_eligible > 0) {
-      OMFLP_PERF_ADD(bids_evaluated, num_points_);
-      OMFLP_PERF_ADD(distance_lookups, num_points_);
-      const kernel::RowEvent event = kernel::min_tightness_over_row(
-          dist_loc, f_large, bids_large, sum_eligible,
-          static_cast<double>(unserved_eligible), num_points_);
+      const kernel::RowEvent event =
+          next_tightness(f_large, bids_large, sum_eligible,
+                         static_cast<double>(unserved_eligible));
       consider(event.delta, 1, 0, static_cast<PointId>(event.index));
     }
 
@@ -784,11 +816,8 @@ void PdOmflp::serve(const Request& request, SolutionLedger& ledger) {
         consider(positive_part(dist1[slot] - a[slot]), 2, slot,
                  kInvalidPoint);
       // Constraint (3): investment pays for a small facility {e} at m.
-      OMFLP_PERF_ADD(bids_evaluated, num_points_);
-      OMFLP_PERF_ADD(distance_lookups, num_points_);
-      const kernel::RowEvent event = kernel::min_tightness_over_row(
-          dist_loc, f_small[slot], bids_small[slot], a[slot], 1.0,
-          num_points_);
+      const kernel::RowEvent event =
+          next_tightness(f_small[slot], bids_small[slot], a[slot], 1.0);
       consider(event.delta, 3, slot, static_cast<PointId>(event.index));
     }
 
@@ -1174,7 +1203,13 @@ void PdOmflp::restore_state(CkptReader& reader, RequestId num_requests) {
     double* row = bids_.active(static_cast<std::size_t>(r))
                       ? bids_.row(static_cast<std::size_t>(r))
                       : bids_.activate(static_cast<std::size_t>(r));
-    for (std::size_t m = 0; m < bids_.row_length(); ++m) row[m] = reader.d();
+    for (std::size_t m = 0; m < bids_.row_length(); ++m) {
+      row[m] = reader.d();
+      // The ball kernels would keep a −0.0 that the full-row `+= 0.0`
+      // turns into +0.0; no live run writes one.
+      if (row[m] == 0.0 && std::signbit(row[m]))
+        reader.fail("bid row holds -0.0");
+    }
   }
   reader.expect("dual-total");
   total_dual_ = reader.d();

@@ -36,7 +36,10 @@
 //   * kIncremental — maintain per-(commodity, point) prefix sums, updated
 //                    when duals freeze and when facilities open.
 // Both must produce identical runs; tests/test_pd_omflp.cpp asserts trace
-// equality on randomized instances.
+// equality on randomized instances. On a cached distance table (|M| ≤
+// 4,096) incremental mode updates and searches the rows through the ball
+// kernels (kernel/kernels.hpp), touching only the points within reach of
+// a bid; reference mode always sweeps full rows.
 //
 // The distances d(F(e), r) and d(F̂, r) come from nearest-facility tables:
 // facilities never close, so each nearest distance only falls, and one
@@ -355,6 +358,14 @@ class PdOmflp final : public OnlineAlgorithm {
   void large_bid_row(std::vector<double>& out) const;
   void recompute_small_bid_row(CommodityId e, std::vector<double>& out) const;
   void recompute_large_bid_row(std::vector<double>& out) const;
+
+  /// The incremental bid-row updates row[m] += (v − d(location, m))+ and
+  /// row[m] −= (v_old − d)+ − (v_new − d)+: the ball kernels on the
+  /// cached table, the full-row kernels beyond it. Counters tick per
+  /// point touched.
+  void accumulate_bid(double* row, PointId location, double v) const;
+  void shift_bid(double* row, PointId location, double v_old,
+                 double v_new) const;
 
   /// Materializes (once) and returns the f^{{e}}_m cost row. The returned
   /// pointer is invalidated by a later ensure call for a new commodity

@@ -1,6 +1,7 @@
 #include "kernel/kernels.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 namespace omflp::kernel {
 
@@ -130,6 +131,68 @@ RowEvent min_tightness_over_row(const double* dist_row,
     if (block.delta < best.delta) best = block;
     if (best.delta == 0.0) return best;
   }
+  return best;
+}
+
+std::size_t accumulate_clipped_bid_ball(double* __restrict row,
+                                        const double* __restrict dist_row,
+                                        const std::uint16_t* ball, double v,
+                                        std::size_t n) {
+  std::size_t i = 0;
+  for (; i < n; ++i) {
+    const std::size_t m = ball[i];
+    const double dm = dist_row[m];
+    if (!(dm < v)) break;
+    row[m] += positive_part(v - dm);
+  }
+  return i;
+}
+
+std::size_t shift_clipped_bid_ball(double* __restrict row,
+                                   const double* __restrict dist_row,
+                                   const std::uint16_t* ball, double v_old,
+                                   double v_new, std::size_t n) {
+  // fmax drops a NaN operand, whose clipped bid is 0 at every point.
+  const double reach = std::fmax(v_old, v_new);
+  std::size_t i = 0;
+  for (; i < n; ++i) {
+    const std::size_t m = ball[i];
+    const double dm = dist_row[m];
+    if (!(dm < reach)) break;
+    row[m] -= positive_part(v_old - dm) - positive_part(v_new - dm);
+  }
+  return i;
+}
+
+RowEvent min_tightness_over_ball(const double* dist_row,
+                                 const std::uint16_t* ball,
+                                 const double* cost_row,
+                                 const double* bids_row, double raised,
+                                 double divisor, std::size_t n) {
+  if (!(divisor > 0.0)) return RowEvent{};
+  // The divisor-1 branch skips the division like min_tightness_span;
+  // x / 1.0 == x, so either branch computes the same bits.
+  const bool unit = divisor == 1.0;
+  RowEvent best;
+  std::size_t i = 0;
+  for (; i < n; ++i) {
+    const std::size_t m = ball[i];
+    const double dm = dist_row[m];
+    const double floor = positive_part_nanprop(dm - raised);
+    if ((unit ? floor : floor / divisor) > best.delta) break;
+    const double lifted = positive_part_nanprop(
+        dm + positive_part_nanprop(cost_row[m] - bids_row[m]) - raised);
+    const double delta = unit ? lifted : lifted / divisor;
+    // An infinite delta is no event (the full scan's strict < never
+    // takes one), so only finite ties move the index.
+    if (delta < best.delta ||
+        (delta == best.delta && m < best.index &&
+         delta < std::numeric_limits<double>::infinity())) {
+      best.delta = delta;
+      best.index = m;
+    }
+  }
+  best.visited = i;
   return best;
 }
 

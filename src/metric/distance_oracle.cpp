@@ -1,6 +1,8 @@
 #include "metric/distance_oracle.hpp"
 
-#include <atomic>
+#include <algorithm>
+#include <cmath>
+#include <utility>
 
 #include "support/assert.hpp"
 
@@ -27,12 +29,40 @@ DistanceOracle::DistanceOracle(const MetricSpace& metric,
   id_ = next_id.fetch_add(1, std::memory_order_relaxed);
   if (n_ > cache_limit) return;
   rows_ = metric.stored_matrix();
-  if (rows_ != nullptr) return;
-  matrix_.resize(n_ * n_);
-  for (PointId a = 0; a < n_; ++a)
-    for (PointId b = 0; b < n_; ++b)
-      matrix_[static_cast<std::size_t>(a) * n_ + b] = metric.distance(a, b);
-  rows_ = matrix_.data();
+  if (rows_ == nullptr) {
+    matrix_.resize(n_ * n_);
+    for (PointId a = 0; a < n_; ++a)
+      for (PointId b = 0; b < n_; ++b)
+        matrix_[static_cast<std::size_t>(a) * n_ + b] = metric.distance(a, b);
+    rows_ = matrix_.data();
+  }
+  if (n_ > kMaxBallPoints) return;
+  balls_ = std::make_unique<std::atomic<const std::uint16_t*>[]>(n_);
+  ball_storage_.resize(n_);
+}
+
+const std::uint16_t* DistanceOracle::build_ball(PointId p) const {
+  const std::lock_guard<std::mutex> lock(ball_mutex_);
+  if (const std::uint16_t* ids = balls_[p].load())
+    return ids;  // another thread built it while this one waited
+  const double* row = rows_ + static_cast<std::size_t>(p) * n_;
+  std::vector<std::pair<double, std::uint16_t>> order(n_);
+  for (std::size_t m = 0; m < n_; ++m)
+    order[m] = {row[m], static_cast<std::uint16_t>(m)};
+  std::sort(order.begin(), order.end(), [](const auto& x, const auto& y) {
+    if (x.first < y.first) return true;
+    if (y.first < x.first) return false;
+    // Equal (−0 == +0) or unordered: NaN sorts after every number.
+    const bool x_nan = std::isnan(x.first), y_nan = std::isnan(y.first);
+    if (x_nan != y_nan) return y_nan;
+    return x.second < y.second;
+  });
+  auto ids = std::make_unique<std::uint16_t[]>(n_);
+  for (std::size_t i = 0; i < n_; ++i) ids[i] = order[i].second;
+  const std::uint16_t* published = ids.get();
+  ball_storage_[p] = std::move(ids);
+  balls_[p].store(published);
+  return published;
 }
 
 const double* DistanceOracle::fallback_row(PointId p) const {

@@ -12,9 +12,17 @@
 // and the OPT bounder all read the same rows. MatrixMetric and GraphMetric
 // already store a row-major matrix and lend it instead of being copied.
 // A table is immutable once built, so any number of threads may read it.
+//
+// On the cached path the table also serves balls: point ids ordered by
+// distance from p (ball()), each built on its first request and then
+// immutable too. PD-OMFLP's bid kernels walk a ball instead of a row: a
+// bid (v − d(m, r))+ is zero outside B(r, v).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "metric/metric_space.hpp"
@@ -52,9 +60,8 @@ class DistanceOracle {
   /// different row, and repeated row(p) calls for the same p reuse it.
   ///
   /// Deliberately counter-free: hot loops tick
-  /// OMFLP_PERF_ADD(distance_lookups, n) once per row sweep, keeping
-  /// BENCH counter totals identical to the historical per-element
-  /// operator() ticks (see src/kernel/kernels.hpp).
+  /// OMFLP_PERF_ADD(distance_lookups, k) once per sweep, k being the
+  /// points the sweep touched (see src/kernel/kernels.hpp).
   const double* row(PointId p) const {
     if (rows_ != nullptr) return rows_ + static_cast<std::size_t>(p) * n_;
     return fallback_row(p);
@@ -62,11 +69,27 @@ class DistanceOracle {
 
   bool cached() const noexcept { return rows_ != nullptr; }
 
+  /// Largest |M| whose ids fit a ball entry.
+  static constexpr std::size_t kMaxBallPoints = std::size_t{1} << 16;
+
+  /// Every point id in ascending (d(p, ·), id) order (NaN distances
+  /// last), or null on the fallback path and beyond kMaxBallPoints. The
+  /// first call for p sorts its row (O(|M| log |M|)) and keeps it for the
+  /// table's lifetime at 2 bytes per point; the build is locked, so any
+  /// number of threads may ask for balls at once, and the returned
+  /// pointer stays valid while the table lives.
+  const std::uint16_t* ball(PointId p) const {
+    if (balls_ == nullptr) return nullptr;
+    const std::uint16_t* ids = balls_[p].load();
+    return ids != nullptr ? ids : build_ball(p);
+  }
+
  private:
   friend class MetricSpace;  // builds the metric's own table
   DistanceOracle(const MetricSpace& metric, std::size_t cache_limit);
 
   const double* fallback_row(PointId p) const;
+  const std::uint16_t* build_ball(PointId p) const;
 
   MetricPtr owner_;  // keeps a private table's metric alive; null otherwise
   const MetricSpace* metric_;
@@ -74,6 +97,12 @@ class DistanceOracle {
   std::vector<double> matrix_;  // empty when the metric lends its own
   const double* rows_ = nullptr;  // row-major |M|×|M|; null on fallback
   std::uint64_t id_;  // keys the per-thread fallback row slot
+  /// balls_[p] publishes ball p once built (null until then, and the
+  /// whole array null when the table serves no balls). ball_storage_
+  /// owns the rows; it is written only under ball_mutex_.
+  std::unique_ptr<std::atomic<const std::uint16_t*>[]> balls_;
+  mutable std::vector<std::unique_ptr<std::uint16_t[]>> ball_storage_;
+  mutable std::mutex ball_mutex_;
 };
 
 }  // namespace omflp

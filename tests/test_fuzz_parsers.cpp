@@ -732,6 +732,32 @@ TEST(FuzzParsers, CheckpointHugeCountsAreRejectedNotAllocated) {
   EXPECT_GT(tampered, 10u) << "corpus barely exercised the count paths";
 }
 
+// A bid row holding −0.0 behind a valid checksum. No run writes one (rows
+// start at +0.0 and no kernel produces −0.0), and PD's ball kernels skip
+// the `+= 0.0` that would turn it into +0.0, so restoring one would let
+// the incremental rows drift from the full-row result: restore refuses it.
+TEST(FuzzParsers, CheckpointBidRowNegativeZeroIsRejected) {
+  const std::string base = valid_checkpoint();
+  ASSERT_EQ(feed_checkpoint_readers(base), ParseOutcome::kAccepted);
+  std::vector<std::string> lines = split_lines(base);
+  bool tampered = false;
+  for (std::string& line : lines) {
+    if (line.rfind("bid-row ", 0) != 0) continue;
+    // Skip the key and the row id; flip the first +0.0 value's sign bit.
+    const std::size_t values = line.find(' ', std::string("bid-row ").size());
+    const std::size_t zero = line.find(" 0000000000000000", values);
+    if (values == std::string::npos || zero == std::string::npos) continue;
+    line[zero + 1] = '8';
+    tampered = true;
+    break;
+  }
+  ASSERT_TRUE(tampered) << "no bid row holds +0.0";
+  const std::string mutant = resealed(join_lines(lines));
+  std::istringstream is(mutant);
+  EXPECT_TRUE(checkpoint_payload_valid(is));
+  EXPECT_EQ(feed_checkpoint_readers(mutant), ParseOutcome::kRejected);
+}
+
 /// A session of `algorithm` on the checkpoint stream, snapshotted after
 /// two batches.
 std::string algorithm_checkpoint(const std::string& algorithm) {

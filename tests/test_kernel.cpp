@@ -1,14 +1,19 @@
 // Kernel-layer tests: the scalar kernels against naive reference loops,
-// BidPlane storage semantics (alignment, lazy activation, growth), the
-// DistanceOracle row accessor on both paths and from several threads,
+// the ball kernels bitwise against the full-row kernels, BidPlane storage
+// semantics (alignment, lazy activation, growth), the DistanceOracle row
+// and ball accessors on both paths and from several threads,
 // kernelized PD against naive pre-refactor-style recomputation on all
 // four metric families, audit cleanliness on long adversarial runs in
 // both bid modes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -28,6 +33,9 @@
 
 namespace omflp {
 namespace {
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
 double positive_part(double x) { return x > 0.0 ? x : 0.0; }
 
@@ -220,6 +228,166 @@ TEST(BidPlane, SparseWorkloadOnlyActivatesTouchedRows) {
   EXPECT_GE(pd.bid_plane().activated_rows(), 1u);
 }
 
+// ---------------------------------------------------------- ball kernels ---
+
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// Ids in ascending (dist, id) order, NaN distances last: the order
+/// DistanceOracle::ball() gives, for rows no metric would produce.
+std::vector<std::uint16_t> ball_of(const std::vector<double>& dist) {
+  std::vector<std::uint16_t> ids(dist.size());
+  std::iota(ids.begin(), ids.end(), std::uint16_t{0});
+  std::stable_sort(ids.begin(), ids.end(), [&](std::uint16_t a,
+                                               std::uint16_t b) {
+    if (std::isnan(dist[a]) || std::isnan(dist[b]))
+      return !std::isnan(dist[a]) && std::isnan(dist[b]);
+    return dist[a] < dist[b];
+  });
+  return ids;
+}
+
+/// A value drawn from `pool`: small pools make equal distances on
+/// different ids and equal deltas common.
+double pick(Rng& rng, const std::vector<double>& pool) {
+  return pool[rng.uniform_index(pool.size())];
+}
+
+TEST(BallKernels, EventSearchMatchesTheFullRowBitwise) {
+  Rng rng(71);
+  const std::vector<double> dist_pool = {0.0, -0.0, 0.5, 1.0, 1.0, 1.5,
+                                         2.0, 3.25, 4.0, 7.0};
+  const std::vector<double> cost_pool = {0.0, -0.0, 1.0, 2.0, 2.0, 3.5,
+                                         kInf, kNaN};
+  const std::vector<double> bid_pool = {0.0, -0.0, 0.5, 1.0, 2.0, 2.0,
+                                        kNaN};
+  std::size_t events = 0, early_stops = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const std::size_t n = 1 + rng.uniform_index(70);
+    std::vector<double> dist(n), cost(n), bids(n);
+    for (std::size_t m = 0; m < n; ++m) {
+      dist[m] = trial % 10 == 9 && m % 7 == 3 ? kNaN
+                                              : pick(rng, dist_pool);
+      cost[m] = pick(rng, cost_pool);
+      bids[m] = pick(rng, bid_pool);
+    }
+    const std::vector<std::uint16_t> ball = ball_of(dist);
+    for (const double divisor : {1.0, 2.0, 3.0, 0.0, -1.0, kNaN}) {
+      for (const double raised : {0.0, 0.5, 1.0, 2.25, 10.0}) {
+        const kernel::RowEvent full = kernel::min_tightness_over_row(
+            dist.data(), cost.data(), bids.data(), raised, divisor, n);
+        const kernel::RowEvent walk = kernel::min_tightness_over_ball(
+            dist.data(), ball.data(), cost.data(), bids.data(), raised,
+            divisor, n);
+        ASSERT_TRUE(same_bits(walk.delta, full.delta))
+            << "trial " << trial << " divisor " << divisor << " raised "
+            << raised << ": " << walk.delta << " vs " << full.delta;
+        ASSERT_EQ(walk.index, full.index)
+            << "trial " << trial << " divisor " << divisor << " raised "
+            << raised;
+        ASSERT_LE(walk.visited, n);
+        if (full.index != static_cast<std::size_t>(-1)) ++events;
+        if (walk.visited < n) ++early_stops;
+      }
+    }
+  }
+  // The corpus must exercise both outcomes and the early exit.
+  EXPECT_GT(events, 1000u);
+  EXPECT_GT(early_stops, 1000u);
+}
+
+TEST(BallKernels, EventSearchBreaksEqualDeltasOnTheLowestId) {
+  // Points 5 and 2 sit at the same distance with the same delta; point 2
+  // comes first by id, so both scans must report it, and the farther
+  // points with a larger lower bound are never evaluated.
+  const std::vector<double> dist = {9.0, 8.0, 1.0, 7.0, 6.0, 1.0, 0.5};
+  const std::vector<double> cost = {0.0, 0.0, 3.0, 0.0, 0.0, 3.0, 9.0};
+  const std::vector<double> bids(dist.size(), 0.0);
+  const std::vector<std::uint16_t> ball = ball_of(dist);
+  const kernel::RowEvent full = kernel::min_tightness_over_row(
+      dist.data(), cost.data(), bids.data(), 0.0, 1.0, dist.size());
+  const kernel::RowEvent walk = kernel::min_tightness_over_ball(
+      dist.data(), ball.data(), cost.data(), bids.data(), 0.0, 1.0,
+      dist.size());
+  EXPECT_EQ(full.index, 2u);
+  EXPECT_EQ(full.delta, 4.0);
+  EXPECT_EQ(walk.index, 2u);
+  EXPECT_EQ(walk.delta, 4.0);
+  EXPECT_EQ(walk.visited, 3u);  // 6, 2, 5; point 4's bound 6 > 4 stops
+}
+
+TEST(BallKernels, AccumulateAndShiftMatchTheFullRowBitwise) {
+  Rng rng(73);
+  const std::vector<double> dist_pool = {0.0, -0.0, 0.5, 1.0, 1.0, 1.5,
+                                         2.0, 3.25, 4.0, 7.0};
+  // No −0.0 here: it is the one value the skipped `+= 0.0` keeps (see
+  // AccumulateKeepsNegativeZeroTheFullRowWouldClear).
+  const std::vector<double> row_pool = {0.0, 0.25, 1.0, 2.5, 2.5, 6.0,
+                                        kNaN, kInf};
+  const std::vector<double> v_pool = {0.0, 0.5, 1.0, 1.75, 3.25, 5.0,
+                                      kInf, kNaN};
+  std::size_t partial = 0;
+  for (int trial = 0; trial < 600; ++trial) {
+    const std::size_t n = 1 + rng.uniform_index(70);
+    std::vector<double> dist(n), row(n);
+    for (std::size_t m = 0; m < n; ++m) {
+      dist[m] = trial % 10 == 9 && m % 5 == 1 ? kNaN
+                                              : pick(rng, dist_pool);
+      row[m] = pick(rng, row_pool);
+    }
+    const std::vector<std::uint16_t> ball = ball_of(dist);
+    const double v = pick(rng, v_pool);
+    const double v_new = pick(rng, v_pool);
+
+    std::vector<double> full = row, walk = row;
+    kernel::accumulate_clipped_bid(full.data(), dist.data(), v, n);
+    const std::size_t added = kernel::accumulate_clipped_bid_ball(
+        walk.data(), dist.data(), ball.data(), v, n);
+    for (std::size_t m = 0; m < n; ++m)
+      ASSERT_TRUE(same_bits(walk[m], full[m]))
+          << "accumulate trial " << trial << " v " << v << " m " << m;
+    EXPECT_EQ(added, static_cast<std::size_t>(std::count_if(
+                         dist.begin(), dist.end(),
+                         [&](double d) { return d < v; })));
+
+    full = row;
+    walk = row;
+    kernel::shift_clipped_bid(full.data(), dist.data(), v, v_new, n);
+    const std::size_t shifted = kernel::shift_clipped_bid_ball(
+        walk.data(), dist.data(), ball.data(), v, v_new, n);
+    for (std::size_t m = 0; m < n; ++m)
+      ASSERT_TRUE(same_bits(walk[m], full[m]))
+          << "shift trial " << trial << " v_old " << v << " v_new " << v_new
+          << " m " << m;
+    if (shifted > 0 && shifted < n) ++partial;
+  }
+  EXPECT_GT(partial, 100u);
+}
+
+TEST(BallKernels, AccumulateKeepsNegativeZeroTheFullRowWouldClear) {
+  // The documented exception: −0.0 + +0.0 is +0.0, so the full row turns
+  // a −0.0 outside the ball into +0.0 while the ball walk leaves it.
+  // PdOmflp's audit and restore refuse −0.0 in a bid row for this
+  // reason. A shift subtracts +0.0 there, which keeps −0.0 on both.
+  const std::vector<double> dist = {0.0, 5.0};
+  const std::vector<std::uint16_t> ball = ball_of(dist);
+  std::vector<double> full = {0.0, -0.0}, walk = full;
+  kernel::accumulate_clipped_bid(full.data(), dist.data(), 1.0, 2);
+  kernel::accumulate_clipped_bid_ball(walk.data(), dist.data(), ball.data(),
+                                      1.0, 2);
+  EXPECT_FALSE(std::signbit(full[1]));
+  EXPECT_TRUE(std::signbit(walk[1]));
+
+  full = {0.0, -0.0};
+  walk = full;
+  kernel::shift_clipped_bid(full.data(), dist.data(), 1.0, 0.5, 2);
+  kernel::shift_clipped_bid_ball(walk.data(), dist.data(), ball.data(), 1.0,
+                                 0.5, 2);
+  EXPECT_TRUE(same_bits(full[1], -0.0));
+  EXPECT_TRUE(same_bits(walk[1], -0.0));
+}
+
 // ------------------------------------------------------ DistanceOracle row ---
 
 TEST(DistanceOracleRow, CachedAndFallbackRowsMatchOperatorOnAllFamilies) {
@@ -298,6 +466,81 @@ TEST(DistanceOracleRow, RowsReadFromFourThreadsOnBothPaths) {
   for (std::thread& reader : readers) reader.join();
   EXPECT_EQ(mismatches.load(), 0u);
   EXPECT_TRUE(metric->distances().cached());
+}
+
+/// True when `ids` is a permutation of [0, n) in ascending (d(p, ·), id)
+/// order.
+bool is_ball(const MetricSpace& metric, PointId p, const std::uint16_t* ids) {
+  const std::size_t n = metric.num_points();
+  std::vector<char> seen(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (ids[i] >= n || seen[ids[i]]) return false;
+    seen[ids[i]] = 1;
+    if (i == 0) continue;
+    const double before = metric.distance(p, ids[i - 1]);
+    const double here = metric.distance(p, ids[i]);
+    if (here < before || (here == before && ids[i] < ids[i - 1]))
+      return false;
+  }
+  return true;
+}
+
+TEST(DistanceOracleBall, OrdersByDistanceThenIdOnTheCachedPathOnly) {
+  // Positions with repeats and mirror images: equal distances on
+  // different ids from every point.
+  const auto line = std::make_shared<LineMetric>(
+      std::vector<double>{3.0, 1.0, 3.0, 5.0, 0.0, 1.0, 6.0, 3.0});
+  std::vector<std::vector<double>> matrix(5, std::vector<double>(5, 2.0));
+  for (std::size_t a = 0; a < 5; ++a) matrix[a][a] = 0.0;
+  const auto uniform = std::make_shared<MatrixMetric>(matrix);
+  for (const MetricPtr& metric : {MetricPtr(line), MetricPtr(uniform)}) {
+    const DistanceOracle& table = metric->distances();
+    const DistanceOracle fallback(metric, /*cache_limit=*/0);
+    for (PointId p = 0; p < metric->num_points(); ++p) {
+      const std::uint16_t* ids = table.ball(p);
+      ASSERT_NE(ids, nullptr);
+      EXPECT_TRUE(is_ball(*metric, p, ids)) << metric->description();
+      EXPECT_EQ(metric->distance(p, ids[0]), 0.0);
+      EXPECT_EQ(table.ball(p), ids);  // built once
+      EXPECT_EQ(fallback.ball(p), nullptr);
+    }
+  }
+  // Point 0 of the line sits at 3.0 with ids 2 and 7: distance 0, in id
+  // order. Ids 1, 3 and 5 follow at distance 2, then ids 4 and 6 at 3.
+  const std::uint16_t* ids = line->distances().ball(0);
+  EXPECT_EQ(std::vector<std::uint16_t>(ids, ids + 8),
+            (std::vector<std::uint16_t>{0, 2, 7, 1, 3, 5, 4, 6}));
+}
+
+// Balls are built lazily on first use, so the first ball(p) calls race:
+// four threads ask for every ball of one shared table in different orders
+// and must all see the same fully built rows.
+TEST(DistanceOracleRow, BallsBuiltFromFourThreadsAgree) {
+  const std::size_t n = 96;
+  Rng rng(47);
+  std::vector<double> pos;
+  for (std::size_t i = 0; i < n; ++i)
+    pos.push_back(std::floor(rng.uniform(0.0, 20.0)));  // many ties
+  const auto metric = std::make_shared<LineMetric>(std::move(pos));
+  const DistanceOracle& table = metric->distances();
+
+  std::vector<std::vector<const std::uint16_t*>> seen(
+      4, std::vector<const std::uint16_t*>(n, nullptr));
+  std::atomic<std::size_t> malformed{0};
+  std::vector<std::thread> readers;
+  for (std::size_t t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      for (std::size_t k = 0; k < n; ++k) {
+        const auto p = static_cast<PointId>((k * 7 + t * 13) % n);
+        const std::uint16_t* ids = table.ball(p);
+        if (ids == nullptr || !is_ball(*metric, p, ids)) ++malformed;
+        seen[t][p] = ids;
+      }
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(malformed.load(), 0u);
+  for (std::size_t t = 1; t < 4; ++t) EXPECT_EQ(seen[t], seen[0]);
 }
 
 // ----------------------------------- kernelized PD vs naive recompute ------
@@ -506,9 +749,6 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PdLongAdversarial,
                          ::testing::Values(1, 4));
 
 // --------------------------------------------- NaN / divisor edge cases ---
-
-constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-constexpr double kInf = std::numeric_limits<double>::infinity();
 
 TEST(KernelEdgeCases, ArgminNeverPicksNaN) {
   // Regression: the running best used to be seeded with row[0], so a NaN

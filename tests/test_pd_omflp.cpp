@@ -3,19 +3,27 @@
 // and incremental bid accumulators, equivalence with Fotakis' OFL at
 // |S| = 1, Corollary 8's primal-dual accounting, the prediction
 // ablation, the nearest-facility tables (equidistant ties, nested
-// seen-union configurations), the still-bidding lists under churn, and
-// the archive keeping only the requests that have not departed.
+// seen-union configurations), the still-bidding lists under churn, the
+// archive keeping only the requests that have not departed, and pinned
+// hashes of PD's decision traces.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cinttypes>
 #include <cmath>
+#include <cstdio>
+#include <map>
+#include <string_view>
 
 #include "baseline/fotakis_ofl.hpp"
 #include "core/pd_omflp.hpp"
 #include "core/stream_runner.hpp"
 #include "instance/adversarial.hpp"
 #include "instance/generators.hpp"
+#include "instance/tracelog_io.hpp"
 #include "metric/line_metric.hpp"
+#include "obs/trace_sink.hpp"
+#include "scenario/algorithm_registry.hpp"
 #include "scenario/stream_registry.hpp"
 #include "solution/verifier.hpp"
 
@@ -525,6 +533,122 @@ TEST(PdArchive, HoldsOnlyTheRequestsThatHaveNotDeparted) {
       stream,
       PdOptions{.deletion_policy = PdOptions::DeletionPolicy::kFrozen});
   EXPECT_EQ(frozen.high_water, frozen.arrivals);
+}
+
+TEST(PdArchive, ThousandPointChurnBidModesAgreeAndAuditClean) {
+  // At |M| = 1,024 the incremental rows are updated and searched through
+  // the distance table's balls while reference mode sums and scans full
+  // rows. With departures rolling bids back, the two must still make the
+  // same decisions at every event, and every batch boundary must audit
+  // clean.
+  const EventStream stream = default_stream_scenario_registry().make(
+      "churn-uniform", /*seed=*/9, {{"events", 3000}, {"points", 1024}});
+  ASSERT_EQ(stream.metric().num_points(), 1024u);
+  ASSERT_TRUE(stream.metric().distances().cached());
+  ASSERT_LT(stream.num_arrivals(), stream.num_events());  // departures
+
+  const ArchiveRun incremental = archive_run(stream, PdOptions{});
+  const ArchiveRun reference = archive_run(
+      stream, PdOptions{.bid_mode = PdOptions::BidMode::kReference});
+  EXPECT_EQ(reference.total_cost, incremental.total_cost);  // bitwise
+  ASSERT_EQ(reference.trace.size(), incremental.trace.size());
+  for (std::size_t i = 0; i < reference.trace.size(); ++i) {
+    const PdTraceEvent& r = reference.trace[i];
+    const PdTraceEvent& c = incremental.trace[i];
+    ASSERT_TRUE(r.request == c.request && r.constraint == c.constraint &&
+                r.commodity == c.commodity && r.point == c.point &&
+                r.raised == c.raised)
+        << "trace event " << i;
+  }
+}
+
+TEST(PdAudit, ReportsNegativeZeroInABidRow) {
+  // The ball kernels skip `+= 0.0` where a bid does not reach, which is
+  // exact for every value but −0.0: the audit must flag one.
+  const EventStream stream = default_stream_scenario_registry().make(
+      "churn-uniform", /*seed=*/4, {{"events", 200}, {"points", 16}});
+  PdOmflp pd;
+  (void)run_stream(pd, stream, {});
+  ASSERT_FALSE(pd.audit_state().has_value());
+  const kernel::BidPlane& plane = pd.bid_plane();
+  std::size_t r = 0;
+  while (!plane.active(r)) ++r;
+  double* row = const_cast<double*>(plane.row(r));  // pd is not const
+  const double kept = row[3];
+  row[3] = -0.0;
+  const auto issue = pd.audit_state();
+  ASSERT_TRUE(issue.has_value());
+  EXPECT_NE(issue->find("-0.0"), std::string::npos) << *issue;
+  row[3] = kept;
+  EXPECT_FALSE(pd.audit_state().has_value());
+}
+
+// ------------------------------------------------- pinned decisions ----
+
+/// FNV-1a 64 over `text`, continuing from `h`.
+std::uint64_t fnv1a(std::string_view text,
+                    std::uint64_t h = 0xcbf29ce484222325ull) {
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+std::string hex(std::uint64_t h) {
+  char buf[24];
+  std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, h);
+  return buf;
+}
+
+// PD's decisions, pinned: the OMFLP-TRACELOG bytes of a whole stream run
+// (every opening with its constraint, point, bid mass and contributors,
+// every assignment, dual raise and rollback) plus the final ledger costs
+// at 17 significant digits. A kernel speed-up must leave every byte where
+// it was; a changed hash is a changed decision, not a refactor.
+TEST(PdPinnedDecisions, TracelogAndCostsHashToTheirPinnedValues) {
+  struct Case {
+    const char* algorithm;
+    const char* scenario;
+    std::map<std::string, double> overrides;
+    std::uint64_t hash;
+  };
+  const std::map<std::string, double> churn = {{"events", 20000}};
+  const std::map<std::string, double> lease = {{"events", 20000}};
+  const std::map<std::string, double> grid = {{"events", 20000}, {"side", 8}};
+  const std::vector<Case> cases = {
+      {"pd", "churn-uniform", churn, 0x23c20f011ac5ad90ull},
+      {"pd", "lease-poisson", lease, 0x6eb1d35993db872cull},
+      {"pd", "hotspot-grid", grid, 0x3981a17f724acb63ull},
+      {"pd-seenunion", "churn-uniform", churn, 0x13dbd8215b1adf75ull},
+      {"pd-seenunion", "lease-poisson", lease, 0x406300ed1eb78a75ull},
+      {"pd-seenunion", "hotspot-grid", grid, 0x12912c1855ca854dull},
+      {"pd-nopred", "churn-uniform", churn, 0x0c4a0c751efcbc6eull},
+      {"pd-nopred", "lease-poisson", lease, 0x1cf5ef743c09194cull},
+      {"pd-nopred", "hotspot-grid", grid, 0xb545abb6fe277ae1ull},
+      {"pd", "churn-uniform", {{"events", 8000}, {"points", 1024}},
+       0x0480d5d2d021ab43ull},
+  };
+  for (const Case& c : cases) {
+    const EventStream stream = default_stream_scenario_registry().make(
+        c.scenario, /*seed=*/3, c.overrides);
+    ASSERT_EQ(stream.metric().num_points(),
+              c.overrides.contains("points") ? 1024u : 64u);
+    const auto algorithm = default_algorithm_registry().make(c.algorithm, 3);
+    TraceBuffer buffer;
+    const StreamRunResult result = [&] {
+      TraceScope scope(buffer);
+      return run_stream(*algorithm, stream, {});
+    }();
+    char costs[96];
+    std::snprintf(costs, sizeof(costs), "%.17g %.17g %.17g\n",
+                  result.ledger.opening_cost(),
+                  result.ledger.connection_cost(),
+                  result.ledger.active_cost());
+    const std::uint64_t h =
+        fnv1a(costs, fnv1a(tracelog_to_string(buffer.events())));
+    EXPECT_EQ(hex(h), hex(c.hash)) << c.algorithm << " on " << c.scenario;
+  }
 }
 
 // --------------------------------------------------------- regression ----
