@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "obs/trace_sink.hpp"
-#include "perf/perf_counters.hpp"
 #include "support/assert.hpp"
 
 namespace omflp {
@@ -53,22 +52,7 @@ void SingletonGreedy::reset(const ProblemContext& context) {
   cost_ = context.cost;
   dist_ = shared_distances(context.metric);
   num_commodities_ = context.num_commodities();
-  offering_.assign(num_commodities_, {});
-}
-
-std::pair<double, FacilityId> SingletonGreedy::nearest_offering(
-    CommodityId e, PointId p) const {
-  OMFLP_PERF_ADD(facilities_probed, offering_[e].size());
-  double best = kInfiniteDistance;
-  FacilityId best_id = kInvalidFacility;
-  for (const OpenRecord& f : offering_[e]) {
-    const double d = (*dist_)(p, f.point);
-    if (d < best) {
-      best = d;
-      best_id = f.id;
-    }
-  }
-  return {best, best_id};
+  offering_.assign(num_commodities_, NearestFacilityRow(*dist_));
 }
 
 void SingletonGreedy::open_and_assign(CommodityId e, PointId p,
@@ -76,29 +60,23 @@ void SingletonGreedy::open_and_assign(CommodityId e, PointId p,
                                       double bid_mass, double tightness) {
   const FacilityId id =
       ledger.open_facility(p, CommoditySet::singleton(num_commodities_, e));
-  offering_[e].push_back(OpenRecord{p, id});
+  offering_[e].add(OpenRecord{p, id});
   emit_greedy_open(ledger, id, e, bid_mass, tightness);
   ledger.assign(e, id);
 }
 
 void SingletonGreedy::serialize_state(CkptWriter& writer) const {
-  writer.line("offering-index").u(offering_.size());
-  for (const auto& row : offering_)
-    serialize_open_records(writer, "offering", row);
+  serialize_offering_index(writer, offering_);
 }
 
 void SingletonGreedy::restore_state(CkptReader& reader, RequestId) {
-  reader.expect("offering-index");
-  if (reader.u() != offering_.size())
-    reader.fail("offering index universe mismatch");
-  for (auto& row : offering_)
-    row = restore_open_records(reader, "offering", dist_->num_points());
+  restore_offering_index(reader, offering_);
 }
 
 void NearestOrOpen::serve(const Request& request, SolutionLedger& ledger) {
   OMFLP_CHECK(cost_ != nullptr, "NearestOrOpen: serve() before reset()");
   request.commodities.for_each([&](CommodityId e) {
-    const auto [d, id] = nearest_offering(e, request.location);
+    const auto [d, id] = offering_[e].nearest(request.location);
     const double open_here = cost_->singleton_cost(request.location, e);
     if (d <= open_here)
       ledger.assign(e, id);
@@ -115,7 +93,7 @@ void RentOrBuy::reset(const ProblemContext& context) {
 void RentOrBuy::serve(const Request& request, SolutionLedger& ledger) {
   OMFLP_CHECK(cost_ != nullptr, "RentOrBuy: serve() before reset()");
   request.commodities.for_each([&](CommodityId e) {
-    const auto [d, id] = nearest_offering(e, request.location);
+    const auto [d, id] = offering_[e].nearest(request.location);
     const double open_here = cost_->singleton_cost(request.location, e);
     // Classic ski rental: keep renting (connecting) while the accumulated
     // rent including this connection stays below the local opening cost;

@@ -30,9 +30,9 @@
 
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
+#include "core/nearest_facility.hpp"
 #include "core/online_algorithm.hpp"
 #include "instance/checkpoint_io.hpp"
 #include "metric/distance_oracle.hpp"
@@ -50,7 +50,8 @@ class AlwaysOpen final : public OnlineAlgorithm {
 };
 
 /// The state NearestOrOpen and RentOrBuy share: per commodity, the
-/// singleton facilities offering it, scanned for the nearest one.
+/// singleton facilities offering it in a nearest-facility row
+/// (core/nearest_facility.hpp), so d(F(e), r) is one read.
 class SingletonGreedy : public OnlineAlgorithm {
  public:
   void reset(const ProblemContext& context) override;
@@ -62,10 +63,8 @@ class SingletonGreedy : public OnlineAlgorithm {
   CostModelPtr cost_;
   std::shared_ptr<const DistanceOracle> dist_;
   CommodityId num_commodities_ = 0;
-  std::vector<std::vector<OpenRecord>> offering_;
+  std::vector<NearestFacilityRow> offering_;
 
-  std::pair<double, FacilityId> nearest_offering(CommodityId e,
-                                                 PointId p) const;
   /// Open {e} at p, index and trace it, and assign e to it. `bid_mass`
   /// and `tightness` are the trace event's spend and threshold.
   void open_and_assign(CommodityId e, PointId p, SolutionLedger& ledger,

@@ -41,7 +41,7 @@ void MeyersonOfl::reset(const ProblemContext& context) {
   dist_ = shared_distances(context.metric);
   classes_ = std::make_unique<CostClassIndex>(context.metric, context.cost,
                                               CommoditySet::full_set(1));
-  facilities_.clear();
+  facilities_ = NearestFacilityRow(*dist_);
   rng_ = Rng(seed_);
 }
 
@@ -49,14 +49,7 @@ void MeyersonOfl::serve(const Request& request, SolutionLedger& ledger) {
   OMFLP_CHECK(cost_ != nullptr, "MeyersonOfl: serve() before reset()");
   const PointId loc = request.location;
 
-  OMFLP_PERF_ADD(facilities_probed, facilities_.size());
-  double connect = kInfiniteDistance;
-  if (!facilities_.empty()) {
-    OMFLP_PERF_ADD(distance_lookups, facilities_.size());
-    const double* dist_loc = dist_->row(loc);
-    for (const OpenRecord& f : facilities_)
-      connect = std::min(connect, dist_loc[f.point]);
-  }
+  const double connect = facilities_.nearest(loc).dist;
   const auto open = classes_->best_open_option(loc);
   const double budget = std::min(connect, open.cost);
   OMFLP_CHECK(std::isfinite(budget), "MeyersonOfl: unserviceable request");
@@ -76,7 +69,7 @@ void MeyersonOfl::serve(const Request& request, SolutionLedger& ledger) {
     if (p > 0.0 && rng_.bernoulli(p)) {
       const FacilityId id =
           ledger.open_facility(site, CommoditySet::full_set(1));
-      facilities_.push_back(OpenRecord{site, id});
+      facilities_.add(OpenRecord{site, id});
       emit_meyerson_open(ledger, id, p);
     }
   }
@@ -85,34 +78,21 @@ void MeyersonOfl::serve(const Request& request, SolutionLedger& ledger) {
   if (facilities_.empty()) {
     const FacilityId id =
         ledger.open_facility(open.point, CommoditySet::full_set(1));
-    facilities_.push_back(OpenRecord{open.point, id});
+    facilities_.add(OpenRecord{open.point, id});
     emit_meyerson_open(ledger, id, /*coin_p=*/1.0);
   }
 
-  FacilityId best_id = kInvalidFacility;
-  double best_d = kInfiniteDistance;
-  OMFLP_PERF_ADD(facilities_probed, facilities_.size());
-  OMFLP_PERF_ADD(distance_lookups, facilities_.size());
-  const double* dist_loc = dist_->row(loc);
-  for (const OpenRecord& f : facilities_) {
-    const double d = dist_loc[f.point];
-    if (d < best_d) {
-      best_d = d;
-      best_id = f.id;
-    }
-  }
-  ledger.assign(0, best_id);
+  ledger.assign(0, facilities_.nearest(loc).id);
 }
 
 void MeyersonOfl::serialize_state(CkptWriter& writer) const {
   serialize_rng(writer, rng_);
-  serialize_open_records(writer, "facilities", facilities_);
+  facilities_.serialize(writer, "facilities");
 }
 
 void MeyersonOfl::restore_state(CkptReader& reader, RequestId) {
   restore_rng(reader, rng_);
-  facilities_ =
-      restore_open_records(reader, "facilities", dist_->num_points());
+  facilities_.restore(reader, "facilities");
 }
 
 }  // namespace omflp

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "core/nearest_facility.hpp"
 #include "core/online_algorithm.hpp"
 #include "cost/cost_classes.hpp"
 #include "instance/checkpoint_io.hpp"
@@ -46,7 +47,7 @@ class MeyersonOfl final : public OnlineAlgorithm {
   std::shared_ptr<const DistanceOracle> dist_;
   std::unique_ptr<CostClassIndex> classes_;
 
-  std::vector<OpenRecord> facilities_;
+  NearestFacilityRow facilities_;
 };
 
 }  // namespace omflp

@@ -9,41 +9,6 @@
 
 namespace omflp {
 
-void BoundRegistry::add(BoundMethodSpec spec) {
-  if (spec.name.empty())
-    throw std::invalid_argument("BoundRegistry: empty method name");
-  if (!spec.make)
-    throw std::invalid_argument("BoundRegistry: method '" + spec.name +
-                                "' has no factory");
-  if (specs_.count(spec.name))
-    throw std::invalid_argument("BoundRegistry: duplicate method '" +
-                                spec.name + "'");
-  specs_.emplace(spec.name, std::move(spec));
-}
-
-bool BoundRegistry::contains(const std::string& name) const {
-  return specs_.count(name) != 0;
-}
-
-const BoundMethodSpec& BoundRegistry::spec(const std::string& name) const {
-  const auto it = specs_.find(name);
-  if (it == specs_.end()) {
-    std::ostringstream os;
-    os << "BoundRegistry: unknown method '" << name << "' (known:";
-    for (const auto& [known, unused] : specs_) os << ' ' << known;
-    os << ')';
-    throw std::invalid_argument(os.str());
-  }
-  return it->second;
-}
-
-std::vector<std::string> BoundRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(specs_.size());
-  for (const auto& [name, unused] : specs_) out.push_back(name);
-  return out;
-}
-
 BoundOutcome BoundRegistry::make(const std::string& name,
                                  const Instance& instance,
                                  const DualAscentOptions& options) const {

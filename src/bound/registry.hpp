@@ -11,15 +11,14 @@
 #pragma once
 
 #include <functional>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "bound/certificate.hpp"
 #include "bound/dual_ascent.hpp"
 #include "instance/instance.hpp"
+#include "scenario/registry_util.hpp"
 
 namespace omflp {
 
@@ -45,24 +44,14 @@ struct BoundMethodSpec {
       make;
 };
 
-class BoundRegistry {
+class BoundRegistry : public Registry<BoundMethodSpec> {
  public:
-  /// Registers a method; throws std::invalid_argument on an empty or
-  /// duplicate name or a missing factory.
-  void add(BoundMethodSpec spec);
-
-  bool contains(const std::string& name) const;
-  /// Throws std::invalid_argument listing the known names when absent.
-  const BoundMethodSpec& spec(const std::string& name) const;
-  /// All registered names, sorted.
-  std::vector<std::string> names() const;
-  std::size_t size() const noexcept { return specs_.size(); }
+  BoundRegistry()
+      : Registry({"BoundRegistry", "method", "bound method",
+                  "bound methods"}) {}
 
   BoundOutcome make(const std::string& name, const Instance& instance,
                     const DualAscentOptions& options = {}) const;
-
- private:
-  std::map<std::string, BoundMethodSpec> specs_;
 };
 
 /// Registry with the standard roster (shared, initialized on first use,

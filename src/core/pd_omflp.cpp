@@ -47,7 +47,7 @@ void PdOmflp::reset(const ProblemContext& context) {
   num_commodities_ = cost_->num_commodities();
   num_points_ = dist_->num_points();
 
-  offering_.assign(num_commodities_, {});
+  offering_.assign(num_commodities_, NearestFacilityRow(*dist_));
   larges_.clear();
   seen_ = CommoditySet(num_commodities_);
   if (options_.excluded_from_prediction.universe_size() == 0) {
@@ -59,8 +59,6 @@ void PdOmflp::reset(const ProblemContext& context) {
     excluded_ = options_.excluded_from_prediction;
   }
   refresh_large_config();
-  near_small_.clear();
-  near_small_offset_.assign(num_commodities_, kNoTable);
   near_large_.clear();
   archive_.clear();
   by_commodity_.assign(num_commodities_, {});
@@ -104,12 +102,6 @@ void PdOmflp::refresh_large_config() {
   large_config_ -= excluded_;
 }
 
-PdOmflp::Nearest PdOmflp::nearest_offering(CommodityId e, PointId p) const {
-  const std::size_t offset = near_small_offset_[e];
-  if (offset == kNoTable) return {};
-  return near_small_[offset + p];
-}
-
 template <typename Commodities>
 PdOmflp::Nearest PdOmflp::nearest_large(PointId p,
                                         const Commodities& commodities) const {
@@ -122,24 +114,7 @@ PdOmflp::Nearest PdOmflp::nearest_large(PointId p,
         return false;
       });
   if (covering == near_large_.end()) return {};
-  return covering->nearest[p];
-}
-
-PdOmflp::Nearest* PdOmflp::small_table(CommodityId e) {
-  if (near_small_offset_[e] == kNoTable) {
-    near_small_offset_[e] = near_small_.size();
-    near_small_.resize(near_small_.size() + num_points_);
-  }
-  return near_small_.data() + near_small_offset_[e];
-}
-
-void PdOmflp::sweep_facility(Nearest* table, PointId point,
-                             FacilityId id) const {
-  OMFLP_PERF_ADD(facilities_probed, 1);
-  OMFLP_PERF_ADD(distance_lookups, num_points_);
-  const double* dist_f = dist_->row(point);  // d(point, ·) = d(·, point)
-  for (PointId p = 0; p < num_points_; ++p)
-    if (dist_f[p] < table[p].dist) table[p] = Nearest{dist_f[p], id};
+  return covering->row.nearest(p);
 }
 
 bool PdOmflp::add_large_to_tables(const LargeRecord& facility) {
@@ -148,11 +123,11 @@ bool PdOmflp::add_large_to_tables(const LargeRecord& facility) {
         !near_large_.back().config.is_subset_of(facility.config))
       return false;
     near_large_.push_back(
-        LargeTable{facility.config, std::vector<Nearest>(num_points_)});
+        LargeTable{facility.config, NearestFacilityRow(*dist_)});
   }
   // The new facility covers every configuration of the chain.
   for (LargeTable& t : near_large_)
-    sweep_facility(t.nearest.data(), facility.point, facility.id);
+    t.row.add(OpenRecord{facility.point, facility.id});
   return true;
 }
 
@@ -171,7 +146,7 @@ void PdOmflp::recompute_small_bid_row(CommodityId e,
     const PastRequest* pr = archive_.find(b.request);
     if (pr == nullptr) continue;  // departed: a tombstone
     const double v = std::min(pr->slots[b.slot].dual,
-                              nearest_offering(e, pr->location).dist);
+                              offering_[e].nearest(pr->location).dist);
     if (v <= 0.0) continue;
     OMFLP_PERF_ADD(bids_evaluated, num_points_);
     OMFLP_PERF_ADD(distance_lookups, num_points_);
@@ -251,18 +226,17 @@ void PdOmflp::integrate_facility(PointId point, const CommoditySet& config,
   // |S| = 1 a "small" facility covers all of S and belongs to F̂.
   is_large = is_large || config.is_full();
 
-  // Each bid shift reads v_old from the table before the sweep lowers
-  // it; the walk visits still-bidding slots in id order, so the
-  // shifts land on the rows in the order a walk over every archived
-  // request would apply them.
+  // Each bid shift reads v_old from the nearest-facility row before the
+  // sweep lowers it; the walk visits still-bidding slots in id order, so
+  // the shifts land on the bid rows in the order a walk over every
+  // archived request would apply them.
   config.for_each([&](CommodityId e) {
-    offering_[e].push_back(OpenRecord{point, id});
-    Nearest* table = small_table(e);
+    NearestFacilityRow& row = offering_[e];
     if (incremental && bids_.active(e)) {
       for (const Bidder& b : by_commodity_[e].entries) {
         const PastRequest* pr = archive_.find(b.request);
         if (pr == nullptr) continue;
-        const double d_old = table[pr->location].dist;
+        const double d_old = row.nearest(pr->location).dist;
         const double d_new = (*dist_)(point, pr->location);
         if (d_new >= d_old) continue;
         const double v_old = std::min(pr->slots[b.slot].dual, d_old);
@@ -271,7 +245,7 @@ void PdOmflp::integrate_facility(PointId point, const CommoditySet& config,
           shift_bid(bids_.row(e), pr->location, v_old, v_new);
       }
     }
-    sweep_facility(table, point, id);
+    row.add(OpenRecord{point, id});
   });
 
   if (!is_large) return;
@@ -327,7 +301,7 @@ void PdOmflp::archive_request(RequestId id, const Request& request,
           Bidder{id, static_cast<std::uint32_t>(slot)});
     if (incremental) {
       const double v =
-          std::min(duals[slot], nearest_offering(e, pr.location).dist);
+          std::min(duals[slot], offering_[e].nearest(pr.location).dist);
       if (v > 0.0) accumulate_bid(bids_.activate(e), pr.location, v);
     }
   }
@@ -368,7 +342,7 @@ void PdOmflp::depart(RequestId id, const Request& request,
       options_.bid_mode == PdOptions::BidMode::kIncremental;
 
   // Withdraw the currently-posted clipped contribution of every slot:
-  // min{a_je, d(F(e), j)} with the table's nearest distance is exactly
+  // min{a_je, d(F(e), j)} read from offering_[e] is exactly
   // what archive_request posted and integrate_facility has been
   // shifting, so shifting it to zero removes the request from the row.
   double withdrawn = 0.0;     // bid mass leaving the rows
@@ -376,7 +350,7 @@ void PdOmflp::depart(RequestId id, const Request& request,
   for (const PastSlot& slot : pr.slots) {
     const CommodityId e = slot.commodity;
     const double v =
-        std::min(slot.dual, nearest_offering(e, pr.location).dist);
+        std::min(slot.dual, offering_[e].nearest(pr.location).dist);
     if (v > 0.0) withdrawn += v;
     if (incremental && v > 0.0 && bids_.active(e))
       shift_bid(bids_.row(e), pr.location, v, 0.0);
@@ -428,24 +402,18 @@ std::optional<std::string> PdOmflp::audit_state(double tolerance) const {
     return same_bits(a.dist, b.dist) && a.id == b.id;
   };
 
-  // 1. Every nearest-facility table entry vs a fresh scan, which keeps
+  // 1. Every nearest-facility row entry vs a fresh scan, which keeps
   //    the first facility (lowest id) among equidistant ones.
   for (CommodityId e = 0; e < num_commodities_; ++e) {
-    if ((near_small_offset_[e] == kNoTable) != offering_[e].empty()) {
-      os << "nearest table for e=" << e << " is "
-         << (offering_[e].empty() ? "active without" : "inactive with")
-         << " an open facility offering it";
-      return os.str();
-    }
-    for (PointId p = 0; p < num_points_ && !offering_[e].empty(); ++p) {
+    for (PointId p = 0; p < num_points_; ++p) {
       Nearest fresh;
-      for (const OpenRecord& f : offering_[e]) {
+      for (const OpenRecord& f : offering_[e].facilities()) {
         const double d = (*dist_)(p, f.point);
         if (d < fresh.dist) fresh = Nearest{d, f.id};
       }
-      const Nearest kept = nearest_offering(e, p);
+      const Nearest kept = offering_[e].nearest(p);
       if (!same_entry(kept, fresh)) {
-        os << "stale nearest table for e=" << e << " at p=" << p
+        os << "stale nearest row for e=" << e << " at p=" << p
            << ": facility " << kept.id << " at " << kept.dist
            << " vs fresh facility " << fresh.id << " at " << fresh.dist;
         return os.str();
@@ -467,7 +435,7 @@ std::optional<std::string> PdOmflp::audit_state(double tolerance) const {
         const double d = (*dist_)(p, lf.point);
         if (d < fresh.dist) fresh = Nearest{d, lf.id};
       }
-      if (!same_entry(near_large_[t].nearest[p], fresh)) {
+      if (!same_entry(near_large_[t].row.nearest(p), fresh)) {
         os << "stale large table " << t << " at p=" << p;
         return os.str();
       }
@@ -660,7 +628,7 @@ void PdOmflp::serve(const Request& request, SolutionLedger& ledger) {
   dist1.resize(k);
   fac1.resize(k);
   for (std::size_t slot = 0; slot < k; ++slot) {
-    const Nearest nearest = nearest_offering(commodities[slot], loc);
+    const Nearest nearest = offering_[commodities[slot]].nearest(loc);
     dist1[slot] = nearest.dist;
     fac1[slot] = nearest.id;
   }
@@ -938,7 +906,7 @@ void PdOmflp::serve(const Request& request, SolutionLedger& ledger) {
       const PastRequest* pr = archive_.find(b.request);
       if (pr == nullptr) continue;
       const double v = std::min(pr->slots[b.slot].dual,
-                                nearest_offering(e, pr->location).dist);
+                                offering_[e].nearest(pr->location).dist);
       if (v <= 0.0) continue;
       const double amount = positive_part(v - dist_m[pr->location]);
       if (amount > 0.0)
@@ -1041,11 +1009,7 @@ void PdOmflp::serialize_state(CkptWriter& writer) const {
       .tok(large_config_tag(options_.large_config))
       .tok(deletion_tag(options_.deletion_policy))
       .set(excluded_);
-  writer.line("offering-index").u(offering_.size());
-  for (const auto& row : offering_) {
-    writer.line("offering").u(row.size());
-    for (const OpenRecord& f : row) writer.u(f.point).u(f.id);
-  }
+  serialize_offering_index(writer, offering_);
   writer.line("larges").u(larges_.size());
   for (const LargeRecord& f : larges_)
     writer.line("large").u(f.point).u(f.id).set(f.config);
@@ -1064,7 +1028,7 @@ void PdOmflp::serialize_state(CkptWriter& writer) const {
     for (const PastSlot& slot : pr.slots) writer.d(slot.dual);
     writer.line("past-small-dist");
     for (const PastSlot& slot : pr.slots)
-      writer.d(nearest_offering(slot.commodity, pr.location).dist);
+      writer.d(offering_[slot.commodity].nearest(pr.location).dist);
   });
   // Incremental bid rows, bitwise, in canonical (row id) order — slot
   // order inside the arena is an activation-history artifact that never
@@ -1099,24 +1063,9 @@ void PdOmflp::restore_state(CkptReader& reader, RequestId num_requests) {
     reader.fail("checkpoint was written by a different PD-OMFLP variant");
   if (!(reader.set() == excluded_))
     reader.fail("checkpoint excluded-commodity set mismatch");
-  reader.expect("offering-index");
-  if (reader.u() != offering_.size())
-    reader.fail("offering index universe mismatch");
-  // The nearest-facility tables are rebuilt by replaying every opening
-  // in its original order, so they match the live tables bitwise.
-  for (CommodityId e = 0; e < num_commodities_; ++e) {
-    std::vector<OpenRecord>& row = offering_[e];
-    reader.expect("offering");
-    const std::uint64_t n = reader.u();
-    row.reserve(capped_reserve(n));
-    for (std::uint64_t i = 0; i < n; ++i) {
-      OpenRecord f;
-      f.point = reader.point(num_points_);
-      f.id = static_cast<FacilityId>(reader.u());
-      row.push_back(f);
-      sweep_facility(small_table(e), f.point, f.id);
-    }
-  }
+  // The nearest-facility rows are rebuilt by replaying every opening in
+  // its original order, so they match the live rows bitwise.
+  restore_offering_index(reader, offering_);
   reader.expect("larges");
   const std::uint64_t num_larges = reader.u();
   larges_.reserve(capped_reserve(num_larges));
@@ -1169,11 +1118,11 @@ void PdOmflp::restore_state(CkptReader& reader, RequestId num_requests) {
     reader.expect("past-duals");
     for (PastSlot& slot : pr.slots) slot.dual = reader.d();
     // The archived distances are derived state: they must equal the
-    // rebuilt tables bit for bit, or the checkpoint is inconsistent.
+    // rebuilt rows bit for bit, or the checkpoint is inconsistent.
     reader.expect("past-small-dist");
     for (const PastSlot& slot : pr.slots)
       if (!same_bits(reader.d(),
-                     nearest_offering(slot.commodity, pr.location).dist))
+                     offering_[slot.commodity].nearest(pr.location).dist))
         reader.fail("past-small-dist disagrees with the nearest-facility "
                     "tables");
     if (!same_bits(large_dist,

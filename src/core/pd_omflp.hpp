@@ -41,10 +41,11 @@
 // kernels (kernel/kernels.hpp), touching only the points within reach of
 // a bid; reference mode always sweeps full rows.
 //
-// The distances d(F(e), r) and d(F̂, r) come from nearest-facility tables:
-// facilities never close, so each nearest distance only falls, and one
-// |M|-row sweep per opening keeps a per-point table exact. Arrivals read
-// them in O(1), and openings walk only the requests still bidding.
+// The distances d(F(e), r) and d(F̂, r) come from nearest-facility rows
+// (core/nearest_facility.hpp): one per commodity and one per large
+// configuration, each kept exact by one |M|-row sweep per opening.
+// Arrivals read them in O(1), and openings walk only the requests still
+// bidding.
 //
 // Options beyond the paper (all default to the paper's behaviour):
 //   * prediction = kOff disables large facilities entirely (constraints
@@ -69,6 +70,7 @@
 #include <string>
 #include <vector>
 
+#include "core/nearest_facility.hpp"
 #include "core/online_algorithm.hpp"
 #include "instance/checkpoint_io.hpp"
 #include "kernel/bid_plane.hpp"
@@ -134,13 +136,13 @@ class PdOmflp final : public OnlineAlgorithm {
               SolutionLedger& ledger) override;
 
   /// Checkpoint: the facility indexes, every archived request's id,
-  /// frozen duals and nearest-facility distances (read from the tables),
+  /// frozen duals and nearest-facility distances (read from the rows),
   /// the incremental bid rows (bitwise — recomputing them on restore would
   /// only agree to audit tolerance, not bit-for-bit) and an options guard.
   /// Caches the cost model determines (cost rows, the large cost row) are
-  /// rebuilt lazily. The nearest-facility tables and the still-bidding
+  /// rebuilt lazily. The nearest-facility rows and the still-bidding
   /// lists are rebuilt from the facility indexes and the archive; restore
-  /// rejects archived distances that disagree with the rebuilt tables and
+  /// rejects archived distances that disagree with the rebuilt rows and
   /// large configurations that are not nested. Version 1 and 2 files
   /// archived every arrival, departed ones included, plus a second copy
   /// of the duals (`dual-records`): restore drops the departed entries and
@@ -154,7 +156,7 @@ class PdOmflp final : public OnlineAlgorithm {
   double total_dual() const noexcept { return total_dual_; }
 
   /// Deep self-check of the algorithm's internal state (test hook): every
-  /// nearest-facility table entry (distance and facility id) against a
+  /// nearest-facility row entry (distance and facility id) against a
   /// fresh scan, the large-configuration chain, the still-bidding lists
   /// against the archive, the incremental bid sums against from-scratch
   /// recomputation, and the invariants "Σ_j bids ≤ f^{{e}}_m"
@@ -189,8 +191,10 @@ class PdOmflp final : public OnlineAlgorithm {
   std::size_t num_points_ = 0;
 
   // ---- facility state -----------------------------------------------------
-  /// offering_[e]: all permanent facilities whose config contains e.
-  std::vector<std::vector<OpenRecord>> offering_;
+  using Nearest = NearestFacilityRow::Nearest;
+  /// offering_[e]: all permanent facilities whose config contains e, and
+  /// per point the nearest of them.
+  std::vector<NearestFacilityRow> offering_;
   struct LargeRecord {
     PointId point = 0;
     FacilityId id = kInvalidFacility;
@@ -205,31 +209,16 @@ class PdOmflp final : public OnlineAlgorithm {
   /// or the seen union, minus the excluded commodities.
   CommoditySet large_config_;
 
-  // ---- nearest-facility tables ---------------------------------------------
-  /// Facilities never close, so every nearest distance only falls: each
-  /// table is updated with one |M|-row sweep when a facility opens and is
-  /// exact at every point. A strict `<` keeps the lowest id on ties, as
-  /// facilities open in id order.
-  struct Nearest {
-    double dist = kInfiniteDistance;
-    FacilityId id = kInvalidFacility;
-  };
-  /// Row e holds, per point p, the nearest permanent facility offering e.
-  /// Rows are activated by the first facility offering e, so the arena
-  /// stays proportional to the commodities ever offered.
-  std::vector<Nearest> near_small_;
-  /// Offset of row e in near_small_, kNoTable while inactive.
-  std::vector<std::size_t> near_small_offset_;
-  static constexpr std::size_t kNoTable = ~std::size_t{0};
+  // ---- large-facility chain ------------------------------------------------
   /// Large configurations are nested in opening order (seen_ only grows,
   /// excluded_ is fixed, a full-S facility sits at the top), so the
   /// tables form a chain of strictly growing configurations: at most
-  /// |S|+1 of them, exactly one under kFullS. Table t holds the nearest
-  /// large facility whose config contains t.config; a demand D reads the
-  /// table of the smallest configuration that covers it.
+  /// |S|+1 of them, exactly one under kFullS. Table t's row holds the
+  /// large facilities whose config contains t.config; a demand D reads
+  /// the table of the smallest configuration that covers it.
   struct LargeTable {
     CommoditySet config;
-    std::vector<Nearest> nearest;
+    NearestFacilityRow row;
   };
   std::vector<LargeTable> near_large_;
 
@@ -332,16 +321,10 @@ class PdOmflp final : public OnlineAlgorithm {
   }
   /// Refreshes large_config_ from seen_ and excluded_.
   void refresh_large_config();
-  /// The nearest facility offering e to point p (a table lookup).
-  Nearest nearest_offering(CommodityId e, PointId p) const;
   /// The nearest large facility to p covering `commodities` (a range of
   /// CommodityId) minus the excluded ones (a table lookup).
   template <typename Commodities>
   Nearest nearest_large(PointId p, const Commodities& commodities) const;
-  /// Row e of near_small_, activated (all +inf) on first use.
-  Nearest* small_table(CommodityId e);
-  /// Sweeps the facility at `point` into one nearest-facility row.
-  void sweep_facility(Nearest* table, PointId point, FacilityId id) const;
   /// Appends a large facility to the table chain (new table when its
   /// config grows the chain). Returns false when the config does not
   /// contain the largest configuration so far.
@@ -376,9 +359,8 @@ class PdOmflp final : public OnlineAlgorithm {
   const double* large_cost_row(const CommoditySet& config);
 
   /// Registers a newly permanent facility at `point` offering `config`
-  /// with the facility indexes and the nearest-facility tables and
-  /// (kIncremental) adjusts bid sums of still-bidding requests whose
-  /// nearest-facility distances improved.
+  /// with the nearest-facility rows and (kIncremental) adjusts bid sums
+  /// of still-bidding requests whose nearest-facility distances improved.
   void integrate_facility(PointId point, const CommoditySet& config,
                           FacilityId id, bool is_large);
 

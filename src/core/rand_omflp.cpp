@@ -44,11 +44,10 @@ void RandOmflp::reset(const ProblemContext& context) {
   metric_ = context.metric;
   dist_ = shared_distances(metric_);
   num_commodities_ = cost_->num_commodities();
-  num_points_ = dist_->num_points();
   rng_ = Rng(options_.seed);
 
-  offering_.assign(num_commodities_, {});
-  larges_.clear();
+  offering_.assign(num_commodities_, NearestFacilityRow(*dist_));
+  larges_ = NearestFacilityRow(*dist_);
   class_index_.clear();
   class_index_.resize(static_cast<std::size_t>(num_commodities_) + 1);
   accounting_.clear();
@@ -70,46 +69,11 @@ const CostClassIndex& RandOmflp::full_classes() {
   return *slot;
 }
 
-std::pair<double, FacilityId> RandOmflp::nearest_offering(CommodityId e,
-                                                          PointId p) const {
-  OMFLP_PERF_ADD(facilities_probed, offering_[e].size());
-  double best = kInfiniteDistance;
-  FacilityId best_id = kInvalidFacility;
-  if (offering_[e].empty()) return {best, best_id};
-  OMFLP_PERF_ADD(distance_lookups, offering_[e].size());
-  const double* dist_p = dist_->row(p);
-  for (const OpenRecord& f : offering_[e]) {
-    const double d = dist_p[f.point];
-    if (d < best) {
-      best = d;
-      best_id = f.id;
-    }
-  }
-  return {best, best_id};
-}
-
-std::pair<double, FacilityId> RandOmflp::nearest_large(PointId p) const {
-  OMFLP_PERF_ADD(facilities_probed, larges_.size());
-  double best = kInfiniteDistance;
-  FacilityId best_id = kInvalidFacility;
-  if (larges_.empty()) return {best, best_id};
-  OMFLP_PERF_ADD(distance_lookups, larges_.size());
-  const double* dist_p = dist_->row(p);
-  for (const OpenRecord& f : larges_) {
-    const double d = dist_p[f.point];
-    if (d < best) {
-      best = d;
-      best_id = f.id;
-    }
-  }
-  return {best, best_id};
-}
-
 FacilityId RandOmflp::open_small(PointId m, CommodityId e,
                                  SolutionLedger& ledger, double coin_p) {
   const FacilityId id =
       ledger.open_facility(m, CommoditySet::singleton(num_commodities_, e));
-  offering_[e].push_back(OpenRecord{m, id});
+  offering_[e].add(OpenRecord{m, id});
   emit_rand_open(ledger, id, e, coin_p);
   return id;
 }
@@ -118,9 +82,8 @@ FacilityId RandOmflp::open_large(PointId m, SolutionLedger& ledger,
                                  double coin_p) {
   const FacilityId id =
       ledger.open_facility(m, CommoditySet::full_set(num_commodities_));
-  larges_.push_back(OpenRecord{m, id});
-  for (CommodityId e = 0; e < num_commodities_; ++e)
-    offering_[e].push_back(OpenRecord{m, id});
+  larges_.add(OpenRecord{m, id});
+  for (NearestFacilityRow& row : offering_) row.add(OpenRecord{m, id});
   emit_rand_open(ledger, id, kInvalidCommodity, coin_p);
   return id;
 }
@@ -140,12 +103,12 @@ void RandOmflp::serve(const Request& request, SolutionLedger& ledger) {
   double x_total = 0.0;
   for (std::size_t slot = 0; slot < commodities.size(); ++slot) {
     const CommodityId e = commodities[slot];
-    const double connect = nearest_offering(e, loc).first;
+    const double connect = offering_[e].nearest(loc).dist;
     small_open[slot] = singleton_classes(e).best_open_option(loc);
     x_of[slot] = std::min(connect, small_open[slot].cost);
     x_total += x_of[slot];
   }
-  const double z_connect = nearest_large(loc).first;
+  const double z_connect = larges_.nearest(loc).dist;
   // With a single commodity the "large" side duplicates the small side
   // (S = {e}); skip it so the algorithm degenerates to Meyerson's OFL.
   const bool use_large_side = num_commodities_ > 1;
@@ -230,12 +193,12 @@ void RandOmflp::serve(const Request& request, SolutionLedger& ledger) {
   double sum_small = 0.0;
   std::vector<FacilityId> small_serving(commodities.size());
   for (std::size_t slot = 0; slot < commodities.size(); ++slot) {
-    const auto [d, id] = nearest_offering(commodities[slot], loc);
+    const auto [d, id] = offering_[commodities[slot]].nearest(loc);
     OMFLP_CHECK(id != kInvalidFacility, "RandOmflp: coverage hole");
     sum_small += d;
     small_serving[slot] = id;
   }
-  const auto [d_large, large_id] = nearest_large(loc);
+  const auto [d_large, large_id] = larges_.nearest(loc);
   if (large_id != kInvalidFacility && d_large < sum_small) {
     for (const CommodityId e : commodities) ledger.assign(e, large_id);
   } else {
@@ -254,10 +217,8 @@ void RandOmflp::serve(const Request& request, SolutionLedger& ledger) {
 
 void RandOmflp::serialize_state(CkptWriter& writer) const {
   serialize_rng(writer, rng_);
-  writer.line("offering-index").u(offering_.size());
-  for (const auto& row : offering_)
-    serialize_open_records(writer, "offering", row);
-  serialize_open_records(writer, "larges", larges_);
+  serialize_offering_index(writer, offering_);
+  larges_.serialize(writer, "larges");
   writer.line("accounting").u(accounting_.size());
   for (const RandAccounting& a : accounting_) {
     writer.line("acct")
@@ -274,12 +235,8 @@ void RandOmflp::serialize_state(CkptWriter& writer) const {
 
 void RandOmflp::restore_state(CkptReader& reader, RequestId) {
   restore_rng(reader, rng_);
-  reader.expect("offering-index");
-  if (reader.u() != offering_.size())
-    reader.fail("offering index universe mismatch");
-  for (auto& row : offering_)
-    row = restore_open_records(reader, "offering", num_points_);
-  larges_ = restore_open_records(reader, "larges", num_points_);
+  restore_offering_index(reader, offering_);
+  larges_.restore(reader, "larges");
   reader.expect("accounting");
   const std::uint64_t num_acct = reader.u();
   accounting_.reserve(capped_reserve(num_acct));

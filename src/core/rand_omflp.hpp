@@ -34,12 +34,17 @@
 // Finally r connects to whichever is cheaper *after* the builds: the
 // per-commodity nearest facilities (Σ_e d(F(e),r), shared facilities
 // deduplicated by the ledger) or the single nearest large facility.
+//
+// d(F(e), r) and d(F̂, r) are reads of nearest-facility rows
+// (core/nearest_facility.hpp), one per commodity plus one for the large
+// facilities, each swept once per opening.
 #pragma once
 
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "core/nearest_facility.hpp"
 #include "core/online_algorithm.hpp"
 #include "cost/cost_classes.hpp"
 #include "instance/checkpoint_io.hpp"
@@ -96,12 +101,11 @@ class RandOmflp final : public OnlineAlgorithm {
   Rng rng_;
   CostModelPtr cost_;
   MetricPtr metric_;
-  std::shared_ptr<const DistanceOracle> dist_;
+  std::shared_ptr<const DistanceOracle> dist_;  // the rows' distances
   CommodityId num_commodities_ = 0;
-  std::size_t num_points_ = 0;
 
-  std::vector<std::vector<OpenRecord>> offering_;  // per commodity
-  std::vector<OpenRecord> larges_;
+  std::vector<NearestFacilityRow> offering_;  // per commodity
+  NearestFacilityRow larges_;
 
   /// Lazily-built class indexes: index 0..|S|-1 for singletons, the last
   /// slot for the full configuration S.
@@ -110,10 +114,6 @@ class RandOmflp final : public OnlineAlgorithm {
   const CostClassIndex& full_classes();
 
   std::vector<RandAccounting> accounting_;
-
-  std::pair<double, FacilityId> nearest_offering(CommodityId e,
-                                                 PointId p) const;
-  std::pair<double, FacilityId> nearest_large(PointId p) const;
 
   /// `coin_p` is the Bernoulli probability that opened the facility (1.0
   /// on the deterministic completion path); it lands in the trace event's

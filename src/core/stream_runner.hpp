@@ -18,7 +18,8 @@
 // active when the batch began plus the batch's arrivals are resident.
 // peak_resident_records in the stats is the measured high-water mark.
 // (The algorithm's own state is outside the runner's control:
-// greedy/RAND hold only facilities, PD archives every arrival's duals.)
+// greedy/RAND hold their facilities and nearest-facility rows, PD also
+// archives the duals of the requests still active.)
 // With `verify` set, a StreamVerifier shadows the run and checks every
 // record before it can be released.
 //

@@ -8,7 +8,7 @@
 //   cost/      construction cost models f^σ_m + Condition-1 machinery
 //   instance/  requests, instances, generators, (de)serialization
 //   solution/  the irrevocable solution ledger + independent verifier
-//   core/      PD-OMFLP (Algorithm 1) and RAND-OMFLP (Algorithm 2)
+//   core/      PD-OMFLP, RAND-OMFLP and their shared nearest-facility rows
 //   baseline/  Fotakis / Meyerson OFL, per-commodity product, greedy
 //   offline/   exact & local-search OPT solvers
 //   analysis/  bound curves, c-ordered covering, dual feasibility, ratios
@@ -24,6 +24,7 @@
 #include "baseline/greedy.hpp"
 #include "baseline/meyerson_ofl.hpp"
 #include "baseline/per_commodity.hpp"
+#include "core/nearest_facility.hpp"
 #include "core/online_algorithm.hpp"
 #include "core/pd_omflp.hpp"
 #include "core/rand_omflp.hpp"

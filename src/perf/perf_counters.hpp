@@ -37,7 +37,9 @@ struct PerfCounters {
   std::uint64_t distance_lookups = 0;   // DistanceOracle calls, both paths
   std::uint64_t bids_evaluated = 0;     // per-point bid-sum evaluations
   std::uint64_t bids_updated = 0;       // per-point incremental bid writes
-  std::uint64_t facilities_probed = 0;  // facility records scanned
+  /// Facilities swept into a nearest-facility row (one per row per
+  /// opening), or scanned one by one (Fotakis).
+  std::uint64_t facilities_probed = 0;
   std::uint64_t coin_flips = 0;         // Bernoulli draws (RAND/Meyerson)
   std::uint64_t verifier_checks = 0;    // verifier records re-derived
   std::uint64_t requests_served = 0;    // serve() calls through run_online

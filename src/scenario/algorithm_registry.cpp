@@ -1,45 +1,11 @@
 #include "scenario/algorithm_registry.hpp"
 
-#include <stdexcept>
-
 #include "baseline/greedy.hpp"
 #include "baseline/per_commodity.hpp"
 #include "core/pd_omflp.hpp"
 #include "core/rand_omflp.hpp"
-#include "scenario/registry_util.hpp"
 
 namespace omflp {
-
-void AlgorithmRegistry::add(AlgorithmSpec spec) {
-  if (spec.name.empty())
-    throw std::invalid_argument("AlgorithmRegistry: empty algorithm name");
-  if (!spec.make)
-    throw std::invalid_argument("AlgorithmRegistry: algorithm '" +
-                                spec.name + "' has no factory");
-  if (!specs_.emplace(spec.name, std::move(spec)).second)
-    throw std::invalid_argument("AlgorithmRegistry: duplicate algorithm '" +
-                                spec.name + "'");
-}
-
-bool AlgorithmRegistry::contains(const std::string& name) const {
-  return specs_.count(name) != 0;
-}
-
-const AlgorithmSpec& AlgorithmRegistry::spec(const std::string& name) const {
-  const auto it = specs_.find(name);
-  if (it == specs_.end())
-    throw std::invalid_argument("unknown algorithm '" + name +
-                                "'; known algorithms: " +
-                                join_names(names()));
-  return it->second;
-}
-
-std::vector<std::string> AlgorithmRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(specs_.size());
-  for (const auto& [name, _] : specs_) out.push_back(name);
-  return out;
-}
 
 std::unique_ptr<OnlineAlgorithm> AlgorithmRegistry::make(
     const std::string& name, std::uint64_t seed) const {

@@ -12,12 +12,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "core/online_algorithm.hpp"
+#include "scenario/registry_util.hpp"
 
 namespace omflp {
 
@@ -29,24 +28,14 @@ struct AlgorithmSpec {
   std::function<std::unique_ptr<OnlineAlgorithm>(std::uint64_t seed)> make;
 };
 
-class AlgorithmRegistry {
+class AlgorithmRegistry : public Registry<AlgorithmSpec> {
  public:
-  /// Registers an algorithm; throws std::invalid_argument on an empty or
-  /// duplicate name or a missing factory.
-  void add(AlgorithmSpec spec);
-
-  bool contains(const std::string& name) const;
-  /// Throws std::invalid_argument listing the known names when absent.
-  const AlgorithmSpec& spec(const std::string& name) const;
-  /// All registered names, sorted.
-  std::vector<std::string> names() const;
-  std::size_t size() const noexcept { return specs_.size(); }
+  AlgorithmRegistry()
+      : Registry({"AlgorithmRegistry", "algorithm", "algorithm",
+                  "algorithms"}) {}
 
   std::unique_ptr<OnlineAlgorithm> make(const std::string& name,
                                         std::uint64_t seed = 1) const;
-
- private:
-  std::map<std::string, AlgorithmSpec> specs_;
 };
 
 /// The registry with the standard roster registered (shared, initialized

@@ -1,9 +1,13 @@
-// Small helpers shared by the scenario and algorithm registries.
+// The core every registry shares (scenarios, stream scenarios, workload
+// mixes, algorithms, bound methods) plus small naming helpers.
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace omflp {
@@ -17,6 +21,66 @@ inline std::string join_names(const std::vector<std::string>& names) {
   }
   return os.str();
 }
+
+/// The words a registry's errors use for itself and its entries.
+struct RegistryNouns {
+  std::string owner;   // prefixes add()'s errors: "StreamScenarioRegistry"
+  std::string entry;   // add()'s noun: "scenario"
+  std::string lookup;  // spec()'s noun: "stream scenario"
+  std::string plural;  // spec()'s list noun: "stream scenarios"
+};
+
+/// A name-keyed roster of specs: the map and the lookups every registry
+/// shares. Spec has a `name`; when it also has a `make` factory, add()
+/// refuses a spec without one. Registries derive from it and add their
+/// own make() and any extra add-time checks.
+template <typename Spec>
+class Registry {
+ public:
+  explicit Registry(RegistryNouns nouns) : nouns_(std::move(nouns)) {}
+
+  /// Registers a spec; throws std::invalid_argument on an empty or
+  /// duplicate name or a missing factory.
+  void add(Spec spec) {
+    if (spec.name.empty())
+      throw std::invalid_argument(nouns_.owner + ": empty " + nouns_.entry +
+                                  " name");
+    if constexpr (requires(const Spec& s) { static_cast<bool>(s.make); }) {
+      if (!spec.make)
+        throw std::invalid_argument(nouns_.owner + ": " + nouns_.entry +
+                                    " '" + spec.name + "' has no factory");
+    }
+    std::string name = spec.name;
+    if (!specs_.emplace(name, std::move(spec)).second)
+      throw std::invalid_argument(nouns_.owner + ": duplicate " +
+                                  nouns_.entry + " '" + name + "'");
+  }
+
+  bool contains(const std::string& name) const {
+    return specs_.count(name) != 0;
+  }
+  /// Throws std::invalid_argument listing the known names when absent.
+  const Spec& spec(const std::string& name) const {
+    const auto it = specs_.find(name);
+    if (it == specs_.end())
+      throw std::invalid_argument("unknown " + nouns_.lookup + " '" + name +
+                                  "'; known " + nouns_.plural + ": " +
+                                  join_names(names()));
+    return it->second;
+  }
+  /// All registered names, sorted.
+  std::vector<std::string> names() const {
+    std::vector<std::string> out;
+    out.reserve(specs_.size());
+    for (const auto& [name, _] : specs_) out.push_back(name);
+    return out;
+  }
+  std::size_t size() const noexcept { return specs_.size(); }
+
+ private:
+  RegistryNouns nouns_;
+  std::map<std::string, Spec> specs_;
+};
 
 /// Decorrelate an algorithm's coin stream from the workload seed.
 ///

@@ -51,36 +51,6 @@ CommodityId ScenarioParams::commodity_at(const std::string& name) const {
 
 // ----------------------------------------------------- ScenarioRegistry ---
 
-void ScenarioRegistry::add(ScenarioSpec spec) {
-  if (spec.name.empty())
-    throw std::invalid_argument("ScenarioRegistry: empty scenario name");
-  if (!spec.make)
-    throw std::invalid_argument("ScenarioRegistry: scenario '" + spec.name +
-                                "' has no factory");
-  if (!specs_.emplace(spec.name, std::move(spec)).second)
-    throw std::invalid_argument("ScenarioRegistry: duplicate scenario '" +
-                                spec.name + "'");
-}
-
-bool ScenarioRegistry::contains(const std::string& name) const {
-  return specs_.count(name) != 0;
-}
-
-const ScenarioSpec& ScenarioRegistry::spec(const std::string& name) const {
-  const auto it = specs_.find(name);
-  if (it == specs_.end())
-    throw std::invalid_argument("unknown scenario '" + name +
-                                "'; known scenarios: " + join_names(names()));
-  return it->second;
-}
-
-std::vector<std::string> ScenarioRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(specs_.size());
-  for (const auto& [name, _] : specs_) out.push_back(name);
-  return out;  // std::map iterates sorted
-}
-
 ScenarioParams resolve_scenario_params(
     const std::string& scenario_name,
     const std::vector<ScenarioParam>& declared,

@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "instance/instance.hpp"
+#include "scenario/registry_util.hpp"
 
 namespace omflp {
 
@@ -88,18 +89,10 @@ struct ScenarioSpec {
   std::function<Instance(const ScenarioParams&, std::uint64_t seed)> make;
 };
 
-class ScenarioRegistry {
+class ScenarioRegistry : public Registry<ScenarioSpec> {
  public:
-  /// Registers a scenario; throws std::invalid_argument on an empty or
-  /// duplicate name or a missing factory.
-  void add(ScenarioSpec spec);
-
-  bool contains(const std::string& name) const;
-  /// Throws std::invalid_argument listing the known names when absent.
-  const ScenarioSpec& spec(const std::string& name) const;
-  /// All registered names, sorted.
-  std::vector<std::string> names() const;
-  std::size_t size() const noexcept { return specs_.size(); }
+  ScenarioRegistry()
+      : Registry({"ScenarioRegistry", "scenario", "scenario", "scenarios"}) {}
 
   /// Instantiate a scenario: merge `overrides` into the declared defaults
   /// (throwing on an override the scenario does not declare) and invoke
@@ -113,9 +106,6 @@ class ScenarioRegistry {
   /// a sweep of heterogeneous scenarios.
   Instance make_lenient(const std::string& name, std::uint64_t seed,
                         const std::map<std::string, double>& overrides) const;
-
- private:
-  std::map<std::string, ScenarioSpec> specs_;
 };
 
 /// The registry with every built-in scenario registered (shared,

@@ -17,39 +17,6 @@
 
 namespace omflp {
 
-void StreamScenarioRegistry::add(StreamScenarioSpec spec) {
-  if (spec.name.empty())
-    throw std::invalid_argument(
-        "StreamScenarioRegistry: empty scenario name");
-  if (!spec.make)
-    throw std::invalid_argument("StreamScenarioRegistry: scenario '" +
-                                spec.name + "' has no factory");
-  if (!specs_.emplace(spec.name, std::move(spec)).second)
-    throw std::invalid_argument(
-        "StreamScenarioRegistry: duplicate scenario '" + spec.name + "'");
-}
-
-bool StreamScenarioRegistry::contains(const std::string& name) const {
-  return specs_.count(name) != 0;
-}
-
-const StreamScenarioSpec& StreamScenarioRegistry::spec(
-    const std::string& name) const {
-  const auto it = specs_.find(name);
-  if (it == specs_.end())
-    throw std::invalid_argument("unknown stream scenario '" + name +
-                                "'; known stream scenarios: " +
-                                join_names(names()));
-  return it->second;
-}
-
-std::vector<std::string> StreamScenarioRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(specs_.size());
-  for (const auto& [name, _] : specs_) out.push_back(name);
-  return out;  // std::map iterates sorted
-}
-
 EventStream StreamScenarioRegistry::make(
     const std::string& name, std::uint64_t seed,
     const std::map<std::string, double>& overrides) const {
@@ -460,29 +427,7 @@ void WorkloadMixRegistry::add(WorkloadMixSpec spec) {
             profile.scenario + "' does not declare override '" + key +
             "'");
   }
-  if (!specs_.emplace(spec.name, std::move(spec)).second)
-    throw std::invalid_argument("WorkloadMixRegistry: duplicate mix '" +
-                                spec.name + "'");
-}
-
-bool WorkloadMixRegistry::contains(const std::string& name) const {
-  return specs_.count(name) != 0;
-}
-
-const WorkloadMixSpec& WorkloadMixRegistry::spec(
-    const std::string& name) const {
-  const auto it = specs_.find(name);
-  if (it == specs_.end())
-    throw std::invalid_argument("unknown workload mix '" + name +
-                                "'; known mixes: " + join_names(names()));
-  return it->second;
-}
-
-std::vector<std::string> WorkloadMixRegistry::names() const {
-  std::vector<std::string> out;
-  out.reserve(specs_.size());
-  for (const auto& [name, _] : specs_) out.push_back(name);
-  return out;  // std::map iterates sorted
+  Registry::add(std::move(spec));
 }
 
 std::vector<TenantSpec> WorkloadMixRegistry::tenants(

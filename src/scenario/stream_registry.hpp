@@ -57,27 +57,17 @@ struct StreamScenarioSpec {
       make;
 };
 
-class StreamScenarioRegistry {
+class StreamScenarioRegistry : public Registry<StreamScenarioSpec> {
  public:
-  /// Registers a scenario; throws std::invalid_argument on an empty or
-  /// duplicate name or a missing factory.
-  void add(StreamScenarioSpec spec);
-
-  bool contains(const std::string& name) const;
-  /// Throws std::invalid_argument listing the known names when absent.
-  const StreamScenarioSpec& spec(const std::string& name) const;
-  /// All registered names, sorted.
-  std::vector<std::string> names() const;
-  std::size_t size() const noexcept { return specs_.size(); }
+  StreamScenarioRegistry()
+      : Registry({"StreamScenarioRegistry", "scenario", "stream scenario",
+                  "stream scenarios"}) {}
 
   /// Instantiate: merge `overrides` into the declared defaults (throwing
   /// on an undeclared override) and invoke the factory. Deterministic in
   /// (name, overrides, seed); the returned stream is validated.
   EventStream make(const std::string& name, std::uint64_t seed,
                    const std::map<std::string, double>& overrides = {}) const;
-
- private:
-  std::map<std::string, StreamScenarioSpec> specs_;
 };
 
 /// The registry with every built-in dynamic workload registered (shared,
@@ -121,19 +111,15 @@ struct WorkloadMixSpec {
 
 /// Named recipes for heterogeneous multi-tenant workloads, the
 /// `omflp serve --mix` catalog.
-class WorkloadMixRegistry {
+class WorkloadMixRegistry : public Registry<WorkloadMixSpec> {
  public:
+  WorkloadMixRegistry()
+      : Registry({"WorkloadMixRegistry", "mix", "workload mix", "mixes"}) {}
+
   /// Registers a mix; throws std::invalid_argument on an empty or
   /// duplicate name, an empty or non-positive-weight profile list, or an
   /// unknown scenario name in a profile.
   void add(WorkloadMixSpec spec);
-
-  bool contains(const std::string& name) const;
-  /// Throws std::invalid_argument listing the known names when absent.
-  const WorkloadMixSpec& spec(const std::string& name) const;
-  /// All registered names, sorted.
-  std::vector<std::string> names() const;
-  std::size_t size() const noexcept { return specs_.size(); }
 
   /// Expand a mix into `count` concrete tenants: profile drawn by weight,
   /// volume Zipf-decayed by tenant rank (then scaled by `size_scale` —
@@ -144,9 +130,6 @@ class WorkloadMixRegistry {
   std::vector<TenantSpec> tenants(const std::string& name, std::size_t count,
                                   std::uint64_t seed,
                                   double size_scale = 1.0) const;
-
- private:
-  std::map<std::string, WorkloadMixSpec> specs_;
 };
 
 /// The registry with every built-in workload mix registered (shared,

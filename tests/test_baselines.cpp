@@ -5,15 +5,25 @@
 
 #include <atomic>
 #include <cmath>
+#include <map>
+#include <sstream>
+#include <string>
 
 #include "baseline/fotakis_ofl.hpp"
 #include "baseline/greedy.hpp"
 #include "baseline/meyerson_ofl.hpp"
 #include "baseline/per_commodity.hpp"
 #include "bound/dual_ascent.hpp"
+#include "core/stream_runner.hpp"
+#include "instance/checkpoint_io.hpp"
 #include "instance/adversarial.hpp"
 #include "instance/generators.hpp"
+#include "instance/tracelog_io.hpp"
 #include "metric/line_metric.hpp"
+#include "obs/trace_sink.hpp"
+#include "pinned_hash.hpp"
+#include "scenario/algorithm_registry.hpp"
+#include "scenario/stream_registry.hpp"
 #include "solution/verifier.hpp"
 #include "support/stats.hpp"
 
@@ -278,6 +288,93 @@ TEST(RentOrBuy, AmortizesOnCommuterWorkload) {
   const double rent_cost = run_online(rent, inst).total_cost();
   EXPECT_NEAR(rent_cost, 14.0, 1e-9);
   EXPECT_LT(rent_cost, run_online(naive, inst).total_cost() / 2.0);
+}
+
+// ------------------------------------------------- pinned decisions ----
+
+/// A checkpoint's bytes without what wall time decides: the run_ns token
+/// that ends the session-stats line and the checksum line covering it.
+std::string checkpoint_without_wall_time(const std::string& text) {
+  std::istringstream is(text);
+  std::string line;
+  std::string out;
+  while (std::getline(is, line)) {
+    if (line.starts_with("checksum ")) continue;
+    if (line.starts_with("session-stats ")) line.erase(line.rfind(' '));
+    out += line;
+    out += '\n';
+  }
+  return out;
+}
+
+// The decisions of every algorithm besides PD that reads d(F(e), r),
+// pinned like PdPinnedDecisions: the OMFLP-TRACELOG bytes of a whole
+// stream run, the final ledger costs at 17 significant digits and the
+// bytes of one mid-stream StreamSession checkpoint. The points=5000 cases
+// run past the dense distance table. A change to how nearest facilities
+// are found must leave every byte where it was.
+TEST(BaselinePinnedDecisions, TracelogCostsAndCheckpointHashToPinnedValues) {
+  struct Case {
+    const char* algorithm;
+    const char* scenario;
+    std::map<std::string, double> overrides;
+    std::size_t points;
+    std::uint64_t hash;
+  };
+  const std::map<std::string, double> events = {{"events", 20000}};
+  const std::map<std::string, double> wide = {{"events", 400},
+                                              {"points", 5000}};
+  const std::vector<Case> cases = {
+      {"greedy", "churn-uniform", events, 64, 0xb0c4f465a383bb98ull},
+      {"greedy", "lease-poisson", events, 64, 0x217159639f640a01ull},
+      {"greedy", "hotspot-grid", events, 144, 0x625a6a7a9d1ac5bbull},
+      {"greedy", "churn-uniform", wide, 5000, 0xb8d7cad8989c2b7full},
+      {"rentbuy", "churn-uniform", events, 64, 0x1580550c41895fffull},
+      {"rentbuy", "lease-poisson", events, 64, 0xc8f16db74aaf0332ull},
+      {"rentbuy", "hotspot-grid", events, 144, 0x634fb8ca56a58469ull},
+      {"rentbuy", "churn-uniform", wide, 5000, 0xa0112a162ef61eeeull},
+      {"rand", "churn-uniform", events, 64, 0x7b325438c1ebeb5dull},
+      {"rand", "lease-poisson", events, 64, 0x59f4693c4ca2fcc9ull},
+      {"rand", "hotspot-grid", events, 144, 0x8ab7e55554326968ull},
+      {"rand", "churn-uniform", wide, 5000, 0xce0f4b3f69affa3full},
+      {"meyerson", "churn-uniform", events, 64, 0x8b88f60a483570b6ull},
+      {"meyerson", "lease-poisson", events, 64, 0x0b28196838dcbe97ull},
+      {"meyerson", "hotspot-grid", events, 144, 0x291373bf1a0c4c8full},
+      {"meyerson", "churn-uniform", wide, 5000, 0x6f6f4249629fe6d7ull},
+  };
+  for (const Case& c : cases) {
+    const EventStream stream = default_stream_scenario_registry().make(
+        c.scenario, /*seed=*/3, c.overrides);
+    ASSERT_EQ(stream.metric().num_points(), c.points);
+    const auto algorithm = default_algorithm_registry().make(c.algorithm, 3);
+    MaterializedEventSource source(stream);
+    StreamRunOptions options;
+    options.batch_size = stream.num_events() / 4;
+    TraceBuffer buffer;
+    std::ostringstream checkpoint;
+    const StreamRunResult result = [&] {
+      TraceScope scope(buffer);
+      StreamSession session(*algorithm, source, options);
+      (void)session.step_batch();
+      (void)session.step_batch();
+      CkptWriter writer(checkpoint);
+      session.checkpoint(writer);
+      writer.finish();
+      while (session.step_batch() > 0) {
+      }
+      return session.finish();
+    }();
+    char costs[96];
+    std::snprintf(costs, sizeof(costs), "%.17g %.17g %.17g\n",
+                  result.ledger.opening_cost(),
+                  result.ledger.connection_cost(),
+                  result.ledger.active_cost());
+    std::uint64_t h = fnv1a(tracelog_to_string(buffer.events()));
+    h = fnv1a(costs, h);
+    h = fnv1a(checkpoint_without_wall_time(checkpoint.str()), h);
+    EXPECT_EQ(hex(h), hex(c.hash))
+        << c.algorithm << " on " << c.scenario << " at |M| = " << c.points;
+  }
 }
 
 }  // namespace

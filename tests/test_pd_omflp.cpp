@@ -23,6 +23,7 @@
 #include "instance/tracelog_io.hpp"
 #include "metric/line_metric.hpp"
 #include "obs/trace_sink.hpp"
+#include "pinned_hash.hpp"
 #include "scenario/algorithm_registry.hpp"
 #include "scenario/stream_registry.hpp"
 #include "solution/verifier.hpp"
@@ -584,22 +585,6 @@ TEST(PdAudit, ReportsNegativeZeroInABidRow) {
 }
 
 // ------------------------------------------------- pinned decisions ----
-
-/// FNV-1a 64 over `text`, continuing from `h`.
-std::uint64_t fnv1a(std::string_view text,
-                    std::uint64_t h = 0xcbf29ce484222325ull) {
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-std::string hex(std::uint64_t h) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, h);
-  return buf;
-}
 
 // PD's decisions, pinned: the OMFLP-TRACELOG bytes of a whole stream run
 // (every opening with its constraint, point, bid mass and contributors,

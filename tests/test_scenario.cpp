@@ -18,6 +18,7 @@
 #include "core/online_algorithm.hpp"
 #include "instance/io.hpp"
 #include "instance/stream_io.hpp"
+#include "pinned_hash.hpp"
 #include "scenario/algorithm_registry.hpp"
 #include "scenario/registry_util.hpp"
 #include "scenario/scenario_registry.hpp"
@@ -270,22 +271,6 @@ TEST(ScenarioTrace, ReplayReproducesTotalCostExactly) {
 }
 
 // ------------------------------------------------- pinned stream bytes ---
-
-/// FNV-1a 64 over `text`, continuing from `h`.
-std::uint64_t fnv1a(std::string_view text,
-                    std::uint64_t h = 0xcbf29ce484222325ull) {
-  for (const char c : text) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
-
-std::string hex(std::uint64_t h) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, h);
-  return buf;
-}
 
 // The serialized bytes of every stream family, pinned. Generator speed-ups
 // must leave each RNG draw, and so each byte, where it was; a changed hash
