@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <fstream>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -92,7 +91,7 @@ EngineResult ShardedEngine::run() const {
   struct TenantState {
     MaterializedEventSource source;
     std::unique_ptr<OnlineAlgorithm> algorithm;
-    std::ifstream ckpt_in;            // open only while restoring
+    std::istringstream ckpt_in;       // holds a snapshot only while restoring
     std::optional<CkptReader> reader;
     StreamSession session;
 
@@ -106,20 +105,20 @@ EngineResult ShardedEngine::run() const {
     TenantState(const EventStream& stream,
                 std::unique_ptr<OnlineAlgorithm> algo,
                 const StreamRunOptions& options,
-                const std::string& ckpt_path)
+                std::string snapshot)
         : source(stream),
           algorithm(std::move(algo)),
-          ckpt_in(ckpt_path, std::ios::binary),
+          ckpt_in(std::move(snapshot)),
           reader(std::in_place, ckpt_in),
           session(*algorithm, source, options, *reader) {
       reader->finish();
       reader.reset();
-      ckpt_in.close();
+      ckpt_in.str(std::string());
     }
   };
 
   // Recovery: with a checkpoint directory configured, resume from the
-  // newest generation whose manifest and every tenant file validate —
+  // newest generation whose index and every tenant section validate —
   // torn or corrupted generations fall back to the previous one.
   std::optional<CheckpointStore> store;
   std::optional<CheckpointManifest> restored;
@@ -156,7 +155,7 @@ EngineResult ShardedEngine::run() const {
     states.push_back(
         restored ? std::make_unique<TenantState>(
                        streams_[i], std::move(algorithm), tenant_options,
-                       store->tenant_path(i, restored->generation))
+                       store->read_tenant(*restored, i))
                  : std::make_unique<TenantState>(
                        streams_[i], std::move(algorithm), tenant_options));
   }
@@ -310,8 +309,8 @@ EngineResult ShardedEngine::run() const {
 
     // Periodic checkpoint generation: serialize every tenant on the
     // calling thread (sessions are between batches, so no request is in
-    // flight), publish tenant files first and the manifest last. A live
-    // tenant streams straight into its file; an exhausted one is
+    // flight), into one generation file committed by its rename. A live
+    // tenant streams straight into the file; an exhausted one is
     // serialized once and its bytes rewritten from then on. The
     // generation number is the round, so restarts keep it increasing.
     if (store && options_.checkpoint_every > 0 &&

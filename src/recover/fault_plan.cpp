@@ -1,5 +1,6 @@
 #include "recover/fault_plan.hpp"
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -21,19 +22,16 @@ std::uint64_t spec_u64(const std::string& key, const std::string& value) {
   return *parsed;
 }
 
-std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream os;
-  os << in.rdbuf();
-  return os.str();
-}
-
-void write_file_raw(const std::string& path, const std::string& content) {
-  // Deliberately NOT atomic: fault injection simulates the damage a real
-  // crash leaves behind, so it writes in place.
-  // omflp-lint: allow(raw-artifact-write) fault injection simulates torn writes
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << content;
+// Fault injection simulates the damage a real crash or a failing disk
+// leaves behind, so it changes the published file in place, deliberately
+// bypassing the atomic writer.
+void flip_bit(const std::string& path, std::uint64_t offset) {
+  std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
+  char byte = 0;
+  file.seekg(static_cast<std::streamoff>(offset));
+  if (!file.get(byte)) return;
+  file.seekp(static_cast<std::streamoff>(offset));
+  file.put(static_cast<char>(byte ^ 0x01));
 }
 
 }  // namespace
@@ -92,22 +90,20 @@ void FaultPlan::corrupt_latest(CheckpointStore& store) const {
   const auto manifest = store.latest_valid();
   if (!manifest || manifest->tenants.empty()) return;
 
-  if (torn_) {
-    // Truncate to half the payload: the checksum line is gone, so the
-    // structural validator must classify the file as torn.
-    const std::string path = store.tenant_path(0, manifest->generation);
-    const std::string content = read_file(path);
-    write_file_raw(path, content.substr(0, content.size() / 2));
-  }
+  // The bit flip first: in a one-file generation, tearing tenant 0's
+  // section truncates every later section with it.
   if (bitflip_) {
-    const std::string path = store.tenant_path(
-        manifest->tenants.size() - 1, manifest->generation);
-    std::string content = read_file(path);
-    if (!content.empty()) {
-      content[content.size() / 2] =
-          static_cast<char>(content[content.size() / 2] ^ 0x01);
-      write_file_raw(path, content);
-    }
+    const TenantSection last =
+        store.tenant_section(*manifest, manifest->tenants.size() - 1);
+    if (last.size > 0) flip_bit(last.path, last.offset + last.size / 2);
+  }
+  if (torn_) {
+    // Cut tenant 0's payload in half: its checksum line is gone, so the
+    // structural validator must classify the generation as torn.
+    const TenantSection first = store.tenant_section(*manifest, 0);
+    std::error_code ec;
+    std::filesystem::resize_file(first.path, first.offset + first.size / 2,
+                                 ec);
   }
 }
 

@@ -6,8 +6,8 @@
 // seeded uniform draws from [1, gap]. The engine consults the plan after
 // each round's checkpoint publication; on a scheduled round it throws
 // EngineCrash — after optionally damaging the just-published generation
-// (torn: truncate a tenant file before its checksum line; bitflip: flip
-// one payload byte), which forces recovery to reject that generation and
+// (torn: cut a tenant's section before its checksum line; bitflip: flip
+// one payload bit), which forces recovery to reject that generation and
 // fall back to the previous one.
 //
 // Everything is a pure function of the spec, so a fault run is exactly
@@ -62,9 +62,10 @@ class FaultPlan {
   }
 
   /// Damage the newest published generation per the torn/bitflip flags:
-  /// torn truncates tenant file 0 just before its checksum line;
-  /// bitflip flips one byte mid-payload of the last tenant file. No-op
-  /// when both flags are off or the store has no valid generation.
+  /// torn truncates the generation halfway through tenant 0's section,
+  /// before its checksum line; bitflip flips one bit mid-payload of the
+  /// last tenant's section. No-op when both flags are off or the store
+  /// has no valid generation.
   void corrupt_latest(CheckpointStore& store) const;
 
  private:

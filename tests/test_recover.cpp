@@ -956,6 +956,22 @@ void spill(const std::string& path, const std::string& content) {
   out << content;
 }
 
+/// Flips bit 0 of the byte at `offset` in place.
+void flip_bit(const std::string& path, std::uint64_t offset) {
+  std::string content = slurp(path);
+  ASSERT_LT(offset, content.size());
+  content[offset] = static_cast<char>(content[offset] ^ 0x01);
+  spill(path, content);
+}
+
+std::vector<std::string> directory_names(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir))
+    names.push_back(entry.path().filename().string());
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
 TEST(CheckpointStore, FallsBackPastCorruptTornAndUncommittedGenerations) {
   ScratchDir dir("store");
   CheckpointStore store(dir.str());
@@ -979,27 +995,116 @@ TEST(CheckpointStore, FallsBackPastCorruptTornAndUncommittedGenerations) {
   EXPECT_EQ(latest->round, 2u);
   EXPECT_EQ(latest->trace_seq, 20u);
   EXPECT_EQ(latest->tenants, (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(store.read_tenant(*latest, 1), tiny_payload(4));
 
-  // Tenant files without a manifest are not a generation: the manifest
-  // is the commit point.
-  spill(store.tenant_path(0, 3), tiny_payload(5));
-  spill(store.tenant_path(1, 3), tiny_payload(6));
+  // A complete staging file is not a generation: the rename is the
+  // commit point.
+  spill(atomic_temp_path(store.generation_path(3)),
+        slurp(store.generation_path(2)));
   latest = store.latest_valid();
   ASSERT_TRUE(latest.has_value());
   EXPECT_EQ(latest->generation, 2u);
 
-  // A flipped byte in one tenant file invalidates the whole generation.
-  std::string corrupt = slurp(store.tenant_path(1, 2));
-  corrupt[corrupt.size() / 2] ^= 0x01;
-  spill(store.tenant_path(1, 2), corrupt);
+  // A flipped bit in one tenant's section invalidates the generation.
+  const TenantSection b2 = store.tenant_section(*latest, 1);
+  flip_bit(b2.path, b2.offset + b2.size / 2);
   latest = store.latest_valid();
   ASSERT_TRUE(latest.has_value());
   EXPECT_EQ(latest->generation, 1u) << "must fall back past the corrupt set";
 
-  // A torn (truncated) file in the older generation too: nothing valid.
-  const std::string torn = slurp(store.tenant_path(0, 1));
-  spill(store.tenant_path(0, 1), torn.substr(0, torn.size() / 2));
+  // A torn (truncated) older generation too: nothing valid.
+  const TenantSection a1 = store.tenant_section(*latest, 0);
+  std::filesystem::resize_file(a1.path, a1.offset + a1.size / 2);
   EXPECT_FALSE(store.latest_valid().has_value());
+}
+
+// Three publishes leave exactly the two newest generations, one file
+// each, and every tenant section reads back as the bytes its writer
+// produced.
+TEST(CheckpointStore, OneFilePerGeneration) {
+  ScratchDir dir("one-file");
+  CheckpointStore store(dir.str());
+  std::map<std::uint64_t, std::vector<std::string>> written;
+  for (std::uint64_t g = 1; g <= 3; ++g) {
+    CheckpointManifest manifest;
+    manifest.generation = g;
+    manifest.round = g;
+    manifest.tenants = {"a", "b b", "c"};
+    std::vector<std::string>& payloads = written[g];
+    for (std::uint64_t i = 0; i < manifest.tenants.size(); ++i)
+      payloads.push_back(tiny_payload(g * 1000 + i * 123456789));
+    publish_payloads(store, manifest, payloads);
+  }
+  EXPECT_EQ(directory_names(dir.str()),
+            (std::vector<std::string>{"generation.g2.ckpt",
+                                      "generation.g3.ckpt"}));
+  for (const std::uint64_t g : {2u, 3u}) {
+    const auto manifest = store.load(g);
+    ASSERT_TRUE(manifest.has_value()) << "generation " << g;
+    EXPECT_EQ(manifest->tenants,
+              (std::vector<std::string>{"a", "b b", "c"}));
+    for (std::size_t i = 0; i < manifest->tenants.size(); ++i)
+      EXPECT_EQ(store.read_tenant(*manifest, i), written[g][i])
+          << "generation " << g << ", tenant " << i;
+  }
+}
+
+// Every damage to the newest generation — a cut at each section
+// boundary and one byte either side of it, a flipped bit at the start,
+// middle and end of each section, the index and the trailer included —
+// makes latest_valid() fall back to the previous generation.
+TEST(CheckpointStore, LatestValidRefusesEveryDamagedPack) {
+  ScratchDir dir("damaged");
+  CheckpointStore store(dir.str());
+  CheckpointManifest manifest;
+  manifest.tenants = {"a", "b", "c"};
+  for (std::uint64_t g = 1; g <= 2; ++g) {
+    manifest.generation = g;
+    manifest.round = g;
+    publish_payloads(store, manifest,
+                     {tiny_payload(g), tiny_payload(10 * g),
+                      tiny_payload(100 * g)});
+  }
+  const auto loaded = store.load(2);
+  ASSERT_TRUE(loaded.has_value());
+  const std::string path = store.generation_path(2);
+  const std::string pristine = slurp(path);
+  // Section starts: three tenants, the index, the trailer; then the end.
+  std::vector<std::uint64_t> bounds = loaded->section_offsets;
+  const std::uint64_t trailer_size = 32;
+  ASSERT_EQ(bounds.size(), 4u);
+  ASSERT_GT(pristine.size(), bounds.back() + trailer_size);
+  bounds.push_back(pristine.size() - trailer_size);
+  bounds.push_back(pristine.size());
+
+  const auto expect_fallback = [&](const std::string& what) {
+    SCOPED_TRACE(what);
+    std::optional<CheckpointManifest> latest;
+    EXPECT_NO_THROW(latest = store.latest_valid());
+    ASSERT_TRUE(latest.has_value());
+    EXPECT_EQ(latest->generation, 1u);
+    spill(path, pristine);
+  };
+
+  for (const std::uint64_t bound : bounds) {
+    for (const std::int64_t delta : {-1, 0, 1}) {
+      const std::int64_t cut = static_cast<std::int64_t>(bound) + delta;
+      if (cut < 0 || cut >= static_cast<std::int64_t>(pristine.size()))
+        continue;
+      spill(path, pristine.substr(0, static_cast<std::size_t>(cut)));
+      expect_fallback("cut at " + std::to_string(cut));
+    }
+  }
+  for (std::size_t k = 0; k + 1 < bounds.size(); ++k) {
+    for (const std::uint64_t at :
+         {bounds[k], (bounds[k] + bounds[k + 1]) / 2, bounds[k + 1] - 1}) {
+      flip_bit(path, at);
+      expect_fallback("bit flip at " + std::to_string(at));
+    }
+  }
+  const auto latest = store.latest_valid();
+  ASSERT_TRUE(latest.has_value());
+  EXPECT_EQ(latest->generation, 2u) << "the pristine bytes are valid again";
 }
 
 TEST(CheckpointStore, PrunesToTwoGenerations) {
@@ -1014,14 +1119,15 @@ TEST(CheckpointStore, PrunesToTwoGenerations) {
   }
   EXPECT_EQ(store.list_generations(),
             (std::vector<std::uint64_t>{4, 5}));
-  EXPECT_FALSE(std::filesystem::exists(store.tenant_path(0, 3)));
+  EXPECT_FALSE(std::filesystem::exists(store.generation_path(3)));
   auto latest = store.latest_valid();
   ASSERT_TRUE(latest.has_value());
   EXPECT_EQ(latest->generation, 5u);
 }
 
-// A tenant writer that throws mid-generation leaves no manifest and no
-// staging file behind: the previous generation stays the newest valid.
+// A tenant writer that throws mid-generation leaves no generation file
+// and no staging file behind: the previous generation stays the newest
+// valid.
 TEST(CheckpointStore, FailedPublishLeavesPreviousGenerationAuthoritative) {
   ScratchDir dir("failed-publish");
   CheckpointStore store(dir.str());
@@ -1041,9 +1147,9 @@ TEST(CheckpointStore, FailedPublishLeavesPreviousGenerationAuthoritative) {
                              }),
                std::runtime_error);
   EXPECT_EQ(store.list_generations(), (std::vector<std::uint64_t>{1}));
-  EXPECT_FALSE(std::filesystem::exists(store.manifest_path(2)));
+  EXPECT_FALSE(std::filesystem::exists(store.generation_path(2)));
   EXPECT_FALSE(
-      std::filesystem::exists(atomic_temp_path(store.tenant_path(1, 2))));
+      std::filesystem::exists(atomic_temp_path(store.generation_path(2))));
   const auto latest = store.latest_valid();
   ASSERT_TRUE(latest.has_value());
   EXPECT_EQ(latest->generation, 1u);
@@ -1130,26 +1236,32 @@ TEST(EngineRecovery, CrashCorruptRestoreIsBitwiseIdenticalAcrossShards) {
   plain.threads = 1;
   const EngineResult reference = ShardedEngine(specs, plain).run();
 
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-    ScratchDir dir("engine-s" + std::to_string(shards));
-    EngineOptions faulty = plain;
-    faulty.shards = shards;
-    faulty.threads = shards;
-    faulty.checkpoint_dir = dir.str();
-    faulty.checkpoint_every = 2;
-    // Torn + bit-flip corruption on every crash: recovery must reject
-    // the newest generation and replay from the previous one.
-    FaultPlan plan = FaultPlan::parse("crashes=2,seed=5,gap=4,torn=1,bitflip=1");
-    faulty.fault_plan = &plan;
+  // Corruption on every crash: recovery must reject the newest
+  // generation and replay from the previous one. The torn cut also
+  // removes a one-file generation's trailer, so the bit flip is run
+  // alone too: then only the section checksum rejects the generation.
+  for (const char* spec : {"crashes=2,seed=5,gap=4,torn=1,bitflip=1",
+                           "crashes=2,seed=5,gap=4,bitflip=1"}) {
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+      const std::string label =
+          std::string(spec) + " shards=" + std::to_string(shards);
+      ScratchDir dir("engine-s" + std::to_string(shards));
+      EngineOptions faulty = plain;
+      faulty.shards = shards;
+      faulty.threads = shards;
+      faulty.checkpoint_dir = dir.str();
+      faulty.checkpoint_every = 2;
+      FaultPlan plan = FaultPlan::parse(spec);
+      faulty.fault_plan = &plan;
 
-    std::uint64_t restarts = 0;
-    const EngineResult recovered =
-        run_with_restarts(specs, faulty, &restarts);
-    EXPECT_EQ(restarts, 2u);
-    EXPECT_EQ(recovered.shards, shards);
-    expect_engine_results_identical(
-        recovered, reference, "shards=" + std::to_string(shards));
-    EXPECT_FALSE(recovered.first_violation() != nullptr);
+      std::uint64_t restarts = 0;
+      const EngineResult recovered =
+          run_with_restarts(specs, faulty, &restarts);
+      EXPECT_EQ(restarts, 2u) << label;
+      EXPECT_EQ(recovered.shards, shards) << label;
+      expect_engine_results_identical(recovered, reference, label);
+      EXPECT_FALSE(recovered.first_violation() != nullptr) << label;
+    }
   }
 }
 
@@ -1202,9 +1314,12 @@ struct GenerationCapture final : TraceSink {
   void capture() {
     for (const std::uint64_t g : store.list_generations()) {
       if (files.count(g) != 0) continue;
+      const auto manifest = store.load(g);
+      ASSERT_TRUE(manifest.has_value()) << "generation " << g;
+      ASSERT_EQ(manifest->tenants.size(), num_tenants);
       std::vector<std::string>& generation = files[g];
       for (std::size_t i = 0; i < num_tenants; ++i)
-        generation.push_back(slurp(store.tenant_path(i, g)));
+        generation.push_back(store.read_tenant(*manifest, i));
     }
   }
 
@@ -1342,6 +1457,60 @@ TEST(EngineRecovery, CrashAfterExhaustionRestoresBitwise) {
   EXPECT_EQ(recovered.rounds, 12u);
   EXPECT_EQ(recovered.checkpoints_published, 2u);
   EXPECT_EQ(recovered.checkpoint_snapshots_reused, expected_reused);
+}
+
+// tests/data/legacy_layout holds a directory in the layout older builds
+// wrote, one file per tenant plus a manifest per generation: the
+// staggered tenants with batch 64 and a generation every 2 rounds,
+// stopped by a crash after round 6 that tore tenant 0's file of
+// generation 6. Recovery falls back to generation 4, the next publish
+// writes the one-file layout, and the run drains bitwise.
+TEST(EngineRecovery, OldLayoutDirectoryRestores) {
+  const std::vector<TenantSpec> specs = staggered_tenants();
+  EngineOptions plain;
+  plain.batch_size = kReuseBatch;
+  const EngineResult reference = ShardedEngine(specs, plain).run();
+
+  ScratchDir dir("legacy");
+  for (const auto& entry : std::filesystem::directory_iterator(
+           OMFLP_SOURCE_DIR "/tests/data/legacy_layout"))
+    std::filesystem::copy_file(entry.path(),
+                               dir.path / entry.path().filename());
+  {
+    const CheckpointStore store(dir.str());
+    EXPECT_EQ(store.list_generations(), (std::vector<std::uint64_t>{4, 6}));
+    const auto latest = store.latest_valid();
+    ASSERT_TRUE(latest.has_value());
+    EXPECT_EQ(latest->generation, 4u);
+    EXPECT_TRUE(latest->section_offsets.empty()) << "an old-layout set";
+  }
+
+  EngineOptions resumed = plain;
+  resumed.shards = 2;
+  resumed.threads = 2;
+  resumed.checkpoint_dir = dir.str();
+  resumed.checkpoint_every = 2;
+  // Crash again right after the first publish (round 6) to look at it.
+  FaultPlan plan = FaultPlan::parse("crashes=1,seed=1,gap=8");
+  ASSERT_EQ(plan.crash_rounds(), (std::vector<std::uint64_t>{6}));
+  resumed.fault_plan = &plan;
+  EXPECT_THROW(ShardedEngine(specs, resumed).run(), EngineCrash);
+  {
+    const CheckpointStore store(dir.str());
+    const auto latest = store.latest_valid();
+    ASSERT_TRUE(latest.has_value());
+    EXPECT_EQ(latest->generation, 6u);
+    EXPECT_EQ(latest->section_offsets.size(), specs.size() + 1)
+        << "generation 6 must now be one file";
+  }
+
+  const EngineResult recovered = ShardedEngine(specs, resumed).run();
+  EXPECT_EQ(recovered.restored_from_round, 6u);
+  expect_engine_results_identical(recovered, reference, "old layout");
+  EXPECT_EQ(directory_names(dir.str()),
+            (std::vector<std::string>{"generation.g10.ckpt",
+                                      "generation.g12.ckpt"}))
+      << "old-layout generations are pruned like any other";
 }
 
 TEST(EngineRecovery, MigrationRestoreUnderNewPlacementIsBitwiseIdentical) {
