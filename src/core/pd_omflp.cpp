@@ -1061,7 +1061,7 @@ void PdOmflp::restore_state(CkptReader& reader, RequestId num_requests) {
       reader.tok() != large_config_tag(options_.large_config) ||
       reader.tok() != deletion_tag(options_.deletion_policy))
     reader.fail("checkpoint was written by a different PD-OMFLP variant");
-  if (!(reader.set() == excluded_))
+  if (!(reader.set(num_commodities_, "excluded-commodity set") == excluded_))
     reader.fail("checkpoint excluded-commodity set mismatch");
   // The nearest-facility rows are rebuilt by replaying every opening in
   // its original order, so they match the live rows bitwise.
@@ -1074,17 +1074,13 @@ void PdOmflp::restore_state(CkptReader& reader, RequestId num_requests) {
     LargeRecord f;
     f.point = reader.point(num_points_);
     f.id = static_cast<FacilityId>(reader.u());
-    f.config = reader.set();
-    if (f.config.universe_size() != num_commodities_)
-      reader.fail("large facility config universe mismatch");
+    f.config = reader.set(num_commodities_, "large facility config");
     if (!add_large_to_tables(f))
       reader.fail("large facility configurations are not nested");
     larges_.push_back(std::move(f));
   }
   reader.expect("seen");
-  seen_ = reader.set();
-  if (seen_.universe_size() != num_commodities_)
-    reader.fail("seen-union universe mismatch");
+  seen_ = reader.set(num_commodities_, "seen-union");
   refresh_large_config();
   // Versions 1 and 2 archived every arrival in id order, each with a
   // departed flag; version 3 writes only the archive's entries, each with

@@ -278,15 +278,16 @@ std::string CkptReader::bytes() {
   return out;
 }
 
-CommoditySet CkptReader::set() {
-  const std::uint64_t universe = u();
-  if (universe > 0xffffffffULL) fail("commodity universe out of range");
+CommoditySet CkptReader::set(CommodityId universe, std::string_view what) {
+  // The universe is checked before the set is built: a hostile line
+  // declaring |S| = 2^32 - 1 must not cost a 512 MB bitset.
+  if (u() != universe) fail(std::string(what) + " universe mismatch");
   const std::uint64_t declared_words = u();
   const std::size_t expected_words =
       (static_cast<std::size_t>(universe) + 63) / 64;
   if (declared_words != expected_words)
     fail("commodity set word count mismatch");
-  CommoditySet s(static_cast<CommodityId>(universe));
+  CommoditySet s(universe);
   for (std::size_t wi = 0; wi < expected_words; ++wi) {
     const std::string token = next_token("commodity word");
     std::uint64_t word = 0;

@@ -114,7 +114,9 @@ class CkptReader {
   double d();
   std::string tok();
   std::string bytes();
-  CommoditySet set();
+  /// A commodity set over `universe`; a line declaring another universe
+  /// fails with "<what> universe mismatch" before anything is allocated.
+  CommoditySet set(CommodityId universe, std::string_view what);
   /// A point of a metric with `num_points` points; a larger one fails.
   PointId point(std::size_t num_points);
 

@@ -370,9 +370,7 @@ void SolutionLedger::restore(CkptReader& reader,
     f.location = static_cast<PointId>(reader.u());
     if (f.location >= metric_->num_points())
       reader.fail("facility location outside the metric");
-    f.config = reader.set();
-    if (f.config.universe_size() != cost_->num_commodities())
-      reader.fail("facility config universe mismatch");
+    f.config = reader.set(cost_->num_commodities(), "facility config");
     f.open_cost = reader.d();
     f.opened_during = reader.u();
     facilities_.push_back(std::move(f));
@@ -396,9 +394,8 @@ void SolutionLedger::restore(CkptReader& reader,
     r.request.location = static_cast<PointId>(reader.u());
     if (r.request.location >= metric_->num_points())
       reader.fail("request location outside the metric");
-    r.request.commodities = reader.set();
-    if (r.request.commodities.universe_size() != cost_->num_commodities())
-      reader.fail("request demand universe mismatch");
+    r.request.commodities =
+        reader.set(cost_->num_commodities(), "request demand");
     r.retired_at = reader.u();
     r.connection_cost = reader.d();
     reader.expect("served");

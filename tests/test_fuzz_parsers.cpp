@@ -732,6 +732,49 @@ TEST(FuzzParsers, CheckpointHugeCountsAreRejectedNotAllocated) {
   EXPECT_GT(tampered, 10u) << "corpus barely exercised the count paths";
 }
 
+// A 50-byte set line declaring |S| = 2^32 - 1 with the matching word
+// count used to build that 512 MB bitset before reading a single word,
+// then fail on the missing words. The reader now checks the declared
+// universe against the caller's before building anything.
+TEST(FuzzParsers, CheckpointHugeUniverseIsRejectedBeforeAllocating) {
+  const std::string hostile = "4294967295 67108864 0000000000000001";
+  const auto expect_mismatch = [](const std::string& text,
+                                  const std::string& message,
+                                  const auto& read) {
+    try {
+      std::istringstream is(text);
+      CkptReader reader(is);
+      read(reader);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_mismatch("OMFLP-CKPT 3\nx " + hostile + "\n",
+                  "demand universe mismatch", [](CkptReader& reader) {
+                    reader.expect("x");
+                    (void)reader.set(64, "demand");
+                  });
+
+  // The same line as PD's seen-union, behind a valid checksum.
+  std::vector<std::string> lines = split_lines(valid_checkpoint());
+  bool tampered = false;
+  for (std::string& line : lines) {
+    if (line.rfind("seen ", 0) != 0) continue;
+    line = "seen " + hostile;
+    tampered = true;
+  }
+  ASSERT_TRUE(tampered) << "no seen-union line";
+  expect_mismatch(resealed(join_lines(lines)), "seen-union universe mismatch",
+                  [](CkptReader& reader) {
+                    PdOmflp pd;
+                    MaterializedEventSource source(checkpoint_stream());
+                    StreamSession session(pd, source, checkpoint_options(),
+                                          reader);
+                  });
+}
+
 // A bid row holding −0.0 behind a valid checksum. No run writes one (rows
 // start at +0.0 and no kernel produces −0.0), and PD's ball kernels skip
 // the `+= 0.0` that would turn it into +0.0, so restoring one would let

@@ -154,7 +154,7 @@ TEST(CheckpointIo, RoundTripsEveryTokenType) {
   r.expect("raw");
   EXPECT_EQ(r.bytes(), std::string("\x00\xff hi\n", 6));
   r.expect("set");
-  const CommoditySet back = r.set();
+  const CommoditySet back = r.set(70, "test set");
   EXPECT_EQ(back.universe_size(), 70u);
   EXPECT_TRUE(back.contains(0));
   EXPECT_TRUE(back.contains(69));

@@ -1,21 +1,27 @@
-// Unit tests for the support substrate: CommoditySet algebra, the RNG and
-// its distributions, streaming statistics, harmonic numbers, the table
-// writer, the parallel_for runner and the id->slot pool.
+// Unit tests for the support substrate: CommoditySet algebra, storage and
+// allocations, the RNG and its distributions, streaming statistics,
+// harmonic numbers, the table writer, the parallel_for runner and the
+// id->slot pool.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <new>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "cost/cost_models.hpp"
+#include "instance/event_stream.hpp"
+#include "metric/line_metric.hpp"
 #include "support/atomic_file.hpp"
 #include "support/commodity_set.hpp"
 #include "support/harmonic.hpp"
@@ -27,6 +33,25 @@
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
+
+// Every global allocation of this binary is counted, so a test can assert
+// how many blocks an operation allocates.
+namespace {
+std::atomic<std::uint64_t> g_allocations{0};
+
+void* counted_alloc(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void* operator new[](std::size_t size) { return counted_alloc(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace omflp {
 namespace {
@@ -55,12 +80,43 @@ TEST(CommoditySet, OutOfRangeThrows) {
   EXPECT_THROW(s.remove(9), std::invalid_argument);
 }
 
+// Universes on both sides of one word and of the 128-commodity inline
+// limit, plus one well into the heap.
+constexpr CommodityId kUniverses[] = {0, 1, 63, 64, 65, 127, 128, 129, 4096};
+
+/// The first, middle and last commodity of `universe` (empty for 0).
+CommoditySet sample_set(CommodityId universe) {
+  CommoditySet s(universe);
+  if (universe > 0) {
+    s.add(0);
+    s.add(universe / 2);
+    s.add(universe - 1);
+  }
+  return s;
+}
+
+/// No bit past the universe is set in the last word.
+bool tail_is_clear(const CommoditySet& s) {
+  const CommodityId tail = s.universe_size() & 63;
+  return tail == 0 || (s.words().back() >> tail) == 0;
+}
+
 TEST(CommoditySet, FullSetAndTrimAcrossWordBoundary) {
-  for (CommodityId universe : {1u, 63u, 64u, 65u, 128u, 130u}) {
-    const CommoditySet full = CommoditySet::full_set(universe);
-    EXPECT_EQ(full.count(), universe) << "universe " << universe;
+  for (const CommodityId u : kUniverses) {
+    SCOPED_TRACE(u);
+    const CommoditySet full = CommoditySet::full_set(u);
+    EXPECT_EQ(full.words().size(), (std::size_t{u} + 63) / 64);
+    EXPECT_EQ(CommoditySet(u).words().size(), full.words().size());
+    EXPECT_EQ(full.count(), u);
     EXPECT_TRUE(full.is_full());
-    EXPECT_TRUE(full.contains(universe - 1));
+    EXPECT_TRUE(tail_is_clear(full));
+    CommoditySet rest = full;
+    rest -= sample_set(u);
+    EXPECT_TRUE(tail_is_clear(rest));
+    EXPECT_EQ(rest.count(), u - sample_set(u).count());
+    EXPECT_EQ(rest | sample_set(u), full);
+    rest -= full;
+    EXPECT_TRUE(rest.empty());
   }
 }
 
@@ -106,6 +162,213 @@ TEST(CommoditySet, HashDistinguishesAndAgrees) {
 
 TEST(CommoditySet, ToString) {
   EXPECT_EQ(CommoditySet(8, {0, 3, 7}).to_string(), "{0,3,7}/8");
+}
+
+// ------------------------------------------------------ set storage ---
+
+/// Blocks allocated while `fn` runs.
+template <typename Fn>
+std::uint64_t allocations_during(Fn&& fn) {
+  const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  fn();
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+/// Keeps the compiler from eliding a copy, and with it its allocation.
+template <typename T>
+void keep(T& value) {
+  asm volatile("" : : "r"(&value) : "memory");
+}
+
+TEST(CommoditySetStorage, CopyAndMoveConstructionKeepTheValue) {
+  for (const CommodityId u : kUniverses) {
+    SCOPED_TRACE(u);
+    const CommoditySet original = sample_set(u);
+    CommoditySet copy(original);
+    EXPECT_EQ(copy, original);
+    copy.clear();  // the copy owns its words
+    EXPECT_EQ(original, sample_set(u));
+    CommoditySet source = original;
+    const CommoditySet moved(std::move(source));
+    EXPECT_EQ(moved, original);
+    EXPECT_EQ(source, CommoditySet());
+    EXPECT_EQ(source.hash(), CommoditySet().hash());
+  }
+}
+
+TEST(CommoditySetStorage, AssignmentInEveryInlineHeapDirection) {
+  for (const CommodityId from : kUniverses) {
+    for (const CommodityId to : kUniverses) {
+      SCOPED_TRACE(std::to_string(from) + " -> " + std::to_string(to));
+      const CommoditySet original = sample_set(from);
+
+      CommoditySet copied = sample_set(to);
+      copied = original;
+      EXPECT_EQ(copied, original);
+      EXPECT_EQ(copied.hash(), original.hash());
+      copied.clear();
+      EXPECT_EQ(original, sample_set(from));
+
+      CommoditySet source = original;
+      CommoditySet moved = sample_set(to);
+      moved = std::move(source);
+      EXPECT_EQ(moved, original);
+      // A moved-from set is the empty set over the empty universe and
+      // takes a new value of either storage.
+      EXPECT_EQ(source, CommoditySet());
+      EXPECT_EQ(source.words().size(), 0u);
+      source = sample_set(to);
+      EXPECT_EQ(source, sample_set(to));
+      source = CommoditySet::full_set(from);
+      EXPECT_EQ(source.count(), from);
+    }
+  }
+}
+
+TEST(CommoditySetStorage, SelfAssignmentKeepsTheValue) {
+  for (const CommodityId u : kUniverses) {
+    SCOPED_TRACE(u);
+    CommoditySet s = sample_set(u);
+    CommoditySet& alias = s;
+    s = alias;
+    EXPECT_EQ(s, sample_set(u));
+    s = std::move(alias);
+    EXPECT_EQ(s, sample_set(u));
+  }
+}
+
+// Recorded with the vector-backed set this storage replaced: hashes (and
+// with them every hash-ordered container) are unchanged.
+TEST(CommoditySetStorage, HashValuesArePinned) {
+  struct Pinned {
+    CommodityId universe;
+    std::size_t empty, full, sample;
+  };
+  const Pinned pinned[] = {
+      {0, 1469598103934665603ULL, 1469598103934665603ULL,
+       1469598103934665603ULL},
+      {1, 4953162257141659110ULL, 4953163356653287321ULL,
+       4953163356653287321ULL},
+      {63, 4953226028816095348ULL, 4270144908527052249ULL,
+       341542044055722535ULL},
+      {64, 4953233725397492825ULL, 13493509248800430580ULL,
+       14176606531051414182ULL},
+      {65, 11186709480756650002ULL, 7259076918324919058ULL,
+       11188477671547961736ULL},
+      {127, 11242190837505202012ULL, 2019774276255152338ULL,
+       6631461394194168453ULL},
+      {128, 11004003633532970107ULL, 11004959109137696241ULL,
+       1779676121073468165ULL},
+      {129, 5466607216224829014ULL, 6089817004000156555ULL,
+       6089817004000156555ULL},
+      {4096, 12457874735031047811ULL, 8943441959459442243ULL,
+       2567073401833281027ULL},
+  };
+  for (const Pinned& p : pinned) {
+    SCOPED_TRACE(p.universe);
+    EXPECT_EQ(CommoditySet(p.universe).hash(), p.empty);
+    EXPECT_EQ(CommoditySet::full_set(p.universe).hash(), p.full);
+    EXPECT_EQ(sample_set(p.universe).hash(), p.sample);
+  }
+}
+
+TEST(CommoditySetAllocations, SmallUniversesNeverAllocate) {
+  for (const CommodityId u : {8u, 64u, 128u}) {
+    SCOPED_TRACE(u);
+    const Request request{3, sample_set(u)};
+    const StreamEvent event = StreamEvent::arrival(request, 5);
+    const CommoditySet a = sample_set(u);
+    const CommoditySet b = CommoditySet::full_set(u);
+
+    EXPECT_EQ(allocations_during([&] {
+                Request copy = request;
+                Request assigned;
+                assigned = copy;
+                Request moved = std::move(copy);
+                assigned = std::move(moved);
+                keep(assigned);
+              }),
+              0u)
+        << "Request";
+    EXPECT_EQ(allocations_during([&] {
+                StreamEvent copy = event;
+                StreamEvent assigned;
+                assigned = copy;
+                StreamEvent moved = std::move(copy);
+                assigned = std::move(moved);
+                keep(assigned);
+              }),
+              0u)
+        << "StreamEvent";
+    EXPECT_EQ(allocations_during([&] {
+                CommoditySet both = a | b;
+                CommoditySet common = a & b;
+                CommoditySet rest = b - a;
+                keep(both);
+                keep(common);
+                keep(rest);
+              }),
+              0u)
+        << "set algebra";
+
+    const PolynomialCostModel cost(u, 1.0);
+    double opened = 0.0;
+    EXPECT_EQ(allocations_during([&] {
+                opened = cost.singleton_cost(0, u - 1) + cost.full_cost(0);
+                keep(opened);
+              }),
+              0u)
+        << "singleton_cost and full_cost";
+
+    const EventStream stream(
+        LineMetric::uniform_grid(4, 1.0),
+        std::make_shared<PolynomialCostModel>(u, 1.0),
+        std::vector<StreamEvent>(16, event));
+    MaterializedEventSource source(stream);
+    std::vector<StreamEvent> batch;
+    batch.reserve(stream.events().size());
+    EXPECT_EQ(allocations_during([&] {
+                (void)source.next_batch(batch, stream.events().size());
+              }),
+              0u)
+        << "next_batch";
+    EXPECT_EQ(batch.size(), stream.events().size());
+  }
+}
+
+TEST(CommoditySetAllocations, HeapUniverseCopiesAllocateOneBlock) {
+  const CommodityId u = CommoditySet::kInlineUniverse + 1;
+  const Request request{3, sample_set(u)};
+  const StreamEvent event = StreamEvent::arrival(request, 5);
+  EXPECT_EQ(allocations_during([&] {
+              CommoditySet copy = request.commodities;
+              keep(copy);
+            }),
+            1u);
+  EXPECT_EQ(allocations_during([&] {
+              Request copy = request;
+              keep(copy);
+            }),
+            1u);
+  EXPECT_EQ(allocations_during([&] {
+              StreamEvent copy = event;
+              keep(copy);
+            }),
+            1u);
+  EXPECT_EQ(allocations_during([&] {
+              CommoditySet assigned(8);
+              assigned = request.commodities;
+              keep(assigned);
+            }),
+            1u);
+  EXPECT_EQ(allocations_during([&] {
+              StreamEvent moved = StreamEvent(event);
+              StreamEvent target;
+              target = std::move(moved);
+              keep(target);
+            }),
+            1u)
+      << "only the copy allocates; moves take the block";
 }
 
 // ---------------------------------------------------------------- rng ----
