@@ -283,7 +283,7 @@ void PdOmflp::archive_request(RequestId id, const Request& request,
   const bool incremental =
       options_.bid_mode == PdOptions::BidMode::kIncremental;
 
-  // A reused slot keeps its vectors' capacity.
+  // A reused slot keeps any heap block of its slots.
   PastRequest& pr = archive_.add(id);
   pr.location = request.location;
   pr.slots.clear();

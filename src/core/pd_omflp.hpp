@@ -76,6 +76,7 @@
 #include "kernel/bid_plane.hpp"
 #include "metric/distance_oracle.hpp"
 #include "support/id_slot_pool.hpp"
+#include "support/inline_list.hpp"
 
 namespace omflp {
 
@@ -229,9 +230,9 @@ class PdOmflp final : public OnlineAlgorithm {
   };
   struct PastRequest {
     PointId location = 0;
-    /// s_j in increasing order with each commodity's frozen dual, in one
-    /// allocation per entry.
-    std::vector<PastSlot> slots;
+    /// s_j in increasing order with each commodity's frozen dual; up to
+    /// 4 slots (every stream scenario's largest demand set) inline.
+    InlineList<PastSlot, 4> slots;
     double dual_sum_large = 0.0;  // Σ a_je over non-excluded commodities
   };
   /// The commodities of an archived request, as nearest_large() reads them.

@@ -37,7 +37,7 @@ RequestId SolutionLedger::begin_request(const Request& request) {
                 "SolutionLedger: request universe mismatch");
   OMFLP_REQUIRE(!request.commodities.empty(),
                 "SolutionLedger: empty demand set");
-  // A reused slot keeps its vectors' capacity and its demand words.
+  // A reused slot keeps its lists' heap blocks and its demand words.
   RequestRecord& record = records_.add();
   record.request = request;
   record.served.clear();

@@ -28,9 +28,14 @@
 // dense id->slot map over [first_record_id(), num_requests()).
 // retire_request() queues the id, and release_retired() — the stream
 // runner's post-batch compaction — releases every queued record. Ids
-// never change, and a steady-state arrival allocates nothing here. Static
-// runs never release anything: every record stays resident and
-// first_record_id() stays 0.
+// never change. A record's served, rejected and connected lists keep up
+// to 4, 2 and 4 entries inside the record, so an arrival demanding at
+// most 4 commodities allocates nothing for its lists, in a fresh slot or
+// a reused one; above that a list takes one heap block, which its slot
+// keeps for the next record. Once the pool holds as many slots as
+// records are ever resident at once, a steady-state arrival allocates
+// nothing here. Static runs never release anything: every record stays
+// resident and first_record_id() stays 0.
 #pragma once
 
 #include <cstdint>
@@ -41,6 +46,7 @@
 #include "instance/capacity.hpp"
 #include "instance/instance.hpp"
 #include "support/id_slot_pool.hpp"
+#include "support/inline_list.hpp"
 
 namespace omflp {
 
@@ -69,15 +75,24 @@ struct ServedCommodity {
 /// retired_at value of a request that never departed.
 inline constexpr std::uint64_t kNeverRetired = ~std::uint64_t{0};
 
+/// A request's assignment. Its lists keep kInlineEntries (rejected:
+/// kInlineRejected) entries inline and move to one heap block only above
+/// that: every stream scenario draws at most 4 commodities per request,
+/// and a departure reads `connected` from the record itself.
 struct RequestRecord {
+  static constexpr std::uint32_t kInlineEntries = 4;
+  static constexpr std::uint32_t kInlineRejected = 2;
+
   Request request;
-  std::vector<ServedCommodity> served;   // one entry per served commodity
+  /// One entry per served commodity.
+  InlineList<ServedCommodity, kInlineEntries> served;
   /// Demanded commodities shed by admission control (capacitated runs
   /// under OverflowPolicy::kReject, or kReassign with nothing feasible).
   /// served + rejected partition the demand set; rejected commodities
   /// pay no connection cost. Always empty on uncapacitated runs.
-  std::vector<CommodityId> rejected;
-  std::vector<FacilityId> connected;     // distinct facilities, sorted
+  InlineList<CommodityId, kInlineRejected> rejected;
+  /// Distinct facilities, sorted.
+  InlineList<FacilityId, kInlineEntries> connected;
   double connection_cost = 0.0;
   /// Stream-event index at which the request departed (kNeverRetired
   /// while active; static runs never retire).
@@ -85,6 +100,9 @@ struct RequestRecord {
 
   bool active() const noexcept { return retired_at == kNeverRetired; }
 };
+
+static_assert(sizeof(RequestRecord) == 184,
+              "a RequestRecord keeps its lists inline in 184 bytes");
 
 class SolutionLedger {
  public:

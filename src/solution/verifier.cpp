@@ -133,7 +133,7 @@ std::optional<std::string> check_record(const MetricSpace& metric,
   double expect_conn = 0.0;
   if (ledger.policy() == ConnectionChargePolicy::kPerFacility) {
     // rec.connected must be the sorted distinct facility list.
-    if (distinct != rec.connected)
+    if (!std::ranges::equal(distinct, rec.connected))
       return "connected-facility list inconsistent with assignments";
     for (FacilityId f : distinct)
       expect_conn +=

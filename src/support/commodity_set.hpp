@@ -258,13 +258,18 @@ class CommoditySet {
   /// Debug rendering, e.g. "{0,3,7}/8".
   std::string to_string() const;
 
+  /// FNV-style over the universe and the words, each word first mixed by
+  /// the SplitMix64 finalizer: unmixed, structured words cancel out (the
+  /// full set over 129 commodities and {0, 64, 128} collided).
   std::size_t hash() const noexcept {
-    std::size_t h = 1469598103934665603ULL ^ universe_;
+    std::uint64_t h = 1469598103934665603ULL ^ universe_;
     for (std::uint64_t w : words()) {
-      h ^= static_cast<std::size_t>(w);
+      w = (w ^ (w >> 30)) * 0xbf58476d1ce4e5b9ULL;
+      w = (w ^ (w >> 27)) * 0x94d049bb133111ebULL;
+      h ^= w ^ (w >> 31);
       h *= 1099511628211ULL;
     }
-    return h;
+    return static_cast<std::size_t>(h);
   }
 
  private:

@@ -13,8 +13,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cctype>
+#include <cstdlib>
 #include <fstream>
+#include <new>
 #include <set>
 #include <sstream>
 #include <string>
@@ -35,10 +38,42 @@
 #include "scenario/algorithm_registry.hpp"
 #include "scenario/scenario_registry.hpp"
 #include "scenario/stream_registry.hpp"
+#include "support/parse.hpp"
 #include "support/rng.hpp"
+
+// The largest single block this binary has asked for since the last reset,
+// so a test can bound what a hostile declared count makes a reader reserve.
+namespace {
+std::atomic<std::size_t> g_largest_allocation{0};
+
+void* tracked_alloc(std::size_t size) {
+  std::size_t largest = g_largest_allocation.load(std::memory_order_relaxed);
+  while (size > largest &&
+         !g_largest_allocation.compare_exchange_weak(
+             largest, size, std::memory_order_relaxed)) {
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return tracked_alloc(size); }
+void* operator new[](std::size_t size) { return tracked_alloc(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace omflp {
 namespace {
+
+/// The largest block allocated while `fn` runs.
+template <typename Fn>
+std::size_t largest_allocation_during(Fn&& fn) {
+  g_largest_allocation.store(0, std::memory_order_relaxed);
+  fn();
+  return g_largest_allocation.load(std::memory_order_relaxed);
+}
 
 enum class ParseOutcome { kAccepted, kRejected };
 
@@ -773,6 +808,34 @@ TEST(FuzzParsers, CheckpointHugeUniverseIsRejectedBeforeAllocating) {
                     StreamSession session(pd, source, checkpoint_options(),
                                           reader);
                   });
+}
+
+// A ledger record's `served` line declaring 2^32 - 1 entries behind a
+// valid checksum: the record's served list may reserve at most what
+// capped_reserve() grants before the missing entries refuse the file.
+TEST(FuzzParsers, CheckpointHugeServedCountReservesOnlyTheCap) {
+  const std::string base = valid_checkpoint();
+  std::vector<std::string> lines = split_lines(base);
+  const auto served =
+      std::find_if(lines.begin(), lines.end(), [](const std::string& line) {
+        return line.rfind("served ", 0) == 0;
+      });
+  ASSERT_NE(served, lines.end()) << "no ledger record in the corpus";
+  const std::string declared = "4294967295";
+  const std::size_t count_end = served->find(' ', 7);
+  *served = "served " + declared +
+            (count_end == std::string::npos ? "" : served->substr(count_end));
+  const std::string hostile = resealed(join_lines(lines));
+
+  const std::size_t honest = largest_allocation_during([&] {
+    EXPECT_EQ(feed_checkpoint_readers(base), ParseOutcome::kAccepted);
+  });
+  const std::size_t tampered = largest_allocation_during([&] {
+    EXPECT_EQ(feed_checkpoint_readers(hostile), ParseOutcome::kRejected);
+  });
+  EXPECT_LE(tampered,
+            std::max(honest, capped_reserve(std::stoull(declared)) *
+                                 sizeof(ServedCommodity)));
 }
 
 // A bid row holding −0.0 behind a valid checksum. No run writes one (rows

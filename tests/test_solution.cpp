@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "cost/cost_models.hpp"
+#include "instance/checkpoint_io.hpp"
 #include "instance/instance.hpp"
 #include "metric/line_metric.hpp"
 #include "solution/solution.hpp"
@@ -434,6 +437,90 @@ TEST(CapacitatedVerifier, AcceptsCapacityFeasibleRun) {
   ledger.finish_request();
 
   EXPECT_FALSE(verify_solution(inst, ledger).has_value());
+}
+
+// ------------------------------------------------ record list storage ---
+
+std::string serialized(const SolutionLedger& ledger) {
+  std::ostringstream os;
+  CkptWriter writer(os);
+  ledger.serialize(writer);
+  writer.finish();
+  return os.str();
+}
+
+// Records with |s_r| = 1..8 at |S| = 8 put every list on both sides of its
+// inline limit: served and connected hold 4 entries inline, rejected 2.
+// serialize -> restore -> serialize is byte-identical and the restored
+// lists equal the originals, uncapacitated and under kReject (where the
+// commodities whose facility sits at a zero-capacity point are shed).
+TEST(SolutionLedger, RecordListsRoundTripAcrossTheInlineLimit) {
+  constexpr CommodityId kUniverse = 8;
+  const MetricPtr metric = LineMetric::uniform_grid(16, 15.0);
+  const CostModelPtr cost =
+      std::make_shared<PolynomialCostModel>(kUniverse, 1.0);
+  auto caps = std::make_shared<std::vector<std::uint64_t>>(16, 8);
+  for (PointId p = 4; p < 8; ++p) (*caps)[p] = 0;
+
+  for (const bool capacitated : {false, true}) {
+    SCOPED_TRACE(capacitated ? "kReject" : "uncapacitated");
+    const CapacityMap map = capacitated ? CapacityMap(caps) : nullptr;
+    SolutionLedger ledger(metric, cost, ConnectionChargePolicy::kPerFacility,
+                          map, OverflowPolicy::kReject);
+    std::vector<FacilityId> singleton;
+    for (CommodityId size = 1; size <= kUniverse; ++size) {
+      CommoditySet demand(kUniverse);
+      for (CommodityId e = 0; e < size; ++e) demand.add(e);
+      ledger.begin_request(Request{8 + size % 8, demand});
+      // Commodity e's singleton sits at point e.
+      while (singleton.size() < kUniverse)
+        singleton.push_back(ledger.open_facility(
+            static_cast<PointId>(singleton.size()),
+            CommoditySet::singleton(kUniverse,
+                                    static_cast<CommodityId>(
+                                        singleton.size()))));
+      for (CommodityId e = size; e-- > 0;) ledger.assign(e, singleton[e]);
+      ledger.finish_request();
+    }
+    ledger.retire_request(2, 20);
+    ledger.retire_request(6, 21);
+
+    const RequestRecord& widest = ledger.request_record(kUniverse - 1);
+    if (capacitated) {
+      EXPECT_EQ(widest.served.size(), 4u);
+      EXPECT_EQ(widest.rejected.size(), 4u);
+    } else {
+      EXPECT_EQ(widest.served.size(), 8u);
+      EXPECT_EQ(widest.connected.size(), 8u);
+    }
+
+    const std::string bytes = serialized(ledger);
+    std::istringstream is(bytes);
+    CkptReader reader(is);
+    SolutionLedger restored(metric, cost,
+                            ConnectionChargePolicy::kPerFacility, map,
+                            OverflowPolicy::kReject);
+    restored.restore(reader);
+    reader.finish();
+    EXPECT_EQ(serialized(restored), bytes);
+
+    ASSERT_EQ(restored.num_requests(), ledger.num_requests());
+    for (RequestId id = 0; id < ledger.num_requests(); ++id) {
+      SCOPED_TRACE(id);
+      const RequestRecord& a = ledger.request_record(id);
+      const RequestRecord& b = restored.request_record(id);
+      ASSERT_EQ(a.served.size(), b.served.size());
+      for (std::size_t k = 0; k < a.served.size(); ++k) {
+        EXPECT_EQ(a.served[k].commodity, b.served[k].commodity);
+        EXPECT_EQ(a.served[k].facility, b.served[k].facility);
+      }
+      EXPECT_EQ(a.rejected, b.rejected);
+      EXPECT_EQ(a.connected, b.connected);
+      EXPECT_EQ(a.retired_at, b.retired_at);
+    }
+    for (FacilityId f = 0; f < ledger.num_facilities(); ++f)
+      EXPECT_EQ(restored.occupancy(f), ledger.occupancy(f));
+  }
 }
 
 }  // namespace

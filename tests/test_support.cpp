@@ -1,7 +1,8 @@
 // Unit tests for the support substrate: CommoditySet algebra, storage and
-// allocations, the RNG and its distributions, streaming statistics,
-// harmonic numbers, the table writer, the parallel_for runner and the
-// id->slot pool.
+// allocations, InlineList's storage and the allocations of the ledger
+// records built on it, the RNG and its distributions, streaming
+// statistics, harmonic numbers, the table writer, the parallel_for runner
+// and the id->slot pool.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -13,6 +14,8 @@
 #include <fstream>
 #include <limits>
 #include <new>
+#include <numeric>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -22,10 +25,12 @@
 #include "cost/cost_models.hpp"
 #include "instance/event_stream.hpp"
 #include "metric/line_metric.hpp"
+#include "solution/solution.hpp"
 #include "support/atomic_file.hpp"
 #include "support/commodity_set.hpp"
 #include "support/harmonic.hpp"
 #include "support/id_slot_pool.hpp"
+#include "support/inline_list.hpp"
 #include "support/json.hpp"
 #include "support/parallel.hpp"
 #include "support/parse.hpp"
@@ -237,8 +242,10 @@ TEST(CommoditySetStorage, SelfAssignmentKeepsTheValue) {
   }
 }
 
-// Recorded with the vector-backed set this storage replaced: hashes (and
-// with them every hash-ordered container) are unchanged.
+// Re-recorded when hash() began mixing each word through the SplitMix64
+// finalizer. It maps a zero word to zero, so empty sets kept the values
+// the vector-backed set had. Pinned so that a storage change cannot move
+// a hash, and with it a hash-ordered container, unnoticed.
 TEST(CommoditySetStorage, HashValuesArePinned) {
   struct Pinned {
     CommodityId universe;
@@ -247,28 +254,41 @@ TEST(CommoditySetStorage, HashValuesArePinned) {
   const Pinned pinned[] = {
       {0, 1469598103934665603ULL, 1469598103934665603ULL,
        1469598103934665603ULL},
-      {1, 4953162257141659110ULL, 4953163356653287321ULL,
-       4953163356653287321ULL},
-      {63, 4953226028816095348ULL, 4270144908527052249ULL,
-       341542044055722535ULL},
-      {64, 4953233725397492825ULL, 13493509248800430580ULL,
-       14176606531051414182ULL},
-      {65, 11186709480756650002ULL, 7259076918324919058ULL,
-       11188477671547961736ULL},
-      {127, 11242190837505202012ULL, 2019774276255152338ULL,
-       6631461394194168453ULL},
-      {128, 11004003633532970107ULL, 11004959109137696241ULL,
-       1779676121073468165ULL},
-      {129, 5466607216224829014ULL, 6089817004000156555ULL,
-       6089817004000156555ULL},
-      {4096, 12457874735031047811ULL, 8943441959459442243ULL,
-       2567073401833281027ULL},
+      {1, 4953162257141659110ULL, 6910501637449376005ULL,
+       6910501637449376005ULL},
+      {63, 4953226028816095348ULL, 11039277735559006387ULL,
+       13984062334225501501ULL},
+      {64, 4953233725397492825ULL, 7703169667139244712ULL,
+       9243050394972237039ULL},
+      {65, 11186709480756650002ULL, 2903583101208045018ULL,
+       13565389439717188756ULL},
+      {127, 11242190837505202012ULL, 9449025871456649736ULL,
+       3278488874971718137ULL},
+      {128, 11004003633532970107ULL, 4974523148408177097ULL,
+       5161822955418969028ULL},
+      {129, 5466607216224829014ULL, 1423190912715838015ULL,
+       10454727945232539071ULL},
+      {4096, 12457874735031047811ULL, 9713539179354583107ULL,
+       6373958127194862465ULL},
   };
   for (const Pinned& p : pinned) {
     SCOPED_TRACE(p.universe);
     EXPECT_EQ(CommoditySet(p.universe).hash(), p.empty);
     EXPECT_EQ(CommoditySet::full_set(p.universe).hash(), p.full);
     EXPECT_EQ(sample_set(p.universe).hash(), p.sample);
+  }
+}
+
+// Unmixed xor-then-multiply hashed a leading word pair (~0, ~0) like
+// (1, 1): these two sets shared the hash 6089817004000156555.
+TEST(CommoditySetStorage, FullSetAndItsSampleHashApart) {
+  const CommoditySet full = CommoditySet::full_set(129);
+  const CommoditySet sample(129, {0, 64, 128});
+  EXPECT_NE(full.hash(), sample.hash());
+  for (const CommodityId u : kUniverses) {
+    if (u < 2) continue;  // there the full set is the sample
+    SCOPED_TRACE(u);
+    EXPECT_NE(CommoditySet::full_set(u).hash(), sample_set(u).hash());
   }
 }
 
@@ -369,6 +389,273 @@ TEST(CommoditySetAllocations, HeapUniverseCopiesAllocateOneBlock) {
             }),
             1u)
       << "only the copy allocates; moves take the block";
+}
+
+// -------------------------------------------------------- inline list ---
+
+using List = InlineList<std::uint32_t, 4>;
+
+static_assert(sizeof(List) == 24, "8-byte header, then four elements");
+static_assert(sizeof(InlineList<std::uint64_t, 4>) == 40);
+static_assert(sizeof(InlineList<std::uint32_t, 2>) == 16,
+              "the inline elements share their bytes with the heap pointer");
+
+/// 10, 11, ..., 10 + n - 1.
+std::vector<std::uint32_t> sequence(std::size_t n) {
+  std::vector<std::uint32_t> out(n);
+  std::iota(out.begin(), out.end(), 10u);
+  return out;
+}
+
+List list_of(const std::vector<std::uint32_t>& values) {
+  List list;
+  for (const std::uint32_t v : values) list.push_back(v);
+  return list;
+}
+
+std::vector<std::uint32_t> contents(const List& list) {
+  return {list.begin(), list.end()};
+}
+
+/// The storage states a list can be in: inline and empty, partly full or
+/// full; on the heap; and on the heap holding only two elements.
+struct ListState {
+  const char* name;
+  std::vector<std::uint32_t> values;
+  bool heap;
+};
+const ListState kListStates[] = {
+    {"inline 0", {}, false},         {"inline 3", sequence(3), false},
+    {"inline 4", sequence(4), false}, {"heap 6", sequence(6), true},
+    {"heap 2", {7, 8}, true},
+};
+
+List make_state(const ListState& state) {
+  List list;
+  if (state.heap) list.reserve(List::kInlineCapacity + 1);
+  for (const std::uint32_t v : state.values) list.push_back(v);
+  return list;
+}
+
+TEST(InlineList, SizesAcrossTheInlineBoundary) {
+  for (std::size_t n = 0; n <= 6; ++n) {
+    SCOPED_TRACE(n);
+    const std::vector<std::uint32_t> expected = sequence(n);
+    List list;
+    EXPECT_EQ(allocations_during([&] {
+                for (const std::uint32_t v : expected) list.push_back(v);
+              }),
+              n > 4 ? 1u : 0u);
+    EXPECT_EQ(list.size(), n);
+    EXPECT_EQ(list.empty(), n == 0);
+    EXPECT_EQ(list.capacity(), n > 4 ? 8u : 4u);
+    EXPECT_EQ(contents(list), expected);
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(list[i], expected[i]);
+      EXPECT_EQ(list.at(i), expected[i]);
+    }
+    EXPECT_THROW((void)list.at(n), std::out_of_range);
+    if (n > 0) EXPECT_EQ(list.front(), expected.front());
+  }
+}
+
+TEST(InlineList, CopyAndMoveBetweenEveryStorageState) {
+  for (const ListState& from : kListStates) {
+    // Construction.
+    {
+      SCOPED_TRACE(from.name);
+      const List original = make_state(from);
+      List copy(original);
+      EXPECT_EQ(contents(copy), from.values);
+      copy.clear();  // the copy owns its elements
+      EXPECT_EQ(contents(original), from.values);
+      EXPECT_EQ(allocations_during([&] {
+                  List again(original);
+                  keep(again);
+                }),
+                from.values.size() > 4 ? 1u : 0u);
+
+      List source = make_state(from);
+      std::optional<List> moved;
+      EXPECT_EQ(allocations_during([&] { moved.emplace(std::move(source)); }),
+                0u);
+      EXPECT_EQ(contents(*moved), from.values);
+      EXPECT_TRUE(source.empty());
+      EXPECT_EQ(source.capacity(), List::kInlineCapacity);
+    }
+    // Assignment onto every state.
+    for (const ListState& to : kListStates) {
+      SCOPED_TRACE(std::string(from.name) + " -> " + to.name);
+      const List original = make_state(from);
+
+      List copied = make_state(to);
+      const std::size_t room = copied.capacity();
+      EXPECT_EQ(allocations_during([&] { copied = original; }),
+                from.values.size() > room ? 1u : 0u);
+      EXPECT_EQ(contents(copied), from.values);
+      EXPECT_EQ(copied, original);
+      copied.clear();
+      EXPECT_EQ(contents(original), from.values);
+
+      List source = make_state(from);
+      List moved = make_state(to);
+      EXPECT_EQ(allocations_during([&] { moved = std::move(source); }), 0u);
+      EXPECT_EQ(contents(moved), from.values);
+      // A moved-from list is empty and inline, and takes new elements.
+      EXPECT_TRUE(source.empty());
+      EXPECT_EQ(source.capacity(), List::kInlineCapacity);
+      source.push_back(99);
+      EXPECT_EQ(contents(source), std::vector<std::uint32_t>{99});
+      source = make_state(to);
+      EXPECT_EQ(contents(source), to.values);
+      source = list_of(sequence(6));
+      EXPECT_EQ(contents(source), sequence(6));
+    }
+  }
+}
+
+TEST(InlineList, SelfAssignmentKeepsTheElements) {
+  for (const ListState& state : kListStates) {
+    SCOPED_TRACE(state.name);
+    List list = make_state(state);
+    List& alias = list;
+    list = alias;
+    EXPECT_EQ(contents(list), state.values);
+    list = std::move(alias);
+    EXPECT_EQ(contents(list), state.values);
+  }
+}
+
+TEST(InlineList, ClearKeepsTheHeapBlock) {
+  List list = list_of(sequence(6));
+  ASSERT_EQ(list.capacity(), 8u);
+  list.clear();
+  EXPECT_TRUE(list.empty());
+  EXPECT_EQ(list.capacity(), 8u);
+  const std::vector<std::uint32_t> eight = sequence(8);
+  EXPECT_EQ(allocations_during([&] {
+              for (const std::uint32_t v : eight) list.push_back(v);
+            }),
+            0u);
+  EXPECT_EQ(contents(list), sequence(8));
+  EXPECT_EQ(allocations_during([&] { list.push_back(18); }), 1u);
+  EXPECT_EQ(list.capacity(), 16u);
+}
+
+TEST(InlineList, ReserveGrowsOnlyPastTheCapacity) {
+  List list = list_of(sequence(3));
+  EXPECT_EQ(allocations_during([&] { list.reserve(4); }), 0u);
+  EXPECT_EQ(list.capacity(), 4u);
+  EXPECT_EQ(allocations_during([&] { list.reserve(5); }), 1u);
+  EXPECT_EQ(list.capacity(), 5u);
+  EXPECT_EQ(contents(list), sequence(3));
+}
+
+TEST(InlineList, PushBackOfItsOwnElementAcrossTheSpill) {
+  List list = list_of(sequence(4));
+  list.push_back(list[0]);
+  EXPECT_EQ(contents(list),
+            (std::vector<std::uint32_t>{10, 11, 12, 13, 10}));
+}
+
+TEST(InlineList, EqualityAndErase) {
+  EXPECT_EQ(list_of({1, 2}), list_of({1, 2}));
+  EXPECT_NE(list_of({1, 2}), list_of({2, 1}));
+  EXPECT_NE(list_of({1, 2}), list_of({1, 2, 3}));
+  EXPECT_EQ(List(), List());
+  // Equality sees the elements, not the storage.
+  List spilled = list_of(sequence(6));
+  spilled.clear();
+  spilled.push_back(1);
+  spilled.push_back(2);
+  EXPECT_EQ(spilled, list_of({1, 2}));
+
+  for (const std::vector<std::uint32_t>& values :
+       {std::vector<std::uint32_t>{3, 1, 3}, {3, 1, 3, 2, 1, 5}}) {
+    List list = list_of(values);
+    std::sort(list.begin(), list.end());
+    list.erase(std::unique(list.begin(), list.end()), list.end());
+    std::vector<std::uint32_t> expected = values;
+    std::sort(expected.begin(), expected.end());
+    expected.erase(std::unique(expected.begin(), expected.end()),
+                   expected.end());
+    EXPECT_EQ(contents(list), expected);
+  }
+  List list = list_of(sequence(6));
+  EXPECT_EQ(*list.erase(list.begin() + 1, list.begin() + 3), 13u);
+  EXPECT_EQ(contents(list), (std::vector<std::uint32_t>{10, 13, 14, 15}));
+}
+
+// ------------------------------------------------- ledger allocations ---
+
+// A ledger's records keep up to four served and connected entries inline,
+// so once its pool holds enough slots, serving, retiring and releasing
+// requests of up to four commodities allocates nothing at all. Above four,
+// a slot whose lists never spilled takes one block per spilled list and
+// keeps it for its next record. finish_request() reserves `connected` for
+// one facility per served entry, so both lists spill together.
+TEST(LedgerAllocations, SteadyStateRecordsAllocateNothing) {
+  constexpr CommodityId kUniverse = 8;
+  SolutionLedger ledger(LineMetric::uniform_grid(8, 7.0),
+                        std::make_shared<PolynomialCostModel>(kUniverse, 1.0));
+  std::vector<FacilityId> singleton;
+  FacilityId full = kInvalidFacility;
+  std::uint64_t event = 0;
+  // One request demanding {0, ..., size - 1}, each commodity at its own
+  // singleton (`spread`) or all at the full facility.
+  const auto serve = [&](CommodityId size, bool spread) {
+    CommoditySet demand(kUniverse);
+    for (CommodityId e = 0; e < size; ++e) demand.add(e);
+    ledger.begin_request(Request{size % 8, demand});
+    if (singleton.empty()) {
+      for (CommodityId e = 0; e < kUniverse; ++e)
+        singleton.push_back(ledger.open_facility(
+            e, CommoditySet::singleton(kUniverse, e)));
+      full = ledger.open_facility(0, CommoditySet::full_set(kUniverse));
+    }
+    demand.for_each(
+        [&](CommodityId e) { ledger.assign(e, spread ? singleton[e] : full); });
+    ledger.finish_request();
+  };
+  const auto retire_all = [&] {
+    for (RequestId id = ledger.first_record_id(); id < ledger.num_requests();
+         ++id)
+      if (ledger.resident(id) && ledger.request_record(id).active())
+        ledger.retire_request(id, event++);
+    ledger.release_retired();
+  };
+  constexpr std::size_t kRecords = 64;
+  const auto small_cycle = [&] {
+    for (std::size_t i = 0; i < kRecords; ++i)
+      serve(static_cast<CommodityId>(1 + i % 4), /*spread=*/true);
+    retire_all();
+  };
+
+  small_cycle();  // grows the pool, the id map and the retire queue
+  EXPECT_EQ(allocations_during(small_cycle), 0u) << "demand sizes 1-4";
+  EXPECT_EQ(ledger.num_resident_records(), 0u);
+
+  // Every slot's lists are still inline: six commodities take one block
+  // for served and one for connected, at one facility or at six.
+  EXPECT_EQ(allocations_during([&] { serve(6, /*spread=*/false); }), 2u);
+  EXPECT_EQ(ledger.request_record(ledger.num_requests() - 1).connected.size(),
+            1u);
+  EXPECT_EQ(allocations_during([&] { serve(6, /*spread=*/true); }), 2u);
+  EXPECT_EQ(ledger.request_record(ledger.num_requests() - 1).connected.size(),
+            6u);
+  EXPECT_EQ(allocations_during([&] { serve(4, /*spread=*/true); }), 0u);
+  retire_all();
+
+  // A slot keeps its blocks: once both slots have spilled both lists,
+  // six-commodity records allocate nothing either.
+  const auto wide_cycle = [&] {
+    serve(6, /*spread=*/true);
+    serve(6, /*spread=*/true);
+    retire_all();
+  };
+  wide_cycle();
+  EXPECT_EQ(allocations_during(wide_cycle), 0u) << "demand size 6";
+  EXPECT_EQ(allocations_during(small_cycle), 0u) << "back to sizes 1-4";
 }
 
 // ---------------------------------------------------------------- rng ----
