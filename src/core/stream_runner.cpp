@@ -1,6 +1,5 @@
 #include "core/stream_runner.hpp"
 
-#include <chrono>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -10,6 +9,7 @@
 #include "obs/trace_sink.hpp"
 #include "perf/perf_counters.hpp"
 #include "support/assert.hpp"
+#include "support/clock.hpp"
 
 namespace omflp {
 
@@ -28,25 +28,10 @@ void emit_retire(TraceEventKind kind, RequestId id,
   obs::emit(ev);
 }
 
-}  // namespace
-
-namespace {
-
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 [[noreturn]] void bad_event(std::uint64_t t, const std::string& what) {
   throw std::invalid_argument("run_stream: event " + std::to_string(t) +
                               ": " + what);
 }
-
-}  // namespace
-
-namespace {
 
 /// An explicit option override beats the source's own capacities; both
 /// null keeps the run uncapacitated.
@@ -69,6 +54,11 @@ SolutionLedger make_session_ledger(EventSource& source,
                         options.overflow);
 }
 
+const char* policy_tag(ConnectionChargePolicy policy) {
+  return policy == ConnectionChargePolicy::kPerFacility ? "per-facility"
+                                                        : "per-commodity";
+}
+
 }  // namespace
 
 StreamSession::StreamSession(OnlineAlgorithm& algorithm, EventSource& source,
@@ -83,15 +73,6 @@ StreamSession::StreamSession(OnlineAlgorithm& algorithm, EventSource& source,
                       session_capacities(source_, options_));
   batch_.reserve(options_.batch_size);
 }
-
-namespace {
-
-const char* policy_tag(ConnectionChargePolicy policy) {
-  return policy == ConnectionChargePolicy::kPerFacility ? "per-facility"
-                                                        : "per-commodity";
-}
-
-}  // namespace
 
 StreamSession::StreamSession(OnlineAlgorithm& algorithm, EventSource& source,
                              const StreamRunOptions& options,

@@ -1,7 +1,6 @@
 #include "engine/sharded_engine.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <memory>
 #include <optional>
 #include <sstream>
@@ -15,18 +14,12 @@
 #include "recover/fault_plan.hpp"
 #include "scenario/algorithm_registry.hpp"
 #include "scenario/registry_util.hpp"
+#include "support/clock.hpp"
 #include "support/parallel.hpp"
 
 namespace omflp {
 
 namespace {
-
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 void write_snapshot(const StreamSession& session, std::ostream& os) {
   CkptWriter writer(os);

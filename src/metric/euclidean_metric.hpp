@@ -20,7 +20,6 @@ class EuclideanMetric final : public MetricSpace {
   double distance(PointId a, PointId b) const override;
   std::string description() const override;
 
-  std::size_t dimension() const noexcept { return dim_; }
   /// Coordinate `axis` of point p.
   double coordinate(PointId p, std::size_t axis) const;
 

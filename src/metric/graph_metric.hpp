@@ -34,8 +34,6 @@ class GraphMetric final : public MetricSpace {
     return dist_.data();
   }
 
-  std::size_t num_edges() const noexcept { return num_edges_; }
-
  private:
   std::size_t n_;
   std::size_t num_edges_;

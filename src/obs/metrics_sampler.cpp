@@ -1,19 +1,13 @@
 #include "obs/metrics_sampler.hpp"
 
-#include <chrono>
 #include <ostream>
 #include <stdexcept>
+
+#include "support/clock.hpp"
 
 namespace omflp {
 
 namespace {
-
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 constexpr const char* kCsvHeader =
     "round,shard,events_delta,events_total,batches_delta,events_per_sec,"

@@ -57,7 +57,7 @@ BenchCaseResult read_case(JsonCursor& in) {
   c.ns_per_op_max = bench_number(in, "ns_per_op_max");
   c.requests_per_sec = bench_number(in, "requests_per_sec");
   // The optional latency object is checked for shape but not read back:
-  // comparisons use only ns/op and the counters.
+  // comparisons use only the counters and ns/op.
   in.expect(",");
   if (in.try_consume("\"latency\":"))
     read_members(in, [&](const std::string&) { (void)in.number(); });
@@ -73,6 +73,27 @@ BenchCaseResult read_case(JsonCursor& in) {
   });
   in.expect("}");
   return c;
+}
+
+/// The counters (and requests_per_op) whose totals differ, in
+/// PerfCounters field order.
+std::vector<CounterDelta> counter_changes(const BenchCaseResult& old_case,
+                                          const BenchCaseResult& new_case) {
+  std::vector<CounterDelta> out;
+  if (old_case.requests_per_op != new_case.requests_per_op)
+    out.push_back({"requests_per_op", old_case.requests_per_op,
+                   new_case.requests_per_op});
+  std::vector<std::uint64_t> new_values;
+  PerfCounters::for_each_field(
+      new_case.counters,
+      [&](const char*, std::uint64_t value) { new_values.push_back(value); });
+  std::size_t i = 0;
+  PerfCounters::for_each_field(
+      old_case.counters, [&](const char* name, std::uint64_t value) {
+        if (value != new_values[i]) out.push_back({name, value, new_values[i]});
+        ++i;
+      });
+  return out;
 }
 
 }  // namespace
@@ -122,47 +143,19 @@ BenchReport read_bench_report_file(const std::string& path) {
 // ------------------------------------------------------------ comparing ---
 
 CompareReport compare_reports(const BenchReport& old_report,
-                              const BenchReport& new_report,
-                              const CompareOptions& options) {
-  if (options.regression_threshold < 1.0)
-    throw std::invalid_argument(
-        "compare_reports: regression threshold must be >= 1.0");
-
+                              const BenchReport& new_report) {
   CompareReport out;
-  out.threshold = options.regression_threshold;
-
   for (const BenchCaseResult& old_case : old_report.cases) {
     CaseDelta delta;
     delta.name = old_case.name;
     delta.old_ns_per_op = old_case.ns_per_op;
     const BenchCaseResult* new_case = new_report.find(old_case.name);
     if (new_case == nullptr) {
-      // A baseline case the new report no longer measures: counted and
-      // reported on its own row either way; fail_on_missing additionally
-      // makes it a regression (so renaming or deleting a slow case
-      // cannot silently defeat the gate — deliberate suite changes
-      // regenerate the baseline in the same PR).
       delta.status = CaseDelta::Status::kOnlyOld;
-      ++out.missing_cases;
-      if (options.fail_on_missing) ++out.regressions;
-      out.deltas.push_back(std::move(delta));
-      continue;
-    }
-    delta.new_ns_per_op = new_case->ns_per_op;
-    delta.time_ratio = old_case.ns_per_op > 0.0
-                           ? new_case->ns_per_op / old_case.ns_per_op
-                           : 0.0;
-    if (old_case.counters.distance_lookups > 0)
-      delta.lookup_ratio =
-          static_cast<double>(new_case->counters.distance_lookups) /
-          static_cast<double>(old_case.counters.distance_lookups);
-    if (delta.time_ratio > options.regression_threshold) {
-      delta.status = CaseDelta::Status::kRegressed;
-      ++out.regressions;
-    } else if (delta.time_ratio > 0.0 &&
-               delta.time_ratio < 1.0 / options.regression_threshold) {
-      delta.status = CaseDelta::Status::kImproved;
-      ++out.improvements;
+    } else {
+      delta.new_ns_per_op = new_case->ns_per_op;
+      delta.changed = counter_changes(old_case, *new_case);
+      if (!delta.changed.empty()) delta.status = CaseDelta::Status::kChanged;
     }
     out.deltas.push_back(std::move(delta));
   }
@@ -172,46 +165,53 @@ CompareReport compare_reports(const BenchReport& old_report,
     delta.name = new_case.name;
     delta.new_ns_per_op = new_case.ns_per_op;
     delta.status = CaseDelta::Status::kOnlyNew;
-    ++out.new_cases;
     out.deltas.push_back(std::move(delta));
   }
+  for (const CaseDelta& delta : out.deltas)
+    if (delta.status != CaseDelta::Status::kSame) ++out.failures;
   return out;
 }
 
 void CompareReport::write_table(std::ostream& os) const {
-  TableWriter table({"case", "old ns/op", "new ns/op", "new/old",
-                     "lookups new/old", "status"});
+  TableWriter table({"case", "status", "counter", "old", "new", "new/old",
+                     "old ns/op", "new ns/op"});
   table.set_precision(6);
   for (const CaseDelta& delta : deltas) {
-    const char* status = "ok";
+    const auto add_row = [&](const char* status, const CounterDelta* c) {
+      table.begin_row().add(delta.name).add(status);
+      if (c == nullptr) {
+        table.add("").add("").add("").add("");
+      } else {
+        table.add(c->counter)
+            .add(static_cast<long long>(c->old_value))
+            .add(static_cast<long long>(c->new_value));
+        if (c->old_value > 0)
+          table.add(static_cast<double>(c->new_value) /
+                    static_cast<double>(c->old_value));
+        else
+          table.add("");
+      }
+      table.add(delta.old_ns_per_op).add(delta.new_ns_per_op);
+    };
     switch (delta.status) {
-      case CaseDelta::Status::kOk: status = "ok"; break;
-      case CaseDelta::Status::kImproved: status = "IMPROVED"; break;
-      case CaseDelta::Status::kRegressed: status = "REGRESSED"; break;
-      case CaseDelta::Status::kOnlyOld: status = "missing in new"; break;
-      case CaseDelta::Status::kOnlyNew: status = "new case"; break;
+      case CaseDelta::Status::kSame: add_row("ok", nullptr); break;
+      case CaseDelta::Status::kOnlyOld: add_row("only in old", nullptr); break;
+      case CaseDelta::Status::kOnlyNew: add_row("only in new", nullptr); break;
+      case CaseDelta::Status::kChanged:
+        for (const CounterDelta& c : delta.changed) add_row("CHANGED", &c);
+        break;
     }
-    table.begin_row()
-        .add(delta.name)
-        .add(delta.old_ns_per_op)
-        .add(delta.new_ns_per_op)
-        .add(delta.time_ratio)
-        .add(delta.lookup_ratio)
-        .add(status);
   }
   table.write_markdown(os);
   os << "\n"
-     << (regressions > 0
-             ? "REGRESSION: " + std::to_string(regressions) +
-                   " case(s) slower than "
-             : "ok: no case slower than ")
-     << threshold << "x the old time (" << improvements
-     << " improved beyond the same margin)\n";
-  if (new_cases > 0 || missing_cases > 0)
-    os << "suite drift: " << new_cases
-       << " new case(s) not in the baseline, " << missing_cases
-       << " baseline case(s) not measured by the new report — regenerate "
-          "the baseline to adopt suite changes\n";
+     << (failures > 0
+             ? "FAIL: " + std::to_string(failures) + " of " +
+                   std::to_string(deltas.size()) +
+                   " case(s) changed counters or are in only one report "
+                   "(after a deliberate change, regenerate the baseline)\n"
+             : "ok: all " + std::to_string(deltas.size()) +
+                   " case(s) have identical counters (ns/op is "
+                   "report-only)\n");
 }
 
 }  // namespace omflp

@@ -1,7 +1,6 @@
 #include "perf/bench_suite.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <memory>
 #include <optional>
 #include <ostream>
@@ -22,6 +21,7 @@
 #include "scenario/registry_util.hpp"
 #include "scenario/scenario_registry.hpp"
 #include "scenario/stream_registry.hpp"
+#include "support/clock.hpp"
 #include "support/json.hpp"
 #include "support/rng.hpp"
 #include "support/table.hpp"
@@ -29,13 +29,6 @@
 namespace omflp {
 
 namespace {
-
-std::uint64_t now_ns() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 std::string compiler_string() {
 #if defined(__clang__)
@@ -64,8 +57,6 @@ std::string compiler_string() {
 // ---------------------------------------------------------------- timer ---
 
 BenchTimer::BenchTimer() : start_ns_(now_ns()) {}
-
-void BenchTimer::restart() { start_ns_ = now_ns(); }
 
 double BenchTimer::elapsed_ns() const {
   return static_cast<double>(now_ns() - start_ns_);
@@ -118,7 +109,7 @@ void BenchReport::write_json(std::ostream& os) const {
 }
 
 void BenchReport::write_table(std::ostream& os) const {
-  TableWriter table({"case", "ns/op (median)", "requests/s", "dist lookups",
+  TableWriter table({"case", "ns/op (timed once)", "requests/s", "dist lookups",
                      "bids eval", "facilities probed", "coin flips"});
   table.set_precision(6);
   for (const BenchCaseResult& c : cases) {
@@ -161,59 +152,38 @@ std::vector<std::string> BenchSuite::case_names() const {
   return out;
 }
 
-BenchReport BenchSuite::run(const BenchOptions& options) const {
-  if (options.trials == 0)
-    throw std::invalid_argument("BenchSuite: trials must be positive");
-
+BenchReport BenchSuite::run(std::ostream* progress) const {
   BenchReport report;
   report.suite = name_;
   report.git_sha = OMFLP_GIT_SHA;
   report.build_type = OMFLP_BUILD_TYPE;
   report.compiler = compiler_string();
   report.build_flags = OMFLP_BUILD_FLAGS;
-  report.trials = options.trials;
-  report.warmup = options.warmup;
+  report.trials = 1;
 
   for (const BenchCase& c : cases_) {
-    for (std::size_t w = 0; w < options.warmup; ++w) c.op();
-
-    std::vector<double> samples;
-    samples.reserve(options.trials);
-    for (std::size_t t = 0; t < options.trials; ++t) {
-      BenchTimer timer;
-      c.op();
-      samples.push_back(timer.elapsed_ns());
-    }
-    std::sort(samples.begin(), samples.end());
-
     BenchCaseResult result;
     result.name = c.name;
     result.requests_per_op = c.requests_per_op;
-    result.trials = options.trials;
-    const std::size_t mid = samples.size() / 2;
-    result.ns_per_op = samples.size() % 2 == 1
-                           ? samples[mid]
-                           : 0.5 * (samples[mid - 1] + samples[mid]);
-    double sum = 0.0;
-    for (const double s : samples) sum += s;
-    result.ns_per_op_mean = sum / static_cast<double>(samples.size());
-    result.ns_per_op_min = samples.front();
-    result.ns_per_op_max = samples.back();
-    result.requests_per_sec =
-        static_cast<double>(c.requests_per_op) * 1e9 /
-        std::max(result.ns_per_op, 1.0);
-
-    if (options.collect_counters) {
+    result.trials = 1;
+    {
       PerfScope scope(result.counters);
       c.op();
     }
+    // The instrumented pass warms caches for the timed one.
+    BenchTimer timer;
+    c.op();
+    result.ns_per_op = timer.elapsed_ns();
+    result.ns_per_op_mean = result.ns_per_op_min = result.ns_per_op_max =
+        result.ns_per_op;
+    result.requests_per_sec = static_cast<double>(c.requests_per_op) * 1e9 /
+                              std::max(result.ns_per_op, 1.0);
     if (c.latency) result.latency = *c.latency;
     report.cases.push_back(std::move(result));
 
-    if (options.progress)
-      *options.progress << "  " << c.name << "  "
-                        << report.cases.back().ns_per_op / 1e6
-                        << " ms/op\n";
+    if (progress)
+      *progress << "  " << c.name << "  "
+                << report.cases.back().ns_per_op / 1e6 << " ms/op\n";
   }
   return report;
 }
@@ -308,7 +278,7 @@ BenchSuite default_bench_suite() {
     }
     suite.add(BenchCase{"kernel/accumulate-shift", n, [dist, bids, n] {
                           // Accumulate then undo: both kernels per op,
-                          // steady-state row values across trials.
+                          // steady-state row values across passes.
                           kernel::accumulate_clipped_bid(
                               bids->data(), dist->data(), 60.0, n);
                           kernel::shift_clipped_bid(
@@ -373,10 +343,9 @@ BenchSuite default_bench_suite() {
     // The trace-overhead pair: the same PD churn replay with no TraceSink
     // installed (the state every other timed case runs in — measuring the
     // disabled obs::tracing() hook) and with a TraceScope recording every
-    // decision into a buffer cleared per op. `omflp compare` across the
-    // two measures the cost of live tracing; the tentpole's
-    // zero-overhead-when-off claim is trace/off staying on par with
-    // stream/churn-pd.
+    // decision into a buffer cleared per op. The ns/op of the two
+    // measures the cost of live tracing; the zero-overhead-when-off claim
+    // is trace/off staying on par with stream/churn-pd.
     const auto traced_case = [&](std::string name, bool traced) {
       BenchCase c;
       c.name = std::move(name);
@@ -433,7 +402,7 @@ BenchSuite default_bench_suite() {
       c.name = std::move(name);
       c.requests_per_op =
           static_cast<std::size_t>(engine->total_events());
-      // Latency channel: the last trial's per-batch distribution lands
+      // Latency channel: the timed pass's per-batch distribution lands
       // in the case result (sequential twins have no batch latency).
       c.latency = std::make_shared<LatencySnapshot>();
       c.op = [engine, latency = c.latency] {
@@ -488,8 +457,8 @@ BenchSuite default_bench_suite() {
 
   // The counter-overhead pair: the same PD replay with counting disabled
   // (no sink — the default state every other case is timed in) and with a
-  // sink installed for the whole run. `omflp compare` across the two
-  // quantifies the cost of an enabled sink; "counters/off" vs the
+  // sink installed for the whole run. The ns/op of the two quantifies
+  // the cost of an enabled sink; "counters/off" vs the
   // pre-telemetry binary measures the disabled-mode hook (a thread-local
   // load + predicted branch).
   {
@@ -545,13 +514,6 @@ BenchSuite default_bench_suite() {
   }
 
   return suite;
-}
-
-BenchOptions quick_bench_options() {
-  BenchOptions options;
-  options.warmup = 1;
-  options.trials = 3;
-  return options;
 }
 
 std::string default_bench_filename(const std::string& suite) {

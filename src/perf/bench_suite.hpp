@@ -1,18 +1,18 @@
-// BenchSuite — the repo's first-class performance measurement runner.
+// BenchSuite — the repo's work-counter report.
 //
 // A BenchCase is a named closure (one "operation", e.g. replaying a
 // scenario instance through a roster algorithm) plus how many requests an
-// operation processes. A BenchSuite runs every case warmup+timed trials on
-// the calling thread, takes the median trial as ns/op (robust against a
-// scheduler hiccup inflating the mean), derives requests/s, and collects
-// PerfCounters totals from one extra *untimed* instrumented pass — so
-// wall times are measured with counting disabled, exactly the
-// configuration production code runs in.
+// operation processes. A BenchSuite runs every case twice on the calling
+// thread: once instrumented, collecting the PerfCounters totals of one
+// op — the deterministic work measure `omflp compare` gates on — and
+// once timed with counting disabled, exactly the configuration
+// production code runs in. The single timed pass is report-only;
+// perfbench/run.py is the wall-time benchmark.
 //
 // The resulting BenchReport serializes to the schema-versioned
 // BENCH_<suite>.json format (see README "Performance telemetry"):
-// build metadata (git sha, compiler, flags) plus per-case ns/op,
-// requests/s, and counter totals. bench_compare.hpp reads these files
+// build metadata (git sha, compiler, flags) plus per-case counter
+// totals, ns/op and requests/s. bench_compare.hpp reads these files
 // back and diffs them; `omflp bench` / `omflp compare` are thin CLI
 // wrappers over this pair.
 #pragma once
@@ -32,13 +32,12 @@ namespace omflp {
 /// BENCH_*.json schema version; bump on any incompatible layout change.
 inline constexpr int kBenchSchemaVersion = 1;
 
-/// Monotonic nanosecond timer for bench trials.
+/// Monotonic nanosecond timer (reads now_ns()).
 class BenchTimer {
  public:
   BenchTimer();
-  /// Nanoseconds since construction or the last restart().
+  /// Nanoseconds since construction.
   double elapsed_ns() const;
-  void restart();
 
  private:
   std::uint64_t start_ns_ = 0;
@@ -52,31 +51,23 @@ struct BenchCase {
   std::function<void()> op;
   /// Optional latency channel: when set, the op writes its most recent
   /// internal latency distribution here (e.g. the engine's per-batch
-  /// snapshot) and the suite copies the last trial's value into the case
+  /// snapshot) and the suite copies the timed pass's value into the case
   /// result, where write_json() emits it as a "latency" object.
   std::shared_ptr<LatencySnapshot> latency = nullptr;
-};
-
-struct BenchOptions {
-  std::size_t warmup = 2;
-  std::size_t trials = 7;
-  /// One extra instrumented pass per case for counter totals.
-  bool collect_counters = true;
-  /// When set, one progress line per finished case.
-  std::ostream* progress = nullptr;
 };
 
 struct BenchCaseResult {
   std::string name;
   std::size_t requests_per_op = 1;
-  std::size_t trials = 0;
-  double ns_per_op = 0.0;  // median of the timed trials
+  std::size_t trials = 0;  // timed passes: 1
+  double ns_per_op = 0.0;  // the timed pass (report-only)
+  /// Schema v1 fields; with one timed pass all three equal ns_per_op.
   double ns_per_op_mean = 0.0;
   double ns_per_op_min = 0.0;
   double ns_per_op_max = 0.0;
-  double requests_per_sec = 0.0;  // requests_per_op / median seconds
-  PerfCounters counters;          // totals of one op; all-zero if skipped
-  /// Internal latency distribution of the last trial (count == 0 when
+  double requests_per_sec = 0.0;  // requests_per_op / timed seconds
+  PerfCounters counters;          // totals of one instrumented op
+  /// Internal latency distribution of the timed pass (count == 0 when
   /// the case has no latency channel).
   LatencySnapshot latency;
 };
@@ -88,8 +79,8 @@ struct BenchReport {
   std::string build_type;
   std::string compiler;
   std::string build_flags;
-  std::size_t trials = 0;
-  std::size_t warmup = 0;
+  std::size_t trials = 0;  // timed passes per case: 1
+  std::size_t warmup = 0;  // always 0
   std::vector<BenchCaseResult> cases;
 
   /// Null when the name is absent.
@@ -113,9 +104,10 @@ class BenchSuite {
   std::size_t size() const noexcept { return cases_.size(); }
   std::vector<std::string> case_names() const;
 
-  /// Runs every case (in registration order, single-threaded) and
-  /// assembles the report with build metadata filled in.
-  BenchReport run(const BenchOptions& options = {}) const;
+  /// Runs every case (in registration order, on the calling thread) once
+  /// instrumented and once timed, and assembles the report with build
+  /// metadata filled in. When `progress` is set, one line per case.
+  BenchReport run(std::ostream* progress = nullptr) const;
 
  private:
   std::string name_;
@@ -133,12 +125,8 @@ class BenchSuite {
 /// overhead pair (the disabled-mode case the telemetry claims are judged
 /// against), and the trace on/off pair (the same churn stream with and
 /// without a TraceSink installed — the measurement behind the
-/// zero-overhead-when-off tracing claim). Workloads are identical at
-/// both scales so reports stay comparable; `quick` only shrinks
-/// warmup/trials via quick_bench_options().
+/// zero-overhead-when-off tracing claim).
 BenchSuite default_bench_suite();
-
-BenchOptions quick_bench_options();
 
 /// "BENCH_<suite>.json"
 std::string default_bench_filename(const std::string& suite);

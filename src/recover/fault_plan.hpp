@@ -56,7 +56,6 @@ class FaultPlan {
   /// past a scheduled round cannot stall the schedule.)
   bool should_crash(std::uint64_t round);
 
-  std::size_t crashes_fired() const noexcept { return next_; }
   std::size_t crashes_remaining() const noexcept {
     return crash_rounds_.size() - next_;
   }

@@ -208,13 +208,13 @@ void SolutionLedger::finish_request() {
     OMFLP_PERF_COUNT(requests_shed);
   }
 
-  record.connected.reserve(record.served.size());
+  // Distinct facilities only, so the list spills to the heap only above
+  // its inline capacity of distinct facilities, not of served entries.
   for (const ServedCommodity& sc : record.served)
-    record.connected.push_back(sc.facility);
+    if (std::find(record.connected.begin(), record.connected.end(),
+                  sc.facility) == record.connected.end())
+      record.connected.push_back(sc.facility);
   std::sort(record.connected.begin(), record.connected.end());
-  record.connected.erase(
-      std::unique(record.connected.begin(), record.connected.end()),
-      record.connected.end());
 
   double cost = 0.0;
   if (policy_ == ConnectionChargePolicy::kPerFacility) {

@@ -101,10 +101,6 @@ class CommoditySet {
     return *this;
   }
 
-  static CommoditySet empty_set(CommodityId universe) {
-    return CommoditySet(universe);
-  }
-
   /// The full universe S.
   static CommoditySet full_set(CommodityId universe) {
     CommoditySet s(universe);

@@ -55,7 +55,7 @@ std::optional<std::uint64_t> parse_u64_strict(std::string_view text) noexcept;
 std::optional<double> parse_double_strict(std::string_view text) noexcept;
 
 /// CLI wrappers: like the _strict functions but throwing
-/// std::invalid_argument naming `what` (e.g. "--trials") on bad input.
+/// std::invalid_argument naming `what` (e.g. "--batch") on bad input.
 std::uint64_t parse_u64_arg(const std::string& text, const std::string& what);
 double parse_double_arg(const std::string& text, const std::string& what);
 

@@ -6,22 +6,6 @@
 
 namespace omflp {
 
-void Xoshiro256::jump() noexcept {
-  static constexpr std::array<std::uint64_t, 4> kJump = {
-      0x180ec6d33cfd0abaULL, 0xd5a61266f0c9392cULL, 0xa9582618e03fc9aaULL,
-      0x39abdc4529b1661cULL};
-  std::array<std::uint64_t, 4> acc{};
-  for (std::uint64_t word : kJump) {
-    for (int b = 0; b < 64; ++b) {
-      if (word & (1ULL << b)) {
-        for (std::size_t i = 0; i < 4; ++i) acc[i] ^= state_[i];
-      }
-      (*this)();
-    }
-  }
-  state_ = acc;
-}
-
 Rng Rng::substream(std::uint64_t index) const noexcept {
   // Mix the substream index through SplitMix64 against a snapshot of our
   // own stream position so substreams of distinct parents differ too.

@@ -67,10 +67,6 @@ class Xoshiro256 {
     return result;
   }
 
-  /// Advance the stream by 2^128 steps; used to derive independent
-  /// per-thread / per-trial substreams from one master seed.
-  void jump() noexcept;
-
   /// Checkpoint/restore: the four state words, bitwise.
   const std::array<std::uint64_t, 4>& state() const noexcept {
     return state_;

@@ -1,7 +1,7 @@
 // Tests for the perf telemetry subsystem: PerfCounters semantics, the
 // counter hooks through the algorithm roster, BenchSuite runs, the
-// BENCH_*.json write/read round-trip, compare_reports thresholds and
-// suite-drift tolerance, and the lock-free LatencyHistogram backing the
+// BENCH_*.json write/read round-trip, the exact counter gate of
+// compare_reports, and the lock-free LatencyHistogram backing the
 // serving engine's percentiles.
 #include <gtest/gtest.h>
 
@@ -160,31 +160,28 @@ TEST(BenchSuite, RejectsBadCases) {
                std::invalid_argument);
   suite.add(BenchCase{"x", 1, [] {}});
   EXPECT_THROW(suite.add(BenchCase{"x", 1, [] {}}), std::invalid_argument);
-  EXPECT_THROW((void)suite.run(BenchOptions{.warmup = 0, .trials = 0}),
-               std::invalid_argument);
 }
 
 TEST(BenchSuite, RunProducesSaneReport) {
   BenchSuite suite("tiny");
-  int calls = 0;
-  suite.add(BenchCase{"counting", 10, [&calls] {
+  int timed_calls = 0, instrumented_calls = 0;
+  suite.add(BenchCase{"counting", 10, [&] {
                         PerfCounters* sink = perf::thread_sink();
                         if (sink) sink->coin_flips += 4;
-                        ++calls;
+                        ++(sink ? instrumented_calls : timed_calls);
                       }});
-  BenchOptions options;
-  options.warmup = 1;
-  options.trials = 3;
-  const BenchReport report = suite.run(options);
-  // warmup + timed trials + one counter pass.
-  EXPECT_EQ(calls, 5);
+  const BenchReport report = suite.run();
+  // One timed pass with counting off, one instrumented pass.
+  EXPECT_EQ(timed_calls, 1);
+  EXPECT_EQ(instrumented_calls, 1);
   ASSERT_EQ(report.cases.size(), 1u);
   const BenchCaseResult& c = report.cases[0];
   EXPECT_EQ(c.name, "counting");
-  EXPECT_EQ(c.trials, 3u);
+  EXPECT_EQ(c.trials, 1u);
   EXPECT_GT(c.ns_per_op, 0.0);
-  EXPECT_LE(c.ns_per_op_min, c.ns_per_op);
-  EXPECT_LE(c.ns_per_op, c.ns_per_op_max);
+  EXPECT_EQ(c.ns_per_op_mean, c.ns_per_op);
+  EXPECT_EQ(c.ns_per_op_min, c.ns_per_op);
+  EXPECT_EQ(c.ns_per_op_max, c.ns_per_op);
   EXPECT_GT(c.requests_per_sec, 0.0);
   EXPECT_EQ(c.counters.coin_flips, 4u);  // exactly one instrumented pass
   EXPECT_EQ(report.schema_version, kBenchSchemaVersion);
@@ -233,10 +230,7 @@ BenchReport tiny_report() {
                         }
                       }});
   suite.add(BenchCase{"case/two", 3, [] {}});
-  BenchOptions options;
-  options.warmup = 0;
-  options.trials = 2;
-  return suite.run(options);
+  return suite.run();
 }
 
 TEST(BenchJson, WriteReadRoundTrip) {
@@ -371,91 +365,89 @@ BenchReport synthetic_report(double ns_one, double ns_two) {
   one.name = "one";
   one.ns_per_op = ns_one;
   one.counters.distance_lookups = 100;
+  one.counters.bids_evaluated = 40;
   report.cases.push_back(one);
   BenchCaseResult two;
   two.name = "two";
   two.ns_per_op = ns_two;
+  two.counters.coin_flips = 7;
   report.cases.push_back(two);
   return report;
 }
 
-TEST(Compare, FlagsRegressionsBeyondThreshold) {
-  const BenchReport old_report = synthetic_report(1000.0, 1000.0);
-  const BenchReport new_report = synthetic_report(1200.0, 1050.0);
-  const CompareReport comparison = compare_reports(
-      old_report, new_report, CompareOptions{.regression_threshold = 1.10});
+std::string table_of(const CompareReport& comparison) {
+  std::ostringstream os;
+  comparison.write_table(os);
+  return os.str();
+}
+
+TEST(Compare, IdenticalReportsPass) {
+  const BenchReport report = synthetic_report(1000.0, 1000.0);
+  const CompareReport comparison = compare_reports(report, report);
   ASSERT_EQ(comparison.deltas.size(), 2u);
-  EXPECT_EQ(comparison.deltas[0].status, CaseDelta::Status::kRegressed);
-  EXPECT_DOUBLE_EQ(comparison.deltas[0].time_ratio, 1.2);
-  EXPECT_EQ(comparison.deltas[1].status, CaseDelta::Status::kOk);
-  EXPECT_TRUE(comparison.any_regression());
-  EXPECT_EQ(comparison.regressions, 1u);
+  EXPECT_EQ(comparison.deltas[0].status, CaseDelta::Status::kSame);
+  EXPECT_EQ(comparison.deltas[1].status, CaseDelta::Status::kSame);
+  EXPECT_TRUE(comparison.passed());
+  EXPECT_NE(table_of(comparison).find("ok: all 2 case(s)"),
+            std::string::npos);
 }
 
-TEST(Compare, FlagsImprovementsAndReportsSuiteDrift) {
-  BenchReport old_report = synthetic_report(1000.0, 1000.0);
-  BenchReport new_report = synthetic_report(500.0, 990.0);
-  new_report.cases[1].name = "renamed";
+TEST(Compare, OneCounterOffByOneFailsAndIsNamed) {
+  const BenchReport old_report = synthetic_report(1000.0, 1000.0);
+  BenchReport new_report = old_report;
+  ++new_report.cases[1].counters.coin_flips;
+  const CompareReport comparison = compare_reports(old_report, new_report);
+  EXPECT_FALSE(comparison.passed());
+  EXPECT_EQ(comparison.failures, 1u);
+  EXPECT_EQ(comparison.deltas[0].status, CaseDelta::Status::kSame);
+  const CaseDelta& changed = comparison.deltas[1];
+  EXPECT_EQ(changed.status, CaseDelta::Status::kChanged);
+  ASSERT_EQ(changed.changed.size(), 1u);
+  EXPECT_EQ(changed.changed[0].counter, "coin_flips");
+  EXPECT_EQ(changed.changed[0].old_value, 7u);
+  EXPECT_EQ(changed.changed[0].new_value, 8u);
+  const std::string table = table_of(comparison);
+  EXPECT_NE(table.find("| two "), std::string::npos) << table;
+  EXPECT_NE(table.find("| coin_flips "), std::string::npos) << table;
+  EXPECT_NE(table.find("FAIL: 1 of 2"), std::string::npos) << table;
+}
+
+TEST(Compare, RequestsPerOpIsPartOfTheGate) {
+  const BenchReport old_report = synthetic_report(1000.0, 1000.0);
+  BenchReport new_report = old_report;
+  new_report.cases[0].requests_per_op = 2;
+  const CompareReport comparison = compare_reports(old_report, new_report);
+  EXPECT_FALSE(comparison.passed());
+  ASSERT_EQ(comparison.deltas[0].changed.size(), 1u);
+  EXPECT_EQ(comparison.deltas[0].changed[0].counter, "requests_per_op");
+}
+
+TEST(Compare, CaseInOnlyOneReportFails) {
+  const BenchReport full = synthetic_report(1000.0, 1000.0);
+  BenchReport partial = full;
+  partial.cases.pop_back();  // "two" exists only in `full`
+
+  const CompareReport dropped = compare_reports(full, partial);
+  EXPECT_FALSE(dropped.passed());
+  ASSERT_EQ(dropped.deltas.size(), 2u);
+  EXPECT_EQ(dropped.deltas[1].status, CaseDelta::Status::kOnlyOld);
+  EXPECT_NE(table_of(dropped).find("only in old"), std::string::npos);
+
+  const CompareReport added = compare_reports(partial, full);
+  EXPECT_FALSE(added.passed());
+  ASSERT_EQ(added.deltas.size(), 2u);
+  EXPECT_EQ(added.deltas[1].status, CaseDelta::Status::kOnlyNew);
+  EXPECT_NE(table_of(added).find("only in new"), std::string::npos);
+}
+
+TEST(Compare, WallTimeAloneNeverFails) {
   const CompareReport comparison =
-      compare_reports(old_report, new_report);
-  ASSERT_EQ(comparison.deltas.size(), 3u);
-  EXPECT_EQ(comparison.deltas[0].status, CaseDelta::Status::kImproved);
-  EXPECT_DOUBLE_EQ(comparison.deltas[0].lookup_ratio, 1.0);
-  EXPECT_EQ(comparison.deltas[1].status, CaseDelta::Status::kOnlyOld);
-  EXPECT_EQ(comparison.deltas[2].status, CaseDelta::Status::kOnlyNew);
-  // Suite drift (a renamed case is one missing + one new) is reported,
-  // not treated as a slowdown: new-only and missing-only cases must
-  // compare cleanly when a PR adds or retires bench cases.
-  EXPECT_FALSE(comparison.any_regression());
-  EXPECT_EQ(comparison.regressions, 0u);
-  EXPECT_EQ(comparison.missing_cases, 1u);
-  EXPECT_EQ(comparison.new_cases, 1u);
-  EXPECT_EQ(comparison.improvements, 1u);
-
-  std::ostringstream table;
-  comparison.write_table(table);
-  EXPECT_NE(table.str().find("suite drift: 1 new case(s)"),
-            std::string::npos);
-  EXPECT_NE(table.str().find("1 baseline case(s) not measured"),
-            std::string::npos);
-}
-
-TEST(Compare, FailOnMissingRestoresTheStrictGate) {
-  BenchReport old_report = synthetic_report(1000.0, 1000.0);
-  BenchReport new_report = synthetic_report(1000.0, 1000.0);
-  new_report.cases.pop_back();  // baseline case "two" vanishes
-  const CompareReport tolerant = compare_reports(old_report, new_report);
-  EXPECT_FALSE(tolerant.any_regression());
-  EXPECT_EQ(tolerant.missing_cases, 1u);
-
-  const CompareReport strict = compare_reports(
-      old_report, new_report, CompareOptions{.fail_on_missing = true});
-  EXPECT_TRUE(strict.any_regression());
-  EXPECT_EQ(strict.regressions, 1u);
-  EXPECT_EQ(strict.missing_cases, 1u);
-}
-
-TEST(Compare, NewOnlyCasesAreNeverRegressions) {
-  BenchReport old_report = synthetic_report(1000.0, 1000.0);
-  BenchReport new_report = synthetic_report(1000.0, 1000.0);
-  BenchCaseResult serve;
-  serve.name = "serve/mixed-pd";
-  serve.ns_per_op = 123.0;
-  new_report.cases.push_back(serve);
-  const CompareReport comparison = compare_reports(
-      old_report, new_report, CompareOptions{.fail_on_missing = true});
-  EXPECT_FALSE(comparison.any_regression());
-  EXPECT_EQ(comparison.new_cases, 1u);
-  ASSERT_EQ(comparison.deltas.size(), 3u);
-  EXPECT_EQ(comparison.deltas[2].status, CaseDelta::Status::kOnlyNew);
-}
-
-TEST(Compare, RejectsThresholdBelowOne) {
-  const BenchReport report = synthetic_report(1.0, 1.0);
-  EXPECT_THROW(
-      (void)compare_reports(report, report,
-                            CompareOptions{.regression_threshold = 0.9}),
-      std::invalid_argument);
+      compare_reports(synthetic_report(1000.0, 1000.0),
+                      synthetic_report(5000.0, 10.0));
+  EXPECT_TRUE(comparison.passed());
+  EXPECT_EQ(comparison.failures, 0u);
+  EXPECT_EQ(comparison.deltas[0].old_ns_per_op, 1000.0);
+  EXPECT_EQ(comparison.deltas[0].new_ns_per_op, 5000.0);
 }
 
 // ------------------------------------------------------ latency histogram ---

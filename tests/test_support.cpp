@@ -592,8 +592,8 @@ TEST(InlineList, EqualityAndErase) {
 // so once its pool holds enough slots, serving, retiring and releasing
 // requests of up to four commodities allocates nothing at all. Above four,
 // a slot whose lists never spilled takes one block per spilled list and
-// keeps it for its next record. finish_request() reserves `connected` for
-// one facility per served entry, so both lists spill together.
+// keeps it for its next record. `connected` holds distinct facilities, so
+// it spills only when more than four of them serve the request.
 TEST(LedgerAllocations, SteadyStateRecordsAllocateNothing) {
   constexpr CommodityId kUniverse = 8;
   SolutionLedger ledger(LineMetric::uniform_grid(8, 7.0),
@@ -636,8 +636,8 @@ TEST(LedgerAllocations, SteadyStateRecordsAllocateNothing) {
   EXPECT_EQ(ledger.num_resident_records(), 0u);
 
   // Every slot's lists are still inline: six commodities take one block
-  // for served and one for connected, at one facility or at six.
-  EXPECT_EQ(allocations_during([&] { serve(6, /*spread=*/false); }), 2u);
+  // for served, plus one for connected only when served at six facilities.
+  EXPECT_EQ(allocations_during([&] { serve(6, /*spread=*/false); }), 1u);
   EXPECT_EQ(ledger.request_record(ledger.num_requests() - 1).connected.size(),
             1u);
   EXPECT_EQ(allocations_during([&] { serve(6, /*spread=*/true); }), 2u);

@@ -12,9 +12,8 @@
 //   omflp serve --tenants 16 --mix mixed --algorithm pd --seq-baseline
 //   omflp bound --scenario theorem2 --algorithm pd --assert-paper-bound
 //   omflp bound --stream churn-uniform --window 4096 --algorithm pd
-//   omflp bench --quick --out BENCH_default.json
+//   omflp bench --out BENCH_default.json
 //   omflp compare benchmarks/BENCH_baseline.json BENCH_default.json
-//               ... --threshold 1.15
 //
 // Every run is a deterministic function of (scenario, parameters, seed):
 // `replay` on a trace saved by `run --save` reproduces the same total
@@ -88,14 +87,13 @@ struct Args {
   std::uint64_t seed = 0, seeds = 0, seed_base = 0, threads = 0, batch = 0,
                 window = 0, tenants = 0, shards = 0, capacity = 0,
                 sample_every = 0, checkpoint_every = 0;
-  double scale = 0.0, threshold = 0.0;
-  std::optional<std::uint64_t> facility, request, trials, warmup;
+  double scale = 0.0;
+  std::optional<std::uint64_t> facility, request;
   std::optional<double> max_certified_ratio;
   std::vector<std::uint64_t> placement;
   Overrides set;
   bool ratio = false, no_verify = false, assert_paper_bound = false,
-       seq_baseline = false, recover = false, quick = false,
-       report_only = false, fail_on_missing = false;
+       seq_baseline = false, recover = false;
 };
 
 struct Flag {
@@ -1119,18 +1117,11 @@ int cmd_bound(const Args& a) {
 // ----------------------------------------------------------------- bench ---
 
 int cmd_bench(const Args& a) {
-  // --quick picks the base profile; explicit --trials/--warmup override
-  // it regardless of argument order.
-  BenchOptions options = a.quick ? quick_bench_options() : BenchOptions{};
-  if (a.trials) options.trials = *a.trials;
-  if (a.warmup) options.warmup = *a.warmup;
-
   const BenchSuite suite = default_bench_suite();
   std::cout << "suite " << suite.name() << ": " << suite.size()
-            << " cases, " << options.warmup << " warmup + "
-            << options.trials << " timed trials each\n";
-  options.progress = &std::cout;
-  const BenchReport report = suite.run(options);
+            << " cases, each run once instrumented (counters) and once "
+               "timed\n";
+  const BenchReport report = suite.run(&std::cout);
   std::cout << "\n";
   report.write_table(std::cout);
 
@@ -1149,19 +1140,15 @@ int cmd_bench(const Args& a) {
 
 int cmd_compare(const Args& a) {
   const Names& paths = a.operands;
-  CompareOptions options;
-  options.regression_threshold = a.threshold;
-  options.fail_on_missing = a.fail_on_missing;
   const BenchReport old_report = read_bench_report_file(paths[0]);
   const BenchReport new_report = read_bench_report_file(paths[1]);
   std::cout << "old: " << paths[0] << " (git " << old_report.git_sha
             << ", " << old_report.build_type << ")\n"
             << "new: " << paths[1] << " (git " << new_report.git_sha
             << ", " << new_report.build_type << ")\n\n";
-  const CompareReport comparison =
-      compare_reports(old_report, new_report, options);
+  const CompareReport comparison = compare_reports(old_report, new_report);
   comparison.write_table(std::cout);
-  return comparison.any_regression() && !a.report_only ? 1 : 0;
+  return comparison.passed() ? 0 : 1;
 }
 
 // ------------------------------------------------------------------ verbs ---
@@ -1291,19 +1278,12 @@ const Verb kVerbs[] = {
       {"--recover", &Args::recover, "",
        "accept a torn/corrupt tracelog and use its valid prefix"}},
      "a tracelog file is required"},
-    {"bench", "", "run the perf suite, write BENCH json", cmd_bench,
-     {{"--out", &Args::out, "FILE", "BENCH_<suite>.json when absent"},
-      {"--quick", &Args::quick, "", "fewer warmup/timed trials (CI smoke)"},
-      {"--trials", &Args::trials, "N", "override timed trials per case"},
-      {"--warmup", &Args::warmup, "N", "override warmup runs per case"}}},
-    {"compare", "OLD NEW", "diff two BENCH json files", cmd_compare,
-     {{"--threshold", &Args::threshold, "X", "regression gate on ns/op",
-       "1.10"},
-      {"--report-only", &Args::report_only, "",
-       "always exit 0 (CI trend reporting)"},
-      {"--fail-on-missing", &Args::fail_on_missing, "",
-       "treat baseline cases missing from NEW as regressions"}},
-     "exactly two BENCH json files are required"},
+    {"bench", "", "run the perf suite, write BENCH json (work counters)",
+     cmd_bench,
+     {{"--out", &Args::out, "FILE", "BENCH_<suite>.json when absent"}}},
+    {"compare", "OLD NEW",
+     "diff two BENCH json files; exit 1 when any case's counters differ",
+     cmd_compare, {}, "exactly two BENCH json files are required"},
 };
 
 int usage(std::ostream& os, int exit_code) {
