@@ -485,9 +485,13 @@ std::string session_snapshot(const char* algo, std::uint64_t seed,
 // version-2 file comes from the PD archive before it dropped departed
 // requests (commit 50485a6), pd with the verifier off: every arrival is
 // in its PD section, departed ones included, plus a second copy of the
-// duals. Each must restore, release what a current session no longer
-// holds, drain to the uninterrupted run's results and re-checkpoint as
-// version 3 with the bytes a session that never stopped writes.
+// duals. The version-3 fotakis and meyerson files hold the per-commodity
+// adapter layout the two baselines wrote before they served every
+// commodity themselves (commit baf55ed), with the verifier on: one
+// sub-instance per commodity with its own ledger and id tables. Each must
+// restore, release what a current session no longer holds, drain to the
+// uninterrupted run's results and re-checkpoint as version 3 with the
+// bytes a session that never stopped writes.
 TEST(SessionRecovery, Version1And2SnapshotsRestoreDrainAndRecheckpointAsV3) {
   const std::uint64_t seed = 20260808;
   const struct {
@@ -497,7 +501,9 @@ TEST(SessionRecovery, Version1And2SnapshotsRestoreDrainAndRecheckpointAsV3) {
     bool verify;
   } cases[] = {{"session_v1_greedy_verify.ckpt", 1, "greedy", true},
                {"session_v1_pd.ckpt", 1, "pd", false},
-               {"session_v2_pd.ckpt", 2, "pd", false}};
+               {"session_v2_pd.ckpt", 2, "pd", false},
+               {"session_v3_fotakis.ckpt", 3, "fotakis", true},
+               {"session_v3_meyerson.ckpt", 3, "meyerson", true}};
   for (const auto& c : cases) {
     SCOPED_TRACE(c.file);
     StreamRunOptions options = test_options();
