@@ -10,7 +10,6 @@
 
 #include "analysis/competitive.hpp"
 #include "analysis/experiment.hpp"
-#include "baseline/per_commodity.hpp"
 #include "core/pd_omflp.hpp"
 #include "core/rand_omflp.hpp"
 #include "cost/cost_models.hpp"

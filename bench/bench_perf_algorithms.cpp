@@ -7,8 +7,8 @@
 // quantifies what the incremental bid maintenance buys PD.
 #include <benchmark/benchmark.h>
 
+#include "baseline/fotakis_ofl.hpp"
 #include "baseline/greedy.hpp"
-#include "baseline/per_commodity.hpp"
 #include "core/pd_omflp.hpp"
 #include "core/rand_omflp.hpp"
 #include "cost/cost_models.hpp"
@@ -77,8 +77,8 @@ BENCHMARK(BM_Rand)
 
 void BM_PerCommodityFotakis(benchmark::State& state) {
   const Instance inst = bench_instance(state.range(0), state.range(1), 16);
-  auto adapter = PerCommodityAdapter::fotakis();
-  run_algorithm(state, *adapter, inst);
+  FotakisOfl fotakis;
+  run_algorithm(state, fotakis, inst);
 }
 BENCHMARK(BM_PerCommodityFotakis)
     ->Args({256, 32})

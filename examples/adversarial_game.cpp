@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
     algorithm = std::make_unique<PdOmflp>(
         PdOptions{.prediction = PdOptions::Prediction::kOff});
   } else if (which == "perCommodity") {
-    algorithm = PerCommodityAdapter::fotakis();
+    algorithm = std::make_unique<FotakisOfl>();
   } else {
     algorithm = std::make_unique<PdOmflp>();
   }

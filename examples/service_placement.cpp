@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
            PdOptions{.prediction = PdOptions::Prediction::kOff})});
   roster.push_back(
       {"per-service Fotakis (trivial baseline)",
-       std::unique_ptr<OnlineAlgorithm>(PerCommodityAdapter::fotakis())});
+       std::make_unique<FotakisOfl>()});
   roster.push_back({"greedy nearest-or-open",
                     std::make_unique<NearestOrOpen>()});
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "baseline/sub_instance_layout.hpp"
 #include "kernel/kernels.hpp"
 #include "obs/trace_sink.hpp"
 #include "perf/perf_counters.hpp"
@@ -14,35 +15,48 @@ namespace omflp {
 void FotakisOfl::reset(const ProblemContext& context) {
   OMFLP_REQUIRE(context.metric != nullptr && context.cost != nullptr,
                 "FotakisOfl::reset: incomplete context");
-  OMFLP_REQUIRE(context.num_commodities() == 1,
-                "FotakisOfl: single-commodity algorithm; wrap in "
-                "PerCommodityAdapter for |S| > 1");
+  metric_ = context.metric;
   cost_ = context.cost;
   dist_ = shared_distances(context.metric);
   num_points_ = dist_->num_points();
-  facilities_.clear();
-  past_.clear();
-  bids_.assign(num_points_, 0.0);
-  const CommoditySet single = CommoditySet::full_set(1);
-  cost_row_.resize(num_points_);
-  for (PointId m = 0; m < num_points_; ++m)
-    cost_row_[m] = cost_->open_cost(m, single);
-  total_dual_ = 0.0;
-  duals_.clear();
+  commodities_.clear();
+  commodities_.resize(context.num_commodities());
+}
+
+FotakisOfl::CommodityState& FotakisOfl::start(CommodityId e) {
+  CommodityState& c = commodities_[e];
+  if (!c.started) {
+    const CommoditySet single =
+        CommoditySet::singleton(cost_->num_commodities(), e);
+    c.bids.assign(num_points_, 0.0);
+    c.cost_row.resize(num_points_);
+    for (PointId m = 0; m < num_points_; ++m)
+      c.cost_row[m] = cost_->open_cost(m, single);
+    c.started = true;
+  }
+  return c;
 }
 
 void FotakisOfl::serve(const Request& request, SolutionLedger& ledger) {
   OMFLP_CHECK(cost_ != nullptr, "FotakisOfl: serve() before reset()");
-  const PointId loc = request.location;
+  const RequestId id = ledger.num_requests() - 1;
+  request.commodities.for_each([&](CommodityId e) {
+    serve_commodity(e, id, request.location, ledger);
+  });
+}
+
+void FotakisOfl::serve_commodity(CommodityId e, RequestId id, PointId loc,
+                                 SolutionLedger& ledger) {
+  CommodityState& c = start(e);
 
   // Nearest open facility (constraint (1) threshold).
-  OMFLP_PERF_ADD(facilities_probed, facilities_.size());
+  OMFLP_PERF_ADD(facilities_probed, c.facilities.size());
   double d1 = kInfiniteDistance;
   FacilityId f1 = kInvalidFacility;
-  if (!facilities_.empty()) {
-    OMFLP_PERF_ADD(distance_lookups, facilities_.size());
+  if (!c.facilities.empty()) {
+    OMFLP_PERF_ADD(distance_lookups, c.facilities.size());
     const double* dist_loc = dist_->row(loc);
-    for (const OpenRecord& f : facilities_) {
+    for (const OpenRecord& f : c.facilities) {
       const double d = dist_loc[f.point];
       if (d < d1) {
         d1 = d;
@@ -53,15 +67,14 @@ void FotakisOfl::serve(const Request& request, SolutionLedger& ledger) {
 
   // First tightness event while raising a_r from 0:
   //   (1) a_r = d(F, r);
-  //   (3) (a_r − d(m,r))+ + bids_[m] = f_m  ⇒  a_r = d(m,r) + f_m − bids_[m].
+  //   (3) (a_r − d(m,r))+ + bids[m] = f_m  ⇒  a_r = d(m,r) + f_m − bids[m].
   double best_delta = d1;
   int best_kind = 1;
   PointId best_point = kInvalidPoint;
-  const CommoditySet single = CommoditySet::full_set(1);
   OMFLP_PERF_ADD(bids_evaluated, num_points_);
   OMFLP_PERF_ADD(distance_lookups, num_points_);
   const kernel::RowEvent event = kernel::min_tightness_over_row(
-      dist_->row(loc), cost_row_.data(), bids_.data(), /*raised=*/0.0,
+      dist_->row(loc), c.cost_row.data(), c.bids.data(), /*raised=*/0.0,
       /*divisor=*/1.0, num_points_);
   if (event.delta < best_delta) {
     best_delta = event.delta;
@@ -74,42 +87,39 @@ void FotakisOfl::serve(const Request& request, SolutionLedger& ledger) {
   const double a = best_delta;
   FacilityId serving = f1;
   if (best_kind == 3) {
-    serving = ledger.open_facility(best_point, single);
-    facilities_.push_back(OpenRecord{best_point, serving});
+    serving = ledger.open_facility(
+        best_point, CommoditySet::singleton(cost_->num_commodities(), e));
+    c.facilities.push_back(OpenRecord{best_point, serving});
     if (obs::tracing()) {
-      // Captured before the reinvestment loop below mutates bids_ and the
-      // maintained facility distances.
+      // Captured before the reinvestment loop below mutates the bids and
+      // the maintained facility distances.
       TraceEvent ev;
       ev.kind = TraceEventKind::kFacilityOpen;
-      ev.request = ledger.num_requests() - 1;
+      ev.request = id;
       ev.constraint = 3;
-      ev.commodity = 0;
+      ev.commodity = e;
       ev.facility = serving;
       ev.point = best_point;
       ev.config_size = 1;
       ev.cost = ledger.facility(serving).open_cost;
-      ev.bid_mass = bids_[best_point];
+      ev.bid_mass = c.bids[best_point];
       ev.tightness = a;
       std::vector<TraceContributor> contribs;
       const double* dist_m = dist_->row(best_point);
-      for (std::size_t j = 0; j < past_.size(); ++j) {
-        const PastRequest& pr = past_[j];
+      for (const PastRequest& pr : c.past) {
         const double v = std::min(pr.dual, pr.facility_dist);
         if (v <= 0.0) continue;
         const double amount = v - dist_m[pr.location];
-        if (amount > 0.0)
-          contribs.push_back(TraceContributor{j, amount});
+        if (amount > 0.0) contribs.push_back(TraceContributor{pr.id, amount});
       }
       const double own = a - dist_m[loc];
-      if (own > 0.0)
-        contribs.push_back(
-            TraceContributor{ledger.num_requests() - 1, own});
+      if (own > 0.0) contribs.push_back(TraceContributor{id, own});
       set_trace_contributors(ev, std::move(contribs));
       obs::emit(ev);
     }
     // The new facility may lower past requests' d(F, j); shrink their
     // outstanding bids accordingly (Lemma 6's reinvestment rule).
-    for (PastRequest& pr : past_) {
+    for (PastRequest& pr : c.past) {
       const double d_new = (*dist_)(best_point, pr.location);
       if (d_new >= pr.facility_dist) continue;
       const double v_old = std::min(pr.dual, pr.facility_dist);
@@ -117,115 +127,186 @@ void FotakisOfl::serve(const Request& request, SolutionLedger& ledger) {
       if (v_new < v_old && v_old > 0.0) {
         OMFLP_PERF_ADD(bids_updated, num_points_);
         OMFLP_PERF_ADD(distance_lookups, num_points_);
-        kernel::shift_clipped_bid(bids_.data(), dist_->row(pr.location),
+        kernel::shift_clipped_bid(c.bids.data(), dist_->row(pr.location),
                                   v_old, v_new, num_points_);
       }
       pr.facility_dist = d_new;
     }
   }
-  ledger.assign(0, serving);
 
   // Archive: post this request's bid contributions.
   PastRequest pr;
+  pr.id = id;
   pr.location = loc;
   pr.dual = a;
   pr.facility_dist = kInfiniteDistance;
-  if (!facilities_.empty()) {
-    OMFLP_PERF_ADD(distance_lookups, facilities_.size());
+  if (!c.facilities.empty()) {
+    OMFLP_PERF_ADD(distance_lookups, c.facilities.size());
     const double* dist_loc = dist_->row(loc);
-    for (const OpenRecord& f : facilities_)
+    for (const OpenRecord& f : c.facilities)
       pr.facility_dist = std::min(pr.facility_dist, dist_loc[f.point]);
   }
   const double v = std::min(pr.dual, pr.facility_dist);
   if (v > 0.0) {
     OMFLP_PERF_ADD(bids_updated, num_points_);
     OMFLP_PERF_ADD(distance_lookups, num_points_);
-    kernel::accumulate_clipped_bid(bids_.data(), dist_->row(loc), v,
+    kernel::accumulate_clipped_bid(c.bids.data(), dist_->row(loc), v,
                                    num_points_);
   }
-  past_.push_back(pr);
-
-  total_dual_ += a;
-  duals_.push_back(a);
+  c.past.push_back(pr);
+  c.total_dual += a;
 
   if (obs::tracing()) {
     TraceEvent ev;
     ev.kind = TraceEventKind::kDualRaise;
-    ev.request = ledger.num_requests() - 1;
-    ev.commodity = 0;
+    ev.request = id;
+    ev.commodity = e;
     ev.config_size = 1;
     ev.cost = a;
     obs::emit(ev);
   }
+  ledger.assign(e, serving);
+}
+
+std::size_t FotakisOfl::past_index(RequestId id, CommodityId e) const {
+  OMFLP_REQUIRE(e < commodities_.size(), "FotakisOfl: commodity range");
+  const std::vector<PastRequest>& past = commodities_[e].past;
+  const auto it = std::lower_bound(
+      past.begin(), past.end(), id,
+      [](const PastRequest& pr, RequestId r) { return pr.id < r; });
+  OMFLP_REQUIRE(it != past.end() && it->id == id,
+                "FotakisOfl: request unknown to the commodity");
+  return static_cast<std::size_t>(it - past.begin());
+}
+
+double FotakisOfl::total_dual() const noexcept {
+  double total = 0.0;
+  for (const CommodityState& c : commodities_) total += c.total_dual;
+  return total;
+}
+
+double FotakisOfl::dual(RequestId id, CommodityId e) const {
+  return commodities_[e].past[past_index(id, e)].dual;
 }
 
 void FotakisOfl::depart(RequestId id, const Request& request,
                         SolutionLedger& ledger) {
-  (void)request;
   (void)ledger;
   OMFLP_CHECK(cost_ != nullptr, "FotakisOfl: depart() before reset()");
-  OMFLP_REQUIRE(id < past_.size(), "FotakisOfl: depart of unknown request");
-  PastRequest& pr = past_[id];
-  OMFLP_REQUIRE(!pr.departed, "FotakisOfl: request departed twice");
-  pr.departed = true;
-  const double v = std::min(pr.dual, pr.facility_dist);
-  if (v > 0.0) {
-    OMFLP_PERF_ADD(bids_updated, num_points_);
-    OMFLP_PERF_ADD(distance_lookups, num_points_);
-    kernel::shift_clipped_bid(bids_.data(), dist_->row(pr.location), v,
-                              0.0, num_points_);
-  }
-  total_dual_ -= pr.dual;
-  if (obs::tracing()) {
-    TraceEvent ev;
-    ev.kind = TraceEventKind::kBidRollback;
-    ev.request = id;
-    ev.bid_mass = v > 0.0 ? v : 0.0;
-    ev.cost = pr.dual;
-    obs::emit(ev);
-  }
-  pr.dual = 0.0;  // reinvestment shifts for this request become no-ops
+  request.commodities.for_each([&](CommodityId e) {
+    const std::size_t j = past_index(id, e);
+    CommodityState& c = commodities_[e];
+    PastRequest& pr = c.past[j];
+    OMFLP_REQUIRE(!pr.departed, "FotakisOfl: request departed twice");
+    pr.departed = true;
+    const double v = std::min(pr.dual, pr.facility_dist);
+    if (v > 0.0) {
+      OMFLP_PERF_ADD(bids_updated, num_points_);
+      OMFLP_PERF_ADD(distance_lookups, num_points_);
+      kernel::shift_clipped_bid(c.bids.data(), dist_->row(pr.location), v,
+                                0.0, num_points_);
+    }
+    c.total_dual -= pr.dual;
+    if (obs::tracing()) {
+      TraceEvent ev;
+      ev.kind = TraceEventKind::kBidRollback;
+      ev.request = id;
+      ev.commodity = e;
+      ev.bid_mass = v > 0.0 ? v : 0.0;
+      ev.cost = pr.dual;
+      obs::emit(ev);
+    }
+    pr.dual = 0.0;  // reinvestment shifts for this request become no-ops
+  });
 }
 
 void FotakisOfl::serialize_state(CkptWriter& writer) const {
-  serialize_open_records(writer, "facilities", facilities_);
-  writer.line("past").u(past_.size());
-  for (const PastRequest& pr : past_) {
-    writer.line("past-request")
-        .u(pr.location)
-        .d(pr.dual)
-        .d(pr.facility_dist)
-        .b(pr.departed);
+  writer.line("commodities").u(commodities_.size());
+  for (std::size_t e = 0; e < commodities_.size(); ++e) {
+    const CommodityState& c = commodities_[e];
+    writer.line("commodity").u(e).b(c.started);
+    if (!c.started) continue;
+    serialize_open_records(writer, "facilities", c.facilities);
+    writer.line("past").u(c.past.size());
+    for (const PastRequest& pr : c.past) {
+      writer.line("past-request")
+          .u(pr.id)
+          .u(pr.location)
+          .d(pr.dual)
+          .d(pr.facility_dist)
+          .b(pr.departed);
+    }
+    writer.line("bids").u(c.bids.size());
+    for (const double v : c.bids) writer.d(v);
+    writer.line("duals").d(c.total_dual);
   }
-  writer.line("bids").u(bids_.size());
-  for (const double v : bids_) writer.d(v);
-  writer.line("duals").d(total_dual_).u(duals_.size());
-  for (const double v : duals_) writer.d(v);
 }
 
-void FotakisOfl::restore_state(CkptReader& reader, RequestId) {
-  facilities_ = restore_open_records(reader, "facilities", num_points_);
+void FotakisOfl::restore_commodity(CkptReader& reader, CommodityState& c,
+                                   bool sub_instance,
+                                   RequestId num_requests) {
+  c.facilities = restore_open_records(reader, "facilities", num_points_);
   reader.expect("past");
   const std::uint64_t num_past = reader.u();
-  past_.reserve(capped_reserve(num_past));
+  c.past.reserve(capped_reserve(num_past));
   for (std::uint64_t i = 0; i < num_past; ++i) {
     reader.expect("past-request");
     PastRequest pr;
+    pr.id = sub_instance ? i : reader.u();
+    if (!sub_instance && (pr.id >= num_requests ||
+                          (!c.past.empty() && pr.id <= c.past.back().id)))
+      reader.fail("past request ids out of order or out of range");
     pr.location = reader.point(num_points_);
     pr.dual = reader.d();
     pr.facility_dist = reader.d();
     pr.departed = reader.b();
-    past_.push_back(pr);
+    c.past.push_back(pr);
   }
   reader.expect("bids");
-  if (reader.u() != bids_.size())
+  if (reader.u() != c.bids.size())
     reader.fail("bid row length differs from the metric");
-  for (double& v : bids_) v = reader.d();
+  for (double& v : c.bids) v = reader.d();
   reader.expect("duals");
-  total_dual_ = reader.d();
-  const std::uint64_t num_duals = reader.u();
-  duals_.reserve(capped_reserve(num_duals));
-  for (std::uint64_t i = 0; i < num_duals; ++i) duals_.push_back(reader.d());
+  c.total_dual = reader.d();
+  if (sub_instance) {
+    const std::uint64_t num_duals = reader.u();
+    for (std::uint64_t i = 0; i < num_duals; ++i) (void)reader.d();
+  }
+}
+
+void FotakisOfl::restore_state(CkptReader& reader, RequestId num_requests) {
+  const std::string_view layout = reader.next_key();
+  if (layout == "subs") {
+    read_sub_instance_layout(
+        reader, metric_, static_cast<CommodityId>(commodities_.size()),
+        num_requests,
+        [&](CommodityId e) {
+          restore_commodity(reader, start(e), /*sub_instance=*/true,
+                            num_requests);
+        },
+        [&](CommodityId e, const SubInstanceIds& ids) {
+          CommodityState& c = commodities_[e];
+          for (OpenRecord& f : c.facilities) {
+            if (f.id >= ids.facility_map.size())
+              reader.fail("facility outside the sub-instance's map");
+            f.id = ids.facility_map[f.id];
+          }
+          if (c.past.size() != ids.real_request.size())
+            reader.fail("archive out of step with the sub-instance");
+          for (PastRequest& pr : c.past) pr.id = ids.real_request[pr.id];
+        });
+    return;
+  }
+  if (layout != "commodities") reader.fail("expected 'commodities'");
+  if (reader.u() != commodities_.size())
+    reader.fail("commodity count differs from the universe");
+  for (std::size_t e = 0; e < commodities_.size(); ++e) {
+    reader.expect("commodity");
+    if (reader.u() != e) reader.fail("commodities out of order");
+    if (!reader.b()) continue;
+    restore_commodity(reader, start(static_cast<CommodityId>(e)),
+                      /*sub_instance=*/false, num_requests);
+  }
 }
 
 }  // namespace omflp

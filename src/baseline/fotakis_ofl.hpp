@@ -1,16 +1,22 @@
 // FotakisOfl — Fotakis' deterministic primal–dual algorithm for classic
-// (single-commodity) Online Facility Location [Fotakis, JDA 2007], in the
-// potential-based formulation of [Nagarajan–Williamson 2013] that
-// Algorithm 1 of the paper generalizes.
+// Online Facility Location [Fotakis, JDA 2007], in the potential-based
+// formulation of [Nagarajan–Williamson 2013] that Algorithm 1 of the paper
+// generalizes, run once per commodity: the trivial O(|S|·log n)-competitive
+// OMFLP baseline of §1.3.
 //
-// This is exactly PD-OMFLP restricted to |S| = 1: constraints (1) and (3)
-// only, no large/small distinction. It is implemented independently (not
-// by delegation) so the test suite can cross-check the two codebases:
-// PD-OMFLP on a single-commodity instance must produce the same facilities,
-// assignments and duals as this class.
+// Every commodity e is an independent OFL instance on the same metric with
+// opening costs f^{{e}}_m: its own singleton-{e} facilities, bid row and
+// archive of the requests that demanded e, created on e's first demand. A
+// request is served commodity by commodity in ascending order. Because it
+// can neither bundle construction nor share connections, it pays a Θ(|S|)
+// factor where requests demand many commodities — exactly the gap
+// Theorem 2 formalizes and the benches measure.
 //
-// Use through baseline/per_commodity.hpp to obtain the trivial
-// O(|S|·log n)-competitive OMFLP baseline the paper mentions in §1.3.
+// One commodity's instance is exactly PD-OMFLP restricted to |S| = 1:
+// constraints (1) and (3) only, no large/small distinction. It is
+// implemented independently (not by delegation) so the test suite can
+// cross-check the two codebases: PD-OMFLP on a single-commodity instance
+// must produce the same facilities, assignments and duals as this class.
 #pragma once
 
 #include <memory>
@@ -27,52 +33,70 @@ class FotakisOfl final : public OnlineAlgorithm {
  public:
   FotakisOfl() = default;
 
-  std::string name() const override { return "Fotakis-OFL"; }
+  std::string name() const override { return "PerCommodity[Fotakis]"; }
 
-  /// Requires a single-commodity context (|S| == 1); use the
-  /// PerCommodityAdapter for multi-commodity instances.
   void reset(const ProblemContext& context) override;
   void serve(const Request& request, SolutionLedger& ledger) override;
-  /// Deletion policy: bid rollback, the single-commodity restriction of
-  /// PD-OMFLP's — the departed request's posted bid min{a_j, d(F, j)} is
-  /// shifted out of bids_ and its dual zeroed.
+  /// Deletion policy: bid rollback in every commodity the request
+  /// demanded, the single-commodity restriction of PD-OMFLP's — the
+  /// departed request's posted bid min{a_j, d(F, j)} is shifted out of
+  /// that commodity's bids and its dual zeroed.
   void depart(RequestId id, const Request& request,
               SolutionLedger& ledger) override;
 
-  double total_dual() const noexcept { return total_dual_; }
-  /// Final dual a_r of every request, in arrival order.
-  const std::vector<double>& duals() const noexcept { return duals_; }
+  /// Σ of the duals of every request that has not departed.
+  double total_dual() const noexcept;
+  /// The dual request `id` raised for commodity e (0 once it departed).
+  double dual(RequestId id, CommodityId e) const;
 
-  /// Checkpoint: facilities, past requests (duals, maintained facility
-  /// distances, rollback flags), the posted bid row and the dual totals,
-  /// all bitwise (the cost row is rebuilt by reset()).
+  /// Checkpoint: per started commodity, its facilities, past requests
+  /// (ids, duals, maintained facility distances, rollback flags), the
+  /// posted bid row and the dual total, all bitwise (the cost rows are
+  /// rebuilt). restore_state also reads the per-commodity sub-instance
+  /// layout (baseline/sub_instance_layout.hpp).
   void serialize_state(CkptWriter& writer) const override;
   void restore_state(CkptReader& reader, RequestId num_requests) override;
 
  private:
-  CostModelPtr cost_;
-  std::shared_ptr<const DistanceOracle> dist_;
-  std::size_t num_points_ = 0;
-
-  std::vector<OpenRecord> facilities_;
-
   struct PastRequest {
+    RequestId id = kInvalidRequest;
     PointId location = 0;
     double dual = 0.0;                         // zeroed by rollback
     double facility_dist = kInfiniteDistance;  // d(F, j), maintained
     bool departed = false;  // rollback guard: a bid withdraws only once
   };
-  std::vector<PastRequest> past_;
 
-  /// bids_[m] = Σ_j (min{a_j, d(F, j)} − d(m, j))+ over past requests.
-  std::vector<double> bids_;
-  /// f_m for the single-commodity configuration, materialized at reset
-  /// (the cost model is immutable per run) so the event scan is a pure
-  /// row sweep.
-  std::vector<double> cost_row_;
+  /// One commodity's OFL instance.
+  struct CommodityState {
+    bool started = false;
+    std::vector<OpenRecord> facilities;
+    /// Every request that demanded the commodity, in id order.
+    std::vector<PastRequest> past;
+    /// bids[m] = Σ_j (min{a_j, d(F, j)} − d(m, j))+ over past requests.
+    std::vector<double> bids;
+    /// f^{{e}}_m, materialized when the commodity starts (the cost model
+    /// is immutable per run) so the event scan is a pure row sweep.
+    std::vector<double> cost_row;
+    double total_dual = 0.0;
+  };
 
-  double total_dual_ = 0.0;
-  std::vector<double> duals_;
+  CommodityState& start(CommodityId e);
+  void serve_commodity(CommodityId e, RequestId id, PointId loc,
+                       SolutionLedger& ledger);
+  /// Position of request `id` in commodity e's archive (binary search:
+  /// the archive is in id order); throws when e never served it.
+  std::size_t past_index(RequestId id, CommodityId e) const;
+  /// One commodity's section; `sub_instance` reads the older layout,
+  /// whose past requests carry no id and whose duals line also lists
+  /// every arrival's dual.
+  void restore_commodity(CkptReader& reader, CommodityState& c,
+                         bool sub_instance, RequestId num_requests);
+
+  MetricPtr metric_;
+  CostModelPtr cost_;
+  std::shared_ptr<const DistanceOracle> dist_;
+  std::size_t num_points_ = 0;
+  std::vector<CommodityState> commodities_;
 };
 
 }  // namespace omflp

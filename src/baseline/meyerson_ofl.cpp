@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "baseline/sub_instance_layout.hpp"
 #include "obs/trace_sink.hpp"
 #include "perf/perf_counters.hpp"
 #include "support/assert.hpp"
@@ -13,14 +14,14 @@ namespace {
 
 /// facility_open for Meyerson coins: tightness carries the coin
 /// probability (1.0 on the completion path), like RAND-OMFLP.
-void emit_meyerson_open(const SolutionLedger& ledger, FacilityId id,
-                        double coin_p) {
+void emit_meyerson_open(const SolutionLedger& ledger, CommodityId e,
+                        FacilityId id, double coin_p) {
   if (!obs::tracing()) return;
   const OpenFacilityRecord& record = ledger.facility(id);
   TraceEvent ev;
   ev.kind = TraceEventKind::kFacilityOpen;
   ev.request = ledger.num_requests() - 1;
-  ev.commodity = 0;
+  ev.commodity = e;
   ev.facility = id;
   ev.point = record.location;
   ev.config_size = record.config.count();
@@ -34,65 +35,114 @@ void emit_meyerson_open(const SolutionLedger& ledger, FacilityId id,
 void MeyersonOfl::reset(const ProblemContext& context) {
   OMFLP_REQUIRE(context.metric != nullptr && context.cost != nullptr,
                 "MeyersonOfl::reset: incomplete context");
-  OMFLP_REQUIRE(context.num_commodities() == 1,
-                "MeyersonOfl: single-commodity algorithm; wrap in "
-                "PerCommodityAdapter for |S| > 1");
+  metric_ = context.metric;
   cost_ = context.cost;
   dist_ = shared_distances(context.metric);
-  classes_ = std::make_unique<CostClassIndex>(context.metric, context.cost,
-                                              CommoditySet::full_set(1));
-  facilities_ = NearestFacilityRow(*dist_);
-  rng_ = Rng(seed_);
+  commodities_.clear();
+  commodities_.resize(context.num_commodities());
+}
+
+MeyersonOfl::CommodityState& MeyersonOfl::start(CommodityId e) {
+  CommodityState& c = commodities_[e];
+  if (!c.started) {
+    c.rng = Rng(seed_ ^ (0x9e3779b97f4a7c15ULL * (e + 1)));
+    c.classes = std::make_unique<CostClassIndex>(
+        metric_, cost_, CommoditySet::singleton(cost_->num_commodities(), e));
+    c.facilities = NearestFacilityRow(*dist_);
+    c.started = true;
+  }
+  return c;
 }
 
 void MeyersonOfl::serve(const Request& request, SolutionLedger& ledger) {
   OMFLP_CHECK(cost_ != nullptr, "MeyersonOfl: serve() before reset()");
   const PointId loc = request.location;
+  const CommodityId s = cost_->num_commodities();
+  request.commodities.for_each([&](CommodityId e) {
+    CommodityState& c = start(e);
+    const double connect = c.facilities.nearest(loc).dist;
+    const auto open = c.classes->best_open_option(loc);
+    const double budget = std::min(connect, open.cost);
+    OMFLP_CHECK(std::isfinite(budget), "MeyersonOfl: unserviceable request");
 
-  const double connect = facilities_.nearest(loc).dist;
-  const auto open = classes_->best_open_option(loc);
-  const double budget = std::min(connect, open.cost);
-  OMFLP_CHECK(std::isfinite(budget), "MeyersonOfl: unserviceable request");
-
-  // One coin per cost class, improvements capped at the budget (same
-  // reading as RAND-OMFLP; see core/rand_omflp.hpp).
-  double d_prev = budget;
-  for (std::size_t i = 0; i < classes_->num_classes(); ++i) {
-    const auto [site_dist, site] = classes_->prefix_nearest(i, loc);
-    const double d_i = std::min(budget, site_dist);
-    const double improvement = std::max(0.0, d_prev - d_i);
-    d_prev = d_i;
-    if (improvement <= 0.0) continue;
-    const double c_i = classes_->class_cost(i);
-    const double p = c_i > 0.0 ? std::min(1.0, improvement / c_i) : 1.0;
-    OMFLP_PERF_COUNT(coin_flips);
-    if (p > 0.0 && rng_.bernoulli(p)) {
-      const FacilityId id =
-          ledger.open_facility(site, CommoditySet::full_set(1));
-      facilities_.add(OpenRecord{site, id});
-      emit_meyerson_open(ledger, id, p);
+    // One coin per cost class, improvements capped at the budget (same
+    // reading as RAND-OMFLP; see core/rand_omflp.hpp).
+    double d_prev = budget;
+    for (std::size_t i = 0; i < c.classes->num_classes(); ++i) {
+      const auto [site_dist, site] = c.classes->prefix_nearest(i, loc);
+      const double d_i = std::min(budget, site_dist);
+      const double improvement = std::max(0.0, d_prev - d_i);
+      d_prev = d_i;
+      if (improvement <= 0.0) continue;
+      const double c_i = c.classes->class_cost(i);
+      const double p = c_i > 0.0 ? std::min(1.0, improvement / c_i) : 1.0;
+      OMFLP_PERF_COUNT(coin_flips);
+      if (p > 0.0 && c.rng.bernoulli(p)) {
+        const FacilityId id =
+            ledger.open_facility(site, CommoditySet::singleton(s, e));
+        c.facilities.add(OpenRecord{site, id});
+        emit_meyerson_open(ledger, e, id, p);
+      }
     }
-  }
 
-  // Completion: the request must be serviceable.
-  if (facilities_.empty()) {
-    const FacilityId id =
-        ledger.open_facility(open.point, CommoditySet::full_set(1));
-    facilities_.add(OpenRecord{open.point, id});
-    emit_meyerson_open(ledger, id, /*coin_p=*/1.0);
-  }
+    // Completion: the request must be serviceable.
+    if (c.facilities.empty()) {
+      const FacilityId id =
+          ledger.open_facility(open.point, CommoditySet::singleton(s, e));
+      c.facilities.add(OpenRecord{open.point, id});
+      emit_meyerson_open(ledger, e, id, /*coin_p=*/1.0);
+    }
 
-  ledger.assign(0, facilities_.nearest(loc).id);
+    ledger.assign(e, c.facilities.nearest(loc).id);
+  });
 }
 
 void MeyersonOfl::serialize_state(CkptWriter& writer) const {
-  serialize_rng(writer, rng_);
-  facilities_.serialize(writer, "facilities");
+  writer.line("commodities").u(commodities_.size());
+  for (std::size_t e = 0; e < commodities_.size(); ++e) {
+    const CommodityState& c = commodities_[e];
+    writer.line("commodity").u(e).b(c.started);
+    if (!c.started) continue;
+    serialize_rng(writer, c.rng);
+    c.facilities.serialize(writer, "facilities");
+  }
 }
 
-void MeyersonOfl::restore_state(CkptReader& reader, RequestId) {
-  restore_rng(reader, rng_);
-  facilities_.restore(reader, "facilities");
+void MeyersonOfl::restore_state(CkptReader& reader, RequestId num_requests) {
+  const std::string_view layout = reader.next_key();
+  if (layout == "subs") {
+    // A sub-instance's facilities carry its own ids until the facility
+    // map that follows its ledger translates them.
+    std::vector<OpenRecord> sub_facilities;
+    read_sub_instance_layout(
+        reader, metric_, static_cast<CommodityId>(commodities_.size()),
+        num_requests,
+        [&](CommodityId e) {
+          restore_rng(reader, start(e).rng);
+          sub_facilities = restore_open_records(reader, "facilities",
+                                                dist_->num_points());
+        },
+        [&](CommodityId e, const SubInstanceIds& ids) {
+          for (OpenRecord f : sub_facilities) {
+            if (f.id >= ids.facility_map.size())
+              reader.fail("facility outside the sub-instance's map");
+            f.id = ids.facility_map[f.id];
+            commodities_[e].facilities.add(f);
+          }
+        });
+    return;
+  }
+  if (layout != "commodities") reader.fail("expected 'commodities'");
+  if (reader.u() != commodities_.size())
+    reader.fail("commodity count differs from the universe");
+  for (std::size_t e = 0; e < commodities_.size(); ++e) {
+    reader.expect("commodity");
+    if (reader.u() != e) reader.fail("commodities out of order");
+    if (!reader.b()) continue;
+    CommodityState& c = start(static_cast<CommodityId>(e));
+    restore_rng(reader, c.rng);
+    c.facilities.restore(reader, "facilities");
+  }
 }
 
 }  // namespace omflp

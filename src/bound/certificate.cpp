@@ -14,6 +14,14 @@ namespace omflp {
 
 namespace {
 
+/// Relative tolerance: a constraint lhs ≤ rhs is accepted when
+/// lhs ≤ rhs + kTolerance·max(1, |rhs|); equalities analogously.
+constexpr double kTolerance = 1e-9;
+
+/// The exhaustive path runs when 2^|S| · n · |M| fits this work budget
+/// (and |S| ≤ 40); beyond it the structured sufficient conditions do.
+constexpr std::uint64_t kMaxExhaustiveWork = std::uint64_t{1} << 27;
+
 /// lhs ≤ rhs up to the relative tolerance.
 bool tol_leq(double lhs, double rhs, double tol) {
   return lhs <= rhs + tol * std::max(1.0, std::abs(rhs));
@@ -241,10 +249,9 @@ std::optional<std::string> check_structured(
 
 }  // namespace
 
-std::optional<std::string> verify_certificate(
-    const Instance& instance, const DualCertificate& cert,
-    const VerifyCertificateOptions& options) {
-  const double tol = options.tolerance;
+std::optional<std::string> verify_certificate(const Instance& instance,
+                                              const DualCertificate& cert) {
+  const double tol = kTolerance;
   const std::size_t n = instance.num_requests();
   const std::size_t points = instance.metric().num_points();
   const CommodityId s = instance.num_commodities();
@@ -285,7 +292,7 @@ std::optional<std::string> verify_certificate(
     const std::uint64_t per_config =
         static_cast<std::uint64_t>(std::max<std::size_t>(n, 1)) *
         static_cast<std::uint64_t>(points);
-    exhaustive = configs <= options.max_exhaustive_work / per_config;
+    exhaustive = configs <= kMaxExhaustiveWork / per_config;
   }
   if (auto violation = exhaustive
                            ? check_exhaustive(instance, cert, reqs, tol)

@@ -79,25 +79,15 @@ DualCertificate certificate_from_string(const std::string& text);
 
 // ---- verification ----------------------------------------------------------
 
-struct VerifyCertificateOptions {
-  /// Relative tolerance: a constraint lhs ≤ rhs is accepted when
-  /// lhs ≤ rhs + tolerance·max(1, |rhs|); equalities analogously.
-  double tolerance = 1e-9;
-
-  /// The exhaustive path enumerates every configuration σ ⊆ S and checks
-  /// constraint (D) directly — the gold standard, independent of any
-  /// cost-model structure claims. It runs when 2^|S| · n · |M| fits this
-  /// work budget (and |S| ≤ 63); beyond it the checker falls back to the
-  /// structured sufficient conditions below.
-  std::size_t max_exhaustive_work = std::size_t{1} << 27;
-};
-
 /// Re-derives dual feasibility of `cert` against `instance` from scratch.
 /// Returns std::nullopt when the certificate is valid; otherwise a
 /// human-readable description of the first violation found.
 ///
-/// Verification paths, in order of preference:
-///   1. exhaustive — constraint (D) for every (m, σ) pair;
+/// Constraints hold up to a relative tolerance of 1e-9. Verification
+/// paths, in order of preference:
+///   1. exhaustive — constraint (D) for every (m, σ) pair, the gold
+///      standard independent of any cost-model structure claims; it runs
+///      when 2^|S| · n · |M| ≤ 2^27;
 ///   2. structured — via the split decomposition: with
 ///      P_m(e) = Σ_{r: e∈s_r} (a_{r,e} − d(m,r)/|s_r|)₊ it holds that
 ///      Σ_{e∈σ∩s_r} d(m,r)/|s_r| ≤ d(m,r), hence
@@ -114,8 +104,7 @@ struct VerifyCertificateOptions {
 ///      configurations before being relied on.
 /// Certificates whose instance is neither exhaustively checkable nor
 /// structurally recognizable are rejected (soundness over completeness).
-std::optional<std::string> verify_certificate(
-    const Instance& instance, const DualCertificate& cert,
-    const VerifyCertificateOptions& options = {});
+std::optional<std::string> verify_certificate(const Instance& instance,
+                                              const DualCertificate& cert);
 
 }  // namespace omflp

@@ -17,13 +17,11 @@ double bound_window(const MetricPtr& metric, const CostModelPtr& cost,
   Instance window(metric, cost, std::move(requests), name);
   const DualAscentResult res =
       dual_ascent_lower_bound(window, options.ascent);
-  if (options.verify) {
-    if (const auto violation =
-            verify_certificate(window, res.certificate,
-                               options.verify_options))
-      throw std::logic_error("bound_stream_windows: certificate for " +
-                             name + " failed verification: " + *violation);
-  }
+  // An unverifiable bound is a bug, mirroring the solution-verifier
+  // convention.
+  if (const auto violation = verify_certificate(window, res.certificate))
+    throw std::logic_error("bound_stream_windows: certificate for " + name +
+                           " failed verification: " + *violation);
   duals_raised += res.duals_raised;
   return res.lower_bound;
 }

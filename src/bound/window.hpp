@@ -46,11 +46,6 @@ struct WindowBoundOptions {
   /// bound_instance_chunked).
   std::size_t max_window_arrivals = 4096;
   DualAscentOptions ascent;
-  /// Run verify_certificate on every window/chunk certificate; a checker
-  /// failure throws std::logic_error (an unverifiable bound is a bug,
-  /// mirroring the solution-verifier convention).
-  bool verify = true;
-  VerifyCertificateOptions verify_options;
 };
 
 struct WindowBoundRow {

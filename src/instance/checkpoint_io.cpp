@@ -222,21 +222,23 @@ std::string CkptReader::next_token(const char* what) {
   return token;
 }
 
-void CkptReader::expect(std::string_view key) {
-  if (finished_) throw std::logic_error("CkptReader: expect after finish");
-  if (pos_ != line_.size())
-    fail("trailing tokens on line (next key: " + std::string(key) + ")");
-  if (!next_raw_line())
-    fail("unexpected end of input, expected '" + std::string(key) + "'");
+std::string_view CkptReader::next_key() {
+  if (finished_) throw std::logic_error("CkptReader: read after finish");
+  if (pos_ != line_.size()) fail("trailing tokens on line");
+  if (!next_raw_line()) fail("unexpected end of input");
   fnv_ = fnv_fold(fnv_, line_);
   fnv_ = fnv_fold_newline(fnv_);
   std::size_t end = 0;
   while (end < line_.size() && line_[end] != ' ') ++end;
-  const std::string_view got(line_.data(), end);
+  pos_ = end;
+  return std::string_view(line_.data(), end);
+}
+
+void CkptReader::expect(std::string_view key) {
+  const std::string_view got = next_key();
   if (got != key)
     fail("expected '" + std::string(key) + "', got '" + std::string(got) +
          "'");
-  pos_ = end;
 }
 
 std::uint64_t CkptReader::u() {

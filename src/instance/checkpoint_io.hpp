@@ -96,9 +96,9 @@ class CkptWriter {
 };
 
 /// Strict bounded-memory OMFLP-CKPT reader (versions 1 to 3). The
-/// header is validated on construction; expect(key) loads the next line
-/// and the typed accessors consume its tokens; finish() validates the
-/// checksum line and end of input.
+/// header is validated on construction; next_key() or expect(key) loads
+/// the next line and the typed accessors consume its tokens; finish()
+/// validates the checksum line and end of input.
 class CkptReader {
  public:
   explicit CkptReader(std::istream& is);
@@ -106,8 +106,10 @@ class CkptReader {
   CkptReader(const CkptReader&) = delete;
   CkptReader& operator=(const CkptReader&) = delete;
 
-  /// Load the next line; its key must equal `key`. The previous line
-  /// must have been fully consumed.
+  /// Load the next line and return its key (valid until the next line
+  /// is loaded). The previous line must have been fully consumed.
+  std::string_view next_key();
+  /// next_key(), which must equal `key`.
   void expect(std::string_view key);
   std::uint64_t u();
   bool b();

@@ -8,8 +8,8 @@
 //
 // Every metric owns one table, built on first use and borrowed by every
 // consumer of that metric (MetricSpace::distances(), shared_distances()):
-// the algorithms, every PerCommodityAdapter sub-instance, CostClassIndex
-// and the OPT bounder all read the same rows. MatrixMetric and GraphMetric
+// the algorithms, every CostClassIndex and the OPT bounder all read the
+// same rows. MatrixMetric and GraphMetric
 // already store a row-major matrix and lend it instead of being copied.
 // A table is immutable once built, so any number of threads may read it.
 //

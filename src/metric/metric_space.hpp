@@ -7,8 +7,8 @@
 //
 // Each metric object owns one distance table (metric/distance_oracle.hpp),
 // built on first use and borrowed by every consumer of the metric, so a
-// run holds one |M|×|M| matrix however many algorithms, sub-instances,
-// cost-class indexes and bounders read it.
+// run holds one |M|×|M| matrix however many algorithms, cost-class
+// indexes and bounders read it.
 #pragma once
 
 #include <cstddef>

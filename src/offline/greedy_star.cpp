@@ -11,17 +11,20 @@ namespace omflp {
 
 namespace {
 
+/// The point pool switches from "all points" to "request locations"
+/// above this |M|.
+constexpr std::size_t kAllPointsLimit = 96;
+
 struct Candidate {
   PointId point = 0;
   CommoditySet config;
   double open_cost = 0.0;
 };
 
-std::vector<Candidate> build_candidates(const Instance& instance,
-                                        const GreedyStarOptions& options) {
+std::vector<Candidate> build_candidates(const Instance& instance) {
   std::vector<PointId> points;
   const std::size_t m = instance.metric().num_points();
-  if (m <= options.all_points_limit) {
+  if (m <= kAllPointsLimit) {
     points.resize(m);
     for (PointId p = 0; p < m; ++p) points[p] = p;
   } else {
@@ -61,12 +64,10 @@ std::vector<Candidate> build_candidates(const Instance& instance,
 
 }  // namespace
 
-OfflineSolution solve_greedy_star(const Instance& instance,
-                                  const GreedyStarOptions& options) {
+OfflineSolution solve_greedy_star(const Instance& instance) {
   OMFLP_REQUIRE(instance.num_requests() > 0,
                 "solve_greedy_star: empty instance");
-  const std::vector<Candidate> candidates =
-      build_candidates(instance, options);
+  const std::vector<Candidate> candidates = build_candidates(instance);
 
   // Uncovered (request, commodity) pairs, tracked per request.
   std::vector<CommoditySet> uncovered;

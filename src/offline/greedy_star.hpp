@@ -23,13 +23,8 @@
 
 namespace omflp {
 
-struct GreedyStarOptions {
-  /// Point pool switches from "all points" to "request locations" above
-  /// this |M| (same convention as local search).
-  std::size_t all_points_limit = 96;
-};
-
-OfflineSolution solve_greedy_star(const Instance& instance,
-                                  const GreedyStarOptions& options = {});
+/// The point pool is every point up to |M| = 96 and the request
+/// locations above (same convention as local search).
+OfflineSolution solve_greedy_star(const Instance& instance);
 
 }  // namespace omflp

@@ -12,16 +12,20 @@ namespace omflp {
 
 namespace {
 
+constexpr std::size_t kMaxRounds = 50;
+/// The point pool switches from "all points" to "request locations"
+/// above this |M|.
+constexpr std::size_t kAllPointsLimit = 96;
+
 struct Pools {
   std::vector<PointId> points;
   std::vector<CommoditySet> configs;
 };
 
-Pools build_pools(const Instance& instance,
-                  const LocalSearchOptions& options) {
+Pools build_pools(const Instance& instance) {
   Pools pools;
   const std::size_t m = instance.metric().num_points();
-  if (m <= options.all_points_limit) {
+  if (m <= kAllPointsLimit) {
     pools.points.resize(m);
     for (PointId p = 0; p < m; ++p) pools.points[p] = p;
   } else {
@@ -147,15 +151,14 @@ std::vector<PlacedFacility> initial_solution(const Instance& instance) {
 
 }  // namespace
 
-OfflineSolution solve_local_search(const Instance& instance,
-                                   const LocalSearchOptions& options) {
+OfflineSolution solve_local_search(const Instance& instance) {
   OMFLP_REQUIRE(instance.num_requests() > 0,
                 "solve_local_search: empty instance");
-  const Pools pools = build_pools(instance, options);
+  const Pools pools = build_pools(instance);
   SearchState state(instance);
   state.set_facilities(initial_solution(instance));
 
-  for (std::size_t round = 0; round < options.max_rounds; ++round) {
+  for (std::size_t round = 0; round < kMaxRounds; ++round) {
     double best_delta = -1e-9;  // strict improvement only
     enum class Kind { kNone, kAdd, kDrop } kind = Kind::kNone;
     PlacedFacility best_add;

@@ -28,14 +28,8 @@
 
 namespace omflp {
 
-struct LocalSearchOptions {
-  std::size_t max_rounds = 50;
-  /// Point pool switches from "all points" to "request locations" above
-  /// this |M|.
-  std::size_t all_points_limit = 96;
-};
-
-OfflineSolution solve_local_search(const Instance& instance,
-                                   const LocalSearchOptions& options = {});
+/// At most 50 rounds; the point pool is every point up to |M| = 96 and
+/// the request locations above.
+OfflineSolution solve_local_search(const Instance& instance);
 
 }  // namespace omflp

@@ -23,7 +23,6 @@
 #include "baseline/fotakis_ofl.hpp"
 #include "baseline/greedy.hpp"
 #include "baseline/meyerson_ofl.hpp"
-#include "baseline/per_commodity.hpp"
 #include "core/nearest_facility.hpp"
 #include "core/online_algorithm.hpp"
 #include "core/pd_omflp.hpp"

@@ -1,7 +1,8 @@
 #include "scenario/algorithm_registry.hpp"
 
+#include "baseline/fotakis_ofl.hpp"
 #include "baseline/greedy.hpp"
-#include "baseline/per_commodity.hpp"
+#include "baseline/meyerson_ofl.hpp"
 #include "core/pd_omflp.hpp"
 #include "core/rand_omflp.hpp"
 
@@ -44,16 +45,14 @@ const AlgorithmRegistry& default_algorithm_registry() {
            .description = "per-commodity product of Fotakis' deterministic "
                           "OFL (the §1.3 O(|S| log n) baseline)",
            .make = [](std::uint64_t) {
-             return std::unique_ptr<OnlineAlgorithm>(
-                 PerCommodityAdapter::fotakis());
+             return std::make_unique<FotakisOfl>();
            }});
     r.add({.name = "meyerson",
            .description = "per-commodity product of Meyerson's randomized "
                           "OFL",
            .randomized = true,
            .make = [](std::uint64_t seed) {
-             return std::unique_ptr<OnlineAlgorithm>(
-                 PerCommodityAdapter::meyerson(seed));
+             return std::make_unique<MeyersonOfl>(seed);
            }});
     r.add({.name = "greedy",
            .description = "NearestOrOpen: connect if cheaper than opening, "

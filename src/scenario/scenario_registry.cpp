@@ -49,6 +49,21 @@ CommodityId ScenarioParams::commodity_at(const std::string& name) const {
   return static_cast<CommodityId>(value);
 }
 
+std::vector<ScenarioParam> cost_params(double scale) {
+  return {{"cost_exponent", 1.0, "class-C exponent x in [0,2]"},
+          {"cost_scale", scale, "overall opening-cost scale"}};
+}
+
+CostModelPtr poly_cost(const ScenarioParams& p, CommodityId commodities) {
+  return std::make_shared<PolynomialCostModel>(
+      commodities, p.at("cost_exponent"), p.at("cost_scale"));
+}
+
+void append(std::vector<ScenarioParam>& params,
+            std::vector<ScenarioParam> extra) {
+  for (ScenarioParam& param : extra) params.push_back(std::move(param));
+}
+
 // ----------------------------------------------------- ScenarioRegistry ---
 
 ScenarioParams resolve_scenario_params(
@@ -96,24 +111,6 @@ Instance ScenarioRegistry::make_lenient(
 // ----------------------------------------------------------- built-ins ---
 
 namespace {
-
-/// Every location-ambivalent scenario prices facilities with the paper's
-/// class C: g_x(k) = scale·k^{x/2}. The two knobs are declared on each
-/// scenario so sweeps can move along the cost-class axis.
-std::vector<ScenarioParam> cost_params(double scale) {
-  return {{"cost_exponent", 1.0, "class-C exponent x in [0,2]"},
-          {"cost_scale", scale, "overall opening-cost scale"}};
-}
-
-CostModelPtr poly_cost(const ScenarioParams& p, CommodityId commodities) {
-  return std::make_shared<PolynomialCostModel>(
-      commodities, p.at("cost_exponent"), p.at("cost_scale"));
-}
-
-void append(std::vector<ScenarioParam>& params,
-            std::vector<ScenarioParam> extra) {
-  for (ScenarioParam& param : extra) params.push_back(std::move(param));
-}
 
 // Figure 3's engineered cost model: singletons near-free at the small
 // sites, bundles near-free only at the large site, everything else

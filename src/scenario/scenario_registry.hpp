@@ -82,6 +82,17 @@ ScenarioParams resolve_scenario_params(
     const std::vector<ScenarioParam>& declared,
     const std::map<std::string, double>& overrides, bool strict);
 
+/// Every location-ambivalent scenario, static or streamed, prices
+/// facilities with the paper's class C: g_x(k) = scale·k^{x/2}. The two
+/// knobs (cost_exponent, cost_scale) are declared on each scenario so
+/// sweeps can move along the cost-class axis; poly_cost() builds the
+/// model they declare.
+std::vector<ScenarioParam> cost_params(double scale);
+CostModelPtr poly_cost(const ScenarioParams& p, CommodityId commodities);
+/// Appends `extra` to a scenario's declared parameters.
+void append(std::vector<ScenarioParam>& params,
+            std::vector<ScenarioParam> extra);
+
 struct ScenarioSpec {
   std::string name;
   std::string description;

@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "cost/cost_models.hpp"
 #include "instance/adversarial.hpp"
 #include "instance/generators.hpp"
 #include "metric/euclidean_metric.hpp"
@@ -31,21 +30,6 @@ EventStream StreamScenarioRegistry::make(
 // ----------------------------------------------------------- built-ins ---
 
 namespace {
-
-std::vector<ScenarioParam> cost_params(double scale) {
-  return {{"cost_exponent", 1.0, "class-C exponent x in [0,2]"},
-          {"cost_scale", scale, "overall opening-cost scale"}};
-}
-
-CostModelPtr poly_cost(const ScenarioParams& p, CommodityId commodities) {
-  return std::make_shared<PolynomialCostModel>(
-      commodities, p.at("cost_exponent"), p.at("cost_scale"));
-}
-
-void append(std::vector<ScenarioParam>& params,
-            std::vector<ScenarioParam> extra) {
-  for (ScenarioParam& param : extra) params.push_back(std::move(param));
-}
 
 /// Demand-set draw shared by every family declaring the min_demand /
 /// max_demand / popularity_exponent trio, resolved once per stream so the

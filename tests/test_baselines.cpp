@@ -1,6 +1,6 @@
-// Baseline algorithm tests: single-commodity Fotakis/Meyerson behaviour,
-// the per-commodity product adapter (facility mirroring, restricted cost
-// model), and the greedy strawmen.
+// Baseline algorithm tests: Fotakis/Meyerson on one commodity and as the
+// per-commodity product (singleton facilities, per-commodity cost), and
+// the greedy strawmen.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,7 +12,6 @@
 #include "baseline/fotakis_ofl.hpp"
 #include "baseline/greedy.hpp"
 #include "baseline/meyerson_ofl.hpp"
-#include "baseline/per_commodity.hpp"
 #include "bound/dual_ascent.hpp"
 #include "core/stream_runner.hpp"
 #include "instance/checkpoint_io.hpp"
@@ -51,9 +50,9 @@ TEST(FotakisOfl, OpensThenReuses) {
   EXPECT_FALSE(verify_solution(inst, ledger).has_value());
   EXPECT_EQ(ledger.num_facilities(), 1u);
   EXPECT_NEAR(ledger.total_cost(), 1.25, 1e-9);
-  ASSERT_EQ(alg.duals().size(), 2u);
-  EXPECT_NEAR(alg.duals()[0], 1.0, 1e-9);
-  EXPECT_NEAR(alg.duals()[1], 0.25, 1e-9);
+  EXPECT_NEAR(alg.dual(0, 0), 1.0, 1e-9);
+  EXPECT_NEAR(alg.dual(1, 0), 0.25, 1e-9);
+  EXPECT_NEAR(alg.total_dual(), 1.25, 1e-9);
 }
 
 TEST(FotakisOfl, RepeatedRequestsAmortizeIntoNearbyFacility) {
@@ -67,14 +66,6 @@ TEST(FotakisOfl, RepeatedRequestsAmortizeIntoNearbyFacility) {
   EXPECT_FALSE(verify_solution(inst, ledger).has_value());
   EXPECT_EQ(ledger.num_facilities(), 2u);
   EXPECT_NEAR(ledger.total_cost(), 10.0, 1e-9);
-}
-
-TEST(FotakisOfl, RejectsMultiCommodityContext) {
-  auto metric = std::make_shared<SinglePointMetric>();
-  auto cost = std::make_shared<PolynomialCostModel>(2, 1.0);
-  FotakisOfl alg;
-  EXPECT_THROW(alg.reset(ProblemContext{metric, cost}),
-               std::invalid_argument);
 }
 
 TEST(MeyersonOfl, ValidAndBoundedOnZooming) {
@@ -99,7 +90,7 @@ TEST(MeyersonOfl, ValidAndBoundedOnZooming) {
   EXPECT_LE(stats.mean(), 20.0 * opt_ub);
 }
 
-TEST(PerCommodityAdapter, MirrorsFacilitiesAsSingletons) {
+TEST(FotakisOfl, OpensSingletonsOnly) {
   Rng rng(2);
   UniformLineConfig cfg;
   cfg.num_points = 8;
@@ -109,29 +100,29 @@ TEST(PerCommodityAdapter, MirrorsFacilitiesAsSingletons) {
   auto cost = std::make_shared<PolynomialCostModel>(5, 1.0);
   const Instance inst = make_uniform_line(cfg, cost, rng);
 
-  auto adapter = PerCommodityAdapter::fotakis();
-  const SolutionLedger ledger = run_online(*adapter, inst);
+  FotakisOfl alg;
+  const SolutionLedger ledger = run_online(alg, inst);
   EXPECT_FALSE(verify_solution(inst, ledger).has_value());
   for (const auto& f : ledger.facilities())
     EXPECT_EQ(f.config.count(), 1u)
         << "per-commodity baseline must open singletons only";
 }
 
-TEST(PerCommodityAdapter, PaysPerCommodityOnTheorem2) {
-  // The adapter cannot bundle: on the Theorem 2 game it opens one
-  // singleton per distinct commodity, total √|S| · OPT.
+TEST(FotakisOfl, PaysPerCommodityOnTheorem2) {
+  // The per-commodity product cannot bundle: on the Theorem 2 game it
+  // opens one singleton per distinct commodity, total √|S| · OPT.
   Rng rng(3);
   Theorem2Config cfg;
   cfg.num_commodities = 144;  // 12 requests
   const Instance inst = make_theorem2_instance(cfg, rng);
-  auto adapter = PerCommodityAdapter::fotakis();
-  const SolutionLedger ledger = run_online(*adapter, inst);
+  FotakisOfl alg;
+  const SolutionLedger ledger = run_online(alg, inst);
   EXPECT_FALSE(verify_solution(inst, ledger).has_value());
   EXPECT_EQ(ledger.num_facilities(), 12u);
   EXPECT_NEAR(ledger.total_cost(), 12.0, 1e-9);
 }
 
-TEST(PerCommodityAdapter, MeyersonVariantValid) {
+TEST(MeyersonOfl, ValidOnMultiCommodityWorkload) {
   Rng rng(4);
   UniformLineConfig cfg;
   cfg.num_points = 8;
@@ -140,9 +131,11 @@ TEST(PerCommodityAdapter, MeyersonVariantValid) {
   cfg.max_demand = 3;
   auto cost = std::make_shared<PolynomialCostModel>(4, 1.0);
   const Instance inst = make_uniform_line(cfg, cost, rng);
-  auto adapter = PerCommodityAdapter::meyerson(99);
-  const SolutionLedger ledger = run_online(*adapter, inst);
+  MeyersonOfl alg(99);
+  const SolutionLedger ledger = run_online(alg, inst);
   EXPECT_FALSE(verify_solution(inst, ledger).has_value());
+  for (const auto& f : ledger.facilities())
+    EXPECT_EQ(f.config.count(), 1u);
 }
 
 /// A line metric that counts its distance() calls.
@@ -165,11 +158,11 @@ class CountingMetric final : public MetricSpace {
   std::shared_ptr<LineMetric> line_;
 };
 
-// The twelve sub-instances of the per-commodity baseline and the OPT
+// The twelve commodities of the per-commodity baseline and the OPT
 // bounder all read the metric's one distance table: a first run builds
 // it (|M|² calls), an identical second run on the same metric builds
 // nothing, so the two runs differ by exactly one table.
-TEST(PerCommodityAdapter, SubInstancesAndBounderShareOneDistanceTable) {
+TEST(FotakisOfl, CommoditiesAndBounderShareOneDistanceTable) {
   const std::size_t n = 48;
   const CommodityId s = 12;
   auto metric = std::make_shared<CountingMetric>(n);
@@ -185,8 +178,8 @@ TEST(PerCommodityAdapter, SubInstancesAndBounderShareOneDistanceTable) {
 
   const auto calls_of_one_run = [&] {
     const std::size_t before = metric->calls.load();
-    auto adapter = PerCommodityAdapter::fotakis();
-    (void)run_online(*adapter, inst);
+    FotakisOfl alg;
+    (void)run_online(alg, inst);
     (void)dual_ascent_lower_bound(inst);
     return metric->calls.load() - before;
   };
@@ -194,15 +187,6 @@ TEST(PerCommodityAdapter, SubInstancesAndBounderShareOneDistanceTable) {
   const std::size_t second = calls_of_one_run();
   EXPECT_EQ(first - second, n * n);
   EXPECT_LT(second, n * n);
-}
-
-TEST(RestrictedCostModel, ProjectsSingletonCosts) {
-  auto base = std::make_shared<LinearCostModel>(
-      std::vector<double>{1.0, 2.0, 4.0});
-  RestrictedCostModel restricted(base, 2);
-  EXPECT_EQ(restricted.num_commodities(), 1u);
-  EXPECT_DOUBLE_EQ(restricted.open_cost(0, CommoditySet::full_set(1)), 4.0);
-  EXPECT_THROW(RestrictedCostModel(base, 3), std::invalid_argument);
 }
 
 // --------------------------------------------------------------- greedy --
@@ -353,21 +337,21 @@ TEST(BaselinePinnedDecisions, TracelogCostsAndCheckpointHashToPinnedValues) {
       {"rand", "churn-uniform", wide, 5000, 0xbd5d9514e845768full,
        0xbcb39f6dfd7be665ull},
       {"meyerson", "churn-uniform", events, 64, 0x92da23c406211230ull,
-       0x2436ecd6f2af2ca5ull},
+       0xb743588019b80918ull},
       {"meyerson", "lease-poisson", events, 64, 0x7eb15c96ec00dba6ull,
-       0x460b1b298d7933f2ull},
+       0xaddd0f55d630c92full},
       {"meyerson", "hotspot-grid", events, 144, 0x27e70674402e6531ull,
-       0xdec85d301bd082b3ull},
+       0x9a00efad94328893ull},
       {"meyerson", "churn-uniform", wide, 5000, 0x914dd3d002d33a43ull,
-       0xc9f1ffc098fbbf51ull},
+       0xb31621277a23d06full},
       {"fotakis", "churn-uniform", events, 64, 0x721c367053a69da9ull,
-       0x75309bd1a7834eb4ull},
+       0x046e7e3bedc64fa6ull},
       {"fotakis", "lease-poisson", events, 64, 0xafeabfdaac778584ull,
-       0xe29352896fcf180aull},
+       0xe1a5918e1ce3ea22ull},
       {"fotakis", "hotspot-grid", events, 144, 0xd5d9194be752a9e0ull,
-       0xd983f952efaf9beeull},
+       0x99cc3e6d0b35b730ull},
       {"fotakis", "churn-uniform", wide, 5000, 0xe1f195316034fef8ull,
-       0xc64789d2fab3f2b6ull},
+       0x05726024c6a66db9ull},
   };
   for (const Case& c : cases) {
     const EventStream stream = default_stream_scenario_registry().make(

@@ -8,8 +8,8 @@
 
 #include <cmath>
 
+#include "baseline/fotakis_ofl.hpp"
 #include "baseline/greedy.hpp"
-#include "baseline/per_commodity.hpp"
 #include "core/pd_omflp.hpp"
 #include "core/rand_omflp.hpp"
 #include "cost/checks.hpp"
@@ -321,9 +321,9 @@ TEST_P(Decomposition, PdWithoutPredictionEqualsPerCommodityFotakis) {
   const Instance inst = make_uniform_line(cfg, cost, rng);
 
   PdOmflp no_pred{PdOptions{.prediction = PdOptions::Prediction::kOff}};
-  auto per_commodity = PerCommodityAdapter::fotakis();
+  FotakisOfl per_commodity;
   const SolutionLedger lp = run_online(no_pred, inst);
-  const SolutionLedger lf = run_online(*per_commodity, inst);
+  const SolutionLedger lf = run_online(per_commodity, inst);
 
   EXPECT_NEAR(lp.total_cost(), lf.total_cost(), 1e-7);
   EXPECT_EQ(lp.num_facilities(), lf.num_facilities());

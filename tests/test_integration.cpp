@@ -7,8 +7,9 @@
 #include <functional>
 #include <memory>
 
+#include "baseline/fotakis_ofl.hpp"
 #include "baseline/greedy.hpp"
-#include "baseline/per_commodity.hpp"
+#include "baseline/meyerson_ofl.hpp"
 #include "cost/checks.hpp"
 #include "core/pd_omflp.hpp"
 #include "core/rand_omflp.hpp"
@@ -44,15 +45,9 @@ std::vector<std::pair<std::string, AlgorithmFactory>> all_algorithms() {
       {"rand",
        [] { return std::make_unique<RandOmflp>(RandOptions{.seed = 7}); }},
       {"per-commodity-fotakis",
-       [] {
-         return std::unique_ptr<OnlineAlgorithm>(
-             PerCommodityAdapter::fotakis());
-       }},
+       [] { return std::make_unique<FotakisOfl>(); }},
       {"per-commodity-meyerson",
-       [] {
-         return std::unique_ptr<OnlineAlgorithm>(
-             PerCommodityAdapter::meyerson(11));
-       }},
+       [] { return std::make_unique<MeyersonOfl>(11); }},
       {"always-open", [] { return std::make_unique<AlwaysOpen>(); }},
       {"nearest-or-open", [] { return std::make_unique<NearestOrOpen>(); }},
       {"rent-or-buy", [] { return std::make_unique<RentOrBuy>(); }},

@@ -690,6 +690,90 @@ TEST(SessionRecovery, TamperedV2LedgerIdsAreRejected) {
   }
 }
 
+// The per-commodity baselines read their checkpoints strictly. In the
+// older sub-instance layout, an id table out of order, one naming a
+// request past the snapshot's count and one whose length disagrees with
+// its sub-ledger are refused; in the current layout, an archive out of
+// id order is.
+TEST(SessionRecovery, TamperedPerCommodityIdsAreRejected) {
+  const std::uint64_t seed = 20260808;
+  const StreamRunOptions options = test_options();
+  const auto refusal = [&](const char* algo,
+                           const std::vector<std::string>& t) {
+    auto algorithm =
+        default_algorithm_registry().make(algo, derive_algorithm_seed(seed));
+    const EventStream stream = test_stream(seed);
+    MaterializedEventSource source(stream);
+    std::istringstream is(rewritten(t));
+    CkptReader reader(is);
+    try {
+      StreamSession session(*algorithm, source, options, reader);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("accepted");
+  };
+  const auto first_keyed = [](const std::vector<std::string>& lines,
+                              const std::string& key) {
+    std::size_t i = 0;
+    while (i < lines.size() && lines[i].rfind(key + " ", 0) != 0) ++i;
+    EXPECT_LT(i, lines.size()) << key;
+    return i;
+  };
+  const auto joined = [](const std::vector<std::string>& tokens) {
+    std::string line = tokens[0];
+    for (std::size_t k = 1; k < tokens.size(); ++k) line += ' ' + tokens[k];
+    return line;
+  };
+
+  for (const char* algo : {"fotakis", "meyerson"}) {
+    SCOPED_TRACE(algo);
+    std::ifstream file(std::string(OMFLP_SOURCE_DIR "/tests/data/") +
+                       "session_v3_" + algo + ".ckpt");
+    ASSERT_TRUE(file.good());
+    std::stringstream old;
+    old << file.rdbuf();
+    const std::vector<std::string> lines = lines_of(old.str());
+    ASSERT_EQ(refusal(algo, lines), "accepted");
+    const std::size_t at = first_keyed(lines, "real-requests");
+    const std::vector<std::string> ids = tokens_of(lines[at]);
+    ASSERT_GE(ids.size(), 4u);
+    const std::string num_arrived =
+        tokens_of(lines[first_keyed(lines, "active")])[1];
+
+    std::vector<std::string> t = lines;
+    std::vector<std::string> swapped = ids;
+    std::swap(swapped[2], swapped[3]);
+    t[at] = joined(swapped);
+    EXPECT_NE(refusal(algo, t).find("real-requests ids out of order"),
+              std::string::npos);
+    std::vector<std::string> beyond = ids;
+    beyond.back() = num_arrived;
+    t[at] = joined(beyond);
+    EXPECT_NE(refusal(algo, t).find("real-requests ids out of order"),
+              std::string::npos);
+    std::vector<std::string> shorter(ids.begin(), ids.end() - 1);
+    shorter[1] = std::to_string(shorter.size() - 2);
+    t[at] = joined(shorter);
+    EXPECT_NE(refusal(algo, t).find("out of step with the sub-ledger"),
+              std::string::npos);
+  }
+
+  const std::vector<std::string> lines =
+      lines_of(session_snapshot("fotakis", seed, options, 4));
+  ASSERT_EQ(refusal("fotakis", lines), "accepted");
+  const std::size_t at = first_keyed(lines, "past-request");
+  ASSERT_EQ(lines[at + 1].rfind("past-request ", 0), 0u);
+  std::vector<std::string> t = lines;
+  std::vector<std::string> first = tokens_of(t[at]);
+  std::vector<std::string> second = tokens_of(t[at + 1]);
+  std::swap(first[1], second[1]);
+  t[at] = joined(first);
+  t[at + 1] = joined(second);
+  EXPECT_NE(refusal("fotakis", t).find("past request ids out of order"),
+            std::string::npos);
+}
+
 // ------------------------------------- PD nearest tables on restore ---
 
 /// Checkpoint of a PD session after `batches` batches of the churn test

@@ -11,8 +11,9 @@
 #include <sstream>
 #include <vector>
 
+#include "baseline/fotakis_ofl.hpp"
 #include "baseline/greedy.hpp"
-#include "baseline/per_commodity.hpp"
+#include "baseline/meyerson_ofl.hpp"
 #include "core/pd_omflp.hpp"
 #include "core/rand_omflp.hpp"
 #include "core/stream_runner.hpp"
@@ -619,13 +620,13 @@ TEST(BaselineDeletion, AllRosterAlgorithmsSurviveChurnVerified) {
   options.verify = true;
 
   {
-    auto fotakis = PerCommodityAdapter::fotakis();  // rollback per commodity
-    const StreamRunResult result = run_stream(*fotakis, stream, options);
+    FotakisOfl fotakis;  // rollback per commodity
+    const StreamRunResult result = run_stream(fotakis, stream, options);
     EXPECT_FALSE(result.violation.has_value()) << result.violation->what;
   }
   {
-    auto meyerson = PerCommodityAdapter::meyerson(11);  // frozen subs
-    const StreamRunResult result = run_stream(*meyerson, stream, options);
+    MeyersonOfl meyerson(11);  // frozen
+    const StreamRunResult result = run_stream(meyerson, stream, options);
     EXPECT_FALSE(result.violation.has_value()) << result.violation->what;
   }
   {

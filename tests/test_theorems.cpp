@@ -10,7 +10,7 @@
 #include "analysis/bounds.hpp"
 #include "analysis/competitive.hpp"
 #include "analysis/dual_feasibility.hpp"
-#include "baseline/per_commodity.hpp"
+#include "baseline/fotakis_ofl.hpp"
 #include "core/pd_omflp.hpp"
 #include "core/rand_omflp.hpp"
 #include "instance/adversarial.hpp"
@@ -181,8 +181,8 @@ TEST(BaselineSeparation, PerCommodityPaysSqrtSMoreOnSharedDemands) {
     EXPECT_NEAR(pd_result.opt_cost, sqrt_s, 1e-9);
     EXPECT_NEAR(pd_result.ratio, 1.0, 1e-9) << "S=" << s;
 
-    auto baseline = PerCommodityAdapter::fotakis();
-    const RatioResult base_result = measure_ratio(*baseline, inst);
+    FotakisOfl baseline;
+    const RatioResult base_result = measure_ratio(baseline, inst);
     EXPECT_NEAR(base_result.ratio, sqrt_s, 1e-9) << "S=" << s;
   }
 }

@@ -23,7 +23,6 @@
 // retired ledger records, so million-event traces process in O(active
 // set + batch) resident state.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -59,6 +58,7 @@
 #include "scenario/sweep.hpp"
 #include "solution/verifier.hpp"
 #include "support/atomic_file.hpp"
+#include "support/clock.hpp"
 #include "support/parse.hpp"
 #include "support/table.hpp"
 
@@ -492,13 +492,10 @@ StreamRunResult run_stream_observed(OnlineAlgorithm& algorithm,
   std::uint64_t batch_index = 0;
   std::uint64_t total_events = 0;
   while (true) {
-    const auto start = std::chrono::steady_clock::now();
+    const std::uint64_t start = now_ns();
     const std::size_t processed = session.step_batch();
     if (processed == 0) break;
-    const double batch_ns = static_cast<double>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start)
-            .count());
+    const double batch_ns = static_cast<double>(now_ns() - start);
     total_events += processed;
     if (latency_file)
       latency_file->stream()
