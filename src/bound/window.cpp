@@ -1,7 +1,6 @@
 #include "bound/window.hpp"
 
 #include <algorithm>
-#include <queue>
 #include <utility>
 
 #include "support/assert.hpp"
@@ -34,18 +33,10 @@ StreamBoundResult bound_stream_windows(EventSource& source,
                 "bound_stream_windows: window cap must be positive");
   const MetricPtr metric = source.metric();
   const CostModelPtr cost = source.cost();
-  const std::size_t points = metric->num_points();
-  const CommodityId s = cost->num_commodities();
 
   StreamBoundResult result;
-
-  // Timeline state (the semantics of EventStream::validate): activity per
-  // arrival id, pending lease expiries ordered on (deadline, arrival id).
-  std::vector<bool> active;
-  std::size_t num_active = 0;
-  using Expiry = std::pair<std::uint64_t, RequestId>;
-  std::priority_queue<Expiry, std::vector<Expiry>, std::greater<Expiry>>
-      expiries;
+  StreamTimeline timeline("bound_stream_windows", metric->num_points(),
+                          cost->num_commodities());
 
   // Current window: its arrivals (the bounded buffer) and start event.
   std::vector<Request> window_requests;
@@ -70,53 +61,26 @@ StreamBoundResult bound_stream_windows(EventSource& source,
     result.per_window.push_back(row);
   };
 
-  const auto retire = [&](RequestId id) {
-    active[id] = false;
-    --num_active;
-  };
-
   std::vector<StreamEvent> batch;
-  std::uint64_t clock = 0;
   for (;;) {
     batch.clear();
     if (source.next_batch(batch, 8192) == 0) break;
     for (const StreamEvent& event : batch) {
-      // Lease expiries due before event `clock`.
-      while (!expiries.empty() && expiries.top().first <= clock) {
-        const RequestId id = expiries.top().second;
-        expiries.pop();
-        if (id < active.size() && active[id]) retire(id);
-      }
-      if (num_active == 0) close_window(/*forced=*/false);
+      timeline.expire_due([](RequestId, std::uint64_t) {});
+      if (timeline.num_active() == 0) close_window(/*forced=*/false);
 
-      if (event.kind == StreamEvent::Kind::kArrival) {
-        OMFLP_REQUIRE(event.request.location < points,
-                      "bound_stream_windows: arrival outside the metric");
-        OMFLP_REQUIRE(
-            event.request.commodities.universe_size() == s &&
-                !event.request.commodities.empty(),
-            "bound_stream_windows: malformed arrival demand set");
-        const RequestId id = static_cast<RequestId>(result.arrivals);
-        ++result.arrivals;
-        active.push_back(true);
-        ++num_active;
-        if (event.lease > 0)
-          expiries.push({lease_deadline(clock, event.lease), id});
-        if (window_requests.empty()) window_first_event = clock;
-        window_requests.push_back(event.request);
-        if (window_requests.size() >= options.max_window_arrivals)
-          close_window(/*forced=*/true);
-      } else {
-        OMFLP_REQUIRE(event.target < active.size() && active[event.target],
-                      "bound_stream_windows: departure of an unknown or "
-                      "inactive arrival");
-        retire(event.target);
-      }
-      ++clock;
+      const std::uint64_t t = timeline.clock();
+      timeline.apply(event);
+      if (event.kind != StreamEvent::Kind::kArrival) continue;
+      if (window_requests.empty()) window_first_event = t;
+      window_requests.push_back(event.request);
+      if (window_requests.size() >= options.max_window_arrivals)
+        close_window(/*forced=*/true);
     }
   }
   close_window(/*forced=*/false);
-  result.events = clock;
+  result.events = timeline.clock();
+  result.arrivals = timeline.arrivals();
   return result;
 }
 

@@ -2,13 +2,16 @@
 // drives an OnlineAlgorithm over an EventSource's arrival/departure/lease
 // timeline into a SolutionLedger with active-interval accounting.
 //
-// Processing model (the timeline semantics of instance/event_stream.hpp):
-// events are pulled from the source in batches of `batch_size` — the only
-// buffering between a disk-backed trace and the algorithm — and for each
-// event index t the runner first fires due lease expiries (arrival + lease
-// <= t, ascending arrival id), then processes the event:
+// Processing model: events are pulled from the source in batches of
+// `batch_size` — the only buffering between a disk-backed trace and the
+// algorithm. The session's StreamTimeline (instance/event_stream.hpp, the
+// one the validator and the windowed bounder use too) owns the clock, the
+// active set and the pending lease expiries: for each event index t it
+// first fires the due expiries (arrival + lease <= t, ascending (deadline,
+// arrival id)) into the ledger, verifier and algorithm, then checks and
+// applies the event, which the session processes:
 //   * arrival   — begin_request / serve / finish_request, exactly like
-//                 run_online, plus lease bookkeeping;
+//                 run_online;
 //   * departure — ledger.retire_request (retroactive cost re-accounting)
 //                 followed by the algorithm's depart() hook (bid rollback
 //                 for PD/Fotakis, the frozen no-op otherwise).
@@ -38,7 +41,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -99,7 +101,7 @@ struct StreamRunResult {
 /// advances one batch; finish() closes the books once the source is
 /// exhausted. Throws std::invalid_argument on a malformed event
 /// (departure of an unknown / inactive arrival, arrival outside the
-/// metric) — the same conditions EventStream::validate rejects.
+/// metric) — the same timeline check EventStream::validate runs.
 ///
 /// The algorithm and source are borrowed and must outlive the session;
 /// neither may be shared with another concurrently-stepped session.
@@ -133,7 +135,9 @@ class StreamSession {
   bool exhausted() const noexcept { return exhausted_; }
 
   /// Events processed so far (the stream clock).
-  std::uint64_t events_processed() const noexcept { return clock_; }
+  std::uint64_t events_processed() const noexcept {
+    return timeline_.clock();
+  }
 
   const SolutionLedger& ledger() const {
     // finish() moves the result out; reading the husk would silently
@@ -166,18 +170,9 @@ class StreamSession {
 
   StreamRunResult result_;
   std::optional<StreamVerifier> verifier_;
-
-  // Pending lease expiries, min-ordered on (deadline, arrival id) so
-  // simultaneous expiries fire in arrival order. Entries for arrivals
-  // that were explicitly departed first are skipped lazily.
-  using Expiry = std::pair<std::uint64_t, RequestId>;
-  std::priority_queue<Expiry, std::vector<Expiry>, std::greater<Expiry>>
-      expiries_;
-  std::vector<bool> active_;  // by arrival id
-  std::size_t num_active_ = 0;
+  StreamTimeline timeline_;  // after result_: built from its ledger
 
   std::vector<StreamEvent> batch_;
-  std::uint64_t clock_ = 0;
   bool exhausted_ = false;
   bool finished_ = false;
 };

@@ -193,8 +193,8 @@ EngineResult ShardedEngine::run() const {
   // counting (a sink installed on the calling thread — the bench
   // suite's instrumented pass) or a metrics sampler wants the deltas.
   // Plain serving runs with counting disabled, exactly like every other
-  // timed path, so the serve/seq bench pair is measured under identical
-  // hook states.
+  // timed path, so `serve --seq-baseline` compares the engine and the
+  // sequential loop under identical hook states.
   const bool collect_counters =
       perf::thread_sink() != nullptr || options_.sampler != nullptr;
 

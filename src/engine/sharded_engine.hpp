@@ -34,8 +34,8 @@
 // points at the right shard), merged in shard order into
 // EngineResult::counters: deterministic totals even though scheduling is
 // not. Without an outer sink the engine runs with counting disabled,
-// like every other timed path, so the serve/seq bench pairs are measured
-// under identical hook states.
+// like every other timed path, so `serve --seq-baseline` compares the
+// engine and the sequential loop under identical hook states.
 #pragma once
 
 #include <cstdint>

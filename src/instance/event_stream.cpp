@@ -1,25 +1,13 @@
 #include "instance/event_stream.hpp"
 
 #include <algorithm>
-#include <queue>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
+#include "instance/checkpoint_io.hpp"
 #include "support/assert.hpp"
 
 namespace omflp {
-
-namespace {
-
-/// Min-heap entry for pending lease expiries: (deadline event index,
-/// arrival id), ordered ascending on both so simultaneous expiries fire
-/// in arrival order.
-using Expiry = std::pair<std::uint64_t, RequestId>;
-using ExpiryHeap =
-    std::priority_queue<Expiry, std::vector<Expiry>, std::greater<Expiry>>;
-
-}  // namespace
 
 EventStream::EventStream(MetricPtr metric, CostModelPtr cost,
                          std::vector<StreamEvent> events, std::string name)
@@ -33,89 +21,143 @@ EventStream::EventStream(MetricPtr metric, CostModelPtr cost,
     if (e.kind == StreamEvent::Kind::kArrival) ++num_arrivals_;
 }
 
-void EventStream::validate() const {
-  const CommodityId s = cost_->num_commodities();
-  const std::size_t points = metric_->num_points();
-  std::vector<bool> active;  // by arrival id
-  active.reserve(num_arrivals_);
-  ExpiryHeap expiries;
-  // Lease expiries matter only to the departure checks: a stream of
-  // arrivals alone (lease-poisson) skips the heap.
-  const bool has_departures = num_arrivals_ != events_.size();
+void StreamTimeline::fail(const char* what) const {
+  throw std::invalid_argument(std::string(who_) + ": event " +
+                              std::to_string(clock_) + ": " + what);
+}
 
-  auto fail = [](std::size_t t, const std::string& what) {
-    std::ostringstream os;
-    os << "EventStream: event " << t << ": " << what;
-    throw std::invalid_argument(os.str());
-  };
+RequestId StreamTimeline::check(const StreamEvent& event) const {
+  if (event.kind == StreamEvent::Kind::kArrival) {
+    if (event.request.location >= num_points_)
+      fail("arrival location outside the metric space");
+    if (event.request.commodities.universe_size() != num_commodities_)
+      fail("arrival demand set over the wrong universe");
+    if (event.request.commodities.empty()) fail("empty demand set");
+    return active_.size();
+  }
+  if (event.target >= active_.size())
+    fail("departure of an arrival that has not happened");
+  if (!active_[event.target])
+    fail("departure of an arrival that is no longer active");
+  return event.target;
+}
 
-  for (std::size_t t = 0; t < events_.size(); ++t) {
-    while (!expiries.empty() && expiries.top().first <= t) {
-      const RequestId id = expiries.top().second;
-      expiries.pop();
-      active[id] = false;  // no-op if an explicit departure beat the lease
+RequestId StreamTimeline::apply(const StreamEvent& event) {
+  const RequestId id = check(event);
+  if (event.kind == StreamEvent::Kind::kArrival) {
+    active_.push_back(true);
+    ++num_active_;
+    if (expire_leases_ && event.lease > 0) {
+      expiries_.emplace_back(lease_deadline(clock_, event.lease), id);
+      std::push_heap(expiries_.begin(), expiries_.end(), std::greater<>{});
     }
-    const StreamEvent& e = events_[t];
-    if (e.kind == StreamEvent::Kind::kArrival) {
-      if (e.request.location >= points)
-        fail(t, "arrival location outside the metric space");
-      if (e.request.commodities.universe_size() != s)
-        fail(t, "arrival demand set over the wrong universe");
-      if (e.request.commodities.empty()) fail(t, "empty demand set");
-      const RequestId id = active.size();
-      active.push_back(true);
-      if (has_departures && e.lease > 0)
-        expiries.emplace(lease_deadline(t, e.lease), id);
-    } else {
-      if (e.target >= active.size())
-        fail(t, "departure of an arrival that has not happened");
-      if (!active[e.target])
-        fail(t, "departure of an arrival that is no longer active");
-      active[e.target] = false;
+  } else {
+    active_[id] = false;
+    --num_active_;
+  }
+  ++clock_;
+  return id;
+}
+
+void StreamTimeline::serialize(CkptWriter& writer) const {
+  writer.line("active").u(active_.size()).u(num_active_);
+  std::vector<std::uint64_t> words((active_.size() + 63) / 64, 0);
+  for (std::size_t id = 0; id < active_.size(); ++id)
+    if (active_[id]) words[id >> 6] |= (1ULL << (id & 63));
+  for (const std::uint64_t w : words) writer.u(w);
+  // Canonical form: pop order is fully determined by (deadline, id), so
+  // the heap's layout is irrelevant.
+  std::vector<Expiry> pending = expiries_;
+  std::sort(pending.begin(), pending.end());
+  writer.line("expiries").u(pending.size());
+  for (const auto& [deadline, id] : pending)
+    writer.line("expiry").u(deadline).u(id);
+}
+
+void StreamTimeline::restore(CkptReader& reader, std::uint64_t clock) {
+  reader.expect("active");
+  const std::uint64_t num_arrived = reader.u();
+  const std::uint64_t num_active = reader.u();
+  const std::uint64_t num_words = num_arrived / 64 + (num_arrived % 64 != 0);
+  std::vector<std::uint64_t> words;
+  words.reserve(capped_reserve(num_words));
+  for (std::uint64_t i = 0; i < num_words; ++i) words.push_back(reader.u());
+  // Every declared word was actually present, so num_arrived is bounded
+  // by the file's real size — safe to materialize the bitmap now.
+  active_.assign(num_arrived, false);
+  std::size_t popcount = 0;
+  for (std::uint64_t id = 0; id < num_arrived; ++id) {
+    if ((words[id >> 6] >> (id & 63)) & 1) {
+      active_[id] = true;
+      ++popcount;
     }
   }
+  if (popcount != num_active)
+    reader.fail("active-request bitmap disagrees with the active count");
+  // serialize() never sets them; accepting them would break the
+  // restore → checkpoint round trip.
+  if (num_arrived % 64 != 0 && (words.back() >> (num_arrived % 64)) != 0)
+    reader.fail("active-request bitmap marks ids past the last arrival");
+
+  reader.expect("expiries");
+  const std::uint64_t num_expiries = reader.u();
+  expiries_.clear();
+  for (std::uint64_t i = 0; i < num_expiries; ++i) {
+    reader.expect("expiry");
+    const std::uint64_t deadline = reader.u();
+    const Expiry entry{deadline, reader.u()};
+    if (entry.second >= active_.size())
+      reader.fail("expiry of an unknown arrival");
+    if (entry.first < clock)
+      reader.fail("expiry deadline before the stream clock");
+    if (!expiries_.empty() && !(expiries_.back() < entry))
+      reader.fail("expiries out of (deadline, id) order");
+    // Strictly ascending entries already form a valid min-heap.
+    expiries_.push_back(entry);
+  }
+  clock_ = clock;
+  num_active_ = popcount;
+}
+
+namespace {
+
+/// Runs every event of `stream` through a StreamTimeline.
+StreamTimeline replay(const EventStream& stream, bool expire_leases) {
+  StreamTimeline timeline("EventStream", stream.metric().num_points(),
+                          stream.num_commodities(), expire_leases);
+  for (const StreamEvent& e : stream.events()) {
+    timeline.expire_due([](RequestId, std::uint64_t) {});
+    timeline.apply(e);
+  }
+  return timeline;
+}
+
+}  // namespace
+
+void EventStream::validate() const {
+  // Lease expiries matter only to the departure checks: a stream of
+  // arrivals alone (lease-poisson) tracks none.
+  (void)replay(*this, /*expire_leases=*/num_arrivals_ != events_.size());
 }
 
 std::vector<RequestId> EventStream::surviving_arrivals() const {
-  std::vector<bool> active;
-  active.reserve(num_arrivals_);
-  ExpiryHeap expiries;
-  for (std::size_t t = 0; t < events_.size(); ++t) {
-    while (!expiries.empty() && expiries.top().first <= t) {
-      active[expiries.top().second] = false;
-      expiries.pop();
-    }
-    const StreamEvent& e = events_[t];
-    if (e.kind == StreamEvent::Kind::kArrival) {
-      const RequestId id = active.size();
-      active.push_back(true);
-      if (e.lease > 0) expiries.emplace(lease_deadline(t, e.lease), id);
-    } else {
-      OMFLP_REQUIRE(e.target < active.size() && active[e.target],
-                    "EventStream: invalid departure (run validate())");
-      active[e.target] = false;
-    }
-  }
   // Leases with deadlines past the end never fire: whatever is still
-  // marked active survives.
+  // active after the last event survives.
+  const StreamTimeline timeline = replay(*this, /*expire_leases=*/true);
   std::vector<RequestId> out;
-  for (RequestId id = 0; id < active.size(); ++id)
-    if (active[id]) out.push_back(id);
+  for (RequestId id = 0; id < timeline.arrivals(); ++id)
+    if (timeline.active(id)) out.push_back(id);
   return out;
 }
 
 Instance EventStream::surviving_instance() const {
-  const std::vector<RequestId> survivors = surviving_arrivals();
-  std::vector<bool> keep(num_arrivals_, false);
-  for (const RequestId id : survivors) keep[id] = true;
+  const StreamTimeline timeline = replay(*this, /*expire_leases=*/true);
   std::vector<Request> requests;
-  requests.reserve(survivors.size());
+  requests.reserve(timeline.num_active());
   RequestId arrival = 0;
-  for (const StreamEvent& e : events_) {
-    if (e.kind != StreamEvent::Kind::kArrival) continue;
-    if (keep[arrival]) requests.push_back(e.request);
-    ++arrival;
-  }
+  for (const StreamEvent& e : events_)
+    if (e.kind == StreamEvent::Kind::kArrival && timeline.active(arrival++))
+      requests.push_back(e.request);
   Instance instance(metric_, cost_, std::move(requests),
                     name_ + "-surviving");
   instance.set_capacities(capacities_);

@@ -13,12 +13,13 @@
 //     identified by its arrival id (position among arrivals — the same
 //     numbering as SolutionLedger request ids).
 //
-// Timeline semantics (shared by the validator, the offline stream
-// verifier and the stream runner — all three implement it independently,
-// in this repo's verifier tradition):
+// Timeline semantics (StreamTimeline below implements them once for the
+// validator, the stream runner and the windowed bounder; the offline
+// stream verifier re-derives them independently, in this repo's verifier
+// tradition):
 //   * events are processed in order; event t's lease expiries (arrivals
-//     with arrival_index + lease <= t, ascending arrival id) fire
-//     *before* event t itself is processed;
+//     with arrival_index + lease <= t, ascending (deadline, arrival id))
+//     fire *before* event t itself is processed;
 //   * an explicit departure must target an arrival that is still active
 //     at that moment (neither departed nor expired); a departure may
 //     retire a leased arrival early, in which case the later lease
@@ -31,8 +32,11 @@
 // ledger.active_cost() / OPT(surviving set) (see solution/verifier.hpp).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "instance/instance.hpp"
@@ -69,13 +73,89 @@ struct StreamEvent {
 /// Expiry deadline of a lease granted at event index `t`, saturating at
 /// the uint64 maximum: a lease so large that t + lease would wrap must
 /// behave as "past every possible stream end" (the request survives),
-/// not wrap around to fire before its own arrival. Every timeline
-/// implementation (validator, runner, offline verifier) must use this.
+/// not wrap around to fire before its own arrival. StreamTimeline is its
+/// one caller outside the offline verifier.
 inline std::uint64_t lease_deadline(std::uint64_t t,
                                     std::uint64_t lease) noexcept {
   const std::uint64_t max = ~std::uint64_t{0};
   return lease > max - t ? max : t + lease;
 }
+
+class CkptReader;
+class CkptWriter;
+
+/// The timeline semantics above, in one place: the stream clock, the
+/// arrival count, the active set and the pending lease expiries. Per
+/// event the caller first calls expire_due(), then apply(). Errors read
+/// "<who>: event <t>: <what>"; `who` must outlive the timeline.
+class StreamTimeline {
+ public:
+  /// With `expire_leases` false no expiry is ever pending and leased
+  /// arrivals stay active: validating a stream without departures needs
+  /// no heap, since no expiry can change its verdict.
+  StreamTimeline(const char* who, std::size_t num_points,
+                 CommodityId num_commodities, bool expire_leases = true)
+      : who_(who),
+        num_points_(num_points),
+        num_commodities_(num_commodities),
+        expire_leases_(expire_leases) {}
+
+  /// Fires the lease expiries due before the event at clock(), ascending
+  /// on (deadline, arrival id): each arrival still active is retired and
+  /// handed to on_expire(id, deadline); entries for arrivals that
+  /// departed first are dropped.
+  template <class OnExpire>
+  void expire_due(OnExpire&& on_expire) {
+    while (!expiries_.empty() && expiries_.front().first <= clock_) {
+      std::pop_heap(expiries_.begin(), expiries_.end(), std::greater<>{});
+      const auto [deadline, id] = expiries_.back();
+      expiries_.pop_back();
+      if (!active_[id]) continue;
+      active_[id] = false;
+      --num_active_;
+      on_expire(id, deadline);
+    }
+  }
+
+  /// Checks the event at clock() and returns the id it will carry: the
+  /// new arrival's id or the departure's target. Throws
+  /// std::invalid_argument on a location outside M, a demand set that is
+  /// empty or over the wrong universe, or a departure of an arrival that
+  /// is unknown or no longer active.
+  RequestId check(const StreamEvent& event) const;
+  /// check(), then records the event and advances the clock.
+  RequestId apply(const StreamEvent& event);
+
+  std::uint64_t clock() const noexcept { return clock_; }
+  std::size_t arrivals() const noexcept { return active_.size(); }
+  std::size_t num_active() const noexcept { return num_active_; }
+  bool active(RequestId id) const { return active_[id]; }
+
+  /// The checkpoint's "active" line (arrival count, active count, the
+  /// activity bitmap in 64-bit words) and its "expiries" section, the
+  /// pending expiries ascending on (deadline, arrival id).
+  void serialize(CkptWriter& writer) const;
+  /// Reads what serialize() wrote into a timeline at stream clock
+  /// `clock`. Refuses a bitmap that disagrees with its active count or
+  /// marks ids past the last arrival, and an expiry of an unknown
+  /// arrival, with a deadline below the clock (it would have fired
+  /// already) or out of (deadline, id) order.
+  void restore(CkptReader& reader, std::uint64_t clock);
+
+ private:
+  using Expiry = std::pair<std::uint64_t, RequestId>;
+
+  [[noreturn]] void fail(const char* what) const;
+
+  const char* who_;
+  std::size_t num_points_;
+  CommodityId num_commodities_;
+  bool expire_leases_;
+  std::uint64_t clock_ = 0;
+  std::vector<bool> active_;  // by arrival id
+  std::size_t num_active_ = 0;
+  std::vector<Expiry> expiries_;  // min-heap on (deadline, arrival id)
+};
 
 class EventStream {
  public:
@@ -103,7 +183,8 @@ class EventStream {
   /// active under the timeline semantics above.
   void validate() const;
 
-  /// Arrival ids still active after the last event, ascending.
+  /// Arrival ids still active after the last event, ascending. Throws
+  /// like validate() on a malformed event.
   std::vector<RequestId> surviving_arrivals() const;
 
   /// The surviving set as a static Instance (same metric and cost model,

@@ -11,8 +11,8 @@
 // Contract — identical to PerfScope (src/perf/perf_counters.hpp):
 // tracing is off unless a sink is installed on the current thread. The
 // emit helper compiles to a thread-local pointer load plus a
-// perfectly-predicted branch when no sink is installed (the
-// "trace/off" vs "trace/on" BenchSuite pair quantifies the cost);
+// perfectly-predicted branch when no sink is installed (the "trace/on"
+// BenchSuite case against "stream/churn-pd" quantifies the cost);
 // OMFLP_TRACE_DISABLE turns every hook into a literal no-op. Scopes nest
 // and are strictly per-thread.
 //

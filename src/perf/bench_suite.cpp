@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <optional>
 #include <ostream>
 #include <stdexcept>
 
@@ -340,70 +339,53 @@ BenchSuite default_bench_suite() {
     suite.add(stream_case("stream/churn-pd", std::make_shared<PdOmflp>(),
                           churn_small));
 
-    // The trace-overhead pair: the same PD churn replay with no TraceSink
-    // installed (the state every other timed case runs in — measuring the
-    // disabled obs::tracing() hook) and with a TraceScope recording every
-    // decision into a buffer cleared per op. The ns/op of the two
-    // measures the cost of live tracing; the zero-overhead-when-off claim
-    // is trace/off staying on par with stream/churn-pd.
-    const auto traced_case = [&](std::string name, bool traced) {
-      BenchCase c;
-      c.name = std::move(name);
-      c.requests_per_op = churn_small->num_events();
-      c.op = [algorithm = std::make_shared<PdOmflp>(),
-              buffer = std::make_shared<TraceBuffer>(),
-              stream = churn_small, traced] {
-        StreamRunOptions options;
-        options.batch_size = 2048;
-        std::optional<TraceScope> scope;
-        if (traced) {
-          buffer->clear();
-          scope.emplace(*buffer);
-        }
-        const StreamRunResult result =
-            run_stream(*algorithm, *stream, options);
-        volatile double sink = result.ledger.active_cost();
-        (void)sink;
-      };
-      return c;
+    // The same PD churn replay with a TraceScope recording every decision
+    // into a buffer cleared per op: its trace_events_emitted counter is
+    // what live tracing records, and its ns/op against stream/churn-pd
+    // (no sink installed, the state every other timed case runs in) is
+    // the cost of tracing.
+    BenchCase traced;
+    traced.name = "trace/on";
+    traced.requests_per_op = churn_small->num_events();
+    traced.op = [algorithm = std::make_shared<PdOmflp>(),
+                 buffer = std::make_shared<TraceBuffer>(),
+                 stream = churn_small] {
+      StreamRunOptions options;
+      options.batch_size = 2048;
+      buffer->clear();
+      TraceScope scope(*buffer);
+      const StreamRunResult result = run_stream(*algorithm, *stream, options);
+      volatile double sink = result.ledger.active_cost();
+      (void)sink;
     };
-    suite.add(traced_case("trace/off", false));
-    suite.add(traced_case("trace/on", true));
+    suite.add(std::move(traced));
   }
 
-  // The serving-engine pairs: serve/mixed-* is one full ShardedEngine
-  // run over the 16-tenant Zipf-skewed "mixed" workload mix (default
-  // shards/threads — the configuration `omflp serve` runs in);
-  // serve/seq-* is the identical tenant set driven as a sequential
-  // run_stream loop on the calling thread. requests_per_op is the total
-  // event count on both sides, so the requests/s ratio of a pair is the
-  // engine's aggregate speedup over the sequential K-run loop on this
-  // machine (~1x on a single hardware thread — the engine's round loop
-  // adds no measurable overhead — and scales with cores). Per-tenant
-  // results are bitwise identical across the pair (tests/test_engine.cpp
-  // enforces it); verification is off, as in every other timed case.
+  // The serving-engine cases: one full ShardedEngine run over the
+  // 16-tenant Zipf-skewed "mixed" workload mix (default shards/threads —
+  // the configuration `omflp serve` runs in). requests_per_op is the
+  // total event count; verification is off, as in every other timed case.
+  // `omflp serve --seq-baseline` measures the engine against a sequential
+  // loop over the same tenants.
   {
     const std::size_t kTenants = 16;
-    const auto mixed_specs = [](const std::string& algorithm) {
+    const auto serve_case = [&](std::string name,
+                                const std::string& algorithm) {
       std::vector<TenantSpec> specs =
           default_workload_mix_registry().tenants("mixed", kTenants,
                                                   /*seed=*/1);
       for (TenantSpec& spec : specs) spec.algorithm = algorithm;
-      return specs;
-    };
-    const auto serve_case = [&](std::string name,
-                                const std::string& algorithm) {
       EngineOptions options;
       options.batch_size = 2048;
       options.verify = false;
-      auto engine = std::make_shared<const ShardedEngine>(
-          mixed_specs(algorithm), options);
+      auto engine =
+          std::make_shared<const ShardedEngine>(std::move(specs), options);
       BenchCase c;
       c.name = std::move(name);
       c.requests_per_op =
           static_cast<std::size_t>(engine->total_events());
       // Latency channel: the timed pass's per-batch distribution lands
-      // in the case result (sequential twins have no batch latency).
+      // in the case result.
       c.latency = std::make_shared<LatencySnapshot>();
       c.op = [engine, latency = c.latency] {
         const EngineResult result = engine->run();
@@ -411,76 +393,15 @@ BenchSuite default_bench_suite() {
         (void)sink;
         *latency = result.batch_latency;
         // Shard workers count into the engine's per-shard sinks; forward
-        // the merged totals so the case's counter column matches the
-        // sequential twin.
+        // the merged totals so the case's counter column holds the run's
+        // work.
         if (PerfCounters* outer = perf::thread_sink())
           *outer += result.counters;
       };
       return c;
     };
-    // Stream generation ignores the tenant's algorithm, so one
-    // materialized set serves both sequential twins.
-    auto seq_specs = std::make_shared<const std::vector<TenantSpec>>(
-        mixed_specs("pd"));
-    auto seq_streams = std::make_shared<std::vector<EventStream>>();
-    std::uint64_t seq_total_events = 0;
-    for (const TenantSpec& spec : *seq_specs) {
-      seq_streams->push_back(default_stream_scenario_registry().make(
-          spec.scenario, spec.seed, spec.overrides));
-      seq_total_events += seq_streams->back().num_events();
-    }
-    const auto seq_case = [&](std::string name, std::string algorithm) {
-      BenchCase c;
-      c.name = std::move(name);
-      c.requests_per_op = static_cast<std::size_t>(seq_total_events);
-      c.op = [specs = seq_specs, streams = seq_streams,
-              algorithm = std::move(algorithm)] {
-        StreamRunOptions options;
-        options.batch_size = 2048;
-        double sum = 0.0;
-        for (std::size_t i = 0; i < streams->size(); ++i) {
-          auto algo = default_algorithm_registry().make(
-              algorithm, derive_algorithm_seed((*specs)[i].seed));
-          sum += run_stream(*algo, (*streams)[i], options)
-                     .ledger.active_cost();
-        }
-        volatile double sink = sum;
-        (void)sink;
-      };
-      return c;
-    };
     suite.add(serve_case("serve/mixed-greedy", "greedy"));
     suite.add(serve_case("serve/mixed-pd", "pd"));
-    suite.add(seq_case("serve/seq-greedy", "greedy"));
-    suite.add(seq_case("serve/seq-pd", "pd"));
-  }
-
-  // The counter-overhead pair: the same PD replay with counting disabled
-  // (no sink — the default state every other case is timed in) and with a
-  // sink installed for the whole run. The ns/op of the two quantifies
-  // the cost of an enabled sink; "counters/off" vs the
-  // pre-telemetry binary measures the disabled-mode hook (a thread-local
-  // load + predicted branch).
-  {
-    const auto pd_off = std::make_shared<PdOmflp>();
-    const auto pd_on = std::make_shared<PdOmflp>();
-    suite.add(algorithm_case("counters/off", pd_off, instance));
-    BenchCase on;
-    on.name = "counters/on";
-    on.requests_per_op = instance->num_requests();
-    on.op = [pd_on, instance] {
-      PerfCounters counters;
-      {
-        PerfScope scope(counters);
-        const SolutionLedger ledger = run_online(*pd_on, *instance);
-        volatile double sink = ledger.total_cost();
-        (void)sink;
-      }
-      // Forward to the suite's collection sink (when one is installed)
-      // so the case's counter column matches counters/off.
-      if (PerfCounters* outer = perf::thread_sink()) *outer += counters;
-    };
-    suite.add(std::move(on));
   }
 
   // Bound-layer cases: one op = a full certified-lower-bound computation.

@@ -118,14 +118,11 @@ class BenchSuite {
 /// replaying the uniform-line workload, the PD reference-bid ablation,
 /// DistanceOracle cached/fallback micro cases, the dynamic-stream
 /// events/s cases (run_stream over churn-uniform workloads, greedy and
-/// PD), the serving-engine pairs (serve/mixed-* = ShardedEngine over the
-/// 16-tenant "mixed" workload mix at default shards/threads, serve/seq-*
-/// = the same tenants as a sequential run_stream loop — the ratio is the
-/// engine's aggregate speedup on this machine), the counters on/off
-/// overhead pair (the disabled-mode case the telemetry claims are judged
-/// against), and the trace on/off pair (the same churn stream with and
-/// without a TraceSink installed — the measurement behind the
-/// zero-overhead-when-off tracing claim).
+/// PD), the serving-engine cases (serve/mixed-* = ShardedEngine over the
+/// 16-tenant "mixed" workload mix at default shards/threads), trace/on
+/// (the PD churn case with a TraceSink installed — its ns/op against
+/// stream/churn-pd is the cost of live tracing) and the bound-layer
+/// cases.
 BenchSuite default_bench_suite();
 
 /// "BENCH_<suite>.json"

@@ -10,8 +10,7 @@
 // Design: counting is off unless a sink is installed on the current
 // thread. The hook macro compiles to a thread-local pointer load plus a
 // perfectly-predicted branch when no sink is installed — indistinguishable
-// from the uninstrumented code in every bench we can measure (the
-// "counters/off" vs "counters/on" BenchSuite pair quantifies it). For the
+// from the uninstrumented code in every bench we can measure. For the
 // truly paranoid, defining OMFLP_PERF_DISABLE at compile time turns every
 // hook into a literal no-op.
 //

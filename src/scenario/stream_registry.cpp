@@ -115,33 +115,27 @@ EventStream make_hotspot_grid(const ScenarioParams& p, std::uint64_t seed,
 
   std::vector<StreamEvent> events;
   events.reserve(num_events);
-  // (id, lease deadline) — deletions may only target arrivals still
-  // alive under the timeline semantics, so entries whose lease fires at
-  // or before this event are purged first. The purge runs only once `t`
-  // reaches the earliest deadline in `active`: pinned arrivals never
-  // expire, and a per-event sweep over them is quadratic. A departure
-  // can leave `next_expiry` below every remaining deadline; that only
-  // costs one purge that removes nothing.
-  constexpr std::uint64_t kPinned = ~std::uint64_t{0};
-  std::vector<std::pair<RequestId, std::uint64_t>> active;
-  std::uint64_t next_expiry = kPinned;
-  RequestId next_id = 0;
+  // Deletions may only target arrivals still alive under the timeline
+  // semantics. `alive` lists them in the order departures draw from:
+  // arrivals append, a departure swaps its slot with the last, and
+  // expiries are removed in place.
+  StreamTimeline timeline(name, side * side, commodities);
+  std::vector<RequestId> alive;
   for (std::size_t t = 0; t < num_events; ++t) {
-    if (next_expiry <= t) {
-      active.erase(std::remove_if(active.begin(), active.end(),
-                                  [t](const auto& entry) {
-                                    return entry.second <= t;
-                                  }),
-                   active.end());
-      next_expiry = kPinned;
-      for (const auto& entry : active)
-        next_expiry = std::min(next_expiry, entry.second);
-    }
-    if (active.size() > warmup && rng.bernoulli(churn)) {
-      const std::size_t pick = rng.uniform_index(active.size());
-      events.push_back(StreamEvent::departure(active[pick].first));
-      active[pick] = active.back();
-      active.pop_back();
+    bool expired = false;
+    timeline.expire_due([&](RequestId, std::uint64_t) { expired = true; });
+    if (expired)
+      alive.erase(std::remove_if(alive.begin(), alive.end(),
+                                 [&](RequestId id) {
+                                   return !timeline.active(id);
+                                 }),
+                  alive.end());
+    if (alive.size() > warmup && rng.bernoulli(churn)) {
+      const std::size_t pick = rng.uniform_index(alive.size());
+      events.push_back(StreamEvent::departure(alive[pick]));
+      timeline.apply(events.back());
+      alive[pick] = alive.back();
+      alive.pop_back();
       continue;
     }
     const auto [center_r, center_c] = centers[hot(rng)];
@@ -158,10 +152,7 @@ EventStream make_hotspot_grid(const ScenarioParams& p, std::uint64_t seed,
                       rng.exponential(1.0 / mean_lease))
             : 0;
     events.push_back(StreamEvent::arrival(std::move(r), lease));
-    const std::uint64_t deadline =
-        lease > 0 ? lease_deadline(t, lease) : kPinned;
-    active.emplace_back(next_id++, deadline);
-    next_expiry = std::min(next_expiry, deadline);
+    alive.push_back(timeline.apply(events.back()));
   }
   EventStream stream(std::move(metric), poly_cost(p, commodities),
                      std::move(events), name);

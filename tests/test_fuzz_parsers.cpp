@@ -864,6 +864,96 @@ TEST(FuzzParsers, CheckpointBidRowNegativeZeroIsRejected) {
   EXPECT_EQ(feed_checkpoint_readers(mutant), ParseOutcome::kRejected);
 }
 
+// Regressions: restore accepted, behind a valid checksum, an expiry whose
+// deadline lies below the snapshot clock. It fired before the next event
+// with its stale deadline, so the request was retired before its own
+// arrival, and the incremental verifier reported clean. The writer has
+// always sorted the expiries: the reader now refuses a deadline below the
+// clock and entries that are not strictly ascending in (deadline, id).
+// It also accepted activity bits past the last arrival, which the next
+// checkpoint silently dropped.
+TEST(FuzzParsers, CheckpointTimelineTamperingIsRejected) {
+  const EventStream stream = default_stream_scenario_registry().make(
+      "lease-poisson", /*seed=*/3, {{"events", 256}});
+  StreamRunOptions options;
+  options.batch_size = 50;
+  options.verify = true;
+  const auto restores = [&](const std::string& text) {
+    try {
+      const auto greedy = default_algorithm_registry().make("greedy");
+      MaterializedEventSource source(stream);
+      std::istringstream is(text);
+      CkptReader reader(is);
+      StreamSession session(*greedy, source, options, reader);
+      reader.finish();
+      return true;
+    } catch (const std::invalid_argument&) {
+      return false;
+    }
+  };
+  std::string base;
+  {
+    const auto greedy = default_algorithm_registry().make("greedy");
+    MaterializedEventSource source(stream);
+    StreamSession session(*greedy, source, options);
+    (void)session.step_batch();
+    (void)session.step_batch();
+    std::ostringstream os;
+    CkptWriter writer(os);
+    session.checkpoint(writer);
+    writer.finish();
+    base = os.str();
+  }
+  ASSERT_TRUE(restores(base));
+
+  const std::vector<std::string> lines = split_lines(base);
+  std::vector<std::size_t> expiries;
+  std::size_t active = lines.size();
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    if (lines[i].rfind("expiry ", 0) == 0) expiries.push_back(i);
+    if (lines[i].rfind("active ", 0) == 0) active = i;
+  }
+  ASSERT_GE(expiries.size(), 2u);
+  const auto id_of = [&](std::size_t line) {
+    return lines[line].substr(lines[line].rfind(' ') + 1);
+  };
+  const std::size_t first = expiries.front();
+  const std::size_t second = expiries[1];
+
+  // Deadlines 1 and 99 lie below the clock, 100; 100 itself is due next.
+  for (const char* deadline : {"1", "99"}) {
+    std::vector<std::string> t = lines;
+    t[first] = std::string("expiry ") + deadline + " " + id_of(first);
+    EXPECT_FALSE(restores(resealed(join_lines(t)))) << t[first];
+  }
+  {
+    std::vector<std::string> t = lines;
+    t[first] = "expiry 100 " + id_of(first);
+    EXPECT_TRUE(restores(resealed(join_lines(t)))) << t[first];
+  }
+  // Two entries swapped, and one entry twice.
+  {
+    std::vector<std::string> t = lines;
+    std::swap(t[first], t[second]);
+    EXPECT_FALSE(restores(resealed(join_lines(t))));
+  }
+  {
+    std::vector<std::string> t = lines;
+    t[second] = t[first];
+    EXPECT_FALSE(restores(resealed(join_lines(t))));
+  }
+  // "active 100 <count> <word> <word>": set the top bit of the second
+  // word, which holds ids 64..99 in its low 36 bits.
+  {
+    ASSERT_LT(active, lines.size());
+    std::vector<std::string> t = lines;
+    const std::size_t last = t[active].rfind(' ') + 1;
+    const std::uint64_t word = std::stoull(t[active].substr(last));
+    t[active] = t[active].substr(0, last) + std::to_string(word | 1ULL << 63);
+    EXPECT_FALSE(restores(resealed(join_lines(t)))) << t[active];
+  }
+}
+
 /// A session of `algorithm` on the checkpoint stream, snapshotted after
 /// two batches.
 std::string algorithm_checkpoint(const std::string& algorithm) {

@@ -199,22 +199,14 @@ TEST(BenchSuite, DefaultSuiteCoversTheFullRoster) {
     EXPECT_NE(std::find(cases.begin(), cases.end(), expected), cases.end())
         << "missing case " << expected;
   }
-  // The overhead pair and the oracle micro cases ride along.
-  EXPECT_NE(suite.case_names().end(),
-            std::find(cases.begin(), cases.end(), "counters/off"));
-  EXPECT_NE(suite.case_names().end(),
-            std::find(cases.begin(), cases.end(), "counters/on"));
-  EXPECT_NE(suite.case_names().end(),
-            std::find(cases.begin(), cases.end(), "oracle/cached"));
-  EXPECT_NE(suite.case_names().end(),
-            std::find(cases.begin(), cases.end(), "oracle/fallback"));
-  // The hot-loop kernel micro cases (see src/kernel/) ride along too.
-  for (const char* kernel_case :
-       {"kernel/accumulate-shift", "kernel/min-tightness",
-        "kernel/argmin-masked"}) {
-    EXPECT_NE(std::find(cases.begin(), cases.end(), kernel_case),
-              cases.end())
-        << "missing case " << kernel_case;
+  // The oracle, kernel (see src/kernel/), stream, tracing and engine
+  // cases ride along.
+  for (const char* name :
+       {"oracle/cached", "oracle/fallback", "kernel/accumulate-shift",
+        "kernel/min-tightness", "kernel/argmin-masked", "stream/churn-pd",
+        "trace/on", "serve/mixed-pd"}) {
+    EXPECT_NE(std::find(cases.begin(), cases.end(), name), cases.end())
+        << "missing case " << name;
   }
 }
 

@@ -8,12 +8,15 @@
 #include <algorithm>
 #include <cstdlib>
 #include <functional>
+#include <optional>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "baseline/fotakis_ofl.hpp"
 #include "baseline/greedy.hpp"
 #include "baseline/meyerson_ofl.hpp"
+#include "bound/window.hpp"
 #include "core/pd_omflp.hpp"
 #include "core/rand_omflp.hpp"
 #include "core/stream_runner.hpp"
@@ -24,6 +27,7 @@
 #include "metric/line_metric.hpp"
 #include "scenario/stream_registry.hpp"
 #include "solution/verifier.hpp"
+#include "support/rng.hpp"
 
 namespace omflp {
 namespace {
@@ -1138,6 +1142,159 @@ TEST(StreamRunner, LedgerRefusesDoubleRetirement) {
   ledger.finish_request();
   ledger.retire_request(0, 1);
   EXPECT_THROW(ledger.retire_request(0, 2), std::invalid_argument);
+}
+
+// ---------------------------------------------------- timeline agreement ---
+
+/// A random stream over SmallWorld plus the index of its first malformed
+/// event (npos when it has none), judged by a naive model: arrival a is
+/// alive at event t unless it departed before t or carries a lease
+/// L <= t - a. No heap and no a + L sum (which can wrap), so it shares
+/// nothing with StreamTimeline. About half of the streams carry one fault: a departure
+/// of an unknown or retired id, a departure at the very index its
+/// target's lease expires, or a malformed arrival.
+struct RandomTimeline {
+  std::vector<StreamEvent> events;
+  std::size_t first_bad = std::string::npos;
+};
+
+RandomTimeline random_timeline(Rng& rng) {
+  const std::uint64_t max = ~std::uint64_t{0};
+  RandomTimeline out;
+  std::vector<std::uint64_t> arrived_at, lease;
+  std::vector<bool> departed;
+  const auto alive = [&](std::size_t a, std::uint64_t t) {
+    return !departed[a] && !(lease[a] > 0 && lease[a] <= t - arrived_at[a]);
+  };
+  const std::size_t n = 8 + rng.uniform_index(40);
+  const bool faulty = rng.bernoulli(0.5);
+  const std::size_t fault_at = rng.uniform_index(n);
+  for (std::uint64_t t = 0; t < n; ++t) {
+    std::vector<std::size_t> live, retired, expiring_now;
+    for (std::size_t a = 0; a < arrived_at.size(); ++a) {
+      if (alive(a, t)) {
+        live.push_back(a);
+      } else {
+        retired.push_back(a);
+        if (!departed[a] && lease[a] == t - arrived_at[a])
+          expiring_now.push_back(a);
+      }
+    }
+    const auto pick = [&](const std::vector<std::size_t>& ids) {
+      return ids[rng.uniform_index(ids.size())];
+    };
+    if (faulty && t == fault_at && out.first_bad == std::string::npos) {
+      out.first_bad = t;
+      switch (rng.uniform_index(4)) {
+        case 0:
+          out.events.push_back(StreamEvent::departure(
+              arrived_at.size() + rng.uniform_index(3)));
+          break;
+        case 1:
+          if (!expiring_now.empty()) {
+            out.events.push_back(StreamEvent::departure(pick(expiring_now)));
+            break;
+          }
+          [[fallthrough]];
+        case 2:
+          if (!retired.empty()) {
+            out.events.push_back(StreamEvent::departure(pick(retired)));
+            break;
+          }
+          [[fallthrough]];
+        default: {
+          Request bad = make_request(2, 1, {0});
+          const std::uint64_t kind = rng.uniform_index(3);
+          if (kind == 0) bad.location = 8 + rng.uniform_index(4);
+          if (kind == 1) bad = make_request(3, 1, {2});
+          if (kind == 2) bad.commodities = CommoditySet(2);
+          out.events.push_back(StreamEvent::arrival(bad));
+        }
+      }
+      continue;  // nothing after the fault is judged
+    }
+    if (!live.empty() && rng.bernoulli(0.35)) {
+      const std::size_t target = pick(live);
+      departed[target] = true;
+      out.events.push_back(StreamEvent::departure(target));
+      continue;
+    }
+    std::uint64_t l = 0;
+    const double u = rng.uniform();
+    if (u < 0.4) l = 1 + rng.uniform_index(6);
+    else if (u < 0.55) l = max - rng.uniform_index(3 * n);
+    arrived_at.push_back(t);
+    lease.push_back(l);
+    departed.push_back(false);
+    out.events.push_back(StreamEvent::arrival(
+        make_request(2, static_cast<PointId>(rng.uniform_index(8)),
+                     {static_cast<CommodityId>(rng.uniform_index(2))}),
+        l));
+  }
+  return out;
+}
+
+/// The event index and reason of a rejection: "<who>: event <t>: <what>"
+/// with the "<who>: " prefix dropped; empty when `run` accepted.
+std::string rejection(const std::function<void()>& run) {
+  try {
+    run();
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    const std::size_t at = what.find(": event ");
+    return at == std::string::npos ? what : what.substr(at + 2);
+  }
+  return "";
+}
+
+// validate, run_stream and bound_stream_windows share one timeline; the
+// naive model above and verify_stream derive it independently.
+TEST(StreamTimeline, ValidatorRunnerAndBounderAgreeOnRandomStreams) {
+  SmallWorld w;
+  Rng rng(20261019);
+  std::size_t accepted = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const RandomTimeline random = random_timeline(rng);
+    const EventStream stream(w.metric, w.cost, random.events, "random");
+    StreamRunOptions options;
+    options.batch_size = 1 + rng.uniform_index(8);
+    options.compact = false;
+    options.verify = true;
+    NearestOrOpen algorithm;
+    std::optional<StreamRunResult> run;
+
+    const std::string validated = rejection([&] { stream.validate(); });
+    const std::string ran = rejection(
+        [&] { run.emplace(run_stream(algorithm, stream, options)); });
+    const std::string bounded = rejection([&] {
+      MaterializedEventSource source(stream);
+      WindowBoundOptions windows;
+      windows.max_window_arrivals = 1 + rng.uniform_index(16);
+      (void)bound_stream_windows(source, windows);
+    });
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    EXPECT_EQ(validated, ran);
+    EXPECT_EQ(validated, bounded);
+    if (random.first_bad != std::string::npos) {
+      EXPECT_EQ(validated.rfind("event " + std::to_string(random.first_bad) +
+                                    ": ",
+                                0),
+                0u)
+          << validated;
+      continue;
+    }
+    ASSERT_EQ(validated, "");
+    ++accepted;
+    ASSERT_TRUE(run.has_value());
+    EXPECT_FALSE(run->violation.has_value()) << run->violation->what;
+    EXPECT_FALSE(verify_stream(stream, run->ledger).has_value());
+    std::vector<RequestId> active;
+    for (RequestId id = 0; id < run->ledger.num_requests(); ++id)
+      if (run->ledger.request_record(id).active()) active.push_back(id);
+    EXPECT_EQ(stream.surviving_arrivals(), active);
+  }
+  EXPECT_GT(accepted, 100u);
+  EXPECT_LT(accepted, 200u);
 }
 
 }  // namespace
