@@ -12,6 +12,20 @@
 
 namespace omflp {
 
+namespace {
+
+/// Request `id`'s entry in an archive (binary search: archives are in id
+/// order), or nullptr when it holds none.
+template <typename Past>
+auto* find_past(Past& past, RequestId id) {
+  const auto it = std::lower_bound(
+      past.begin(), past.end(), id,
+      [](const auto& pr, RequestId r) { return pr.id < r; });
+  return it != past.end() && it->id == id ? &*it : nullptr;
+}
+
+}  // namespace
+
 void FotakisOfl::reset(const ProblemContext& context) {
   OMFLP_REQUIRE(context.metric != nullptr && context.cost != nullptr,
                 "FotakisOfl::reset: incomplete context");
@@ -168,17 +182,6 @@ void FotakisOfl::serve_commodity(CommodityId e, RequestId id, PointId loc,
   ledger.assign(e, serving);
 }
 
-std::size_t FotakisOfl::past_index(RequestId id, CommodityId e) const {
-  OMFLP_REQUIRE(e < commodities_.size(), "FotakisOfl: commodity range");
-  const std::vector<PastRequest>& past = commodities_[e].past;
-  const auto it = std::lower_bound(
-      past.begin(), past.end(), id,
-      [](const PastRequest& pr, RequestId r) { return pr.id < r; });
-  OMFLP_REQUIRE(it != past.end() && it->id == id,
-                "FotakisOfl: request unknown to the commodity");
-  return static_cast<std::size_t>(it - past.begin());
-}
-
 double FotakisOfl::total_dual() const noexcept {
   double total = 0.0;
   for (const CommodityState& c : commodities_) total += c.total_dual;
@@ -186,7 +189,9 @@ double FotakisOfl::total_dual() const noexcept {
 }
 
 double FotakisOfl::dual(RequestId id, CommodityId e) const {
-  return commodities_[e].past[past_index(id, e)].dual;
+  OMFLP_REQUIRE(e < commodities_.size(), "FotakisOfl: commodity range");
+  const PastRequest* pr = find_past(commodities_[e].past, id);
+  return pr == nullptr ? 0.0 : pr->dual;
 }
 
 void FotakisOfl::depart(RequestId id, const Request& request,
@@ -194,10 +199,12 @@ void FotakisOfl::depart(RequestId id, const Request& request,
   (void)ledger;
   OMFLP_CHECK(cost_ != nullptr, "FotakisOfl: depart() before reset()");
   request.commodities.for_each([&](CommodityId e) {
-    const std::size_t j = past_index(id, e);
     CommodityState& c = commodities_[e];
-    PastRequest& pr = c.past[j];
-    OMFLP_REQUIRE(!pr.departed, "FotakisOfl: request departed twice");
+    PastRequest* found = find_past(c.past, id);
+    OMFLP_REQUIRE(found != nullptr && !found->departed,
+                  "FotakisOfl: departure of a request the commodity does "
+                  "not hold");
+    PastRequest& pr = *found;
     pr.departed = true;
     const double v = std::min(pr.dual, pr.facility_dist);
     if (v > 0.0) {
@@ -217,6 +224,12 @@ void FotakisOfl::depart(RequestId id, const Request& request,
       obs::emit(ev);
     }
     pr.dual = 0.0;  // reinvestment shifts for this request become no-ops
+    // Departed entries bid nothing: once they outnumber the live ones,
+    // erase them, so the archive follows the active set.
+    if (2 * ++c.departed > c.past.size()) {
+      std::erase_if(c.past, [](const PastRequest& p) { return p.departed; });
+      c.departed = 0;
+    }
   });
 }
 
@@ -227,14 +240,14 @@ void FotakisOfl::serialize_state(CkptWriter& writer) const {
     writer.line("commodity").u(e).b(c.started);
     if (!c.started) continue;
     serialize_open_records(writer, "facilities", c.facilities);
-    writer.line("past").u(c.past.size());
+    writer.line("archive").u(c.past.size() - c.departed);
     for (const PastRequest& pr : c.past) {
-      writer.line("past-request")
+      if (pr.departed) continue;
+      writer.line("archived")
           .u(pr.id)
           .u(pr.location)
           .d(pr.dual)
-          .d(pr.facility_dist)
-          .b(pr.departed);
+          .d(pr.facility_dist);
     }
     writer.line("bids").u(c.bids.size());
     for (const double v : c.bids) writer.d(v);
@@ -246,11 +259,15 @@ void FotakisOfl::restore_commodity(CkptReader& reader, CommodityState& c,
                                    bool sub_instance,
                                    RequestId num_requests) {
   c.facilities = restore_open_records(reader, "facilities", num_points_);
-  reader.expect("past");
+  // The older `past` layout also holds departed requests, flagged;
+  // restore_state drops them.
+  const std::string_view key = reader.next_key();
+  const bool live_only = !sub_instance && key == "archive";
+  if (!live_only && key != "past") reader.fail("expected 'archive' or 'past'");
   const std::uint64_t num_past = reader.u();
   c.past.reserve(capped_reserve(num_past));
   for (std::uint64_t i = 0; i < num_past; ++i) {
-    reader.expect("past-request");
+    reader.expect(live_only ? "archived" : "past-request");
     PastRequest pr;
     pr.id = sub_instance ? i : reader.u();
     if (!sub_instance && (pr.id >= num_requests ||
@@ -259,7 +276,7 @@ void FotakisOfl::restore_commodity(CkptReader& reader, CommodityState& c,
     pr.location = reader.point(num_points_);
     pr.dual = reader.d();
     pr.facility_dist = reader.d();
-    pr.departed = reader.b();
+    pr.departed = !live_only && reader.b();
     c.past.push_back(pr);
   }
   reader.expect("bids");
@@ -295,18 +312,20 @@ void FotakisOfl::restore_state(CkptReader& reader, RequestId num_requests) {
             reader.fail("archive out of step with the sub-instance");
           for (PastRequest& pr : c.past) pr.id = ids.real_request[pr.id];
         });
-    return;
+  } else {
+    if (layout != "commodities") reader.fail("expected 'commodities'");
+    if (reader.u() != commodities_.size())
+      reader.fail("commodity count differs from the universe");
+    for (std::size_t e = 0; e < commodities_.size(); ++e) {
+      reader.expect("commodity");
+      if (reader.u() != e) reader.fail("commodities out of order");
+      if (!reader.b()) continue;
+      restore_commodity(reader, start(static_cast<CommodityId>(e)),
+                        /*sub_instance=*/false, num_requests);
+    }
   }
-  if (layout != "commodities") reader.fail("expected 'commodities'");
-  if (reader.u() != commodities_.size())
-    reader.fail("commodity count differs from the universe");
-  for (std::size_t e = 0; e < commodities_.size(); ++e) {
-    reader.expect("commodity");
-    if (reader.u() != e) reader.fail("commodities out of order");
-    if (!reader.b()) continue;
-    restore_commodity(reader, start(static_cast<CommodityId>(e)),
-                      /*sub_instance=*/false, num_requests);
-  }
+  for (CommodityState& c : commodities_)
+    std::erase_if(c.past, [](const PastRequest& pr) { return pr.departed; });
 }
 
 }  // namespace omflp

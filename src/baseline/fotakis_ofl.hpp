@@ -46,14 +46,22 @@ class FotakisOfl final : public OnlineAlgorithm {
 
   /// Σ of the duals of every request that has not departed.
   double total_dual() const noexcept;
-  /// The dual request `id` raised for commodity e (0 once it departed).
+  /// The dual request `id` raised for commodity e: 0 once it departed,
+  /// whether or not its archive entry is still held, and 0 when it never
+  /// demanded e.
   double dual(RequestId id, CommodityId e) const;
+  /// Entries in commodity e's archive: its live requests, plus departed
+  /// ones not yet erased, never more than the live ones.
+  std::size_t archive_size(CommodityId e) const {
+    return commodities_.at(e).past.size();
+  }
 
-  /// Checkpoint: per started commodity, its facilities, past requests
-  /// (ids, duals, maintained facility distances, rollback flags), the
+  /// Checkpoint: per started commodity, its facilities, the archive of
+  /// live requests (ids, duals, maintained facility distances), the
   /// posted bid row and the dual total, all bitwise (the cost rows are
-  /// rebuilt). restore_state also reads the per-commodity sub-instance
-  /// layout (baseline/sub_instance_layout.hpp).
+  /// rebuilt). restore_state also reads the older `past` layout, which
+  /// holds departed requests too and drops them, and the per-commodity
+  /// sub-instance layout (baseline/sub_instance_layout.hpp).
   void serialize_state(CkptWriter& writer) const override;
   void restore_state(CkptReader& reader, RequestId num_requests) override;
 
@@ -70,8 +78,11 @@ class FotakisOfl final : public OnlineAlgorithm {
   struct CommodityState {
     bool started = false;
     std::vector<OpenRecord> facilities;
-    /// Every request that demanded the commodity, in id order.
+    /// The requests that demanded the commodity, in id order: every live
+    /// one, and departed ones until they outnumber the live ones.
     std::vector<PastRequest> past;
+    /// Departed entries still in `past`.
+    std::size_t departed = 0;
     /// bids[m] = Σ_j (min{a_j, d(F, j)} − d(m, j))+ over past requests.
     std::vector<double> bids;
     /// f^{{e}}_m, materialized when the commodity starts (the cost model
@@ -83,12 +94,9 @@ class FotakisOfl final : public OnlineAlgorithm {
   CommodityState& start(CommodityId e);
   void serve_commodity(CommodityId e, RequestId id, PointId loc,
                        SolutionLedger& ledger);
-  /// Position of request `id` in commodity e's archive (binary search:
-  /// the archive is in id order); throws when e never served it.
-  std::size_t past_index(RequestId id, CommodityId e) const;
-  /// One commodity's section; `sub_instance` reads the older layout,
-  /// whose past requests carry no id and whose duals line also lists
-  /// every arrival's dual.
+  /// One commodity's section; `sub_instance` reads the sub-instance
+  /// layout, whose past requests carry no id and whose duals line also
+  /// lists every arrival's dual.
   void restore_commodity(CkptReader& reader, CommodityState& c,
                          bool sub_instance, RequestId num_requests);
 

@@ -111,7 +111,7 @@ StreamSession::StreamSession(OnlineAlgorithm& algorithm, EventSource& source,
   if (options_.verify) {
     verifier_.emplace(source_.metric(), source_.cost(), 1e-6,
                       session_capacities(source_, options_));
-    verifier_->restore(reader);
+    verifier_->restore(reader, num_arrived);
   }
   SolutionLedger& ledger = result_.ledger;
   ledger.restore(reader, num_arrived);

@@ -1,7 +1,6 @@
 #include "solution/verifier.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <queue>
 #include <sstream>
@@ -14,9 +13,6 @@
 namespace omflp {
 
 namespace {
-
-/// Smallest slot count of StreamVerifier's active table.
-constexpr std::size_t kMinSlots = 16;
 
 std::optional<VerificationError> fail(const std::string& msg) {
   return VerificationError{msg};
@@ -431,7 +427,7 @@ void StreamVerifier::on_arrival(RequestId id, const Request& request,
     }
   }
   gross_connection_ += connection;
-  active_.insert(ActiveEntry{id, connection, fingerprint(distinct_)});
+  active_.add(id) = ActiveEntry{connection, fingerprint(distinct_)};
 }
 
 void StreamVerifier::on_retire(RequestId id, std::uint64_t event_index,
@@ -458,7 +454,7 @@ void StreamVerifier::on_retire(RequestId id, std::uint64_t event_index,
   for (const FacilityId f : distinct_) {
     if (f < occupancy_.size() && occupancy_[f] > 0) --occupancy_[f];
   }
-  active_.erase(entry);
+  active_.release(id);
 }
 
 std::optional<VerificationError> StreamVerifier::finish(
@@ -495,34 +491,40 @@ void StreamVerifier::serialize(CkptWriter& writer,
       .d(retired_connection_);
   // Canonical form: active requests in ascending id order, each with the
   // distinct facilities re-derived from its still-resident record.
-  const std::vector<ActiveEntry> active = active_.sorted();
-  writer.line("verifier-active").u(active.size());
+  writer.line("verifier-active").u(active_.size());
   std::vector<FacilityId> distinct;
-  for (const ActiveEntry& entry : active) {
-    distinct_facilities(ledger.request_record(entry.id), distinct);
-    writer.u(entry.id).d(entry.connection).u(distinct.size());
+  active_.for_each([&](RequestId id, const ActiveEntry& entry) {
+    distinct_facilities(ledger.request_record(id), distinct);
+    writer.u(id).d(entry.connection).u(distinct.size());
     for (const FacilityId f : distinct) writer.u(f);
-  }
+  });
   writer.line("verifier-error").b(error_.has_value());
   if (error_) writer.bytes(error_->what);
 }
 
-void StreamVerifier::restore(CkptReader& reader) {
+void StreamVerifier::restore(CkptReader& reader,
+                             std::uint64_t num_requests) {
   reader.expect("verifier");
-  next_expected_ = static_cast<RequestId>(reader.u());
+  const std::uint64_t next_expected = reader.u();
+  // The pool's map spans the ids from the oldest active one on: bounding
+  // them by the vouched arrival count bounds what a tampered id allocates.
+  if (next_expected > num_requests)
+    reader.fail("verifier saw more arrivals than the snapshot holds");
+  next_expected_ = static_cast<RequestId>(next_expected);
   facilities_seen_ = reader.u();
   opening_ = reader.d();
   gross_connection_ = reader.d();
   retired_connection_ = reader.d();
   reader.expect("verifier-active");
   const std::uint64_t num_active = reader.u();
-  active_.reserve(capped_reserve(num_active));
+  std::vector<std::pair<RequestId, ActiveEntry>> entries;
+  entries.reserve(capped_reserve(num_active));
   occupancy_.assign(facilities_seen_, 0);
   for (std::uint64_t i = 0; i < num_active; ++i) {
-    ActiveEntry entry;
-    entry.id = static_cast<RequestId>(reader.u());
-    if (entry.id >= next_expected_)
+    const auto id = static_cast<RequestId>(reader.u());
+    if (id >= next_expected_)
       reader.fail("verifier active entry for a request not yet seen");
+    ActiveEntry entry;
     entry.connection = reader.d();
     const std::uint64_t num_connected = reader.u();
     distinct_.clear();
@@ -536,98 +538,18 @@ void StreamVerifier::restore(CkptReader& reader) {
       ++occupancy_[f];
     }
     entry.facilities = fingerprint(distinct_);
-    if (!active_.insert(entry))
+    entries.emplace_back(id, entry);
+  }
+  // The pool takes ids in ascending order; the section's order is free.
+  std::sort(entries.begin(), entries.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    if (i > 0 && entries[i].first == entries[i - 1].first)
       reader.fail("duplicate verifier active-request id");
+    active_.add(entries[i].first) = entries[i].second;
   }
   reader.expect("verifier-error");
   if (reader.b()) error_ = VerificationError{reader.bytes()};
-}
-
-// ------------------------------------------------------ active-set table ---
-
-std::size_t StreamVerifier::ActiveTable::home(RequestId id) const noexcept {
-  // Fibonacci hashing: the top bits of id * 2^64/phi spread consecutive
-  // ids evenly over the slots.
-  return static_cast<std::size_t>(
-      (static_cast<std::uint64_t>(id) * 0x9e3779b97f4a7c15ULL) >> shift_);
-}
-
-const StreamVerifier::ActiveEntry* StreamVerifier::ActiveTable::find(
-    RequestId id) const noexcept {
-  if (slots_.empty() || id == kInvalidRequest) return nullptr;
-  const std::size_t mask = slots_.size() - 1;
-  for (std::size_t i = home(id);; i = (i + 1) & mask) {
-    if (slots_[i].id == id) return &slots_[i];
-    if (slots_[i].id == kInvalidRequest) return nullptr;
-  }
-}
-
-bool StreamVerifier::ActiveTable::insert(const ActiveEntry& entry) {
-  if ((size_ + 1) * 4 > slots_.size() * 3)
-    rehash(std::max(kMinSlots, slots_.size() * 2));
-  const std::size_t mask = slots_.size() - 1;
-  for (std::size_t i = home(entry.id);; i = (i + 1) & mask) {
-    if (slots_[i].id == entry.id) return false;
-    if (slots_[i].id == kInvalidRequest) {
-      slots_[i] = entry;
-      ++size_;
-      return true;
-    }
-  }
-}
-
-void StreamVerifier::ActiveTable::erase(const ActiveEntry* entry) {
-  const std::size_t mask = slots_.size() - 1;
-  auto hole = static_cast<std::size_t>(entry - slots_.data());
-  // Backward-shift deletion: pull each later entry of the probe run into
-  // the hole unless its home slot lies cyclically after the hole.
-  for (std::size_t i = (hole + 1) & mask; slots_[i].id != kInvalidRequest;
-       i = (i + 1) & mask) {
-    if (((i - home(slots_[i].id)) & mask) >= ((i - hole) & mask)) {
-      slots_[hole] = slots_[i];
-      hole = i;
-    }
-  }
-  slots_[hole] = ActiveEntry{};
-  --size_;
-  if (slots_.size() > kMinSlots && size_ * 8 < slots_.size())
-    rehash(slots_.size() / 2);
-}
-
-void StreamVerifier::ActiveTable::clear() {
-  slots_ = {};
-  size_ = 0;
-}
-
-void StreamVerifier::ActiveTable::reserve(std::size_t n) {
-  if (n * 4 > slots_.size() * 3)
-    rehash(std::bit_ceil(std::max(kMinSlots, n * 4 / 3 + 1)));
-}
-
-std::vector<StreamVerifier::ActiveEntry> StreamVerifier::ActiveTable::sorted()
-    const {
-  std::vector<ActiveEntry> out;
-  out.reserve(size_);
-  for (const ActiveEntry& entry : slots_)
-    if (entry.id != kInvalidRequest) out.push_back(entry);
-  std::sort(out.begin(), out.end(),
-            [](const ActiveEntry& a, const ActiveEntry& b) {
-              return a.id < b.id;
-            });
-  return out;
-}
-
-void StreamVerifier::ActiveTable::rehash(std::size_t slots) {
-  std::vector<ActiveEntry> old(slots);
-  old.swap(slots_);
-  shift_ = 64 - std::countr_zero(slots);
-  const std::size_t mask = slots - 1;
-  for (const ActiveEntry& entry : old) {
-    if (entry.id == kInvalidRequest) continue;
-    std::size_t i = home(entry.id);
-    while (slots_[i].id != kInvalidRequest) i = (i + 1) & mask;
-    slots_[i] = entry;
-  }
 }
 
 }  // namespace omflp

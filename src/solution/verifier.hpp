@@ -12,8 +12,9 @@
 //     interval and the active/gross cost split against it;
 //   * StreamVerifier — incremental, fed by the stream runner as events
 //     are processed, so records can be compacted away afterwards without
-//     losing verification coverage. Memory is O(active set): one flat
-//     24-byte entry per active request, no per-request allocation.
+//     losing verification coverage. Memory follows the active set: one
+//     16-byte entry per active request plus 4 bytes per id from the
+//     oldest active request on, as the ledger's records.
 #pragma once
 
 #include <cstdint>
@@ -25,6 +26,7 @@
 #include "instance/event_stream.hpp"
 #include "instance/instance.hpp"
 #include "solution/solution.hpp"
+#include "support/id_slot_pool.hpp"
 
 namespace omflp {
 
@@ -77,8 +79,10 @@ std::optional<VerificationError> verify_stream(const EventStream& stream,
 /// each retirement, both *before* any compaction, so every record is
 /// checked exactly once while still resident; finish() closes the books
 /// against the ledger totals. The first failure sticks and short-circuits
-/// later checks. Holds O(active requests) state and, once its table has
-/// grown to the active set, allocates nothing per event.
+/// later checks. Holds one entry per active request plus 4 bytes per id
+/// from the oldest active request on (an IdSlotPool, like the ledger's
+/// records) and, once that has grown to the active set, allocates nothing
+/// per event.
 class StreamVerifier {
  public:
   /// `capacities` enables the capacity-feasibility check: the verifier
@@ -113,48 +117,20 @@ class StreamVerifier {
   /// reads the facility lists from `ledger`, which must hold every
   /// active record (compaction drops only retired ones). restore fills a
   /// freshly constructed verifier (same metric, cost model and
-  /// tolerance).
+  /// tolerance); `num_requests` is the arrival count the snapshot vouches
+  /// for, and a section claiming more arrivals is refused before any
+  /// entry is held.
   void serialize(CkptWriter& writer, const SolutionLedger& ledger) const;
-  void restore(CkptReader& reader);
+  void restore(CkptReader& reader, std::uint64_t num_requests);
 
  private:
   /// Recomputed state of one active request.
   struct ActiveEntry {
-    RequestId id = kInvalidRequest;  // kInvalidRequest marks a free slot
     /// Recomputed connection cost (independent of the ledger's figure).
     double connection = 0.0;
     /// Fingerprint of the sorted distinct facilities the request
     /// occupies, re-derived and checked when it retires.
     std::uint64_t facilities = 0;
-  };
-
-  /// Open-addressing table of ActiveEntry keyed by request id: linear
-  /// probing, backward-shift deletion (no tombstones), a power-of-two
-  /// slot count that doubles past 3/4 full and halves below 1/8 full, so
-  /// memory follows the current active set. Slot order is never output:
-  /// sorted() orders the entries by id first.
-  class ActiveTable {
-   public:
-    const ActiveEntry* find(RequestId id) const noexcept;
-    /// False, leaving the table unchanged, if `entry.id` is present.
-    bool insert(const ActiveEntry& entry);
-    /// Removes the entry find() returned; invalidates every pointer.
-    void erase(const ActiveEntry* entry);
-    /// Empties the table and releases its storage.
-    void clear();
-    /// Room for `n` entries without rehashing.
-    void reserve(std::size_t n);
-    std::size_t size() const noexcept { return size_; }
-    /// The entries in ascending id order.
-    std::vector<ActiveEntry> sorted() const;
-
-   private:
-    std::size_t home(RequestId id) const noexcept;
-    void rehash(std::size_t slots);
-
-    std::vector<ActiveEntry> slots_;
-    std::size_t size_ = 0;
-    int shift_ = 64;
   };
 
   void fail_check(const std::string& what);
@@ -173,7 +149,8 @@ class StreamVerifier {
   /// Independently re-derived occupancy per facility (parallel to the
   /// first facilities_seen_ facilities).
   std::vector<std::uint64_t> occupancy_;
-  ActiveTable active_;
+  /// The active requests' entries, keyed by request id.
+  IdSlotPool<ActiveEntry> active_;
   /// Scratch reused by every record check: the demand coverage being
   /// rebuilt and the record's sorted distinct facilities.
   CommoditySet covered_;

@@ -954,6 +954,80 @@ TEST(FuzzParsers, CheckpointTimelineTamperingIsRejected) {
   }
 }
 
+// Regression: a verifier section claiming more arrivals than the snapshot
+// holds was accepted behind a valid checksum, with an active entry for an
+// id no arrival had. The verifier keeps its entries in an IdSlotPool,
+// whose map spans every id from the oldest active one on: restore now
+// refuses the claim before holding any entry, so the hostile id
+// allocates nothing.
+TEST(FuzzParsers, CheckpointVerifierIdsBeyondTheArrivalsAreRejected) {
+  const EventStream stream = default_stream_scenario_registry().make(
+      "lease-poisson", /*seed=*/3, {{"events", 256}});
+  StreamRunOptions options;
+  options.batch_size = 50;
+  options.verify = true;
+  const auto restore = [&](const std::string& text) {
+    const auto greedy = default_algorithm_registry().make("greedy");
+    MaterializedEventSource source(stream);
+    std::istringstream is(text);
+    CkptReader reader(is);
+    StreamSession session(*greedy, source, options, reader);
+    reader.finish();
+  };
+  std::string base;
+  {
+    const auto greedy = default_algorithm_registry().make("greedy");
+    MaterializedEventSource source(stream);
+    StreamSession session(*greedy, source, options);
+    (void)session.step_batch();
+    (void)session.step_batch();
+    std::ostringstream os;
+    CkptWriter writer(os);
+    session.checkpoint(writer);
+    writer.finish();
+    base = os.str();
+  }
+
+  // "verifier <next_expected> ..." and "verifier-active <count> <entries>":
+  // raise next_expected past 2^40 and add an entry at id 2^40, after the
+  // real ones, with no facilities.
+  const std::string far = "1099511627776";  // 2^40
+  std::vector<std::string> lines = split_lines(base);
+  bool verifier = false;
+  bool active = false;
+  for (std::string& line : lines) {
+    std::vector<std::string> tokens;
+    std::istringstream is(line);
+    for (std::string token; is >> token;) tokens.push_back(token);
+    if (tokens.size() >= 2 && tokens[0] == "verifier") {
+      ASSERT_NE(tokens[1], "0") << "no arrival before the snapshot";
+      tokens[1] = "1099511627777";
+      verifier = true;
+    } else if (tokens.size() >= 2 && tokens[0] == "verifier-active") {
+      ASSERT_NE(tokens[1], "0") << "no active entry to keep resident";
+      tokens[1] = std::to_string(std::stoull(tokens[1]) + 1);
+      for (const std::string& token : {far, std::string(16, '0'),
+                                       std::string("0")})
+        tokens.push_back(token);
+      active = true;
+    } else {
+      continue;
+    }
+    line = tokens[0];
+    for (std::size_t k = 1; k < tokens.size(); ++k) line += ' ' + tokens[k];
+  }
+  ASSERT_TRUE(verifier && active) << "no verifier section";
+  const std::string hostile = resealed(join_lines(lines));
+
+  // Apart from the reader's copy of the input, the refused restore may
+  // allocate no block larger than the honest one does.
+  const std::size_t honest =
+      largest_allocation_during([&] { EXPECT_NO_THROW(restore(base)); });
+  const std::size_t tampered = largest_allocation_during(
+      [&] { EXPECT_THROW(restore(hostile), std::invalid_argument); });
+  EXPECT_LE(tampered, std::max(honest, hostile.size() + 1));
+}
+
 /// A session of `algorithm` on the checkpoint stream, snapshotted after
 /// two batches.
 std::string algorithm_checkpoint(const std::string& algorithm) {
@@ -981,8 +1055,8 @@ void restore_algorithm_checkpoint(const std::string& algorithm,
 
 // A facility point equal to |M| behind a valid checksum: every baseline's
 // restore must refuse it rather than hand the next serve() a distance
-// row index past the metric. Fotakis' past-request locations index the
-// same rows.
+// row index past the metric. The locations of Fotakis' archived requests
+// index the same rows.
 TEST(FuzzParsers, CheckpointPointsBeyondTheMetricAreRejected) {
   const std::string outside = "16";  // checkpoint_stream() has 16 points
   struct Case {
@@ -994,7 +1068,7 @@ TEST(FuzzParsers, CheckpointPointsBeyondTheMetricAreRejected) {
                         Case{"rentbuy", "offering", 2},
                         Case{"rand", "offering", 2},
                         Case{"fotakis", "facilities", 2},
-                        Case{"fotakis", "past-request", 1},
+                        Case{"fotakis", "archived", 1},
                         Case{"meyerson", "facilities", 2}}) {
     const std::string base = algorithm_checkpoint(c.algorithm);
     ASSERT_NO_THROW(restore_algorithm_checkpoint(c.algorithm, base))

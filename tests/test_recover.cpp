@@ -762,8 +762,9 @@ TEST(SessionRecovery, TamperedPerCommodityIdsAreRejected) {
   const std::vector<std::string> lines =
       lines_of(session_snapshot("fotakis", seed, options, 4));
   ASSERT_EQ(refusal("fotakis", lines), "accepted");
-  const std::size_t at = first_keyed(lines, "past-request");
-  ASSERT_EQ(lines[at + 1].rfind("past-request ", 0), 0u);
+  const std::size_t at = first_keyed(lines, "archived");
+  ASSERT_LT(at + 1, lines.size());
+  ASSERT_EQ(lines[at + 1].rfind("archived ", 0), 0u);
   std::vector<std::string> t = lines;
   std::vector<std::string> first = tokens_of(t[at]);
   std::vector<std::string> second = tokens_of(t[at + 1]);

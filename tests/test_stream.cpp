@@ -328,11 +328,11 @@ std::string checkpoint_text(const StreamVerifier& verifier,
 }
 
 StreamVerifier restored_verifier(const std::string& text,
-                                 const SmallWorld& w) {
+                                 const ShadowedLedger& s) {
   std::istringstream is(text);
   CkptReader reader(is);
-  StreamVerifier verifier(w.metric, w.cost);
-  verifier.restore(reader);
+  StreamVerifier verifier(s.w.metric, s.w.cost);
+  verifier.restore(reader, s.ledger.num_requests());
   reader.finish();
   return verifier;
 }
@@ -489,9 +489,9 @@ TEST(StreamVerifier, CheckpointIsCanonicalWhateverTheInsertionOrder) {
         set_active_entries(v, entries);
       });
   ASSERT_NE(reversed, text);
-  StreamVerifier restored = restored_verifier(reversed, s.w);
+  StreamVerifier restored = restored_verifier(reversed, s);
   EXPECT_EQ(checkpoint_text(restored, s.ledger), text);
-  EXPECT_EQ(checkpoint_text(restored_verifier(text, s.w), s.ledger), text);
+  EXPECT_EQ(checkpoint_text(restored_verifier(text, s), s.ledger), text);
 
   // The restored verifier keeps verifying where the original left off.
   s.ledger.retire_request(5, clock);
@@ -518,7 +518,7 @@ TEST(StreamVerifier, ActiveSetGrowsAndShrinks) {
   EXPECT_EQ(s.ledger.num_active_requests(), 6u);
   EXPECT_FALSE(s.verifier.finish(s.ledger).has_value());
   const std::string text = checkpoint_text(s.verifier, s.ledger);
-  EXPECT_EQ(checkpoint_text(restored_verifier(text, s.w), s.ledger), text);
+  EXPECT_EQ(checkpoint_text(restored_verifier(text, s), s.ledger), text);
 }
 
 TEST(StreamVerifier, RetirementChecksFacilitiesAgainstTheCheckpoint) {
@@ -537,7 +537,7 @@ TEST(StreamVerifier, RetirementChecksFacilitiesAgainstTheCheckpoint) {
         entries[1][3] = std::to_string(1 - actual);  // the other facility
         set_active_entries(v, entries);
       });
-  StreamVerifier restored = restored_verifier(tampered, s.w);
+  StreamVerifier restored = restored_verifier(tampered, s);
   s.ledger.retire_request(moved, 2);
   restored.on_retire(moved, 2, s.ledger);
   ASSERT_TRUE(restored.error().has_value());
