@@ -3,17 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <unordered_set>
 
+#include "offline/local_search.hpp"
 #include "support/assert.hpp"
 
 namespace omflp {
 
 namespace {
-
-/// The point pool switches from "all points" to "request locations"
-/// above this |M|.
-constexpr std::size_t kAllPointsLimit = 96;
 
 struct Candidate {
   PointId point = 0;
@@ -22,41 +18,11 @@ struct Candidate {
 };
 
 std::vector<Candidate> build_candidates(const Instance& instance) {
-  std::vector<PointId> points;
-  const std::size_t m = instance.metric().num_points();
-  if (m <= kAllPointsLimit) {
-    points.resize(m);
-    for (PointId p = 0; p < m; ++p) points[p] = p;
-  } else {
-    std::unordered_set<PointId> seen;
-    for (const Request& r : instance.requests())
-      if (seen.insert(r.location).second) points.push_back(r.location);
-    std::sort(points.begin(), points.end());
-  }
-
-  const CommodityId s = instance.num_commodities();
-  const CommoditySet demanded = instance.demanded_union();
-  // Determinism audit (omflp-lint nondet-iteration): both unordered
-  // containers in this function are dedup sets only — their contents are
-  // copied into vectors and sorted before any order-dependent use.
-  std::unordered_set<CommoditySet, CommoditySetHash> configs;
-  demanded.for_each([&](CommodityId e) {
-    configs.insert(CommoditySet::singleton(s, e));
-  });
-  for (const Request& r : instance.requests()) configs.insert(r.commodities);
-  configs.insert(demanded);
-  configs.insert(CommoditySet::full_set(s));
-  std::vector<CommoditySet> config_list(configs.begin(), configs.end());
-  std::sort(config_list.begin(), config_list.end(),
-            [](const CommoditySet& a, const CommoditySet& b) {
-              if (a.count() != b.count()) return a.count() < b.count();
-              return a.to_vector() < b.to_vector();
-            });
-
+  const CandidatePools pools = build_candidate_pools(instance);
   std::vector<Candidate> candidates;
-  candidates.reserve(points.size() * config_list.size());
-  for (PointId p : points)
-    for (const CommoditySet& config : config_list)
+  candidates.reserve(pools.points.size() * pools.configs.size());
+  for (PointId p : pools.points)
+    for (const CommoditySet& config : pools.configs)
       candidates.push_back(
           Candidate{p, config, instance.cost().open_cost(p, config)});
   return candidates;

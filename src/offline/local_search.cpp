@@ -17,45 +17,6 @@ constexpr std::size_t kMaxRounds = 50;
 /// above this |M|.
 constexpr std::size_t kAllPointsLimit = 96;
 
-struct Pools {
-  std::vector<PointId> points;
-  std::vector<CommoditySet> configs;
-};
-
-Pools build_pools(const Instance& instance) {
-  Pools pools;
-  const std::size_t m = instance.metric().num_points();
-  if (m <= kAllPointsLimit) {
-    pools.points.resize(m);
-    for (PointId p = 0; p < m; ++p) pools.points[p] = p;
-  } else {
-    std::unordered_set<PointId> seen;
-    for (const Request& r : instance.requests())
-      if (seen.insert(r.location).second)
-        pools.points.push_back(r.location);
-    std::sort(pools.points.begin(), pools.points.end());
-  }
-
-  const CommodityId s = instance.num_commodities();
-  const CommoditySet demanded = instance.demanded_union();
-  std::unordered_set<CommoditySet, CommoditySetHash> configs;
-  demanded.for_each([&](CommodityId e) {
-    configs.insert(CommoditySet::singleton(s, e));
-  });
-  for (const Request& r : instance.requests())
-    configs.insert(r.commodities);
-  configs.insert(demanded);
-  configs.insert(CommoditySet::full_set(s));
-  pools.configs.assign(configs.begin(), configs.end());
-  // Deterministic order (unordered_set iteration order is unspecified).
-  std::sort(pools.configs.begin(), pools.configs.end(),
-            [](const CommoditySet& a, const CommoditySet& b) {
-              if (a.count() != b.count()) return a.count() < b.count();
-              return a.to_vector() < b.to_vector();
-            });
-  return pools;
-}
-
 class SearchState {
  public:
   explicit SearchState(const Instance& instance) : instance_(instance) {}
@@ -151,10 +112,44 @@ std::vector<PlacedFacility> initial_solution(const Instance& instance) {
 
 }  // namespace
 
+CandidatePools build_candidate_pools(const Instance& instance) {
+  CandidatePools pools;
+  const std::size_t m = instance.metric().num_points();
+  if (m <= kAllPointsLimit) {
+    pools.points.resize(m);
+    for (PointId p = 0; p < m; ++p) pools.points[p] = p;
+  } else {
+    std::unordered_set<PointId> seen;
+    for (const Request& r : instance.requests())
+      if (seen.insert(r.location).second)
+        pools.points.push_back(r.location);
+    std::sort(pools.points.begin(), pools.points.end());
+  }
+
+  const CommodityId s = instance.num_commodities();
+  const CommoditySet demanded = instance.demanded_union();
+  std::unordered_set<CommoditySet, CommoditySetHash> configs;
+  demanded.for_each([&](CommodityId e) {
+    configs.insert(CommoditySet::singleton(s, e));
+  });
+  for (const Request& r : instance.requests())
+    configs.insert(r.commodities);
+  configs.insert(demanded);
+  configs.insert(CommoditySet::full_set(s));
+  pools.configs.assign(configs.begin(), configs.end());
+  // Deterministic order (unordered_set iteration order is unspecified).
+  std::sort(pools.configs.begin(), pools.configs.end(),
+            [](const CommoditySet& a, const CommoditySet& b) {
+              if (a.count() != b.count()) return a.count() < b.count();
+              return a.to_vector() < b.to_vector();
+            });
+  return pools;
+}
+
 OfflineSolution solve_local_search(const Instance& instance) {
   OMFLP_REQUIRE(instance.num_requests() > 0,
                 "solve_local_search: empty instance");
-  const Pools pools = build_pools(instance);
+  const CandidatePools pools = build_candidate_pools(instance);
   SearchState state(instance);
   state.set_facilities(initial_solution(instance));
 

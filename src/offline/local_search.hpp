@@ -26,7 +26,18 @@
 #include "instance/instance.hpp"
 #include "offline/exact_small.hpp"
 
+#include <vector>
+
 namespace omflp {
+
+/// The candidate pool of both offline heuristics (this solver and greedy
+/// star): the points, ascending, and the configurations, by size and then
+/// by their commodity lists.
+struct CandidatePools {
+  std::vector<PointId> points;
+  std::vector<CommoditySet> configs;
+};
+CandidatePools build_candidate_pools(const Instance& instance);
 
 /// At most 50 rounds; the point pool is every point up to |M| = 96 and
 /// the request locations above.

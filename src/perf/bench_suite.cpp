@@ -12,9 +12,6 @@
 #include "core/pd_omflp.hpp"
 #include "core/stream_runner.hpp"
 #include "engine/sharded_engine.hpp"
-#include "kernel/kernels.hpp"
-#include "metric/distance_oracle.hpp"
-#include "metric/line_metric.hpp"
 #include "obs/trace_sink.hpp"
 #include "scenario/algorithm_registry.hpp"
 #include "scenario/registry_util.hpp"
@@ -22,7 +19,6 @@
 #include "scenario/stream_registry.hpp"
 #include "support/clock.hpp"
 #include "support/json.hpp"
-#include "support/rng.hpp"
 #include "support/table.hpp"
 
 namespace omflp {
@@ -234,76 +230,6 @@ BenchSuite default_bench_suite() {
       std::make_shared<PdOmflp>(
           PdOptions{.bid_mode = PdOptions::BidMode::kReference}),
       instance));
-
-  // DistanceOracle micro cases: all-pairs lookups through the cached
-  // matrix vs the virtual-call fallback (cache_limit = 0).
-  {
-    const auto metric = LineMetric::uniform_grid(256, 100.0);
-    const auto cached = std::make_shared<DistanceOracle>(metric);
-    const auto fallback =
-        std::make_shared<DistanceOracle>(metric, /*cache_limit=*/0);
-    const std::size_t n = metric->num_points();
-    const auto sweep = [n](std::shared_ptr<DistanceOracle> oracle) {
-      return [oracle = std::move(oracle), n] {
-        double sum = 0.0;
-        for (PointId a = 0; a < n; ++a)
-          for (PointId b = 0; b < n; ++b) sum += (*oracle)(a, b);
-        volatile double sink = sum;
-        (void)sink;
-      };
-    };
-    suite.add(BenchCase{"oracle/cached", n * n, sweep(cached)});
-    suite.add(BenchCase{"oracle/fallback", n * n, sweep(fallback)});
-  }
-
-  // Kernel micro cases: the hot-loop kernels of src/kernel/ over one
-  // 4096-point row of deterministic pseudo-random data (the row length a
-  // large scenario would sweep; well below the parallel threshold so
-  // these time the serial bodies). One op = one full-row kernel call —
-  // requests_per_op is the row length so the throughput column reads as
-  // elements/s.
-  {
-    const std::size_t n = 4096;
-    Rng rng(12345);
-    auto dist = std::make_shared<std::vector<double>>(n);
-    auto cost = std::make_shared<std::vector<double>>(n);
-    auto bids = std::make_shared<std::vector<double>>(n);
-    auto keys = std::make_shared<std::vector<std::uint32_t>>(n);
-    for (std::size_t m = 0; m < n; ++m) {
-      (*dist)[m] = rng.uniform(0.0, 100.0);
-      (*cost)[m] = rng.uniform(0.0, 50.0);
-      (*bids)[m] = rng.uniform(0.0, 25.0);
-      (*keys)[m] = static_cast<std::uint32_t>(rng.uniform_index(8));
-    }
-    suite.add(BenchCase{"kernel/accumulate-shift", n, [dist, bids, n] {
-                          // Accumulate then undo: both kernels per op,
-                          // steady-state row values across passes.
-                          kernel::accumulate_clipped_bid(
-                              bids->data(), dist->data(), 60.0, n);
-                          kernel::shift_clipped_bid(
-                              bids->data(), dist->data(), 60.0, 0.0, n);
-                          volatile double sink = (*bids)[n / 2];
-                          (void)sink;
-                        }});
-    suite.add(BenchCase{"kernel/min-tightness", n, [dist, cost, bids, n] {
-                          const kernel::RowEvent event =
-                              kernel::min_tightness_over_row(
-                                  dist->data(), cost->data(), bids->data(),
-                                  // raised = 0: no point is ever tight,
-                                  // so the op times the full-row scan,
-                                  // not the early exit.
-                                  /*raised=*/0.0, /*divisor=*/3.0, n);
-                          volatile double sink = event.delta;
-                          (void)sink;
-                        }});
-    suite.add(BenchCase{"kernel/argmin-masked", n, [dist, keys, n] {
-                          volatile std::size_t sink =
-                              kernel::argmin_over_row_where(
-                                  dist->data(), keys->data(), /*limit=*/3,
-                                  n);
-                          (void)sink;
-                        }});
-  }
 
   // Dynamic-stream cases: one op = a full run_stream pass over a fixed
   // churn workload (arrivals + deletions + active-interval accounting +

@@ -131,12 +131,6 @@ double JsonCursor::number() {
   return *value;
 }
 
-bool JsonCursor::boolean() {
-  if (try_consume("true")) return true;
-  if (try_consume("false")) return false;
-  fail("expected a boolean");
-}
-
 void JsonCursor::done() {
   skip_whitespace();
   if (pos_ != text_.size()) fail("trailing content");

@@ -48,7 +48,6 @@ class JsonCursor {
   std::string string();
   std::uint64_t u64();
   double number();
-  bool boolean();
   /// Only whitespace may remain.
   void done();
 

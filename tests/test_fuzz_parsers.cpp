@@ -1,11 +1,11 @@
 // Fuzz-ish parser robustness: a deterministic corpus of mutated
-// OMFLP-STREAM, OMFLP-INSTANCE, OMFLP-CERT and OMFLP-TRACELOG bytes,
-// BENCH_*.json reports and omflp-lint JSON reports — truncations,
-// flipped signs, duplicated/deleted lines, absurd declared counts,
-// random byte corruption — fed through every reader. The contract: a
-// mutant either parses (some mutations are harmless) or is rejected with
-// an ordinary exception (for the JSON readers: only the reader's
-// documented exception type); nothing may crash, read out of bounds, or
+// OMFLP-STREAM, OMFLP-INSTANCE, OMFLP-CERT, OMFLP-TRACELOG and
+// OMFLP-CKPT bytes and BENCH_*.json reports — truncations, flipped
+// signs, duplicated/deleted lines, absurd declared counts, random byte
+// corruption — fed through every reader. The contract: a mutant either
+// parses (some mutations are harmless) or is rejected with an ordinary
+// exception (for the JSON reader: only its documented exception type);
+// nothing may crash, read out of bounds, or
 // allocate proportionally to a *declared* (rather than actually present)
 // count.
 // CI runs this suite under ASan/UBSan (the sanitize job), which is where
@@ -32,7 +32,6 @@
 #include "instance/io.hpp"
 #include "instance/stream_io.hpp"
 #include "instance/tracelog_io.hpp"
-#include "lint.hpp"
 #include "obs/trace_sink.hpp"
 #include "perf/bench_compare.hpp"
 #include "scenario/algorithm_registry.hpp"
@@ -219,24 +218,6 @@ std::string committed_bench_baseline() {
   return os.str();
 }
 
-/// omflp-lint reader: only std::invalid_argument counts as a rejection.
-ParseOutcome feed_lint_reader(const std::string& text) {
-  try {
-    (void)lint::from_json(text);
-    return ParseOutcome::kAccepted;
-  } catch (const std::invalid_argument&) {
-    return ParseOutcome::kRejected;
-  }
-}
-
-std::string valid_lint_report() {
-  return lint::to_json({
-      {"raw-parse", "src/core/f.cpp", 3, "raw \"strtod\" call", false},
-      {"raw-reserve", "src/instance/io.cpp", 41, "tab\there", true},
-      {"rule-x", "tools/a\\b.cpp", 1234567, "line\nbreak \x01", false},
-  });
-}
-
 std::vector<std::string> split_lines(const std::string& text) {
   std::vector<std::string> lines;
   std::istringstream is(text);
@@ -402,10 +383,6 @@ TEST(FuzzParsers, BenchReportMutationsNeverCrash) {
   const std::string baseline = committed_bench_baseline();
   ASSERT_FALSE(baseline.empty());
   run_corpus(baseline, feed_bench_reader);
-}
-
-TEST(FuzzParsers, LintReportMutationsNeverCrash) {
-  run_corpus(valid_lint_report(), feed_lint_reader);
 }
 
 TEST(FuzzParsers, TracelogCountTamperingIsRejected) {

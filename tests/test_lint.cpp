@@ -378,70 +378,23 @@ TEST(Stripping, CodeAfterBlockCommentStillMatches) {
 
 // ------------------------------------------------------------------- json ---
 
-TEST(Json, RoundTripsFindings) {
-  const auto diags = lint(
-      "src/instance/stream_io.cpp",
-      "void read() {\n"
-      "  events.reserve(n);\n"
-      "  // omflp-lint: allow(raw-parse) quoted \"text\" with\ttabs\n"
-      "  double v = atof(s);\n"
-      "}\n");
-  ASSERT_EQ(diags.size(), 2u);
-  const std::string json = to_json(diags);
-  const auto parsed = from_json(json);
-  EXPECT_EQ(parsed, diags);
-  // Canonical: re-emission is byte-identical.
-  EXPECT_EQ(to_json(parsed), json);
+TEST(Json, EmptyReportIsPinned) {
+  EXPECT_EQ(to_json({}),
+            "{\"format\":\"omflp-lint\",\"version\":1,\"findings\":[],"
+            "\"suppressed\":0,\"failing\":0}\n");
 }
 
-TEST(Json, EmptyReportRoundTrips) {
-  const std::vector<Diagnostic> none;
-  EXPECT_EQ(from_json(to_json(none)), none);
-}
-
-TEST(Json, EscapesSpecialCharacters) {
-  std::vector<Diagnostic> diags;
-  diags.push_back(Diagnostic{"rule-x", "src/a\\b.cpp", 3,
-                             "quote \" backslash \\ newline \n tab \t",
-                             true});
-  const auto parsed = from_json(to_json(diags));
-  EXPECT_EQ(parsed, diags);
-}
-
-TEST(Json, RejectsTamperedDocuments) {
-  const auto diags =
-      lint("src/core/f.cpp", "void f() { int v = atoi(s); }\n");
-  const std::string json = to_json(diags);
-  EXPECT_THROW(from_json(json + "x"), std::invalid_argument);
-  EXPECT_THROW(from_json(json.substr(0, json.size() / 2)),
-               std::invalid_argument);
-  // Summary counts must agree with the findings array.
-  std::string tampered = json;
-  const auto at = tampered.find("\"failing\":1");
-  ASSERT_NE(at, std::string::npos);
-  tampered.replace(at, 11, "\"failing\":0");
-  EXPECT_THROW(from_json(tampered), std::invalid_argument);
-}
-
-TEST(Json, RejectsIntegersBeyond64Bits) {
-  const auto diags =
-      lint("src/core/f.cpp", "void f() { int v = atoi(s); }\n");
-  const std::string json = to_json(diags);
-  const auto replaced = [&](const std::string& from, const std::string& to) {
-    std::string out = json;
-    const auto at = out.find(from);
-    EXPECT_NE(at, std::string::npos) << from;
-    if (at != std::string::npos) out.replace(at, from.size(), to);
-    return out;
+TEST(Json, FindingsAndEscapingArePinned) {
+  const std::vector<Diagnostic> diags = {
+      {"rule-x", "src/a\\b.cpp", 3,
+       "quote \" backslash \\ newline \n return \r tab \t byte \x01", true},
+      {"raw-parse", "src/core/f.cpp", 18446744073709551615u, "plain", false},
   };
-  // 2^64 + 1 must not wrap to line 1.
-  EXPECT_THROW(from_json(replaced("\"line\":1,",
-                                  "\"line\":18446744073709551617,")),
-               std::invalid_argument);
-  // 2^64 must not wrap to 0 and pass the summary-count check.
-  EXPECT_THROW(from_json(replaced("\"suppressed\":0,",
-                                  "\"suppressed\":18446744073709551616,")),
-               std::invalid_argument);
+  EXPECT_EQ(to_json(diags), R"json({"format":"omflp-lint","version":1,"findings":[
+  {"rule":"rule-x","path":"src/a\\b.cpp","line":3,"message":"quote \" backslash \\ newline \n return \r tab \t byte \u0001","suppressed":true},
+  {"rule":"raw-parse","path":"src/core/f.cpp","line":18446744073709551615,"message":"plain","suppressed":false}
+],"suppressed":1,"failing":1}
+)json");
 }
 
 // ------------------------------------------------------------ text report ---

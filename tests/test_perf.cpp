@@ -199,12 +199,8 @@ TEST(BenchSuite, DefaultSuiteCoversTheFullRoster) {
     EXPECT_NE(std::find(cases.begin(), cases.end(), expected), cases.end())
         << "missing case " << expected;
   }
-  // The oracle, kernel (see src/kernel/), stream, tracing and engine
-  // cases ride along.
-  for (const char* name :
-       {"oracle/cached", "oracle/fallback", "kernel/accumulate-shift",
-        "kernel/min-tightness", "kernel/argmin-masked", "stream/churn-pd",
-        "trace/on", "serve/mixed-pd"}) {
+  // The stream, tracing and engine cases ride along.
+  for (const char* name : {"stream/churn-pd", "trace/on", "serve/mixed-pd"}) {
     EXPECT_NE(std::find(cases.begin(), cases.end(), name), cases.end())
         << "missing case " << name;
   }

@@ -373,43 +373,4 @@ std::string to_json(const std::vector<Diagnostic>& diags) {
   return out;
 }
 
-std::vector<Diagnostic> from_json(std::string_view json) {
-  JsonCursor in(json, "omflp-lint json: ",
-                json_throw<std::invalid_argument>);
-  in.expect("{\"format\":\"omflp-lint\",\"version\":1,");
-  in.member("findings");
-  in.expect("[");
-  std::vector<Diagnostic> diags;
-  if (!in.try_consume("]")) {
-    do {
-      Diagnostic d;
-      in.expect("{");
-      in.member("rule");
-      d.rule = in.string();
-      in.member("path");
-      d.path = in.string();
-      in.member("line");
-      d.line = static_cast<std::size_t>(in.u64());
-      in.member("message");
-      d.message = in.string();
-      in.member("suppressed");
-      d.suppressed = in.boolean();
-      in.expect("}");
-      diags.push_back(std::move(d));
-    } while (in.try_consume(","));
-    in.expect("]");
-  }
-  in.member("suppressed");
-  const std::uint64_t suppressed = in.u64();
-  in.member("failing");
-  const std::uint64_t failing = in.u64();
-  in.expect("}");
-  in.done();
-  if (suppressed != count_suppressed(diags) ||
-      failing != diags.size() - suppressed)
-    throw std::invalid_argument("omflp-lint json: summary counts disagree "
-                                "with the findings array");
-  return diags;
-}
-
 }  // namespace omflp::lint

@@ -122,10 +122,8 @@ bool has_unsuppressed(const std::vector<Diagnostic>& diags);
 /// (suppressed findings tagged), then a one-line summary.
 std::string to_text(const std::vector<Diagnostic>& diags);
 
-/// JSON report (schema-versioned). from_json parses exactly what
-/// to_json emits — the round trip is pinned by tests/test_lint.cpp —
-/// and throws std::invalid_argument on malformed input.
+/// JSON report (schema-versioned; its bytes are pinned by
+/// tests/test_lint.cpp).
 std::string to_json(const std::vector<Diagnostic>& diags);
-std::vector<Diagnostic> from_json(std::string_view json);
 
 }  // namespace omflp::lint
