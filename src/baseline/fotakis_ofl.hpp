@@ -50,8 +50,8 @@ class FotakisOfl final : public OnlineAlgorithm {
   /// whether or not its archive entry is still held, and 0 when it never
   /// demanded e.
   double dual(RequestId id, CommodityId e) const;
-  /// Entries in commodity e's archive: its live requests, plus departed
-  /// ones not yet erased, never more than the live ones.
+  /// Entries in commodity e's archive: its live requests plus departed
+  /// ones not yet erased, which never outnumber the live ones.
   std::size_t archive_size(CommodityId e) const {
     return commodities_.at(e).past.size();
   }

@@ -13,8 +13,9 @@
 // vectors with their capacity, for the caller to overwrite: a
 // steady-state add allocates nothing.
 //
-// SolutionLedger keeps its request records here and PD-OMFLP its archive
-// of frozen duals, both keyed by RequestId.
+// Three users keep state keyed by RequestId here: SolutionLedger its
+// request records, PD-OMFLP its archive of frozen duals and
+// StreamVerifier its recomputed entries of the active requests.
 #pragma once
 
 #include <cstddef>

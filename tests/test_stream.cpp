@@ -503,7 +503,7 @@ TEST(StreamVerifier, CheckpointIsCanonicalWhateverTheInsertionOrder) {
 TEST(StreamVerifier, ActiveSetGrowsAndShrinks) {
   // Thousands of arrivals, then retirements in a scrambled order down to
   // a handful of survivors: every retirement must find its entry while
-  // the active table grows and shrinks underneath.
+  // the active pool grows and its id map is trimmed underneath.
   ShadowedLedger s;
   constexpr RequestId kArrivals = 3000;
   for (RequestId i = 0; i < kArrivals; ++i)
