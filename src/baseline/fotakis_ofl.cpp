@@ -133,7 +133,10 @@ void FotakisOfl::serve_commodity(CommodityId e, RequestId id, PointId loc,
     }
     // The new facility may lower past requests' d(F, j); shrink their
     // outstanding bids accordingly (Lemma 6's reinvestment rule).
+    // Departed requests bid nothing and are skipped, so the work does not
+    // depend on when they are erased.
     for (PastRequest& pr : c.past) {
+      if (pr.departed) continue;
       const double d_new = (*dist_)(best_point, pr.location);
       if (d_new >= pr.facility_dist) continue;
       const double v_old = std::min(pr.dual, pr.facility_dist);

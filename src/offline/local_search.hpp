@@ -23,10 +23,10 @@
 // solver on tiny instances and generators' certificates.
 #pragma once
 
+#include <vector>
+
 #include "instance/instance.hpp"
 #include "offline/exact_small.hpp"
-
-#include <vector>
 
 namespace omflp {
 

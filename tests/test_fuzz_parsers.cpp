@@ -5,9 +5,8 @@
 // corruption — fed through every reader. The contract: a mutant either
 // parses (some mutations are harmless) or is rejected with an ordinary
 // exception (for the JSON reader: only its documented exception type);
-// nothing may crash, read out of bounds, or
-// allocate proportionally to a *declared* (rather than actually present)
-// count.
+// nothing may crash, read out of bounds, or allocate proportionally to a
+// *declared* (rather than actually present) count.
 // CI runs this suite under ASan/UBSan (the sanitize job), which is where
 // the "no crashes" half of the contract gets teeth.
 #include <gtest/gtest.h>
