@@ -74,14 +74,14 @@ int main() {
       auto rand =
           algorithms.make("rand", static_cast<std::uint64_t>(seed + 1));
       const SolutionLedger rl = run_online(*rand, inst);
-      if (rl.request_record(rl.num_requests() - 1).connected.size() == 1)
+      if (rl.request_record(rl.num_requests() - 1).num_connected() == 1)
         ++rand_large;
     }
 
     table.begin_row()
         .add(d_large)
         .add(3.0 * d_small)
-        .add(choice_name(pd_probe.connected.size()))
+        .add(choice_name(pd_probe.num_connected()))
         .add(pd_probe.connection_cost)
         .add(rand_large > seeds / 2 ? "one large (shared path)"
                                     : "separate smalls")

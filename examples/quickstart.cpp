@@ -57,7 +57,7 @@ int main() {
     const RequestRecord& rec = ledger.request_record(i);
     std::cout << "  request " << i << " demanding "
               << rec.request.commodities.to_string() << " connects to "
-              << rec.connected.size() << " facility(ies), paying "
+              << rec.num_connected() << " facility(ies), paying "
               << rec.connection_cost << "\n";
   }
 

@@ -1088,7 +1088,6 @@ void PdOmflp::restore_state(CkptReader& reader, RequestId num_requests) {
   const bool every_arrival = reader.version() < 3;
   reader.expect("past");
   const std::uint64_t num_past = reader.u();
-  archive_.reserve(capped_reserve(num_past));
   for (std::uint64_t j = 0; j < num_past; ++j) {
     reader.expect("past-request");
     // Ids index the archive's id map: one the snapshot does not vouch for

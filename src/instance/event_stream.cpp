@@ -1,6 +1,7 @@
 #include "instance/event_stream.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <stdexcept>
 #include <utility>
 
@@ -33,11 +34,11 @@ RequestId StreamTimeline::check(const StreamEvent& event) const {
     if (event.request.commodities.universe_size() != num_commodities_)
       fail("arrival demand set over the wrong universe");
     if (event.request.commodities.empty()) fail("empty demand set");
-    return active_.size();
+    return arrivals_;
   }
-  if (event.target >= active_.size())
+  if (event.target >= arrivals_)
     fail("departure of an arrival that has not happened");
-  if (!active_[event.target])
+  if (!active(event.target))
     fail("departure of an arrival that is no longer active");
   return event.target;
 }
@@ -45,26 +46,40 @@ RequestId StreamTimeline::check(const StreamEvent& event) const {
 RequestId StreamTimeline::apply(const StreamEvent& event) {
   const RequestId id = check(event);
   if (event.kind == StreamEvent::Kind::kArrival) {
-    active_.push_back(true);
+    if ((id >> 6) - first_word_ == words_.size() - head_) words_.push_back(0);
+    words_.back() |= 1ULL << (id & 63);
+    ++arrivals_;
     ++num_active_;
     if (expire_leases_ && event.lease > 0) {
       expiries_.emplace_back(lease_deadline(clock_, event.lease), id);
       std::push_heap(expiries_.begin(), expiries_.end(), std::greater<>{});
     }
   } else {
-    active_[id] = false;
-    --num_active_;
+    deactivate(id);
   }
   ++clock_;
   return id;
 }
 
+void StreamTimeline::deactivate(RequestId id) {
+  words_[head_ + ((id >> 6) - first_word_)] &= ~(1ULL << (id & 63));
+  --num_active_;
+  while (words_.size() - head_ > 1 && words_[head_] == 0) {
+    ++head_;
+    ++first_word_;
+  }
+  if (head_ * 2 > words_.size()) {
+    words_.erase(words_.begin(),
+                 words_.begin() + static_cast<std::ptrdiff_t>(head_));
+    head_ = 0;
+  }
+}
+
 void StreamTimeline::serialize(CkptWriter& writer) const {
-  writer.line("active").u(active_.size()).u(num_active_);
-  std::vector<std::uint64_t> words((active_.size() + 63) / 64, 0);
-  for (std::size_t id = 0; id < active_.size(); ++id)
-    if (active_[id]) words[id >> 6] |= (1ULL << (id & 63));
-  for (const std::uint64_t w : words) writer.u(w);
+  // The dropped words were all zero: the line still spells every word.
+  writer.line("active").u(arrivals_).u(num_active_);
+  for (std::size_t w = 0; w < first_word_; ++w) writer.u(0);
+  for (std::size_t k = head_; k < words_.size(); ++k) writer.u(words_[k]);
   // Canonical form: pop order is fully determined by (deadline, id), so
   // the heap's layout is irrelevant.
   std::vector<Expiry> pending = expiries_;
@@ -79,25 +94,28 @@ void StreamTimeline::restore(CkptReader& reader, std::uint64_t clock) {
   const std::uint64_t num_arrived = reader.u();
   const std::uint64_t num_active = reader.u();
   const std::uint64_t num_words = num_arrived / 64 + (num_arrived % 64 != 0);
-  std::vector<std::uint64_t> words;
-  words.reserve(capped_reserve(num_words));
-  for (std::uint64_t i = 0; i < num_words; ++i) words.push_back(reader.u());
-  // Every declared word was actually present, so num_arrived is bounded
-  // by the file's real size — safe to materialize the bitmap now.
-  active_.assign(num_arrived, false);
+  // Leading zero words are dropped as they are read, except the last; the
+  // bitmap grows per word actually present.
+  words_.clear();
+  head_ = 0;
+  first_word_ = 0;
   std::size_t popcount = 0;
-  for (std::uint64_t id = 0; id < num_arrived; ++id) {
-    if ((words[id >> 6] >> (id & 63)) & 1) {
-      active_[id] = true;
-      ++popcount;
+  for (std::uint64_t i = 0; i < num_words; ++i) {
+    const std::uint64_t word = reader.u();
+    if (words_.empty() && word == 0 && i + 1 < num_words) {
+      ++first_word_;
+      continue;
     }
+    words_.push_back(word);
+    popcount += static_cast<std::size_t>(std::popcount(word));
   }
   if (popcount != num_active)
     reader.fail("active-request bitmap disagrees with the active count");
   // serialize() never sets them; accepting them would break the
   // restore → checkpoint round trip.
-  if (num_arrived % 64 != 0 && (words.back() >> (num_arrived % 64)) != 0)
+  if (num_arrived % 64 != 0 && (words_.back() >> (num_arrived % 64)) != 0)
     reader.fail("active-request bitmap marks ids past the last arrival");
+  arrivals_ = static_cast<std::size_t>(num_arrived);
 
   reader.expect("expiries");
   const std::uint64_t num_expiries = reader.u();
@@ -106,7 +124,7 @@ void StreamTimeline::restore(CkptReader& reader, std::uint64_t clock) {
     reader.expect("expiry");
     const std::uint64_t deadline = reader.u();
     const Expiry entry{deadline, reader.u()};
-    if (entry.second >= active_.size())
+    if (entry.second >= arrivals_)
       reader.fail("expiry of an unknown arrival");
     if (entry.first < clock)
       reader.fail("expiry deadline before the stream clock");

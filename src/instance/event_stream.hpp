@@ -110,9 +110,8 @@ class StreamTimeline {
       std::pop_heap(expiries_.begin(), expiries_.end(), std::greater<>{});
       const auto [deadline, id] = expiries_.back();
       expiries_.pop_back();
-      if (!active_[id]) continue;
-      active_[id] = false;
-      --num_active_;
+      if (!active(id)) continue;
+      deactivate(id);
       on_expire(id, deadline);
     }
   }
@@ -127,9 +126,13 @@ class StreamTimeline {
   RequestId apply(const StreamEvent& event);
 
   std::uint64_t clock() const noexcept { return clock_; }
-  std::size_t arrivals() const noexcept { return active_.size(); }
+  std::size_t arrivals() const noexcept { return arrivals_; }
   std::size_t num_active() const noexcept { return num_active_; }
-  bool active(RequestId id) const { return active_[id]; }
+  bool active(RequestId id) const noexcept {
+    const std::size_t word = id >> 6;
+    return word >= first_word_ &&
+           (words_[head_ + (word - first_word_)] >> (id & 63) & 1) != 0;
+  }
 
   /// The checkpoint's "active" line (arrival count, active count, the
   /// activity bitmap in 64-bit words) and its "expiries" section, the
@@ -146,13 +149,24 @@ class StreamTimeline {
   using Expiry = std::pair<std::uint64_t, RequestId>;
 
   [[noreturn]] void fail(const char* what) const;
+  /// Clears id's activity bit and drops the all-zero words that now lead
+  /// the bitmap.
+  void deactivate(RequestId id);
 
   const char* who_;
   std::size_t num_points_;
   CommodityId num_commodities_;
   bool expire_leases_;
   std::uint64_t clock_ = 0;
-  std::vector<bool> active_;  // by arrival id
+  std::size_t arrivals_ = 0;
+  /// The activity bitmap from the lowest active arrival's word on:
+  /// words_[head_ + k] holds ids [64 (first_word_ + k), 64 (first_word_ +
+  /// k + 1)). The words before it held inactive ids only and are gone
+  /// (those before head_ await one erase); the word of the newest arrival
+  /// always stays.
+  std::vector<std::uint64_t> words_;
+  std::size_t head_ = 0;
+  std::size_t first_word_ = 0;
   std::size_t num_active_ = 0;
   std::vector<Expiry> expiries_;  // min-heap on (deadline, arrival id)
 };

@@ -42,7 +42,6 @@ RequestId SolutionLedger::begin_request(const Request& request) {
   record.request = request;
   record.served.clear();
   record.rejected.clear();
-  record.connected.clear();
   record.connection_cost = 0.0;
   record.retired_at = kNeverRetired;
   in_flight_ = &record;
@@ -59,6 +58,8 @@ FacilityId SolutionLedger::open_facility(PointId location,
   OMFLP_REQUIRE(config.universe_size() == cost_->num_commodities(),
                 "SolutionLedger: facility config universe mismatch");
   OMFLP_REQUIRE(!config.empty(), "SolutionLedger: empty facility config");
+  OMFLP_REQUIRE(facilities_.size() < kNoServedFacility,
+                "SolutionLedger: facility ids exhausted");
 
   OpenFacilityRecord record;
   record.id = facilities_.size();
@@ -165,7 +166,8 @@ void SolutionLedger::serve_at(CommodityId e, FacilityId f, bool spilled) {
     }
   }
   if (!already_connected) ++occupancy_[f];
-  record.served.push_back(ServedCommodity{e, f});
+  record.served.push_back(
+      ServedCommodity{e, static_cast<std::uint32_t>(f)});
   if (obs::tracing()) {
     TraceEvent event;
     event.kind = spilled ? TraceEventKind::kRequestSpill
@@ -208,19 +210,13 @@ void SolutionLedger::finish_request() {
     OMFLP_PERF_COUNT(requests_shed);
   }
 
-  // Distinct facilities only, so the list spills to the heap only above
-  // its inline capacity of distinct facilities, not of served entries.
-  for (const ServedCommodity& sc : record.served)
-    if (std::find(record.connected.begin(), record.connected.end(),
-                  sc.facility) == record.connected.end())
-      record.connected.push_back(sc.facility);
-  std::sort(record.connected.begin(), record.connected.end());
-
+  // Summed over the distinct facilities in ascending id order.
   double cost = 0.0;
   if (policy_ == ConnectionChargePolicy::kPerFacility) {
-    for (FacilityId f : record.connected)
+    record.for_each_connected([&](FacilityId f) {
       cost += metric_->distance(record.request.location,
                                 facilities_[f].location);
+    });
   } else {
     for (const ServedCommodity& sc : record.served)
       cost += metric_->distance(record.request.location,
@@ -251,10 +247,10 @@ void SolutionLedger::retire_request(RequestId id,
   retired_.push_back(id);
   // Release the request's occupancy (departures and lease expiries both
   // land here): capacity headroom returns to every facility it occupied.
-  for (const FacilityId f : record.connected) {
+  record.for_each_connected([&](FacilityId f) {
     OMFLP_REQUIRE(occupancy_[f] > 0, "SolutionLedger: occupancy underflow");
     --occupancy_[f];
-  }
+  });
 }
 
 std::size_t SolutionLedger::release_retired() {
@@ -323,8 +319,8 @@ void SolutionLedger::serialize(CkptWriter& writer) const {
       writer.u(s.commodity).u(s.facility);
     writer.line("rejected").u(r.rejected.size());
     for (const CommodityId e : r.rejected) writer.u(e);
-    writer.line("connected").u(r.connected.size());
-    for (const FacilityId f : r.connected) writer.u(f);
+    writer.line("connected").u(r.num_connected());
+    r.for_each_connected([&](FacilityId f) { writer.u(f); });
   });
 }
 
@@ -375,9 +371,8 @@ void SolutionLedger::restore(CkptReader& reader,
     f.opened_during = reader.u();
     facilities_.push_back(std::move(f));
   }
-  // The id map grows per record line actually present; gaps between ids
+  // The pool grows per record line actually present; gaps between ids
   // are released records.
-  records_.reserve(capped_reserve(num_resident));
   std::uint64_t num_active_records = 0;
   for (std::uint64_t i = 0; i < num_resident; ++i) {
     reader.expect("request");
@@ -404,9 +399,10 @@ void SolutionLedger::restore(CkptReader& reader,
     for (std::uint64_t k = 0; k < num_served; ++k) {
       ServedCommodity s;
       s.commodity = static_cast<CommodityId>(reader.u());
-      s.facility = static_cast<FacilityId>(reader.u());
-      if (s.facility >= facilities_.size())
+      const std::uint64_t f = reader.u();
+      if (f >= facilities_.size())
         reader.fail("served entry references an unknown facility");
+      s.facility = static_cast<std::uint32_t>(f);
       r.served.push_back(s);
     }
     reader.expect("rejected");
@@ -418,15 +414,15 @@ void SolutionLedger::restore(CkptReader& reader,
         reader.fail("rejected entry is not a demanded commodity");
       r.rejected.push_back(e);
     }
+    // The connected line is derived from the served entries; one that
+    // disagrees would restore occupancy no run produced.
     reader.expect("connected");
-    const std::uint64_t num_connected = reader.u();
-    r.connected.reserve(capped_reserve(num_connected));
-    for (std::uint64_t k = 0; k < num_connected; ++k) {
-      const auto f = static_cast<FacilityId>(reader.u());
-      if (f >= facilities_.size())
-        reader.fail("connected entry references an unknown facility");
-      r.connected.push_back(f);
-    }
+    if (reader.u() != r.num_connected())
+      reader.fail("connected list disagrees with the served entries");
+    r.for_each_connected([&](FacilityId f) {
+      if (reader.u() != f)
+        reader.fail("connected list disagrees with the served entries");
+    });
     if (r.active())
       ++num_active_records;
     else
@@ -442,8 +438,8 @@ void SolutionLedger::restore(CkptReader& reader,
   // counts are recomputed rather than serialized.
   occupancy_.assign(facilities_.size(), 0);
   records_.for_each([&](RequestId, const RequestRecord& r) {
-    if (!r.active()) return;
-    for (const FacilityId f : r.connected) ++occupancy_[f];
+    if (r.active())
+      r.for_each_connected([&](FacilityId f) { ++occupancy_[f]; });
   });
 }
 

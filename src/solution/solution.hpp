@@ -24,18 +24,20 @@
 //
 // Record storage is proportional to the resident records, not to the
 // stream's lifetime. Records live in an IdSlotPool keyed by RequestId
-// (support/id_slot_pool.hpp): reusable slots with a free list behind a
-// dense id->slot map over [first_record_id(), num_requests()).
-// retire_request() queues the id, and release_retired() — the stream
-// runner's post-batch compaction — releases every queued record. Ids
-// never change. A record's served, rejected and connected lists keep up
-// to 4, 2 and 4 entries inside the record, so an arrival demanding at
-// most 4 commodities allocates nothing for its lists, in a fresh slot or
-// a reused one; above that a list takes one heap block, which its slot
-// keeps for the next record. Once the pool holds as many slots as
-// records are ever resident at once, a steady-state arrival allocates
-// nothing here. Static runs never release anything: every record stays
-// resident and first_record_id() stays 0.
+// (support/id_slot_pool.hpp): reusable slots in chunks that never move,
+// behind a paged id->slot map that keeps only the pages still holding a
+// resident id. retire_request() queues the id, and release_retired() —
+// the stream runner's post-batch compaction — releases every queued
+// record. Ids never change. A record's served and rejected lists keep up
+// to 4 and 2 entries inside the 112-byte record, so an arrival demanding
+// at most 4 commodities allocates nothing for its lists, in a fresh slot
+// or a reused one; above that a list takes one heap block, which its
+// slot keeps for the next record. A request's distinct facilities are
+// not stored: every reader derives them from `served`
+// (RequestRecord::for_each_connected). Once the pool holds as many
+// slots and pages as a steady state needs, a steady-state arrival
+// allocates nothing here. Static runs never release anything: every
+// record stays resident and first_record_id() stays 0.
 #pragma once
 
 #include <cstdint>
@@ -67,18 +69,25 @@ struct OpenFacilityRecord {
   RequestId opened_during = 0;
 };
 
+/// Facility ids a record stores fit in 32 bits: open_facility() refuses
+/// the id kNoServedFacility, which marks "no facility".
+inline constexpr std::uint32_t kNoServedFacility = ~std::uint32_t{0};
+
 struct ServedCommodity {
   CommodityId commodity = kInvalidCommodity;
-  FacilityId facility = kInvalidFacility;
+  std::uint32_t facility = kNoServedFacility;
+
+  bool operator==(const ServedCommodity&) const = default;
 };
 
 /// retired_at value of a request that never departed.
 inline constexpr std::uint64_t kNeverRetired = ~std::uint64_t{0};
 
-/// A request's assignment. Its lists keep kInlineEntries (rejected:
-/// kInlineRejected) entries inline and move to one heap block only above
-/// that: every stream scenario draws at most 4 commodities per request,
-/// and a departure reads `connected` from the record itself.
+/// A request's assignment, in 112 bytes. Its lists keep kInlineEntries
+/// (rejected: kInlineRejected) entries inline and move to one heap block
+/// only above that: every stream scenario draws at most 4 commodities per
+/// request. The distinct facilities the request connects to are derived
+/// from `served` on demand rather than kept as a second list.
 struct RequestRecord {
   static constexpr std::uint32_t kInlineEntries = 4;
   static constexpr std::uint32_t kInlineRejected = 2;
@@ -91,18 +100,38 @@ struct RequestRecord {
   /// served + rejected partition the demand set; rejected commodities
   /// pay no connection cost. Always empty on uncapacitated runs.
   InlineList<CommodityId, kInlineRejected> rejected;
-  /// Distinct facilities, sorted.
-  InlineList<FacilityId, kInlineEntries> connected;
   double connection_cost = 0.0;
   /// Stream-event index at which the request departed (kNeverRetired
   /// while active; static runs never retire).
   std::uint64_t retired_at = kNeverRetired;
 
   bool active() const noexcept { return retired_at == kNeverRetired; }
+
+  /// Calls fn(f) for each distinct facility in `served`, ascending. Each
+  /// step rescans `served` for the smallest id above the last one: no
+  /// allocation, O(|served| x distinct) time, and the lists are short.
+  template <typename Fn>
+  void for_each_connected(Fn&& fn) const {
+    std::uint32_t lowest = 0;
+    for (;;) {
+      std::uint32_t f = kNoServedFacility;
+      for (const ServedCommodity& sc : served)
+        if (sc.facility >= lowest && sc.facility < f) f = sc.facility;
+      if (f == kNoServedFacility) return;
+      fn(FacilityId{f});
+      lowest = f + 1;
+    }
+  }
+  /// Distinct facilities in `served`.
+  std::size_t num_connected() const {
+    std::size_t count = 0;
+    for_each_connected([&](FacilityId) { ++count; });
+    return count;
+  }
 };
 
-static_assert(sizeof(RequestRecord) == 184,
-              "a RequestRecord keeps its lists inline in 184 bytes");
+static_assert(sizeof(RequestRecord) <= 112,
+              "a RequestRecord keeps its lists inline in 112 bytes");
 
 class SolutionLedger {
  public:
@@ -123,7 +152,8 @@ class SolutionLedger {
 
   /// Irrevocably open a facility; returns its id. Must be called between
   /// begin_request and finish_request (openings are always triggered by
-  /// some request in the online model).
+  /// some request in the online model). Facility ids stay below
+  /// kNoServedFacility, so records store them in 32 bits.
   FacilityId open_facility(PointId location, const CommoditySet& config);
 
   /// Record that commodity e of the in-flight request is served by
@@ -296,8 +326,8 @@ class SolutionLedger {
   IdSlotPool<RequestRecord> records_;
   /// Retired since the last release_retired(), in retirement order.
   std::vector<RequestId> retired_;
-  /// The in-flight request's record, null between requests. It stays
-  /// valid: no record is added while a request is in flight.
+  /// The in-flight request's record, null between requests. Pool slots
+  /// never move, so it stays valid until the record is released.
   RequestRecord* in_flight_ = nullptr;
 
   double opening_cost_ = 0.0;

@@ -71,11 +71,11 @@ std::optional<std::string> check_facility(const MetricSpace& metric,
 }
 
 /// The per-request re-derivation shared by every verifier: coverage,
-/// causality, connected-list consistency and the recomputed connection
-/// cost. On success returns the cost through `connection` and the
-/// record's sorted distinct facilities through `distinct`; `covered` is
-/// scratch. Both buffers are caller-owned so that a verifier checking
-/// one record per arrival reuses them instead of allocating.
+/// causality and the recomputed connection cost. On success returns the
+/// cost through `connection` and the record's sorted distinct facilities
+/// through `distinct`; `covered` is scratch. Both buffers are
+/// caller-owned so that a verifier checking one record per arrival reuses
+/// them instead of allocating.
 std::optional<std::string> check_record(const MetricSpace& metric,
                                         const FacilityCostModel& cost,
                                         const SolutionLedger& ledger,
@@ -128,9 +128,6 @@ std::optional<std::string> check_record(const MetricSpace& metric,
   distinct_facilities(rec, distinct);
   double expect_conn = 0.0;
   if (ledger.policy() == ConnectionChargePolicy::kPerFacility) {
-    // rec.connected must be the sorted distinct facility list.
-    if (!std::ranges::equal(distinct, rec.connected))
-      return "connected-facility list inconsistent with assignments";
     for (FacilityId f : distinct)
       expect_conn +=
           metric.distance(expected.location, ledger.facility(f).location);
@@ -506,8 +503,7 @@ void StreamVerifier::restore(CkptReader& reader,
                              std::uint64_t num_requests) {
   reader.expect("verifier");
   const std::uint64_t next_expected = reader.u();
-  // The pool's map spans the ids from the oldest active one on: bounding
-  // them by the vouched arrival count bounds what a tampered id allocates.
+  // Active entries may only name arrivals the snapshot vouches for.
   if (next_expected > num_requests)
     reader.fail("verifier saw more arrivals than the snapshot holds");
   next_expected_ = static_cast<RequestId>(next_expected);

@@ -79,10 +79,10 @@ std::optional<VerificationError> verify_stream(const EventStream& stream,
 /// each retirement, both *before* any compaction, so every record is
 /// checked exactly once while still resident; finish() closes the books
 /// against the ledger totals. The first failure sticks and short-circuits
-/// later checks. Holds one entry per active request plus 4 bytes per id
-/// from the oldest active request on (an IdSlotPool, like the ledger's
-/// records) and, once that has grown to the active set, allocates nothing
-/// per event.
+/// later checks. Holds one entry per active request plus one 4 KiB id
+/// page per 1,024-id range that still holds one (an IdSlotPool, like the
+/// ledger's records) and, once that has grown to the active set,
+/// allocates nothing per event.
 class StreamVerifier {
  public:
   /// `capacities` enables the capacity-feasibility check: the verifier

@@ -814,6 +814,41 @@ TEST(FuzzParsers, CheckpointHugeServedCountReservesOnlyTheCap) {
                                  sizeof(ServedCommodity)));
 }
 
+// A record's `connected` line is derived from its served entries. One
+// that names other facilities or another count, behind a valid checksum,
+// would restore facility occupancies no run produced: restore refuses it.
+TEST(FuzzParsers, CheckpointConnectedLineDisagreeingWithServedIsRejected) {
+  const std::vector<std::string> lines = split_lines(valid_checkpoint());
+  const auto connected =
+      std::find_if(lines.begin(), lines.end(), [](const std::string& line) {
+        return line.rfind("connected 1 ", 0) == 0;
+      });
+  ASSERT_NE(connected, lines.end()) << "no single-facility record";
+  const std::size_t at = static_cast<std::size_t>(connected - lines.begin());
+  const std::string facility = lines[at].substr(12);
+  const std::string other = facility == "0" ? "1" : "0";
+  for (const std::string& tampered : std::vector<std::string>{
+           "connected 1 " + other, "connected 2 0 1", "connected 0"}) {
+    SCOPED_TRACE(tampered);
+    std::vector<std::string> t = lines;
+    t[at] = tampered;
+    try {
+      PdOmflp pd;
+      MaterializedEventSource source(checkpoint_stream());
+      std::istringstream is(resealed(join_lines(t)));
+      CkptReader reader(is);
+      StreamSession session(pd, source, checkpoint_options(), reader);
+      reader.finish();
+      ADD_FAILURE() << "accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "connected list disagrees with the served entries"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // A bid row holding −0.0 behind a valid checksum. No run writes one (rows
 // start at +0.0 and no kernel produces −0.0), and PD's ball kernels skip
 // the `+= 0.0` that would turn it into +0.0, so restoring one would let
@@ -932,10 +967,9 @@ TEST(FuzzParsers, CheckpointTimelineTamperingIsRejected) {
 
 // Regression: a verifier section claiming more arrivals than the snapshot
 // holds was accepted behind a valid checksum, with an active entry for an
-// id no arrival had. The verifier keeps its entries in an IdSlotPool,
-// whose map spans every id from the oldest active one on: restore now
-// refuses the claim before holding any entry, so the hostile id
-// allocates nothing.
+// id no arrival had. The verifier keeps its entries in an IdSlotPool:
+// restore now refuses the claim before holding any entry, so the hostile
+// id allocates nothing.
 TEST(FuzzParsers, CheckpointVerifierIdsBeyondTheArrivalsAreRejected) {
   const EventStream stream = default_stream_scenario_registry().make(
       "lease-poisson", /*seed=*/3, {{"events", 256}});

@@ -212,7 +212,7 @@ TEST(Integration, Figure3CrossoverAtThreeTimesSmallDistance) {
     PdOmflp pd;
     const SolutionLedger ledger = run_online(pd, inst);
     EXPECT_FALSE(verify_solution(inst, ledger).has_value());
-    return ledger.request_record(ledger.num_requests() - 1).connected.size();
+    return ledger.request_record(ledger.num_requests() - 1).num_connected();
   };
   EXPECT_EQ(run_probe(2.9), 1u);   // shared path wins below 3*1
   EXPECT_EQ(run_probe(3.1), 3u);   // separate paths win above it

@@ -316,8 +316,8 @@ TEST(Metamorphic, LoweringOneCapacityNeverDecreasesCostUnderReassign) {
     for (std::size_t r = 0; r < base.num_requests(); ++r) {
       const RequestRecord& record =
           base.request_record(static_cast<RequestId>(r));
-      for (const FacilityId f : record.connected)
-        ++load[base.facilities()[f].location];
+      record.for_each_connected(
+          [&](FacilityId f) { ++load[base.facilities()[f].location]; });
     }
     const PointId victim = static_cast<PointId>(std::distance(
         load.begin(), std::max_element(load.begin(), load.end())));

@@ -113,7 +113,7 @@ void expect_results_identical(const StreamRunResult& a,
     EXPECT_EQ(id_a, id_b);
     EXPECT_EQ(ra->connection_cost, rb->connection_cost);
     EXPECT_EQ(ra->retired_at, rb->retired_at);
-    EXPECT_EQ(ra->connected, rb->connected);
+    EXPECT_EQ(ra->served, rb->served);
   }
 }
 

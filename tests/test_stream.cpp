@@ -528,7 +528,7 @@ TEST(StreamVerifier, RetirementChecksFacilitiesAgainstTheCheckpoint) {
   s.arrive(0, {0});
   const RequestId moved = s.arrive(7, {0});
   ASSERT_EQ(s.ledger.num_facilities(), 2u);
-  const FacilityId actual = s.ledger.request_record(moved).connected.at(0);
+  const FacilityId actual = s.ledger.request_record(moved).served.at(0).facility;
   const std::string tampered = with_active_line(
       checkpoint_text(s.verifier, s.ledger),
       [&](std::vector<std::string>& v) {
@@ -1142,6 +1142,79 @@ TEST(StreamRunner, LedgerRefusesDoubleRetirement) {
   ledger.finish_request();
   ledger.retire_request(0, 1);
   EXPECT_THROW(ledger.retire_request(0, 2), std::invalid_argument);
+}
+
+// ------------------------------------------------- timeline bitmap ---
+
+/// The timeline's checkpoint lines, and the same lines spelled from a
+/// plain per-arrival flag vector.
+std::string timeline_bytes(const StreamTimeline& timeline) {
+  std::ostringstream os;
+  CkptWriter writer(os);
+  timeline.serialize(writer);
+  writer.finish();
+  return os.str();
+}
+std::string naive_timeline_bytes(const std::vector<bool>& active) {
+  std::vector<std::uint64_t> words((active.size() + 63) / 64, 0);
+  std::size_t count = 0;
+  for (std::size_t id = 0; id < active.size(); ++id) {
+    if (!active[id]) continue;
+    words[id >> 6] |= 1ULL << (id & 63);
+    ++count;
+  }
+  std::ostringstream os;
+  CkptWriter writer(os);
+  writer.line("active").u(active.size()).u(count);
+  for (const std::uint64_t w : words) writer.u(w);
+  writer.line("expiries").u(0);
+  writer.finish();
+  return os.str();
+}
+
+// The timeline keeps its activity bitmap from the lowest active arrival on,
+// yet its checkpoint line spells every word from id 0, and a restore drops
+// the leading zero words again.
+TEST(StreamTimeline, BitmapFromTheLowestActiveIdKeepsTheCheckpointBytes) {
+  StreamTimeline timeline("test", 8, 2);
+  std::vector<bool> model;
+  const auto arrive = [&] {
+    timeline.apply(StreamEvent::arrival(make_request(2, 1, {0})));
+    model.push_back(true);
+  };
+  const auto depart = [&](RequestId id) {
+    timeline.apply(StreamEvent::departure(id));
+    model[id] = false;
+  };
+  const auto agrees = [&] {
+    EXPECT_EQ(timeline.arrivals(), model.size());
+    for (RequestId id = 0; id < model.size(); ++id)
+      ASSERT_EQ(timeline.active(id), model[id]) << id;
+    EXPECT_EQ(timeline_bytes(timeline), naive_timeline_bytes(model));
+  };
+  for (int i = 0; i < 300; ++i) arrive();
+  for (RequestId id = 0; id < 200; ++id)
+    if (id != 70) depart(id);
+  agrees();
+  depart(70);  // words 0-2 hold no active id now
+  agrees();
+  for (RequestId id = 200; id < 300; ++id) depart(id);
+  agrees();  // nothing active: only the newest arrival's word remains
+  arrive();
+  arrive();
+  agrees();
+
+  std::istringstream is(timeline_bytes(timeline));
+  CkptReader reader(is);
+  StreamTimeline restored("test", 8, 2);
+  restored.restore(reader, timeline.clock());
+  reader.finish();
+  EXPECT_EQ(timeline_bytes(restored), timeline_bytes(timeline));
+  for (RequestId id = 0; id < model.size(); ++id)
+    EXPECT_EQ(restored.active(id), model[id]) << id;
+  restored.apply(StreamEvent::departure(300));
+  EXPECT_FALSE(restored.active(300));
+  EXPECT_TRUE(restored.active(301));
 }
 
 // ---------------------------------------------------- timeline agreement ---

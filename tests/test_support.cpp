@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <new>
 #include <numeric>
 #include <optional>
@@ -588,12 +589,12 @@ TEST(InlineList, EqualityAndErase) {
 
 // ------------------------------------------------- ledger allocations ---
 
-// A ledger's records keep up to four served and connected entries inline,
-// so once its pool holds enough slots, serving, retiring and releasing
+// A ledger's records keep up to four served entries inline, so once its
+// pool holds enough slots and pages, serving, retiring and releasing
 // requests of up to four commodities allocates nothing at all. Above four,
-// a slot whose lists never spilled takes one block per spilled list and
-// keeps it for its next record. `connected` holds distinct facilities, so
-// it spills only when more than four of them serve the request.
+// a slot whose served list never spilled takes one block and keeps it for
+// its next record. The distinct facilities are derived from `served`, so
+// serving at six facilities costs no more than serving at one.
 TEST(LedgerAllocations, SteadyStateRecordsAllocateNothing) {
   constexpr CommodityId kUniverse = 8;
   SolutionLedger ledger(LineMetric::uniform_grid(8, 7.0),
@@ -636,18 +637,18 @@ TEST(LedgerAllocations, SteadyStateRecordsAllocateNothing) {
   EXPECT_EQ(ledger.num_resident_records(), 0u);
 
   // Every slot's lists are still inline: six commodities take one block
-  // for served, plus one for connected only when served at six facilities.
+  // for served, at one facility or at six.
   EXPECT_EQ(allocations_during([&] { serve(6, /*spread=*/false); }), 1u);
-  EXPECT_EQ(ledger.request_record(ledger.num_requests() - 1).connected.size(),
+  EXPECT_EQ(ledger.request_record(ledger.num_requests() - 1).num_connected(),
             1u);
-  EXPECT_EQ(allocations_during([&] { serve(6, /*spread=*/true); }), 2u);
-  EXPECT_EQ(ledger.request_record(ledger.num_requests() - 1).connected.size(),
+  EXPECT_EQ(allocations_during([&] { serve(6, /*spread=*/true); }), 1u);
+  EXPECT_EQ(ledger.request_record(ledger.num_requests() - 1).num_connected(),
             6u);
   EXPECT_EQ(allocations_during([&] { serve(4, /*spread=*/true); }), 0u);
   retire_all();
 
-  // A slot keeps its blocks: once both slots have spilled both lists,
-  // six-commodity records allocate nothing either.
+  // A slot keeps its block: once both slots have spilled their served
+  // lists, six-commodity records allocate nothing either.
   const auto wide_cycle = [&] {
     serve(6, /*spread=*/true);
     serve(6, /*spread=*/true);
@@ -918,6 +919,119 @@ TEST(IdSlotPool, ReusedSlotsKeepTheirContentsAndIdsOnlyGrow) {
   pool.clear();
   EXPECT_EQ(pool.next_id(), 0u);
   EXPECT_EQ(pool.size(), 0u);
+}
+
+TEST(IdSlotPool, EntriesNeverMoveAsThePoolGrows) {
+  IdSlotPool<std::vector<int>> pool;
+  std::vector<int>& first = pool.add();
+  first = {42};
+  const std::vector<int>* const address = &first;
+  for (int i = 1; i <= 10000; ++i) pool.add() = {i};
+  EXPECT_EQ(pool.find(0), address);
+  EXPECT_EQ(first, std::vector<int>{42});
+  EXPECT_EQ(pool.size(), 10001u);
+}
+
+// Ids 1,023 | 1,024 and 2,047 | 2,048 sit on either side of the page
+// boundaries; freeing the middle page leaves a hole in the directory that
+// lookups and for_each() step over.
+TEST(IdSlotPool, PageBoundariesKeepTheirOrderWhenAMiddlePageIsFreed) {
+  IdSlotPool<std::vector<int>> pool;
+  const std::vector<std::size_t> ids = {1023, 1024, 2047, 2048, 3071};
+  for (const std::size_t id : ids) pool.add(id) = {static_cast<int>(id)};
+  EXPECT_EQ(pool.first_id(), 1023u);
+  EXPECT_EQ(pool_ids(pool), ids);
+  pool.release(1024);
+  EXPECT_EQ(pool_ids(pool),
+            (std::vector<std::size_t>{1023, 2047, 2048, 3071}));
+  pool.release(2047);  // the page of ids 1,024-2,047 is now empty
+  EXPECT_EQ(pool_ids(pool), (std::vector<std::size_t>{1023, 2048, 3071}));
+  EXPECT_EQ(pool.find(1500), nullptr);
+  ASSERT_NE(pool.find(2048), nullptr);
+  EXPECT_EQ(*pool.find(2048), std::vector<int>{2048});
+  ASSERT_NE(pool.find(3071), nullptr);
+  EXPECT_EQ(*pool.find(3071), std::vector<int>{3071});
+  pool.add(5000) = {5000};  // a fresh page past another hole
+  pool.release(1023);
+  EXPECT_EQ(pool.first_id(), 2048u);
+  EXPECT_EQ(pool_ids(pool), (std::vector<std::size_t>{2048, 3071, 5000}));
+  EXPECT_EQ(*pool.find(5000), std::vector<int>{5000});
+}
+
+// Random ascending adds (with gaps past whole pages), releases of random
+// resident ids and skip_to() calls, checked step by step against a
+// std::map holding the same entries.
+TEST(IdSlotPool, MatchesAMapModelOnRandomSequences) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    IdSlotPool<std::vector<int>> pool;
+    std::map<std::size_t, int> model;
+    std::size_t next = 0;
+    for (int step = 0; step < 4000; ++step) {
+      const std::uint64_t op = rng.uniform_index(10);
+      if (op < 5) {
+        // Mostly the next id, sometimes a gap of up to three pages.
+        const std::size_t gap = rng.uniform_index(4) == 0
+                                    ? rng.uniform_index(3 * 1024)
+                                    : 0;
+        const std::size_t id = next + gap;
+        pool.add(id) = {step};
+        model[id] = step;
+        next = id + 1;
+      } else if (op < 9) {
+        if (model.empty()) continue;
+        auto it = model.begin();
+        std::advance(it, static_cast<std::ptrdiff_t>(
+                             rng.uniform_index(model.size())));
+        pool.release(it->first);
+        model.erase(it);
+      } else {
+        next += rng.uniform_index(2048);
+        pool.skip_to(next);
+      }
+      ASSERT_EQ(pool.size(), model.size());
+      ASSERT_EQ(pool.next_id(), next);
+      ASSERT_EQ(pool.first_id(), model.empty() ? next : model.begin()->first);
+      const std::size_t probe = rng.uniform_index(next + 1);
+      const auto found = model.find(probe);
+      if (found == model.end()) {
+        ASSERT_EQ(pool.find(probe), nullptr) << probe;
+      } else {
+        ASSERT_NE(pool.find(probe), nullptr) << probe;
+        ASSERT_EQ(*pool.find(probe), std::vector<int>{found->second});
+      }
+    }
+    std::vector<std::pair<std::size_t, int>> walked;
+    pool.for_each([&](std::size_t id, const std::vector<int>& entry) {
+      walked.emplace_back(id, entry.at(0));
+    });
+    EXPECT_EQ(walked,
+              (std::vector<std::pair<std::size_t, int>>(model.begin(),
+                                                        model.end())));
+  }
+}
+
+// One id that never leaves must not make later add/release cycles pay:
+// the pages between it and the newest id are freed, and their storage is
+// reused from the spare list.
+TEST(IdSlotPool, PinnedOldIdLeavesSteadyCyclesAllocationFree) {
+  IdSlotPool<std::vector<int>> pool;
+  pool.add() = {0};
+  const auto cycles = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      const std::size_t id = pool.next_id();
+      pool.add(id).assign(4, i);
+      pool.release(id);
+    }
+  };
+  // Warm-up past a page boundary: a second directory entry, a page for
+  // the newest ids, a slot and its vector's block.
+  cycles(2 * IdSlotPool<std::vector<int>>::kPageIds);
+  EXPECT_EQ(allocations_during([&] { cycles(100000); }), 0u);
+  EXPECT_EQ(pool.first_id(), 0u);
+  EXPECT_EQ(pool.size(), 1u);
+  EXPECT_EQ(pool_ids(pool), std::vector<std::size_t>{0});
 }
 
 TEST(ParallelFor, CoversAllIndicesOnce) {
